@@ -30,7 +30,7 @@ from .groebner import (
     normal_form,
     standard_monomial_count,
 )
-from .koszul import dual_dimension, dual_tower, koszul_prediction, koszul_summary
+from .koszul import dual_tower, koszul_prediction, koszul_summary
 from .orders import MonomialOrder
 from .poly import Poly
 from .presentation import (
@@ -60,7 +60,7 @@ __all__ = [
     "random_point", "sample_config", "singular_locus_dim", "verify_vanishing",
     "GroebnerBasis", "buchberger", "groebner_for", "krull_dimension",
     "normal_form", "standard_monomial_count",
-    "dual_dimension", "dual_tower", "koszul_prediction", "koszul_summary",
+    "dual_tower", "koszul_prediction", "koszul_summary",
     "MonomialOrder", "Poly",
     "PivotScheme", "PresentationSpec", "build_an", "build_bnm",
     "general_pair_relation", "tensor_relation_space",

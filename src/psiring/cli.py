@@ -76,10 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--kind", choices=["an", "bnm"], default="an")
     common.add_argument("--n", type=int, default=4)
     common.add_argument("--m", type=int, default=0)
-    common.add_argument("--field", default=None,
-                        help="rational (default) or prime[:p]")
     common.add_argument("--pivot", default="cyclic",
-                        help="cyclic or custom:p1,p2,...")
+                        help="cyclic or custom:p1,p2,... (--kind an only)")
     common.add_argument("--seed", type=int, default=20260819)
     common.add_argument("--format", choices=["json", "csv", "md"], default="json")
     common.add_argument("--out", default=None)
@@ -87,11 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--timings", action="store_true",
                         help="include wall-clock timings (breaks byte determinism)")
 
+    # --field only on the subcommands whose arithmetic reads it
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--field", default=None,
+                       help="rational (default) or prime[:p]")
+
     ap = argparse.ArgumentParser(prog=TOOL, description=__doc__)
     ap.add_argument("--version", action="version", version=f"{TOOL} {__version__}")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("presentation", parents=[common],
+    p = sub.add_parser("presentation", parents=[common, field],
                        help="dump a presentation: variables, grading, relations")
     p.add_argument("action", choices=["dump"])
 
@@ -100,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("action", choices=["lee", "brute", "verify"])
     h.add_argument("--max-total", type=int, default=4)
 
-    g = sub.add_parser("gb", parents=[common], help="Groebner basis and Krull dimension")
+    g = sub.add_parser("gb", parents=[common, field], help="Groebner basis and Krull dimension")
     g.add_argument("action", choices=["run"])
     g.add_argument("--order", default="grevlex", help="grevlex, lex, or block")
     g.add_argument("--cap", type=int, default=None,
@@ -115,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample configurations and verify vanishing")
     s.add_argument("--count", type=int, default=20)
 
-    si = sub.add_parser("singular", parents=[common],
+    si = sub.add_parser("singular", parents=[common, field],
                         help="dimension of the singular locus (relations + minors)")
     si.add_argument("--budget", type=int, default=DEFAULT_MINOR_BUDGET)
 
@@ -127,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _field_for(args, default: str = "rational"):
-    return parse_field(args.field if args.field is not None else default)
+    text = getattr(args, "field", None)
+    return parse_field(text if text is not None else default)
 
 
 def _spec(args, field=None):
@@ -137,6 +141,8 @@ def _spec(args, field=None):
             raise UsageError("--m applies to --kind bnm")
         spec = build_an(args.n, pivot)
     else:
+        if pivot.kind != CYCLIC:
+            raise UsageError("--pivot applies to --kind an")
         spec = build_bnm(args.n, args.m)
     return spec.to_field(field if field is not None else _field_for(args))
 
@@ -148,7 +154,7 @@ def _config_echo(args, **extra) -> dict:
         "n": args.n,
         "m": args.m,
         "pivot": args.pivot,
-        "field": args.field or "rational",
+        "field": getattr(args, "field", None) or "rational",
         "seed": args.seed,
         "format": args.format,
     }
@@ -311,10 +317,12 @@ def cmd_gb(args) -> Report:
 def cmd_koszul(args) -> Report:
     if args.kind != "an":
         raise UsageError("the dual tower is computed for --kind an")
+    pivot = parse_pivot(args.pivot)
+    pivot.validate(args.n)
     report = Report(TOOL, __version__,
                     _config_echo(args, kmax=args.kmax, budget=args.budget))
     t0 = time.perf_counter()
-    summary = koszul_summary(args.n, args.kmax, budget=args.budget)
+    summary = koszul_summary(args.n, args.kmax, budget=args.budget, pivot=pivot)
     pred = koszul_prediction(args.n, max(args.kmax, 2))
     b2_ok = b2_structural(args.n) == pred[2]
     got_b2 = next((s.dual_dim for s in summary.stages if s.k == 2), None)

@@ -127,12 +127,12 @@ def as_mod_array(a, p: int) -> np.ndarray:
     return arr
 
 
-def rows_to_dense(rows: list[dict], ncols: int, p: int | None = None) -> np.ndarray:
-    """Materialize sparse integer rows as a dense int64 array, reduced mod p if given."""
+def rows_to_dense(rows: list[dict], ncols: int, p: int) -> np.ndarray:
+    """Materialize sparse integer rows as a dense int64 array reduced mod p."""
     out = np.zeros((len(rows), ncols), dtype=np.int64)
     for i, row in enumerate(rows):
         for c, v in row.items():
-            out[i, c] = v % p if p else v
+            out[i, c] = v % p
     return out
 
 
@@ -157,22 +157,6 @@ def echelon_mod_p(a, p: int) -> tuple[np.ndarray, list[int]]:
 
 def rank_mod_p(a, p: int) -> int:
     return len(echelon_mod_p(a, p)[1])
-
-
-def rref_mod_p(a, p: int) -> tuple[np.ndarray, list[int]]:
-    """Fully reduced row echelon form (Jordan); int64 lane, small inputs only."""
-    A = as_mod_array(a, p)
-    if A.size == 0:
-        return A, []
-    if (p - 1) ** 2 >= (1 << 63):
-        raise UsageError(f"prime {p} too large for the int64 lane")
-    U, pivots = _echelon_int(A, p)
-    for t in range(len(pivots) - 1, 0, -1):
-        c = pivots[t]
-        above = np.nonzero(U[:t, c])[0]
-        if above.size:
-            U[above] = (U[above] - np.outer(U[above, c], U[t])) % p
-    return U, pivots
 
 
 def nullspace_mod_p(a, p: int) -> np.ndarray:

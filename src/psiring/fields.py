@@ -81,14 +81,44 @@ class Rationals:
         return hash("QQ")
 
 
+# Miller-Rabin with the first 12 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318_665_857_834_031_151_167_461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for 2 <= n < _MR_LIMIT."""
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """Field context for Z/p with p prime; elements are ints in [0, p)."""
-
-    characteristic_nonzero = True
 
     def __init__(self, p: int):
         if p < 2:
             raise UsageError(f"modulus must be a prime >= 2, got {p}")
+        if p >= _MR_LIMIT:
+            raise UsageError(f"modulus {p} is too large to certify as prime")
+        if not _is_prime(p):
+            raise UsageError(f"modulus {p} is not prime")
         self.p = p
         self.name = f"GF({p})"
         self.characteristic = p

@@ -121,17 +121,6 @@ def dual_tower(
     return dims
 
 
-def dual_dimension(
-    n: int,
-    k: int,
-    prime: int = TENSOR_PRIME,
-    budget: int = DEFAULT_ELEMENT_BUDGET,
-    pivot: PivotScheme | None = None,
-) -> int:
-    """dim of the degree-k dual component, iterative route."""
-    return dual_tower(n, k, prime, budget, pivot)[k]
-
-
 def dual_dimension_stacked(
     n: int,
     k: int,
@@ -209,18 +198,19 @@ def koszul_summary(
     kmax: int,
     prime: int = TENSOR_PRIME,
     budget: int = DEFAULT_ELEMENT_BUDGET,
+    pivot: PivotScheme | None = None,
 ) -> KoszulSummary:
     """Compute the tower, compare to the prediction, retry on a second prime.
 
     A mismatch confirmed at two primes is reported as-is ('informative');
     a mismatch that vanishes at the retry prime keeps the retry values.
     """
-    dims = dual_tower(n, kmax, prime, budget)
+    dims = dual_tower(n, kmax, prime, budget, pivot)
     pred = koszul_prediction(n, kmax)
     primes = [prime]
     if any(d != p for d, p in zip(dims, pred)):
         retry = next(q for q in (TENSOR_RETRY_PRIMES + (TENSOR_PRIME,)) if q != prime)
-        dims2 = dual_tower(n, kmax, retry, budget)
+        dims2 = dual_tower(n, kmax, retry, budget, pivot)
         primes.append(retry)
         if dims2 != dims:
             dims = [min(a, b) for a, b in zip(dims, dims2)]  # mod-p dims only inflate

@@ -55,15 +55,6 @@ class MonomialOrder:
                 mdeg[self.blocks[pos]] += exp
         return (tuple(mdeg), grevlex_key)
 
-    def gt(self, e1: tuple[int, ...], e2: tuple[int, ...]) -> bool:
-        return self.key(e1) > self.key(e2)
-
-    def max_exponent(self, exps):
-        return max(exps, key=self.key)
-
-    def sorted_desc(self, exps):
-        return sorted(exps, key=self.key, reverse=True)
-
 
 # -- exponent tuple helpers ---------------------------------------------------
 
@@ -83,6 +74,3 @@ def exp_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def exp_degree(a: tuple[int, ...]) -> int:
     return sum(a)
-
-def exp_one(nvars: int) -> tuple[int, ...]:
-    return (0,) * nvars

@@ -207,6 +207,17 @@ class Poly:
         return [(e, self.terms[e]) for e in sorted(self.terms, key=order.key, reverse=True)]
 
 
+def monomial_text(exp: tuple[int, ...], names: list[str]) -> str:
+    """Render x^exp as a '*'-joined product of names with '^k' powers; '1' if constant."""
+    factors = []
+    for pos, k in enumerate(exp):
+        if k == 1:
+            factors.append(names[pos])
+        elif k > 1:
+            factors.append(f"{names[pos]}^{k}")
+    return "*".join(factors) if factors else "1"
+
+
 def poly_text(p: Poly, names: list[str], order: MonomialOrder) -> str:
     """Render terms descending in the order, with exact coefficient strings."""
     if p.is_zero():
@@ -214,20 +225,14 @@ def poly_text(p: Poly, names: list[str], order: MonomialOrder) -> str:
     F = p.field
     parts = []
     for e, c in p.sorted_terms(order):
-        factors = []
-        for pos, k in enumerate(e):
-            if k == 1:
-                factors.append(names[pos])
-            elif k > 1:
-                factors.append(f"{names[pos]}^{k}")
-        mono = "*".join(factors) if factors else "1"
+        mono = monomial_text(e, names)
         cs = F.to_str(c)
-        if cs == "1" and factors:
+        if cs == "1" and mono != "1":
             term = mono
-        elif cs == "-1" and factors:
+        elif cs == "-1" and mono != "1":
             term = "-" + mono
         else:
-            term = f"{cs}*{mono}" if factors else cs
+            term = f"{cs}*{mono}" if mono != "1" else cs
         parts.append(term)
     out = parts[0]
     for t in parts[1:]:

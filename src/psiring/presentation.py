@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from .errors import UsageError
 from .fields import QQ, Field
 from .orders import GREVLEX, MonomialOrder
-from .poly import Poly, multidegree, poly_text
+from .poly import Poly, monomial_text, poly_text
 from .symbols import Alpha, Phi, VarIndex
 
 CYCLIC = "cyclic"
@@ -89,13 +89,6 @@ class PresentationSpec:
     def name(self) -> str:
         return f"A_{self.n}" if self.kind == "an" else f"B_{{{self.n},{self.m}}}"
 
-    def var_position(self, v: VarIndex) -> int:
-        return self._positions()[v]
-
-    def _positions(self) -> dict:
-        # tiny, rebuilt on demand; specs are small and frozen
-        return {v: pos for pos, v in enumerate(self.variables)}
-
     def block_positions(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.n)]
         for pos, b in enumerate(self.blocks):
@@ -118,23 +111,39 @@ class PresentationSpec:
         rels = tuple(r.map_field(field) for r in self.relations)
         return replace(self, field=field, relations=rels)
 
-    def multidegree_of(self, exp: tuple[int, ...]) -> tuple[int, ...]:
-        return multidegree(exp, self.blocks, self.n)
+
+def _lin(var_pos: dict, i: int, j: int, jneg: int) -> list[tuple[int, int]]:
+    """a[i,j] - a[i,jneg] as (position, coefficient) pairs, pivot entries dropped."""
+    out = []
+    va, vb = Alpha(i, j), Alpha(i, jneg)
+    if va in var_pos:
+        out.append((var_pos[va], 1))
+    if vb in var_pos:
+        out.append((var_pos[vb], -1))
+    return out
 
 
-def _product_term(spec_vars: dict, field: Field, nvars: int,
-                  fa, fb) -> Poly:
-    """(sum of fa terms) * (sum of fb terms), where each f is a list of (pos, +-1)."""
+def _pair_tensor(var_pos: dict, i: int, j: int, k: int, l: int) -> dict:
+    """The pair (i,j) relation comparing points k and l, as {(pos_a, pos_b): coeff}
+    in V (x) V: (a[i,k]-a[i,j])(a[j,k]-a[j,i]) - (a[i,l]-a[i,j])(a[j,l]-a[j,i])."""
+    out: dict = {}
+    for p, sign in ((k, 1), (l, -1)):
+        for pa, ca in _lin(var_pos, i, p, j):
+            for pb, cb in _lin(var_pos, j, p, i):
+                out[(pa, pb)] = out.get((pa, pb), 0) + sign * ca * cb
+    return {ab: c for ab, c in out.items() if c}
+
+
+def _pair_poly(var_pos: dict, field: Field, nvars: int, i: int, j: int, k: int, l: int) -> Poly:
+    """_pair_tensor collapsed to commutative monomials."""
     terms: dict = {}
-    for pa, ca in fa:
-        for pb, cb in fb:
-            e = [0] * nvars
-            e[pa] += 1
-            e[pb] += 1
-            key = tuple(e)
-            terms[key] = terms.get(key, 0) + ca * cb
-    int_terms = {e: c for e, c in terms.items() if c}
-    return Poly.from_int_terms(field, nvars, int_terms)
+    for (pa, pb), c in _pair_tensor(var_pos, i, j, k, l).items():
+        e = [0] * nvars
+        e[pa] += 1
+        e[pb] += 1
+        key = tuple(e)
+        terms[key] = terms.get(key, 0) + c
+    return Poly.from_int_terms(field, nvars, terms)
 
 
 def build_an(n: int, pivot: PivotScheme | None = None) -> PresentationSpec:
@@ -156,16 +165,6 @@ def build_an(n: int, pivot: PivotScheme | None = None) -> PresentationSpec:
     blocks = tuple(v.block - 1 for v in variables)
     nvars = len(variables)
 
-    def lin(i: int, j: int, jneg: int):
-        """a[i,j] - a[i,jneg] as (position, coefficient) pairs, pivot entries dropped."""
-        out = []
-        va, vb = Alpha(i, j), Alpha(i, jneg)
-        if va in var_pos:
-            out.append((var_pos[va], 1))
-        if vb in var_pos:
-            out.append((var_pos[vb], -1))
-        return out
-
     relations: list[Poly] = []
     pairs: list[tuple[int, int]] = []
     for i in range(1, n + 1):
@@ -173,9 +172,7 @@ def build_an(n: int, pivot: PivotScheme | None = None) -> PresentationSpec:
             rest = [k for k in range(1, n + 1) if k not in (i, j)]
             l0 = rest[0]
             for k in rest[1:]:
-                tk = _product_term(var_pos, QQ, nvars, lin(i, k, j), lin(j, k, i))
-                tl = _product_term(var_pos, QQ, nvars, lin(i, l0, j), lin(j, l0, i))
-                rel = tk.sub(tl)
+                rel = _pair_poly(var_pos, QQ, nvars, i, j, k, l0)
                 assert not rel.is_zero(), "degenerate relation"
                 relations.append(rel)
                 pairs.append((i, j))
@@ -252,20 +249,8 @@ def general_pair_relation(spec: PresentationSpec, i: int, j: int, k: int, l: int
     pts = (i, j, k, l)
     if len(set(pts)) != 4 or not all(1 <= x <= n for x in pts):
         raise UsageError(f"need four distinct points in 1..{n}, got {pts}")
-    var_pos = spec._positions()
-
-    def lin(a: int, b: int, bneg: int):
-        out = []
-        va, vb = Alpha(a, b), Alpha(a, bneg)
-        if va in var_pos:
-            out.append((var_pos[va], 1))
-        if vb in var_pos:
-            out.append((var_pos[vb], -1))
-        return out
-
-    tk = _product_term(var_pos, spec.field, spec.nvars, lin(i, k, j), lin(j, k, i))
-    tl = _product_term(var_pos, spec.field, spec.nvars, lin(i, l, j), lin(j, l, i))
-    return tk.sub(tl)
+    var_pos = {v: pos for pos, v in enumerate(spec.variables)}
+    return _pair_poly(var_pos, spec.field, spec.nvars, i, j, k, l)
 
 
 def relation_degree_audit(spec: PresentationSpec) -> dict[tuple[int, int], int]:
@@ -318,28 +303,14 @@ def tensor_relation_space(n: int, pivot: PivotScheme | None = None) -> TensorRel
         for b in range(a + 1, v):
             commutators.append({a * v + b: 1, b * v + a: -1})
 
-    def lin(i: int, j: int, jneg: int):
-        out = []
-        if Alpha(i, j) in var_pos:
-            out.append((var_pos[Alpha(i, j)], 1))
-        if Alpha(i, jneg) in var_pos:
-            out.append((var_pos[Alpha(i, jneg)], -1))
-        return out
-
     symmetric: list[dict] = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             rest = [k for k in range(1, n + 1) if k not in (i, j)]
             l0 = rest[0]
             for k in rest[1:]:
-                row: dict = {}
-                for fa, fb, sign in ((lin(i, k, j), lin(j, k, i), 1),
-                                     (lin(i, l0, j), lin(j, l0, i), -1)):
-                    for pa, ca in fa:
-                        for pb, cb in fb:
-                            idx = pa * v + pb
-                            row[idx] = row.get(idx, 0) + sign * ca * cb
-                symmetric.append({k2: c for k2, c in row.items() if c})
+                row = _pair_tensor(var_pos, i, j, k, l0)
+                symmetric.append({pa * v + pb: c for (pa, pb), c in row.items()})
 
     return TensorRelationSpace(
         n=n, dim_v=v,
@@ -358,7 +329,7 @@ def presentation_to_dict(spec: PresentationSpec) -> dict:
     for rel, (i, j) in zip(spec.relations, spec.relation_pairs):
         terms = [
             {"coeff": spec.field.to_str(c),
-             "monomial": _monomial_text(e, names)}
+             "monomial": monomial_text(e, names)}
             for e, c in rel.sorted_terms(order)
         ]
         rels.append({"pair": [i, j], "terms": terms, "text": poly_text(rel, names, order)})
@@ -375,12 +346,3 @@ def presentation_to_dict(spec: PresentationSpec) -> dict:
         "relations": rels,
     }
 
-
-def _monomial_text(exp: tuple[int, ...], names: list[str]) -> str:
-    factors = []
-    for pos, k in enumerate(exp):
-        if k == 1:
-            factors.append(names[pos])
-        elif k > 1:
-            factors.append(f"{names[pos]}^{k}")
-    return "*".join(factors) if factors else "1"

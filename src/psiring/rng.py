@@ -56,6 +56,3 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.randint(0, i)
             items[i], items[j] = items[j], items[i]
-
-    def choice(self, items):
-        return items[self.randint(0, len(items) - 1)]

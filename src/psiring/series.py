@@ -52,19 +52,22 @@ Bound = TotalBound | BoxBound
 
 
 @lru_cache(maxsize=None)
+def compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """Every tuple of `parts` non-negative integers summing to total, in ascending lex order."""
+    if parts == 0:
+        return ((),) if total == 0 else ()
+    return tuple((v,) + rest for v in range(total + 1)
+                 for rest in compositions(total - v, parts - 1))
+
+
+def degree_grid(nblocks: int, limit: int) -> list[tuple[int, ...]]:
+    """Every multidegree with total degree <= limit, in report order (total, then lex)."""
+    return [a for d in range(limit + 1) for a in compositions(d, nblocks)]
+
+
+@lru_cache(maxsize=None)
 def _simplex_degrees(nvars: int, limit: int) -> tuple[tuple[int, ...], ...]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], left: int):
-        if len(prefix) == nvars:
-            out.append(prefix)
-            return
-        for v in range(left + 1):
-            rec(prefix + (v,), left - v)
-
-    rec((), limit)
-    out.sort()
-    return tuple(out)
+    return tuple(sorted(degree_grid(nvars, limit)))
 
 
 @lru_cache(maxsize=None)
@@ -93,19 +96,8 @@ class TruncatedSeries:
         self.coeffs = coeffs if coeffs is not None else {}
 
     @staticmethod
-    def zero(nvars: int, bound: Bound) -> "TruncatedSeries":
-        return TruncatedSeries(nvars, bound)
-
-    @staticmethod
     def one(nvars: int, bound: Bound) -> "TruncatedSeries":
         return TruncatedSeries(nvars, bound, {(0,) * nvars: 1})
-
-    @staticmethod
-    def monomial(nvars: int, bound: Bound, a: tuple[int, ...], c: int = 1) -> "TruncatedSeries":
-        s = TruncatedSeries(nvars, bound)
-        if c and bound.contains(a):
-            s.coeffs[a] = c
-        return s
 
     def coefficient(self, a: tuple[int, ...]) -> int:
         if len(a) != self.nvars:
@@ -176,18 +168,6 @@ class TruncatedSeries:
         out = self
         for axis in range(self.nvars):
             out = out.add(self.mul_shift_geometric(axis))
-        return out
-
-    def total_degree_sums(self, limit: int) -> list[int]:
-        """Coefficient sums per total degree, 0..limit; requires the bound to cover them."""
-        probe = tuple([limit] + [0] * (self.nvars - 1))
-        if not self.bound.contains(probe):
-            raise UsageError("bound does not cover the requested total degree")
-        out = [0] * (limit + 1)
-        for a, c in self.coeffs.items():
-            d = sum(a)
-            if d <= limit:
-                out[d] += c
         return out
 
     def __eq__(self, other):

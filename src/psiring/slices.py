@@ -10,15 +10,14 @@ rational elimination; otherwise a second prime stands in as the cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb
 
-import numpy as np
-
 from .errors import UsageError
-from .exactla import rank_mod_p, rank_sparse_rational
+from .exactla import rank_mod_p, rank_sparse_rational, rows_to_dense
 from .fields import DEFAULT_PRIME, RETRY_PRIMES
 from .presentation import PresentationSpec
-from .series import lee_coefficient
+from .series import compositions, degree_grid, lee_coefficient
 
 # above this many columns the rational confirmation is skipped in auto mode
 RATIONAL_VERIFY_MAX_COLS = 250
@@ -39,43 +38,16 @@ def enumerate_monomials(spec: PresentationSpec, a: tuple[int, ...]) -> list[tupl
     """All exponent tuples of multidegree a, ascending in the presentation order."""
     _check_degree(spec, a)
     positions = spec.block_positions()
-    chunks: list[list[list[int]]] = []
-    for ai, pos in zip(a, positions):
-        if not pos:
-            if ai:
-                return []
-            chunks.append([[]])
-            continue
-        chunks.append([list(c) for c in _compositions(ai, len(pos))])
+    chunks = [compositions(ai, len(pos)) for ai, pos in zip(a, positions)]
     out: list[tuple[int, ...]] = []
     exp = [0] * spec.nvars
-
-    def rec(b: int):
-        if b == len(chunks):
-            out.append(tuple(exp))
-            return
-        pos = positions[b]
-        for c in chunks[b]:
+    for combo in product(*chunks):
+        for pos, c in zip(positions, combo):
             for p, v in zip(pos, c):
                 exp[p] = v
-            rec(b + 1)
-        for p in pos:
-            exp[p] = 0
-
-    rec(0)
+        out.append(tuple(exp))
     order = spec.default_order()
     out.sort(key=order.key)
-    return out
-
-
-def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    if parts == 0:
-        return [()] if total == 0 else []
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for v in range(total + 1):
-        out.extend((v,) + rest for rest in _compositions(total - v, parts - 1))
     return out
 
 
@@ -168,7 +140,7 @@ def slice_dimension(
         rank = rank_sparse_rational([dict(r) for r in rows])
         how = "rational"
     else:
-        rank = _prime_rank(rows, ncols, prime)
+        rank = rank_mod_p(rows_to_dense(rows, ncols, prime), prime)
         how = f"modular({prime})"
         if method == "auto":
             if ncols <= RATIONAL_VERIFY_MAX_COLS:
@@ -180,21 +152,13 @@ def slice_dimension(
                     how = f"modular({prime})+rational"
             else:
                 p2 = next(p for p in RETRY_PRIMES if p != prime)
-                r2 = _prime_rank(rows, ncols, p2)
+                r2 = rank_mod_p(rows_to_dense(rows, ncols, p2), p2)
                 if r2 != rank:
                     rank = max(rank, r2)  # rank mod p only ever drops
                     how = f"modular(max {prime},{p2})"
                 else:
                     how = f"modular({prime},{p2})"
     return SliceReport(tuple(a), nmon, len(rows), rank, nmon - rank, pred, how)
-
-
-def _prime_rank(rows: list[dict[int, int]], ncols: int, p: int) -> int:
-    mat = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            mat[i, c] = v % p
-    return rank_mod_p(mat, p)
 
 
 def sweep_dimensions(
@@ -208,18 +172,3 @@ def sweep_dimensions(
         out.append(slice_dimension(spec, a, method=method))
     return out
 
-
-def degree_grid(nblocks: int, limit: int) -> list[tuple[int, ...]]:
-    """Every multidegree with total degree <= limit, in report order."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], left: int):
-        if len(prefix) == nblocks:
-            out.append(prefix)
-            return
-        for v in range(left + 1):
-            rec(prefix + (v,), left - v)
-
-    rec((), limit)
-    out.sort(key=lambda a: (sum(a), a))
-    return out

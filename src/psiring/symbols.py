@@ -8,7 +8,6 @@ Both carry multidegree e_i (block i).  Indices are 1-based everywhere.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 
@@ -39,17 +38,3 @@ class Phi:
 
 
 VarIndex = Alpha | Phi
-
-_ALPHA_RE = re.compile(r"^a\[(\d+),(\d+)\]$")
-_PHI_RE = re.compile(r"^phi\[(\d+),(\d+)\]$")
-
-
-def parse_var(text: str) -> VarIndex:
-    """Inverse of .text(); round-trips exactly."""
-    m = _ALPHA_RE.match(text)
-    if m:
-        return Alpha(int(m.group(1)), int(m.group(2)))
-    m = _PHI_RE.match(text)
-    if m:
-        return Phi(int(m.group(1)), int(m.group(2)))
-    raise ValueError(f"unrecognized variable {text!r}")

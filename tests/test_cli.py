@@ -125,10 +125,48 @@ def test_verify_theorem_a(capsysbinary):
     ["sample", "--n", "4", "--count", "0"],
     ["gb", "run", "--n", "4", "--field", "galois"],
     ["verify-theorem-a", "--kind", "bnm", "--n", "3", "--m", "1"],
+    ["gb", "run", "--n", "4", "--field", "prime:100"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert cli.main(argv) == 2
     assert "error" in capsys.readouterr().err
+
+
+def exit_code(argv):
+    """cli.main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    # --field is read only by presentation, gb and singular
+    ["hilbert", "verify", "--n", "4", "--max-total", "2", "--field", "prime:97"],
+    ["koszul", "--n", "4", "--kmax", "2", "--field", "prime:97"],
+    ["sample", "--n", "4", "--count", "2", "--field", "prime:97"],
+    ["verify-theorem-a", "--n", "4", "--max-total", "2", "--field", "prime:97"],
+    # --pivot applies to A_n only
+    ["presentation", "dump", "--kind", "bnm", "--n", "3", "--m", "2",
+     "--pivot", "custom:2,3,1"],
+    ["hilbert", "brute", "--kind", "bnm", "--n", "3", "--m", "2", "--max-total", "2",
+     "--pivot", "custom:2,3,1"],
+    ["gb", "run", "--kind", "bnm", "--n", "3", "--m", "1", "--pivot", "custom:2,3,1"],
+    # koszul validates the pivot it now uses, whatever kmax
+    ["koszul", "--n", "4", "--kmax", "1", "--pivot", "custom:1,2,3,4"],
+])
+def test_ignored_flags_are_rejected(argv, capsys):
+    assert exit_code(argv) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_koszul_honours_pivot(capsysbinary):
+    code, d = run_json(["koszul", "--n", "4", "--kmax", "3", "--pivot", "custom:2,1,4,3"],
+                       capsysbinary)
+    assert code == 0
+    assert d["payload"]["tower"] == [1, 8, 34, 112]
+    assert d["config"]["pivot"] == "custom:2,1,4,3"
+    assert d["config"]["field"] == "rational"
 
 
 def test_math_failure_exits_one(monkeypatch, capsysbinary):

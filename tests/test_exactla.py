@@ -15,7 +15,6 @@ from psiring.exactla import (
     rank_rational,
     rank_sparse_rational,
     rows_to_dense,
-    rref_mod_p,
 )
 from psiring.fields import DEFAULT_PRIME, TENSOR_PRIME
 from psiring.rng import SplitMix64
@@ -60,14 +59,16 @@ def test_rows_to_dense_reduces_entries():
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, TENSOR_PRIME, 97])
 def test_echelon_and_rref_shapes(p):
-    m = np.array(random_int_matrix(7, 9, 41, rank_deficit=2)) % p
+    ints = random_int_matrix(7, 9, 41, rank_deficit=2)
+    m = np.array(ints) % p
     ech, piv = echelon_mod_p(m.copy(), p)
-    r, piv2 = rref_mod_p(m.copy(), p)[0], rref_mod_p(m.copy(), p)[1]
-    assert len(piv) == len(piv2) == rank_mod_p(m, p)
-    # rref pivots are unit columns
-    for i, c in enumerate(piv2):
-        col = r[:, c] % p
-        assert col[i] == 1 and np.count_nonzero(col) == 1
+    assert len(piv) == bareiss_rank(ints)
+    assert piv == sorted(set(piv))
+    # unit pivots with zeros below, and zero rows after the last pivot
+    for i, c in enumerate(piv):
+        col = ech[:, c] % p
+        assert col[i] == 1 and not col[i + 1:].any()
+    assert not ech[len(piv):].any()
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, TENSOR_PRIME])

@@ -10,6 +10,7 @@ from psiring.fields import (
     QQ,
     RETRY_PRIMES,
     TENSOR_PRIME,
+    TENSOR_RETRY_PRIMES,
     PrimeField,
     parse_field,
     same_field,
@@ -83,16 +84,36 @@ def test_same_field_guard():
         same_field(PrimeField(97), PrimeField(101))
 
 
-def test_shipped_moduli_are_prime():
-    def is_prime(p):
-        if p < 2:
+def trial_division_prime(p):
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
             return False
-        d = 2
-        while d * d <= p:
-            if p % d == 0:
-                return False
-            d += 1
-        return True
+        d += 1
+    return True
 
-    for p in (DEFAULT_PRIME, TENSOR_PRIME) + RETRY_PRIMES:
-        assert is_prime(p), p
+
+def test_shipped_moduli_are_prime():
+    for p in (DEFAULT_PRIME, TENSOR_PRIME, 32003, 97) + RETRY_PRIMES + TENSOR_RETRY_PRIMES:
+        assert trial_division_prime(p), p
+        assert PrimeField(p).p == p
+
+
+def test_prime_field_rejects_composites():
+    for n in range(2, 3000):
+        if trial_division_prime(n):
+            PrimeField(n)
+        else:
+            with pytest.raises(UsageError):
+                PrimeField(n)
+    # a Carmichael number, strong pseudoprimes to bases 2..7 and 2..13, and
+    # products of two word-size primes
+    for n in (100, 561, 3215031751, 3474749660383, DEFAULT_PRIME * RETRY_PRIMES[0],
+              TENSOR_PRIME * TENSOR_RETRY_PRIMES[0]):
+        with pytest.raises(UsageError):
+            PrimeField(n)
+    PrimeField((1 << 61) - 1)  # a Mersenne prime beyond the word-size lanes
+    with pytest.raises(UsageError):
+        PrimeField((1 << 89) - 1)  # prime, but too large to certify

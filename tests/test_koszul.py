@@ -4,6 +4,7 @@ series, the stacked cross-check, and the element budget guard.
 
 import pytest
 
+import psiring.koszul as koszul
 from psiring.errors import BudgetError
 from psiring.fields import TENSOR_PRIME, TENSOR_RETRY_PRIMES
 from psiring.koszul import (
@@ -14,6 +15,7 @@ from psiring.koszul import (
     koszul_summary,
     relation_space_matrices,
 )
+from psiring.presentation import CUSTOM, PivotScheme
 
 
 def test_prediction_rows_frozen():
@@ -80,3 +82,21 @@ def test_summary_verdict_match():
     assert s.all_match
     assert [st.dual_dim for st in s.stages] == [1, 8, 34, 112]
     assert s.primes == (TENSOR_PRIME,)
+
+
+def test_summary_passes_pivot_at_both_primes(monkeypatch):
+    # a forced mismatch makes the summary retry at a second prime
+    pivot = PivotScheme(CUSTOM, assignment=(2, 1, 4, 3))
+    seen = []
+    real = koszul.dual_tower
+
+    def spy(n, kmax, prime, budget, piv):
+        seen.append((prime, piv))
+        return real(n, kmax, prime, budget, piv)
+
+    monkeypatch.setattr(koszul, "dual_tower", spy)
+    monkeypatch.setattr(koszul, "koszul_prediction", lambda n, kmax: [0] * (kmax + 1))
+    s = koszul_summary(4, 3, pivot=pivot)
+    assert [q for q, _ in seen] == list(s.primes) == [TENSOR_PRIME, TENSOR_RETRY_PRIMES[0]]
+    assert all(piv == pivot for _, piv in seen)
+    assert [st.dual_dim for st in s.stages] == [1, 8, 34, 112]

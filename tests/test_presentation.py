@@ -9,6 +9,7 @@ import pytest
 from psiring.errors import UsageError
 from psiring.fields import QQ, PrimeField
 from psiring.groebner import groebner_for, reduces_to_zero
+from psiring.poly import Poly
 from psiring.presentation import (
     CUSTOM,
     PivotScheme,
@@ -119,6 +120,48 @@ def test_general_pair_relations_lie_in_the_ideal(n):
                     if len({i, j, k, l}) == 4 and i < j and k < l:
                         r = general_pair_relation(spec, i, j, k, l)
                         assert reduces_to_zero(r, gb), (i, j, k, l)
+
+
+PIVOTS = [(4, None), (4, (2, 1, 4, 3)), (5, None), (5, (3, 1, 2, 5, 4))]
+
+
+@pytest.mark.parametrize("n,assignment", PIVOTS)
+def test_pair_relation_builders_agree(n, assignment):
+    """build_an, tensor_relation_space and general_pair_relation give one
+    relation per (i, j, k), equal to the formula in the module docstring."""
+    pivot = PivotScheme(CUSTOM, assignment=assignment) if assignment else None
+    spec = build_an(n, pivot)
+    trs = tensor_relation_space(n, pivot)
+    v = spec.nvars
+    assert trs.dim_v == v
+    pos = {var: p for p, var in enumerate(spec.variables)}
+
+    def a(i, j):  # a pivot-normalized generator is zero
+        if Alpha(i, j) in pos:
+            return Poly.variable(QQ, v, pos[Alpha(i, j)])
+        return Poly.zero(QQ, v)
+
+    def formula(i, j, k, l):
+        lhs = a(i, k).sub(a(i, j)).mul(a(j, k).sub(a(j, i)))
+        return lhs.sub(a(i, l).sub(a(i, j)).mul(a(j, l).sub(a(j, i))))
+
+    triples = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            rest = [k for k in range(1, n + 1) if k not in (i, j)]
+            triples += [(i, j, k, rest[0]) for k in rest[1:]]
+    assert len(triples) == len(spec.relations) == len(trs.symmetric_rows)
+    assert [(i, j) for i, j, _, _ in triples] == list(spec.relation_pairs)
+    for (i, j, k, l0), rel, row in zip(triples, spec.relations, trs.symmetric_rows):
+        terms: dict = {}
+        for idx, c in row.items():
+            e = [0] * v
+            for p in divmod(idx, v):
+                e[p] += 1
+            terms[tuple(e)] = terms.get(tuple(e), 0) + c
+        assert Poly.from_int_terms(QQ, v, terms) == rel, (i, j, k)
+        assert general_pair_relation(spec, i, j, k, l0) == rel, (i, j, k)
+        assert formula(i, j, k, l0) == rel, (i, j, k)
 
 
 def test_tensor_relation_space_dimensions():
