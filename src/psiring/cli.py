@@ -134,15 +134,22 @@ def _field_for(args, default: str = "rational"):
     return parse_field(text if text is not None else default)
 
 
-def _spec(args, field=None):
+def _pivot(args) -> PivotScheme:
+    """The --pivot scheme, validated against --n; only cyclic outside --kind an."""
     pivot = parse_pivot(args.pivot)
+    if args.kind != "an" and pivot.kind != CYCLIC:
+        raise UsageError("--pivot applies to --kind an")
+    pivot.validate(args.n)
+    return pivot
+
+
+def _spec(args, field=None):
+    pivot = _pivot(args)
     if args.kind == "an":
         if args.m:
             raise UsageError("--m applies to --kind bnm")
         spec = build_an(args.n, pivot)
     else:
-        if pivot.kind != CYCLIC:
-            raise UsageError("--pivot applies to --kind an")
         spec = build_bnm(args.n, args.m)
     return spec.to_field(field if field is not None else _field_for(args))
 
@@ -202,6 +209,7 @@ def cmd_hilbert(args) -> Report:
     t0 = time.perf_counter()
 
     if args.action == "lee":
+        _pivot(args)  # the series does not depend on it, but a bad --pivot is still refused
         series = _series_for(args, bound)
         _coefficient_table(report, series, args.n)
         _timing(report, args, "series", t0)
@@ -317,8 +325,7 @@ def cmd_gb(args) -> Report:
 def cmd_koszul(args) -> Report:
     if args.kind != "an":
         raise UsageError("the dual tower is computed for --kind an")
-    pivot = parse_pivot(args.pivot)
-    pivot.validate(args.n)
+    pivot = _pivot(args)
     report = Report(TOOL, __version__,
                     _config_echo(args, kmax=args.kmax, budget=args.budget))
     t0 = time.perf_counter()
@@ -465,6 +472,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise UsageError(f"--threads must be at least 1, got {args.threads}")
         report = DISPATCH[args.cmd](args)
         data = render(report, args.format)
         if args.out:

@@ -10,15 +10,24 @@ If the algebra is Koszul these dimensions must match the coefficients b_k of
 iteratively (W_j = (W_(j-1) (x) V) intersect (V^(j-2) (x) R), small matrices)
 and stacked (one big constraint system, used as the small-case cross-check).
 
+Every relation of A_n is multihomogeneous of degree e_i + e_j, so R and each
+W_k split into independent blocks, one per Z^n-multidegree.  The iterative
+route builds and solves each block's matrix on its own; the block dimensions
+match the coefficients of the multigraded 1/h(-q).  The stacked route stays
+unblocked, as an independent check.
+
 Arithmetic runs over a prime just below 2^20 so the BLAS float64 lane stays
 exact; intersection dimensions over a prime field can only exceed the
 rational ones, so agreement at two primes is strong one-sided evidence.
 Work is refused with a BudgetError when the matrices would exceed the element
-budget; the refusal carries the estimate.
+budget; the refusal carries the estimate.  The estimate is the whole stage,
+A*RR x U*v, not the sum of its blocks.  It is checked up front from the
+predicted dimensions, before any work, and again per stage on the actual ones.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -27,7 +36,7 @@ import numpy as np
 from .errors import BudgetError, UsageError
 from .exactla import echelon_mod_p, mod_matmul, nullspace_mod_p, rank_mod_p, rows_to_dense
 from .fields import TENSOR_PRIME, TENSOR_RETRY_PRIMES
-from .presentation import PivotScheme, tensor_relation_space
+from .presentation import PivotScheme, build_an, tensor_relation_space
 from .series import invert_unit_series, total_hilbert
 
 # refuse any stage whose main matrix would exceed this many entries
@@ -72,53 +81,163 @@ def dual_tower(
 ) -> list[int]:
     """[dim W_0, ..., dim W_kmax] computed iteratively mod the prime.
 
-    Raises BudgetError before any stage whose matrices would exceed the budget.
+    Raises BudgetError before any work when a stage's matrices would exceed
+    the budget.
     """
     if n < 3:
         raise UsageError(f"dual tower needs n >= 3, got {n}")
     if kmax < 0:
         raise UsageError(f"negative degree {kmax}")
+    dims = [1, n * (n - 2)][: kmax + 1]
+    if kmax >= 2:
+        dims += [sum(blocks.values()) for blocks in _dual_blocks(n, kmax, prime, budget, pivot)]
+    return dims
+
+
+def _refuse_stage(n: int, j: int, v: int, U: int, RR: int, budget: int) -> None:
+    """BudgetError when stage j's whole matrix, A*RR x U*v with A = v^(j-2), is too big."""
+    A = v ** (j - 2)
+    est = A * RR * U * v
+    if est > budget:
+        raise BudgetError(
+            f"stage k={j} for n={n} needs a {A * RR} x {U * v} matrix"
+            f" ({est} entries > budget {budget})",
+            estimate=est, budget=budget,
+        )
+
+
+def _refuse_basis(j: int, v: int, W: int, budget: int) -> None:
+    """BudgetError when the W x v^j basis stage j passes on is too big."""
+    if W * (v ** j) > budget:
+        raise BudgetError(
+            f"basis for k={j} needs {W} x {v ** j} entries > budget {budget}",
+            estimate=W * v ** j, budget=budget,
+        )
+
+
+def _shift(d: tuple[int, ...], t: int, by: int) -> tuple[int, ...]:
+    """The multidegree d + by * e_t."""
+    return d[:t] + (d[t] + by,) + d[t + 1:]
+
+
+def _pair_degrees(X: np.ndarray, blocks: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    """Multidegree e_s + e_t of each row of X over V (x) V; raises on a row that mixes degrees."""
+    b = np.asarray(blocks)
+    key = (np.minimum.outer(b, b) * n + np.maximum.outer(b, b)).ravel()  # {s,t} -> s*n + t
+    nz = X != 0
+    lo = np.where(nz, key, n * n).min(axis=1)
+    hi = np.where(nz, key, -1).max(axis=1)
+    if np.any(lo != hi):
+        bad = int(np.flatnonzero(lo != hi)[0])
+        raise AssertionError(f"relation-space row {bad} is zero or not multihomogeneous")
+    out = []
+    for k in lo.tolist():
+        d = [0] * n
+        d[k // n] += 1
+        d[k % n] += 1
+        out.append(tuple(d))
+    return out
+
+
+def _group(degrees: list[tuple[int, ...]]) -> dict[tuple[int, ...], np.ndarray]:
+    """Positions in the list, grouped by degree."""
+    out: dict[tuple[int, ...], list[int]] = {}
+    for i, d in enumerate(degrees):
+        out.setdefault(d, []).append(i)
+    return {d: np.array(ix, dtype=np.intp) for d, ix in out.items()}
+
+
+def _dual_blocks(
+    n: int, kmax: int, prime: int, budget: int, pivot: PivotScheme | None
+) -> list[dict[tuple[int, ...], int]]:
+    """dim W_k per Z^n-multidegree, for k = 2..kmax.
+
+    R and every W_k are multihomogeneous, so the stage matrix
+    M[(a,r),(u,b)] = sum_c N[u,(a,c)] * C[r,(c,b)] only couples a row and a
+    column of one multidegree d = deg a + deg r = deg u + e_b.  Each block d
+    gets its own nullspace, and its matrix is assembled from one product per
+    (deg a, deg u) pair, whose inner index c runs over the variable block
+    deg u - deg a.  The rows of the next basis N keep one multidegree each.
+    """
     v = n * (n - 2)
-    dims = [1]
-    if kmax >= 1:
-        dims.append(v)
-    if kmax < 2:
-        return dims
+    pred = koszul_prediction(n, kmax)
+    for j in range(3, kmax + 1):  # refuse before any work, on the predicted dimensions
+        _refuse_stage(n, j, v, pred[j - 1], v * v - pred[2], budget)
+        if j < kmax:
+            _refuse_basis(j, v, pred[j], budget)
+    blocks = build_an(n, pivot).blocks
+    zero = (0,) * n
+    var_block = [np.flatnonzero(np.asarray(blocks) == t) for t in range(n)]
     N, C, _ = relation_space_matrices(n, prime, pivot)
-    dims.append(N.shape[0])
     RR = C.shape[0]
+    r_groups = _group(_pair_degrees(C, blocks, n))
+    u_deg = _pair_degrees(N, blocks, n)
+    a_groups = {zero: np.zeros(1, dtype=np.intp)}  # indices of V^(x)(j-2) by degree
+    out = [dict(Counter(u_deg))]
     for j in range(3, kmax + 1):
         U = N.shape[0]
-        A = v ** (j - 2)
-        est = A * RR * U * v
-        if est > budget:
-            raise BudgetError(
-                f"stage k={j} for n={n} needs a {A * RR} x {U * v} matrix"
-                f" ({est} entries > budget {budget})",
-                estimate=est, budget=budget,
-            )
-        # M[(a,r),(u,b)] = sum_c N[u,(a,c)] * C[r,(c,b)]
-        left = np.ascontiguousarray(N.reshape(U, A, v).transpose(1, 0, 2)).reshape(A * U, v)
-        right = np.ascontiguousarray(C.reshape(RR, v, v).transpose(1, 0, 2)).reshape(v, RR * v)
-        prod = mod_matmul(left, right, prime)  # [(a,u),(r,b)]
-        M = np.ascontiguousarray(
-            prod.reshape(A, U, RR, v).transpose(0, 2, 1, 3)
-        ).reshape(A * RR, U * v)
-        Y = nullspace_mod_p(M, prime)  # (U*v, W)
-        W = Y.shape[1]
-        dims.append(W)
+        _refuse_stage(n, j, v, U, RR, budget)
+        grown: dict[tuple[int, ...], list[np.ndarray]] = {}
+        for alpha, a_ix in a_groups.items():
+            for t in range(n):
+                grown.setdefault(_shift(alpha, t, 1), []).append(
+                    (a_ix[:, None] * v + var_block[t]).ravel())
+        a_groups = {d: np.concatenate(ix) for d, ix in grown.items()}
+
+        # the columns (u, b) of block d, in chunks of one (deg u, block of b)
+        chunks: dict[tuple[int, ...], list] = {}
+        for beta, u_ix in _group(u_deg).items():
+            for t2 in range(n):
+                chunks.setdefault(_shift(beta, t2, 1), []).append((beta, u_ix, t2))
+        kernels = []  # (global column indices, nullspace columns) per block
+        u_deg = []
+        for d, cols in chunks.items():
+            row_off: dict[tuple, int] = {}  # (deg a, deg r) -> first row in the block
+            nrows = ncols = 0
+            subs, col_ix = [], []
+            for beta, u_ix, t2 in cols:
+                b_ix = var_block[t2]
+                for t in range(n):
+                    if not beta[t]:
+                        continue
+                    alpha, rho = _shift(beta, t, -1), _shift(_shift(zero, t, 1), t2, 1)
+                    r_ix = r_groups.get(rho)
+                    if r_ix is None:
+                        continue
+                    a_ix, c_ix = a_groups[alpha], var_block[t]
+                    if (alpha, rho) not in row_off:
+                        row_off[(alpha, rho)] = nrows
+                        nrows += len(a_ix) * len(r_ix)
+                    left = N[u_ix[:, None], a_ix[:, None, None] * v + c_ix]  # [a, u, c]
+                    right = C[r_ix[:, None], c_ix[:, None, None] * v + b_ix]  # [c, r, b]
+                    prod = mod_matmul(left.reshape(-1, len(c_ix)),
+                                      right.reshape(len(c_ix), -1), prime)
+                    sub = prod.reshape(len(a_ix), len(u_ix), len(r_ix), len(b_ix))
+                    subs.append((row_off[(alpha, rho)], ncols, sub.transpose(0, 2, 1, 3)
+                                 .reshape(len(a_ix) * len(r_ix), len(u_ix) * len(b_ix))))
+                col_ix.append((u_ix[:, None] * v + b_ix).ravel())
+                ncols += len(u_ix) * len(b_ix)
+            M = np.zeros((nrows, ncols), dtype=np.int64)
+            for r0, c0, sub in subs:
+                M[r0:r0 + sub.shape[0], c0:c0 + sub.shape[1]] = sub
+            Yd = nullspace_mod_p(M, prime)  # (ncols, dim of block d)
+            kernels.append((np.concatenate(col_ix), Yd))
+            u_deg += [d] * Yd.shape[1]
+        W = len(u_deg)
+        out.append(dict(Counter(u_deg)))
         if j < kmax:
-            if W * (v ** j) > budget:
-                raise BudgetError(
-                    f"basis for k={j} needs {W} x {v ** j} entries > budget {budget}",
-                    estimate=W * v ** j, budget=budget,
-                )
+            _refuse_basis(j, v, W, budget)
+            Y = np.zeros((U * v, W), dtype=np.int64)
+            w0 = 0
+            for ix, Yd in kernels:
+                Y[ix, w0:w0 + Yd.shape[1]] = Yd
+                w0 += Yd.shape[1]
             P = v ** (j - 1)
             flat = mod_matmul(N.T.copy(), Y.reshape(U, v * W), prime)  # (P, v*W)
             N = np.ascontiguousarray(
                 flat.reshape(P, v, W).transpose(2, 0, 1)
             ).reshape(W, P * v)
-    return dims
+    return out
 
 
 def dual_dimension_stacked(

@@ -126,6 +126,8 @@ def test_verify_theorem_a(capsysbinary):
     ["gb", "run", "--n", "4", "--field", "galois"],
     ["verify-theorem-a", "--kind", "bnm", "--n", "3", "--m", "1"],
     ["gb", "run", "--n", "4", "--field", "prime:100"],
+    ["sample", "--n", "4", "--count", "2", "--threads", "0"],
+    ["hilbert", "verify", "--n", "4", "--max-total", "1", "--threads", "-3"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert cli.main(argv) == 2
@@ -154,6 +156,8 @@ def exit_code(argv):
     ["gb", "run", "--kind", "bnm", "--n", "3", "--m", "1", "--pivot", "custom:2,3,1"],
     # koszul validates the pivot it now uses, whatever kmax
     ["koszul", "--n", "4", "--kmax", "1", "--pivot", "custom:1,2,3,4"],
+    # hilbert lee builds no presentation, yet refuses a pivot as the others do
+    ["hilbert", "lee", "--kind", "bnm", "--n", "3", "--m", "2", "--pivot", "custom:2,3,1"],
 ])
 def test_ignored_flags_are_rejected(argv, capsys):
     assert exit_code(argv) == 2
@@ -167,6 +171,14 @@ def test_koszul_honours_pivot(capsysbinary):
     assert d["payload"]["tower"] == [1, 8, 34, 112]
     assert d["config"]["pivot"] == "custom:2,1,4,3"
     assert d["config"]["field"] == "rational"
+
+
+def test_hilbert_lee_validates_pivot(capsys):
+    # lee builds no presentation, yet it refuses a pivot no presentation could take
+    base = ["hilbert", "lee", "--n", "4", "--max-total", "1"]
+    assert cli.main(base + ["--pivot", "custom:9,9,9,9"]) == 2
+    assert "error" in capsys.readouterr().err
+    assert cli.main(base + ["--pivot", "custom:2,1,4,3"]) == 0
 
 
 def test_math_failure_exits_one(monkeypatch, capsysbinary):

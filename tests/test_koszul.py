@@ -2,12 +2,14 @@
 series, the stacked cross-check, and the element budget guard.
 """
 
+import numpy as np
 import pytest
 
 import psiring.koszul as koszul
 from psiring.errors import BudgetError
 from psiring.fields import TENSOR_PRIME, TENSOR_RETRY_PRIMES
 from psiring.koszul import (
+    DEFAULT_ELEMENT_BUDGET,
     b2_structural,
     dual_dimension_stacked,
     dual_tower,
@@ -15,7 +17,8 @@ from psiring.koszul import (
     koszul_summary,
     relation_space_matrices,
 )
-from psiring.presentation import CUSTOM, PivotScheme
+from psiring.presentation import CUSTOM, PivotScheme, build_an
+from psiring.series import TotalBound, TruncatedSeries, lee_series
 
 
 def test_prediction_rows_frozen():
@@ -100,3 +103,75 @@ def test_summary_passes_pivot_at_both_primes(monkeypatch):
     assert [q for q, _ in seen] == list(s.primes) == [TENSOR_PRIME, TENSOR_RETRY_PRIMES[0]]
     assert all(piv == pivot for _, piv in seen)
     assert [st.dual_dim for st in s.stages] == [1, 8, 34, 112]
+
+
+def multigraded_inverse(n, k):
+    """1/h(-q) for h the multigraded Hilbert series of A_n, to total degree k."""
+    bound = TotalBound(k)
+    h = lee_series(n, bound)
+    one = TruncatedSeries.one(n, bound)
+    # h(-q) = 1 - g with g free of constant term, so 1/h(-q) = sum of g^i, i <= k
+    g = one.sub(TruncatedSeries(n, bound, {a: (-1) ** sum(a) * c for a, c in h.coeffs.items()}))
+    inv, power = one, one
+    for _ in range(k):
+        power = power.mul(g)
+        inv = inv.add(power)
+    return inv
+
+
+@pytest.mark.parametrize("n,k,blocks", [(4, 4, 31), (5, 3, 35), (4, 5, 40)])
+@pytest.mark.parametrize("custom", [False, True])
+def test_dual_blocks_match_multigraded_series(n, k, blocks, custom):
+    # Froberg's numerical criterion refined to Z^n: every multidegree block of
+    # W_k has the dimension of the matching coefficient of 1/h(-q)
+    pivot = PivotScheme(CUSTOM, assignment=(2, 1, 4, 3) if n == 4 else (3, 1, 2, 5, 4)) \
+        if custom else None
+    top = koszul._dual_blocks(n, k, TENSOR_PRIME, DEFAULT_ELEMENT_BUDGET, pivot)[-1]
+    want = {a: c for a, c in multigraded_inverse(n, k).coeffs.items() if sum(a) == k}
+    assert top == want
+    assert len(top) == blocks
+    assert sum(top.values()) == koszul_prediction(n, k)[k]
+
+
+def test_stage_nullspaces_are_per_block(monkeypatch):
+    # the whole n=5, k=3 stage has 1875 columns; no block may come near that
+    shapes = []
+    real = koszul.nullspace_mod_p
+
+    def spy(a, p):
+        shapes.append(np.shape(a))
+        return real(a, p)
+
+    monkeypatch.setattr(koszul, "nullspace_mod_p", spy)
+    assert dual_tower(5, 3) == [1, 15, 125, 795]
+    assert shapes[0] == (125, 225)  # the relation space itself
+    assert len(shapes) > 1
+    assert max(cols for _, cols in shapes[1:]) <= 1875 // 10
+
+
+def test_budget_refused_before_any_work(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    for name in ("mod_matmul", "nullspace_mod_p", "relation_space_matrices"):
+        monkeypatch.setattr(koszul, name, boom)
+    with pytest.raises(BudgetError) as exc:
+        dual_tower(5, 4)
+    assert exc.value.estimate == 268_312_500
+    assert str(exc.value) == ("stage k=4 for n=5 needs a 22500 x 11925 matrix"
+                              " (268312500 entries > budget 200000000)")
+    with pytest.raises(BudgetError) as exc:
+        dual_tower(4, 6)
+    assert exc.value.estimate == 1_006_632_960
+
+
+def test_mixed_degree_relation_row_is_refused(monkeypatch):
+    N2, C, v = relation_space_matrices(4)
+    blocks = build_an(4).blocks
+    c1, c2 = divmod(int(np.flatnonzero(N2[0])[0]), v)
+    other = next(x for x in range(v) if blocks[x] not in (blocks[c1], blocks[c2]))
+    N2 = N2.copy()
+    N2[0, other * v + other] = 1  # adds degree 2e_t to a row of another degree
+    monkeypatch.setattr(koszul, "relation_space_matrices", lambda *a: (N2, C, v))
+    with pytest.raises(AssertionError, match="multihomogeneous"):
+        dual_tower(4, 3)
