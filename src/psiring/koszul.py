@@ -81,8 +81,8 @@ def dual_tower(
 ) -> list[int]:
     """[dim W_0, ..., dim W_kmax] computed iteratively mod the prime.
 
-    Raises BudgetError before any work when a stage's matrices would exceed
-    the budget.
+    Raises BudgetError when a stage's matrices would exceed the budget: before
+    any work on the predicted dimensions, and per stage on the actual ones.
     """
     if n < 3:
         raise UsageError(f"dual tower needs n >= 3, got {n}")
@@ -130,13 +130,7 @@ def _pair_degrees(X: np.ndarray, blocks: tuple[int, ...], n: int) -> list[tuple[
     if np.any(lo != hi):
         bad = int(np.flatnonzero(lo != hi)[0])
         raise AssertionError(f"relation-space row {bad} is zero or not multihomogeneous")
-    out = []
-    for k in lo.tolist():
-        d = [0] * n
-        d[k // n] += 1
-        d[k % n] += 1
-        out.append(tuple(d))
-    return out
+    return [_shift(_shift((0,) * n, k // n, 1), k % n, 1) for k in lo.tolist()]
 
 
 def _group(degrees: list[tuple[int, ...]]) -> dict[tuple[int, ...], np.ndarray]:
