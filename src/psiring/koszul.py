@@ -23,6 +23,9 @@ Work is refused with a BudgetError when the matrices would exceed the element
 budget; the refusal carries the estimate.  The estimate is the whole stage,
 A*RR x U*v, not the sum of its blocks.  It is checked up front from the
 predicted dimensions, before any work, and again per stage on the actual ones.
+The up-front check expands the prediction only as far as the first stage j
+with v^(j-1) > budget, which is refused whenever W_(j-1) is nonzero; once a
+stage's dimension is 0 every later one is 0, and no further stage is built.
 """
 
 from __future__ import annotations
@@ -149,13 +152,21 @@ def _dual_blocks(
     R and every W_k are multihomogeneous, so the stage matrix
     M[(a,r),(u,b)] = sum_c N[u,(a,c)] * C[r,(c,b)] only couples a row and a
     column of one multidegree d = deg a + deg r = deg u + e_b.  Each block d
-    gets its own nullspace, and its matrix is assembled from one product per
-    (deg a, deg u) pair, whose inner index c runs over the variable block
-    deg u - deg a.  The rows of the next basis N keep one multidegree each.
+    gets its own nullspace.  The blocks are assembled from one product per
+    (deg u, block of c): its inner index c runs over that variable block, so
+    deg a = deg u - e_c, and its columns (r, b) run over every block of b at
+    once; the product is then cut into the sub-blocks of the blocks d it
+    meets.  The rows of the next basis N keep one multidegree each.
     """
     v = n * (n - 2)
-    pred = koszul_prediction(n, kmax)
-    for j in range(3, kmax + 1):  # refuse before any work, on the predicted dimensions
+    # refuse before any work, on the predicted dimensions, up to the first
+    # stage j with v^(j-1) > budget: it and every later stage are refused
+    # unless W_(j-1) = 0, and the checks in the loop cover that case
+    top = 3
+    while top < kmax and v ** (top - 1) <= budget:
+        top += 1
+    pred = koszul_prediction(n, top)
+    for j in range(3, min(top, kmax) + 1):
         _refuse_stage(n, j, v, pred[j - 1], v * v - pred[2], budget)
         if j < kmax:
             _refuse_basis(j, v, pred[j], budget)
@@ -170,6 +181,9 @@ def _dual_blocks(
     out = [dict(Counter(u_deg))]
     for j in range(3, kmax + 1):
         U = N.shape[0]
+        if U == 0:  # W_(j-1) = 0, so W_k = 0 for every k >= j-1
+            out += [{} for _ in range(j, kmax + 1)]
+            break
         _refuse_stage(n, j, v, U, RR, budget)
         grown: dict[tuple[int, ...], list[np.ndarray]] = {}
         for alpha, a_ix in a_groups.items():
@@ -178,44 +192,57 @@ def _dual_blocks(
                     (a_ix[:, None] * v + var_block[t]).ravel())
         a_groups = {d: np.concatenate(ix) for d, ix in grown.items()}
 
-        # the columns (u, b) of block d, in chunks of one (deg u, block of b)
-        chunks: dict[tuple[int, ...], list] = {}
-        for beta, u_ix in _group(u_deg).items():
+        u_groups = _group(u_deg)
+        # block d: its columns, one chunk per (deg u, block of b) ...
+        col_at: dict[tuple, int] = {}
+        ncols: Counter = Counter()
+        col_ix: dict[tuple[int, ...], list[np.ndarray]] = {}
+        for beta, u_ix in u_groups.items():
             for t2 in range(n):
-                chunks.setdefault(_shift(beta, t2, 1), []).append((beta, u_ix, t2))
+                d = _shift(beta, t2, 1)
+                col_at[beta, t2] = ncols[d]
+                ncols[d] += len(u_ix) * len(var_block[t2])
+                col_ix.setdefault(d, []).append((u_ix[:, None] * v + var_block[t2]).ravel())
+        # ... and its rows, one chunk per (deg a, deg r)
+        row_at: dict[tuple, int] = {}
+        nrows: Counter = Counter()
+        subs: dict[tuple[int, ...], list] = {d: [] for d in ncols}
+        for beta, u_ix in u_groups.items():
+            for t in range(n):
+                if not beta[t]:
+                    continue
+                alpha, c_ix = _shift(beta, t, -1), var_block[t]
+                a_ix = a_groups[alpha]
+                parts = [(t2, rho, r_groups[rho]) for t2 in range(n)
+                         if (rho := _shift(_shift(zero, t, 1), t2, 1)) in r_groups]
+                if not parts:
+                    continue
+                left = N[u_ix[:, None], a_ix[:, None, None] * v + c_ix]  # [a, u, c]
+                right = np.concatenate(
+                    [C[r_ix[:, None], c_ix[:, None, None] * v + var_block[t2]]
+                     .reshape(len(c_ix), -1) for t2, _, r_ix in parts], axis=1)  # [c, (r, b)]
+                prod = mod_matmul(left.reshape(-1, len(c_ix)), right, prime)
+                prod = prod.reshape(len(a_ix), len(u_ix), -1)
+                k0 = 0
+                for t2, rho, r_ix in parts:
+                    d, nb = _shift(beta, t2, 1), len(var_block[t2])
+                    if (d, alpha, rho) not in row_at:
+                        row_at[d, alpha, rho] = nrows[d]
+                        nrows[d] += len(a_ix) * len(r_ix)
+                    sub = prod[:, :, k0:k0 + len(r_ix) * nb]
+                    k0 += len(r_ix) * nb
+                    subs[d].append((row_at[d, alpha, rho], col_at[beta, t2],
+                                    sub.reshape(len(a_ix), len(u_ix), len(r_ix), nb)
+                                    .transpose(0, 2, 1, 3)
+                                    .reshape(len(a_ix) * len(r_ix), len(u_ix) * nb)))
         kernels = []  # (global column indices, nullspace columns) per block
         u_deg = []
-        for d, cols in chunks.items():
-            row_off: dict[tuple, int] = {}  # (deg a, deg r) -> first row in the block
-            nrows = ncols = 0
-            subs, col_ix = [], []
-            for beta, u_ix, t2 in cols:
-                b_ix = var_block[t2]
-                for t in range(n):
-                    if not beta[t]:
-                        continue
-                    alpha, rho = _shift(beta, t, -1), _shift(_shift(zero, t, 1), t2, 1)
-                    r_ix = r_groups.get(rho)
-                    if r_ix is None:
-                        continue
-                    a_ix, c_ix = a_groups[alpha], var_block[t]
-                    if (alpha, rho) not in row_off:
-                        row_off[(alpha, rho)] = nrows
-                        nrows += len(a_ix) * len(r_ix)
-                    left = N[u_ix[:, None], a_ix[:, None, None] * v + c_ix]  # [a, u, c]
-                    right = C[r_ix[:, None], c_ix[:, None, None] * v + b_ix]  # [c, r, b]
-                    prod = mod_matmul(left.reshape(-1, len(c_ix)),
-                                      right.reshape(len(c_ix), -1), prime)
-                    sub = prod.reshape(len(a_ix), len(u_ix), len(r_ix), len(b_ix))
-                    subs.append((row_off[(alpha, rho)], ncols, sub.transpose(0, 2, 1, 3)
-                                 .reshape(len(a_ix) * len(r_ix), len(u_ix) * len(b_ix))))
-                col_ix.append((u_ix[:, None] * v + b_ix).ravel())
-                ncols += len(u_ix) * len(b_ix)
-            M = np.zeros((nrows, ncols), dtype=np.int64)
-            for r0, c0, sub in subs:
+        for d in ncols:
+            M = np.zeros((nrows[d], ncols[d]), dtype=np.int64)
+            for r0, c0, sub in subs.pop(d):
                 M[r0:r0 + sub.shape[0], c0:c0 + sub.shape[1]] = sub
             Yd = nullspace_mod_p(M, prime)  # (ncols, dim of block d)
-            kernels.append((np.concatenate(col_ix), Yd))
+            kernels.append((np.concatenate(col_ix[d]), Yd))
             u_deg += [d] * Yd.shape[1]
         W = len(u_deg)
         out.append(dict(Counter(u_deg)))

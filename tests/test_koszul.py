@@ -175,3 +175,27 @@ def test_mixed_degree_relation_row_is_refused(monkeypatch):
     monkeypatch.setattr(koszul, "relation_space_matrices", lambda *a: (N2, C, v))
     with pytest.raises(AssertionError, match="multihomogeneous"):
         dual_tower(4, 3)
+
+
+def test_refusal_predicts_only_the_stages_it_needs(monkeypatch):
+    # every stage past the first with v^(j-1) > budget is refused, so a huge
+    # kmax must not make the up-front check expand the series that far
+    asked = []
+    real = koszul.koszul_prediction
+
+    def spy(n, kmax):
+        asked.append(kmax)
+        return real(n, kmax)
+
+    monkeypatch.setattr(koszul, "koszul_prediction", spy)
+    with pytest.raises(BudgetError) as exc:
+        dual_tower(5, 100_000)
+    assert exc.value.estimate == 268_312_500
+    assert max(asked) <= 9  # 15^8 > 2e8: stage 9 is the last one the check looks at
+
+
+def test_tower_stops_once_a_stage_vanishes():
+    # A_3 has dual tower 1, 3, 3, 1, 0, ...; the words of V^(x)(k-2) grow as
+    # 3^(k-2), so reaching k = 200 means no stage after W_4 = 0 is built
+    assert dual_tower(3, 200) == [1, 3, 3, 1] + [0] * 197
+    assert koszul._dual_blocks(3, 6, TENSOR_PRIME, DEFAULT_ELEMENT_BUDGET, None)[2:] == [{}] * 3
