@@ -1,8 +1,10 @@
 """Command-line front end: every verification as a reproducible report.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
-budget error.  Reports are byte-identical for a fixed configuration and seed
-at any --threads value; wall-clock timings appear only under --timings.
+budget error (an --out file that cannot be written included), 3 an unexpected
+internal error, with its traceback on stderr.  Reports are byte-identical for
+a fixed configuration and seed at any --threads value; wall-clock timings
+appear only under --timings.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 from math import comb
 
 from . import __version__
@@ -330,16 +333,13 @@ def cmd_koszul(args) -> Report:
                     _config_echo(args, kmax=args.kmax, budget=args.budget))
     t0 = time.perf_counter()
     summary = koszul_summary(args.n, args.kmax, budget=args.budget, pivot=pivot)
-    pred = koszul_prediction(args.n, max(args.kmax, 2))
-    b2_ok = b2_structural(args.n) == pred[2]
-    got_b2 = next((s.dual_dim for s in summary.stages if s.k == 2), None)
-    if got_b2 is not None:
-        b2_ok = b2_ok and got_b2 == b2_structural(args.n)
-    report.add(make_check(
-        "koszul-b2", {"n": args.n},
-        b2_structural(args.n),
-        pred[2] if got_b2 is None else got_b2,
-    ))
+    b2 = b2_structural(args.n)
+    if args.kmax >= 2:
+        pred_b2, got_b2 = summary.stages[2].predicted, summary.stages[2].dual_dim
+    else:
+        pred_b2 = got_b2 = koszul_prediction(args.n, 2)[2]
+    b2_ok = b2 == pred_b2 == got_b2
+    report.add(make_check("koszul-b2", {"n": args.n}, b2, got_b2))
     for s in summary.stages:
         report.add(make_check(
             "koszul-dual-vs-series", {"n": args.n, "k": s.k},
@@ -477,8 +477,11 @@ def main(argv=None) -> int:
         report = DISPATCH[args.cmd](args)
         data = render(report, args.format)
         if args.out:
-            with open(args.out, "wb") as fh:
-                fh.write(data)
+            try:
+                with open(args.out, "wb") as fh:
+                    fh.write(data)
+            except OSError as exc:
+                raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from exc
         else:
             sys.stdout.buffer.write(data)
         return report.exit_code
@@ -488,6 +491,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"{TOOL}: refused: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a crash, kept apart from exit 1 (a failed check)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

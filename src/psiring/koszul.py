@@ -10,6 +10,12 @@ If the algebra is Koszul these dimensions must match the coefficients b_k of
 iteratively (W_j = (W_(j-1) (x) V) intersect (V^(j-2) (x) R), small matrices)
 and stacked (one big constraint system, used as the small-case cross-check).
 
+The iterative route never writes a vector of V^(x)k out in words.  It keeps
+W_j's basis as its coefficients over W_(j-1) (x) V.  W_(j-2)'s basis is
+independent, so membership in V^(j-2) (x) R is one check in R per basis
+vector of W_(j-2): stage j has at most dim W_(j-2) * RR rows, RR the number
+of check rows of R, where a basis over the words would need v^(j-2) * RR.
+
 Every relation of A_n is multihomogeneous of degree e_i + e_j, so R and each
 W_k split into independent blocks, one per Z^n-multidegree.  The iterative
 route builds and solves each block's matrix on its own; the block dimensions
@@ -20,9 +26,12 @@ Arithmetic runs over a prime just below 2^20 so the BLAS float64 lane stays
 exact; intersection dimensions over a prime field can only exceed the
 rational ones, so agreement at two primes is strong one-sided evidence.
 Work is refused with a BudgetError when the matrices would exceed the element
-budget; the refusal carries the estimate.  The estimate is the whole stage,
-A*RR x U*v, not the sum of its blocks.  It is checked up front from the
-predicted dimensions, before any work, and again per stage on the actual ones.
+budget; the refusal carries the estimate.  The estimate is the dense bound on
+the whole stage, A*RR x U*v with A = v^(j-2) words.  It over-counts the rows
+actually built on purpose, so the refusal threshold does not depend on how a
+stage is solved.
+It is checked up front from the predicted dimensions, before any work, and
+again per stage on the actual ones.
 The up-front check expands the prediction only as far as the first stage j
 with v^(j-1) > budget, which is refused whenever W_(j-1) is nonzero; once a
 stage's dimension is 0 every later one is 0, and no further stage is built.
@@ -98,7 +107,7 @@ def dual_tower(
 
 
 def _refuse_stage(n: int, j: int, v: int, U: int, RR: int, budget: int) -> None:
-    """BudgetError when stage j's whole matrix, A*RR x U*v with A = v^(j-2), is too big."""
+    """BudgetError when stage j's dense bound, A*RR x U*v with A = v^(j-2), is too big."""
     A = v ** (j - 2)
     est = A * RR * U * v
     if est > budget:
@@ -106,15 +115,6 @@ def _refuse_stage(n: int, j: int, v: int, U: int, RR: int, budget: int) -> None:
             f"stage k={j} for n={n} needs a {A * RR} x {U * v} matrix"
             f" ({est} entries > budget {budget})",
             estimate=est, budget=budget,
-        )
-
-
-def _refuse_basis(j: int, v: int, W: int, budget: int) -> None:
-    """BudgetError when the W x v^j basis stage j passes on is too big."""
-    if W * (v ** j) > budget:
-        raise BudgetError(
-            f"basis for k={j} needs {W} x {v ** j} entries > budget {budget}",
-            estimate=W * v ** j, budget=budget,
         )
 
 
@@ -149,14 +149,22 @@ def _dual_blocks(
 ) -> list[dict[tuple[int, ...], int]]:
     """dim W_k per Z^n-multidegree, for k = 2..kmax.
 
-    R and every W_k are multihomogeneous, so the stage matrix
-    M[(a,r),(u,b)] = sum_c N[u,(a,c)] * C[r,(c,b)] only couples a row and a
-    column of one multidegree d = deg a + deg r = deg u + e_b.  Each block d
+    W_j's basis is kept only as its coefficients over W_(j-1) (x) V: row w of
+    N is sum over (u, b) of N[w, (u, b)] w_u (x) e_b, starting from N2 over
+    W_1 (x) V = V (x) V.  At stage j the basis w_p of W_(j-2) is independent
+    and W_(j-1) lies in W_(j-2) (x) V, so sum y[u,b] w_u (x) e_b lies in
+    V^(j-2) (x) R exactly when every slice z_p[c,b] = sum_u N[u,(p,c)] y[u,b]
+    lies in R: the stage matrix is M[(p,r),(u,b)] = sum_c N[u,(p,c)] C[r,(c,b)],
+    its rows indexed by the basis of W_(j-2), not by the words of V^(x)(j-2).
+    Its nullspace columns are the next N.
+
+    R and every W_k are multihomogeneous, so M only couples a row and a
+    column of one multidegree d = deg p + deg r = deg u + e_b.  Each block d
     gets its own nullspace.  The blocks are assembled from one product per
     (deg u, block of c): its inner index c runs over that variable block, so
-    deg a = deg u - e_c, and its columns (r, b) run over every block of b at
+    deg p = deg u - e_c, and its columns (r, b) run over every block of b at
     once; the product is then cut into the sub-blocks of the blocks d it
-    meets.  The rows of the next basis N keep one multidegree each.
+    meets.  Each basis vector keeps one multidegree.
     """
     v = n * (n - 2)
     # refuse before any work, on the predicted dimensions, up to the first
@@ -168,16 +176,14 @@ def _dual_blocks(
     pred = koszul_prediction(n, top)
     for j in range(3, min(top, kmax) + 1):
         _refuse_stage(n, j, v, pred[j - 1], v * v - pred[2], budget)
-        if j < kmax:
-            _refuse_basis(j, v, pred[j], budget)
     blocks = build_an(n, pivot).blocks
     zero = (0,) * n
     var_block = [np.flatnonzero(np.asarray(blocks) == t) for t in range(n)]
     N, C, _ = relation_space_matrices(n, prime, pivot)
     RR = C.shape[0]
     r_groups = _group(_pair_degrees(C, blocks, n))
+    p_groups = _group([_shift(zero, t, 1) for t in blocks])  # basis of W_1 = V by degree
     u_deg = _pair_degrees(N, blocks, n)
-    a_groups = {zero: np.zeros(1, dtype=np.intp)}  # indices of V^(x)(j-2) by degree
     out = [dict(Counter(u_deg))]
     for j in range(3, kmax + 1):
         U = N.shape[0]
@@ -185,13 +191,6 @@ def _dual_blocks(
             out += [{} for _ in range(j, kmax + 1)]
             break
         _refuse_stage(n, j, v, U, RR, budget)
-        grown: dict[tuple[int, ...], list[np.ndarray]] = {}
-        for alpha, a_ix in a_groups.items():
-            for t in range(n):
-                grown.setdefault(_shift(alpha, t, 1), []).append(
-                    (a_ix[:, None] * v + var_block[t]).ravel())
-        a_groups = {d: np.concatenate(ix) for d, ix in grown.items()}
-
         u_groups = _group(u_deg)
         # block d: its columns, one chunk per (deg u, block of b) ...
         col_at: dict[tuple, int] = {}
@@ -203,38 +202,38 @@ def _dual_blocks(
                 col_at[beta, t2] = ncols[d]
                 ncols[d] += len(u_ix) * len(var_block[t2])
                 col_ix.setdefault(d, []).append((u_ix[:, None] * v + var_block[t2]).ravel())
-        # ... and its rows, one chunk per (deg a, deg r)
+        # ... and its rows, one chunk per (deg p, deg r)
         row_at: dict[tuple, int] = {}
         nrows: Counter = Counter()
         subs: dict[tuple[int, ...], list] = {d: [] for d in ncols}
         for beta, u_ix in u_groups.items():
             for t in range(n):
-                if not beta[t]:
+                alpha = _shift(beta, t, -1)
+                if alpha not in p_groups:
                     continue
-                alpha, c_ix = _shift(beta, t, -1), var_block[t]
-                a_ix = a_groups[alpha]
+                p_ix, c_ix = p_groups[alpha], var_block[t]
                 parts = [(t2, rho, r_groups[rho]) for t2 in range(n)
                          if (rho := _shift(_shift(zero, t, 1), t2, 1)) in r_groups]
                 if not parts:
                     continue
-                left = N[u_ix[:, None], a_ix[:, None, None] * v + c_ix]  # [a, u, c]
+                left = N[u_ix[:, None], p_ix[:, None, None] * v + c_ix]  # [p, u, c]
                 right = np.concatenate(
                     [C[r_ix[:, None], c_ix[:, None, None] * v + var_block[t2]]
                      .reshape(len(c_ix), -1) for t2, _, r_ix in parts], axis=1)  # [c, (r, b)]
                 prod = mod_matmul(left.reshape(-1, len(c_ix)), right, prime)
-                prod = prod.reshape(len(a_ix), len(u_ix), -1)
+                prod = prod.reshape(len(p_ix), len(u_ix), -1)
                 k0 = 0
                 for t2, rho, r_ix in parts:
                     d, nb = _shift(beta, t2, 1), len(var_block[t2])
                     if (d, alpha, rho) not in row_at:
                         row_at[d, alpha, rho] = nrows[d]
-                        nrows[d] += len(a_ix) * len(r_ix)
+                        nrows[d] += len(p_ix) * len(r_ix)
                     sub = prod[:, :, k0:k0 + len(r_ix) * nb]
                     k0 += len(r_ix) * nb
                     subs[d].append((row_at[d, alpha, rho], col_at[beta, t2],
-                                    sub.reshape(len(a_ix), len(u_ix), len(r_ix), nb)
+                                    sub.reshape(len(p_ix), len(u_ix), len(r_ix), nb)
                                     .transpose(0, 2, 1, 3)
-                                    .reshape(len(a_ix) * len(r_ix), len(u_ix) * nb)))
+                                    .reshape(len(p_ix) * len(r_ix), len(u_ix) * nb)))
         kernels = []  # (global column indices, nullspace columns) per block
         u_deg = []
         for d in ncols:
@@ -244,20 +243,14 @@ def _dual_blocks(
             Yd = nullspace_mod_p(M, prime)  # (ncols, dim of block d)
             kernels.append((np.concatenate(col_ix[d]), Yd))
             u_deg += [d] * Yd.shape[1]
-        W = len(u_deg)
         out.append(dict(Counter(u_deg)))
         if j < kmax:
-            _refuse_basis(j, v, W, budget)
-            Y = np.zeros((U * v, W), dtype=np.int64)
+            N = np.zeros((len(u_deg), U * v), dtype=np.int64)
             w0 = 0
             for ix, Yd in kernels:
-                Y[ix, w0:w0 + Yd.shape[1]] = Yd
+                N[w0:w0 + Yd.shape[1], ix] = Yd.T
                 w0 += Yd.shape[1]
-            P = v ** (j - 1)
-            flat = mod_matmul(N.T.copy(), Y.reshape(U, v * W), prime)  # (P, v*W)
-            N = np.ascontiguousarray(
-                flat.reshape(P, v, W).transpose(2, 0, 1)
-            ).reshape(W, P * v)
+            p_groups = u_groups
     return out
 
 

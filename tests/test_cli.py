@@ -198,6 +198,45 @@ def test_out_writes_file(tmp_path, capsysbinary):
     assert json.loads(target.read_text())["overall"] == "pass"
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsysbinary):
+    target = tmp_path / "missing" / "r.json"
+    code = cli.main(["presentation", "dump", "--n", "4", "--out", str(target)])
+    assert code == 2
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.startswith(b"psiring: error: cannot write --out ")
+    assert not target.exists()
+
+
+def test_unexpected_exception_exits_three(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("simulated internal fault")
+
+    monkeypatch.setitem(cli.DISPATCH, "presentation", crash)
+    assert cli.main(["presentation", "dump", "--n", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert "RuntimeError: simulated internal fault" in err
+
+
+def test_koszul_expands_the_prediction_once(monkeypatch, capsysbinary):
+    # the report reads b_2 from the summary; only koszul_summary expands to kmax
+    import psiring.koszul as koszul
+    asked = []
+    real = koszul.koszul_prediction
+
+    def spy(n, kmax):
+        asked.append(kmax)
+        return real(n, kmax)
+
+    monkeypatch.setattr(koszul, "koszul_prediction", spy)
+    monkeypatch.setattr(cli, "koszul_prediction", spy)
+    code, d = run_json(["koszul", "--n", "3", "--kmax", "40"], capsysbinary)
+    assert code == 0
+    assert d["payload"]["tower"] == [1, 3, 3, 1] + [0] * 37
+    assert len([k for k in asked if k >= 40]) == 1
+
+
 def test_thread_count_does_not_change_bytes(capsysbinary):
     outs = []
     for t in ("1", "8"):

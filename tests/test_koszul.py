@@ -119,22 +119,26 @@ def multigraded_inverse(n, k):
     return inv
 
 
-@pytest.mark.parametrize("n,k,blocks", [(4, 4, 31), (5, 3, 35), (4, 5, 40)])
-@pytest.mark.parametrize("custom", [False, True])
-def test_dual_blocks_match_multigraded_series(n, k, blocks, custom):
+@pytest.mark.parametrize("custom,n,k,blocks", [
+    (custom, n, k, blocks) for custom in (False, True)
+    for n, k, blocks in [(4, 4, 31), (5, 3, 35), (4, 5, 40)]
+] + [(False, 4, 6, 68), (False, 5, 4, 65)])
+def test_dual_blocks_match_multigraded_series(custom, n, k, blocks):
     # Froberg's numerical criterion refined to Z^n: every multidegree block of
-    # W_k has the dimension of the matching coefficient of 1/h(-q)
+    # W_k has the dimension of the matching coefficient of 1/h(-q); the budget
+    # is lifted, since the default refuses (4, 6) and (5, 4)
     pivot = PivotScheme(CUSTOM, assignment=(2, 1, 4, 3) if n == 4 else (3, 1, 2, 5, 4)) \
         if custom else None
-    top = koszul._dual_blocks(n, k, TENSOR_PRIME, DEFAULT_ELEMENT_BUDGET, pivot)[-1]
+    top = koszul._dual_blocks(n, k, TENSOR_PRIME, 10 ** 12, pivot)[-1]
     want = {a: c for a, c in multigraded_inverse(n, k).coeffs.items() if sum(a) == k}
     assert top == want
     assert len(top) == blocks
     assert sum(top.values()) == koszul_prediction(n, k)[k]
 
 
-def test_stage_nullspaces_are_per_block(monkeypatch):
-    # the whole n=5, k=3 stage has 1875 columns; no block may come near that
+@pytest.fixture
+def nullspace_shapes(monkeypatch):
+    """Shapes of the matrices koszul passes to nullspace_mod_p, in call order."""
     shapes = []
     real = koszul.nullspace_mod_p
 
@@ -143,10 +147,33 @@ def test_stage_nullspaces_are_per_block(monkeypatch):
         return real(a, p)
 
     monkeypatch.setattr(koszul, "nullspace_mod_p", spy)
+    return shapes
+
+
+def test_stage_nullspaces_are_per_block(nullspace_shapes):
+    # the whole n=5, k=3 stage has 1875 columns; no block may come near that
+    shapes = nullspace_shapes
     assert dual_tower(5, 3) == [1, 15, 125, 795]
     assert shapes[0] == (125, 225)  # the relation space itself
     assert len(shapes) > 1
     assert max(cols for _, cols in shapes[1:]) <= 1875 // 10
+
+
+def test_stage_rows_run_over_the_basis_of_w_k_minus_2(nullspace_shapes):
+    # stage k's rows are (basis vector of W_(k-2), check row of R), so the
+    # blocks of stage k have at most dim W_(k-2) * RR rows, not v^(k-2) * RR
+    dims = dual_tower(4, 5)
+    RR = 8 * 8 - dims[2]
+    assert [dims[k - 2] * RR for k in (3, 4, 5)] == [240, 1020, 3360]
+    blocks = iter(nullspace_shapes[1:])  # shapes[0] is the relation space itself
+    for k in (3, 4, 5):
+        rows = cols = 0
+        while cols < 8 * dims[k - 1]:
+            r, c = next(blocks)
+            rows, cols = rows + r, cols + c
+        assert cols == 8 * dims[k - 1]  # the blocks cover the columns (u, b) once
+        assert rows <= dims[k - 2] * RR
+    assert next(blocks, None) is None
 
 
 def test_budget_refused_before_any_work(monkeypatch):
