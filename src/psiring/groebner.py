@@ -5,6 +5,14 @@ the normal selection strategy.  An optional total-degree cap makes the run a
 truncated completion: for homogeneous input every discarded S-pair lives above
 the cap, so normal forms below the cap are still those of the full basis.
 
+The bookkeeping is done once per object, not once per use.  Each Poly remembers
+its leading term and that term's support mask (orders.exp_mask).  Each queued
+pair carries its selection key (lcm degree, order key of the lcm, j, i), so the
+queue is a heap.  Every divisibility scan (the normal-form divisor search, the
+pair and chain filters, interreduction, standard monomials) compares support
+masks before exponent tuples, and normal_form computes each term's order key
+at most once per call.
+
 Krull dimension comes from the leading terms alone: the dimension of the
 quotient is the largest variable set that contains no leading-term support,
 computed as variables minus a minimum hitting set.
@@ -13,10 +21,12 @@ computed as variables minus a minimum hitting set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop
 
 from .errors import UsageError
 from .fields import Field
-from .orders import MonomialOrder, exp_degree, exp_divides, exp_div, exp_lcm, exp_mul
+from .orders import (MonomialOrder, exp_degree, exp_div, exp_lcm, exp_mask, exp_mul,
+                     mask_divides)
 from .poly import Poly
 from .presentation import PresentationSpec
 from .rng import SplitMix64
@@ -49,23 +59,25 @@ def normal_form(p: Poly, basis: list[Poly], order: MonomialOrder,
     """
     field = p.field
     idx = perm if perm is not None else range(len(basis))
-    lts = [basis[i].leading(order) for i in idx]
-    gs = [basis[i] for i in idx]
+    reducers = []
+    for i in idx:
+        g = basis[i]
+        lt, lc = g.leading(order)
+        reducers.append((g.leading_mask(order), lt, lc, g))
+    key = order.key
     work = dict(p.terms)
+    keys = {e: key(e) for e in work}  # each term's order key, computed once per call
     remainder: dict = {}
     while work:
-        e = max(work, key=order.key)
+        e = max(work, key=keys.__getitem__)
         c = work.pop(e)
-        hit = -1
-        for t, (lt, _) in enumerate(lts):
-            if exp_divides(lt, e):
-                hit = t
+        me = exp_mask(e)
+        for mt, lt, lc, g in reducers:
+            if mask_divides(lt, mt, e, me):
                 break
-        if hit < 0:
+        else:
             remainder[e] = c
             continue
-        g = gs[hit]
-        lt, lc = lts[hit]
         scale = field.div(c, lc)
         shift = exp_div(e, lt)
         for ge, gc in g.terms.items():
@@ -77,6 +89,8 @@ def normal_form(p: Poly, basis: list[Poly], order: MonomialOrder,
                 work.pop(te, None)
             else:
                 work[te] = v
+                if te not in keys:
+                    keys[te] = key(te)
     return Poly(field, p.nvars, remainder)
 
 
@@ -114,54 +128,56 @@ def buchberger(
 
     G: list[Poly] = []
     lts: list[tuple[int, ...]] = []
-    pairs: list[tuple[int, int, tuple[int, ...]]] = []
+    masks: list[int] = []
+    # queued pairs as (lcm degree, order key of lcm, j, i, lcm, lcm mask) with i < j:
+    # the heap pops them in the normal-strategy order, ties broken by j then i
+    pairs: list[tuple] = []
     truncated = False
 
     def add(p: Poly):
         nonlocal pairs, truncated
         t = len(G)
         G.append(p.monic(order))
-        lts.append(p.leading(order)[0])
-        cand = [(i, exp_lcm(lts[i], lts[t])) for i in range(t)]
-        # pair filter: drop (i,t) when some other new pair's lcm strictly divides
-        kept = []
-        for i, l in cand:
-            tight = all(lj == l or not exp_divides(lj, l) for j, lj in cand if j != i)
-            if tight:
-                kept.append((i, l))
-        # group equal lcms: a coprime member kills the class, else keep one
+        lt = p.leading(order)[0]
+        mt = p.leading_mask(order)
+        lts.append(lt)
+        masks.append(mt)
+        cand = [(exp_lcm(lts[i], lt), masks[i] | mt) for i in range(t)]
+        # pair filter: drop (i,t) when some other new pair's lcm strictly divides;
+        # group the kept pairs by lcm
         classes: dict[tuple[int, ...], list[int]] = {}
-        for i, l in kept:
-            classes.setdefault(l, []).append(i)
+        for i, (l, ml) in enumerate(cand):
+            for lj, mj in cand:
+                if lj != l and mask_divides(lj, mj, l, ml):
+                    break
+            else:
+                classes.setdefault(l, []).append(i)
+        # a coprime member (disjoint supports) kills the class, else keep one
         fresh = []
-        for l in sorted(classes, key=order.key):
-            members = classes[l]
-            if any(exp_mul(lts[i], lts[t]) == l for i in members):
+        for l, members in classes.items():
+            if any(not masks[i] & mt for i in members):
                 continue
-            fresh.append((members[0], t, l))
+            d = exp_degree(l)
+            if cap is not None and d > cap:
+                truncated = True
+                continue
+            i = members[0]
+            fresh.append((d, order.key(l), t, i, l, cand[i][1]))
         # chain filter on the old queue
         old = []
-        for i, j, l in pairs:
-            if (exp_divides(lts[t], l)
-                    and exp_lcm(lts[i], lts[t]) != l
-                    and exp_lcm(lts[j], lts[t]) != l):
+        for item in pairs:
+            _, _, j, i, l, ml = item
+            if mask_divides(lt, mt, l, ml) and cand[i][0] != l and cand[j][0] != l:
                 continue
-            old.append((i, j, l))
-        if cap is not None:
-            for item in fresh:
-                if exp_degree(item[2]) > cap:
-                    truncated = True
-            fresh = [it for it in fresh if exp_degree(it[2]) <= cap]
+            old.append(item)
         pairs = old + fresh
+        heapify(pairs)
 
     for p in sorted(polys, key=lambda q: order.key(q.leading(order)[0])):
         add(p)
 
     while pairs:
-        best = min(range(len(pairs)),
-                   key=lambda t: (exp_degree(pairs[t][2]), order.key(pairs[t][2]),
-                                  pairs[t][1], pairs[t][0]))
-        i, j, _ = pairs.pop(best)
+        _, _, j, i, _, _ = heappop(pairs)
         h = normal_form(s_poly(G[i], G[j], order), G, order)
         if not h.is_zero():
             add(h)
@@ -177,10 +193,11 @@ def _is_homogeneous(p: Poly) -> bool:
 def _interreduce(G: list[Poly], order: MonomialOrder, field: Field) -> list[Poly]:
     """Drop redundant members, then fully reduce each tail; sort for determinism."""
     lts = [g.leading(order)[0] for g in G]
+    masks = [g.leading_mask(order) for g in G]
     keep = []
     for t, lt in enumerate(lts):
         redundant = any(
-            exp_divides(lts[s], lt) and (lts[s] != lt or s < t)
+            mask_divides(lts[s], masks[s], lt, masks[t]) and (lts[s] != lt or s < t)
             for s in range(len(G)) if s != t
         )
         if not redundant:
@@ -276,10 +293,11 @@ def standard_monomial_count(gb: GroebnerBasis, spec: PresentationSpec,
 
     if gb.cap is not None and sum(a) > gb.cap:
         raise UsageError(f"total degree {sum(a)} exceeds the truncation cap {gb.cap}")
-    lts = gb.leading_exponents()
+    lts = [(g.leading(gb.order)[0], g.leading_mask(gb.order)) for g in gb.basis]
     count = 0
     for mono in enumerate_monomials(spec, a):
-        if not any(exp_divides(lt, mono) for lt in lts):
+        mm = exp_mask(mono)
+        if not any(mask_divides(lt, ml, mono, mm) for lt, ml in lts):
             count += 1
     return count
 

@@ -49,16 +49,28 @@ from .errors import BudgetError, UsageError
 from .exactla import echelon_mod_p, mod_matmul, nullspace_mod_p, rank_mod_p, rows_to_dense
 from .fields import TENSOR_PRIME, TENSOR_RETRY_PRIMES
 from .presentation import PivotScheme, build_an, tensor_relation_space
-from .series import invert_unit_series, total_hilbert
 
 # refuse any stage whose main matrix would exceed this many entries
 DEFAULT_ELEMENT_BUDGET = 200_000_000
 
 
 def koszul_prediction(n: int, kmax: int) -> list[int]:
-    """b_0..b_kmax: coefficients of 1/h(-t) for the total Hilbert series of A_n."""
-    h = total_hilbert(n, kmax)
-    return invert_unit_series([(-1) ** d * c for d, c in enumerate(h)])
+    """b_0..b_kmax: coefficients of 1/h(-t) for the total Hilbert series of A_n.
+
+    h(t) = (1+(n-1)t)^(n-3) / (1-t)^(2n-3), so 1/h(-t) = (1+t)^(2n-3) / (1-(n-1)t)^(n-3)
+    and b_k = sum_j C(2n-3, j) C(k-j+n-4, n-4) (n-1)^(k-j), which is C(3, k) at n = 3.
+    The tests check it against series.invert_unit_series applied to total_hilbert.
+    """
+    if n < 3:
+        raise UsageError(f"koszul_prediction needs n >= 3, got {n}")
+    if kmax < 0:
+        raise UsageError(f"negative degree {kmax}")
+    d = 2 * n - 3
+    if n == 3:
+        return [comb(d, k) for k in range(kmax + 1)]
+    return [sum(comb(d, j) * comb(k - j + n - 4, n - 4) * (n - 1) ** (k - j)
+                for j in range(min(k, d) + 1))
+            for k in range(kmax + 1)]
 
 
 def b2_structural(n: int) -> int:

@@ -74,3 +74,19 @@ def exp_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def exp_degree(a: tuple[int, ...]) -> int:
     return sum(a)
+
+def exp_mask(a: tuple[int, ...]) -> int:
+    """Support mask of a monomial: bit v is set exactly when a[v] > 0.
+
+    a divides b only if mask(a) & ~mask(b) == 0, so the mask rejects most
+    non-divisors before the tuple test, whatever the exponents' size.
+    """
+    m = 0
+    for v, x in enumerate(a):
+        if x:
+            m |= 1 << v
+    return m
+
+def mask_divides(a: tuple[int, ...], ma: int, b: tuple[int, ...], mb: int) -> bool:
+    """exp_divides(a, b), given ma = exp_mask(a) and mb = exp_mask(b)."""
+    return not ma & ~mb and exp_divides(a, b)

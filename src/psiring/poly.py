@@ -3,13 +3,14 @@
 A Poly stores {exponent tuple: nonzero coefficient payload}.  The exponent
 tuple is dense over a fixed variable list whose meaning (names, blocks) lives
 in the owning presentation; the polynomial itself only knows nvars and the
-field.  All arithmetic is exact.
+field.  All arithmetic is exact.  A Poly's terms are never changed after it
+is built, so its leading term can be remembered.
 """
 
 from __future__ import annotations
 
 from .fields import Field, same_field
-from .orders import MonomialOrder, exp_mul
+from .orders import MonomialOrder, exp_mask, exp_mul
 
 
 def multidegree(exp: tuple[int, ...], blocks: tuple[int, ...], nblocks: int) -> tuple[int, ...]:
@@ -22,12 +23,13 @@ def multidegree(exp: tuple[int, ...], blocks: tuple[int, ...], nblocks: int) -> 
 
 
 class Poly:
-    __slots__ = ("field", "nvars", "terms")
+    __slots__ = ("field", "nvars", "terms", "_lead")
 
     def __init__(self, field: Field, nvars: int, terms: dict | None = None):
         self.field = field
         self.nvars = nvars
         self.terms = terms if terms is not None else {}
+        self._lead = None  # (order, exponent, coefficient, support mask) of the leading term
 
     # -- constructors ---------------------------------------------------------
 
@@ -37,10 +39,8 @@ class Poly:
 
     @staticmethod
     def const(field: Field, nvars: int, c) -> "Poly":
-        p = Poly(field, nvars)
-        if not field.is_zero(c):
-            p.terms[(0,) * nvars] = c
-        return p
+        terms = {} if field.is_zero(c) else {(0,) * nvars: c}
+        return Poly(field, nvars, terms)
 
     @staticmethod
     def variable(field: Field, nvars: int, pos: int) -> "Poly":
@@ -77,10 +77,21 @@ class Poly:
         return degs.pop()
 
     def leading(self, order: MonomialOrder) -> tuple[tuple[int, ...], object]:
-        """(leading exponent, leading coefficient) under the given order."""
-        assert self.terms, "zero polynomial has no leading term"
-        e = max(self.terms, key=order.key)
-        return e, self.terms[e]
+        """(leading exponent, leading coefficient) under the given order.
+
+        Remembered for the last order object asked; another order recomputes it.
+        """
+        lead = self._lead
+        if lead is None or lead[0] is not order:
+            assert self.terms, "zero polynomial has no leading term"
+            e = max(self.terms, key=order.key)
+            lead = self._lead = (order, e, self.terms[e], exp_mask(e))
+        return lead[1], lead[2]
+
+    def leading_mask(self, order: MonomialOrder) -> int:
+        """exp_mask of the leading exponent under the given order."""
+        self.leading(order)
+        return self._lead[3]
 
     def coefficient(self, exp: tuple[int, ...]):
         return self.terms.get(exp, self.field.zero())
@@ -155,8 +166,10 @@ class Poly:
     def monic(self, order: MonomialOrder) -> "Poly":
         if not self.terms:
             return self
-        _, lc = self.leading(order)
-        return self.scale(self.field.inv(lc))
+        e, lc = self.leading(order)
+        out = self.scale(self.field.inv(lc))
+        out._lead = (order, e, out.terms[e], self._lead[3])  # scaling keeps the leading exponent
+        return out
 
     def derivative(self, pos: int) -> "Poly":
         F = self.field

@@ -2,8 +2,11 @@
 combinatorial Krull dimension read off the leading-term ideal.
 """
 
+import hashlib
+
 import pytest
 
+import psiring.groebner as groebner
 from psiring.errors import UsageError
 from psiring.fields import QQ, PrimeField
 from psiring.groebner import (
@@ -18,9 +21,9 @@ from psiring.groebner import (
     s_poly,
     standard_monomial_count,
 )
-from psiring.orders import GREVLEX, LEX, MonomialOrder
+from psiring.orders import GREVLEX, LEX, MonomialOrder, exp_divides, exp_mask, mask_divides
 from psiring.poly import Poly
-from psiring.presentation import general_pair_relation
+from psiring.presentation import CUSTOM, PivotScheme, build_an, general_pair_relation
 from psiring.rng import SplitMix64
 from psiring.series import TotalBound, lee_series
 from psiring.slices import degree_grid
@@ -183,3 +186,78 @@ def test_mixed_fields_rejected():
         buchberger([f, g], ORDER)
     with pytest.raises(UsageError):
         buchberger([], ORDER)
+
+
+def test_a5_completion_work_is_pinned(monkeypatch):
+    # the work and the S-pair order of the selection by (lcm degree, order key
+    # of the lcm, j, i); the digest is of the sequence of leading-term pairs
+    calls = {"s_poly": 0, "normal_form": 0}
+    pairs = []
+    real_s_poly, real_normal_form = groebner.s_poly, groebner.normal_form
+
+    def s_poly_spy(f, g, order):
+        calls["s_poly"] += 1
+        pairs.append((f.leading(order)[0], g.leading(order)[0]))
+        return real_s_poly(f, g, order)
+
+    def normal_form_spy(*args, **kwargs):
+        calls["normal_form"] += 1
+        return real_normal_form(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "s_poly", s_poly_spy)
+    monkeypatch.setattr(groebner, "normal_form", normal_form_spy)
+    gb = groebner_for(build_an(5))
+    assert calls == {"s_poly": 106, "normal_form": 133}
+    assert len(gb) == 27
+    digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
+    assert digest == "f565966d2ebb823298f23147155522e481215897bc0de48b4c791ee9fef29a84"
+
+
+def test_mask_gate_agrees_with_tuple_divisibility():
+    rng = SplitMix64(0x5EED)
+    # exponents up to 2^8, 2^20 and 2^72 (randint draws below 2^64, then scales)
+    for top, scale in ((3, 1), (2 ** 8, 1), (2 ** 20, 1), (2 ** 62, 2 ** 10)):
+        def draw(lo):
+            return rng.randint(0, 1) * rng.randint(lo, top) * scale
+
+        for _ in range(300):
+            nv = rng.randint(1, 12)
+            a = tuple(draw(1) for _ in range(nv))
+            if rng.randint(0, 1):  # a multiple of a, so that divisors occur often
+                b = tuple(x + draw(0) for x in a)
+            else:
+                b = tuple(draw(1) for _ in range(nv))
+            ma, mb = exp_mask(a), exp_mask(b)
+            assert ma == sum(1 << v for v, x in enumerate(a) if x > 0)
+            assert mask_divides(a, ma, b, mb) == exp_divides(a, b)
+            assert mask_divides(b, mb, a, ma) == exp_divides(b, a)
+
+
+def test_leading_term_memo_is_keyed_by_order():
+    f = p_of(QQ, 2, {(2, 0): 3, (0, 3): 5})
+    lex = MonomialOrder(LEX)
+    assert f.leading(ORDER) == ((0, 3), QQ.from_int(5))
+    assert f.leading(lex) == ((2, 0), QQ.from_int(3))
+    assert f.leading(ORDER) == ((0, 3), QQ.from_int(5))
+    assert f.leading_mask(lex) == 0b01
+    assert f.leading(MonomialOrder(GREVLEX, perm=(1, 0))) == ((0, 3), QQ.from_int(5))
+    assert f.leading(MonomialOrder(LEX, perm=(1, 0))) == ((0, 3), QQ.from_int(5))
+
+
+@pytest.mark.parametrize("n,pivot", [
+    (4, None), (4, PivotScheme(CUSTOM, (3, 4, 1, 2))),
+    (5, None), (5, PivotScheme(CUSTOM, (3, 1, 5, 2, 4))),
+], ids=["a4-cyclic", "a4-custom", "a5-cyclic", "a5-custom"])
+def test_leading_terms_match_sympy(n, pivot):
+    sympy = pytest.importorskip("sympy")
+    spec = build_an(n, pivot)
+    gens = sympy.symbols(f"x0:{spec.nvars}")
+    polys = []
+    for r in spec.relations:
+        expr = 0
+        for e, c in r.terms.items():
+            expr += spec.field.to_int(c) * sympy.prod(g ** k for g, k in zip(gens, e))
+        polys.append(expr)
+    ref = sympy.groebner(polys, *gens, order="grevlex")
+    want = sorted(sympy.Poly(g, *gens).monoms(order="grevlex")[0] for g in ref.exprs)
+    assert sorted(groebner_for(spec).leading_exponents()) == want

@@ -18,7 +18,13 @@ from psiring.koszul import (
     relation_space_matrices,
 )
 from psiring.presentation import CUSTOM, PivotScheme, build_an
-from psiring.series import TotalBound, TruncatedSeries, lee_series
+from psiring.series import (
+    TotalBound,
+    TruncatedSeries,
+    invert_unit_series,
+    lee_series,
+    total_hilbert,
+)
 
 
 def test_prediction_rows_frozen():
@@ -32,6 +38,14 @@ def test_prediction_head_is_structural():
         assert pred[0] == 1
         assert pred[1] == n * (n - 2)
         assert pred[2] == b2_structural(n)
+
+
+def test_prediction_closed_form_matches_series_inversion():
+    # the independent route: invert h(-t) term by term
+    for n in range(3, 10):
+        h = total_hilbert(n, 40)
+        assert koszul_prediction(n, 40) == invert_unit_series(
+            [(-1) ** d * c for d, c in enumerate(h)])
 
 
 def test_three_points_dual_is_exterior():
