@@ -84,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=20260819)
     common.add_argument("--format", choices=["json", "csv", "md"], default="json")
     common.add_argument("--out", default=None)
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=int, default=1,
+                        help="accepted and validated (at least 1); every map runs in one thread")
     common.add_argument("--timings", action="store_true",
                         help="include wall-clock timings (breaks byte determinism)")
 
@@ -209,13 +210,11 @@ def cmd_hilbert(args) -> Report:
         raise UsageError(f"negative --max-total {D}")
     bound = TotalBound(D)
     report = Report(TOOL, __version__, _config_echo(args, max_total=D))
-    t0 = time.perf_counter()
 
     if args.action == "lee":
         _pivot(args)  # the series does not depend on it, but a bad --pivot is still refused
         series = _series_for(args, bound)
         _coefficient_table(report, series, args.n)
-        _timing(report, args, "series", t0)
         return report
 
     spec = _spec(args)
@@ -228,7 +227,6 @@ def cmd_hilbert(args) -> Report:
         cols = [f"a[{i + 1}]" for i in range(args.n)]
         cols += ["monomials", "relation_rows", "rank", "dimension", "method"]
         report.add_table("dimensions", cols, rows)
-        _timing(report, args, "slices", t0)
         return report
 
     # verify: slices against the series, plus the pointwise anchors
@@ -247,7 +245,6 @@ def cmd_hilbert(args) -> Report:
         "0 mismatches", f"{mism} mismatches",
     ))
     _add_anchor_checks(report, args, series, D)
-    _timing(report, args, "verify", t0)
     return report
 
 
@@ -296,7 +293,6 @@ def cmd_gb(args) -> Report:
     order = parse_order(args.order, spec)
     report = Report(TOOL, __version__,
                     _config_echo(args, order=args.order, cap=args.cap))
-    t0 = time.perf_counter()
     gb = groebner_for(spec, order, cap=args.cap)
     names = spec.var_names()
     report.payload = {
@@ -321,7 +317,6 @@ def cmd_gb(args) -> Report:
             "identical leading terms" if leading_terms_agree(gb, gb2)
             else "leading terms differ",
         ))
-    _timing(report, args, "groebner", t0)
     return report
 
 
@@ -331,7 +326,6 @@ def cmd_koszul(args) -> Report:
     pivot = _pivot(args)
     report = Report(TOOL, __version__,
                     _config_echo(args, kmax=args.kmax, budget=args.budget))
-    t0 = time.perf_counter()
     summary = koszul_summary(args.n, args.kmax, budget=args.budget, pivot=pivot)
     b2 = b2_structural(args.n)
     if args.kmax >= 2:
@@ -352,7 +346,6 @@ def cmd_koszul(args) -> Report:
         "primes": list(summary.primes),
         "verdict": summary.verdict,
     }
-    _timing(report, args, "koszul", t0)
     return report
 
 
@@ -361,7 +354,6 @@ def cmd_sample(args) -> Report:
         raise UsageError(f"--count must be positive, got {args.count}")
     spec = _spec(args, field=QQ)
     report = Report(TOOL, __version__, _config_echo(args, count=args.count))
-    t0 = time.perf_counter()
     rng = SplitMix64(args.seed)
     child_seeds = [rng.next_u64() for _ in range(args.count)]
 
@@ -398,14 +390,12 @@ def cmd_sample(args) -> Report:
             f"{args.count}/{args.count} consistent", f"{nch}/{args.count} consistent",
         ))
     report.payload = {"points": entries}
-    _timing(report, args, "sample", t0)
     return report
 
 
 def cmd_singular(args) -> Report:
     spec = _spec(args, field=_field_for(args, default=f"prime:{DEFAULT_PRIME}"))
     report = Report(TOOL, __version__, _config_echo(args, budget=args.budget))
-    t0 = time.perf_counter()
     r = singular_locus_dim(spec, budget=args.budget)
     got = "empty" if r.singular_dim < 0 else str(r.singular_dim)
     report.add(make_check(
@@ -420,7 +410,6 @@ def cmd_singular(args) -> Report:
         "minors": r.minors,
         "singular_dim": r.singular_dim,
     }
-    _timing(report, args, "singular", t0)
     return report
 
 
@@ -450,13 +439,6 @@ def cmd_verify_theorem_a(args) -> Report:
     return report
 
 
-def _timing(report: Report, args, phase: str, t0: float):
-    if args.timings:
-        if report.timings is None:
-            report.timings = {}
-        report.timings[phase] = time.perf_counter() - t0
-
-
 DISPATCH = {
     "presentation": cmd_presentation,
     "hilbert": cmd_hilbert,
@@ -474,7 +456,10 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise UsageError(f"--threads must be at least 1, got {args.threads}")
+        t0 = time.perf_counter()
         report = DISPATCH[args.cmd](args)
+        if args.timings:
+            report.timings = {report.config["subcommand"]: time.perf_counter() - t0}
         data = render(report, args.format)
         if args.out:
             try:

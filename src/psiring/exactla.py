@@ -6,13 +6,17 @@ Three lanes, used as independent routes and cross-checked in the tests:
     Row operations over Z with per-row content removal compute the rank
     over Q exactly; pivots are chosen by row sparsity to limit fill-in.
 
-  * the int64 lane: dense per-pivot elimination mod p.  Requires
-    (p-1)^2 < 2^63, satisfied by the default prime just below 2^31.
+  * the int64 lane: dense per-pivot elimination mod p, for echelon_mod_p
+    only.  Requires (p-1)^2 < 2^63, satisfied by the default prime just
+    below 2^31 at which the slices are ranked.
 
-  * the float64 lane: panel LU with BLAS Schur updates mod p.  Exact as long
-    as every accumulated dot product stays below 2^53, which the panel-width
-    and back-substitution guards enforce; needs p below 2^20.  This is what
-    makes the big tensor ranks in the Koszul computations fast.
+  * the float64 lane: panel LU with BLAS Schur updates mod p, taken by
+    echelon_mod_p for p below 2^20 on matrices at least 64 on each side.
+    nullspace_mod_p's back-substitution and mod_matmul run in float64 only,
+    and refuse p of 2^20 and above.  Every accumulated dot product stays
+    below 2^53: the panel width bounds the elimination, and the products are
+    reduced mod p after every _float_chunk(p) terms.  This is what makes the
+    big tensor ranks in the Koszul computations fast.
 """
 
 from __future__ import annotations
@@ -118,11 +122,7 @@ def bareiss_rank(mat: list[list[int]]) -> int:
 
 def as_mod_array(a, p: int) -> np.ndarray:
     """Copy input into an int64 array with entries reduced into [0, p)."""
-    arr = np.asarray(a)
-    if arr.dtype == object:
-        arr = np.array([[int(x) % p for x in row] for row in a], dtype=np.int64)
-        return arr
-    arr = arr.astype(np.int64, copy=True)
+    arr = np.asarray(a).astype(np.int64, copy=True)
     np.mod(arr, p, out=arr)
     return arr
 
@@ -136,10 +136,6 @@ def rows_to_dense(rows: list[dict], ncols: int, p: int) -> np.ndarray:
     return out
 
 
-def _use_float_lane(shape: tuple[int, int], p: int) -> bool:
-    return p < FLOAT_LANE_MAX_PRIME and min(shape) >= 64
-
-
 def echelon_mod_p(a, p: int) -> tuple[np.ndarray, list[int]]:
     """Row echelon form mod p with pivot entries scaled to 1.
 
@@ -149,7 +145,7 @@ def echelon_mod_p(a, p: int) -> tuple[np.ndarray, list[int]]:
     A = as_mod_array(a, p)
     if A.size == 0:
         return A, []
-    if _use_float_lane(A.shape, p):
+    if p < FLOAT_LANE_MAX_PRIME and min(A.shape) >= 64:
         U, piv = _echelon_float(A.astype(np.float64), p)
         return U.astype(np.int64), piv
     return _echelon_int(A, p)
@@ -160,7 +156,11 @@ def rank_mod_p(a, p: int) -> int:
 
 
 def nullspace_mod_p(a, p: int) -> np.ndarray:
-    """Columns form a basis of the right kernel mod p (int64, shape ncols x nullity)."""
+    """Columns form a basis of the right kernel mod p (int64, shape ncols x nullity).
+
+    p must be below FLOAT_LANE_MAX_PRIME: the back-substitution runs in float64.
+    """
+    step = _float_chunk(p)
     A = as_mod_array(a, p)
     ncols = A.shape[1]
     U, pivots = echelon_mod_p(A, p)
@@ -175,57 +175,47 @@ def nullspace_mod_p(a, p: int) -> np.ndarray:
     if r == 0:
         return N
     # back-substitution, vectorized across all free columns at once
-    if _use_float_lane(A.shape, p) and r * (p - 1) ** 2 < _MANTISSA:
-        Uf = U[:r].astype(np.float64)
-        X = np.zeros((r, len(free)), dtype=np.float64)
-        freecols = np.array(free, dtype=np.intp)
-        pivcols = np.array(pivots, dtype=np.intp)
-        for t in range(r - 1, -1, -1):
-            rhs = Uf[t, freecols].copy()
-            if t + 1 < r:
-                rhs = (rhs + Uf[t, pivcols[t + 1:]] @ X[t + 1:]) % p
-            X[t] = (-rhs) % p
-        Xi = X.astype(np.int64)
-    else:
-        Xi = np.zeros((r, len(free)), dtype=np.int64)
-        freecols = np.array(free, dtype=np.intp)
-        pivcols = np.array(pivots, dtype=np.intp)
-        for t in range(r - 1, -1, -1):
-            rhs = U[t, freecols].copy()
-            if t + 1 < r:
-                prods = (U[t, pivcols[t + 1:]][:, None] * Xi[t + 1:]) % p
-                rhs = (rhs + prods.sum(axis=0)) % p
-            Xi[t] = (-rhs) % p
+    Uf = U[:r].astype(np.float64)
+    X = np.zeros((r, len(free)), dtype=np.float64)
+    freecols = np.array(free, dtype=np.intp)
+    pivcols = np.array(pivots, dtype=np.intp)
+    for t in range(r - 1, -1, -1):
+        rhs = Uf[t, freecols]
+        if t + 1 < r:
+            rhs = rhs + _dot_mod(Uf[t, pivcols[t + 1:]], X[t + 1:], p, step)
+        X[t] = (-rhs) % p
     for t, pc in enumerate(pivots):
-        N[pc] = Xi[t]
+        N[pc] = X[t]
     return N
 
 
 def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) % p for int64 inputs with entries in [0, p).
+    """Exact (a @ b) % p for int64 inputs with entries in [0, p), p < FLOAT_LANE_MAX_PRIME.
 
-    Picks the fastest lane whose accumulated dot products provably fit the
-    arithmetic: float64 BLAS under the 2^53 mantissa bound, plain int64 under
-    2^63, and chunked int64 accumulation beyond that.
+    One float64 BLAS lane, exact for any inner size (see _dot_mod).
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise UsageError(f"shape mismatch in mod_matmul: {a.shape} x {b.shape}")
-    inner = a.shape[1]
-    bound = (p - 1) ** 2
-    if inner == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    if inner * bound < _MANTISSA:
-        out = (a.astype(np.float64) @ b.astype(np.float64)) % p
-        return out.astype(np.int64)
-    if inner * bound < (1 << 63):
-        return (a @ b) % p
-    if bound >= (1 << 63):
-        raise UsageError(f"modulus {p} too large for exact int64 products")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    step = max(1, ((1 << 63) - 1) // (bound + 1))
-    for s in range(0, inner, step):
-        # reduce each chunk before accumulating so out + chunk stays below 2^63
-        out = (out + a[:, s:s + step] @ b[s:s + step] % p) % p
+    step = _float_chunk(p)
+    return _dot_mod(a.astype(np.float64), b.astype(np.float64), p, step).astype(np.int64)
+
+
+def _float_chunk(p: int) -> int:
+    """How many products of residues mod p one float64 dot product sums exactly.
+
+    floor((2^53 - 1) / (p - 1)^2), 8192 at TENSOR_PRIME.  Refuses p outside
+    [2, FLOAT_LANE_MAX_PRIME).
+    """
+    if not 2 <= p < FLOAT_LANE_MAX_PRIME:
+        raise UsageError(f"modulus {p} outside the float64 lane (2 <= p < {FLOAT_LANE_MAX_PRIME})")
+    return (_MANTISSA - 1) // (p - 1) ** 2
+
+
+def _dot_mod(a: np.ndarray, b: np.ndarray, p: int, step: int) -> np.ndarray:
+    """(a @ b) % p for float64 residues, reduced after every `step` inner terms."""
+    out = a[..., :step] @ b[:step] % p
+    for s in range(step, b.shape[0], step):
+        out = (out + a[..., s:s + step] @ b[s:s + step] % p) % p
     return out
 
 

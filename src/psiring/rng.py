@@ -7,6 +7,8 @@ The update and output functions are the standard SplitMix64 constants.
 
 from __future__ import annotations
 
+from .errors import UsageError
+
 MASK64 = (1 << 64) - 1
 
 
@@ -24,9 +26,13 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], rejection-sampled so the seed fixes the stream."""
-        assert lo <= hi, "empty range"
+        """Uniform integer in [lo, hi], rejection-sampled so the seed fixes the stream.
+
+        One 64-bit draw covers the range, so spans above 2^64 are refused.
+        """
         span = hi - lo + 1
+        if not 1 <= span <= 1 << 64:
+            raise UsageError(f"randint range [{lo}, {hi}] must hold 1 to 2^64 integers")
         # rejection bound: largest multiple of span below 2^64
         limit = (1 << 64) - ((1 << 64) % span)
         while True:

@@ -120,7 +120,6 @@ def slice_dimension(
     spec: PresentationSpec,
     a: tuple[int, ...],
     method: str = "auto",
-    prime: int = DEFAULT_PRIME,
 ) -> SliceReport:
     """Exact dimension of the multidegree-a slice of the quotient.
 
@@ -137,27 +136,27 @@ def slice_dimension(
         return SliceReport(tuple(a), nmon, 0, 0, nmon, pred, "empty")
 
     if method == "rational":
-        rank = rank_sparse_rational([dict(r) for r in rows])
+        rank = rank_sparse_rational(rows)
         how = "rational"
     else:
-        rank = rank_mod_p(rows_to_dense(rows, ncols, prime), prime)
-        how = f"modular({prime})"
+        rank = rank_mod_p(rows_to_dense(rows, ncols, DEFAULT_PRIME), DEFAULT_PRIME)
+        how = f"modular({DEFAULT_PRIME})"
         if method == "auto":
             if ncols <= RATIONAL_VERIFY_MAX_COLS:
-                qrank = rank_sparse_rational([dict(r) for r in rows])
+                qrank = rank_sparse_rational(rows)
                 if qrank != rank:  # unlucky prime: the rational answer wins
                     rank = qrank
                     how = "rational(after-bad-prime)"
                 else:
-                    how = f"modular({prime})+rational"
+                    how = f"modular({DEFAULT_PRIME})+rational"
             else:
-                p2 = next(p for p in RETRY_PRIMES if p != prime)
+                p2 = RETRY_PRIMES[0]
                 r2 = rank_mod_p(rows_to_dense(rows, ncols, p2), p2)
                 if r2 != rank:
                     rank = max(rank, r2)  # rank mod p only ever drops
-                    how = f"modular(max {prime},{p2})"
+                    how = f"modular(max {DEFAULT_PRIME},{p2})"
                 else:
-                    how = f"modular({prime},{p2})"
+                    how = f"modular({DEFAULT_PRIME},{p2})"
     return SliceReport(tuple(a), nmon, len(rows), rank, nmon - rank, pred, how)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
@@ -10,9 +9,9 @@ R = TypeVar("R")
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T], threads: int) -> list[R]:
-    """Map preserving input order, so results are identical at any thread count."""
-    seq = list(items)
-    if threads <= 1 or len(seq) <= 1:
-        return [fn(x) for x in seq]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, seq))
+    """fn over items in input order, in the calling thread.
+
+    `threads` is accepted and ignored: a thread pool over this GIL-bound work
+    measured slower than the serial loop, so every count runs the same way.
+    """
+    return [fn(x) for x in items]

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from importlib import metadata
 from pathlib import Path
 
@@ -266,6 +267,23 @@ def test_timings_are_opt_in(capsysbinary):
     _, d = run_json(["hilbert", "lee", "--n", "4", "--max-total", "2",
                      "--timings"], capsysbinary)
     assert d["timings"]
+
+
+def test_timings_cover_the_whole_command(monkeypatch, capsysbinary):
+    # verify-theorem-a runs its Groebner check after the slice comparison
+    real = cli.groebner_for
+
+    def slow_groebner_for(*args, **kwargs):
+        time.sleep(0.3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "groebner_for", slow_groebner_for)
+    code, d = run_json(["verify-theorem-a", "--n", "4", "--max-total", "1", "--timings"],
+                       capsysbinary)
+    assert code == 0
+    (phase, seconds), = d["timings"].items()
+    assert phase == "verify-theorem-a"
+    assert seconds >= 0.3
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

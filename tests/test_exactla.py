@@ -5,6 +5,8 @@ and modular elimination, plus the overflow-safe modular matmul.
 import numpy as np
 import pytest
 
+from psiring import exactla
+from psiring.errors import UsageError
 from psiring.exactla import (
     FLOAT_LANE_MAX_PRIME,
     bareiss_rank,
@@ -71,7 +73,7 @@ def test_echelon_and_rref_shapes(p):
     assert not ech[len(piv):].any()
 
 
-@pytest.mark.parametrize("p", [DEFAULT_PRIME, TENSOR_PRIME])
+@pytest.mark.parametrize("p", [TENSOR_PRIME])
 def test_nullspace_annihilates(p):
     # columns of the result span the right kernel
     for seed in range(4):
@@ -83,6 +85,13 @@ def test_nullspace_annihilates(p):
             assert not prod.any()
 
 
+def test_nullspace_refuses_default_prime():
+    # the back-substitution runs in float64, exact only below FLOAT_LANE_MAX_PRIME
+    m = np.array(random_int_matrix(6, 9, 7)) % DEFAULT_PRIME
+    with pytest.raises(UsageError):
+        nullspace_mod_p(m, DEFAULT_PRIME)
+
+
 def test_nullspace_columns_independent():
     m = np.zeros((2, 5), dtype=np.int64)
     m[0, 0] = 1
@@ -91,23 +100,45 @@ def test_nullspace_columns_independent():
     assert rank_mod_p(ns.T.copy(), 97) == 4
 
 
-@pytest.mark.parametrize("p,inner", [(TENSOR_PRIME, 7), (DEFAULT_PRIME, 7), (DEFAULT_PRIME, 9)])
-def test_mod_matmul_against_object_reference(p, inner):
-    # inner=9 at the large prime exceeds the plain int64 bound: chunked lane
-    rng = SplitMix64(0xBEEF)
+def object_matmul_case(p, inner, seed=0xBEEF):
+    rng = SplitMix64(seed)
     a = np.array([[rng.randint(0, p - 1) for _ in range(inner)] for _ in range(5)], dtype=object)
     b = np.array([[rng.randint(0, p - 1) for _ in range(4)] for _ in range(inner)], dtype=object)
-    want = (a @ b) % p
+    return a, b, (a @ b) % p
+
+
+@pytest.mark.parametrize("p,inner", [(TENSOR_PRIME, 7)])
+def test_mod_matmul_against_object_reference(p, inner):
+    a, b, want = object_matmul_case(p, inner)
     got = mod_matmul(a.astype(np.int64), b.astype(np.int64), p)
     assert got.tolist() == want.astype(int).tolist()
 
 
+def test_mod_matmul_refuses_default_prime():
+    a, b, _ = object_matmul_case(DEFAULT_PRIME, 7)
+    with pytest.raises(UsageError):
+        mod_matmul(a.astype(np.int64), b.astype(np.int64), DEFAULT_PRIME)
+
+
 def test_mod_matmul_rejects_oversized_modulus():
-    from psiring.errors import UsageError
     big = (1 << 42) + 15  # squares overflow int64: must refuse, not corrupt
     a = np.full((40, 40), big - 1, dtype=np.int64)
     with pytest.raises(UsageError):
         mod_matmul(a, a, big)
+
+
+def test_float_products_reduce_at_every_chunk(monkeypatch):
+    # a chunk width of 3 splits every inner product into several BLAS calls
+    monkeypatch.setattr(exactla, "_float_chunk", lambda p: 3)
+    a, b, want = object_matmul_case(TENSOR_PRIME, 10)
+    got = mod_matmul(a.astype(np.int64), b.astype(np.int64), TENSOR_PRIME)
+    assert got.tolist() == want.astype(int).tolist()
+    for seed in range(4):
+        ints = random_int_matrix(10, 16, 3 + seed, rank_deficit=2)
+        m = np.array(ints) % TENSOR_PRIME
+        ns = nullspace_mod_p(m, TENSOR_PRIME)
+        assert ns.shape == (16, 16 - bareiss_rank(ints))
+        assert not ((m.astype(object) @ ns.astype(object)) % TENSOR_PRIME).any()
 
 
 def test_float_lane_threshold_is_conservative():

@@ -1,7 +1,10 @@
-"""Deterministic RNG stream and the order-preserving parallel map."""
+"""Deterministic RNG stream and the in-order map."""
 
 import threading
 
+import pytest
+
+from psiring.errors import UsageError
 from psiring.rng import SplitMix64
 from psiring.util import parallel_map
 
@@ -26,6 +29,15 @@ def test_randint_bounds_and_determinism():
     assert xs == [b.randint(-7, 7) for _ in range(200)]
     assert min(xs) >= -7 and max(xs) <= 7
     assert len(set(xs)) > 5  # actually spreads over the range
+
+
+def test_randint_refuses_spans_one_draw_cannot_cover():
+    r = SplitMix64(3)
+    with pytest.raises(UsageError):
+        r.randint(1, 2**70)
+    with pytest.raises(UsageError):
+        r.randint(5, 4)
+    assert 0 <= r.randint(0, 2**64 - 1) < 2**64
 
 
 def test_distinct_and_nonzero_helpers():
@@ -55,14 +67,12 @@ def test_parallel_map_preserves_order():
     assert parallel_map(lambda x: x * x, items, threads=8) == want
 
 
-def test_parallel_map_runs_concurrently():
-    seen = set()
-    lock = threading.Lock()
+def test_parallel_map_runs_in_calling_thread_in_order():
+    calls = []
 
     def worker(x):
-        with lock:
-            seen.add(threading.get_ident())
+        calls.append((threading.get_ident(), x))
         return x
 
     parallel_map(worker, list(range(64)), threads=4)
-    assert len(seen) >= 2
+    assert calls == [(threading.get_ident(), x) for x in range(64)]
