@@ -2,13 +2,15 @@
 
 Three lanes, used as independent routes and cross-checked in the tests:
 
-  * rank_sparse_rational: sparse integer elimination with gcd stripping.
-    Row operations over Z with per-row content removal compute the rank
-    over Q exactly; pivots are chosen by row sparsity to limit fill-in.
+  * the sparse lanes: rank_sparse_rational and rank_sparse_mod_p share one
+    echelon insertion over sparse rows.  A dict maps each leading column to
+    its pivot row; an incoming row is reduced by the pivot at its leading
+    column until it claims a new column or vanishes.  Over Z every reduced
+    row has its content stripped, which gives the rank over Q exactly; mod p
+    the pivot rows are scaled to 1.  The slices rank here.
 
-  * the int64 lane: dense per-pivot elimination mod p, for echelon_mod_p
-    only.  Requires (p-1)^2 < 2^63, satisfied by the default prime just
-    below 2^31 at which the slices are ranked.
+  * the int64 lane: dense per-pivot elimination mod p, reached only through
+    echelon_mod_p.  Requires (p-1)^2 < 2^63.
 
   * the float64 lane: panel LU with BLAS Schur updates mod p, taken by
     echelon_mod_p for p below 2^20 on matrices at least 64 on each side.
@@ -32,38 +34,79 @@ _MANTISSA = 1 << 53
 _PANEL = 128
 
 
-# -- rational lane -------------------------------------------------------------
+# -- sparse lanes ---------------------------------------------------------------
 
 def rank_sparse_rational(rows: list[dict]) -> int:
-    """Rank over Q of a matrix given as sparse integer rows {col: coeff}."""
-    work = [dict(r) for r in rows if r]
-    for r in work:
-        _strip_content(r)
-    rank = 0
-    while work:
-        # pivot row: fewest nonzeros, ties by smallest column then insertion order
-        best = min(range(len(work)), key=lambda k: (len(work[k]), min(work[k])))
-        prow = work.pop(best)
-        pcol = min(prow)
-        pval = prow[pcol]
-        rank += 1
-        nxt = []
-        for row in work:
-            v = row.get(pcol)
-            if v is not None:
-                merged: dict = {}
-                for c, x in row.items():
-                    merged[c] = pval * x
-                for c, x in prow.items():
-                    merged[c] = merged.get(c, 0) - v * x
-                row = {c: x for c, x in merged.items() if x}
-                if row:
-                    _strip_content(row)
-                    nxt.append(row)
+    """Rank over Q of a matrix given as sparse integer rows {col: coeff}.
+
+    Row operations over Z; every reduced row has its content stripped.
+    """
+    return _sparse_rank(rows, None)
+
+
+def rank_sparse_mod_p(rows: list[dict], p: int) -> int:
+    """Rank mod p of a matrix given as sparse integer rows {col: coeff}."""
+    return _sparse_rank(rows, p)
+
+
+def _sparse_rank(rows: list[dict], p: int | None) -> int:
+    """Echelon insertion: over Z when p is None, else mod p.
+
+    pivots maps a leading column to the one pivot row that starts there.  Each
+    incoming row is reduced by the pivot at its leading column until it claims
+    a column of its own or vanishes.  Mod p, pivot rows are scaled to lead 1.
+    """
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        if p is None:
+            row = dict(row)
+            _strip_content(row)
+        else:
+            row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                if p is not None:
+                    inv = pow(row[lead], -1, p)
+                    row = {c: v * inv % p for c, v in row.items()}
+                pivots[lead] = row
+                break
+            if p is None:
+                _reduce_z(row, prow, lead)
             else:
-                nxt.append(row)
-        work = nxt
-    return rank
+                _reduce_mod_p(row, prow, lead, p)
+    return len(pivots)
+
+
+def _reduce_z(row: dict, prow: dict, lead: int) -> None:
+    """row <- (pv/g)*row - (rv/g)*prow in place, pv and rv the entries at lead
+    and g their gcd, then the content is stripped.  row loses column lead."""
+    pv, rv = prow[lead], row[lead]
+    g = gcd(pv, rv)
+    pv, rv = pv // g, rv // g
+    if pv != 1:
+        for c in row:
+            row[c] *= pv
+    for c, x in prow.items():
+        v = row.get(c, 0) - rv * x
+        if v:
+            row[c] = v
+        else:
+            del row[c]
+    _strip_content(row)
+
+
+def _reduce_mod_p(row: dict, prow: dict, lead: int, p: int) -> None:
+    """row <- row - f*prow mod p in place, f the entry of row at lead and
+    prow a pivot row with lead 1.  row loses column lead."""
+    f = row[lead]
+    for c, x in prow.items():
+        v = (row.get(c, 0) - f * x) % p
+        if v:
+            row[c] = v
+        else:
+            del row[c]
 
 
 def _strip_content(row: dict) -> None:

@@ -20,7 +20,7 @@ e_i + e_j, which relation_degree_audit enforces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import UsageError
 from .fields import QQ, Field
@@ -77,6 +77,9 @@ class PresentationSpec:
     blocks: tuple[int, ...]            # 0-based block per variable position
     relations: tuple[Poly, ...]
     relation_pairs: tuple[tuple[int, int], ...]  # the (i, j) of each relation, 1-based
+    # data derived from the fields above, cached by the layers that use it
+    # (slices' row plan); no part of equality, and a replace() starts it empty
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def nvars(self) -> int:

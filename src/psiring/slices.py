@@ -14,7 +14,7 @@ from itertools import product
 from math import comb
 
 from .errors import UsageError
-from .exactla import rank_mod_p, rank_sparse_rational, rows_to_dense
+from .exactla import rank_sparse_mod_p, rank_sparse_rational
 from .fields import DEFAULT_PRIME, RETRY_PRIMES
 from .presentation import PresentationSpec
 from .series import compositions, degree_grid, lee_coefficient
@@ -62,28 +62,65 @@ def relation_product_rows(spec: PresentationSpec, a: tuple[int, ...]) -> tuple[l
     """Integer rows of every relation * monomial landing in multidegree a,
     in the basis enumerate_monomials(spec, a).  Returns (rows, ncols)."""
     _check_degree(spec, a)
-    basis = enumerate_monomials(spec, a)
+    plan = _RowPlan.of(spec, max(a, default=0))
+    basis = plan.monomials(spec, tuple(a))
     col = {m: i for i, m in enumerate(basis)}
     rows: list[dict[int, int]] = []
-    for rel in spec.relations:
-        rdeg = rel.poly_multidegree(spec.blocks, spec.nblocks)
-        assert rdeg is not None
+    for k, rdeg in enumerate(plan.degrees):
         rem = tuple(x - y for x, y in zip(a, rdeg))
         if any(x < 0 for x in rem):
             continue
-        for mono in enumerate_monomials(spec, rem):
-            row: dict[int, int] = {}
-            for exp, coeff in rel.terms.items():
-                target = tuple(x + y for x, y in zip(exp, mono))
-                c = col[target]
-                v = row.get(c, 0) + _as_int(coeff, spec)
-                if v:
-                    row[c] = v
-                else:
-                    row.pop(c, None)
-            if row:
-                rows.append(row)
+        terms = plan.terms(spec, k)
+        for mono in plan.monomials(spec, rem):
+            rows.append({col[exp + mono]: c for exp, c in terms})
     return rows, len(basis)
+
+
+class _RowPlan:
+    """What relation_product_rows needs of a presentation, computed once per spec.
+
+    Monomials are packed exponent codes, code(m) = sum(m[i] << (width * i)).
+    Packing is additive, code(m * m') = code(m) + code(m'), and tells apart
+    monomials whose exponents are all below 2^width.  No exponent in slice a
+    exceeds max(a), so a slice with max(a) >= 2^width replaces the plan with
+    a wider one.
+    """
+
+    def __init__(self, spec: PresentationSpec, width: int):
+        self.width = width
+        self.degrees = []
+        for rel in spec.relations:
+            rdeg = rel.poly_multidegree(spec.blocks, spec.nblocks)
+            assert rdeg is not None
+            self.degrees.append(rdeg)
+        self._terms: list[tuple | None] = [None] * len(spec.relations)
+        self._monomials: dict[tuple[int, ...], list[int]] = {}
+
+    @staticmethod
+    def of(spec: PresentationSpec, top: int) -> "_RowPlan":
+        plan = spec.cache.get("slice_rows")
+        if plan is None or top >> plan.width:
+            plan = spec.cache["slice_rows"] = _RowPlan(spec, max(8, top.bit_length()))
+        return plan
+
+    def pack(self, exp: tuple[int, ...]) -> int:
+        w = self.width
+        return sum(e << (w * i) for i, e in enumerate(exp) if e)
+
+    def monomials(self, spec: PresentationSpec, a: tuple[int, ...]) -> list[int]:
+        """Codes of enumerate_monomials(spec, a), in that order."""
+        codes = self._monomials.get(a)
+        if codes is None:
+            codes = self._monomials[a] = [self.pack(m) for m in enumerate_monomials(spec, a)]
+        return codes
+
+    def terms(self, spec: PresentationSpec, k: int) -> tuple[tuple[int, int], ...]:
+        """Relation k as (code, integer coefficient) pairs; refuses other coefficients."""
+        terms = self._terms[k]
+        if terms is None:
+            terms = self._terms[k] = tuple(
+                (self.pack(exp), _as_int(c, spec)) for exp, c in spec.relations[k].terms.items())
+        return terms
 
 
 def _as_int(coeff, spec: PresentationSpec) -> int:
@@ -139,7 +176,7 @@ def slice_dimension(
         rank = rank_sparse_rational(rows)
         how = "rational"
     else:
-        rank = rank_mod_p(rows_to_dense(rows, ncols, DEFAULT_PRIME), DEFAULT_PRIME)
+        rank = rank_sparse_mod_p(rows, DEFAULT_PRIME)
         how = f"modular({DEFAULT_PRIME})"
         if method == "auto":
             if ncols <= RATIONAL_VERIFY_MAX_COLS:
@@ -151,7 +188,7 @@ def slice_dimension(
                     how = f"modular({DEFAULT_PRIME})+rational"
             else:
                 p2 = RETRY_PRIMES[0]
-                r2 = rank_mod_p(rows_to_dense(rows, ncols, p2), p2)
+                r2 = rank_sparse_mod_p(rows, p2)
                 if r2 != rank:
                     rank = max(rank, r2)  # rank mod p only ever drops
                     how = f"modular(max {DEFAULT_PRIME},{p2})"

@@ -15,6 +15,7 @@ from psiring.exactla import (
     nullspace_mod_p,
     rank_mod_p,
     rank_rational,
+    rank_sparse_mod_p,
     rank_sparse_rational,
     rows_to_dense,
 )
@@ -152,3 +153,55 @@ def test_rank_of_zero_and_identity():
     eye = to_sparse(np.eye(4, dtype=int).tolist())
     assert rank_sparse_rational(eye) == 4
     assert bareiss_rank(np.eye(4, dtype=int).tolist()) == 4
+
+
+def random_sparse_rows(rng, nrows, ncols):
+    """Sparse integer rows with the cases elimination must survive: zero rows,
+    duplicates, integer combinations of earlier rows, negative entries and
+    entries of 2^31 and more."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.randint(0, 5) if rows else 0
+        if kind == 1:
+            row = {}
+        elif kind == 2:
+            row = dict(rows[rng.randint(0, len(rows) - 1)])
+        elif kind == 3:
+            x, y = rows[rng.randint(0, len(rows) - 1)], rows[rng.randint(0, len(rows) - 1)]
+            c1, c2 = rng.nonzero_int(3), rng.nonzero_int(3)
+            row = {c: c1 * x.get(c, 0) + c2 * y.get(c, 0) for c in set(x) | set(y)}
+            row = {c: v for c, v in row.items() if v}
+        else:
+            row = {}
+            for c in range(ncols):
+                if rng.randint(0, 2) == 0:
+                    big = rng.randint(0, 3) == 0
+                    row[c] = rng.nonzero_int((1 << 40) if big else 5)
+                    if big and abs(row[c]) < 1 << 31:
+                        row[c] += (1 << 31) if row[c] > 0 else -(1 << 31)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_ranks_against_dense_references(seed):
+    # rank_sparse_rational and rank_sparse_mod_p share one elimination loop, so
+    # Bareiss and the dense modular lane are the independent references
+    rng = SplitMix64(0x5EED + seed)
+    for _ in range(25):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 10)
+        rows = random_sparse_rows(rng, nrows, ncols)
+        before = [dict(r) for r in rows]
+        dense = [[r.get(c, 0) for c in range(ncols)] for r in rows]
+        assert rank_sparse_rational(rows) == bareiss_rank(dense)
+        for p in (2, 3, 97, DEFAULT_PRIME):
+            assert rank_sparse_mod_p(rows, p) == rank_mod_p(rows_to_dense(rows, ncols, p), p)
+        assert rows == before  # the caller's rows are left as they were
+
+
+@pytest.mark.parametrize("p", [2, 97, DEFAULT_PRIME])
+def test_rank_mod_p_can_fall_below_rank_over_q(p):
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + p}]
+    assert rank_sparse_rational(rows) == 2
+    assert rank_sparse_mod_p(rows, p) == 1
+    assert rank_mod_p(rows_to_dense(rows, 2, p), p) == 1

@@ -2,16 +2,22 @@
 cross-checked against the closed-form series coefficients.
 """
 
+from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
+from psiring import exactla, slices
 from psiring.errors import UsageError
-from psiring.fields import QQ
-from psiring.poly import multidegree
+from psiring.fields import DEFAULT_PRIME, QQ, RETRY_PRIMES
+from psiring.poly import Poly, multidegree
 from psiring.series import TotalBound, lee_series, lee_series_restricted
 from psiring.slices import (
     count_monomials,
     degree_grid,
     enumerate_monomials,
+    relation_product_rows,
     slice_dimension,
     sweep_dimensions,
 )
@@ -105,3 +111,90 @@ def test_rational_method_respects_field():
     spec = cached_an(4, QQ)
     rep = slice_dimension(spec, (2, 1, 0, 0), method="rational")
     assert rep.method == "rational"
+
+
+def unlucky_at_default_prime(rows, p):
+    # simulates a prime that divides a pivot: no measured slice drops rank at
+    # 2, 3 or 5, let alone at DEFAULT_PRIME
+    return exactla.rank_sparse_mod_p(rows, p) - (p == DEFAULT_PRIME)
+
+
+def test_bad_prime_branches(monkeypatch):
+    spec, a = cached_an(4), (2, 1, 1, 0)
+    rows, ncols = relation_product_rows(spec, a)
+    true_rank = exactla.rank_sparse_rational(rows)
+    assert 0 < true_rank and ncols <= slices.RATIONAL_VERIFY_MAX_COLS
+    p, p2 = DEFAULT_PRIME, RETRY_PRIMES[0]
+    assert slice_dimension(spec, a).method == f"modular({p})+rational"
+
+    monkeypatch.setattr(slices, "rank_sparse_mod_p", unlucky_at_default_prime)
+    rep = slice_dimension(spec, a)
+    assert (rep.method, rep.rank) == ("rational(after-bad-prime)", true_rank)
+    assert rep.matches
+
+    # too wide for the rational confirmation: the second prime stands in
+    monkeypatch.setattr(slices, "RATIONAL_VERIFY_MAX_COLS", 0)
+    rep = slice_dimension(spec, a)
+    assert (rep.method, rep.rank) == (f"modular(max {p},{p2})", true_rank)
+
+    monkeypatch.setattr(slices, "rank_sparse_mod_p", exactla.rank_sparse_mod_p)
+    rep = slice_dimension(spec, a)
+    assert (rep.method, rep.rank) == (f"modular({p},{p2})", true_rank)
+
+
+def rows_by_poly_arithmetic(spec, a):
+    """Every relation times every monomial of the complementary degree, multiplied
+    as Polys and read off in the basis enumerate_monomials(spec, a)."""
+    col = {m: i for i, m in enumerate(enumerate_monomials(spec, a))}
+    rows = []
+    for rel in spec.relations:
+        rdeg = multidegree(next(iter(rel.terms)), spec.blocks, spec.nblocks)
+        rem = tuple(x - y for x, y in zip(a, rdeg))
+        if min(rem) < 0:
+            continue
+        for mono in enumerate_monomials(spec, rem):
+            prod = rel.mul(Poly(spec.field, spec.nvars, {mono: spec.field.one()}))
+            rows.append({col[e]: spec.field.to_int(c) for e, c in prod.terms.items()})
+    return rows
+
+
+def same_rows(spec, a):
+    rows, ncols = relation_product_rows(spec, a)
+    assert ncols == count_monomials(spec, a)
+    return (Counter(tuple(sorted(r.items())) for r in rows)
+            == Counter(tuple(sorted(r.items())) for r in rows_by_poly_arithmetic(spec, a)))
+
+
+@pytest.mark.parametrize("spec,limit", [(cached_an(4), 4), (cached_bnm(3, 2), 3)],
+                         ids=["a4", "b32"])
+def test_row_builder_matches_poly_products(spec, limit):
+    for a in degree_grid(spec.nblocks, limit):
+        assert same_rows(spec, a), a
+
+
+def test_row_builder_past_eight_bit_exponents():
+    # packed codes start at 8 bits per variable.  In B(2,2), variables
+    # (a12, a21, phi11, phi12) in blocks (0, 1, 0, 1), 8-bit codes of
+    # a12^256 phi12 and a21 phi11^256 coincide: slice (256, 1) needs 9 bits
+    spec = cached_bnm(2, 2)
+    for a in [(3, 3), (255, 2), (256, 1), (3, 3), (2, 300)]:
+        assert same_rows(spec, a), a
+        assert slice_dimension(spec, a).matches, a
+
+
+def test_slices_refuse_non_integer_relation_coefficients():
+    spec = cached_an(4)
+    rel = spec.relations[0]
+    exp = next(iter(rel.terms))
+    half = Poly(spec.field, spec.nvars, {**rel.terms, exp: Fraction(1, 2)})
+    bad = replace(spec, relations=(half,) + spec.relations[1:])
+    rdeg = multidegree(exp, spec.blocks, spec.nblocks)
+    # a slice the halved relation does not reach fills the spec's row cache first
+    other = next(a for a in degree_grid(4, 2)
+                 if relation_product_rows(bad, a)[0] and any(x < y for x, y in zip(a, rdeg)))
+    assert slice_dimension(bad, other).matches
+    assert bad.cache
+    for _ in range(2):
+        with pytest.raises(UsageError, match="^slice ranks need integer relation coefficients$"):
+            slice_dimension(bad, rdeg)
+    assert slice_dimension(spec, rdeg).matches
