@@ -5,14 +5,14 @@ Run:  python3 demos/geometry_probe.py
 
 from fractions import Fraction
 
+from psiring import geometry
 from psiring.fields import PrimeField
 from psiring.geometry import (
     alpha_values,
+    channels_consistent,
     cij_values,
-    cij_witness,
     jacobian_rank_at,
     sample_config,
-    scale_point,
     singular_locus_dim,
     verify_vanishing,
 )
@@ -32,11 +32,16 @@ def main():
     print("\npair products are channel independent (same value for every k)")
     for (i, j) in [(1, 2), (1, 3), (2, 4)]:
         print(f"  c({i},{j}) values: {cij_values(cfg, i, j)}")
-    print(f"perturbing one pole value breaks independence: {cij_witness(4, seed=7)}")
+    print(f"every pair is channel independent: {channels_consistent(cfg)}")
+    # cij_values reads pole_value from its module: patch it to perturb one value
+    exact = geometry.pole_value
+    geometry.pole_value = lambda c, i, j: exact(c, i, j) + (1 if (i, j) == (1, 2) else 0)
+    print(f"after adding 1 to atilde(1,2): {channels_consistent(cfg)}")
+    geometry.pole_value = exact
 
-    print("\nthe grading torus acts on points")
+    print("\nthe grading torus acts on points: each variable times its block's factor")
     t = (Fraction(2), Fraction(1, 3), Fraction(-1), Fraction(5))
-    scaled = scale_point(spec, vals, t)
+    scaled = [v * t[b] for v, b in zip(vals, spec.blocks)]
     print(f"  scaled point still on the variety:"
           f" {verify_vanishing(spec, scaled) == []}")
 

@@ -3,17 +3,18 @@
 Run:  python3 demos/groebner_walkthrough.py
 """
 
+import random
+
 from psiring.fields import QQ, PrimeField
 from psiring.groebner import (
-    confluence_probe,
     groebner_for,
     krull_dimension,
     leading_terms_agree,
     normal_form,
     standard_monomial_count,
 )
-from psiring.poly import poly_text
-from psiring.presentation import build_an, build_bnm, general_pair_relation
+from psiring.poly import Poly, poly_text
+from psiring.presentation import build_an, build_bnm
 from psiring.series import TotalBound, lee_series
 
 
@@ -34,14 +35,22 @@ def main():
         std = standard_monomial_count(gb, spec, a)
         print(f"  {a}: {std} standard monomials, series {series.coefficient(a)}")
 
-    print("\nthe general pair relation on four distinct points reduces to zero")
-    r = general_pair_relation(spec, 1, 3, 2, 4)
-    print(f"  relation: {poly_text(r, names, gb.order)}")
+    print(f"\nan ideal member reduces to zero: the first relation times {names[0]}")
+    x = Poly.variable(spec.field, spec.nvars, 0)
+    r = spec.relations[0].mul(x)
     print(f"  normal form is zero: {normal_form(r, gb.basis, gb.order).is_zero()}")
 
-    print("\nnormal forms are confluent under shuffled reducer orders")
-    probe = confluence_probe(gb, r, shuffles=8, seed=42)
-    print(f"  agree across 8 shuffles: {probe}")
+    print("\nnormal forms do not depend on the order of the reducers")
+    f = r.add(x.mul(x).mul(x))
+    base = normal_form(f, gb.basis, gb.order)
+    print(f"  normal form of {names[0]}^3 plus that member: {poly_text(base, names, gb.order)}")
+    basis = list(gb.basis)
+    shuffler = random.Random(42)
+    agree = []
+    for _ in range(8):
+        shuffler.shuffle(basis)
+        agree.append(normal_form(f, basis, gb.order) == base)
+    print(f"  agree across 8 shuffled bases: {all(agree)}")
 
     print("\nprime-field and rational completions have the same leading terms")
     gp = groebner_for(spec.to_field(PrimeField(32003)))

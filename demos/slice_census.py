@@ -8,8 +8,8 @@ Run:  python3 demos/slice_census.py
 
 from psiring.presentation import build_an
 from psiring.reports import degree_sort_key
-from psiring.series import TotalBound, lee_series
-from psiring.slices import slice_dimension, sweep_dimensions
+from psiring.series import TotalBound, degree_grid, lee_series
+from psiring.slices import slice_dimension
 
 
 def main():
@@ -18,7 +18,8 @@ def main():
 
     print("A(4) slices up to total degree 4")
     print(f"{'degree':>14} {'monomials':>10} {'rank':>6} {'dim':>5} {'series':>7}")
-    for rep in sweep_dimensions(spec, 4):
+    for a in degree_grid(4, 4):
+        rep = slice_dimension(spec, a)
         want = series.coefficient(rep.multidegree)
         mark = "" if rep.dimension == want else "  <-- MISMATCH"
         print(f"{str(rep.multidegree):>14} {rep.monomials:>10} {rep.rank:>6}"

@@ -15,9 +15,8 @@ from .fields import DEFAULT_PRIME, QQ, PrimeField, Rationals, TENSOR_PRIME, pars
 from .geometry import (
     PointConfig,
     alpha_values,
-    cij_consistency,
+    channels_consistent,
     jacobian_rank_at,
-    random_point,
     sample_config,
     singular_locus_dim,
     verify_vanishing,
@@ -38,7 +37,6 @@ from .presentation import (
     PresentationSpec,
     build_an,
     build_bnm,
-    general_pair_relation,
     tensor_relation_space,
 )
 from .series import (
@@ -46,26 +44,27 @@ from .series import (
     TotalBound,
     TruncatedSeries,
     curve_module_series,
+    degree_grid,
     lee_coefficient,
     lee_series,
     lee_series_restricted,
     total_hilbert,
 )
-from .slices import SliceReport, degree_grid, slice_dimension, sweep_dimensions
+from .slices import SliceReport, slice_dimension
 
 __all__ = [
     "BudgetError", "UsageError",
     "DEFAULT_PRIME", "QQ", "PrimeField", "Rationals", "TENSOR_PRIME", "parse_field",
-    "PointConfig", "alpha_values", "cij_consistency", "jacobian_rank_at",
-    "random_point", "sample_config", "singular_locus_dim", "verify_vanishing",
+    "PointConfig", "alpha_values", "channels_consistent", "jacobian_rank_at",
+    "sample_config", "singular_locus_dim", "verify_vanishing",
     "GroebnerBasis", "buchberger", "groebner_for", "krull_dimension",
     "normal_form", "standard_monomial_count",
     "dual_tower", "koszul_prediction", "koszul_summary",
     "MonomialOrder", "Poly",
     "PivotScheme", "PresentationSpec", "build_an", "build_bnm",
-    "general_pair_relation", "tensor_relation_space",
-    "BoxBound", "TotalBound", "TruncatedSeries", "curve_module_series",
+    "tensor_relation_space",
+    "BoxBound", "TotalBound", "TruncatedSeries", "curve_module_series", "degree_grid",
     "lee_coefficient", "lee_series", "lee_series_restricted", "total_hilbert",
-    "SliceReport", "degree_grid", "slice_dimension", "sweep_dimensions",
+    "SliceReport", "slice_dimension",
     "__version__",
 ]

@@ -19,13 +19,13 @@ from . import __version__
 from .errors import BudgetError, UsageError
 from .fields import DEFAULT_PRIME, QQ, parse_field
 from .geometry import (
+    DEFAULT_MINOR_BUDGET,
     alpha_values,
-    cij_values,
+    channels_consistent,
     sample_config,
     singular_locus_dim,
     verify_vanishing,
 )
-from .geometry import DEFAULT_MINOR_BUDGET
 from .groebner import (
     groebner_for,
     krull_dimension,
@@ -41,11 +41,11 @@ from .rng import SplitMix64
 from .series import (
     TotalBound,
     curve_module_series,
-    lee_coefficient,
+    degree_grid,
     lee_series,
     lee_series_restricted,
 )
-from .slices import degree_grid, slice_dimension
+from .slices import slice_dimension
 from .util import parallel_map
 
 TOOL = "psiring"
@@ -370,11 +370,7 @@ def cmd_sample(args) -> Report:
             "vanishing": "ok" if not bad else f"failed at relations {bad}",
         }
         if args.kind == "an":
-            chans_ok = all(
-                len(set(cij_values(cfg, i, j))) == 1
-                for i in range(1, args.n + 1) for j in range(i + 1, args.n + 1)
-            )
-            entry["channels"] = "ok" if chans_ok else "dependent"
+            entry["channels"] = "ok" if channels_consistent(cfg) else "dependent"
         return entry
 
     entries = parallel_map(one, child_seeds, args.threads)

@@ -1,13 +1,15 @@
 """Exact rank and nullspace computations.
 
-Three lanes, used as independent routes and cross-checked in the tests:
+Three lanes, used as independent routes and cross-checked in the tests,
+where a fraction-free Bareiss elimination is the reference over Z:
 
   * the sparse lanes: rank_sparse_rational and rank_sparse_mod_p share one
     echelon insertion over sparse rows.  A dict maps each leading column to
     its pivot row; an incoming row is reduced by the pivot at its leading
     column until it claims a new column or vanishes.  Over Z every reduced
     row has its content stripped, which gives the rank over Q exactly; mod p
-    the pivot rows are scaled to 1.  The slices rank here.
+    the pivot rows are scaled to 1.  The slices rank here, and so does the
+    Jacobian at a rational point once its rows are cleared of denominators.
 
   * the int64 lane: dense per-pivot elimination mod p, reached only through
     echelon_mod_p.  Requires (p-1)^2 < 2^63.
@@ -118,47 +120,6 @@ def _strip_content(row: dict) -> None:
     if g > 1:
         for c in row:
             row[c] //= g
-
-
-def rank_rational(rows: list[dict]) -> int:
-    """Rank over Q; accepts Fraction entries by clearing denominators per row."""
-    cleaned: list[dict] = []
-    for row in rows:
-        denom = 1
-        for v in row.values():
-            d = int(getattr(v, "denominator", 1))
-            denom = denom * d // gcd(denom, d)
-        cleaned.append({
-            c: int(getattr(v, "numerator", v)) * (denom // int(getattr(v, "denominator", 1)))
-            for c, v in row.items()
-        })
-    return rank_sparse_rational(cleaned)
-
-
-def bareiss_rank(mat: list[list[int]]) -> int:
-    """Fraction-free dense elimination over Z; reference implementation for tests."""
-    m = [list(map(int, row)) for row in mat]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        rank += 1
-        if r == nrows:
-            break
-    return rank
 
 
 # -- modular lanes --------------------------------------------------------------

@@ -11,6 +11,10 @@ channel, so every relation vanishes at every configuration: that is the
 point-sampling side of presentation correctness, checked in exact rational
 arithmetic.
 
+The pole values also give the channel-independence check: each pair
+product takes one value whatever third point k it is measured through
+(cij_values, channels_consistent).
+
 The same values drive the local analysis: Jacobian rank at sampled smooth
 points, and the singular locus as the vanishing of the relations plus the
 codimension-sized minors of the Jacobian.
@@ -21,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .errors import BudgetError, UsageError
+from .exactla import rank_sparse_rational
 from .fields import QQ
 from .groebner import GroebnerBasis, buchberger, groebner_for, krull_dimension, linear_interreduce
 from .poly import Poly
@@ -99,10 +104,6 @@ def alpha_values(spec: PresentationSpec, cfg: PointConfig) -> list[Fraction]:
     return out
 
 
-def random_point(spec: PresentationSpec, seed: int) -> list[Fraction]:
-    return alpha_values(spec, sample_config(spec.n, spec.m, seed))
-
-
 def verify_vanishing(spec: PresentationSpec, values: list[Fraction]) -> list[int]:
     """Indices of relations that fail to vanish at the point (empty = all vanish)."""
     if spec.field != QQ:
@@ -112,14 +113,6 @@ def verify_vanishing(spec: PresentationSpec, values: list[Fraction]) -> list[int
         if rel.evaluate(values) != 0:
             bad.append(t)
     return bad
-
-
-def scale_point(spec: PresentationSpec, values: list[Fraction],
-                t: tuple[Fraction, ...]) -> list[Fraction]:
-    """Act by the grading torus: multiply each variable by t[its block]."""
-    if len(t) != spec.nblocks:
-        raise UsageError(f"need {spec.nblocks} torus factors, got {len(t)}")
-    return [v * t[b] for v, b in zip(values, spec.blocks)]
 
 
 # -- consistency of the pair products across channels ------------------------------
@@ -138,42 +131,12 @@ def cij_values(cfg: PointConfig, i: int, j: int) -> list[Fraction]:
     return out
 
 
-def cij_consistency(n: int, seed: int, trials: int = 5) -> bool:
-    """Channel independence of every pair product over several random configurations.
-
-    For pole values the common value is 0 on the nose; the check asserts the
-    stronger constancy-in-k statement that makes the relations well defined.
-    """
-    rng = SplitMix64(seed)
-    for _ in range(trials):
-        cfg = sample_config(n, 0, rng.next_u64())
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                vals = cij_values(cfg, i, j)
-                if len(set(vals)) > 1:
-                    return False
-    return True
-
-
-def cij_witness(n: int, seed: int) -> bool:
-    """Perturbing a single pole value must break channel independence (n >= 4)."""
-    if n < 4:
-        raise UsageError("a channel-dependence witness needs n >= 4")
-    cfg = sample_config(n, 0, seed)
-
-    def perturbed(i, j):
-        v = pole_value(cfg, i, j)
-        return v + 1 if (i, j) == (1, 2) else v
-
-    i, j = 1, 2
-    vals = []
-    for k in range(1, n + 1):
-        if k in (i, j):
-            continue
-        aik, ajk = perturbed(i, k), perturbed(j, k)
-        aij, aji = perturbed(i, j), perturbed(j, i)
-        vals.append(aik * ajk - aij * ajk - aji * aik)
-    return len(set(vals)) > 1
+def channels_consistent(cfg: PointConfig) -> bool:
+    """Channel independence at one configuration: every pair i < j has a
+    single value in cij_values(cfg, i, j)."""
+    n = len(cfg.z)
+    return all(len(set(cij_values(cfg, i, j))) == 1
+               for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
 # -- Jacobian and the singular locus ----------------------------------------------
@@ -186,22 +149,19 @@ def jacobian(spec: PresentationSpec) -> list[list[Poly]]:
 def jacobian_rank_at(spec: PresentationSpec, values: list[Fraction]) -> int:
     """Rank of the Jacobian at a point of the variety, over Q.
 
-    Refuses points off the variety: rank there says nothing about smoothness.
+    Each row is scaled by the lcm of its denominators, so the integer rows go
+    to rank_sparse_rational.  Refuses points off the variety: rank there says
+    nothing about smoothness.
     """
     bad = verify_vanishing(spec, values)
     if bad:
         raise UsageError(f"point is not on the variety (relations {bad} do not vanish)")
-    from .exactla import rank_rational
-
     rows = []
     for rel in spec.relations:
-        row = {}
-        for v in range(spec.nvars):
-            x = rel.derivative(v).evaluate(values)
-            if x != 0:
-                row[v] = x
-        rows.append(row)
-    return rank_rational(rows)
+        row = {v: rel.derivative(v).evaluate(values) for v in range(spec.nvars)}
+        denom = lcm(*(x.denominator for x in row.values()))
+        rows.append({v: x.numerator * (denom // x.denominator) for v, x in row.items() if x})
+    return rank_sparse_rational(rows)
 
 
 def poly_det(mat: list[list[Poly]]) -> Poly:

@@ -29,7 +29,6 @@ from .orders import (MonomialOrder, exp_degree, exp_div, exp_lcm, exp_mask, exp_
                      mask_divides)
 from .poly import Poly
 from .presentation import PresentationSpec
-from .rng import SplitMix64
 
 
 @dataclass
@@ -50,18 +49,16 @@ class GroebnerBasis:
         return len(self.basis)
 
 
-def normal_form(p: Poly, basis: list[Poly], order: MonomialOrder,
-                perm: list[int] | None = None) -> Poly:
+def normal_form(p: Poly, basis: list[Poly], order: MonomialOrder) -> Poly:
     """Full remainder of p on division by the basis.
 
-    perm reorders reducer preference; for a complete basis the result is
-    independent of it, which the confluence tests exercise directly.
+    Each term is reduced by the first basis member whose leading term divides
+    it.  For a Groebner basis the remainder does not depend on the members'
+    order in the list.
     """
     field = p.field
-    idx = perm if perm is not None else range(len(basis))
     reducers = []
-    for i in idx:
-        g = basis[i]
+    for g in basis:
         lt, lc = g.leading(order)
         reducers.append((g.leading_mask(order), lt, lc, g))
     key = order.key
@@ -222,24 +219,6 @@ def groebner_for(spec: PresentationSpec, order: MonomialOrder | None = None,
     if not spec.relations:  # the zero ideal: its basis is empty (A_3 has no relations)
         return GroebnerBasis(spec.field, spec.nvars, order, [], complete=True, cap=cap)
     return buchberger(list(spec.relations), order, cap=cap)
-
-
-def reduces_to_zero(p: Poly, gb: GroebnerBasis) -> bool:
-    if gb.cap is not None and p.degree() > gb.cap:
-        raise UsageError("polynomial degree exceeds the truncation cap")
-    return normal_form(p, gb.basis, gb.order).is_zero()
-
-
-def confluence_probe(gb: GroebnerBasis, p: Poly, shuffles: int, seed: int) -> bool:
-    """Normal forms under several reducer orderings; True iff all agree."""
-    base = normal_form(p, gb.basis, gb.order)
-    rng = SplitMix64(seed)
-    perm = list(range(len(gb.basis)))
-    for _ in range(shuffles):
-        rng.shuffle(perm)
-        if normal_form(p, gb.basis, gb.order, perm=perm).terms != base.terms:
-            return False
-    return True
 
 
 # -- leading-term combinatorics ---------------------------------------------------

@@ -7,7 +7,7 @@ monomial e1 is larger.  All three kinds are total, multiplicative and have
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 GREVLEX = "grevlex"
 LEX = "lex"
@@ -18,16 +18,15 @@ KINDS = (GREVLEX, LEX, BLOCK_GREVLEX)
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order: kind, variable priority, and (for block orders) the grading.
+    """A monomial order: kind and (for block orders) the grading.
 
-    `perm` lists variable positions from most to least significant; identity
-    when omitted.  `blocks` maps each variable position to its block, needed
-    only for block-then-grevlex, where monomials compare first by multidegree
+    Variables are ranked by position, the first most significant.  `blocks`
+    maps each variable position to its block, needed only for
+    block-then-grevlex, where monomials compare first by multidegree
     (lexicographically by block) and then by grevlex.
     """
 
     kind: str = GREVLEX
-    perm: tuple[int, ...] | None = None
     blocks: tuple[int, ...] | None = None
     nblocks: int = 0
 
@@ -37,16 +36,10 @@ class MonomialOrder:
         if self.kind == BLOCK_GREVLEX and self.blocks is None:
             raise ValueError("block-then-grevlex needs the block map")
 
-    def _reordered(self, e: tuple[int, ...]) -> tuple[int, ...]:
-        if self.perm is None:
-            return e
-        return tuple(e[p] for p in self.perm)
-
     def key(self, e: tuple[int, ...]):
-        r = self._reordered(e)
         if self.kind == LEX:
-            return r
-        grevlex_key = (sum(r), tuple(-x for x in reversed(r)))
+            return e
+        grevlex_key = (sum(e), tuple(-x for x in reversed(e)))
         if self.kind == GREVLEX:
             return grevlex_key
         mdeg = [0] * self.nblocks

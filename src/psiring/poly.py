@@ -63,12 +63,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def poly_multidegree(self, blocks: tuple[int, ...], nblocks: int):
         """The common multidegree of all terms, or None if inhomogeneous or zero."""
         degs = {multidegree(e, blocks, nblocks) for e in self.terms}

@@ -137,8 +137,8 @@ def _pair_tensor(var_pos: dict, i: int, j: int, k: int, l: int) -> dict:
     return {ab: c for ab, c in out.items() if c}
 
 
-def _pair_poly(var_pos: dict, field: Field, nvars: int, i: int, j: int, k: int, l: int) -> Poly:
-    """_pair_tensor collapsed to commutative monomials."""
+def _pair_poly(var_pos: dict, nvars: int, i: int, j: int, k: int, l: int) -> Poly:
+    """_pair_tensor collapsed to commutative monomials, over QQ."""
     terms: dict = {}
     for (pa, pb), c in _pair_tensor(var_pos, i, j, k, l).items():
         e = [0] * nvars
@@ -146,7 +146,17 @@ def _pair_poly(var_pos: dict, field: Field, nvars: int, i: int, j: int, k: int, 
         e[pb] += 1
         key = tuple(e)
         terms[key] = terms.get(key, 0) + c
-    return Poly.from_int_terms(field, nvars, terms)
+    return Poly.from_int_terms(QQ, nvars, terms)
+
+
+def _pair_triples(n: int):
+    """(i, j, k, l0) of each stored pair relation of A_n, in storage order:
+    i < j, l0 the smallest point outside {i, j} and k every later one."""
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            rest = [k for k in range(1, n + 1) if k not in (i, j)]
+            for k in rest[1:]:
+                yield i, j, k, rest[0]
 
 
 def build_an(n: int, pivot: PivotScheme | None = None) -> PresentationSpec:
@@ -170,15 +180,11 @@ def build_an(n: int, pivot: PivotScheme | None = None) -> PresentationSpec:
 
     relations: list[Poly] = []
     pairs: list[tuple[int, int]] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rest = [k for k in range(1, n + 1) if k not in (i, j)]
-            l0 = rest[0]
-            for k in rest[1:]:
-                rel = _pair_poly(var_pos, QQ, nvars, i, j, k, l0)
-                assert not rel.is_zero(), "degenerate relation"
-                relations.append(rel)
-                pairs.append((i, j))
+    for i, j, k, l0 in _pair_triples(n):
+        rel = _pair_poly(var_pos, nvars, i, j, k, l0)
+        assert not rel.is_zero(), "degenerate relation"
+        relations.append(rel)
+        pairs.append((i, j))
 
     spec = PresentationSpec(
         kind="an", n=n, m=0, pivot=pivot, field=QQ,
@@ -240,22 +246,6 @@ def build_bnm(n: int, m: int) -> PresentationSpec:
     return spec
 
 
-def general_pair_relation(spec: PresentationSpec, i: int, j: int, k: int, l: int) -> Poly:
-    """The pair (i,j) relation comparing points k and l, for an A_n presentation.
-
-    The stored generators fix l to the smallest point outside {i,j}; the full
-    family lies in the ideal and this builder produces any member of it.
-    """
-    if spec.kind != "an":
-        raise UsageError("general_pair_relation applies to A_n presentations")
-    n = spec.n
-    pts = (i, j, k, l)
-    if len(set(pts)) != 4 or not all(1 <= x <= n for x in pts):
-        raise UsageError(f"need four distinct points in 1..{n}, got {pts}")
-    var_pos = {v: pos for pos, v in enumerate(spec.variables)}
-    return _pair_poly(var_pos, spec.field, spec.nvars, i, j, k, l)
-
-
 def relation_degree_audit(spec: PresentationSpec) -> dict[tuple[int, int], int]:
     """Count relations per pair; raise if any relation is not of degree e_i + e_j."""
     counts: dict[tuple[int, int], int] = {}
@@ -306,14 +296,8 @@ def tensor_relation_space(n: int, pivot: PivotScheme | None = None) -> TensorRel
         for b in range(a + 1, v):
             commutators.append({a * v + b: 1, b * v + a: -1})
 
-    symmetric: list[dict] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rest = [k for k in range(1, n + 1) if k not in (i, j)]
-            l0 = rest[0]
-            for k in rest[1:]:
-                row = _pair_tensor(var_pos, i, j, k, l0)
-                symmetric.append({pa * v + pb: c for (pa, pb), c in row.items()})
+    symmetric = [{pa * v + pb: c for (pa, pb), c in _pair_tensor(var_pos, i, j, k, l0).items()}
+                 for i, j, k, l0 in _pair_triples(n)]
 
     return TensorRelationSpace(
         n=n, dim_v=v,

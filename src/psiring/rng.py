@@ -45,10 +45,11 @@ class SplitMix64:
         v = self.randint(1, 2 * bound)
         return v - bound - 1 if v <= bound else v - bound
 
-    def distinct_ints(self, count: int, lo: int, hi: int, avoid: set[int] | None = None) -> list[int]:
-        """Draw `count` distinct integers from [lo, hi], skipping `avoid`."""
-        taken = set(avoid) if avoid else set()
-        assert hi - lo + 1 - len(taken) >= count, "range too small for distinct draw"
+    def distinct_ints(self, count: int, lo: int, hi: int) -> list[int]:
+        """Draw `count` distinct integers from [lo, hi]; refuses a range too small."""
+        if count > hi - lo + 1:
+            raise UsageError(f"cannot draw {count} distinct integers from [{lo}, {hi}]")
+        taken: set[int] = set()
         out: list[int] = []
         while len(out) < count:
             v = self.randint(lo, hi)
@@ -56,9 +57,3 @@ class SplitMix64:
                 taken.add(v)
                 out.append(v)
         return out
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(0, i)
-            items[i], items[j] = items[j], items[i]

@@ -17,7 +17,7 @@ from .errors import UsageError
 from .exactla import rank_sparse_mod_p, rank_sparse_rational
 from .fields import DEFAULT_PRIME, RETRY_PRIMES
 from .presentation import PresentationSpec
-from .series import compositions, degree_grid, lee_coefficient
+from .series import compositions, lee_coefficient
 
 # above this many columns the rational confirmation is skipped in auto mode
 RATIONAL_VERIFY_MAX_COLS = 250
@@ -195,16 +195,3 @@ def slice_dimension(
                 else:
                     how = f"modular({DEFAULT_PRIME},{p2})"
     return SliceReport(tuple(a), nmon, len(rows), rank, nmon - rank, pred, how)
-
-
-def sweep_dimensions(
-    spec: PresentationSpec,
-    limit: int,
-    method: str = "auto",
-) -> list[SliceReport]:
-    """Slice reports for every multidegree of total degree <= limit."""
-    out = []
-    for a in degree_grid(spec.nblocks, limit):
-        out.append(slice_dimension(spec, a, method=method))
-    return out
-

@@ -129,6 +129,8 @@ def test_verify_theorem_a(capsysbinary):
     ["gb", "run", "--n", "4", "--field", "prime:100"],
     ["sample", "--n", "4", "--count", "2", "--threads", "0"],
     ["hilbert", "verify", "--n", "4", "--max-total", "1", "--threads", "-3"],
+    # B(2,100) is valid, but its 102 points cannot be drawn distinct from [-50, 50]
+    ["sample", "--kind", "bnm", "--n", "2", "--m", "100", "--count", "1"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert cli.main(argv) == 2

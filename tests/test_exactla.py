@@ -9,18 +9,42 @@ from psiring import exactla
 from psiring.errors import UsageError
 from psiring.exactla import (
     FLOAT_LANE_MAX_PRIME,
-    bareiss_rank,
     echelon_mod_p,
     mod_matmul,
     nullspace_mod_p,
     rank_mod_p,
-    rank_rational,
     rank_sparse_mod_p,
     rank_sparse_rational,
     rows_to_dense,
 )
 from psiring.fields import DEFAULT_PRIME, TENSOR_PRIME
 from psiring.rng import SplitMix64
+
+
+def bareiss_rank(mat: list[list[int]]) -> int:
+    """Fraction-free dense elimination over Z: the reference rank for these tests."""
+    m = [list(map(int, row)) for row in mat]
+    if not m:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
+        r += 1
+        rank += 1
+        if r == nrows:
+            break
+    return rank
 
 
 def random_int_matrix(rows, cols, seed, lo=-6, hi=6, rank_deficit=0):
@@ -47,11 +71,6 @@ def test_rank_lanes_agree(seed):
     r_bareiss = bareiss_rank([row[:] for row in m])
     r_mod = rank_mod_p(np.array(m) % DEFAULT_PRIME, DEFAULT_PRIME)
     assert r_sparse == r_bareiss == r_mod
-
-
-def test_rank_rational_dispatches_like_sparse():
-    m = random_int_matrix(6, 6, 99, rank_deficit=2)
-    assert rank_rational(to_sparse(m)) == rank_sparse_rational(to_sparse(m))
 
 
 def test_rows_to_dense_reduces_entries():

@@ -8,14 +8,13 @@ import pytest
 
 from psiring.errors import UsageError
 from psiring.fields import QQ, PrimeField
-from psiring.groebner import groebner_for, reduces_to_zero
+from psiring.groebner import groebner_for, normal_form
 from psiring.poly import Poly
 from psiring.presentation import (
     CUSTOM,
     PivotScheme,
     build_an,
     build_bnm,
-    general_pair_relation,
     presentation_to_dict,
     relation_degree_audit,
     tensor_relation_space,
@@ -67,7 +66,7 @@ def test_relations_are_multigraded_quadrics():
             assert i < j
             assert cnt == spec.n + spec.m - 3
         for rel in spec.relations:
-            assert rel.degree() == 2
+            assert {sum(e) for e in rel.terms} == {2}
             md = rel.poly_multidegree(spec.blocks, spec.nblocks)
             assert md is not None and sum(md) == 2
 
@@ -108,6 +107,20 @@ def test_symbols_render():
     assert Phi(1, 3).text() == "phi[1,3]"
 
 
+def formula(spec, i, j, k, l):
+    """The pair (i, j) relation comparing points k and l, as in the module
+    docstring of presentation, over the spec's field."""
+    pos = {var: p for p, var in enumerate(spec.variables)}
+
+    def a(i, j):  # a pivot-normalized generator is zero
+        if Alpha(i, j) in pos:
+            return Poly.variable(spec.field, spec.nvars, pos[Alpha(i, j)])
+        return Poly.zero(spec.field, spec.nvars)
+
+    lhs = a(i, k).sub(a(i, j)).mul(a(j, k).sub(a(j, i)))
+    return lhs.sub(a(i, l).sub(a(i, j)).mul(a(j, l).sub(a(j, i))))
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_general_pair_relations_lie_in_the_ideal(n):
     spec = cached_an(n, PrimeField(32003))
@@ -118,8 +131,8 @@ def test_general_pair_relations_lie_in_the_ideal(n):
             for k in pts:
                 for l in pts:
                     if len({i, j, k, l}) == 4 and i < j and k < l:
-                        r = general_pair_relation(spec, i, j, k, l)
-                        assert reduces_to_zero(r, gb), (i, j, k, l)
+                        r = formula(spec, i, j, k, l)
+                        assert normal_form(r, gb.basis, gb.order).is_zero(), (i, j, k, l)
 
 
 PIVOTS = [(4, None), (4, (2, 1, 4, 3)), (5, None), (5, (3, 1, 2, 5, 4))]
@@ -127,24 +140,13 @@ PIVOTS = [(4, None), (4, (2, 1, 4, 3)), (5, None), (5, (3, 1, 2, 5, 4))]
 
 @pytest.mark.parametrize("n,assignment", PIVOTS)
 def test_pair_relation_builders_agree(n, assignment):
-    """build_an, tensor_relation_space and general_pair_relation give one
-    relation per (i, j, k), equal to the formula in the module docstring."""
+    """build_an and tensor_relation_space give one relation per (i, j, k),
+    equal to the formula in the module docstring."""
     pivot = PivotScheme(CUSTOM, assignment=assignment) if assignment else None
     spec = build_an(n, pivot)
     trs = tensor_relation_space(n, pivot)
     v = spec.nvars
     assert trs.dim_v == v
-    pos = {var: p for p, var in enumerate(spec.variables)}
-
-    def a(i, j):  # a pivot-normalized generator is zero
-        if Alpha(i, j) in pos:
-            return Poly.variable(QQ, v, pos[Alpha(i, j)])
-        return Poly.zero(QQ, v)
-
-    def formula(i, j, k, l):
-        lhs = a(i, k).sub(a(i, j)).mul(a(j, k).sub(a(j, i)))
-        return lhs.sub(a(i, l).sub(a(i, j)).mul(a(j, l).sub(a(j, i))))
-
     triples = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -160,8 +162,7 @@ def test_pair_relation_builders_agree(n, assignment):
                 e[p] += 1
             terms[tuple(e)] = terms.get(tuple(e), 0) + c
         assert Poly.from_int_terms(QQ, v, terms) == rel, (i, j, k)
-        assert general_pair_relation(spec, i, j, k, l0) == rel, (i, j, k)
-        assert formula(i, j, k, l0) == rel, (i, j, k)
+        assert formula(spec, i, j, k, l0) == rel, (i, j, k)
 
 
 def test_tensor_relation_space_dimensions():

@@ -12,14 +12,12 @@ from psiring import exactla, slices
 from psiring.errors import UsageError
 from psiring.fields import DEFAULT_PRIME, QQ, RETRY_PRIMES
 from psiring.poly import Poly, multidegree
-from psiring.series import TotalBound, lee_series, lee_series_restricted
+from psiring.series import TotalBound, degree_grid, lee_series, lee_series_restricted
 from psiring.slices import (
     count_monomials,
-    degree_grid,
     enumerate_monomials,
     relation_product_rows,
     slice_dimension,
-    sweep_dimensions,
 )
 from conftest import cached_an, cached_bnm
 
@@ -64,7 +62,7 @@ def test_slice_methods_agree_on_a4(method):
 def test_a4_full_sweep_to_degree_five():
     spec = cached_an(4)
     s = lee_series(4, TotalBound(5))
-    reports = sweep_dimensions(spec, 5)
+    reports = [slice_dimension(spec, a) for a in degree_grid(4, 5)]
     assert len(reports) == len(degree_grid(4, 5))
     for rep in reports:
         assert rep.dimension == s.coefficient(rep.multidegree) == rep.predicted
@@ -81,7 +79,7 @@ def test_a5_spot_degrees():
 def test_b_family_sweeps(n, m, limit):
     spec = cached_bnm(n, m)
     s = lee_series_restricted(n, m, TotalBound(limit))
-    for rep in sweep_dimensions(spec, limit):
+    for rep in (slice_dimension(spec, a) for a in degree_grid(n, limit)):
         assert rep.dimension == s.coefficient(rep.multidegree), rep.multidegree
 
 
@@ -95,8 +93,9 @@ def test_report_carries_audit_fields():
 
 def test_sweep_is_deterministic():
     spec = cached_bnm(3, 1)
-    a = [tuple(r.__dict__.items()) for r in sweep_dimensions(spec, 3)]
-    b = [tuple(r.__dict__.items()) for r in sweep_dimensions(spec, 3)]
+    grid = degree_grid(spec.nblocks, 3)
+    a = [tuple(slice_dimension(spec, d).__dict__.items()) for d in grid]
+    b = [tuple(slice_dimension(spec, d).__dict__.items()) for d in grid]
     assert a == b
 
 

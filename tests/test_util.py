@@ -45,19 +45,17 @@ def test_distinct_and_nonzero_helpers():
     vals = r.distinct_ints(10, -12, 12)
     assert len(vals) == len(set(vals)) == 10
     assert all(-12 <= v <= 12 for v in vals)
-    avoid = r.distinct_ints(3, 0, 5, avoid={0, 1})
-    assert not {0, 1} & set(avoid)
     assert all(r.nonzero_int(3) != 0 for _ in range(50))
     assert all(abs(r.nonzero_int(3)) <= 3 for _ in range(50))
 
 
-def test_shuffle_is_a_permutation():
-    r = SplitMix64(99)
-    xs = list(range(30))
-    ys = xs[:]
-    r.shuffle(ys)
-    assert sorted(ys) == xs
-    assert ys != xs  # astronomically unlikely to be fixed
+def test_distinct_ints_refuses_a_range_too_small():
+    r = SplitMix64(7)
+    state = r.state
+    with pytest.raises(UsageError, match=r"102 distinct integers from \[-50, 50\]"):
+        r.distinct_ints(102, -50, 50)
+    assert r.state == state  # refused before the first draw
+    assert sorted(r.distinct_ints(101, -50, 50)) == list(range(-50, 51))
 
 
 def test_parallel_map_preserves_order():
