@@ -36,7 +36,7 @@ def main():
         print(f"  {a}: {std} standard monomials, series {series.coefficient(a)}")
 
     print(f"\nan ideal member reduces to zero: the first relation times {names[0]}")
-    x = Poly.variable(spec.field, spec.nvars, 0)
+    x = Poly.from_int_terms(spec.field, spec.nvars, {(1,) + (0,) * (spec.nvars - 1): 1})
     r = spec.relations[0].mul(x)
     print(f"  normal form is zero: {normal_form(r, gb.basis, gb.order).is_zero()}")
 

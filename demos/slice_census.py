@@ -7,7 +7,6 @@ Run:  python3 demos/slice_census.py
 """
 
 from psiring.presentation import build_an
-from psiring.reports import degree_sort_key
 from psiring.series import TotalBound, degree_grid, lee_series
 from psiring.slices import slice_dimension
 
@@ -35,8 +34,7 @@ def main():
     print("\nhigh-degree spot checks on A(5)")
     spec5 = build_an(5)
     series5 = lee_series(5, TotalBound(5))
-    grid = [(2, 1, 1, 1, 0), (1, 1, 1, 1, 1), (3, 2, 0, 0, 0)]
-    for a in sorted(grid, key=degree_sort_key):
+    for a in [(1, 1, 1, 1, 1), (2, 1, 1, 1, 0), (3, 2, 0, 0, 0)]:
         rep = slice_dimension(spec5, a)
         print(f"  {a}: dim {rep.dimension} vs series {series5.coefficient(a)}")
 

@@ -40,7 +40,6 @@ from .presentation import (
     tensor_relation_space,
 )
 from .series import (
-    BoxBound,
     TotalBound,
     TruncatedSeries,
     curve_module_series,
@@ -63,7 +62,7 @@ __all__ = [
     "MonomialOrder", "Poly",
     "PivotScheme", "PresentationSpec", "build_an", "build_bnm",
     "tensor_relation_space",
-    "BoxBound", "TotalBound", "TruncatedSeries", "curve_module_series", "degree_grid",
+    "TotalBound", "TruncatedSeries", "curve_module_series", "degree_grid",
     "lee_coefficient", "lee_series", "lee_series_restricted", "total_hilbert",
     "SliceReport", "slice_dimension",
     "__version__",

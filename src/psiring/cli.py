@@ -36,7 +36,7 @@ from .koszul import DEFAULT_ELEMENT_BUDGET, b2_structural, koszul_prediction, ko
 from .orders import BLOCK_GREVLEX, GREVLEX, LEX, MonomialOrder
 from .poly import poly_text
 from .presentation import CYCLIC, CUSTOM, PivotScheme, build_an, build_bnm, presentation_to_dict
-from .reports import Report, degree_sort_key, make_check, render
+from .reports import Report, make_check, render
 from .rng import SplitMix64
 from .series import (
     TotalBound,
@@ -180,9 +180,7 @@ def _series_for(args, bound: TotalBound):
 
 
 def _coefficient_table(report: Report, series, nvars: int):
-    rows = []
-    for a in sorted(series.bound.degrees(nvars), key=degree_sort_key):
-        rows.append(list(a) + [series.coefficient(a)])
+    rows = [list(a) + [series.coefficient(a)] for a in series.bound.degrees(nvars)]
     cols = [f"a[{i + 1}]" for i in range(nvars)] + ["coefficient"]
     report.add_table("coefficients", cols, rows)
 
@@ -218,8 +216,8 @@ def cmd_hilbert(args) -> Report:
         return report
 
     spec = _spec(args)
-    grid = sorted(degree_grid(spec.nblocks, D), key=degree_sort_key)
-    slices = parallel_map(lambda a: slice_dimension(spec, a), grid, args.threads)
+    slices = parallel_map(lambda a: slice_dimension(spec, a), degree_grid(spec.nblocks, D),
+                          args.threads)
 
     if args.action == "brute":
         rows = [list(r.multidegree) + [r.monomials, r.rows, r.rank, r.dimension, r.method]

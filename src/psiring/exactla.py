@@ -9,7 +9,9 @@ where a fraction-free Bareiss elimination is the reference over Z:
     column until it claims a new column or vanishes.  Over Z every reduced
     row has its content stripped, which gives the rank over Q exactly; mod p
     the pivot rows are scaled to 1.  The slices rank here, and so does the
-    Jacobian at a rational point once its rows are cleared of denominators.
+    Jacobian at a rational point once its rows are cleared of denominators,
+    and so does singular's linear preprocessing (groebner.linear_interreduce),
+    which reads the pivot rows of sparse_echelon back as polynomials.
 
   * the int64 lane: dense per-pivot elimination mod p, reached only through
     echelon_mod_p.  Requires (p-1)^2 < 2^63.
@@ -43,20 +45,21 @@ def rank_sparse_rational(rows: list[dict]) -> int:
 
     Row operations over Z; every reduced row has its content stripped.
     """
-    return _sparse_rank(rows, None)
+    return len(sparse_echelon(rows, None))
 
 
 def rank_sparse_mod_p(rows: list[dict], p: int) -> int:
     """Rank mod p of a matrix given as sparse integer rows {col: coeff}."""
-    return _sparse_rank(rows, p)
+    return len(sparse_echelon(rows, p))
 
 
-def _sparse_rank(rows: list[dict], p: int | None) -> int:
-    """Echelon insertion: over Z when p is None, else mod p.
+def sparse_echelon(rows: list[dict], p: int | None) -> dict[int, dict]:
+    """Echelon insertion of sparse integer rows: over Z when p is None, else mod p.
 
-    pivots maps a leading column to the one pivot row that starts there.  Each
-    incoming row is reduced by the pivot at its leading column until it claims
-    a column of its own or vanishes.  Mod p, pivot rows are scaled to lead 1.
+    Returns the dict from each leading column to the one pivot row that starts
+    there.  Each incoming row is reduced by the pivot at its leading column
+    until it claims a column of its own or vanishes.  Over Z the pivot rows are
+    primitive (content stripped); mod p they are scaled to lead 1.
     """
     pivots: dict[int, dict] = {}
     for row in rows:
@@ -78,7 +81,7 @@ def _sparse_rank(rows: list[dict], p: int | None) -> int:
                 _reduce_z(row, prow, lead)
             else:
                 _reduce_mod_p(row, prow, lead, p)
-    return len(pivots)
+    return pivots
 
 
 def _reduce_z(row: dict, prow: dict, lead: int) -> None:

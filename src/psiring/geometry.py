@@ -190,13 +190,8 @@ def singular_minors(spec: PresentationSpec, c: int,
         raise UsageError(f"negative minor size {c}")
     if c == 0:
         return [Poly.const(spec.field, spec.nvars, spec.field.one())]
+    _refuse_minors(spec, c, budget)
     nrel, nv = len(spec.relations), spec.nvars
-    count = comb(nrel, c) * comb(nv, c)
-    if count > budget:
-        raise BudgetError(
-            f"{count} minors of size {c} exceed the budget {budget}",
-            estimate=count, budget=budget,
-        )
     jac = jacobian(spec)
     out = []
     for rsel in combinations(range(nrel), c):
@@ -205,6 +200,16 @@ def singular_minors(spec: PresentationSpec, c: int,
             if not d.is_zero():
                 out.append(d)
     return out
+
+
+def _refuse_minors(spec: PresentationSpec, c: int, budget: int) -> None:
+    """BudgetError when the c x c Jacobian minors would number more than the budget."""
+    count = comb(len(spec.relations), c) * comb(spec.nvars, c)
+    if count > budget:
+        raise BudgetError(
+            f"{count} minors of size {c} exceed the budget {budget}",
+            estimate=count, budget=budget,
+        )
 
 
 @dataclass(frozen=True)
@@ -232,8 +237,11 @@ def singular_locus_dim(
     """Krull dimension of (relations + codim-sized Jacobian minors).
 
     Works over the spec's own field; a prime-field spec keeps the Groebner
-    run cheap and the minors are integer polynomials either way.
+    run cheap and the minors are integer polynomials either way.  The minor
+    budget is checked before any work at the predicted codimension,
+    nvars - (2n+m-3), and again by singular_minors at the actual one.
     """
+    _refuse_minors(spec, spec.nvars - (2 * spec.n + spec.m - 3), budget)
     gb = gb or groebner_for(spec)
     dim = krull_dimension(gb)
     c = spec.nvars - dim

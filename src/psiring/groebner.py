@@ -22,8 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop
+from math import lcm
 
 from .errors import UsageError
+from .exactla import sparse_echelon
 from .fields import Field
 from .orders import (MonomialOrder, exp_degree, exp_div, exp_lcm, exp_mask, exp_mul,
                      mask_divides)
@@ -292,7 +294,9 @@ def linear_interreduce(polys: list[Poly], order: MonomialOrder) -> list[Poly]:
     """Row-reduce each same-degree batch of generators; returns independent rows.
 
     Cuts redundant members before Buchberger when the input is very linearly
-    dependent (minor expansions, spanning relation families).
+    dependent (minor expansions, spanning relation families).  Each batch goes
+    through exactla.sparse_echelon as integer rows cleared of denominators; its
+    pivot rows come back monic over a prime field and primitive over QQ.
     """
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
@@ -306,24 +310,12 @@ def linear_interreduce(polys: list[Poly], order: MonomialOrder) -> list[Poly]:
         batch = groups[key]
         monos = sorted({e for p in batch for e in p.terms}, key=order.key, reverse=True)
         pos = {e: c for c, e in enumerate(monos)}
-        echelon: dict[int, dict[int, object]] = {}  # pivot col -> row
+        rows = []
         for p in batch:
-            row = {pos[e]: c for e, c in p.terms.items()}
-            while row:
-                lead = min(row)
-                piv = echelon.get(lead)
-                if piv is None:
-                    inv = field.inv(row[lead])
-                    echelon[lead] = {c: field.mul(inv, v) for c, v in row.items()}
-                    break
-                f = row[lead]
-                for c, v in piv.items():
-                    w = field.sub(row.get(c, field.zero()), field.mul(f, v))
-                    if field.is_zero(w):
-                        row.pop(c, None)
-                    else:
-                        row[c] = w
+            denom = lcm(*(c.denominator for c in p.terms.values()))  # 1 over a prime field
+            rows.append({pos[e]: field.to_int(c * denom) for e, c in p.terms.items()})
+        echelon = sparse_echelon(rows, field.characteristic or None)
         for lead in sorted(echelon):
-            row = echelon[lead]
-            out.append(Poly(field, batch[0].nvars, {monos[c]: v for c, v in row.items()}))
+            terms = {monos[c]: v for c, v in echelon[lead].items()}
+            out.append(Poly.from_int_terms(field, batch[0].nvars, terms))
     return out

@@ -43,12 +43,6 @@ class Poly:
         return Poly(field, nvars, terms)
 
     @staticmethod
-    def variable(field: Field, nvars: int, pos: int) -> "Poly":
-        e = [0] * nvars
-        e[pos] = 1
-        return Poly(field, nvars, {tuple(e): field.one()})
-
-    @staticmethod
     def from_int_terms(field: Field, nvars: int, int_terms: dict) -> "Poly":
         """Build from integer coefficients, mapping them into the field."""
         terms = {}
@@ -86,9 +80,6 @@ class Poly:
         """exp_mask of the leading exponent under the given order."""
         self.leading(order)
         return self._lead[3]
-
-    def coefficient(self, exp: tuple[int, ...]):
-        return self.terms.get(exp, self.field.zero())
 
     def __eq__(self, other):
         return (

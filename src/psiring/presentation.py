@@ -16,6 +16,14 @@ values phi[r,i] (r < m), with relations
 
 B_{n,0} is A_n by definition.  Every relation is multihomogeneous of degree
 e_i + e_j, which relation_degree_audit enforces.
+
+Both come from one pair form in V (x) V, with a[i,p] the value of section i at
+the point p (phi[r,i] at extra point r; a pivot-normalized value is absent):
+
+    F(i,j,p) = a[i,p] (x) a[j,p] - a[i,p] (x) a[j,i] - a[i,j] (x) a[j,p]
+
+The A_n relation is F(i,j,k) - F(i,j,l0), its a[i,j]*a[j,i] terms cancelling;
+the B_{n,m} relations are F(i,j,k) for each such k, then for each extra point.
 """
 
 from __future__ import annotations
@@ -115,37 +123,37 @@ class PresentationSpec:
         return replace(self, field=field, relations=rels)
 
 
-def _lin(var_pos: dict, i: int, j: int, jneg: int) -> list[tuple[int, int]]:
-    """a[i,j] - a[i,jneg] as (position, coefficient) pairs, pivot entries dropped."""
-    out = []
-    va, vb = Alpha(i, j), Alpha(i, jneg)
-    if va in var_pos:
-        out.append((var_pos[va], 1))
-    if vb in var_pos:
-        out.append((var_pos[vb], -1))
+def _pair_form(var_pos: dict, i: int, j: int, vi: VarIndex, vj: VarIndex) -> dict:
+    """F(i,j,p) = vi (x) vj - vi (x) a[j,i] - a[i,j] (x) vj in V (x) V, with vi and
+    vj the values of sections i and j at the point p, as {(pos_a, pos_b): coeff}.
+    Variables missing from var_pos (pivot-normalized to zero) drop out; no two
+    terms share a key."""
+    p_i, p_j = var_pos.get(vi), var_pos.get(vj)
+    pij, pji = var_pos.get(Alpha(i, j)), var_pos.get(Alpha(j, i))
+    out = {}
+    for a, b, c in ((p_i, p_j, 1), (p_i, pji, -1), (pij, p_j, -1)):
+        if a is not None and b is not None:
+            out[(a, b)] = c
     return out
 
 
-def _pair_tensor(var_pos: dict, i: int, j: int, k: int, l: int) -> dict:
-    """The pair (i,j) relation comparing points k and l, as {(pos_a, pos_b): coeff}
-    in V (x) V: (a[i,k]-a[i,j])(a[j,k]-a[j,i]) - (a[i,l]-a[i,j])(a[j,l]-a[j,i])."""
-    out: dict = {}
-    for p, sign in ((k, 1), (l, -1)):
-        for pa, ca in _lin(var_pos, i, p, j):
-            for pb, cb in _lin(var_pos, j, p, i):
-                out[(pa, pb)] = out.get((pa, pb), 0) + sign * ca * cb
-    return {ab: c for ab, c in out.items() if c}
+def _an_pair(var_pos: dict, i: int, j: int, k: int, l: int) -> dict:
+    """The A_n relation of pair (i,j) comparing points k and l: F(k) - F(l).
+    Every term of F(p) carries a value at p, so the two share no key."""
+    out = _pair_form(var_pos, i, j, Alpha(i, k), Alpha(j, k))
+    for ab, c in _pair_form(var_pos, i, j, Alpha(i, l), Alpha(j, l)).items():
+        out[ab] = -c
+    return out
 
 
-def _pair_poly(var_pos: dict, nvars: int, i: int, j: int, k: int, l: int) -> Poly:
-    """_pair_tensor collapsed to commutative monomials, over QQ."""
-    terms: dict = {}
-    for (pa, pb), c in _pair_tensor(var_pos, i, j, k, l).items():
+def _commutative(nvars: int, tensor: dict) -> Poly:
+    """A pair tensor {(pos_a, pos_b): coeff} as a commutative quadric over QQ.
+    Its two factors lie in different blocks, so no two terms meet."""
+    terms = {}
+    for (pa, pb), c in tensor.items():
         e = [0] * nvars
-        e[pa] += 1
-        e[pb] += 1
-        key = tuple(e)
-        terms[key] = terms.get(key, 0) + c
+        e[pa] = e[pb] = 1
+        terms[tuple(e)] = c
     return Poly.from_int_terms(QQ, nvars, terms)
 
 
@@ -168,31 +176,11 @@ def build_an(n: int, pivot: PivotScheme | None = None) -> PresentationSpec:
     if pivot.kind == COMMON_EXTRA:
         raise UsageError("common-extra-point pivot needs extra points; use B_{n,m}")
 
-    variables: list[VarIndex] = []
-    for i in range(1, n + 1):
-        p = pivot.pivot_of(i, n)
-        for j in range(1, n + 1):
-            if j != i and j != p:
-                variables.append(Alpha(i, j))
+    variables = [Alpha(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                 if j != i and j != pivot.pivot_of(i, n)]
     var_pos = {v: k for k, v in enumerate(variables)}
-    blocks = tuple(v.block - 1 for v in variables)
-    nvars = len(variables)
-
-    relations: list[Poly] = []
-    pairs: list[tuple[int, int]] = []
-    for i, j, k, l0 in _pair_triples(n):
-        rel = _pair_poly(var_pos, nvars, i, j, k, l0)
-        assert not rel.is_zero(), "degenerate relation"
-        relations.append(rel)
-        pairs.append((i, j))
-
-    spec = PresentationSpec(
-        kind="an", n=n, m=0, pivot=pivot, field=QQ,
-        variables=tuple(variables), blocks=blocks,
-        relations=tuple(relations), relation_pairs=tuple(pairs),
-    )
-    relation_degree_audit(spec)
-    return spec
+    tensors = [((i, j), _an_pair(var_pos, i, j, k, l0)) for i, j, k, l0 in _pair_triples(n)]
+    return _presentation("an", n, 0, pivot, variables, tensors)
 
 
 def build_bnm(n: int, m: int) -> PresentationSpec:
@@ -204,43 +192,27 @@ def build_bnm(n: int, m: int) -> PresentationSpec:
     if n + m < 3:
         raise UsageError(f"B_(n,m) needs n + m >= 3, got ({n},{m})")
 
-    variables: list[VarIndex] = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if j != i:
-                variables.append(Alpha(i, j))
-    for i in range(1, n + 1):
-        for r in range(1, m):
-            variables.append(Phi(r, i))
+    variables = [Alpha(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if j != i]
+    variables += [Phi(r, i) for i in range(1, n + 1) for r in range(1, m)]
     var_pos = {v: k for k, v in enumerate(variables)}
-    blocks = tuple(v.block - 1 for v in variables)
-    nvars = len(variables)
-
-    def vp(v: VarIndex) -> Poly:
-        return Poly.variable(QQ, nvars, var_pos[v])
-
-    relations: list[Poly] = []
-    pairs: list[tuple[int, int]] = []
+    tensors = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            aij, aji = vp(Alpha(i, j)), vp(Alpha(j, i))
-            for k in range(1, n + 1):
-                if k in (i, j):
-                    continue
-                aik, ajk = vp(Alpha(i, k)), vp(Alpha(j, k))
-                rel = aik.mul(ajk).sub(aij.mul(ajk)).sub(aji.mul(aik))
-                relations.append(rel)
-                pairs.append((i, j))
-            for r in range(1, m):
-                fi, fj = vp(Phi(r, i)), vp(Phi(r, j))
-                rel = fi.mul(fj).sub(aij.mul(fj)).sub(aji.mul(fi))
-                relations.append(rel)
-                pairs.append((i, j))
+            points = [(Alpha(i, k), Alpha(j, k)) for k in range(1, n + 1) if k not in (i, j)]
+            points += [(Phi(r, i), Phi(r, j)) for r in range(1, m)]
+            tensors += [((i, j), _pair_form(var_pos, i, j, vi, vj)) for vi, vj in points]
+    return _presentation("bnm", n, m, PivotScheme(COMMON_EXTRA), variables, tensors)
 
+
+def _presentation(kind: str, n: int, m: int, pivot: PivotScheme,
+                  variables: list[VarIndex], tensors: list) -> PresentationSpec:
+    """The spec whose relations are the commutative images of the ((i, j), tensor)
+    pairs, in order; relation_degree_audit rejects a zero or misgraded one."""
     spec = PresentationSpec(
-        kind="bnm", n=n, m=m, pivot=PivotScheme(COMMON_EXTRA), field=QQ,
-        variables=tuple(variables), blocks=blocks,
-        relations=tuple(relations), relation_pairs=tuple(pairs),
+        kind=kind, n=n, m=m, pivot=pivot, field=QQ,
+        variables=tuple(variables), blocks=tuple(v.block - 1 for v in variables),
+        relations=tuple(_commutative(len(variables), t) for _, t in tensors),
+        relation_pairs=tuple(ij for ij, _ in tensors),
     )
     relation_degree_audit(spec)
     return spec
@@ -280,10 +252,6 @@ class TensorRelationSpace:
     def rows(self) -> tuple[dict, ...]:
         return self.commutator_rows + self.symmetric_rows
 
-    @property
-    def nrows(self) -> int:
-        return len(self.commutator_rows) + len(self.symmetric_rows)
-
 
 def tensor_relation_space(n: int, pivot: PivotScheme | None = None) -> TensorRelationSpace:
     """R = commutators + one lift of each pair relation; dim C(v,2) + C(n,2)(n-3)."""
@@ -296,7 +264,7 @@ def tensor_relation_space(n: int, pivot: PivotScheme | None = None) -> TensorRel
         for b in range(a + 1, v):
             commutators.append({a * v + b: 1, b * v + a: -1})
 
-    symmetric = [{pa * v + pb: c for (pa, pb), c in _pair_tensor(var_pos, i, j, k, l0).items()}
+    symmetric = [{pa * v + pb: c for (pa, pb), c in _an_pair(var_pos, i, j, k, l0).items()}
                  for i, j, k, l0 in _pair_triples(n)]
 
     return TensorRelationSpace(

@@ -6,8 +6,9 @@ The multigraded Hilbert series of A_n is
 
 and adjoining m extra evaluation points raises the exponent to n+m-3 while
 keeping only the first n variables.  Two independent evaluators are kept:
-series arithmetic with explicit truncation bounds, and a per-coefficient
-closed form via multinomials; the tests check them against each other.
+series arithmetic truncated to one bound, total degree at most a limit, and a
+per-coefficient closed form via multinomials; the tests check them against
+each other.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from math import comb, factorial
 from .errors import UsageError
 
 
-# -- truncation bounds ----------------------------------------------------------
+# -- the truncation bound and its degree grid ------------------------------------
 
 @dataclass(frozen=True)
 class TotalBound:
-    """Keep every multidegree with total degree <= limit."""
+    """Keep every multidegree with total degree <= limit: the one truncation bound."""
 
     limit: int
 
@@ -31,24 +32,7 @@ class TotalBound:
         return sum(a) <= self.limit
 
     def degrees(self, nvars: int) -> tuple[tuple[int, ...], ...]:
-        return _simplex_degrees(nvars, self.limit)
-
-
-@dataclass(frozen=True)
-class BoxBound:
-    """Keep every multidegree below the per-coordinate caps."""
-
-    caps: tuple[int, ...]
-
-    def contains(self, a: tuple[int, ...]) -> bool:
-        return all(x <= c for x, c in zip(a, self.caps))
-
-    def degrees(self, nvars: int) -> tuple[tuple[int, ...], ...]:
-        assert nvars == len(self.caps)
-        return _box_degrees(self.caps)
-
-
-Bound = TotalBound | BoxBound
+        return degree_grid(nvars, self.limit)
 
 
 @lru_cache(maxsize=None)
@@ -60,23 +44,14 @@ def compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
                  for rest in compositions(total - v, parts - 1))
 
 
-def degree_grid(nblocks: int, limit: int) -> list[tuple[int, ...]]:
-    """Every multidegree with total degree <= limit, in report order (total, then lex)."""
-    return [a for d in range(limit + 1) for a in compositions(d, nblocks)]
-
-
 @lru_cache(maxsize=None)
-def _simplex_degrees(nvars: int, limit: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(degree_grid(nvars, limit)))
+def degree_grid(nblocks: int, limit: int) -> tuple[tuple[int, ...], ...]:
+    """Every multidegree with total degree <= limit, in report order (total, then lex).
 
-
-@lru_cache(maxsize=None)
-def _box_degrees(caps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    out: list[tuple[int, ...]] = [()]
-    for c in caps:
-        out = [pre + (v,) for pre in out for v in range(c + 1)]
-    out.sort()
-    return tuple(out)
+    The one degree enumerator: series arithmetic, slice sweeps and report
+    tables all walk it, so none of them sorts.
+    """
+    return tuple(a for d in range(limit + 1) for a in compositions(d, nblocks))
 
 
 # -- the series type -------------------------------------------------------------
@@ -90,13 +65,13 @@ class TruncatedSeries:
 
     __slots__ = ("nvars", "bound", "coeffs")
 
-    def __init__(self, nvars: int, bound: Bound, coeffs: dict | None = None):
+    def __init__(self, nvars: int, bound: TotalBound, coeffs: dict | None = None):
         self.nvars = nvars
         self.bound = bound
         self.coeffs = coeffs if coeffs is not None else {}
 
     @staticmethod
-    def one(nvars: int, bound: Bound) -> "TruncatedSeries":
+    def one(nvars: int, bound: TotalBound) -> "TruncatedSeries":
         return TruncatedSeries(nvars, bound, {(0,) * nvars: 1})
 
     def coefficient(self, a: tuple[int, ...]) -> int:
@@ -144,7 +119,7 @@ class TruncatedSeries:
     def mul_geometric(self, axis: int) -> "TruncatedSeries":
         """Multiply by 1/(1-q_axis): a prefix sum along the axis, linear time."""
         out: dict = {}
-        for a in self.bound.degrees(self.nvars):  # lexicographic: a - e_axis comes first
+        for a in self.bound.degrees(self.nvars):  # by total degree: a - e_axis comes first
             below = out.get(_dec(a, axis), 0) if a[axis] else 0
             v = self.coeffs.get(a, 0) + below
             if v:
@@ -190,7 +165,7 @@ def _dec(a: tuple[int, ...], axis: int) -> tuple[int, ...]:
 
 # -- the Hilbert series builders --------------------------------------------------
 
-def psi_series(nvars: int, exponent: int, bound: Bound) -> TruncatedSeries:
+def psi_series(nvars: int, exponent: int, bound: TotalBound) -> TruncatedSeries:
     """(1 + sum g_i)^exponent / prod(1 - q_i) with g_i = q_i/(1-q_i), truncated."""
     if exponent < 0:
         raise UsageError(f"negative exponent {exponent}")
@@ -202,21 +177,21 @@ def psi_series(nvars: int, exponent: int, bound: Bound) -> TruncatedSeries:
     return s
 
 
-def lee_series(n: int, bound: Bound) -> TruncatedSeries:
+def lee_series(n: int, bound: TotalBound) -> TruncatedSeries:
     """Multigraded Hilbert series of A_n, truncated to the bound."""
     if n < 3:
         raise UsageError(f"lee_series needs n >= 3, got {n}")
     return psi_series(n, n - 3, bound)
 
 
-def lee_series_restricted(n: int, m: int, bound: Bound) -> TruncatedSeries:
+def lee_series_restricted(n: int, m: int, bound: TotalBound) -> TruncatedSeries:
     """Hilbert series of B_{n,m} in the n marked-point gradings."""
     if n < 2 or m < 0 or n + m < 3:
         raise UsageError(f"lee_series_restricted needs n >= 2, m >= 0, n+m >= 3; got ({n},{m})")
     return psi_series(n, n + m - 3, bound)
 
 
-def curve_module_series(n: int, bound: Bound) -> TruncatedSeries:
+def curve_module_series(n: int, bound: TotalBound) -> TruncatedSeries:
     """Series of the universal-curve coordinate ring over A_{n-1}:
     (1 + sum_{i<n} q_i/(1-q_i)) * lee_series(n-1), an (n-1)-variable series."""
     if n < 4:

@@ -134,6 +134,17 @@ def test_singular_minors_budget():
         singular_minors(spec, 8, budget=10)
 
 
+def test_singular_locus_refuses_before_the_groebner_basis(monkeypatch):
+    # A_5's predicted codimension is 15 - 7 = 8: C(20,8) * C(15,8) minors
+    calls = []
+    monkeypatch.setattr(geometry, "groebner_for", lambda *a, **k: calls.append(a))
+    with pytest.raises(BudgetError) as info:
+        singular_locus_dim(cached_an(5, GF))
+    assert calls == []
+    assert info.value.estimate == 810_616_950
+    assert str(info.value) == "810616950 minors of size 8 exceed the budget 20000"
+
+
 def test_singular_locus_conifold_is_origin():
     r = singular_locus_dim(cached_bnm(2, 2, GF))
     assert r.variety_dim == 3

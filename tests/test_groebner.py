@@ -10,6 +10,7 @@ import pytest
 import psiring.groebner as groebner
 from psiring.errors import UsageError
 from psiring.fields import QQ, PrimeField
+from psiring.geometry import singular_minors
 from psiring.groebner import (
     buchberger,
     groebner_for,
@@ -183,6 +184,23 @@ def test_linear_interreduce_drops_dependent_rows():
     h = p_of(QQ, 2, {(1, 0): 1, (0, 1): -1})
     out = linear_interreduce([f, g, h], ORDER)
     assert len(out) == 2
+
+
+@pytest.mark.parametrize("field,digest", [
+    (PrimeField(2147483647), "d18b8a3b568da1ef90482fa047dce83353ba673bfe73ee0343d8dd43833925bd"),
+    (QQ, "b06d735b8f0671d532d5a068799975662819a12a7061b1161cc77f37a278592a"),
+])
+def test_linear_interreduce_output_is_pinned(field, digest):
+    # A_4's relations plus its codimension-sized Jacobian minors, the input
+    # singular_locus_dim hands over; the digest is of the monic output rows
+    spec = build_an(4).to_field(field)
+    minors = singular_minors(spec, spec.nvars - 5)
+    gens = list(spec.relations) + minors
+    assert len(gens) == 714
+    out = linear_interreduce(gens, ORDER)
+    assert len(out) == 126
+    rows = [[(e, field.to_str(c)) for e, c in p.monic(ORDER).sorted_terms(ORDER)] for p in out]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_mixed_fields_rejected():

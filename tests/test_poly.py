@@ -48,7 +48,7 @@ def test_leading_and_monic():
     assert exp == (2, 0, 0) and c == 3  # grevlex tie-break favors early variables
     m = f.monic(ORDER)
     assert m.leading(ORDER)[1] == QQ.one()
-    assert m.coefficient((0, 0, 2)) == Fraction(5, 3)
+    assert m.terms.get((0, 0, 2)) == Fraction(5, 3)
 
 
 def test_derivative_product_rule():
@@ -73,7 +73,7 @@ def test_evaluate_is_a_homomorphism():
 def test_map_field_round_trip():
     f = Poly.from_int_terms(QQ, 2, {(1, 1): -2, (2, 0): 1, (0, 0): -1})
     g = f.map_field(GF)
-    assert g.coefficient((1, 1)) == GF.from_int(-2)
+    assert g.terms.get((1, 1)) == GF.from_int(-2)
     # signed lift brings small coefficients back unchanged
     assert g.map_field(QQ) == f
 
@@ -96,8 +96,8 @@ def test_multidegree_splits_by_block():
 def test_mul_term_shifts_exponents():
     f = Poly.from_int_terms(QQ, 2, {(1, 0): 2, (0, 1): 3})
     g = f.mul_term((1, 1), QQ.from_int(-1))
-    assert g.coefficient((2, 1)) == -2
-    assert g.coefficient((1, 2)) == -3
+    assert g.terms.get((2, 1)) == -2
+    assert g.terms.get((1, 2)) == -3
 
 
 def test_poly_text_renders_descending():

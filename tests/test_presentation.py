@@ -107,15 +107,22 @@ def test_symbols_render():
     assert Phi(1, 3).text() == "phi[1,3]"
 
 
+def var(spec, v):
+    """The variable v of the spec as a Poly, or zero when v is not one of them
+    (a pivot-normalized generator)."""
+    pos = {var: p for p, var in enumerate(spec.variables)}
+    if v not in pos:
+        return Poly.zero(spec.field, spec.nvars)
+    e = [0] * spec.nvars
+    e[pos[v]] = 1
+    return Poly.from_int_terms(spec.field, spec.nvars, {tuple(e): 1})
+
+
 def formula(spec, i, j, k, l):
     """The pair (i, j) relation comparing points k and l, as in the module
     docstring of presentation, over the spec's field."""
-    pos = {var: p for p, var in enumerate(spec.variables)}
-
-    def a(i, j):  # a pivot-normalized generator is zero
-        if Alpha(i, j) in pos:
-            return Poly.variable(spec.field, spec.nvars, pos[Alpha(i, j)])
-        return Poly.zero(spec.field, spec.nvars)
+    def a(i, j):
+        return var(spec, Alpha(i, j))
 
     lhs = a(i, k).sub(a(i, j)).mul(a(j, k).sub(a(j, i)))
     return lhs.sub(a(i, l).sub(a(i, j)).mul(a(j, l).sub(a(j, i))))
@@ -165,11 +172,39 @@ def test_pair_relation_builders_agree(n, assignment):
         assert formula(spec, i, j, k, l0) == rel, (i, j, k)
 
 
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 1), (3, 2), (4, 2)])
+def test_bnm_relations_follow_the_docstring_formula(n, m):
+    """Every B_{n,m} relation, in storage order, is the module-docstring
+    formula built by Poly arithmetic: k-channel relations, then extra points."""
+    spec = cached_bnm(n, m)
+
+    def a(i, j):
+        return var(spec, Alpha(i, j))
+
+    def phi(r, i):
+        return var(spec, Phi(r, i))
+
+    want, pairs = [], []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(1, n + 1):
+                if k not in (i, j):
+                    want.append(a(i, k).mul(a(j, k)).sub(a(i, j).mul(a(j, k)))
+                                .sub(a(j, i).mul(a(i, k))))
+                    pairs.append((i, j))
+            for r in range(1, m):
+                want.append(phi(r, i).mul(phi(r, j)).sub(a(i, j).mul(phi(r, j)))
+                            .sub(a(j, i).mul(phi(r, i))))
+                pairs.append((i, j))
+    assert list(spec.relations) == want
+    assert list(spec.relation_pairs) == pairs
+
+
 def test_tensor_relation_space_dimensions():
     # independent-quadric count in the full tensor square, by family size
     for n, want in [(4, 34), (5, 125)]:
         ts = tensor_relation_space(n)
-        assert ts.nrows == want
+        assert len(ts.rows) == want
 
 
 def test_presentation_to_dict_round_trip_texture():
@@ -190,4 +225,4 @@ def test_conifold_single_relation():
     e = [0] * 4
     e[names["phi[1,1]"]] = 1
     e[names["phi[1,2]"]] = 1
-    assert rel.coefficient(tuple(e)) in (QQ.one(), QQ.from_int(-1))
+    assert rel.terms.get(tuple(e)) in (QQ.one(), QQ.from_int(-1))

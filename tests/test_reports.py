@@ -12,10 +12,10 @@ from psiring.reports import (
     INFORMATIVE,
     PASS,
     Report,
-    degree_sort_key,
     make_check,
     render,
 )
+from psiring.series import degree_grid
 
 
 def fresh_report():
@@ -96,7 +96,6 @@ def test_unknown_format_rejected():
         render(fresh_report(), "yaml")
 
 
-def test_degree_sort_key_orders_by_total_then_lex():
-    grid = [(2, 0), (0, 1), (1, 1), (0, 0), (1, 0), (0, 2)]
-    s = sorted(grid, key=degree_sort_key)
-    assert s == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+def test_degree_grid_orders_by_total_then_lex():
+    # the coefficient-table order of every report
+    assert degree_grid(2, 2) == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))

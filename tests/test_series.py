@@ -6,7 +6,6 @@ import pytest
 
 from psiring.errors import UsageError
 from psiring.series import (
-    BoxBound,
     TotalBound,
     TruncatedSeries,
     curve_module_series,
@@ -105,14 +104,6 @@ def test_curve_module_factorization():
     for n in (4, 5, 6):
         assert curve_module_series(n, TotalBound(5)) == \
             lee_series_restricted(n - 1, 1, TotalBound(5))
-
-
-def test_box_bound_agrees_with_total_on_overlap():
-    t = lee_series(4, TotalBound(5))
-    b = lee_series(4, BoxBound((2, 2, 2, 2)))
-    for a in b.bound.degrees(4):
-        if sum(a) <= 5:
-            assert b.coefficient(a) == t.coefficient(a)
 
 
 def test_series_arithmetic():

@@ -26,7 +26,7 @@ def test_grid_is_sorted_and_complete():
     g = degree_grid(3, 2)
     assert g[0] == (0, 0, 0)
     assert len(g) == 10
-    assert g == sorted(g, key=lambda a: (sum(a), a))
+    assert list(g) == sorted(g, key=lambda a: (sum(a), a))
 
 
 def test_enumerate_monomials_counts():
