@@ -12,6 +12,7 @@ from psiring.geometry import (
     channels_consistent,
     cij_values,
     jacobian_rank_at,
+    pole_table,
     sample_config,
     singular_locus_dim,
     verify_vanishing,
@@ -30,10 +31,11 @@ def main():
           f" {verify_vanishing(spec, vals) == []}")
 
     print("\npair products are channel independent (same value for every k)")
+    poles = pole_table(cfg)[1]
     for (i, j) in [(1, 2), (1, 3), (2, 4)]:
-        print(f"  c({i},{j}) values: {cij_values(cfg, i, j)}")
+        print(f"  c({i},{j}) values, times den^2: {cij_values(poles, i, j)}")
     print(f"every pair is channel independent: {channels_consistent(cfg)}")
-    # cij_values reads pole_value from its module: patch it to perturb one value
+    # the pole table reads pole_value from its module: patch it to perturb one value
     exact = geometry.pole_value
     geometry.pole_value = lambda c, i, j: exact(c, i, j) + (1 if (i, j) == (1, 2) else 0)
     print(f"after adding 1 to atilde(1,2): {channels_consistent(cfg)}")

@@ -17,6 +17,7 @@ from .geometry import (
     alpha_values,
     channels_consistent,
     jacobian_rank_at,
+    pole_table,
     sample_config,
     singular_locus_dim,
     verify_vanishing,
@@ -55,7 +56,7 @@ __all__ = [
     "BudgetError", "UsageError",
     "DEFAULT_PRIME", "QQ", "PrimeField", "Rationals", "TENSOR_PRIME", "parse_field",
     "PointConfig", "alpha_values", "channels_consistent", "jacobian_rank_at",
-    "sample_config", "singular_locus_dim", "verify_vanishing",
+    "pole_table", "sample_config", "singular_locus_dim", "verify_vanishing",
     "GroebnerBasis", "buchberger", "groebner_for", "krull_dimension",
     "normal_form", "standard_monomial_count",
     "dual_tower", "koszul_prediction", "koszul_summary",

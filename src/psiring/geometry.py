@@ -8,8 +8,10 @@ weights lam_1..lam_n.  The building block is the pole value
 
 and the presentation variables are differences of these against the pivot
 channel, so every relation vanishes at every configuration: that is the
-point-sampling side of presentation correctness, checked in exact rational
-arithmetic.
+point-sampling side of presentation correctness, checked in exact integer
+arithmetic after clearing denominators.  Each configuration reads its pole
+values once, into one pole table of integer numerators over a common
+denominator (pole_table).
 
 The pole values also give the channel-independence check: each pair
 product takes one value whatever third point k it is measured through
@@ -73,6 +75,16 @@ def pole_value(cfg: PointConfig, i: int, j: int) -> Fraction:
     return cfg.lam[i - 1] / (cfg.z[j - 1] - cfg.z[i - 1])
 
 
+def pole_table(cfg: PointConfig) -> tuple[int, dict[tuple[int, int], int]]:
+    """(den, {(i, j): den * atilde(i,j)}) for every ordered pair i != j of marked
+    points, den the lcm of the pole values' denominators."""
+    n = len(cfg.z)
+    vals = {(i, j): pole_value(cfg, i, j)
+            for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+    den = lcm(*(v.denominator for v in vals.values()))
+    return den, {key: v.numerator * (den // v.denominator) for key, v in vals.items()}
+
+
 def alpha_values(spec: PresentationSpec, cfg: PointConfig) -> list[Fraction]:
     """Coordinates of the configuration's point, one value per presentation variable.
 
@@ -86,10 +98,11 @@ def alpha_values(spec: PresentationSpec, cfg: PointConfig) -> list[Fraction]:
         )
     out: list[Fraction] = []
     if spec.kind == "an":
+        den, poles = pole_table(cfg)
         for var in spec.variables:
             i, j = var.i, var.j
             p = spec.pivot.pivot_of(i, spec.n)
-            out.append(pole_value(cfg, i, j) - pole_value(cfg, i, p))
+            out.append(Fraction(poles[i, j] - poles[i, p], den))
         return out
     base = cfg.q[spec.m - 1]
     for var in spec.variables:
@@ -105,37 +118,67 @@ def alpha_values(spec: PresentationSpec, cfg: PointConfig) -> list[Fraction]:
 
 
 def verify_vanishing(spec: PresentationSpec, values: list[Fraction]) -> list[int]:
-    """Indices of relations that fail to vanish at the point (empty = all vanish)."""
+    """Indices of relations that fail to vanish at the point (empty = all vanish).
+
+    The point is cleared once to integers den * values (den the lcm of its
+    denominators), and each relation is evaluated in its integer form, which
+    multiplies a term of degree d by den^(top - d): den^top * rel(values), the
+    same zero test for any polynomial.
+    """
     if spec.field != QQ:
         raise UsageError("vanishing checks run in exact rational arithmetic")
+    if len(values) != spec.nvars:
+        raise UsageError(f"point has {len(values)} coordinates, {spec.name()}"
+                         f" has {spec.nvars} variables")
+    cached = spec.cache.get("vanishing_forms")
+    if cached is None:
+        forms = [_integer_form(rel) for rel in spec.relations]
+        depth = max((d for form in forms for _, _, d in form), default=0)
+        cached = spec.cache["vanishing_forms"] = (forms, depth)
+    forms, depth = cached
+    den = lcm(*(v.denominator for v in values))
+    point = [v.numerator * (den // v.denominator) for v in values]
+    powers = [den ** d for d in range(depth + 1)]
     bad = []
-    for t, rel in enumerate(spec.relations):
-        if rel.evaluate(values) != 0:
+    for t, form in enumerate(forms):
+        total = 0
+        for c, positions, deficit in form:
+            v = c * powers[deficit]
+            for pos in positions:
+                v *= point[pos]
+            total += v
+        if total:
             bad.append(t)
     return bad
 
 
+def _integer_form(rel: Poly) -> list[tuple[int, tuple[int, ...], int]]:
+    """The relation times the lcm of its coefficient denominators, one
+    (coefficient, positions repeated by exponent, top degree - degree) per term."""
+    scale = lcm(*(c.denominator for c in rel.terms.values()))
+    top = max((sum(e) for e in rel.terms), default=0)
+    return [(c.numerator * (scale // c.denominator),
+             tuple(pos for pos, k in enumerate(e) for _ in range(k)), top - sum(e))
+            for e, c in rel.terms.items()]
+
+
 # -- consistency of the pair products across channels ------------------------------
 
-def cij_values(cfg: PointConfig, i: int, j: int) -> list[Fraction]:
-    """For each k outside {i,j}: atilde(i,k)atilde(j,k) - atilde(i,j)atilde(j,k)
-    - atilde(j,i)atilde(i,k).  Channel independence means one common value."""
-    n = len(cfg.z)
-    out = []
-    for k in range(1, n + 1):
-        if k in (i, j):
-            continue
-        aik, ajk = pole_value(cfg, i, k), pole_value(cfg, j, k)
-        aij, aji = pole_value(cfg, i, j), pole_value(cfg, j, i)
-        out.append(aik * ajk - aij * ajk - aji * aik)
-    return out
+def cij_values(poles: dict[tuple[int, int], int], i: int, j: int) -> list[int]:
+    """For each k outside {i,j}, in increasing order: atilde(i,k)atilde(j,k)
+    - atilde(i,j)atilde(j,k) - atilde(j,i)atilde(i,k), read from a pole table,
+    so scaled by its den^2.  Channel independence means one common value."""
+    aij, aji = poles[i, j], poles[j, i]
+    return [poles[i, k] * poles[j, k] - aij * poles[j, k] - aji * poles[i, k]
+            for (r, k) in poles if r == i and k != j]
 
 
 def channels_consistent(cfg: PointConfig) -> bool:
     """Channel independence at one configuration: every pair i < j has a
-    single value in cij_values(cfg, i, j)."""
+    single value in cij_values, from one pole table."""
     n = len(cfg.z)
-    return all(len(set(cij_values(cfg, i, j))) == 1
+    _, poles = pole_table(cfg)
+    return all(len(set(cij_values(poles, i, j))) == 1
                for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 

@@ -86,7 +86,8 @@ class PresentationSpec:
     relations: tuple[Poly, ...]
     relation_pairs: tuple[tuple[int, int], ...]  # the (i, j) of each relation, 1-based
     # data derived from the fields above, cached by the layers that use it
-    # (slices' row plan); no part of equality, and a replace() starts it empty
+    # (slices' row plan, geometry's integer relation forms); no part of
+    # equality, and a replace() starts it empty
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property

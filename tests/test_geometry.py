@@ -2,25 +2,30 @@
 independence, Jacobian ranks, and singular-locus dimension bounds.
 """
 
+import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from psiring import geometry
+from psiring import cli, geometry
 from psiring.errors import BudgetError, UsageError
-from psiring.fields import PrimeField
+from psiring.fields import QQ, PrimeField
 from psiring.geometry import (
     PointConfig,
     alpha_values,
     channels_consistent,
+    cij_values,
     jacobian,
     jacobian_rank_at,
+    pole_table,
     pole_value,
     sample_config,
     singular_locus_dim,
     singular_minors,
     verify_vanishing,
 )
+from psiring.poly import Poly
 from psiring.rng import SplitMix64
 from conftest import cached_an, cached_bnm
 
@@ -99,6 +104,143 @@ def test_channel_witness_detects_perturbation(n, monkeypatch):
     monkeypatch.setattr(geometry, "pole_value",
                         lambda c, i, j: exact(c, i, j) + (1 if (i, j) == (1, 2) else 0))
     assert not channels_consistent(cfg)
+
+
+def reference_vanishing(spec, vals):
+    return [t for t, r in enumerate(spec.relations) if r.evaluate(vals) != 0]
+
+
+def off_variety_points(nvars, seed):
+    rng = SplitMix64(seed)
+    rationals = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(nvars)]
+                 for _ in range(4)]
+    ints = [[rng.randint(-5, 5) for _ in range(nvars)] for _ in range(3)]
+    return rationals + ints + [[0] * nvars]
+
+
+@pytest.mark.parametrize("build,seeds", [
+    (lambda: cached_an(4), (1, 2)),
+    (lambda: cached_an(5), (3, 4)),
+    (lambda: cached_bnm(3, 2), (5, 6)),
+])
+def test_vanishing_matches_poly_evaluate(build, seeds):
+    spec = build()
+    points = [sampled_point(spec, s) for s in seeds] + off_variety_points(spec.nvars, seeds[0])
+    for vals in points:
+        assert verify_vanishing(spec, vals) == reference_vanishing(spec, vals)
+
+
+def test_vanishing_is_exact_for_fractional_and_inhomogeneous_relations():
+    spec = cached_an(4)
+    on = sampled_point(spec, 12)
+    assert verify_vanishing(spec, on) == []  # fills the cache on the original spec
+    rels = list(spec.relations)
+    x0 = Poly.from_int_terms(QQ, spec.nvars, {(1,) + (0,) * (spec.nvars - 1): 1})
+    const = Poly.const(QQ, spec.nvars, on[0])
+    half = dataclasses.replace(spec, relations=(rels[0].scale(Fraction(1, 2)), *rels[1:]))
+    mixed = dataclasses.replace(spec, relations=(
+        rels[0].add(x0).sub(const),            # degrees 2, 1, 0; vanishes at `on`
+        rels[1].add(x0),                       # vanishes only where x0 = 0
+        x0.mul(x0).sub(x0.scale(on[0])),       # x0^2 - v*x0, fractional coefficient
+        *rels[3:]))
+    for s in (half, mixed):
+        assert s.cache == {}
+        for vals in [on] + off_variety_points(spec.nvars, 31):
+            assert verify_vanishing(s, vals) == reference_vanishing(s, vals)
+    assert verify_vanishing(mixed, on) == [1]
+    assert verify_vanishing(spec, on) == []
+
+
+def test_vanishing_refuses_a_point_of_the_wrong_length():
+    spec = cached_an(4)
+    vals = sampled_point(spec, 3)
+    for bad in (vals + [Fraction(0)] * 3, vals[:-1], []):
+        with pytest.raises(UsageError, match=f"point has {len(bad)} coordinates.*"
+                                             f" {spec.nvars} variables"):
+            verify_vanishing(spec, bad)
+        with pytest.raises(UsageError, match=f"point has {len(bad)} coordinates"):
+            jacobian_rank_at(spec, bad)
+
+
+def fraction_cij(cfg, pole, i, j):
+    """The pair products of cij_values from Fraction pole values, k increasing."""
+    n = len(cfg.z)
+    return [pole(cfg, i, k) * pole(cfg, j, k) - pole(cfg, i, j) * pole(cfg, j, k)
+            - pole(cfg, j, i) * pole(cfg, i, k) for k in range(1, n + 1) if k not in (i, j)]
+
+
+def fraction_channels(cfg, pole):
+    n = len(cfg.z)
+    return all(len(set(fraction_cij(cfg, pole, i, j))) == 1
+               for i in range(1, n + 1) for j in range(i + 1, n + 1))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_channels_consistent_matches_the_fraction_formula(n, monkeypatch):
+    rng = SplitMix64(500 + n)
+    exact = geometry.pole_value
+    for _ in range(4):
+        cfg = sample_config(n, 0, rng.next_u64())
+        assert fraction_channels(cfg, exact)
+        assert channels_consistent(cfg)
+        # a perturbed pole value breaks independence for the pairs that read it
+        i, j = 1 + rng.randint(0, n - 1), 1 + rng.randint(0, n - 2)
+        j += j >= i
+        bump = Fraction(rng.nonzero_int(5), 3)
+        perturbed = lambda c, a, b: exact(c, a, b) + (bump if (a, b) == (i, j) else 0)
+        want = fraction_channels(cfg, perturbed)
+        monkeypatch.setattr(geometry, "pole_value", perturbed)
+        assert channels_consistent(cfg) == want
+        monkeypatch.setattr(geometry, "pole_value", exact)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_cij_values_are_the_fraction_values_over_den_squared(n):
+    cfg = sample_config(n, 0, 40 + n)
+    den, poles = pole_table(cfg)
+    assert set(poles) == {(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+    assert all(Fraction(v, den) == pole_value(cfg, *key) for key, v in poles.items())
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            want = [x * den ** 2 for x in fraction_cij(cfg, pole_value, i, j)]
+            assert cij_values(poles, i, j) == want
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_pole_value_is_read_once_per_ordered_pair(n, monkeypatch):
+    calls = []
+    exact = geometry.pole_value
+
+    def spy(c, i, j):
+        calls.append((i, j))
+        return exact(c, i, j)
+
+    monkeypatch.setattr(geometry, "pole_value", spy)
+    cfg = sample_config(n, 0, 7)
+    assert channels_consistent(cfg)
+    assert len(calls) == n * (n - 1)
+    calls.clear()
+    alpha_values(cached_an(n), cfg)
+    assert len(calls) <= n * (n - 1)
+
+
+# sample reports outside the benchmark's recorded commands, pinned byte for byte
+SAMPLE_PINS = [
+    (["sample", "--n", "6", "--count", "50", "--pivot", "custom:2,3,4,5,6,1", "--seed", "99"],
+     "d124b9b5d58507430d2add1b57751c7670a7f32894511b7b85ae01c05bb29f0c"),
+    (["sample", "--kind", "bnm", "--n", "3", "--m", "2", "--count", "50"],
+     "d825cd8b8943090df0c7a74b133c1d803f2772d15d7477d7befbecbceabafaae"),
+    (["sample", "--n", "4", "--count", "20", "--format", "md"],
+     "024f757e71d952a455ce8b18de3abc8f9046a2946d18464f79c5b0f3e920fbeb"),
+    (["sample", "--n", "7", "--count", "10"],
+     "6a941d7b3027f5b335731a93a78c93b23a6bc4b4a3220ba482fd9e2207dd481d"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", SAMPLE_PINS, ids=[" ".join(a) for a, _ in SAMPLE_PINS])
+def test_sample_report_is_pinned(argv, digest, capsysbinary):
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
 
 
 def test_jacobian_shape_and_entries():
