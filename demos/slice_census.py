@@ -28,7 +28,7 @@ def main():
     rep = slice_dimension(spec, (2, 1, 1, 0))
     print(f"  multidegree {rep.multidegree}: {rep.monomials} monomials,"
           f" {rep.rows} constraint rows of rank {rep.rank}")
-    print(f"  dimension {rep.dimension}, series predicts {rep.predicted}")
+    print(f"  dimension {rep.dimension}, series predicts {series.coefficient(rep.multidegree)}")
     print(f"  method: {rep.method}")
 
     print("\nhigh-degree spot checks on A(5)")

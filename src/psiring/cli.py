@@ -139,7 +139,10 @@ def _field_for(args, default: str = "rational"):
 
 
 def _pivot(args) -> PivotScheme:
-    """The --pivot scheme, validated against --n; only cyclic outside --kind an."""
+    """The --pivot scheme, validated against --n; only cyclic outside --kind an.
+    Also refuses --m outside --kind bnm, where nothing would read it."""
+    if args.kind == "an" and args.m:
+        raise UsageError("--m applies to --kind bnm")
     pivot = parse_pivot(args.pivot)
     if args.kind != "an" and pivot.kind != CYCLIC:
         raise UsageError("--pivot applies to --kind an")
@@ -150,8 +153,6 @@ def _pivot(args) -> PivotScheme:
 def _spec(args, field=None):
     pivot = _pivot(args)
     if args.kind == "an":
-        if args.m:
-            raise UsageError("--m applies to --kind bnm")
         spec = build_an(args.n, pivot)
     else:
         spec = build_bnm(args.n, args.m)
@@ -210,7 +211,7 @@ def cmd_hilbert(args) -> Report:
     report = Report(TOOL, __version__, _config_echo(args, max_total=D))
 
     if args.action == "lee":
-        _pivot(args)  # the series does not depend on it, but a bad --pivot is still refused
+        _pivot(args)  # the series does not read it, but a bad --pivot or --m is still refused
         series = _series_for(args, bound)
         _coefficient_table(report, series, args.n)
         return report

@@ -253,20 +253,20 @@ def _echelon_int(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return A, pivots
 
 
-def _echelon_float(A: np.ndarray, p: int, panel: int = _PANEL) -> tuple[np.ndarray, list[int]]:
+def _echelon_float(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Right-looking panel LU mod p in float64; pivot rows end up scaled to 1.
 
     Multipliers are stored in place below each pivot (classic LU storage), the
     trailing pivot-row blocks are brought up to date with a small triangular
     solve, and the rows below the panel get one BLAS Schur update per panel.
     """
-    assert panel * (p - 1) ** 2 < _MANTISSA, "panel too wide for exact float64"
+    assert _PANEL * (p - 1) ** 2 < _MANTISSA, "panel too wide for exact float64"
     nrows, ncols = A.shape
     pivots: list[int] = []
     r = 0
     c0 = 0
     while c0 < ncols and r < nrows:
-        c1 = min(c0 + panel, ncols)
+        c1 = min(c0 + _PANEL, ncols)
         ppiv: list[tuple[int, int]] = []  # (pivot row, pivot col) of this panel
         pinv: list[float] = []
         for c in range(c0, c1):

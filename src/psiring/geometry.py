@@ -4,14 +4,15 @@ A point of the variety comes from a configuration: distinct points z_1..z_n
 (plus extra points q_1..q_m for the B family) on the affine line and nonzero
 weights lam_1..lam_n.  The building block is the pole value
 
-    atilde(i, j) = lam_i / (z_j - z_i)
+    atilde(i, j) = lam_i / (p_j - z_i),   p = (z_1..z_n, q_1..q_m)
 
 and the presentation variables are differences of these against the pivot
-channel, so every relation vanishes at every configuration: that is the
-point-sampling side of presentation correctness, checked in exact integer
-arithmetic after clearing denominators.  Each configuration reads its pole
-values once, into one pole table of integer numerators over a common
-denominator (pole_table).
+channel (the last extra point for the B family), so every relation vanishes
+at every configuration: that is the point-sampling side of presentation
+correctness, checked in exact integer arithmetic after clearing denominators.
+Each configuration of either family reads its pole values once, into one
+pole table of integer numerators over a common denominator (pole_table), and
+every coordinate is a difference of two of its entries.
 
 The pole values also give the channel-independence check: each pair
 product takes one value whatever third point k it is measured through
@@ -32,7 +33,7 @@ from math import comb, lcm
 from .errors import BudgetError, UsageError
 from .exactla import rank_sparse_rational
 from .fields import QQ
-from .groebner import GroebnerBasis, buchberger, groebner_for, krull_dimension, linear_interreduce
+from .groebner import buchberger, groebner_for, krull_dimension, linear_interreduce
 from .poly import Poly
 from .presentation import Alpha, PresentationSpec
 from .rng import SplitMix64
@@ -71,16 +72,18 @@ def sample_config(n: int, m: int, seed: int) -> PointConfig:
 
 
 def pole_value(cfg: PointConfig, i: int, j: int) -> Fraction:
-    """atilde(i,j) = lam_i / (z_j - z_i), 1-based indices."""
-    return cfg.lam[i - 1] / (cfg.z[j - 1] - cfg.z[i - 1])
+    """atilde(i,j) = lam_i / (p_j - z_i), 1-based indices, p the points z
+    followed by q: extra point r is p_(n+r)."""
+    return cfg.lam[i - 1] / ((cfg.z + cfg.q)[j - 1] - cfg.z[i - 1])
 
 
 def pole_table(cfg: PointConfig) -> tuple[int, dict[tuple[int, int], int]]:
-    """(den, {(i, j): den * atilde(i,j)}) for every ordered pair i != j of marked
-    points, den the lcm of the pole values' denominators."""
-    n = len(cfg.z)
+    """(den, {(i, j): den * atilde(i,j)}) for every marked point i and every
+    other point j, extra point r at j = n + r; den the lcm of the pole values'
+    denominators."""
+    n, npts = len(cfg.z), len(cfg.z) + len(cfg.q)
     vals = {(i, j): pole_value(cfg, i, j)
-            for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+            for i in range(1, n + 1) for j in range(1, npts + 1) if i != j}
     den = lcm(*(v.denominator for v in vals.values()))
     return den, {key: v.numerator * (den // v.denominator) for key, v in vals.items()}
 
@@ -88,32 +91,21 @@ def pole_table(cfg: PointConfig) -> tuple[int, dict[tuple[int, int], int]]:
 def alpha_values(spec: PresentationSpec, cfg: PointConfig) -> list[Fraction]:
     """Coordinates of the configuration's point, one value per presentation variable.
 
-    A_n uses the pivot-channel difference; B_(n,m) measures everything against
-    the last extra point.
+    Each variable is a pole-table difference atilde(i,j) - atilde(i,base):
+    A_n measures against the pivot p(i), B_(n,m) against the last extra point,
+    and phi[r,i] reads extra point r as j = n + r.
     """
     cfg.validate()
     if len(cfg.z) != spec.n or len(cfg.q) != spec.m:
         raise UsageError(
             f"configuration has ({len(cfg.z)},{len(cfg.q)}) points, spec needs ({spec.n},{spec.m})"
         )
+    den, poles = pole_table(cfg)
     out: list[Fraction] = []
-    if spec.kind == "an":
-        den, poles = pole_table(cfg)
-        for var in spec.variables:
-            i, j = var.i, var.j
-            p = spec.pivot.pivot_of(i, spec.n)
-            out.append(Fraction(poles[i, j] - poles[i, p], den))
-        return out
-    base = cfg.q[spec.m - 1]
     for var in spec.variables:
-        if isinstance(var, Alpha):
-            i, j = var.i, var.j
-            li, zi = cfg.lam[i - 1], cfg.z[i - 1]
-            out.append(li / (cfg.z[j - 1] - zi) - li / (base - zi))
-        else:
-            r, i = var.r, var.i
-            li, zi = cfg.lam[i - 1], cfg.z[i - 1]
-            out.append(li / (cfg.q[r - 1] - zi) - li / (base - zi))
+        i, j = (var.i, var.j) if isinstance(var, Alpha) else (var.i, spec.n + var.r)
+        base = spec.pivot.pivot_of(i, spec.n) or spec.n + spec.m
+        out.append(Fraction(poles[i, j] - poles[i, base], den))
     return out
 
 
@@ -272,11 +264,8 @@ class SingularReport:
         return self.singular_dim < self.variety_dim
 
 
-def singular_locus_dim(
-    spec: PresentationSpec,
-    gb: GroebnerBasis | None = None,
-    budget: int = DEFAULT_MINOR_BUDGET,
-) -> SingularReport:
+def singular_locus_dim(spec: PresentationSpec,
+                       budget: int = DEFAULT_MINOR_BUDGET) -> SingularReport:
     """Krull dimension of (relations + codim-sized Jacobian minors).
 
     Works over the spec's own field; a prime-field spec keeps the Groebner
@@ -285,8 +274,7 @@ def singular_locus_dim(
     nvars - (2n+m-3), and again by singular_minors at the actual one.
     """
     _refuse_minors(spec, spec.nvars - (2 * spec.n + spec.m - 3), budget)
-    gb = gb or groebner_for(spec)
-    dim = krull_dimension(gb)
+    dim = krull_dimension(groebner_for(spec))
     c = spec.nvars - dim
     minors = singular_minors(spec, c, budget=budget)
     gens = list(spec.relations) + minors

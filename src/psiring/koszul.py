@@ -266,17 +266,13 @@ def _dual_blocks(
     return out
 
 
-def dual_dimension_stacked(
-    n: int,
-    k: int,
-    prime: int = TENSOR_PRIME,
-    budget: int = DEFAULT_ELEMENT_BUDGET,
-    pivot: PivotScheme | None = None,
-) -> int:
-    """Same dimension from one stacked constraint system on all of V^(x)k.
+def dual_dimension_stacked(n: int, k: int) -> int:
+    """Same dimension from one stacked constraint system on all of V^(x)k,
+    mod TENSOR_PRIME under the cyclic pivot.
 
     Exponentially larger than the iterative route; it exists as the
-    independent cross-check on small cases.
+    independent cross-check on small cases, and refuses systems above
+    DEFAULT_ELEMENT_BUDGET entries.
     """
     if n < 3 or k < 0:
         raise UsageError(f"bad stacked-dual arguments n={n}, k={k}")
@@ -285,15 +281,16 @@ def dual_dimension_stacked(
         return 1
     if k == 1:
         return v
-    _, C, _ = relation_space_matrices(n, prime, pivot)
+    _, C, _ = relation_space_matrices(n)
     RR = C.shape[0]
     unknowns = v ** k
     nrows = (k - 1) * RR * v ** (k - 2)
     est = nrows * unknowns
-    if est > budget:
+    if est > DEFAULT_ELEMENT_BUDGET:
         raise BudgetError(
-            f"stacked system is {nrows} x {unknowns} ({est} entries > budget {budget})",
-            estimate=est, budget=budget,
+            f"stacked system is {nrows} x {unknowns}"
+            f" ({est} entries > budget {DEFAULT_ELEMENT_BUDGET})",
+            estimate=est, budget=DEFAULT_ELEMENT_BUDGET,
         )
     big = np.zeros((nrows, unknowns), dtype=np.int64)
     stride = np.arange(v * v)
@@ -306,7 +303,7 @@ def dual_dimension_stacked(
                 big[row: row + RR, colbase + Rn * stride] = C
                 row += RR
     assert row == nrows
-    return unknowns - rank_mod_p(big, prime)
+    return unknowns - rank_mod_p(big, TENSOR_PRIME)
 
 
 @dataclass(frozen=True)
@@ -341,25 +338,23 @@ class KoszulSummary:
 def koszul_summary(
     n: int,
     kmax: int,
-    prime: int = TENSOR_PRIME,
     budget: int = DEFAULT_ELEMENT_BUDGET,
     pivot: PivotScheme | None = None,
 ) -> KoszulSummary:
-    """Compute the tower, compare to the prediction, retry on a second prime.
+    """Compute the tower at TENSOR_PRIME, compare to the prediction, and on a
+    mismatch recompute at TENSOR_RETRY_PRIMES[0].
 
-    A mismatch confirmed at two primes is reported as-is ('informative');
-    a mismatch that vanishes at the retry prime keeps the retry values.
+    Dimensions mod p can only exceed the rational ones, so each stage keeps
+    the smaller of its two values.  A mismatch that survives is reported
+    as-is ('informative').
     """
-    dims = dual_tower(n, kmax, prime, budget, pivot)
+    dims = dual_tower(n, kmax, TENSOR_PRIME, budget, pivot)
     pred = koszul_prediction(n, kmax)
-    primes = [prime]
+    primes = [TENSOR_PRIME]
     if any(d != p for d, p in zip(dims, pred)):
-        retry = next(q for q in (TENSOR_RETRY_PRIMES + (TENSOR_PRIME,)) if q != prime)
+        retry = TENSOR_RETRY_PRIMES[0]
         dims2 = dual_tower(n, kmax, retry, budget, pivot)
         primes.append(retry)
-        if dims2 != dims:
-            dims = [min(a, b) for a, b in zip(dims, dims2)]  # mod-p dims only inflate
-        else:
-            dims = dims2
+        dims = [min(a, b) for a, b in zip(dims, dims2)]
     stages = tuple(KoszulStage(k, dims[k], pred[k]) for k in range(kmax + 1))
     return KoszulSummary(n=n, kmax=kmax, primes=tuple(primes), stages=stages)

@@ -17,9 +17,9 @@ from .errors import UsageError
 from .exactla import rank_sparse_mod_p, rank_sparse_rational
 from .fields import DEFAULT_PRIME, RETRY_PRIMES
 from .presentation import PresentationSpec
-from .series import compositions, lee_coefficient
+from .series import compositions
 
-# above this many columns the rational confirmation is skipped in auto mode
+# above this many columns a second prime stands in for the rational confirmation
 RATIONAL_VERIFY_MAX_COLS = 250
 
 
@@ -139,59 +139,36 @@ class SliceReport:
     rows: int
     rank: int
     dimension: int
-    predicted: int
     method: str
 
-    @property
-    def matches(self) -> bool:
-        return self.dimension == self.predicted
 
-
-def predicted_dimension(spec: PresentationSpec, a: tuple[int, ...]) -> int:
-    """Closed-form coefficient of the matching Hilbert series."""
-    _check_degree(spec, a)
-    return lee_coefficient(spec.n, a, m=spec.m)
-
-
-def slice_dimension(
-    spec: PresentationSpec,
-    a: tuple[int, ...],
-    method: str = "auto",
-) -> SliceReport:
+def slice_dimension(spec: PresentationSpec, a: tuple[int, ...]) -> SliceReport:
     """Exact dimension of the multidegree-a slice of the quotient.
 
-    method: 'auto' (prime rank, rational confirmation when narrow enough,
-    second prime otherwise), 'rational' (exact only), 'modular' (one prime).
+    The rank is taken at DEFAULT_PRIME, then confirmed over Q when the slice
+    has at most RATIONAL_VERIFY_MAX_COLS columns, and otherwise at a second
+    prime; method names every stage used.
     """
-    if method not in ("auto", "rational", "modular"):
-        raise UsageError(f"unknown slice method {method!r}")
     rows, ncols = relation_product_rows(spec, a)
     nmon = count_monomials(spec, a)
     assert nmon == ncols
-    pred = predicted_dimension(spec, a)
     if not rows:
-        return SliceReport(tuple(a), nmon, 0, 0, nmon, pred, "empty")
+        return SliceReport(tuple(a), nmon, 0, 0, nmon, "empty")
 
-    if method == "rational":
-        rank = rank_sparse_rational(rows)
-        how = "rational"
+    rank = rank_sparse_mod_p(rows, DEFAULT_PRIME)
+    if ncols <= RATIONAL_VERIFY_MAX_COLS:
+        qrank = rank_sparse_rational(rows)
+        if qrank != rank:  # unlucky prime: the rational answer wins
+            rank = qrank
+            how = "rational(after-bad-prime)"
+        else:
+            how = f"modular({DEFAULT_PRIME})+rational"
     else:
-        rank = rank_sparse_mod_p(rows, DEFAULT_PRIME)
-        how = f"modular({DEFAULT_PRIME})"
-        if method == "auto":
-            if ncols <= RATIONAL_VERIFY_MAX_COLS:
-                qrank = rank_sparse_rational(rows)
-                if qrank != rank:  # unlucky prime: the rational answer wins
-                    rank = qrank
-                    how = "rational(after-bad-prime)"
-                else:
-                    how = f"modular({DEFAULT_PRIME})+rational"
-            else:
-                p2 = RETRY_PRIMES[0]
-                r2 = rank_sparse_mod_p(rows, p2)
-                if r2 != rank:
-                    rank = max(rank, r2)  # rank mod p only ever drops
-                    how = f"modular(max {DEFAULT_PRIME},{p2})"
-                else:
-                    how = f"modular({DEFAULT_PRIME},{p2})"
-    return SliceReport(tuple(a), nmon, len(rows), rank, nmon - rank, pred, how)
+        p2 = RETRY_PRIMES[0]
+        r2 = rank_sparse_mod_p(rows, p2)
+        if r2 != rank:
+            rank = max(rank, r2)  # rank mod p only ever drops
+            how = f"modular(max {DEFAULT_PRIME},{p2})"
+        else:
+            how = f"modular({DEFAULT_PRIME},{p2})"
+    return SliceReport(tuple(a), nmon, len(rows), rank, nmon - rank, how)

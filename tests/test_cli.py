@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -131,6 +132,9 @@ def test_verify_theorem_a(capsysbinary):
     ["hilbert", "verify", "--n", "4", "--max-total", "1", "--threads", "-3"],
     # B(2,100) is valid, but its 102 points cannot be drawn distinct from [-50, 50]
     ["sample", "--kind", "bnm", "--n", "2", "--m", "100", "--count", "1"],
+    # --m applies to --kind bnm only, also where no presentation is built
+    ["hilbert", "lee", "--n", "4", "--m", "3", "--max-total", "1"],
+    ["koszul", "--n", "4", "--m", "3", "--kmax", "2"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert cli.main(argv) == 2
@@ -253,6 +257,33 @@ def test_thread_count_does_not_change_bytes(capsysbinary):
                       "--threads", t, "--format", "csv"], capsysbinary)
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# reports of every subcommand family, pinned byte for byte
+REPORT_PINS = [
+    (["hilbert", "brute", "--n", "5", "--max-total", "4"],
+     "67f8a718bac28601ea91460dc2039e73e59e82a2ce0459d061ba06bfea0d2c0a"),
+    (["hilbert", "brute", "--kind", "bnm", "--n", "3", "--m", "2", "--max-total", "4",
+      "--format", "csv"],
+     "214c796afa67c2c07f361f62bef173737e82cfd4d9f1f96f4f306e31bb68e664"),
+    (["hilbert", "verify", "--n", "6", "--max-total", "3", "--pivot", "custom:3,1,2,5,6,4"],
+     "9cf02934594e598f29dca43a7401a77fce1926d9aa8d9af82c0c2a612e819c6d"),
+    (["verify-theorem-a", "--n", "5", "--max-total", "4"],
+     "bba0829ef15f207d3d5a91be5470dab641ddf9e84b6279e97e9f0d2ef5cdef7d"),
+    (["koszul", "--n", "4", "--kmax", "5"],
+     "add33ff0e94eed12f2eedfcc80114761081912f03b97363a99b22da8a667c09f"),
+    (["singular", "--kind", "bnm", "--n", "2", "--m", "2"],
+     "0bd376e703d0e272aa31338181d55db7fe6d4d9e988d277ad68cd18bfb1829a8"),
+    (["sample", "--kind", "bnm", "--n", "4", "--m", "3", "--count", "30", "--seed", "7"],
+     "57122e9b9e537f0a96ec47b8f10caf121812a98a8b7e98fed384a0a14eb7ee28"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", REPORT_PINS, ids=[" ".join(a) for a, _ in REPORT_PINS])
+def test_report_is_pinned(argv, digest, capsysbinary):
+    code, out = run(argv, capsysbinary)
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_seed_changes_sample_payload(capsysbinary):
