@@ -55,11 +55,6 @@ class Rationals:
             raise ZeroDivisionError("inverse of zero in QQ")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in QQ")
-        return Fraction(a) / b
-
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -148,9 +143,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of zero in GF({self.p})")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0

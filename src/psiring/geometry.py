@@ -199,22 +199,28 @@ def jacobian_rank_at(spec: PresentationSpec, values: list[Fraction]) -> int:
     return rank_sparse_rational(rows)
 
 
-def poly_det(mat: list[list[Poly]]) -> Poly:
-    """Determinant by cofactor expansion along the first row."""
-    c = len(mat)
-    if c == 0:
-        raise UsageError("poly_det needs a nonempty matrix")
-    if c == 1:
-        return mat[0][0]
-    field, nvars = mat[0][0].field, mat[0][0].nvars
-    out = Poly.zero(field, nvars)
-    for col in range(c):
-        entry = mat[0][col]
+def _minor(jac: list[list[Poly]], rows: tuple[int, ...], cols: tuple[int, ...],
+           memo: dict) -> Poly:
+    """Determinant of jac on rows x cols by cofactor expansion along the first row.
+
+    memo maps (rows, cols) to every sub-determinant already expanded, so minors
+    that share their lower rows share the work; the sum runs in the same order
+    either way, so each minor's terms come out in the same order.
+    """
+    if len(rows) == 1:
+        return jac[rows[0]][cols[0]]
+    out = memo.get((rows, cols))
+    if out is not None:
+        return out
+    first = jac[rows[0]]
+    out = Poly.zero(first[0].field, first[0].nvars)
+    for k, col in enumerate(cols):
+        entry = first[col]
         if entry.is_zero():
             continue
-        sub = [[row[x] for x in range(c) if x != col] for row in mat[1:]]
-        term = entry.mul(poly_det(sub))
-        out = out.add(term) if col % 2 == 0 else out.sub(term)
+        term = entry.mul(_minor(jac, rows[1:], cols[:k] + cols[k + 1:], memo))
+        out = out.add(term) if k % 2 == 0 else out.sub(term)
+    memo[rows, cols] = out
     return out
 
 
@@ -228,10 +234,11 @@ def singular_minors(spec: PresentationSpec, c: int,
     _refuse_minors(spec, c, budget)
     nrel, nv = len(spec.relations), spec.nvars
     jac = jacobian(spec)
+    memo: dict = {}
     out = []
     for rsel in combinations(range(nrel), c):
         for csel in combinations(range(nv), c):
-            d = poly_det([[jac[r][x] for x in csel] for r in rsel])
+            d = _minor(jac, rsel, csel, memo)
             if not d.is_zero():
                 out.append(d)
     return out

@@ -5,13 +5,17 @@ the normal selection strategy.  An optional total-degree cap makes the run a
 truncated completion: for homogeneous input every discarded S-pair lives above
 the cap, so normal forms below the cap are still those of the full basis.
 
-The bookkeeping is done once per object, not once per use.  Each Poly remembers
-its leading term and that term's support mask (orders.exp_mask).  Each queued
-pair carries its selection key (lcm degree, order key of the lcm, j, i), so the
-queue is a heap.  Every divisibility scan (the normal-form divisor search, the
-pair and chain filters, interreduction, standard monomials) compares support
-masks before exponent tuples, and normal_form computes each term's order key
-at most once per call.
+The run works on packed monomials (orders.Packing): each monomial is one
+integer code, so a product is an addition, a divisibility test one subtraction
+and mask, and the lcm a masked select.  A PackedRing carries the packing, the
+field and a sort key for every code it has met, memoized for the whole run:
+an integer under grevlex, the order's own key of the unpacked exponents under
+lex and block orders.  Basis members are kept as reducers (leading code, tail
+negated and divided by the leading coefficient), built once when the member
+joins.  Each queued pair carries its selection key (lcm degree, order key of
+the lcm, j, i), so the queue is a heap.  A product whose exponent reaches a
+guard bit stops the run, which starts again with twice the bits per
+exponent: no exponent ever wraps into its neighbour.
 
 Krull dimension comes from the leading terms alone: the dimension of the
 quotient is the largest variable set that contains no leading-term support,
@@ -23,12 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop
 from math import lcm
+from typing import NamedTuple
 
 from .errors import UsageError
 from .exactla import sparse_echelon
 from .fields import Field
-from .orders import (MonomialOrder, exp_degree, exp_div, exp_lcm, exp_mask, exp_mul,
-                     mask_divides)
+from .orders import GREVLEX, MonomialOrder, Packing, PackingOverflow
 from .poly import Poly
 from .presentation import PresentationSpec
 
@@ -51,56 +55,134 @@ class GroebnerBasis:
         return len(self.basis)
 
 
-def normal_form(p: Poly, basis: list[Poly], order: MonomialOrder) -> Poly:
+class Terms(dict):
+    """A packed polynomial {code: nonzero coefficient}."""
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self
+
+
+class Reducer(NamedTuple):
+    """A monic basis member: its leading code and its other terms as
+    (code, -coefficient) pairs, so that reducing c*x^(lead+s) adds
+    c * coefficient to the code + s of each pair."""
+
+    lead: int
+    tail: tuple[tuple[int, object], ...]
+
+
+class PackedRing:
+    """Polynomials over a field in packed codes under one order.
+
+    keys holds a sort key of every code met so far.  Under grevlex it is the
+    integer (degree << code bits) - code, which sorts as order.key: codes
+    compare from the last variable down, and at equal degree grevlex prefers
+    the smaller exponent there.  Under lex and block orders it is order.key
+    of the unpacked exponents, so each code is unpacked at most once.
+    """
+
+    def __init__(self, field: Field, order: MonomialOrder, packing: Packing):
+        self.field = field
+        self.order = order
+        self.packing = packing
+        self.keys: dict[int, object] = {}
+        self._top = packing.width * packing.nvars
+
+    def key(self, code: int):
+        k = self.keys.get(code)
+        if k is None:
+            if self.order.kind == GREVLEX:
+                k = (self.packing.degree(code) << self._top) - code
+            else:
+                k = self.order.key(self.packing.unpack(code))
+            self.keys[code] = k
+        return k
+
+    def pack(self, p: Poly) -> Terms:
+        pack = self.packing.pack
+        return Terms((pack(e), c) for e, c in p.terms.items())
+
+    def reducer(self, t: Terms) -> Reducer:
+        """The monic multiple of the nonzero t, as a reducer."""
+        field = self.field
+        lead = max(t, key=self.key)
+        scale = field.neg(field.inv(t[lead]))
+        return Reducer(lead, tuple((e, field.mul(c, scale)) for e, c in t.items() if e != lead))
+
+    def to_poly(self, g: Reducer) -> Poly:
+        """The reducer as a monic Poly: its tail, then its leading term."""
+        field, unpack = self.field, self.packing.unpack
+        terms = {unpack(e): field.neg(c) for e, c in g.tail}
+        terms[unpack(g.lead)] = field.one()
+        return Poly(field, self.packing.nvars, terms)
+
+
+def normal_form(p: Terms, basis: list[Reducer], ring: PackedRing) -> Terms:
     """Full remainder of p on division by the basis.
 
     Each term is reduced by the first basis member whose leading term divides
     it.  For a Groebner basis the remainder does not depend on the members'
-    order in the list.
+    order in the list.  Raises PackingOverflow when a product leaves the
+    packing.
     """
-    field = p.field
-    reducers = []
-    for g in basis:
-        lt, lc = g.leading(order)
-        reducers.append((g.leading_mask(order), lt, lc, g))
-    key = order.key
-    work = dict(p.terms)
-    keys = {e: key(e) for e in work}  # each term's order key, computed once per call
-    remainder: dict = {}
+    guard = ring.packing.guard
+    prime = ring.field.characteristic
+    keys, key = ring.keys, ring.key
+    for e in p:
+        key(e)
+    work = dict(p)
+    remainder = Terms()
     while work:
         e = max(work, key=keys.__getitem__)
         c = work.pop(e)
-        me = exp_mask(e)
-        for mt, lt, lc, g in reducers:
-            if mask_divides(lt, mt, e, me):
+        eg = e | guard
+        for lt, tail in basis:
+            if (eg - lt) & guard == guard:
                 break
         else:
             remainder[e] = c
             continue
-        scale = field.div(c, lc)
-        shift = exp_div(e, lt)
-        for ge, gc in g.terms.items():
-            te = exp_mul(ge, shift)
-            if te == e:
-                continue  # the leading term cancels exactly
-            v = field.sub(work.get(te, field.zero()), field.mul(scale, gc))
-            if field.is_zero(v):
-                work.pop(te, None)
-            else:
-                work[te] = v
+        shift = e - lt
+        for ge, gc in tail:
+            te = ge + shift
+            v = work.get(te)
+            if v is None:
+                if te & guard:
+                    raise PackingOverflow("an exponent outgrew its packed field")
+                work[te] = c * gc % prime if prime else c * gc
                 if te not in keys:
-                    keys[te] = key(te)
-    return Poly(field, p.nvars, remainder)
+                    key(te)
+                continue
+            v = (v + c * gc) % prime if prime else v + c * gc
+            if v:
+                work[te] = v
+            else:
+                del work[te]
+    return remainder
 
 
-def s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
-    field = f.field
-    ef, cf = f.leading(order)
-    eg, cg = g.leading(order)
-    l = exp_lcm(ef, eg)
-    a = f.mul_term(exp_div(l, ef), field.inv(cf))
-    b = g.mul_term(exp_div(l, eg), field.inv(cg))
-    return a.sub(b)
+def s_poly(f: Reducer, g: Reducer, ring: PackedRing) -> Terms:
+    """lcm/lt(f) * f - lcm/lt(g) * g for monic f and g; the lcm terms cancel."""
+    guard = ring.packing.guard
+    prime = ring.field.characteristic
+    l = ring.packing.lcm(f.lead, g.lead)
+    out = Terms()
+    for reducer, sign in ((f, -1), (g, 1)):
+        shift = l - reducer.lead
+        for e, c in reducer.tail:
+            te = e + shift
+            if te & guard:
+                raise PackingOverflow("an exponent outgrew its packed field")
+            v = out.get(te, 0) + sign * c
+            if prime:
+                v %= prime
+            if v:
+                out[te] = v
+            else:
+                out.pop(te, None)
+    return out
 
 
 def buchberger(
@@ -112,6 +194,8 @@ def buchberger(
 
     cap discards S-pairs whose lcm total degree exceeds it; this requires
     homogeneous input (checked) and yields a basis valid up to the cap.
+    The packing starts wide enough for the input's exponents, at least 8 bits,
+    and doubles whenever a product outgrows it.
     """
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
@@ -124,79 +208,92 @@ def buchberger(
         for p in polys:
             if not _is_homogeneous(p):
                 raise UsageError("degree-capped completion needs homogeneous input")
+    top = max((x for p in polys for e in p.terms for x in e), default=0)
+    packing = Packing.fitting(nvars, top)
+    while True:
+        try:
+            basis, complete = _complete(polys, PackedRing(field, order, packing), cap)
+        except PackingOverflow:
+            packing = Packing(nvars, 2 * packing.bits)
+            continue
+        return GroebnerBasis(field, nvars, order, basis, complete=complete, cap=cap)
 
-    G: list[Poly] = []
-    lts: list[tuple[int, ...]] = []
-    masks: list[int] = []
-    # queued pairs as (lcm degree, order key of lcm, j, i, lcm, lcm mask) with i < j:
+
+def _complete(polys: list[Poly], ring: PackedRing, cap: int | None) -> tuple[list[Poly], bool]:
+    """The interreduced basis as Polys, and whether no S-pair was discarded."""
+    pk = ring.packing
+    guard = pk.guard
+    G: list[Reducer] = []
+    # queued pairs as (lcm degree, order key of lcm, j, i, lcm) with i < j:
     # the heap pops them in the normal-strategy order, ties broken by j then i
     pairs: list[tuple] = []
     truncated = False
 
-    def add(p: Poly):
+    def add(g: Reducer):
         nonlocal pairs, truncated
         t = len(G)
-        G.append(p.monic(order))
-        lt = p.leading(order)[0]
-        mt = p.leading_mask(order)
-        lts.append(lt)
-        masks.append(mt)
-        cand = [(exp_lcm(lts[i], lt), masks[i] | mt) for i in range(t)]
+        G.append(g)
+        lt = g.lead
+        cand = [pk.lcm(h.lead, lt) for h in G[:t]]
+        degs = [pk.degree(l) for l in cand]
         # pair filter: drop (i,t) when some other new pair's lcm strictly divides;
+        # a strict divisor has a lower degree, so only those lcms are tested
+        below = {d: [lj for lj, dj in zip(cand, degs) if dj < d] for d in set(degs)}
         # group the kept pairs by lcm
-        classes: dict[tuple[int, ...], list[int]] = {}
-        for i, (l, ml) in enumerate(cand):
-            for lj, mj in cand:
-                if lj != l and mask_divides(lj, mj, l, ml):
+        classes: dict[int, list[int]] = {}
+        for i, l in enumerate(cand):
+            lg = l | guard
+            for lj in below[degs[i]]:
+                if (lg - lj) & guard == guard:
                     break
             else:
                 classes.setdefault(l, []).append(i)
-        # a coprime member (disjoint supports) kills the class, else keep one
+        # a coprime member (lcm = product) kills the class, else keep one
         fresh = []
         for l, members in classes.items():
-            if any(not masks[i] & mt for i in members):
+            if any(cand[i] == G[i].lead + lt for i in members):
                 continue
-            d = exp_degree(l)
+            d = degs[members[0]]
             if cap is not None and d > cap:
                 truncated = True
                 continue
             i = members[0]
-            fresh.append((d, order.key(l), t, i, l, cand[i][1]))
+            fresh.append((d, ring.key(l), t, i, l))
         # chain filter on the old queue
         old = []
         for item in pairs:
-            _, _, j, i, l, ml = item
-            if mask_divides(lt, mt, l, ml) and cand[i][0] != l and cand[j][0] != l:
+            _, _, j, i, l = item
+            if ((l | guard) - lt) & guard == guard and cand[i] != l and cand[j] != l:
                 continue
             old.append(item)
         pairs = old + fresh
         heapify(pairs)
 
-    for p in sorted(polys, key=lambda q: order.key(q.leading(order)[0])):
-        add(p)
+    gens = [ring.reducer(ring.pack(p)) for p in polys]
+    for g in sorted(gens, key=lambda g: ring.key(g.lead)):
+        add(g)
 
     while pairs:
-        _, _, j, i, _, _ = heappop(pairs)
-        h = normal_form(s_poly(G[i], G[j], order), G, order)
+        _, _, j, i, _ = heappop(pairs)
+        h = normal_form(s_poly(G[i], G[j], ring), G, ring)
         if not h.is_zero():
-            add(h)
+            add(ring.reducer(h))
 
-    return GroebnerBasis(field, nvars, order, _interreduce(G, order, field),
-                         complete=not truncated, cap=cap)
+    return _interreduce(G, ring), not truncated
 
 
 def _is_homogeneous(p: Poly) -> bool:
     return len({sum(e) for e in p.terms}) <= 1
 
 
-def _interreduce(G: list[Poly], order: MonomialOrder, field: Field) -> list[Poly]:
+def _interreduce(G: list[Reducer], ring: PackedRing) -> list[Poly]:
     """Drop redundant members, then fully reduce each tail; sort for determinism."""
-    lts = [g.leading(order)[0] for g in G]
-    masks = [g.leading_mask(order) for g in G]
+    divides, neg = ring.packing.divides, ring.field.neg
+    lts = [g.lead for g in G]
     keep = []
     for t, lt in enumerate(lts):
         redundant = any(
-            mask_divides(lts[s], masks[s], lt, masks[t]) and (lts[s] != lt or s < t)
+            divides(lts[s], lt) and (lts[s] != lt or s < t)
             for s in range(len(G)) if s != t
         )
         if not redundant:
@@ -205,14 +302,11 @@ def _interreduce(G: list[Poly], order: MonomialOrder, field: Field) -> list[Poly
     out = []
     for t, g in enumerate(kept):
         others = out + kept[t + 1:]
-        lt, lc = g.leading(order)
-        tail = Poly(field, g.nvars, {e: c for e, c in g.terms.items() if e != lt})
-        red = normal_form(tail, others, order) if others else tail
-        terms = dict(red.terms)
-        terms[lt] = lc
-        out.append(Poly(field, g.nvars, terms).monic(order))
-    out.sort(key=lambda g: order.key(g.leading(order)[0]))
-    return out
+        tail = Terms((e, neg(c)) for e, c in g.tail)
+        red = normal_form(tail, others, ring) if others else tail
+        out.append(Reducer(g.lead, tuple((e, neg(c)) for e, c in red.items())))
+    out.sort(key=lambda g: ring.key(g.lead))
+    return [ring.to_poly(g) for g in out]
 
 
 def groebner_for(spec: PresentationSpec, order: MonomialOrder | None = None,
@@ -274,11 +368,14 @@ def standard_monomial_count(gb: GroebnerBasis, spec: PresentationSpec,
 
     if gb.cap is not None and sum(a) > gb.cap:
         raise UsageError(f"total degree {sum(a)} exceeds the truncation cap {gb.cap}")
-    lts = [(g.leading(gb.order)[0], g.leading_mask(gb.order)) for g in gb.basis]
+    lts = gb.leading_exponents()
+    pk = Packing.fitting(spec.nvars, max([x for e in lts for x in e] + list(a), default=0))
+    codes = [pk.pack(e) for e in lts]
+    divides = pk.divides
     count = 0
     for mono in enumerate_monomials(spec, a):
-        mm = exp_mask(mono)
-        if not any(mask_divides(lt, ml, mono, mm) for lt, ml in lts):
+        m = pk.pack(mono)
+        if not any(divides(lt, m) for lt in codes):
             count += 1
     return count
 

@@ -1,8 +1,11 @@
-"""Monomial orders on dense exponent tuples.
+"""Monomial orders on dense exponent tuples, and monomials packed into integers.
 
 Orders are exposed as key functions: key(e1) > key(e2) exactly when the
 monomial e1 is larger.  All three kinds are total, multiplicative and have
 1 as the minimal element, which the test suite checks on random triples.
+Packing turns a monomial into one integer code on which multiplication,
+division, divisibility, lcm and degree are a few integer operations; the
+Groebner engine and the slice row builder both use it.
 """
 
 from __future__ import annotations
@@ -49,37 +52,78 @@ class MonomialOrder:
         return (tuple(mdeg), grevlex_key)
 
 
-# -- exponent tuple helpers ---------------------------------------------------
+# -- exponent tuples and packed codes ------------------------------------------
 
 def exp_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b))
 
-def exp_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """True when monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
 
-def exp_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Quotient exponent a/b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+class PackingOverflow(ArithmeticError):
+    """A packed product has an exponent too large for its packing's fields."""
 
-def exp_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
-def exp_degree(a: tuple[int, ...]) -> int:
-    return sum(a)
+class Packing:
+    """Monomials in nvars variables as packed integers.
 
-def exp_mask(a: tuple[int, ...]) -> int:
-    """Support mask of a monomial: bit v is set exactly when a[v] > 0.
+    The code of an exponent tuple e is sum(e[i] << (width * i)).  Each
+    exponent must be below 2^bits; bit `bits` of each field is its guard bit,
+    and the bits above it leave room for the total degree, so that
+    width = bits + nvars.bit_length().  On codes whose exponents are in range:
 
-    a divides b only if mask(a) & ~mask(b) == 0, so the mask rejects most
-    non-divisors before the tuple test, whatever the exponents' size.
+    - the product of two monomials is the sum of their codes, and the quotient
+      by a divisor is the difference;
+    - a sum overflowed some exponent exactly when it has a guard bit set
+      (two fields below 2^bits add up below 2^width, so no field carries
+      into its neighbour);
+    - a divides b exactly when ((b | guard) - a) & guard == guard;
+    - the lcm takes each field from the operand whose guard survived the
+      subtraction, a masked select;
+    - the total degree is code % (2^width - 1), exact because nvars fields
+      below 2^bits sum to less than 2^width - 1.
+
+    Codes compare field by field from the last variable down, so among
+    monomials of one total degree descending code is ascending grevlex.
     """
-    m = 0
-    for v, x in enumerate(a):
-        if x:
-            m |= 1 << v
-    return m
 
-def mask_divides(a: tuple[int, ...], ma: int, b: tuple[int, ...], mb: int) -> bool:
-    """exp_divides(a, b), given ma = exp_mask(a) and mb = exp_mask(b)."""
-    return not ma & ~mb and exp_divides(a, b)
+    __slots__ = ("nvars", "bits", "width", "guard", "_modulus", "_field")
+
+    def __init__(self, nvars: int, bits: int):
+        self.nvars = nvars
+        self.bits = bits
+        self.width = bits + nvars.bit_length()
+        self.guard = sum(1 << (self.width * i + bits) for i in range(nvars))
+        self._modulus = (1 << self.width) - 1
+        self._field = (1 << bits) - 1
+
+    @classmethod
+    def fitting(cls, nvars: int, top: int) -> "Packing":
+        """A packing for exponents up to top, with at least 8 bits per field."""
+        return cls(nvars, max(8, top.bit_length()))
+
+    def pack(self, exp: tuple[int, ...], positions=None) -> int:
+        """Code of the monomial with exponent exp[k] on variable positions[k]
+        (on variable k when positions is None); refuses an exponent out of range."""
+        if positions is None:
+            positions = range(len(exp))
+        w, code = self.width, 0
+        for p, e in zip(positions, exp):
+            if e >> self.bits:
+                raise PackingOverflow(f"exponent {e} needs more than {self.bits} bits")
+            code += e << (w * p)
+        return code
+
+    def unpack(self, code: int) -> tuple[int, ...]:
+        w, f = self.width, self._field
+        return tuple((code >> (w * i)) & f for i in range(self.nvars))
+
+    def divides(self, a: int, b: int) -> bool:
+        g = self.guard
+        return ((b | g) - a) & g == g
+
+    def lcm(self, a: int, b: int) -> int:
+        ge = ((a | self.guard) - b) & self.guard  # guard bits of the fields where a >= b
+        take_a = ge - (ge >> self.bits)  # those fields' value bits
+        return (a & take_a) | (b & ~take_a)
+
+    def degree(self, code: int) -> int:
+        return code % self._modulus

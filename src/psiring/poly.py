@@ -10,7 +10,7 @@ is built, so its leading term can be remembered.
 from __future__ import annotations
 
 from .fields import Field, same_field
-from .orders import MonomialOrder, exp_mask, exp_mul
+from .orders import MonomialOrder, exp_mul
 
 
 def multidegree(exp: tuple[int, ...], blocks: tuple[int, ...], nblocks: int) -> tuple[int, ...]:
@@ -29,7 +29,7 @@ class Poly:
         self.field = field
         self.nvars = nvars
         self.terms = terms if terms is not None else {}
-        self._lead = None  # (order, exponent, coefficient, support mask) of the leading term
+        self._lead = None  # (order, exponent, coefficient) of the leading term
 
     # -- constructors ---------------------------------------------------------
 
@@ -73,13 +73,8 @@ class Poly:
         if lead is None or lead[0] is not order:
             assert self.terms, "zero polynomial has no leading term"
             e = max(self.terms, key=order.key)
-            lead = self._lead = (order, e, self.terms[e], exp_mask(e))
+            lead = self._lead = (order, e, self.terms[e])
         return lead[1], lead[2]
-
-    def leading_mask(self, order: MonomialOrder) -> int:
-        """exp_mask of the leading exponent under the given order."""
-        self.leading(order)
-        return self._lead[3]
 
     def __eq__(self, other):
         return (
@@ -121,19 +116,6 @@ class Poly:
     def sub(self, other: "Poly") -> "Poly":
         return self.add(other.neg())
 
-    def scale(self, c) -> "Poly":
-        F = self.field
-        if F.is_zero(c):
-            return Poly(F, self.nvars)
-        return Poly(F, self.nvars, {e: F.mul(v, c) for e, v in self.terms.items()})
-
-    def mul_term(self, exp: tuple[int, ...], c) -> "Poly":
-        """Multiply by the single term c * x^exp."""
-        F = self.field
-        if F.is_zero(c):
-            return Poly(F, self.nvars)
-        return Poly(F, self.nvars, {exp_mul(e, exp): F.mul(v, c) for e, v in self.terms.items()})
-
     def mul(self, other: "Poly") -> "Poly":
         self._check(other)
         F = self.field
@@ -147,14 +129,6 @@ class Poly:
                 else:
                     terms[e] = s
         return Poly(F, self.nvars, terms)
-
-    def monic(self, order: MonomialOrder) -> "Poly":
-        if not self.terms:
-            return self
-        e, lc = self.leading(order)
-        out = self.scale(self.field.inv(lc))
-        out._lead = (order, e, out.terms[e], self._lead[3])  # scaling keeps the leading exponent
-        return out
 
     def derivative(self, pos: int) -> "Poly":
         F = self.field

@@ -16,6 +16,7 @@ from math import comb
 from .errors import UsageError
 from .exactla import rank_sparse_mod_p, rank_sparse_rational
 from .fields import DEFAULT_PRIME, RETRY_PRIMES
+from .orders import Packing
 from .presentation import PresentationSpec
 from .series import compositions
 
@@ -79,15 +80,13 @@ def relation_product_rows(spec: PresentationSpec, a: tuple[int, ...]) -> tuple[l
 class _RowPlan:
     """What relation_product_rows needs of a presentation, computed once per spec.
 
-    Monomials are packed exponent codes, code(m) = sum(m[i] << (width * i)).
-    Packing is additive, code(m * m') = code(m) + code(m'), and tells apart
-    monomials whose exponents are all below 2^width.  No exponent in slice a
-    exceeds max(a), so a slice with max(a) >= 2^width replaces the plan with
-    a wider one.
+    Monomials are packed codes (orders.Packing), so a relation term times a
+    monomial is the sum of their codes.  No exponent in slice a exceeds
+    max(a), so a slice with max(a) >= 2^bits replaces the plan with a wider one.
     """
 
-    def __init__(self, spec: PresentationSpec, width: int):
-        self.width = width
+    def __init__(self, spec: PresentationSpec, top: int):
+        self.packing = Packing.fitting(spec.nvars, top)
         self.degrees = []
         for rel in spec.relations:
             rdeg = rel.poly_multidegree(spec.blocks, spec.nblocks)
@@ -99,27 +98,33 @@ class _RowPlan:
     @staticmethod
     def of(spec: PresentationSpec, top: int) -> "_RowPlan":
         plan = spec.cache.get("slice_rows")
-        if plan is None or top >> plan.width:
-            plan = spec.cache["slice_rows"] = _RowPlan(spec, max(8, top.bit_length()))
+        if plan is None or top >> plan.packing.bits:
+            plan = spec.cache["slice_rows"] = _RowPlan(spec, top)
         return plan
 
-    def pack(self, exp: tuple[int, ...]) -> int:
-        w = self.width
-        return sum(e << (w * i) for i, e in enumerate(exp) if e)
-
     def monomials(self, spec: PresentationSpec, a: tuple[int, ...]) -> list[int]:
-        """Codes of enumerate_monomials(spec, a), in that order."""
+        """Codes of enumerate_monomials(spec, a), in that order.
+
+        Each code is a sum of one composition code per block.  All monomials of
+        one slice share a total degree, where descending code is ascending grevlex.
+        """
         codes = self._monomials.get(a)
         if codes is None:
-            codes = self._monomials[a] = [self.pack(m) for m in enumerate_monomials(spec, a)]
+            pack = self.packing.pack
+            codes = [0]
+            for ai, pos in zip(a, spec.block_positions()):
+                block = [pack(c, pos) for c in compositions(ai, len(pos))]
+                codes = [x + y for x in codes for y in block]
+            codes.sort(reverse=True)
+            self._monomials[a] = codes
         return codes
 
     def terms(self, spec: PresentationSpec, k: int) -> tuple[tuple[int, int], ...]:
         """Relation k as (code, integer coefficient) pairs; refuses other coefficients."""
         terms = self._terms[k]
         if terms is None:
-            terms = self._terms[k] = tuple(
-                (self.pack(exp), _as_int(c, spec)) for exp, c in spec.relations[k].terms.items())
+            terms = self._terms[k] = tuple((self.packing.pack(exp), _as_int(c, spec))
+                                           for exp, c in spec.relations[k].terms.items())
         return terms
 
 

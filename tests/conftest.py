@@ -5,6 +5,9 @@ acceptance-line terminal summary.
 import pytest
 
 from psiring.fields import QQ, DEFAULT_PRIME, PrimeField
+from psiring.groebner import PackedRing, normal_form
+from psiring.orders import Packing
+from psiring.poly import Poly
 from psiring.presentation import build_an, build_bnm
 
 _CACHE = {}
@@ -37,6 +40,15 @@ def cached_bnm(n, m, field=None):
         spec = build_bnm(n, m)
         _CACHE[key] = spec if field is None else spec.to_field(field)
     return _CACHE[key]
+
+
+def reduce_poly(p, basis, order):
+    """Normal form of the Poly p by the Polys in basis, through the packed engine."""
+    top = max((x for q in [p, *basis] for e in q.terms for x in e), default=0)
+    ring = PackedRing(p.field, order, Packing.fitting(p.nvars, top))
+    reducers = [ring.reducer(ring.pack(g)) for g in basis]
+    nf = normal_form(ring.pack(p), reducers, ring)
+    return Poly(p.field, p.nvars, {ring.packing.unpack(e): c for e, c in nf.items()})
 
 
 @pytest.fixture(scope="session")

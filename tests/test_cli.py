@@ -276,6 +276,21 @@ REPORT_PINS = [
      "0bd376e703d0e272aa31338181d55db7fe6d4d9e988d277ad68cd18bfb1829a8"),
     (["sample", "--kind", "bnm", "--n", "4", "--m", "3", "--count", "30", "--seed", "7"],
      "57122e9b9e537f0a96ec47b8f10caf121812a98a8b7e98fed384a0a14eb7ee28"),
+    # Groebner bases in every order and field, capped and uncapped, and singular's run
+    (["gb", "run", "--n", "5", "--order", "lex"],
+     "6963e6c0273d1313d35c64bcf8832733217660f415d527e61d1929c35e6ade61"),
+    (["gb", "run", "--n", "5", "--order", "block"],
+     "0c532f201081a83271c21dd23f04da7a683ecfcfa12af82bc9fa6f367bcf2600"),
+    (["gb", "run", "--n", "5", "--field", "prime", "--pivot", "custom:3,1,5,2,4"],
+     "900b3468cde9415ad9aa7c7de0311b82d3eca07cbe7a71f349b667adafc9f5af"),
+    (["gb", "run", "--kind", "bnm", "--n", "3", "--m", "2"],
+     "31c3fafe9dbae724bc59c8cbee338a5c992255ecd0474fb3e65e70ef090e0766"),
+    (["gb", "run", "--n", "6"],
+     "4ef6345df803a33cbe9f25eaf6123423b23e8b1d73c92214a926646de900f6a7"),
+    (["gb", "run", "--n", "7", "--cap", "3"],
+     "e08c5a347d0cf48bdec6eb478c9d7bb5a68307e1b51cf3343f6691da2ddfaefd"),
+    (["singular", "--n", "4", "--pivot", "custom:3,4,1,2"],
+     "70aaca93386bbfd0cbfb506d710017a97525a3ed1685ba69e895ed18b2b11443"),
 ]
 
 

@@ -44,14 +44,13 @@ def test_inverses(field):
         if field.is_zero(a):
             continue
         assert field.mul(a, field.inv(a)) == field.one()
-        assert field.div(a, a) == field.one()
     with pytest.raises(ZeroDivisionError):
         field.inv(field.zero())
 
 
 def test_rational_payloads_are_fractions():
     assert QQ.from_int(3) == Fraction(3)
-    assert QQ.div(QQ.from_int(1), QQ.from_int(3)) == Fraction(1, 3)
+    assert QQ.inv(QQ.from_int(3)) == Fraction(1, 3)
     assert QQ.to_int(Fraction(7)) == 7
     assert QQ.to_int(Fraction(1, 3)) is None
 

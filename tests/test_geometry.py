@@ -137,11 +137,12 @@ def test_vanishing_is_exact_for_fractional_and_inhomogeneous_relations():
     rels = list(spec.relations)
     x0 = Poly.from_int_terms(QQ, spec.nvars, {(1,) + (0,) * (spec.nvars - 1): 1})
     const = Poly.const(QQ, spec.nvars, on[0])
-    half = dataclasses.replace(spec, relations=(rels[0].scale(Fraction(1, 2)), *rels[1:]))
+    halved = Poly(QQ, spec.nvars, {e: c / 2 for e, c in rels[0].terms.items()})
+    half = dataclasses.replace(spec, relations=(halved, *rels[1:]))
     mixed = dataclasses.replace(spec, relations=(
         rels[0].add(x0).sub(const),            # degrees 2, 1, 0; vanishes at `on`
         rels[1].add(x0),                       # vanishes only where x0 = 0
-        x0.mul(x0).sub(x0.scale(on[0])),       # x0^2 - v*x0, fractional coefficient
+        x0.mul(x0).sub(x0.mul(const)),         # x0^2 - v*x0, fractional coefficient
         *rels[3:]))
     for s in (half, mixed):
         assert s.cache == {}

@@ -12,21 +12,21 @@ from psiring.errors import UsageError
 from psiring.fields import QQ, PrimeField
 from psiring.geometry import singular_minors
 from psiring.groebner import (
+    PackedRing,
     buchberger,
     groebner_for,
     krull_dimension,
     leading_terms_agree,
     linear_interreduce,
-    normal_form,
     s_poly,
     standard_monomial_count,
 )
-from psiring.orders import GREVLEX, LEX, MonomialOrder, exp_divides, exp_mask, mask_divides
+from psiring.orders import BLOCK_GREVLEX, GREVLEX, LEX, MonomialOrder, Packing
 from psiring.poly import Poly
 from psiring.presentation import CUSTOM, PivotScheme, build_an
 from psiring.rng import SplitMix64
 from psiring.series import TotalBound, degree_grid, lee_series
-from conftest import cached_an, cached_bnm
+from conftest import cached_an, cached_bnm, reduce_poly
 from test_presentation import formula
 
 GF = PrimeField(32003)
@@ -40,9 +40,11 @@ def p_of(field, nvars, int_terms):
 def test_sp_poly_cancels_leading_terms():
     f = p_of(QQ, 2, {(2, 0): 1, (0, 1): 1})
     g = p_of(QQ, 2, {(1, 1): 1, (1, 0): 1})
-    s = s_poly(f, g, ORDER)
+    pk = Packing(2, 8)
+    ring = PackedRing(QQ, ORDER, pk)
+    s = s_poly(ring.reducer(ring.pack(f)), ring.reducer(ring.pack(g)), ring)
     # both lcm-scaled leading terms cancel
-    assert ORDER.key(s.leading(ORDER)[0]) < ORDER.key((2, 1))
+    assert max(ORDER.key(pk.unpack(e)) for e in s) < ORDER.key((2, 1))
 
 
 def test_textbook_completion():
@@ -55,7 +57,7 @@ def test_textbook_completion():
     assert lts == {(2, 0), (1, 1), (0, 2)}
     # x*y^2 reduces to x under the completed basis
     h = p_of(QQ, 2, {(1, 2): 1})
-    nf = normal_form(h, gb.basis, ORDER)
+    nf = reduce_poly(h, gb.basis, ORDER)
     assert nf == p_of(QQ, 2, {(1, 0): 1})
 
 
@@ -69,10 +71,10 @@ def test_normal_form_is_idempotent_and_linear():
             e = tuple(rng.randint(0, 2) for _ in range(spec.nvars))
             terms[e] = rng.randint(-5, 5)
         f = Poly.from_int_terms(GF, spec.nvars, terms)
-        nf = normal_form(f, gb.basis, gb.order)
-        assert normal_form(nf, gb.basis, gb.order) == nf
+        nf = reduce_poly(f, gb.basis, gb.order)
+        assert reduce_poly(nf, gb.basis, gb.order) == nf
         # f - nf lies in the ideal
-        assert normal_form(f.sub(nf), gb.basis, gb.order).is_zero()
+        assert reduce_poly(f.sub(nf), gb.basis, gb.order).is_zero()
 
 
 def test_conifold_basis_is_the_single_relation():
@@ -143,12 +145,12 @@ def test_confluence_probe_on_random_elements():
             e = tuple(rng.randint(0, 1) for _ in range(spec.nvars))
             terms[e] = rng.randint(1, 7)
         f = Poly.from_int_terms(GF, spec.nvars, terms)
-        base = normal_form(f, gb.basis, gb.order)
+        base = reduce_poly(f, gb.basis, gb.order)
         basis = list(gb.basis)
         shuffler = random.Random(trial)
         for _ in range(6):
             shuffler.shuffle(basis)
-            assert normal_form(f, basis, gb.order) == base
+            assert reduce_poly(f, basis, gb.order) == base
 
 
 def test_spanning_pair_relations_reduce_to_zero():
@@ -156,7 +158,7 @@ def test_spanning_pair_relations_reduce_to_zero():
     gb = groebner_for(spec)
     r = formula(spec, 1, 3, 2, 5)
     assert not r.is_zero()
-    assert normal_form(r, gb.basis, gb.order).is_zero()
+    assert reduce_poly(r, gb.basis, gb.order).is_zero()
 
 
 def test_basis_is_reduced_and_monic():
@@ -199,7 +201,10 @@ def test_linear_interreduce_output_is_pinned(field, digest):
     assert len(gens) == 714
     out = linear_interreduce(gens, ORDER)
     assert len(out) == 126
-    rows = [[(e, field.to_str(c)) for e, c in p.monic(ORDER).sorted_terms(ORDER)] for p in out]
+    rows = []
+    for p in out:
+        scale = field.inv(p.leading(ORDER)[1])
+        rows.append([(e, field.to_str(field.mul(c, scale))) for e, c in p.sorted_terms(ORDER)])
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
@@ -219,10 +224,10 @@ def test_a5_completion_work_is_pinned(monkeypatch):
     pairs = []
     real_s_poly, real_normal_form = groebner.s_poly, groebner.normal_form
 
-    def s_poly_spy(f, g, order):
+    def s_poly_spy(f, g, ring):
         calls["s_poly"] += 1
-        pairs.append((f.leading(order)[0], g.leading(order)[0]))
-        return real_s_poly(f, g, order)
+        pairs.append((ring.packing.unpack(f.lead), ring.packing.unpack(g.lead)))
+        return real_s_poly(f, g, ring)
 
     def normal_form_spy(*args, **kwargs):
         calls["normal_form"] += 1
@@ -237,7 +242,7 @@ def test_a5_completion_work_is_pinned(monkeypatch):
     assert digest == "f565966d2ebb823298f23147155522e481215897bc0de48b4c791ee9fef29a84"
 
 
-def test_mask_gate_agrees_with_tuple_divisibility():
+def test_packed_divisibility_agrees_with_tuple_divisibility():
     rng = SplitMix64(0x5EED)
     # exponents up to 2^8, 2^20 and 2^72 (randint draws below 2^64, then scales)
     for top, scale in ((3, 1), (2 ** 8, 1), (2 ** 20, 1), (2 ** 62, 2 ** 10)):
@@ -251,10 +256,10 @@ def test_mask_gate_agrees_with_tuple_divisibility():
                 b = tuple(x + draw(0) for x in a)
             else:
                 b = tuple(draw(1) for _ in range(nv))
-            ma, mb = exp_mask(a), exp_mask(b)
-            assert ma == sum(1 << v for v, x in enumerate(a) if x > 0)
-            assert mask_divides(a, ma, b, mb) == exp_divides(a, b)
-            assert mask_divides(b, mb, a, ma) == exp_divides(b, a)
+            pk = Packing.fitting(nv, max(a + b))
+            ca, cb = pk.pack(a), pk.pack(b)
+            assert pk.divides(ca, cb) == all(x <= y for x, y in zip(a, b))
+            assert pk.divides(cb, ca) == all(y <= x for x, y in zip(a, b))
 
 
 def test_leading_term_memo_is_keyed_by_order():
@@ -263,7 +268,6 @@ def test_leading_term_memo_is_keyed_by_order():
     assert f.leading(ORDER) == ((0, 3), QQ.from_int(5))
     assert f.leading(lex) == ((2, 0), QQ.from_int(3))
     assert f.leading(ORDER) == ((0, 3), QQ.from_int(5))
-    assert f.leading_mask(lex) == 0b01
 
 
 @pytest.mark.parametrize("n,pivot", [
@@ -283,3 +287,48 @@ def test_leading_terms_match_sympy(n, pivot):
     ref = sympy.groebner(polys, *gens, order="grevlex")
     want = sorted(sympy.Poly(g, *gens).monoms(order="grevlex")[0] for g in ref.exprs)
     assert sorted(groebner_for(spec).leading_exponents()) == want
+
+
+@pytest.mark.parametrize("order", [
+    MonomialOrder(GREVLEX), MonomialOrder(LEX),
+    MonomialOrder(BLOCK_GREVLEX, blocks=(0, 0, 1, 1, 2), nblocks=3),
+], ids=lambda o: o.kind)
+def test_packed_keys_sort_as_the_order_key(order):
+    rng = SplitMix64(0xABC)
+    pk = Packing(5, 8)
+    ring = PackedRing(QQ, order, pk)
+    exps = {tuple(rng.randint(0, 3) for _ in range(5)) for _ in range(300)}
+    by_code = sorted(exps, key=lambda e: ring.key(pk.pack(e)))
+    assert by_code == sorted(exps, key=order.key)
+
+
+def test_exponents_past_the_first_width_are_repacked(monkeypatch):
+    # lex x > y > z: x - y^200 packs in 8-bit fields, but reducing x^2 by it
+    # makes y^400, so the run starts again at 16 bits and finishes there
+    widths = []
+    real = groebner.PackedRing
+
+    def ring_spy(field, order, packing):
+        widths.append(packing.bits)
+        return real(field, order, packing)
+
+    monkeypatch.setattr(groebner, "PackedRing", ring_spy)
+    lex = MonomialOrder(LEX)
+    f = p_of(QQ, 3, {(1, 0, 0): 1, (0, 200, 0): -1})
+    g = p_of(QQ, 3, {(2, 0, 0): 1, (0, 0, 1): -1})
+    gb = buchberger([f, g], lex)
+    assert widths == [8, 16]
+    assert gb.basis == [p_of(QQ, 3, {(0, 400, 0): 1, (0, 0, 1): -1}), f]
+
+    # x^300 needs 9 bits from the start; the completion stays inside them
+    widths.clear()
+    f = p_of(QQ, 3, {(300, 0, 0): 1, (0, 300, 0): -1})
+    g = p_of(QQ, 3, {(1, 2, 0): 1, (0, 0, 1): -1})
+    gb = buchberger([f, g], ORDER)
+    assert widths == [9]
+    sympy = pytest.importorskip("sympy")
+    x, y, z = sympy.symbols("x y z")
+    ref = sympy.groebner([x ** 300 - y ** 300, x * y ** 2 - z], x, y, z, order="grevlex")
+    want = {frozenset((e, QQ.from_int(int(c))) for e, c in sympy.Poly(r, x, y, z).terms())
+            for r in ref.exprs}
+    assert {frozenset(g.terms.items()) for g in gb.basis} == want

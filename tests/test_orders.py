@@ -7,10 +7,8 @@ from psiring.orders import (
     GREVLEX,
     LEX,
     MonomialOrder,
-    exp_degree,
-    exp_div,
-    exp_divides,
-    exp_lcm,
+    Packing,
+    PackingOverflow,
     exp_mul,
 )
 from psiring.rng import SplitMix64
@@ -74,11 +72,55 @@ def test_block_order_compares_multidegree_first():
 def test_exponent_helpers():
     a, b = (2, 1, 0, 0, 3, 0), (1, 1, 1, 0, 0, 0)
     assert exp_mul(a, b) == (3, 2, 1, 0, 3, 0)
-    assert exp_lcm(a, b) == (2, 1, 1, 0, 3, 0)
-    assert exp_degree(a) == 6
-    assert not exp_divides(a, b)
-    assert exp_divides(b, exp_mul(a, b))
-    assert exp_div(exp_mul(a, b), b) == a
+    pk = Packing(NVARS, 8)
+    ca, cb = pk.pack(a), pk.pack(b)
+    assert pk.unpack(ca + cb) == (3, 2, 1, 0, 3, 0)
+    assert pk.unpack(pk.lcm(ca, cb)) == (2, 1, 1, 0, 3, 0)
+    assert pk.degree(ca) == 6
+    assert not pk.divides(ca, cb)
+    assert pk.divides(cb, ca + cb)
+    assert pk.unpack(ca + cb - cb) == a
+    assert pk.pack((1, 2), positions=(4, 1)) == pk.pack((0, 2, 0, 0, 1, 0))
+
+
+@pytest.mark.parametrize("bits", [1, 3, 8, 16])
+def test_packing_agrees_with_tuple_arithmetic(bits):
+    # product, quotient, divisibility, lcm and degree against their tuple
+    # definitions; a third of the exponents sit at the largest a field holds
+    rng = SplitMix64(0xBEEF + bits)
+    top = (1 << bits) - 1
+    for _ in range(400):
+        nv = rng.randint(1, 40)
+        pk = Packing(nv, bits)
+
+        def draw():
+            return tuple(top if rng.randint(0, 2) == 0 else rng.randint(0, top)
+                         for _ in range(nv))
+
+        a, b = draw(), draw()
+        ca, cb = pk.pack(a), pk.pack(b)
+        assert pk.unpack(ca) == a
+        assert pk.degree(ca) == sum(a)
+        assert pk.unpack(pk.lcm(ca, cb)) == tuple(max(x, y) for x, y in zip(a, b))
+        divides = all(x <= y for x, y in zip(a, b))
+        assert pk.divides(ca, cb) == divides
+        if divides:
+            assert pk.unpack(cb - ca) == tuple(y - x for x, y in zip(a, b))
+        # a product overflows exactly when some exponent sum leaves the field
+        prod = ca + cb
+        assert bool(prod & pk.guard) == any(x + y > top for x, y in zip(a, b))
+        if not prod & pk.guard:
+            assert pk.unpack(prod) == exp_mul(a, b)
+            assert pk.degree(prod) == sum(a) + sum(b)
+
+
+def test_packing_refuses_exponents_past_its_fields():
+    pk = Packing(2, 8)
+    assert pk.unpack(pk.pack((255, 0))) == (255, 0)
+    with pytest.raises(PackingOverflow):
+        pk.pack((256, 0))
+    assert Packing.fitting(2, 300).bits == 9
+    assert Packing.fitting(2, 3).bits == 8
 
 
 def test_unknown_kind_rejected():
