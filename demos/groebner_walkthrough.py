@@ -12,12 +12,12 @@ from psiring.groebner import (
     krull_dimension,
     leading_terms_agree,
     normal_form,
-    standard_monomial_count,
 )
 from psiring.orders import Packing
 from psiring.poly import Poly, poly_text
 from psiring.presentation import build_an, build_bnm
-from psiring.series import TotalBound, lee_series
+from psiring.series import lee_series
+from psiring.slices import standard_monomial_count
 
 
 def reduce(p, basis, order):
@@ -41,7 +41,7 @@ def main():
     print(f"\nKrull dimension from the leading-term ideal: {krull_dimension(gb)}")
 
     print("\nstandard monomials per degree match the series")
-    series = lee_series(4, TotalBound(3))
+    series = lee_series(4, 3)
     for a in [(1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (2, 1, 0, 0)]:
         std = standard_monomial_count(gb, spec, a)
         print(f"  {a}: {std} standard monomials, series {series.coefficient(a)}")

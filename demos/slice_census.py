@@ -7,13 +7,13 @@ Run:  python3 demos/slice_census.py
 """
 
 from psiring.presentation import build_an
-from psiring.series import TotalBound, degree_grid, lee_series
+from psiring.series import degree_grid, lee_series
 from psiring.slices import slice_dimension
 
 
 def main():
     spec = build_an(4)
-    series = lee_series(4, TotalBound(4))
+    series = lee_series(4, 4)
 
     print("A(4) slices up to total degree 4")
     print(f"{'degree':>14} {'monomials':>10} {'rank':>6} {'dim':>5} {'series':>7}")
@@ -33,7 +33,7 @@ def main():
 
     print("\nhigh-degree spot checks on A(5)")
     spec5 = build_an(5)
-    series5 = lee_series(5, TotalBound(5))
+    series5 = lee_series(5, 5)
     for a in [(1, 1, 1, 1, 1), (2, 1, 1, 1, 0), (3, 2, 0, 0, 0)]:
         rep = slice_dimension(spec5, a)
         print(f"  {a}: dim {rep.dimension} vs series {series5.coefficient(a)}")

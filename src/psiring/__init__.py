@@ -28,7 +28,6 @@ from .groebner import (
     groebner_for,
     krull_dimension,
     normal_form,
-    standard_monomial_count,
 )
 from .koszul import dual_tower, koszul_prediction, koszul_summary
 from .orders import MonomialOrder
@@ -41,7 +40,6 @@ from .presentation import (
     tensor_relation_space,
 )
 from .series import (
-    TotalBound,
     TruncatedSeries,
     curve_module_series,
     degree_grid,
@@ -50,7 +48,7 @@ from .series import (
     lee_series_restricted,
     total_hilbert,
 )
-from .slices import SliceReport, slice_dimension
+from .slices import SliceReport, slice_dimension, standard_monomial_count
 
 __all__ = [
     "BudgetError", "UsageError",
@@ -58,13 +56,13 @@ __all__ = [
     "PointConfig", "alpha_values", "channels_consistent", "jacobian_rank_at",
     "pole_table", "sample_config", "singular_locus_dim", "verify_vanishing",
     "GroebnerBasis", "buchberger", "groebner_for", "krull_dimension",
-    "normal_form", "standard_monomial_count",
+    "normal_form",
     "dual_tower", "koszul_prediction", "koszul_summary",
     "MonomialOrder", "Poly",
     "PivotScheme", "PresentationSpec", "build_an", "build_bnm",
     "tensor_relation_space",
-    "TotalBound", "TruncatedSeries", "curve_module_series", "degree_grid",
+    "TruncatedSeries", "curve_module_series", "degree_grid",
     "lee_coefficient", "lee_series", "lee_series_restricted", "total_hilbert",
-    "SliceReport", "slice_dimension",
+    "SliceReport", "slice_dimension", "standard_monomial_count",
     "__version__",
 ]

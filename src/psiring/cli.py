@@ -26,26 +26,15 @@ from .geometry import (
     singular_locus_dim,
     verify_vanishing,
 )
-from .groebner import (
-    groebner_for,
-    krull_dimension,
-    leading_terms_agree,
-    standard_monomial_count,
-)
+from .groebner import groebner_for, krull_dimension, leading_terms_agree
 from .koszul import DEFAULT_ELEMENT_BUDGET, b2_structural, koszul_prediction, koszul_summary
 from .orders import BLOCK_GREVLEX, GREVLEX, LEX, MonomialOrder
 from .poly import poly_text
 from .presentation import CYCLIC, CUSTOM, PivotScheme, build_an, build_bnm, presentation_to_dict
 from .reports import Report, make_check, render
 from .rng import SplitMix64
-from .series import (
-    TotalBound,
-    curve_module_series,
-    degree_grid,
-    lee_series,
-    lee_series_restricted,
-)
-from .slices import slice_dimension
+from .series import curve_module_series, degree_grid, lee_series, lee_series_restricted
+from .slices import slice_dimension, standard_monomial_count
 from .util import parallel_map
 
 TOOL = "psiring"
@@ -174,14 +163,14 @@ def _config_echo(args, **extra) -> dict:
     return cfg
 
 
-def _series_for(args, bound: TotalBound):
+def _series_for(args, limit: int):
     if args.kind == "an":
-        return lee_series(args.n, bound)
-    return lee_series_restricted(args.n, args.m, bound)
+        return lee_series(args.n, limit)
+    return lee_series_restricted(args.n, args.m, limit)
 
 
 def _coefficient_table(report: Report, series, nvars: int):
-    rows = [list(a) + [series.coefficient(a)] for a in series.bound.degrees(nvars)]
+    rows = [list(a) + [series.coefficient(a)] for a in degree_grid(nvars, series.limit)]
     cols = [f"a[{i + 1}]" for i in range(nvars)] + ["coefficient"]
     report.add_table("coefficients", cols, rows)
 
@@ -207,12 +196,11 @@ def cmd_hilbert(args) -> Report:
     D = args.max_total
     if D < 0:
         raise UsageError(f"negative --max-total {D}")
-    bound = TotalBound(D)
     report = Report(TOOL, __version__, _config_echo(args, max_total=D))
 
     if args.action == "lee":
         _pivot(args)  # the series does not read it, but a bad --pivot or --m is still refused
-        series = _series_for(args, bound)
+        series = _series_for(args, D)
         _coefficient_table(report, series, args.n)
         return report
 
@@ -229,7 +217,7 @@ def cmd_hilbert(args) -> Report:
         return report
 
     # verify: slices against the series, plus the pointwise anchors
-    series = _series_for(args, bound)
+    series = _series_for(args, D)
     rows, mism = [], 0
     for r in slices:
         want = series.coefficient(r.multidegree)
@@ -271,16 +259,16 @@ def _add_anchor_checks(report: Report, args, series, D: int):
             str({N * N + N + 1}), str(pair_vals),
         ))
     if args.kind == "an" and n == 3:
-        vals = {series.coefficient(a) for a in series.bound.degrees(n)}
+        vals = {series.coefficient(a) for a in degree_grid(n, D)}
         report.add(make_check("series-all-ones", {"n": 3}, "{1}", str(vals)))
     if args.kind == "bnm" and (n, args.m) == (2, 2):
-        bad = [a for a in series.bound.degrees(2)
+        bad = [a for a in degree_grid(2, D)
                if series.coefficient(a) != a[0] + a[1] + 1]
         report.add(make_check("conifold-coefficients", {"max_total": D},
                               "0 exceptions", f"{len(bad)} exceptions"))
     if args.kind == "an" and n >= 4:
-        cm = curve_module_series(n, TotalBound(D))
-        rs = lee_series_restricted(n - 1, 1, TotalBound(D))
+        cm = curve_module_series(n, D)
+        rs = lee_series_restricted(n - 1, 1, D)
         report.add(make_check(
             "curve-module-factorization", {"n": n, "max_total": D},
             "identical series", "identical series" if cm == rs else "series differ",
@@ -417,7 +405,7 @@ def cmd_verify_theorem_a(args) -> Report:
     if args.n <= 6:
         spec = _spec(args, field=parse_field(f"prime:{DEFAULT_PRIME}"))
         gb = groebner_for(spec)
-        series = lee_series(args.n, TotalBound(args.max_total))
+        series = lee_series(args.n, args.max_total)
         mism = 0
         for a in degree_grid(args.n, args.max_total):
             if standard_monomial_count(gb, spec, a) != series.coefficient(a):

@@ -17,6 +17,7 @@ the lcm, j, i), so the queue is a heap.  A product whose exponent reaches a
 guard bit stops the run, which starts again with twice the bits per
 exponent: no exponent ever wraps into its neighbour.
 
+The basis records each member's leading exponent as the engine found it.
 Krull dimension comes from the leading terms alone: the dimension of the
 quotient is the largest variable set that contains no leading-term support,
 computed as variables minus a minimum hitting set.
@@ -39,17 +40,16 @@ from .presentation import PresentationSpec
 
 @dataclass
 class GroebnerBasis:
-    """An interreduced, monic basis; complete means no S-pair was discarded."""
+    """An interreduced, monic basis; leads[i] is the leading exponent of basis[i]
+    under the order, and complete means no S-pair was discarded."""
 
     field: Field
     nvars: int
     order: MonomialOrder
     basis: list[Poly]
+    leads: list[tuple[int, ...]]
     complete: bool
     cap: int | None = None
-
-    def leading_exponents(self) -> list[tuple[int, ...]]:
-        return [g.leading(self.order)[0] for g in self.basis]
 
     def __len__(self):
         return len(self.basis)
@@ -211,16 +211,18 @@ def buchberger(
     top = max((x for p in polys for e in p.terms for x in e), default=0)
     packing = Packing.fitting(nvars, top)
     while True:
+        ring = PackedRing(field, order, packing)
         try:
-            basis, complete = _complete(polys, PackedRing(field, order, packing), cap)
+            basis, complete = _complete(polys, ring, cap)
         except PackingOverflow:
             packing = Packing(nvars, 2 * packing.bits)
             continue
-        return GroebnerBasis(field, nvars, order, basis, complete=complete, cap=cap)
+        return GroebnerBasis(field, nvars, order, [ring.to_poly(g) for g in basis],
+                             [packing.unpack(g.lead) for g in basis], complete=complete, cap=cap)
 
 
-def _complete(polys: list[Poly], ring: PackedRing, cap: int | None) -> tuple[list[Poly], bool]:
-    """The interreduced basis as Polys, and whether no S-pair was discarded."""
+def _complete(polys: list[Poly], ring: PackedRing, cap: int | None) -> tuple[list[Reducer], bool]:
+    """The interreduced basis, and whether no S-pair was discarded."""
     pk = ring.packing
     guard = pk.guard
     G: list[Reducer] = []
@@ -286,7 +288,7 @@ def _is_homogeneous(p: Poly) -> bool:
     return len({sum(e) for e in p.terms}) <= 1
 
 
-def _interreduce(G: list[Reducer], ring: PackedRing) -> list[Poly]:
+def _interreduce(G: list[Reducer], ring: PackedRing) -> list[Reducer]:
     """Drop redundant members, then fully reduce each tail; sort for determinism."""
     divides, neg = ring.packing.divides, ring.field.neg
     lts = [g.lead for g in G]
@@ -306,14 +308,14 @@ def _interreduce(G: list[Reducer], ring: PackedRing) -> list[Poly]:
         red = normal_form(tail, others, ring) if others else tail
         out.append(Reducer(g.lead, tuple((e, neg(c)) for e, c in red.items())))
     out.sort(key=lambda g: ring.key(g.lead))
-    return [ring.to_poly(g) for g in out]
+    return out
 
 
 def groebner_for(spec: PresentationSpec, order: MonomialOrder | None = None,
                  cap: int | None = None) -> GroebnerBasis:
     order = order or spec.default_order()
     if not spec.relations:  # the zero ideal: its basis is empty (A_3 has no relations)
-        return GroebnerBasis(spec.field, spec.nvars, order, [], complete=True, cap=cap)
+        return GroebnerBasis(spec.field, spec.nvars, order, [], [], complete=True, cap=cap)
     return buchberger(list(spec.relations), order, cap=cap)
 
 
@@ -328,7 +330,7 @@ def krull_dimension(gb: GroebnerBasis) -> int:
     if not gb.complete:
         raise UsageError("Krull dimension needs a complete basis (no degree cap cuts)")
     supports = []
-    for e in gb.leading_exponents():
+    for e in gb.leads:
         s = frozenset(i for i, v in enumerate(e) if v)
         if not s:
             return -1
@@ -361,28 +363,9 @@ def _min_hitting_set(supports: list[frozenset]) -> int:
     return best[0]
 
 
-def standard_monomial_count(gb: GroebnerBasis, spec: PresentationSpec,
-                            a: tuple[int, ...]) -> int:
-    """Monomials of multidegree a not divisible by any leading term."""
-    from .slices import enumerate_monomials
-
-    if gb.cap is not None and sum(a) > gb.cap:
-        raise UsageError(f"total degree {sum(a)} exceeds the truncation cap {gb.cap}")
-    lts = gb.leading_exponents()
-    pk = Packing.fitting(spec.nvars, max([x for e in lts for x in e] + list(a), default=0))
-    codes = [pk.pack(e) for e in lts]
-    divides = pk.divides
-    count = 0
-    for mono in enumerate_monomials(spec, a):
-        m = pk.pack(mono)
-        if not any(divides(lt, m) for lt in codes):
-            count += 1
-    return count
-
-
 def leading_terms_agree(g1: GroebnerBasis, g2: GroebnerBasis) -> bool:
     """Same leading-term sets: the cross-field (prime vs rational) comparison."""
-    return sorted(g1.leading_exponents()) == sorted(g2.leading_exponents())
+    return sorted(g1.leads) == sorted(g2.leads)
 
 
 # -- linear preprocessing for large generator sets --------------------------------

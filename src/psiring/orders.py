@@ -45,14 +45,19 @@ class MonomialOrder:
         grevlex_key = (sum(e), tuple(-x for x in reversed(e)))
         if self.kind == GREVLEX:
             return grevlex_key
-        mdeg = [0] * self.nblocks
-        for pos, exp in enumerate(e):
-            if exp:
-                mdeg[self.blocks[pos]] += exp
-        return (tuple(mdeg), grevlex_key)
+        return (multidegree(e, self.blocks, self.nblocks), grevlex_key)
 
 
 # -- exponent tuples and packed codes ------------------------------------------
+
+def multidegree(exp: tuple[int, ...], blocks: tuple[int, ...], nblocks: int) -> tuple[int, ...]:
+    """Sum exponents block-wise: the Z^n degree of a monomial."""
+    out = [0] * nblocks
+    for pos, e in enumerate(exp):
+        if e:
+            out[blocks[pos]] += e
+    return tuple(out)
+
 
 def exp_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b))

@@ -4,32 +4,22 @@ A Poly stores {exponent tuple: nonzero coefficient payload}.  The exponent
 tuple is dense over a fixed variable list whose meaning (names, blocks) lives
 in the owning presentation; the polynomial itself only knows nvars and the
 field.  All arithmetic is exact.  A Poly's terms are never changed after it
-is built, so its leading term can be remembered.
+is built.
 """
 
 from __future__ import annotations
 
 from .fields import Field, same_field
-from .orders import MonomialOrder, exp_mul
-
-
-def multidegree(exp: tuple[int, ...], blocks: tuple[int, ...], nblocks: int) -> tuple[int, ...]:
-    """Sum exponents block-wise: the Z^n degree of a monomial."""
-    out = [0] * nblocks
-    for pos, e in enumerate(exp):
-        if e:
-            out[blocks[pos]] += e
-    return tuple(out)
+from .orders import MonomialOrder, exp_mul, multidegree
 
 
 class Poly:
-    __slots__ = ("field", "nvars", "terms", "_lead")
+    __slots__ = ("field", "nvars", "terms")
 
     def __init__(self, field: Field, nvars: int, terms: dict | None = None):
         self.field = field
         self.nvars = nvars
         self.terms = terms if terms is not None else {}
-        self._lead = None  # (order, exponent, coefficient) of the leading term
 
     # -- constructors ---------------------------------------------------------
 
@@ -63,18 +53,6 @@ class Poly:
         if len(degs) != 1:
             return None
         return degs.pop()
-
-    def leading(self, order: MonomialOrder) -> tuple[tuple[int, ...], object]:
-        """(leading exponent, leading coefficient) under the given order.
-
-        Remembered for the last order object asked; another order recomputes it.
-        """
-        lead = self._lead
-        if lead is None or lead[0] is not order:
-            assert self.terms, "zero polynomial has no leading term"
-            e = max(self.terms, key=order.key)
-            lead = self._lead = (order, e, self.terms[e])
-        return lead[1], lead[2]
 
     def __eq__(self, other):
         return (

@@ -6,34 +6,20 @@ The multigraded Hilbert series of A_n is
 
 and adjoining m extra evaluation points raises the exponent to n+m-3 while
 keeping only the first n variables.  Two independent evaluators are kept:
-series arithmetic truncated to one bound, total degree at most a limit, and a
+series arithmetic truncated at one limit on the total degree, and a
 per-coefficient closed form via multinomials; the tests check them against
 each other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
 from .errors import UsageError
 
 
-# -- the truncation bound and its degree grid ------------------------------------
-
-@dataclass(frozen=True)
-class TotalBound:
-    """Keep every multidegree with total degree <= limit: the one truncation bound."""
-
-    limit: int
-
-    def contains(self, a: tuple[int, ...]) -> bool:
-        return sum(a) <= self.limit
-
-    def degrees(self, nvars: int) -> tuple[tuple[int, ...], ...]:
-        return degree_grid(nvars, self.limit)
-
+# -- the degree grid -------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
@@ -57,36 +43,33 @@ def degree_grid(nblocks: int, limit: int) -> tuple[tuple[int, ...], ...]:
 # -- the series type -------------------------------------------------------------
 
 class TruncatedSeries:
-    """Integer-coefficient series on a fixed truncation bound.
+    """Integer-coefficient series kept to total degree at most limit.
 
-    Coefficients outside the bound are not stored and asking for one raises:
+    Coefficients above the limit are not stored and asking for one raises:
     truncation is always explicit, never silent.
     """
 
-    __slots__ = ("nvars", "bound", "coeffs")
+    __slots__ = ("nvars", "limit", "coeffs")
 
-    def __init__(self, nvars: int, bound: TotalBound, coeffs: dict | None = None):
+    def __init__(self, nvars: int, limit: int, coeffs: dict | None = None):
         self.nvars = nvars
-        self.bound = bound
+        self.limit = limit
         self.coeffs = coeffs if coeffs is not None else {}
 
     @staticmethod
-    def one(nvars: int, bound: TotalBound) -> "TruncatedSeries":
-        return TruncatedSeries(nvars, bound, {(0,) * nvars: 1})
+    def one(nvars: int, limit: int) -> "TruncatedSeries":
+        return TruncatedSeries(nvars, limit, {(0,) * nvars: 1})
 
     def coefficient(self, a: tuple[int, ...]) -> int:
         if len(a) != self.nvars:
             raise UsageError(f"degree vector length {len(a)} != {self.nvars} variables")
-        if not self.bound.contains(a):
-            raise UsageError(f"degree {a} outside truncation bound {self.bound}")
+        if sum(a) > self.limit:
+            raise UsageError(f"degree {a} above the truncation limit {self.limit}")
         return self.coeffs.get(tuple(a), 0)
 
-    def _check(self, other: "TruncatedSeries"):
-        if self.nvars != other.nvars or self.bound != other.bound:
-            raise UsageError("series bounds or variable counts differ")
-
     def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
+        if self.nvars != other.nvars or self.limit != other.limit:
+            raise UsageError("series limits or variable counts differ")
         out = dict(self.coeffs)
         for a, c in other.coeffs.items():
             v = out.get(a, 0) + c
@@ -94,37 +77,17 @@ class TruncatedSeries:
                 out[a] = v
             else:
                 out.pop(a, None)
-        return TruncatedSeries(self.nvars, self.bound, out)
-
-    def sub(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self.add(other.scale(-1))
-
-    def scale(self, c: int) -> "TruncatedSeries":
-        if c == 0:
-            return TruncatedSeries(self.nvars, self.bound)
-        return TruncatedSeries(self.nvars, self.bound, {a: c * v for a, v in self.coeffs.items()})
-
-    def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Plain truncated product; quadratic in term counts, fine at desk scale."""
-        self._check(other)
-        bound = self.bound
-        out: dict = {}
-        for a1, c1 in self.coeffs.items():
-            for a2, c2 in other.coeffs.items():
-                a = tuple(x + y for x, y in zip(a1, a2))
-                if bound.contains(a):
-                    out[a] = out.get(a, 0) + c1 * c2
-        return TruncatedSeries(self.nvars, self.bound, {a: c for a, c in out.items() if c})
+        return TruncatedSeries(self.nvars, self.limit, out)
 
     def mul_geometric(self, axis: int) -> "TruncatedSeries":
         """Multiply by 1/(1-q_axis): a prefix sum along the axis, linear time."""
         out: dict = {}
-        for a in self.bound.degrees(self.nvars):  # by total degree: a - e_axis comes first
+        for a in degree_grid(self.nvars, self.limit):  # by total degree: a - e_axis comes first
             below = out.get(_dec(a, axis), 0) if a[axis] else 0
             v = self.coeffs.get(a, 0) + below
             if v:
                 out[a] = v
-        return TruncatedSeries(self.nvars, self.bound, out)
+        return TruncatedSeries(self.nvars, self.limit, out)
 
     def mul_shift_geometric(self, axis: int) -> "TruncatedSeries":
         """Multiply by q_axis/(1-q_axis)."""
@@ -133,10 +96,9 @@ class TruncatedSeries:
         for a, c in geom.coeffs.items():
             up = list(a)
             up[axis] += 1
-            t = tuple(up)
-            if self.bound.contains(t):
-                out[t] = c
-        return TruncatedSeries(self.nvars, self.bound, out)
+            if sum(up) <= self.limit:
+                out[tuple(up)] = c
+        return TruncatedSeries(self.nvars, self.limit, out)
 
     def mul_one_plus_all_shift_geometric(self) -> "TruncatedSeries":
         """Multiply by (1 + sum_i q_i/(1-q_i)) in one pass over the axes."""
@@ -149,12 +111,12 @@ class TruncatedSeries:
         return (
             isinstance(other, TruncatedSeries)
             and self.nvars == other.nvars
-            and self.bound == other.bound
+            and self.limit == other.limit
             and self.coeffs == other.coeffs
         )
 
     def __repr__(self):
-        return f"TruncatedSeries({self.nvars} vars, {len(self.coeffs)} terms, {self.bound})"
+        return f"TruncatedSeries({self.nvars} vars, {len(self.coeffs)} terms, limit {self.limit})"
 
 
 def _dec(a: tuple[int, ...], axis: int) -> tuple[int, ...]:
@@ -165,11 +127,11 @@ def _dec(a: tuple[int, ...], axis: int) -> tuple[int, ...]:
 
 # -- the Hilbert series builders --------------------------------------------------
 
-def psi_series(nvars: int, exponent: int, bound: TotalBound) -> TruncatedSeries:
+def psi_series(nvars: int, exponent: int, limit: int) -> TruncatedSeries:
     """(1 + sum g_i)^exponent / prod(1 - q_i) with g_i = q_i/(1-q_i), truncated."""
     if exponent < 0:
         raise UsageError(f"negative exponent {exponent}")
-    s = TruncatedSeries.one(nvars, bound)
+    s = TruncatedSeries.one(nvars, limit)
     for axis in range(nvars):
         s = s.mul_geometric(axis)
     for _ in range(exponent):
@@ -177,26 +139,26 @@ def psi_series(nvars: int, exponent: int, bound: TotalBound) -> TruncatedSeries:
     return s
 
 
-def lee_series(n: int, bound: TotalBound) -> TruncatedSeries:
-    """Multigraded Hilbert series of A_n, truncated to the bound."""
+def lee_series(n: int, limit: int) -> TruncatedSeries:
+    """Multigraded Hilbert series of A_n to total degree limit."""
     if n < 3:
         raise UsageError(f"lee_series needs n >= 3, got {n}")
-    return psi_series(n, n - 3, bound)
+    return psi_series(n, n - 3, limit)
 
 
-def lee_series_restricted(n: int, m: int, bound: TotalBound) -> TruncatedSeries:
+def lee_series_restricted(n: int, m: int, limit: int) -> TruncatedSeries:
     """Hilbert series of B_{n,m} in the n marked-point gradings."""
     if n < 2 or m < 0 or n + m < 3:
         raise UsageError(f"lee_series_restricted needs n >= 2, m >= 0, n+m >= 3; got ({n},{m})")
-    return psi_series(n, n + m - 3, bound)
+    return psi_series(n, n + m - 3, limit)
 
 
-def curve_module_series(n: int, bound: TotalBound) -> TruncatedSeries:
+def curve_module_series(n: int, limit: int) -> TruncatedSeries:
     """Series of the universal-curve coordinate ring over A_{n-1}:
     (1 + sum_{i<n} q_i/(1-q_i)) * lee_series(n-1), an (n-1)-variable series."""
     if n < 4:
         raise UsageError(f"curve_module_series needs n >= 4, got {n}")
-    return lee_series(n - 1, bound).mul_one_plus_all_shift_geometric()
+    return lee_series(n - 1, limit).mul_one_plus_all_shift_geometric()
 
 
 def lee_coefficient(n: int, a: tuple[int, ...], m: int = 0) -> int:

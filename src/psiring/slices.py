@@ -5,17 +5,21 @@ so the quotient dimension is  #monomials(a) - rank(product rows)  and the rank
 is plain linear algebra: no Groebner basis is involved.  Ranks run over a word
 size prime field and, when the slice is small enough, are confirmed by exact
 rational elimination; otherwise a second prime stands in as the cross-check.
+
+The Groebner route counts the same slice as its standard monomials: those not
+divisible by any leading term.  Both routes walk one list of monomial codes
+per slice, cached with the presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import comb
 
 from .errors import UsageError
 from .exactla import rank_sparse_mod_p, rank_sparse_rational
 from .fields import DEFAULT_PRIME, RETRY_PRIMES
+from .groebner import GroebnerBasis
 from .orders import Packing
 from .presentation import PresentationSpec
 from .series import compositions
@@ -35,23 +39,6 @@ def count_monomials(spec: PresentationSpec, a: tuple[int, ...]) -> int:
     return out
 
 
-def enumerate_monomials(spec: PresentationSpec, a: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All exponent tuples of multidegree a, ascending in the presentation order."""
-    _check_degree(spec, a)
-    positions = spec.block_positions()
-    chunks = [compositions(ai, len(pos)) for ai, pos in zip(a, positions)]
-    out: list[tuple[int, ...]] = []
-    exp = [0] * spec.nvars
-    for combo in product(*chunks):
-        for pos, c in zip(positions, combo):
-            for p, v in zip(pos, c):
-                exp[p] = v
-        out.append(tuple(exp))
-    order = spec.default_order()
-    out.sort(key=order.key)
-    return out
-
-
 def _check_degree(spec: PresentationSpec, a: tuple[int, ...]):
     if len(a) != spec.nblocks:
         raise UsageError(f"multidegree length {len(a)} != {spec.nblocks} blocks")
@@ -60,8 +47,9 @@ def _check_degree(spec: PresentationSpec, a: tuple[int, ...]):
 
 
 def relation_product_rows(spec: PresentationSpec, a: tuple[int, ...]) -> tuple[list[dict[int, int]], int]:
-    """Integer rows of every relation * monomial landing in multidegree a,
-    in the basis enumerate_monomials(spec, a).  Returns (rows, ncols)."""
+    """Integer rows of every relation * monomial landing in multidegree a, one
+    column per monomial of a, ascending in the presentation order.  Returns
+    (rows, ncols)."""
     _check_degree(spec, a)
     plan = _RowPlan.of(spec, max(a, default=0))
     basis = plan.monomials(spec, tuple(a))
@@ -78,7 +66,8 @@ def relation_product_rows(spec: PresentationSpec, a: tuple[int, ...]) -> tuple[l
 
 
 class _RowPlan:
-    """What relation_product_rows needs of a presentation, computed once per spec.
+    """What the slice rows and standard monomial counts need of a presentation,
+    computed once per spec.
 
     Monomials are packed codes (orders.Packing), so a relation term times a
     monomial is the sum of their codes.  No exponent in slice a exceeds
@@ -103,10 +92,11 @@ class _RowPlan:
         return plan
 
     def monomials(self, spec: PresentationSpec, a: tuple[int, ...]) -> list[int]:
-        """Codes of enumerate_monomials(spec, a), in that order.
+        """Codes of every monomial of multidegree a, ascending in the presentation order.
 
         Each code is a sum of one composition code per block.  All monomials of
-        one slice share a total degree, where descending code is ascending grevlex.
+        one slice share their multidegree, so the presentation order is grevlex
+        there, and descending code is ascending grevlex.
         """
         codes = self._monomials.get(a)
         if codes is None:
@@ -126,6 +116,21 @@ class _RowPlan:
             terms = self._terms[k] = tuple((self.packing.pack(exp), _as_int(c, spec))
                                            for exp, c in spec.relations[k].terms.items())
         return terms
+
+
+def standard_monomial_count(gb: GroebnerBasis, spec: PresentationSpec,
+                            a: tuple[int, ...]) -> int:
+    """Monomials of multidegree a not divisible by any leading term of gb."""
+    _check_degree(spec, a)
+    if gb.cap is not None and sum(a) > gb.cap:
+        raise UsageError(f"total degree {sum(a)} exceeds the truncation cap {gb.cap}")
+    top = max(a, default=0)
+    plan = _RowPlan.of(spec, top)
+    pack, divides = plan.packing.pack, plan.packing.divides
+    # no exponent in slice a exceeds max(a), so a larger one divides nothing here
+    leads = [pack(e) for e in gb.leads if max(e, default=0) <= top]
+    return sum(1 for m in plan.monomials(spec, tuple(a))
+               if not any(divides(lt, m) for lt in leads))
 
 
 def _as_int(coeff, spec: PresentationSpec) -> int:

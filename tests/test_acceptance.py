@@ -20,17 +20,16 @@ from psiring.geometry import (
     singular_locus_dim,
     verify_vanishing,
 )
-from psiring.groebner import groebner_for, krull_dimension, standard_monomial_count
+from psiring.groebner import groebner_for, krull_dimension
 from psiring.koszul import b2_structural, dual_tower, koszul_prediction
 from psiring.rng import SplitMix64
 from psiring.series import (
-    TotalBound,
     curve_module_series,
     degree_grid,
     lee_series,
     lee_series_restricted,
 )
-from psiring.slices import slice_dimension
+from psiring.slices import slice_dimension, standard_monomial_count
 from psiring.util import parallel_map
 from conftest import cached_an, cached_bnm, record_acceptance
 
@@ -68,7 +67,7 @@ def test_criterion_1_slice_dimensions_match_series():
     t0 = time.perf_counter()
     bad = []
     for n, limit in GRIDS.items():
-        series = lee_series(n, TotalBound(limit))
+        series = lee_series(n, limit)
         for a, dim in slice_dims(n, limit).items():
             if dim != series.coefficient(a):
                 bad.append((n, a, dim, series.coefficient(a)))
@@ -82,7 +81,7 @@ def test_criterion_1_slice_dimensions_match_series():
 def test_criterion_2_pointwise_anchors():
     bad = []
     for n in range(3, 8):
-        s = lee_series(n, TotalBound(2))
+        s = lee_series(n, 2)
         for i in range(n):
             e = tuple(1 if t == i else 0 for t in range(n))
             if s.coefficient(e) != n - 2:
@@ -91,8 +90,8 @@ def test_criterion_2_pointwise_anchors():
                 p = tuple(1 if t in (i, j) else 0 for t in range(n))
                 if s.coefficient(p) != (n - 2) ** 2 - (n - 3):
                     bad.append((n, p))
-    s3 = lee_series(3, TotalBound(8))
-    bad += [(3, a) for a in s3.bound.degrees(3) if s3.coefficient(a) != 1]
+    s3 = lee_series(3, 8)
+    bad += [(3, a) for a in degree_grid(3, s3.limit) if s3.coefficient(a) != 1]
     ok = emit(2, "unit and pair anchors for 3 <= n <= 7; all-ones table at n = 3",
               not bad)
     assert ok, bad[:5]
@@ -103,14 +102,14 @@ def test_criterion_3_restricted_family_dimensions():
     bad = []
     for n, m in [(2, 2), (3, 1), (3, 2), (4, 1)]:
         spec = cached_bnm(n, m)
-        series = lee_series_restricted(n, m, TotalBound(5))
+        series = lee_series_restricted(n, m, 5)
         grid = degree_grid(n, 5)
         reps = parallel_map(lambda a: slice_dimension(spec, a), grid, threads=8)
         for a, rep in zip(grid, reps):
             if rep.dimension != series.coefficient(a):
                 bad.append((n, m, a))
-    conifold = lee_series_restricted(2, 2, TotalBound(5))
-    bad += [("conifold", a) for a in conifold.bound.degrees(2)
+    conifold = lee_series_restricted(2, 2, 5)
+    bad += [("conifold", a) for a in degree_grid(2, conifold.limit)
             if conifold.coefficient(a) != a[0] + a[1] + 1]
     ok = emit(3, "restricted-family slices match the series for four (n, m) "
                  f"pairs at |a| <= 5; conifold is a+b+1 "
@@ -121,9 +120,9 @@ def test_criterion_3_restricted_family_dimensions():
 def test_criterion_4_curve_module_factorization():
     bad = []
     for n in (4, 5):
-        cm = curve_module_series(n, TotalBound(6))
-        rs = lee_series_restricted(n - 1, 1, TotalBound(6))
-        for a in cm.bound.degrees(n - 1):
+        cm = curve_module_series(n, 6)
+        rs = lee_series_restricted(n - 1, 1, 6)
+        for a in degree_grid(n - 1, cm.limit):
             if cm.coefficient(a) != rs.coefficient(a):
                 bad.append((n, a))
     ok = emit(4, "curve-module series factors through the one-extra-point "
@@ -138,7 +137,7 @@ def test_criterion_5_groebner_triple_agreement():
         limit = GRIDS[n]
         spec = cached_an(n, GF)
         gb = groebner_for(spec)
-        series = lee_series(n, TotalBound(limit))
+        series = lee_series(n, limit)
         dims = slice_dims(n, limit)
         for a in degree_grid(n, limit):
             std = standard_monomial_count(gb, spec, a)

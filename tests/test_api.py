@@ -1,13 +1,19 @@
 """The public surface is what the package uses: every exported name resolves,
 every public function, class and method in src/psiring has a caller in
-src/psiring outside its own definition, and every defaulted parameter of a
+src/psiring outside its own definition, every function and method there runs
+under a short list of CLI commands, and every defaulted parameter of a
 function there is passed by such a caller, apart from short allowlists.
 """
 
 import ast
+import importlib
+import inspect
+import sys
+import types
 from pathlib import Path
 
 import psiring
+from psiring import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "psiring"
 
@@ -64,6 +70,89 @@ def test_every_public_name_has_a_caller_in_the_package():
             if not any(id(n) not in inside for n in mentions.get(name, [])):
                 uncalled.append(f"{module}.{qualname}")
     assert set(uncalled) == set(ALLOWED)
+
+
+# small commands that together run every function in src/psiring: every
+# subcommand, both fields, all three formats, a minor size of 0 (singular at
+# n = 3) and, last, a refusal
+REACH_COMMANDS = [
+    "presentation dump --kind bnm --n 2 --m 2 --field prime --format md",
+    "hilbert lee --n 4 --max-total 2 --format csv",
+    "hilbert brute --kind bnm --n 3 --m 1 --max-total 2",
+    "hilbert verify --n 4 --max-total 3 --pivot custom:2,1,4,3",
+    "hilbert verify --kind bnm --n 2 --m 2 --max-total 3 --format md",
+    "hilbert verify --n 3 --max-total 2 --format csv",
+    "gb run --n 4",
+    "gb run --n 4 --field prime --order lex",
+    "gb run --n 4 --order block --cap 2",
+    "koszul --n 4 --kmax 4",
+    "sample --n 4 --count 2",
+    "sample --kind bnm --n 3 --m 1 --count 2",
+    "singular --n 3",
+    "singular --n 4",
+    "singular --n 4 --field rational",
+    "verify-theorem-a --n 4 --max-total 2",
+    "koszul --n 4 --kmax 5 --budget 1000",
+]
+
+# functions those commands do not run, each kept for the reason given
+UNREACHED = {
+    **ALLOWED,
+    "exactla.rank_mod_p": "only dual_dimension_stacked calls it",
+    "poly.Poly.evaluate": "only jacobian_rank_at calls it",
+}
+
+
+def package_functions():
+    """{code object: 'module.qualname'} of every function and method defined in
+    src/psiring, nested ones included; dunders, lambdas and comprehensions are
+    left out.  Empties each functools cache it meets, so that a cached result
+    cannot hide a call."""
+    out = {}
+
+    def add(code, module):
+        if code.co_filename.startswith(str(SRC)) and not code.co_name.startswith("<"):
+            out[code] = f"{module}.{code.co_qualname}"
+            for const in code.co_consts:
+                if isinstance(const, types.CodeType):
+                    add(const, module)
+
+    for path in sorted(SRC.glob("*.py")):
+        mod = importlib.import_module(f"psiring.{path.stem}")
+        for obj in list(vars(mod).values()):
+            members = [obj]
+            if isinstance(obj, type) and obj.__module__ == mod.__name__:
+                members = list(vars(obj).values())
+            for m in members:
+                if isinstance(m, (staticmethod, classmethod)):
+                    m = m.__func__
+                if isinstance(m, property):
+                    m = m.fget
+                if hasattr(m, "cache_clear"):
+                    m.cache_clear()  # a cached result would hide the call
+                m = inspect.unwrap(m) if callable(m) else m
+                if isinstance(m, types.FunctionType) and m.__module__ == mod.__name__:
+                    add(m.__code__, path.stem)
+    return {code: name for code, name in out.items() if not code.co_name.startswith("__")}
+
+
+def test_every_function_runs_under_the_cli(capsysbinary):
+    functions = package_functions()
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(argv.split()) for argv in REACH_COMMANDS]
+    finally:
+        sys.setprofile(None)
+    capsysbinary.readouterr()
+    assert codes == [0] * (len(REACH_COMMANDS) - 1) + [2]
+    unreached = {name for code, name in functions.items() if code not in ran}
+    assert unreached == set(UNREACHED)
 
 
 # defaulted parameters that no call in src/psiring passes, each kept for the reason given

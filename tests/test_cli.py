@@ -291,6 +291,18 @@ REPORT_PINS = [
      "e08c5a347d0cf48bdec6eb478c9d7bb5a68307e1b51cf3343f6691da2ddfaefd"),
     (["singular", "--n", "4", "--pivot", "custom:3,4,1,2"],
      "70aaca93386bbfd0cbfb506d710017a97525a3ed1685ba69e895ed18b2b11443"),
+    # the series in every format, standard monomial counts, leading terms of a capped run
+    (["hilbert", "lee", "--n", "5", "--max-total", "6", "--format", "csv"],
+     "955f4381b8ecf8911270a9688c0d70a102442f539f724fb5cf0f87d0f9fbfe53"),
+    (["hilbert", "verify", "--kind", "bnm", "--n", "2", "--m", "2", "--max-total", "5",
+      "--format", "md"],
+     "e19d3c0239da14c6b4191d3700e2f60da687741d6d63e0894c461333511d1499"),
+    (["hilbert", "verify", "--n", "3", "--max-total", "4"],
+     "48bf1fba93c2892a28cdf8048b1826b0b66841eefff7294c334c0b873194d879"),
+    (["verify-theorem-a", "--n", "4", "--max-total", "5"],
+     "39a5efbc74281ccbfd68ff893ccb297cbccb867cc4e6919db5a3d9dcb7f596d0"),
+    (["gb", "run", "--n", "4", "--cap", "2"],
+     "732c61d16a3a8154dea7c0b5ee37317f340cf1e0dcebd4dd77cceb318d191eab"),
 ]
 
 

@@ -35,7 +35,6 @@ def test_ring_axioms_on_random_triples(field):
         assert field.mul(a, b) == field.mul(b, a)
         assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
         assert field.add(a, field.neg(a)) == field.zero()
-        assert field.sub(a, b) == field.add(a, field.neg(b))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(DEFAULT_PRIME), PrimeField(97)])

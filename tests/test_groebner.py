@@ -19,13 +19,13 @@ from psiring.groebner import (
     leading_terms_agree,
     linear_interreduce,
     s_poly,
-    standard_monomial_count,
 )
 from psiring.orders import BLOCK_GREVLEX, GREVLEX, LEX, MonomialOrder, Packing
 from psiring.poly import Poly
 from psiring.presentation import CUSTOM, PivotScheme, build_an
 from psiring.rng import SplitMix64
-from psiring.series import TotalBound, degree_grid, lee_series
+from psiring.series import degree_grid, lee_series
+from psiring.slices import standard_monomial_count
 from conftest import cached_an, cached_bnm, reduce_poly
 from test_presentation import formula
 
@@ -53,7 +53,7 @@ def test_textbook_completion():
     g = p_of(QQ, 2, {(1, 1): 1, (1, 0): -1})
     gb = buchberger([f, g], ORDER)
     assert gb.complete
-    lts = set(gb.leading_exponents())
+    lts = set(gb.leads)
     assert lts == {(2, 0), (1, 1), (0, 2)}
     # x*y^2 reduces to x under the completed basis
     h = p_of(QQ, 2, {(1, 2): 1})
@@ -114,8 +114,8 @@ def test_capped_run_is_a_prefix_of_the_full_basis():
     spec = cached_an(5, GF)
     full = groebner_for(spec)
     capped = groebner_for(spec, cap=2)
-    full_lts = {e for e in full.leading_exponents() if sum(e) <= 2}
-    assert set(capped.leading_exponents()) == full_lts
+    full_lts = {e for e in full.leads if sum(e) <= 2}
+    assert set(capped.leads) == full_lts
 
 
 def test_cross_field_leading_terms():
@@ -129,7 +129,7 @@ def test_cross_field_leading_terms():
 def test_standard_monomials_match_series(n):
     spec = cached_an(n, GF)
     gb = groebner_for(spec)
-    s = lee_series(n, TotalBound(3))
+    s = lee_series(n, 3)
     for a in degree_grid(n, 3):
         assert standard_monomial_count(gb, spec, a) == s.coefficient(a), a
 
@@ -163,9 +163,9 @@ def test_spanning_pair_relations_reduce_to_zero():
 
 def test_basis_is_reduced_and_monic():
     gb = groebner_for(cached_an(4, GF))
-    lts = list(gb.leading_exponents())
+    lts = gb.leads
     for i, g in enumerate(gb.basis):
-        assert g.leading(gb.order)[1] == GF.one()
+        assert g.terms[lts[i]] == GF.one()
         # no term of g is divisible by another leading term
         for j, lt in enumerate(lts):
             if i == j:
@@ -203,7 +203,7 @@ def test_linear_interreduce_output_is_pinned(field, digest):
     assert len(out) == 126
     rows = []
     for p in out:
-        scale = field.inv(p.leading(ORDER)[1])
+        scale = field.inv(p.terms[max(p.terms, key=ORDER.key)])
         rows.append([(e, field.to_str(field.mul(c, scale))) for e, c in p.sorted_terms(ORDER)])
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
@@ -262,12 +262,16 @@ def test_packed_divisibility_agrees_with_tuple_divisibility():
             assert pk.divides(cb, ca) == all(y <= x for x, y in zip(a, b))
 
 
-def test_leading_term_memo_is_keyed_by_order():
-    f = p_of(QQ, 2, {(2, 0): 3, (0, 3): 5})
-    lex = MonomialOrder(LEX)
-    assert f.leading(ORDER) == ((0, 3), QQ.from_int(5))
-    assert f.leading(lex) == ((2, 0), QQ.from_int(3))
-    assert f.leading(ORDER) == ((0, 3), QQ.from_int(5))
+@pytest.mark.parametrize("spec", [cached_an(4), cached_an(5), cached_bnm(3, 2)],
+                         ids=["a4", "a5", "b32"])
+@pytest.mark.parametrize("kind", [GREVLEX, LEX, BLOCK_GREVLEX])
+def test_leads_are_the_leading_exponents(spec, kind):
+    # the engine records each member's leading exponent as it completes the basis
+    order = MonomialOrder(kind, blocks=spec.blocks, nblocks=spec.nblocks)
+    gb = groebner_for(spec, order)
+    assert len(gb.leads) == len(gb.basis) > 0
+    for lead, g in zip(gb.leads, gb.basis):
+        assert lead == max(g.terms, key=order.key)
 
 
 @pytest.mark.parametrize("n,pivot", [
@@ -286,7 +290,7 @@ def test_leading_terms_match_sympy(n, pivot):
         polys.append(expr)
     ref = sympy.groebner(polys, *gens, order="grevlex")
     want = sorted(sympy.Poly(g, *gens).monoms(order="grevlex")[0] for g in ref.exprs)
-    assert sorted(groebner_for(spec).leading_exponents()) == want
+    assert sorted(groebner_for(spec).leads) == want
 
 
 @pytest.mark.parametrize("order", [

@@ -5,15 +5,18 @@ cross-checked against the closed-form series coefficients.
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from psiring import exactla, slices
 from psiring.errors import UsageError
 from psiring.fields import DEFAULT_PRIME, RETRY_PRIMES
-from psiring.poly import Poly, multidegree
+from psiring.groebner import groebner_for
+from psiring.orders import multidegree
+from psiring.poly import Poly
 from psiring.series import (
-    TotalBound,
+    compositions,
     degree_grid,
     lee_coefficient,
     lee_series,
@@ -21,9 +24,9 @@ from psiring.series import (
 )
 from psiring.slices import (
     count_monomials,
-    enumerate_monomials,
     relation_product_rows,
     slice_dimension,
+    standard_monomial_count,
 )
 from conftest import cached_an, cached_bnm
 
@@ -39,12 +42,28 @@ def test_grid_is_sorted_and_complete():
     assert list(g) == sorted(g, key=lambda a: (sum(a), a))
 
 
-def test_enumerate_monomials_counts():
-    spec = cached_an(4)
-    for a in degree_grid(4, 3):
-        mons = enumerate_monomials(spec, a)
-        assert len(mons) == count_monomials(spec, a)
-        assert len(set(mons)) == len(mons)
+def monomials(spec, a):
+    """Every exponent tuple of multidegree a, ascending in the presentation
+    order: one composition of a[b] per block b, sorted by the order's key."""
+    positions = spec.block_positions()
+    out = []
+    for combo in product(*(compositions(ai, len(pos)) for ai, pos in zip(a, positions))):
+        exp = [0] * spec.nvars
+        for pos, c in zip(positions, combo):
+            for p, v in zip(pos, c):
+                exp[p] = v
+        out.append(tuple(exp))
+    return sorted(out, key=spec.default_order().key)
+
+
+@pytest.mark.parametrize("spec,limit", [(cached_an(4), 3), (cached_bnm(3, 2), 3)],
+                         ids=["a4", "b32"])
+def test_slice_monomials_are_the_block_compositions(spec, limit):
+    for a in degree_grid(spec.nblocks, limit):
+        plan = slices._RowPlan.of(spec, max(a))
+        mons = [plan.packing.unpack(c) for c in plan.monomials(spec, a)]
+        assert mons == monomials(spec, a)
+        assert len(set(mons)) == len(mons) == count_monomials(spec, a)
         for e in mons:
             assert multidegree(e, spec.blocks, spec.nblocks) == a
 
@@ -73,14 +92,14 @@ def dimension_by(method, spec, a):
 @pytest.mark.parametrize("method", ["rational", "modular", "auto"])
 def test_slice_methods_agree_on_a4(method):
     spec = cached_an(4)
-    s = lee_series(4, TotalBound(3))
+    s = lee_series(4, 3)
     for a in degree_grid(4, 3):
         assert dimension_by(method, spec, a) == s.coefficient(a) == closed_form(spec, a)
 
 
 def test_a4_full_sweep_to_degree_five():
     spec = cached_an(4)
-    s = lee_series(4, TotalBound(5))
+    s = lee_series(4, 5)
     reports = [slice_dimension(spec, a) for a in degree_grid(4, 5)]
     assert len(reports) == len(degree_grid(4, 5))
     for rep in reports:
@@ -89,7 +108,7 @@ def test_a4_full_sweep_to_degree_five():
 
 def test_a5_spot_degrees():
     spec = cached_an(5)
-    s = lee_series(5, TotalBound(4))
+    s = lee_series(5, 4)
     for a in [(1, 1, 1, 0, 0), (2, 0, 1, 0, 1), (1, 1, 1, 1, 0), (2, 2, 0, 0, 0)]:
         assert slice_dimension(spec, a).dimension == s.coefficient(a)
 
@@ -97,7 +116,7 @@ def test_a5_spot_degrees():
 @pytest.mark.parametrize("n,m,limit", [(2, 2, 5), (3, 1, 4), (4, 1, 3)])
 def test_b_family_sweeps(n, m, limit):
     spec = cached_bnm(n, m)
-    s = lee_series_restricted(n, m, TotalBound(limit))
+    s = lee_series_restricted(n, m, limit)
     for rep in (slice_dimension(spec, a) for a in degree_grid(n, limit)):
         assert rep.dimension == s.coefficient(rep.multidegree), rep.multidegree
 
@@ -123,6 +142,18 @@ def test_negative_degree_rejected():
         slice_dimension(cached_an(4), (-1, 0, 0, 0))
     with pytest.raises(UsageError):
         slice_dimension(cached_an(4), (1, 0, 0))  # wrong arity
+
+
+def test_standard_monomial_count_refuses_bad_degrees():
+    spec = cached_an(4)
+    gb = groebner_for(spec)
+    for a in [(1, 1, 0), (1, 1, 0, 0, 0), (2, -1, 0, 0)]:
+        with pytest.raises(UsageError):
+            standard_monomial_count(gb, spec, a)
+    capped = groebner_for(spec, cap=2)
+    assert standard_monomial_count(capped, spec, (1, 1, 0, 0)) == closed_form(spec, (1, 1, 0, 0))
+    with pytest.raises(UsageError, match="exceeds the truncation cap 2"):
+        standard_monomial_count(capped, spec, (1, 1, 1, 0))
 
 
 def unlucky_at_default_prime(rows, p):
@@ -156,15 +187,15 @@ def test_bad_prime_branches(monkeypatch):
 
 def rows_by_poly_arithmetic(spec, a):
     """Every relation times every monomial of the complementary degree, multiplied
-    as Polys and read off in the basis enumerate_monomials(spec, a)."""
-    col = {m: i for i, m in enumerate(enumerate_monomials(spec, a))}
+    as Polys and read off in the basis monomials(spec, a)."""
+    col = {m: i for i, m in enumerate(monomials(spec, a))}
     rows = []
     for rel in spec.relations:
         rdeg = multidegree(next(iter(rel.terms)), spec.blocks, spec.nblocks)
         rem = tuple(x - y for x, y in zip(a, rdeg))
         if min(rem) < 0:
             continue
-        for mono in enumerate_monomials(spec, rem):
+        for mono in monomials(spec, rem):
             prod = rel.mul(Poly(spec.field, spec.nvars, {mono: spec.field.one()}))
             rows.append({col[e]: spec.field.to_int(c) for e, c in prod.terms.items()})
     return rows
