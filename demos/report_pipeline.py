@@ -14,8 +14,9 @@ from psiring import cli
 
 
 def run(argv):
-    print(f"$ psiring {' '.join(argv)}")
-    code = cli.main(argv)
+    """Run one command, echoing a Path argument (a file in the temp directory) by its name."""
+    print(f"$ psiring {' '.join(a.name if isinstance(a, Path) else a for a in argv)}")
+    code = cli.main([str(a) for a in argv])
     print(f"  -> exit {code}")
     return code
 
@@ -25,7 +26,7 @@ def main():
         out = Path(td) / "report.json"
 
         run(["verify-theorem-a", "--n", "4", "--max-total", "4",
-             "--format", "json", "--out", str(out)])
+             "--format", "json", "--out", out])
         d = json.loads(out.read_text())
         print(f"  overall: {d['overall']}")
         for c in d["checks"]:
@@ -33,7 +34,7 @@ def main():
 
         print()
         run(["sample", "--n", "4", "--count", "3", "--seed", "5",
-             "--format", "json", "--out", str(out)])
+             "--format", "json", "--out", out])
         d = json.loads(out.read_text())
         pt = d["payload"]["points"][0]
         print(f"  first sampled point: z = {pt['z']}, vanishing = {pt['vanishing']}")
@@ -43,7 +44,7 @@ def main():
         blobs = []
         for threads in ("1", "8"):
             run(["hilbert", "verify", "--n", "4", "--max-total", "4",
-                 "--threads", threads, "--format", "json", "--out", str(out)])
+                 "--threads", threads, "--format", "json", "--out", out])
             blobs.append(out.read_bytes())
         print(f"  identical bytes: {blobs[0] == blobs[1]}")
 

@@ -6,6 +6,20 @@ is plain linear algebra: no Groebner basis is involved.  Ranks run over a word
 size prime field and, when the slice is small enough, are confirmed by exact
 rational elimination; otherwise a second prime stands in as the cross-check.
 
+Most products are redundant, and are dropped before ranking.  Give each
+relation f_j its leading monomial L_j, the term of largest packed code (the
+column its rows pivot on), and its leading coefficient c_j.  The product
+m * f_k is dropped when L_j divides m for some j < k: with m = q * L_j the
+Koszul syzygy f_j * f_k = f_k * f_j gives
+
+    c_j * m * f_k  =  (q * f_k) * f_j  -  (q * (f_j - c_j * L_j)) * f_k,
+
+products of the earlier relation f_j and products of f_k by monomials below m,
+so by induction on (k, m) the kept rows span every product.  The step divides
+by c_j, so a relation whose c_j is not a unit at DEFAULT_PRIME or
+RETRY_PRIMES[0] drops nothing, and the ranks over Q and at both primes are
+those of all the products.  A report's row count still counts every product.
+
 The Groebner route counts the same slice as its standard monomials: those not
 divisible by any leading term.  Both routes walk one list of monomial codes
 per slice, cached with the presentation.
@@ -46,23 +60,42 @@ def _check_degree(spec: PresentationSpec, a: tuple[int, ...]):
         raise UsageError(f"negative multidegree {a}")
 
 
-def relation_product_rows(spec: PresentationSpec, a: tuple[int, ...]) -> tuple[list[dict[int, int]], int]:
-    """Integer rows of every relation * monomial landing in multidegree a, one
-    column per monomial of a, ascending in the presentation order.  Returns
-    (rows, ncols)."""
+def relation_product_rows(spec: PresentationSpec,
+                          a: tuple[int, ...]) -> tuple[list[dict[int, int]], int, int]:
+    """Integer rows of the relation * monomial products landing in multidegree a
+    that span all of them, one column per monomial of a, ascending in the
+    presentation order.  Returns (rows, ncols, products); products counts every
+    product, the dropped ones too.
+
+    The product m * f_k is dropped when the leading monomial of an earlier
+    relation divides m, the criterion of the module docstring.
+    """
     _check_degree(spec, a)
     plan = _RowPlan.of(spec, max(a, default=0))
     basis = plan.monomials(spec, tuple(a))
     col = {m: i for i, m in enumerate(basis)}
     rows: list[dict[int, int]] = []
+    products = 0
+    leads: list[tuple[tuple[int, ...], int]] = []  # (degree, lead) of earlier relations
     for k, rdeg in enumerate(plan.degrees):
         rem = tuple(x - y for x, y in zip(a, rdeg))
         if any(x < 0 for x in rem):
             continue
-        terms = plan.terms(spec, k)
-        for mono in plan.monomials(spec, rem):
-            rows.append({col[exp + mono]: c for exp, c in terms})
-    return rows, len(basis)
+        terms, lead = plan.terms(spec, k)
+        mons = plan.monomials(spec, rem)
+        products += len(mons)
+        # the multiples of an earlier lead of degree d are lead * (monomials of rem - d)
+        dropped = set()
+        for d, ld in leads:
+            quot = tuple(x - y for x, y in zip(rem, d))
+            if min(quot) >= 0:
+                dropped.update(map(ld.__add__, plan.monomials(spec, quot)))
+        for mono in mons:
+            if mono not in dropped:
+                rows.append({col[exp + mono]: c for exp, c in terms})
+        if lead is not None:
+            leads.append((rdeg, lead))
+    return rows, len(basis), products
 
 
 class _RowPlan:
@@ -109,13 +142,20 @@ class _RowPlan:
             self._monomials[a] = codes
         return codes
 
-    def terms(self, spec: PresentationSpec, k: int) -> tuple[tuple[int, int], ...]:
-        """Relation k as (code, integer coefficient) pairs; refuses other coefficients."""
-        terms = self._terms[k]
-        if terms is None:
-            terms = self._terms[k] = tuple((self.packing.pack(exp), _as_int(c, spec))
-                                           for exp, c in spec.relations[k].terms.items())
-        return terms
+    def terms(self, spec: PresentationSpec,
+              k: int) -> tuple[tuple[tuple[int, int], ...], int | None]:
+        """Relation k as (code, integer coefficient) pairs, and its leading code:
+        the largest, which is the pivot column of its rows.  The lead is None,
+        so that it drops no product, when its coefficient is divisible by
+        DEFAULT_PRIME or by RETRY_PRIMES[0].  Refuses non-integer coefficients."""
+        entry = self._terms[k]
+        if entry is None:
+            terms = tuple((self.packing.pack(exp), _as_int(c, spec))
+                          for exp, c in spec.relations[k].terms.items())
+            lead, c = max(terms)
+            unit = c % DEFAULT_PRIME and c % RETRY_PRIMES[0]
+            entry = self._terms[k] = (terms, lead if unit else None)
+        return entry
 
 
 def standard_monomial_count(gb: GroebnerBasis, spec: PresentationSpec,
@@ -142,7 +182,8 @@ def _as_int(coeff, spec: PresentationSpec) -> int:
 
 @dataclass(frozen=True)
 class SliceReport:
-    """Outcome of one graded-slice dimension computation."""
+    """Outcome of one graded-slice dimension computation; rows counts every
+    relation * monomial product, the ones dropped before ranking too."""
 
     multidegree: tuple[int, ...]
     monomials: int
@@ -159,7 +200,7 @@ def slice_dimension(spec: PresentationSpec, a: tuple[int, ...]) -> SliceReport:
     has at most RATIONAL_VERIFY_MAX_COLS columns, and otherwise at a second
     prime; method names every stage used.
     """
-    rows, ncols = relation_product_rows(spec, a)
+    rows, ncols, products = relation_product_rows(spec, a)
     nmon = count_monomials(spec, a)
     assert nmon == ncols
     if not rows:
@@ -181,4 +222,4 @@ def slice_dimension(spec: PresentationSpec, a: tuple[int, ...]) -> SliceReport:
             how = f"modular(max {DEFAULT_PRIME},{p2})"
         else:
             how = f"modular({DEFAULT_PRIME},{p2})"
-    return SliceReport(tuple(a), nmon, len(rows), rank, nmon - rank, how)
+    return SliceReport(tuple(a), nmon, products, rank, nmon - rank, how)

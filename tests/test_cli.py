@@ -303,6 +303,9 @@ REPORT_PINS = [
      "39a5efbc74281ccbfd68ff893ccb297cbccb867cc4e6919db5a3d9dcb7f596d0"),
     (["gb", "run", "--n", "4", "--cap", "2"],
      "732c61d16a3a8154dea7c0b5ee37317f340cf1e0dcebd4dd77cceb318d191eab"),
+    # slices wider than RATIONAL_VERIFY_MAX_COLS (second prime), and every relation_rows
+    (["hilbert", "brute", "--kind", "bnm", "--n", "3", "--m", "3", "--max-total", "5"],
+     "76f57826d5615a36b33462a0a6168df72b80d5283540fecdde9d088461eac669"),
 ]
 
 

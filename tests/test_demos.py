@@ -15,10 +15,23 @@ def test_demos_are_found():
     assert len(DEMOS) == 7
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
-def test_demo_runs(script):
+def run_demo(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(script):
+    proc = run_demo(script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_report_pipeline_prints_the_same_on_every_run():
+    # its reports go to a fresh temp directory each run; the echoed commands
+    # name the file relative to it
+    script = ROOT / "demos" / "report_pipeline.py"
+    first, second = run_demo(script), run_demo(script)
+    assert first.returncode == second.returncode == 0, first.stderr + second.stderr
+    assert first.stdout == second.stdout

@@ -15,6 +15,7 @@ from psiring.fields import DEFAULT_PRIME, RETRY_PRIMES
 from psiring.groebner import groebner_for
 from psiring.orders import multidegree
 from psiring.poly import Poly
+from psiring.presentation import CUSTOM, PivotScheme, build_an
 from psiring.series import (
     compositions,
     degree_grid,
@@ -78,12 +79,28 @@ def test_monomial_count_is_a_product_of_compositions():
     assert count_monomials(spec, a) == want
 
 
+def rows_by_poly_arithmetic(spec, a):
+    """Every relation times every monomial of the complementary degree, multiplied
+    as Polys and read off in the basis monomials(spec, a)."""
+    col = {m: i for i, m in enumerate(monomials(spec, a))}
+    rows = []
+    for rel in spec.relations:
+        rdeg = multidegree(next(iter(rel.terms)), spec.blocks, spec.nblocks)
+        rem = tuple(x - y for x, y in zip(a, rdeg))
+        if min(rem) < 0:
+            continue
+        for mono in monomials(spec, rem):
+            prod = rel.mul(Poly(spec.field, spec.nvars, {mono: spec.field.one()}))
+            rows.append({col[e]: spec.field.to_int(c) for e, c in prod.terms.items()})
+    return rows
+
+
 def dimension_by(method, spec, a):
-    """Slice dimension from one rank lane on the product rows, or from
-    slice_dimension's own route ('auto')."""
+    """Slice dimension from one rank lane on every product row, built here by
+    Poly arithmetic, or from slice_dimension's own route ('auto')."""
     if method == "auto":
         return slice_dimension(spec, a).dimension
-    rows, ncols = relation_product_rows(spec, a)
+    rows, ncols = rows_by_poly_arithmetic(spec, a), count_monomials(spec, a)
     if method == "rational":
         return ncols - exactla.rank_sparse_rational(rows)
     return ncols - exactla.rank_sparse_mod_p(rows, DEFAULT_PRIME)
@@ -164,7 +181,7 @@ def unlucky_at_default_prime(rows, p):
 
 def test_bad_prime_branches(monkeypatch):
     spec, a = cached_an(4), (2, 1, 1, 0)
-    rows, ncols = relation_product_rows(spec, a)
+    rows, ncols, _ = relation_product_rows(spec, a)
     true_rank = exactla.rank_sparse_rational(rows)
     assert 0 < true_rank and ncols <= slices.RATIONAL_VERIFY_MAX_COLS
     p, p2 = DEFAULT_PRIME, RETRY_PRIMES[0]
@@ -185,27 +202,17 @@ def test_bad_prime_branches(monkeypatch):
     assert (rep.method, rep.rank) == (f"modular({p},{p2})", true_rank)
 
 
-def rows_by_poly_arithmetic(spec, a):
-    """Every relation times every monomial of the complementary degree, multiplied
-    as Polys and read off in the basis monomials(spec, a)."""
-    col = {m: i for i, m in enumerate(monomials(spec, a))}
-    rows = []
-    for rel in spec.relations:
-        rdeg = multidegree(next(iter(rel.terms)), spec.blocks, spec.nblocks)
-        rem = tuple(x - y for x, y in zip(a, rdeg))
-        if min(rem) < 0:
-            continue
-        for mono in monomials(spec, rem):
-            prod = rel.mul(Poly(spec.field, spec.nvars, {mono: spec.field.one()}))
-            rows.append({col[e]: spec.field.to_int(c) for e, c in prod.terms.items()})
-    return rows
+def row_key(row):
+    return tuple(sorted(row.items()))
 
 
 def same_rows(spec, a):
-    rows, ncols = relation_product_rows(spec, a)
+    """relation_product_rows keeps some of the Poly products and counts all of them."""
+    rows, ncols, products = relation_product_rows(spec, a)
+    full = rows_by_poly_arithmetic(spec, a)
     assert ncols == count_monomials(spec, a)
-    return (Counter(tuple(sorted(r.items())) for r in rows)
-            == Counter(tuple(sorted(r.items())) for r in rows_by_poly_arithmetic(spec, a)))
+    assert products == len(full) >= len(rows)
+    return not Counter(map(row_key, rows)) - Counter(map(row_key, full))
 
 
 @pytest.mark.parametrize("spec,limit", [(cached_an(4), 4), (cached_bnm(3, 2), 3)],
@@ -241,3 +248,51 @@ def test_slices_refuse_non_integer_relation_coefficients():
         with pytest.raises(UsageError, match="^slice ranks need integer relation coefficients$"):
             slice_dimension(bad, rdeg)
     assert slice_dimension(spec, rdeg).dimension == closed_form(spec, rdeg)
+
+
+def ranks(rows):
+    """Rank over Q and at the two primes a slice may be ranked at."""
+    return (exactla.rank_sparse_rational(rows), exactla.rank_sparse_mod_p(rows, DEFAULT_PRIME),
+            exactla.rank_sparse_mod_p(rows, RETRY_PRIMES[0]))
+
+
+@pytest.mark.parametrize("spec,limit", [
+    (cached_an(4), 6),
+    (cached_an(5), 4),
+    (build_an(5, PivotScheme(CUSTOM, (3, 1, 5, 2, 4))), 4),
+    (cached_bnm(3, 2), 5),
+    (cached_bnm(3, 3), 5),  # slices wider than RATIONAL_VERIFY_MAX_COLS
+], ids=["a4", "a5", "a5-custom", "b32", "b33"])
+def test_kept_rows_span_all_products(spec, limit):
+    for a in degree_grid(spec.nblocks, limit):
+        rows = relation_product_rows(spec, a)[0]
+        assert ranks(rows) == ranks(rows_by_poly_arithmetic(spec, a)), a
+
+
+def test_kept_rows_on_the_middle_slice_of_a5():
+    spec, a = cached_an(5), (1, 1, 1, 1, 1)
+    rows, ncols, products = relation_product_rows(spec, a)
+    assert (len(rows), products, ncols) == (390, 540, 243)
+    rep = slice_dimension(spec, a)
+    assert (rep.rows, rep.rank) == (540, 212)
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, RETRY_PRIMES[0]])
+def test_lead_coefficient_divisible_by_a_rank_prime_drops_nothing(prime):
+    # relation 0 comes first, so its lead would drop products of every later relation
+    spec = cached_an(4)
+    rel = spec.relations[0]
+    scaled = Poly(spec.field, spec.nvars, {e: c * prime for e, c in rel.terms.items()})
+    bad = replace(spec, relations=(scaled,) + spec.relations[1:])
+    after_bad_prime = 0
+    for a in degree_grid(4, 4):
+        full = rows_by_poly_arithmetic(bad, a)
+        rank_q, rank_p, _ = want = ranks(full)
+        assert ranks(relation_product_rows(bad, a)[0]) == want, a
+        rep = slice_dimension(bad, a)
+        assert rep.dimension == closed_form(bad, a), a
+        unpruned_bad = rank_p != rank_q and rep.monomials <= slices.RATIONAL_VERIFY_MAX_COLS
+        assert (rep.method == "rational(after-bad-prime)") == unpruned_bad, a
+        after_bad_prime += unpruned_bad
+    # the narrow slices of A(4) are never ranked at RETRY_PRIMES[0]
+    assert bool(after_bad_prime) == (prime == DEFAULT_PRIME)
