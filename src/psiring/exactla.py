@@ -8,10 +8,13 @@ where a fraction-free Bareiss elimination is the reference over Z:
     its pivot row; an incoming row is reduced by the pivot at its leading
     column until it claims a new column or vanishes.  Over Z every reduced
     row has its content stripped, which gives the rank over Q exactly; mod p
-    the pivot rows are scaled to 1.  The slices rank here, and so does the
-    Jacobian at a rational point once its rows are cleared of denominators,
-    and so does singular's linear preprocessing (groebner.linear_interreduce),
-    which reads the pivot rows of sparse_echelon back as polynomials.
+    the pivot rows are scaled to 1.  Given a prime p, the Z lane also
+    certifies that the rank mod p is the same (the lucky-prime argument, in
+    rank_sparse_rational), so one elimination stands in for both.  The slices
+    rank here, and so does the Jacobian at a rational point once its rows
+    are cleared of denominators, and so does singular's linear preprocessing
+    (groebner.linear_interreduce), which reads the pivot rows of
+    sparse_echelon back as polynomials.
 
   * the int64 lane: dense per-pivot elimination mod p, reached only through
     echelon_mod_p.  Requires (p-1)^2 < 2^63.
@@ -40,12 +43,23 @@ _PANEL = 128
 
 # -- sparse lanes ---------------------------------------------------------------
 
-def rank_sparse_rational(rows: list[dict]) -> int:
-    """Rank over Q of a matrix given as sparse integer rows {col: coeff}.
+def rank_sparse_rational(rows: list[dict], p: int | None = None) -> tuple[int, bool]:
+    """Rank over Q of a matrix given as sparse integer rows {col: coeff}, and
+    whether the elimination certifies that the rank mod the prime p is the
+    same (never without p).
 
-    Row operations over Z; every reduced row has its content stripped.
+    Row operations over Z; every reduced row has its content stripped, apart
+    from its factors p.  Each reduction step is then row <- (a*row - b*pivot)/g
+    with g a unit mod p, so by induction every pivot row is, mod p, a
+    combination of the input rows.  When every pivot's leading entry is
+    nonzero mod p, the pivots mod p are in echelon form with nonzero leads and
+    independent: rank mod p >= #pivots = rank over Q, and rank mod p never
+    exceeds the rank over Q.  A row that kept a factor p is zero mod p, so it
+    fails the check if it becomes a pivot; the multipliers a need no check.
     """
-    return len(sparse_echelon(rows, None))
+    pivots = sparse_echelon(rows, None, p)
+    lucky = p is not None and all(prow[lead] % p for lead, prow in pivots.items())
+    return len(pivots), lucky
 
 
 def rank_sparse_mod_p(rows: list[dict], p: int) -> int:
@@ -53,19 +67,20 @@ def rank_sparse_mod_p(rows: list[dict], p: int) -> int:
     return len(sparse_echelon(rows, p))
 
 
-def sparse_echelon(rows: list[dict], p: int | None) -> dict[int, dict]:
+def sparse_echelon(rows: list[dict], p: int | None, lucky: int | None = None) -> dict[int, dict]:
     """Echelon insertion of sparse integer rows: over Z when p is None, else mod p.
 
     Returns the dict from each leading column to the one pivot row that starts
     there.  Each incoming row is reduced by the pivot at its leading column
     until it claims a column of its own or vanishes.  Over Z the pivot rows are
-    primitive (content stripped); mod p they are scaled to lead 1.
+    primitive (content stripped), except that factors of the prime lucky stay
+    in; mod p they are scaled to lead 1.  Zero entries are dropped.
     """
     pivots: dict[int, dict] = {}
     for row in rows:
         if p is None:
-            row = dict(row)
-            _strip_content(row)
+            row = {c: v for c, v in row.items() if v}
+            _strip_content(row, lucky)
         else:
             row = {c: v % p for c, v in row.items() if v % p}
         while row:
@@ -78,15 +93,16 @@ def sparse_echelon(rows: list[dict], p: int | None) -> dict[int, dict]:
                 pivots[lead] = row
                 break
             if p is None:
-                _reduce_z(row, prow, lead)
+                _reduce_z(row, prow, lead, lucky)
             else:
                 _reduce_mod_p(row, prow, lead, p)
     return pivots
 
 
-def _reduce_z(row: dict, prow: dict, lead: int) -> None:
+def _reduce_z(row: dict, prow: dict, lead: int, lucky: int | None) -> None:
     """row <- (pv/g)*row - (rv/g)*prow in place, pv and rv the entries at lead
-    and g their gcd, then the content is stripped.  row loses column lead."""
+    and g their gcd, then the content is stripped but for its factors lucky.
+    row loses column lead."""
     pv, rv = prow[lead], row[lead]
     g = gcd(pv, rv)
     pv, rv = pv // g, rv // g
@@ -99,7 +115,7 @@ def _reduce_z(row: dict, prow: dict, lead: int) -> None:
             row[c] = v
         else:
             del row[c]
-    _strip_content(row)
+    _strip_content(row, lucky)
 
 
 def _reduce_mod_p(row: dict, prow: dict, lead: int, p: int) -> None:
@@ -114,12 +130,15 @@ def _reduce_mod_p(row: dict, prow: dict, lead: int, p: int) -> None:
             del row[c]
 
 
-def _strip_content(row: dict) -> None:
+def _strip_content(row: dict, keep: int | None) -> None:
+    """Divide row by the gcd of its entries, with every factor keep left in."""
     g = 0
     for v in row.values():
         g = gcd(g, v)
         if g == 1:
             return
+    while keep and g > 1 and g % keep == 0:
+        g //= keep
     if g > 1:
         for c in row:
             row[c] //= g

@@ -196,7 +196,7 @@ def jacobian_rank_at(spec: PresentationSpec, values: list[Fraction]) -> int:
         row = {v: rel.derivative(v).evaluate(values) for v in range(spec.nvars)}
         denom = lcm(*(x.denominator for x in row.values()))
         rows.append({v: x.numerator * (denom // x.denominator) for v, x in row.items() if x})
-    return rank_sparse_rational(rows)
+    return rank_sparse_rational(rows)[0]
 
 
 def _minor(jac: list[list[Poly]], rows: tuple[int, ...], cols: tuple[int, ...],

@@ -2,9 +2,15 @@
 
 In multidegree a the ideal slice is spanned by relation * monomial products,
 so the quotient dimension is  #monomials(a) - rank(product rows)  and the rank
-is plain linear algebra: no Groebner basis is involved.  Ranks run over a word
-size prime field and, when the slice is small enough, are confirmed by exact
-rational elimination; otherwise a second prime stands in as the cross-check.
+is plain linear algebra: no Groebner basis is involved.  A slice small enough
+is ranked once, by exact elimination over Z, which also certifies the rank at
+the word size prime DEFAULT_PRIME: every reduction divides a row only by a
+unit mod p, so each pivot row is, mod p, a combination of the product rows,
+and pivots whose leads are nonzero mod p are independent there, so rank mod
+p >= rank over Q, while rank mod p <= rank over Q always (the lucky-prime
+argument).  Only when the certificate fails is the slice ranked mod p apart.
+A wider slice is ranked at DEFAULT_PRIME, and a second prime stands in as
+the cross-check.
 
 Most products are redundant, and are dropped before ranking.  Give each
 relation f_j its leading monomial L_j, the term of largest packed code (the
@@ -196,9 +202,12 @@ class SliceReport:
 def slice_dimension(spec: PresentationSpec, a: tuple[int, ...]) -> SliceReport:
     """Exact dimension of the multidegree-a slice of the quotient.
 
-    The rank is taken at DEFAULT_PRIME, then confirmed over Q when the slice
-    has at most RATIONAL_VERIFY_MAX_COLS columns, and otherwise at a second
-    prime; method names every stage used.
+    A slice of at most RATIONAL_VERIFY_MAX_COLS columns is ranked over Q; the
+    same elimination certifies that the rank at DEFAULT_PRIME agrees (see
+    exactla.rank_sparse_rational), and only when it does not is the slice
+    ranked at DEFAULT_PRIME to compare.  A wider slice is ranked at
+    DEFAULT_PRIME and at a second prime.  method names every rank the answer
+    rests on: modular(p)+rational when the ranks at p and over Q agree.
     """
     rows, ncols, products = relation_product_rows(spec, a)
     nmon = count_monomials(spec, a)
@@ -206,15 +215,14 @@ def slice_dimension(spec: PresentationSpec, a: tuple[int, ...]) -> SliceReport:
     if not rows:
         return SliceReport(tuple(a), nmon, 0, 0, nmon, "empty")
 
-    rank = rank_sparse_mod_p(rows, DEFAULT_PRIME)
     if ncols <= RATIONAL_VERIFY_MAX_COLS:
-        qrank = rank_sparse_rational(rows)
-        if qrank != rank:  # unlucky prime: the rational answer wins
-            rank = qrank
-            how = "rational(after-bad-prime)"
-        else:
+        rank, lucky = rank_sparse_rational(rows, DEFAULT_PRIME)
+        if lucky or rank_sparse_mod_p(rows, DEFAULT_PRIME) == rank:
             how = f"modular({DEFAULT_PRIME})+rational"
+        else:  # unlucky prime: the rational answer wins
+            how = "rational(after-bad-prime)"
     else:
+        rank = rank_sparse_mod_p(rows, DEFAULT_PRIME)
         p2 = RETRY_PRIMES[0]
         r2 = rank_sparse_mod_p(rows, p2)
         if r2 != rank:

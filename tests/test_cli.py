@@ -306,6 +306,11 @@ REPORT_PINS = [
     # slices wider than RATIONAL_VERIFY_MAX_COLS (second prime), and every relation_rows
     (["hilbert", "brute", "--kind", "bnm", "--n", "3", "--m", "3", "--max-total", "5"],
      "76f57826d5615a36b33462a0a6168df72b80d5283540fecdde9d088461eac669"),
+    # the method column of every narrow slice of A(5), under two pivot schemes
+    (["hilbert", "brute", "--n", "5", "--max-total", "5"],
+     "fef3caaafbebb225dc4b854530ce3d6438ca8f42623b8112acdea6ebf47180be"),
+    (["hilbert", "brute", "--n", "5", "--max-total", "4", "--pivot", "custom:3,1,5,2,4"],
+     "ac00023ffb9b5d5848d3b1b31e77374d20f1f4d8cba8dc62e0543cb0d97c13b7"),
 ]
 
 

@@ -67,7 +67,7 @@ def to_sparse(m):
 def test_rank_lanes_agree(seed):
     m = random_int_matrix(8, 10, seed, rank_deficit=seed % 3)
     sparse = to_sparse(m)
-    r_sparse = rank_sparse_rational(sparse)
+    r_sparse, _ = rank_sparse_rational(sparse)
     r_bareiss = bareiss_rank([row[:] for row in m])
     r_mod = rank_mod_p(np.array(m) % DEFAULT_PRIME, DEFAULT_PRIME)
     assert r_sparse == r_bareiss == r_mod
@@ -168,9 +168,10 @@ def test_float_lane_threshold_is_conservative():
 
 def test_rank_of_zero_and_identity():
     z = [{} for _ in range(3)]
-    assert rank_sparse_rational(z) == 0
+    assert rank_sparse_rational(z) == (0, False)
     eye = to_sparse(np.eye(4, dtype=int).tolist())
-    assert rank_sparse_rational(eye) == 4
+    assert rank_sparse_rational(eye) == (4, False)
+    assert rank_sparse_rational(eye, 2) == (4, True)
     assert bareiss_rank(np.eye(4, dtype=int).tolist()) == 4
 
 
@@ -212,7 +213,7 @@ def test_sparse_ranks_against_dense_references(seed):
         rows = random_sparse_rows(rng, nrows, ncols)
         before = [dict(r) for r in rows]
         dense = [[r.get(c, 0) for c in range(ncols)] for r in rows]
-        assert rank_sparse_rational(rows) == bareiss_rank(dense)
+        assert rank_sparse_rational(rows)[0] == bareiss_rank(dense)
         for p in (2, 3, 97, DEFAULT_PRIME):
             assert rank_sparse_mod_p(rows, p) == rank_mod_p(rows_to_dense(rows, ncols, p), p)
         assert rows == before  # the caller's rows are left as they were
@@ -221,6 +222,59 @@ def test_sparse_ranks_against_dense_references(seed):
 @pytest.mark.parametrize("p", [2, 97, DEFAULT_PRIME])
 def test_rank_mod_p_can_fall_below_rank_over_q(p):
     rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + p}]
-    assert rank_sparse_rational(rows) == 2
+    assert rank_sparse_rational(rows, p) == (2, False)  # not certified at p
     assert rank_sparse_mod_p(rows, p) == 1
     assert rank_mod_p(rows_to_dense(rows, 2, p), p) == 1
+
+
+def test_explicit_zero_entries_are_not_pivots():
+    for rows in ([{0: 0}], [{0: 0, 1: 0}, {1: 0, 2: 3}], [{2: 0, 1: 2}, {1: 4}]):
+        assert rank_sparse_rational(rows)[0] == rank_sparse_mod_p(rows, DEFAULT_PRIME)
+    assert rank_sparse_rational([{0: 0}]) == (0, False)
+    assert rank_sparse_rational([{0: 0, 1: 0}, {1: 0, 2: 3}], 5) == (1, True)
+
+
+def test_a_factor_p_is_left_in_and_fails_the_certificate():
+    # content 14 = 2 * 7: over Z the 7 is stripped, the 2 stays when p = 2
+    assert exactla.sparse_echelon([{0: 14, 1: 28}], None) == {0: {0: 1, 1: 2}}
+    assert exactla.sparse_echelon([{0: 14, 1: 28}], None, 2) == {0: {0: 2, 1: 4}}
+    assert rank_sparse_rational([{0: 14, 1: 28}], 2) == (1, False)
+    assert rank_sparse_rational([{0: 14, 1: 28}], 7) == (1, False)
+    assert rank_sparse_rational([{0: 14, 1: 28}], 3) == (1, True)
+
+
+def multiples_heavy_rows(rng, q, nrows, ncols):
+    """Sparse integer rows in which about half the entries are multiples of q,
+    together with sums of two earlier rows, so that elimination meets leads and
+    contents divisible by q."""
+    rows = []
+    for _ in range(nrows):
+        if len(rows) >= 2 and rng.randint(0, 3) == 0:
+            x, y = rows[rng.randint(0, len(rows) - 1)], rows[rng.randint(0, len(rows) - 1)]
+            c1, c2 = rng.nonzero_int(q), rng.nonzero_int(q)
+            row = {c: c1 * x.get(c, 0) + c2 * y.get(c, 0) for c in set(x) | set(y)}
+        else:
+            row = {}
+            for c in range(ncols):
+                if rng.randint(0, 2) == 0:
+                    v = rng.nonzero_int(4)
+                    row[c] = v * q if rng.randint(0, 1) else v
+        rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_certified_rank_over_q_is_the_rank_mod_q(q):
+    # the certificate is one-sided: when it holds the ranks agree, when it
+    # fails they may or may not
+    rng = SplitMix64(0xCE27 + q)
+    outcomes = set()
+    for _ in range(200):
+        rows = multiples_heavy_rows(rng, q, rng.randint(1, 8), rng.randint(1, 7))
+        rank, lucky = rank_sparse_rational(rows, q)
+        assert rank == rank_sparse_rational(rows)[0]
+        if lucky:
+            assert rank == rank_sparse_mod_p(rows, q)
+        outcomes.add((lucky, rank == rank_sparse_mod_p(rows, q)))
+    # certified, failed with the ranks apart, and failed with the ranks equal
+    assert outcomes == {(True, True), (False, False), (False, True)}

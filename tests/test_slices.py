@@ -102,7 +102,7 @@ def dimension_by(method, spec, a):
         return slice_dimension(spec, a).dimension
     rows, ncols = rows_by_poly_arithmetic(spec, a), count_monomials(spec, a)
     if method == "rational":
-        return ncols - exactla.rank_sparse_rational(rows)
+        return ncols - exactla.rank_sparse_rational(rows)[0]
     return ncols - exactla.rank_sparse_mod_p(rows, DEFAULT_PRIME)
 
 
@@ -173,6 +173,13 @@ def test_standard_monomial_count_refuses_bad_degrees():
         standard_monomial_count(capped, spec, (1, 1, 1, 0))
 
 
+def with_first_relation_scaled(spec, factor):
+    """spec with relation 0 multiplied by factor: the same ideal over Q."""
+    rel = spec.relations[0]
+    scaled = Poly(spec.field, spec.nvars, {e: c * factor for e, c in rel.terms.items()})
+    return replace(spec, relations=(scaled,) + spec.relations[1:])
+
+
 def unlucky_at_default_prime(rows, p):
     # simulates a prime that divides a pivot: no measured slice drops rank at
     # 2, 3 or 5, let alone at DEFAULT_PRIME
@@ -180,19 +187,38 @@ def unlucky_at_default_prime(rows, p):
 
 
 def test_bad_prime_branches(monkeypatch):
-    spec, a = cached_an(4), (2, 1, 1, 0)
-    rows, ncols, _ = relation_product_rows(spec, a)
-    true_rank = exactla.rank_sparse_rational(rows)
-    assert 0 < true_rank and ncols <= slices.RATIONAL_VERIFY_MAX_COLS
     p, p2 = DEFAULT_PRIME, RETRY_PRIMES[0]
-    assert slice_dimension(spec, a).method == f"modular({p})+rational"
+    spec = cached_an(4)
+    # relation 0 scaled by p is zero mod p, so where its rows become pivots
+    # the elimination over Z does not certify the rank mod p, and the slice
+    # is ranked mod p apart
+    bad = with_first_relation_scaled(spec, p)
+    ranked_at = []
 
-    monkeypatch.setattr(slices, "rank_sparse_mod_p", unlucky_at_default_prime)
-    rep = slice_dimension(spec, a)
-    assert (rep.method, rep.rank) == ("rational(after-bad-prime)", true_rank)
-    assert rep.dimension == closed_form(spec, a)
+    def spy(rows, q):
+        ranked_at.append(q)
+        return exactla.rank_sparse_mod_p(rows, q)
 
+    monkeypatch.setattr(slices, "rank_sparse_mod_p", spy)
+    for a, true_rank, method in [((1, 1, 0, 0), 1, "rational(after-bad-prime)"),
+                                 ((1, 1, 0, 1), 4, f"modular({p})+rational")]:
+        rows, ncols, _ = relation_product_rows(bad, a)
+        assert exactla.rank_sparse_rational(rows, p) == (true_rank, False)
+        assert ncols <= slices.RATIONAL_VERIFY_MAX_COLS
+        ranked_at.clear()
+        rep = slice_dimension(bad, a)
+        assert ranked_at == [p]
+        assert (rep.method, rep.rank) == (method, true_rank)
+        assert rep.dimension == closed_form(bad, a)
+    ranked_at.clear()
+    assert slice_dimension(spec, (1, 1, 0, 1)).method == f"modular({p})+rational"
+    assert ranked_at == []  # certified: one elimination, over Z
+
+    a = (2, 1, 1, 0)
+    rows = relation_product_rows(spec, a)[0]
+    true_rank = exactla.rank_sparse_rational(rows)[0]
     # too wide for the rational confirmation: the second prime stands in
+    monkeypatch.setattr(slices, "rank_sparse_mod_p", unlucky_at_default_prime)
     monkeypatch.setattr(slices, "RATIONAL_VERIFY_MAX_COLS", 0)
     rep = slice_dimension(spec, a)
     assert (rep.method, rep.rank) == (f"modular(max {p},{p2})", true_rank)
@@ -252,7 +278,7 @@ def test_slices_refuse_non_integer_relation_coefficients():
 
 def ranks(rows):
     """Rank over Q and at the two primes a slice may be ranked at."""
-    return (exactla.rank_sparse_rational(rows), exactla.rank_sparse_mod_p(rows, DEFAULT_PRIME),
+    return (exactla.rank_sparse_rational(rows)[0], exactla.rank_sparse_mod_p(rows, DEFAULT_PRIME),
             exactla.rank_sparse_mod_p(rows, RETRY_PRIMES[0]))
 
 
@@ -281,9 +307,7 @@ def test_kept_rows_on_the_middle_slice_of_a5():
 def test_lead_coefficient_divisible_by_a_rank_prime_drops_nothing(prime):
     # relation 0 comes first, so its lead would drop products of every later relation
     spec = cached_an(4)
-    rel = spec.relations[0]
-    scaled = Poly(spec.field, spec.nvars, {e: c * prime for e, c in rel.terms.items()})
-    bad = replace(spec, relations=(scaled,) + spec.relations[1:])
+    bad = with_first_relation_scaled(spec, prime)
     after_bad_prime = 0
     for a in degree_grid(4, 4):
         full = rows_by_poly_arithmetic(bad, a)
