@@ -3,18 +3,18 @@
 Three lanes, used as independent routes and cross-checked in the tests,
 where a fraction-free Bareiss elimination is the reference over Z:
 
-  * the sparse lanes: rank_sparse_rational and rank_sparse_mod_p share one
-    echelon insertion over sparse rows.  A dict maps each leading column to
-    its pivot row; an incoming row is reduced by the pivot at its leading
-    column until it claims a new column or vanishes.  Over Z every reduced
-    row has its content stripped, which gives the rank over Q exactly; mod p
-    the pivot rows are scaled to 1.  Given a prime p, the Z lane also
-    certifies that the rank mod p is the same (the lucky-prime argument, in
-    rank_sparse_rational), so one elimination stands in for both.  The slices
-    rank here, and so does the Jacobian at a rational point once its rows
-    are cleared of denominators, and so does singular's linear preprocessing
-    (groebner.linear_interreduce), which reads the pivot rows of
-    sparse_echelon back as polynomials.
+  * the sparse lane: sparse_echelon, one echelon insertion over sparse rows,
+    over Z or mod p.  A dict maps each leading column to its pivot row; an
+    incoming row is reduced by the pivot at its leading column until it
+    claims a new column or vanishes.  Over Z every reduced row has its
+    content stripped, which gives the rank over Q exactly; mod p the pivot
+    rows are scaled to 1.  rank_sparse_rational ranks over Z and, given a
+    prime p, also certifies that the rank mod p is the same (the lucky-prime
+    argument), so one elimination stands in for both.  The slices rank
+    there, and so does the Jacobian at a rational point once its rows are
+    cleared of denominators.  singular's linear preprocessing
+    (groebner.linear_interreduce) reads the pivot rows of sparse_echelon
+    back as polynomials, over Q or mod p.
 
   * the int64 lane: dense per-pivot elimination mod p, reached only through
     echelon_mod_p.  Requires (p-1)^2 < 2^63.
@@ -41,7 +41,7 @@ _MANTISSA = 1 << 53
 _PANEL = 128
 
 
-# -- sparse lanes ---------------------------------------------------------------
+# -- sparse lane ----------------------------------------------------------------
 
 def rank_sparse_rational(rows: list[dict], p: int | None = None) -> tuple[int, bool]:
     """Rank over Q of a matrix given as sparse integer rows {col: coeff}, and
@@ -60,11 +60,6 @@ def rank_sparse_rational(rows: list[dict], p: int | None = None) -> tuple[int, b
     pivots = sparse_echelon(rows, None, p)
     lucky = p is not None and all(prow[lead] % p for lead, prow in pivots.items())
     return len(pivots), lucky
-
-
-def rank_sparse_mod_p(rows: list[dict], p: int) -> int:
-    """Rank mod p of a matrix given as sparse integer rows {col: coeff}."""
-    return len(sparse_echelon(rows, p))
 
 
 def sparse_echelon(rows: list[dict], p: int | None, lucky: int | None = None) -> dict[int, dict]:

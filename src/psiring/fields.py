@@ -15,8 +15,6 @@ from .errors import UsageError
 # Default modulus for rank and Groebner runs: the largest prime below 2^31,
 # so a single product of residues stays under 2^63 in signed 64-bit arithmetic.
 DEFAULT_PRIME = 2147483647
-# Fallbacks for bad-prime detection retries.
-RETRY_PRIMES = (2147483629, 2147483587)
 # Modulus family for the tensor/BLAS kernels: below 2^20 so thousands of
 # products can accumulate exactly in a float64 mantissa (see exactla).
 TENSOR_PRIME = 1048573

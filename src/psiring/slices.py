@@ -2,15 +2,13 @@
 
 In multidegree a the ideal slice is spanned by relation * monomial products,
 so the quotient dimension is  #monomials(a) - rank(product rows)  and the rank
-is plain linear algebra: no Groebner basis is involved.  A slice small enough
-is ranked once, by exact elimination over Z, which also certifies the rank at
+is plain linear algebra: no Groebner basis is involved.  Every slice is
+ranked once, by exact elimination over Z, which also certifies the rank at
 the word size prime DEFAULT_PRIME: every reduction divides a row only by a
 unit mod p, so each pivot row is, mod p, a combination of the product rows,
 and pivots whose leads are nonzero mod p are independent there, so rank mod
 p >= rank over Q, while rank mod p <= rank over Q always (the lucky-prime
-argument).  Only when the certificate fails is the slice ranked mod p apart.
-A wider slice is ranked at DEFAULT_PRIME, and a second prime stands in as
-the cross-check.
+argument).  When the certificate fails the rank over Q stands alone.
 
 Most products are redundant, and are dropped before ranking.  Give each
 relation f_j its leading monomial L_j, the term of largest packed code (the
@@ -21,10 +19,11 @@ Koszul syzygy f_j * f_k = f_k * f_j gives
     c_j * m * f_k  =  (q * f_k) * f_j  -  (q * (f_j - c_j * L_j)) * f_k,
 
 products of the earlier relation f_j and products of f_k by monomials below m,
-so by induction on (k, m) the kept rows span every product.  The step divides
-by c_j, so a relation whose c_j is not a unit at DEFAULT_PRIME or
-RETRY_PRIMES[0] drops nothing, and the ranks over Q and at both primes are
-those of all the products.  A report's row count still counts every product.
+so by induction on (k, m) the kept rows span every product over Q, where every
+c_j is a unit: rank_Q(kept) = rank_Q(all).  The certificate covers all the
+products too, even when some c_j is divisible by p: a certified slice has
+rank_p(all) >= rank_p(kept) = rank_Q(kept) = rank_Q(all) >= rank_p(all).
+A report's row count still counts every product.
 
 The Groebner route counts the same slice as its standard monomials: those not
 divisible by any leading term.  Both routes walk one list of monomial codes
@@ -37,15 +36,12 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import UsageError
-from .exactla import rank_sparse_mod_p, rank_sparse_rational
-from .fields import DEFAULT_PRIME, RETRY_PRIMES
+from .exactla import rank_sparse_rational
+from .fields import DEFAULT_PRIME
 from .groebner import GroebnerBasis
 from .orders import Packing
 from .presentation import PresentationSpec
 from .series import compositions
-
-# above this many columns a second prime stands in for the rational confirmation
-RATIONAL_VERIFY_MAX_COLS = 250
 
 
 def count_monomials(spec: PresentationSpec, a: tuple[int, ...]) -> int:
@@ -99,8 +95,7 @@ def relation_product_rows(spec: PresentationSpec,
         for mono in mons:
             if mono not in dropped:
                 rows.append({col[exp + mono]: c for exp, c in terms})
-        if lead is not None:
-            leads.append((rdeg, lead))
+        leads.append((rdeg, lead))
     return rows, len(basis), products
 
 
@@ -149,18 +144,15 @@ class _RowPlan:
         return codes
 
     def terms(self, spec: PresentationSpec,
-              k: int) -> tuple[tuple[tuple[int, int], ...], int | None]:
+              k: int) -> tuple[tuple[tuple[int, int], ...], int]:
         """Relation k as (code, integer coefficient) pairs, and its leading code:
-        the largest, which is the pivot column of its rows.  The lead is None,
-        so that it drops no product, when its coefficient is divisible by
-        DEFAULT_PRIME or by RETRY_PRIMES[0].  Refuses non-integer coefficients."""
+        the largest, which is the pivot column of its rows.  Refuses
+        non-integer coefficients."""
         entry = self._terms[k]
         if entry is None:
             terms = tuple((self.packing.pack(exp), _as_int(c, spec))
                           for exp, c in spec.relations[k].terms.items())
-            lead, c = max(terms)
-            unit = c % DEFAULT_PRIME and c % RETRY_PRIMES[0]
-            entry = self._terms[k] = (terms, lead if unit else None)
+            entry = self._terms[k] = (terms, max(terms)[0])
         return entry
 
 
@@ -202,32 +194,17 @@ class SliceReport:
 def slice_dimension(spec: PresentationSpec, a: tuple[int, ...]) -> SliceReport:
     """Exact dimension of the multidegree-a slice of the quotient.
 
-    A slice of at most RATIONAL_VERIFY_MAX_COLS columns is ranked over Q; the
-    same elimination certifies that the rank at DEFAULT_PRIME agrees (see
-    exactla.rank_sparse_rational), and only when it does not is the slice
-    ranked at DEFAULT_PRIME to compare.  A wider slice is ranked at
-    DEFAULT_PRIME and at a second prime.  method names every rank the answer
-    rests on: modular(p)+rational when the ranks at p and over Q agree.
+    The slice is ranked over Q by one elimination, which also certifies that
+    the rank at DEFAULT_PRIME agrees (see exactla.rank_sparse_rational).
+    method names every rank the answer rests on: modular(p)+rational when the
+    certificate holds, rational(after-bad-prime) when p divides a pivot's
+    leading entry.
     """
     rows, ncols, products = relation_product_rows(spec, a)
     nmon = count_monomials(spec, a)
     assert nmon == ncols
     if not rows:
         return SliceReport(tuple(a), nmon, 0, 0, nmon, "empty")
-
-    if ncols <= RATIONAL_VERIFY_MAX_COLS:
-        rank, lucky = rank_sparse_rational(rows, DEFAULT_PRIME)
-        if lucky or rank_sparse_mod_p(rows, DEFAULT_PRIME) == rank:
-            how = f"modular({DEFAULT_PRIME})+rational"
-        else:  # unlucky prime: the rational answer wins
-            how = "rational(after-bad-prime)"
-    else:
-        rank = rank_sparse_mod_p(rows, DEFAULT_PRIME)
-        p2 = RETRY_PRIMES[0]
-        r2 = rank_sparse_mod_p(rows, p2)
-        if r2 != rank:
-            rank = max(rank, r2)  # rank mod p only ever drops
-            how = f"modular(max {DEFAULT_PRIME},{p2})"
-        else:
-            how = f"modular({DEFAULT_PRIME},{p2})"
+    rank, lucky = rank_sparse_rational(rows, DEFAULT_PRIME)
+    how = f"modular({DEFAULT_PRIME})+rational" if lucky else "rational(after-bad-prime)"
     return SliceReport(tuple(a), nmon, products, rank, nmon - rank, how)

@@ -303,9 +303,12 @@ REPORT_PINS = [
      "39a5efbc74281ccbfd68ff893ccb297cbccb867cc4e6919db5a3d9dcb7f596d0"),
     (["gb", "run", "--n", "4", "--cap", "2"],
      "732c61d16a3a8154dea7c0b5ee37317f340cf1e0dcebd4dd77cceb318d191eab"),
-    # slices wider than RATIONAL_VERIFY_MAX_COLS (second prime), and every relation_rows
+    # slices of up to 400 columns, and every relation_rows
     (["hilbert", "brute", "--kind", "bnm", "--n", "3", "--m", "3", "--max-total", "5"],
-     "76f57826d5615a36b33462a0a6168df72b80d5283540fecdde9d088461eac669"),
+     "12a4ce36f2776ad511eb494c4f9298c0d8d884466d08c9d093ea72d9b6759a12"),
+    # A(6): 15 slices of 256 columns, each ranked over Z like the narrower ones
+    (["hilbert", "brute", "--n", "6", "--max-total", "4"],
+     "8f0fe89664b30858563f5e8a8b7698de51a8db00ebeef09670090ab936a363a3"),
     # the method column of every narrow slice of A(5), under two pivot schemes
     (["hilbert", "brute", "--n", "5", "--max-total", "5"],
      "fef3caaafbebb225dc4b854530ce3d6438ca8f42623b8112acdea6ebf47180be"),

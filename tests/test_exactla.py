@@ -13,9 +13,9 @@ from psiring.exactla import (
     mod_matmul,
     nullspace_mod_p,
     rank_mod_p,
-    rank_sparse_mod_p,
     rank_sparse_rational,
     rows_to_dense,
+    sparse_echelon,
 )
 from psiring.fields import DEFAULT_PRIME, TENSOR_PRIME
 from psiring.rng import SplitMix64
@@ -205,7 +205,7 @@ def random_sparse_rows(rng, nrows, ncols):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_sparse_ranks_against_dense_references(seed):
-    # rank_sparse_rational and rank_sparse_mod_p share one elimination loop, so
+    # sparse_echelon runs over Z and mod p in one elimination loop, so
     # Bareiss and the dense modular lane are the independent references
     rng = SplitMix64(0x5EED + seed)
     for _ in range(25):
@@ -215,7 +215,7 @@ def test_sparse_ranks_against_dense_references(seed):
         dense = [[r.get(c, 0) for c in range(ncols)] for r in rows]
         assert rank_sparse_rational(rows)[0] == bareiss_rank(dense)
         for p in (2, 3, 97, DEFAULT_PRIME):
-            assert rank_sparse_mod_p(rows, p) == rank_mod_p(rows_to_dense(rows, ncols, p), p)
+            assert len(sparse_echelon(rows, p)) == rank_mod_p(rows_to_dense(rows, ncols, p), p)
         assert rows == before  # the caller's rows are left as they were
 
 
@@ -223,21 +223,21 @@ def test_sparse_ranks_against_dense_references(seed):
 def test_rank_mod_p_can_fall_below_rank_over_q(p):
     rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + p}]
     assert rank_sparse_rational(rows, p) == (2, False)  # not certified at p
-    assert rank_sparse_mod_p(rows, p) == 1
+    assert len(sparse_echelon(rows, p)) == 1
     assert rank_mod_p(rows_to_dense(rows, 2, p), p) == 1
 
 
 def test_explicit_zero_entries_are_not_pivots():
     for rows in ([{0: 0}], [{0: 0, 1: 0}, {1: 0, 2: 3}], [{2: 0, 1: 2}, {1: 4}]):
-        assert rank_sparse_rational(rows)[0] == rank_sparse_mod_p(rows, DEFAULT_PRIME)
+        assert rank_sparse_rational(rows)[0] == len(sparse_echelon(rows, DEFAULT_PRIME))
     assert rank_sparse_rational([{0: 0}]) == (0, False)
     assert rank_sparse_rational([{0: 0, 1: 0}, {1: 0, 2: 3}], 5) == (1, True)
 
 
 def test_a_factor_p_is_left_in_and_fails_the_certificate():
     # content 14 = 2 * 7: over Z the 7 is stripped, the 2 stays when p = 2
-    assert exactla.sparse_echelon([{0: 14, 1: 28}], None) == {0: {0: 1, 1: 2}}
-    assert exactla.sparse_echelon([{0: 14, 1: 28}], None, 2) == {0: {0: 2, 1: 4}}
+    assert sparse_echelon([{0: 14, 1: 28}], None) == {0: {0: 1, 1: 2}}
+    assert sparse_echelon([{0: 14, 1: 28}], None, 2) == {0: {0: 2, 1: 4}}
     assert rank_sparse_rational([{0: 14, 1: 28}], 2) == (1, False)
     assert rank_sparse_rational([{0: 14, 1: 28}], 7) == (1, False)
     assert rank_sparse_rational([{0: 14, 1: 28}], 3) == (1, True)
@@ -270,11 +270,13 @@ def test_certified_rank_over_q_is_the_rank_mod_q(q):
     rng = SplitMix64(0xCE27 + q)
     outcomes = set()
     for _ in range(200):
-        rows = multiples_heavy_rows(rng, q, rng.randint(1, 8), rng.randint(1, 7))
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 7)
+        rows = multiples_heavy_rows(rng, q, nrows, ncols)
         rank, lucky = rank_sparse_rational(rows, q)
         assert rank == rank_sparse_rational(rows)[0]
+        rank_q = rank_mod_p(rows_to_dense(rows, ncols, q), q)
         if lucky:
-            assert rank == rank_sparse_mod_p(rows, q)
-        outcomes.add((lucky, rank == rank_sparse_mod_p(rows, q)))
+            assert rank == rank_q
+        outcomes.add((lucky, rank == rank_q))
     # certified, failed with the ranks apart, and failed with the ranks equal
     assert outcomes == {(True, True), (False, False), (False, True)}

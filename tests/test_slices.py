@@ -11,7 +11,7 @@ import pytest
 
 from psiring import exactla, slices
 from psiring.errors import UsageError
-from psiring.fields import DEFAULT_PRIME, RETRY_PRIMES
+from psiring.fields import DEFAULT_PRIME
 from psiring.groebner import groebner_for
 from psiring.orders import multidegree
 from psiring.poly import Poly
@@ -103,7 +103,8 @@ def dimension_by(method, spec, a):
     rows, ncols = rows_by_poly_arithmetic(spec, a), count_monomials(spec, a)
     if method == "rational":
         return ncols - exactla.rank_sparse_rational(rows)[0]
-    return ncols - exactla.rank_sparse_mod_p(rows, DEFAULT_PRIME)
+    dense = exactla.rows_to_dense(rows, ncols, DEFAULT_PRIME)
+    return ncols - exactla.rank_mod_p(dense, DEFAULT_PRIME)
 
 
 @pytest.mark.parametrize("method", ["rational", "modular", "auto"])
@@ -180,52 +181,30 @@ def with_first_relation_scaled(spec, factor):
     return replace(spec, relations=(scaled,) + spec.relations[1:])
 
 
-def unlucky_at_default_prime(rows, p):
-    # simulates a prime that divides a pivot: no measured slice drops rank at
-    # 2, 3 or 5, let alone at DEFAULT_PRIME
-    return exactla.rank_sparse_mod_p(rows, p) - (p == DEFAULT_PRIME)
-
-
 def test_bad_prime_branches(monkeypatch):
-    p, p2 = DEFAULT_PRIME, RETRY_PRIMES[0]
+    p = DEFAULT_PRIME
     spec = cached_an(4)
     # relation 0 scaled by p is zero mod p, so where its rows become pivots
-    # the elimination over Z does not certify the rank mod p, and the slice
-    # is ranked mod p apart
+    # the elimination over Z does not certify the rank mod p, and the rank
+    # over Q stands alone
     bad = with_first_relation_scaled(spec, p)
-    ranked_at = []
+    primes = []
 
-    def spy(rows, q):
-        ranked_at.append(q)
-        return exactla.rank_sparse_mod_p(rows, q)
+    def spy(rows, q=None):
+        primes.append(q)
+        return exactla.rank_sparse_rational(rows, q)
 
-    monkeypatch.setattr(slices, "rank_sparse_mod_p", spy)
-    for a, true_rank, method in [((1, 1, 0, 0), 1, "rational(after-bad-prime)"),
-                                 ((1, 1, 0, 1), 4, f"modular({p})+rational")]:
-        rows, ncols, _ = relation_product_rows(bad, a)
-        assert exactla.rank_sparse_rational(rows, p) == (true_rank, False)
-        assert ncols <= slices.RATIONAL_VERIFY_MAX_COLS
-        ranked_at.clear()
+    monkeypatch.setattr(slices, "rank_sparse_rational", spy)
+    for a, true_rank in [((1, 1, 0, 0), 1), ((1, 1, 0, 1), 4)]:
+        assert exactla.rank_sparse_rational(rows_by_poly_arithmetic(bad, a))[0] == true_rank
+        primes.clear()
         rep = slice_dimension(bad, a)
-        assert ranked_at == [p]
-        assert (rep.method, rep.rank) == (method, true_rank)
+        assert primes == [p]  # one elimination, over Z
+        assert (rep.method, rep.rank) == ("rational(after-bad-prime)", true_rank)
         assert rep.dimension == closed_form(bad, a)
-    ranked_at.clear()
+    primes.clear()
     assert slice_dimension(spec, (1, 1, 0, 1)).method == f"modular({p})+rational"
-    assert ranked_at == []  # certified: one elimination, over Z
-
-    a = (2, 1, 1, 0)
-    rows = relation_product_rows(spec, a)[0]
-    true_rank = exactla.rank_sparse_rational(rows)[0]
-    # too wide for the rational confirmation: the second prime stands in
-    monkeypatch.setattr(slices, "rank_sparse_mod_p", unlucky_at_default_prime)
-    monkeypatch.setattr(slices, "RATIONAL_VERIFY_MAX_COLS", 0)
-    rep = slice_dimension(spec, a)
-    assert (rep.method, rep.rank) == (f"modular(max {p},{p2})", true_rank)
-
-    monkeypatch.setattr(slices, "rank_sparse_mod_p", exactla.rank_sparse_mod_p)
-    rep = slice_dimension(spec, a)
-    assert (rep.method, rep.rank) == (f"modular({p},{p2})", true_rank)
+    assert primes == [p]
 
 
 def row_key(row):
@@ -277,9 +256,8 @@ def test_slices_refuse_non_integer_relation_coefficients():
 
 
 def ranks(rows):
-    """Rank over Q and at the two primes a slice may be ranked at."""
-    return (exactla.rank_sparse_rational(rows)[0], exactla.rank_sparse_mod_p(rows, DEFAULT_PRIME),
-            exactla.rank_sparse_mod_p(rows, RETRY_PRIMES[0]))
+    """Rank over Q and at the prime a slice's rank is certified at."""
+    return exactla.rank_sparse_rational(rows)[0], len(exactla.sparse_echelon(rows, DEFAULT_PRIME))
 
 
 @pytest.mark.parametrize("spec,limit", [
@@ -287,7 +265,7 @@ def ranks(rows):
     (cached_an(5), 4),
     (build_an(5, PivotScheme(CUSTOM, (3, 1, 5, 2, 4))), 4),
     (cached_bnm(3, 2), 5),
-    (cached_bnm(3, 3), 5),  # slices wider than RATIONAL_VERIFY_MAX_COLS
+    (cached_bnm(3, 3), 5),  # the widest slices here, up to 400 columns
 ], ids=["a4", "a5", "a5-custom", "b32", "b33"])
 def test_kept_rows_span_all_products(spec, limit):
     for a in degree_grid(spec.nblocks, limit):
@@ -303,20 +281,22 @@ def test_kept_rows_on_the_middle_slice_of_a5():
     assert (rep.rows, rep.rank) == (540, 212)
 
 
-@pytest.mark.parametrize("prime", [DEFAULT_PRIME, RETRY_PRIMES[0]])
-def test_lead_coefficient_divisible_by_a_rank_prime_drops_nothing(prime):
-    # relation 0 comes first, so its lead would drop products of every later relation
-    spec = cached_an(4)
-    bad = with_first_relation_scaled(spec, prime)
-    after_bad_prime = 0
+def test_certificate_covers_the_dropped_products():
+    # relation 0 comes first and its lead coefficient is zero mod p, yet its
+    # lead drops products of every later relation: over Q the kept rows span
+    # them all, and a certified slice has rank_p(all) = rank_Q(all)
+    p = DEFAULT_PRIME
+    bad = with_first_relation_scaled(cached_an(4), p)
+    methods = Counter()
     for a in degree_grid(4, 4):
         full = rows_by_poly_arithmetic(bad, a)
-        rank_q, rank_p, _ = want = ranks(full)
-        assert ranks(relation_product_rows(bad, a)[0]) == want, a
+        rank_q = exactla.rank_sparse_rational(full)[0]
+        assert exactla.rank_sparse_rational(relation_product_rows(bad, a)[0])[0] == rank_q, a
         rep = slice_dimension(bad, a)
+        assert rep.rank == rank_q, a
         assert rep.dimension == closed_form(bad, a), a
-        unpruned_bad = rank_p != rank_q and rep.monomials <= slices.RATIONAL_VERIFY_MAX_COLS
-        assert (rep.method == "rational(after-bad-prime)") == unpruned_bad, a
-        after_bad_prime += unpruned_bad
-    # the narrow slices of A(4) are never ranked at RETRY_PRIMES[0]
-    assert bool(after_bad_prime) == (prime == DEFAULT_PRIME)
+        if rep.method == f"modular({p})+rational":
+            dense = exactla.rows_to_dense(full, rep.monomials, p)
+            assert exactla.rank_mod_p(dense, p) == rep.rank, a
+        methods[rep.method] += 1
+    assert methods[f"modular({p})+rational"] and methods["rational(after-bad-prime)"]
