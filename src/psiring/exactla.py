@@ -3,18 +3,16 @@
 Three lanes, used as independent routes and cross-checked in the tests,
 where a fraction-free Bareiss elimination is the reference over Z:
 
-  * the sparse lane: sparse_echelon, one echelon insertion over sparse rows,
-    over Z or mod p.  A dict maps each leading column to its pivot row; an
+  * the sparse lane: sparse_echelon, one echelon insertion over sparse integer
+    rows, over Z only.  A dict maps each leading column to its pivot row; an
     incoming row is reduced by the pivot at its leading column until it
-    claims a new column or vanishes.  Over Z every reduced row has its
-    content stripped, which gives the rank over Q exactly; mod p the pivot
-    rows are scaled to 1.  rank_sparse_rational ranks over Z and, given a
-    prime p, also certifies that the rank mod p is the same (the lucky-prime
-    argument), so one elimination stands in for both.  The slices rank
-    there, and so does the Jacobian at a rational point once its rows are
-    cleared of denominators.  singular's linear preprocessing
-    (groebner.linear_interreduce) reads the pivot rows of sparse_echelon
-    back as polynomials, over Q or mod p.
+    claims a new column or vanishes, and has its content stripped, which
+    gives the rank over Q exactly.  rank_sparse_rational ranks there and,
+    given a prime p, also certifies that the rank mod p is the same (the
+    lucky-prime argument), so one elimination stands in for both.  The slices
+    and the Jacobian at a rational point rank there.  singular's linear
+    preprocessing (groebner.linear_interreduce) reads the pivot rows back as
+    polynomials, certified at the characteristic over a prime field.
 
   * the int64 lane: dense per-pivot elimination mod p, reached only through
     echelon_mod_p.  Requires (p-1)^2 < 2^63.
@@ -57,40 +55,31 @@ def rank_sparse_rational(rows: list[dict], p: int | None = None) -> tuple[int, b
     exceeds the rank over Q.  A row that kept a factor p is zero mod p, so it
     fails the check if it becomes a pivot; the multipliers a need no check.
     """
-    pivots = sparse_echelon(rows, None, p)
+    pivots = sparse_echelon(rows, p)
     lucky = p is not None and all(prow[lead] % p for lead, prow in pivots.items())
     return len(pivots), lucky
 
 
-def sparse_echelon(rows: list[dict], p: int | None, lucky: int | None = None) -> dict[int, dict]:
-    """Echelon insertion of sparse integer rows: over Z when p is None, else mod p.
+def sparse_echelon(rows: list[dict], lucky: int | None = None) -> dict[int, dict]:
+    """Echelon insertion of sparse integer rows over Z.
 
     Returns the dict from each leading column to the one pivot row that starts
     there.  Each incoming row is reduced by the pivot at its leading column
-    until it claims a column of its own or vanishes.  Over Z the pivot rows are
-    primitive (content stripped), except that factors of the prime lucky stay
-    in; mod p they are scaled to lead 1.  Zero entries are dropped.
+    until it claims a column of its own or vanishes.  The pivot rows are
+    primitive integer rows (content stripped), except that factors of the
+    prime lucky stay in.  Zero entries are dropped.
     """
     pivots: dict[int, dict] = {}
     for row in rows:
-        if p is None:
-            row = {c: v for c, v in row.items() if v}
-            _strip_content(row, lucky)
-        else:
-            row = {c: v % p for c, v in row.items() if v % p}
+        row = {c: v for c, v in row.items() if v}
+        _strip_content(row, lucky)
         while row:
             lead = min(row)
             prow = pivots.get(lead)
             if prow is None:
-                if p is not None:
-                    inv = pow(row[lead], -1, p)
-                    row = {c: v * inv % p for c, v in row.items()}
                 pivots[lead] = row
                 break
-            if p is None:
-                _reduce_z(row, prow, lead, lucky)
-            else:
-                _reduce_mod_p(row, prow, lead, p)
+            _reduce_z(row, prow, lead, lucky)
     return pivots
 
 
@@ -111,18 +100,6 @@ def _reduce_z(row: dict, prow: dict, lead: int, lucky: int | None) -> None:
         else:
             del row[c]
     _strip_content(row, lucky)
-
-
-def _reduce_mod_p(row: dict, prow: dict, lead: int, p: int) -> None:
-    """row <- row - f*prow mod p in place, f the entry of row at lead and
-    prow a pivot row with lead 1.  row loses column lead."""
-    f = row[lead]
-    for c, x in prow.items():
-        v = (row.get(c, 0) - f * x) % p
-        if v:
-            row[c] = v
-        else:
-            del row[c]
 
 
 def _strip_content(row: dict, keep: int | None) -> None:
@@ -182,9 +159,8 @@ def nullspace_mod_p(a, p: int) -> np.ndarray:
     p must be below FLOAT_LANE_MAX_PRIME: the back-substitution runs in float64.
     """
     step = _float_chunk(p)
-    A = as_mod_array(a, p)
-    ncols = A.shape[1]
-    U, pivots = echelon_mod_p(A, p)
+    U, pivots = echelon_mod_p(a, p)
+    ncols = U.shape[1]
     r = len(pivots)
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]

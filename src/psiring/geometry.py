@@ -80,7 +80,8 @@ def pole_value(cfg: PointConfig, i: int, j: int) -> Fraction:
 def pole_table(cfg: PointConfig) -> tuple[int, dict[tuple[int, int], int]]:
     """(den, {(i, j): den * atilde(i,j)}) for every marked point i and every
     other point j, extra point r at j = n + r; den the lcm of the pole values'
-    denominators."""
+    denominators.  Refuses an invalid configuration before any division."""
+    cfg.validate()
     n, npts = len(cfg.z), len(cfg.z) + len(cfg.q)
     vals = {(i, j): pole_value(cfg, i, j)
             for i in range(1, n + 1) for j in range(1, npts + 1) if i != j}
@@ -95,7 +96,6 @@ def alpha_values(spec: PresentationSpec, cfg: PointConfig) -> list[Fraction]:
     A_n measures against the pivot p(i), B_(n,m) against the last extra point,
     and phi[r,i] reads extra point r as j = n + r.
     """
-    cfg.validate()
     if len(cfg.z) != spec.n or len(cfg.q) != spec.m:
         raise UsageError(
             f"configuration has ({len(cfg.z)},{len(cfg.q)}) points, spec needs ({spec.n},{spec.m})"
@@ -192,8 +192,8 @@ def jacobian_rank_at(spec: PresentationSpec, values: list[Fraction]) -> int:
     if bad:
         raise UsageError(f"point is not on the variety (relations {bad} do not vanish)")
     rows = []
-    for rel in spec.relations:
-        row = {v: rel.derivative(v).evaluate(values) for v in range(spec.nvars)}
+    for jrow in jacobian(spec):
+        row = {v: entry.evaluate(values) for v, entry in enumerate(jrow)}
         denom = lcm(*(x.denominator for x in row.values()))
         rows.append({v: x.numerator * (denom // x.denominator) for v, x in row.items() if x})
     return rank_sparse_rational(rows)[0]

@@ -376,12 +376,20 @@ def linear_interreduce(polys: list[Poly], order: MonomialOrder) -> list[Poly]:
     Cuts redundant members before Buchberger when the input is very linearly
     dependent (minor expansions, spanning relation families).  Each batch goes
     through exactla.sparse_echelon as integer rows cleared of denominators; its
-    pivot rows come back monic over a prime field and primitive over QQ.
+    pivot rows come back primitive over Z, read into the field, not monic.
+
+    Over a prime field the elimination is certified at the characteristic p
+    as in exactla.rank_sparse_rational.  When every pivot's lead is nonzero
+    mod p, each reduction step scaled a row only by a unit mod p, so the pivots
+    are unit multiples of those an elimination mod p builds, with the same
+    leads; Buchberger makes every input monic.  Otherwise the batch is kept as
+    it came in, which leaves the ideal unchanged.
     """
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return []
     field = polys[0].field
+    prime = field.characteristic or None
     groups: dict[tuple, list[Poly]] = {}
     for p in polys:
         groups.setdefault(tuple(sorted({sum(e) for e in p.terms})), []).append(p)
@@ -394,7 +402,10 @@ def linear_interreduce(polys: list[Poly], order: MonomialOrder) -> list[Poly]:
         for p in batch:
             denom = lcm(*(c.denominator for c in p.terms.values()))  # 1 over a prime field
             rows.append({pos[e]: field.to_int(c * denom) for e, c in p.terms.items()})
-        echelon = sparse_echelon(rows, field.characteristic or None)
+        echelon = sparse_echelon(rows, prime)
+        if prime and not all(prow[lead] % prime for lead, prow in echelon.items()):
+            out += batch
+            continue
         for lead in sorted(echelon):
             terms = {monos[c]: v for c, v in echelon[lead].items()}
             out.append(Poly.from_int_terms(field, batch[0].nvars, terms))

@@ -81,19 +81,19 @@ def b2_structural(n: int) -> int:
 
 def relation_space_matrices(
     n: int, prime: int = TENSOR_PRIME, pivot: PivotScheme | None = None
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(N2, C, v): a row basis of R in V(x)V and its membership-check matrix.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N2, C): a row basis of R in V(x)V and its membership-check matrix.
 
-    x lies in R exactly when C @ x == 0 mod the prime; N2 has dim(R) rows.
+    x lies in R exactly when C @ x == 0 mod the prime; N2 has dim(R) rows in
+    echelon form, and C is read from N2, which spans the same rows.
     """
     trs = tensor_relation_space(n, pivot)
     v = trs.dim_v
-    M = rows_to_dense(list(trs.rows), v * v, prime)
-    U, pivots = echelon_mod_p(M, prime)
+    U, pivots = echelon_mod_p(rows_to_dense(list(trs.rows), v * v, prime), prime)
     N2 = np.ascontiguousarray(U[: len(pivots)])
-    C = np.ascontiguousarray(nullspace_mod_p(M, prime).T)
+    C = np.ascontiguousarray(nullspace_mod_p(N2, prime).T)
     assert N2.shape[0] + C.shape[0] == v * v
-    return N2, C, v
+    return N2, C
 
 
 def dual_tower(
@@ -191,7 +191,7 @@ def _dual_blocks(
     blocks = build_an(n, pivot).blocks
     zero = (0,) * n
     var_block = [np.flatnonzero(np.asarray(blocks) == t) for t in range(n)]
-    N, C, _ = relation_space_matrices(n, prime, pivot)
+    N, C = relation_space_matrices(n, prime, pivot)
     RR = C.shape[0]
     r_groups = _group(_pair_degrees(C, blocks, n))
     p_groups = _group([_shift(zero, t, 1) for t in blocks])  # basis of W_1 = V by degree
@@ -281,7 +281,7 @@ def dual_dimension_stacked(n: int, k: int) -> int:
         return 1
     if k == 1:
         return v
-    _, C, _ = relation_space_matrices(n)
+    _, C = relation_space_matrices(n)
     RR = C.shape[0]
     unknowns = v ** k
     nrows = (k - 1) * RR * v ** (k - 2)

@@ -291,6 +291,11 @@ REPORT_PINS = [
      "e08c5a347d0cf48bdec6eb478c9d7bb5a68307e1b51cf3343f6691da2ddfaefd"),
     (["singular", "--n", "4", "--pivot", "custom:3,4,1,2"],
      "70aaca93386bbfd0cbfb506d710017a97525a3ed1685ba69e895ed18b2b11443"),
+    # singular where the linear preprocessing is not certified and keeps a batch
+    (["singular", "--n", "4", "--field", "prime:3"],
+     "d68b0aabfd9bd5fd94bff4e4e9d76a31db51fe76049ac28e13ea6ae57eadb5a4"),
+    (["singular", "--kind", "bnm", "--n", "3", "--m", "1", "--field", "prime:2"],
+     "82d67136ee1a0f73983d0d9ff75b423e7d742a4cb8f2af2051f1e852dacf9ec5"),
     # the series in every format, standard monomial counts, leading terms of a capped run
     (["hilbert", "lee", "--n", "5", "--max-total", "6", "--format", "csv"],
      "955f4381b8ecf8911270a9688c0d70a102442f539f724fb5cf0f87d0f9fbfe53"),

@@ -106,6 +106,20 @@ def test_channel_witness_detects_perturbation(n, monkeypatch):
     assert not channels_consistent(cfg)
 
 
+@pytest.mark.parametrize("z,lam,match", [
+    ((0, 1, 1, 3), (1, 1, 1, 1), "pairwise distinct"),
+    ((0, 1, 2, 3), (1, 0, 1, 1), "nonzero"),
+], ids=["repeated-point", "zero-weight"])
+def test_invalid_configuration_is_refused(z, lam, match):
+    # a repeated point divides by zero in the pole table, and a zero weight
+    # zeroes a row of it, so both are refused before any pole value is read
+    cfg = PointConfig(z=tuple(map(Fraction, z)), q=(), lam=tuple(map(Fraction, lam)))
+    with pytest.raises(UsageError, match=match):
+        channels_consistent(cfg)
+    with pytest.raises(UsageError, match=match):
+        alpha_values(cached_an(4), cfg)
+
+
 def reference_vanishing(spec, vals):
     return [t for t, r in enumerate(spec.relations) if r.evaluate(vals) != 0]
 

@@ -208,6 +208,20 @@ def test_linear_interreduce_output_is_pinned(field, digest):
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
+def test_linear_interreduce_keeps_an_uncertified_batch():
+    # at p = 3 a pivot lead of A_4's cubic minors over Z is divisible by 3,
+    # so the elimination is not certified there and the batch stays as it was
+    field = PrimeField(3)
+    spec = build_an(4).to_field(field)
+    minors = singular_minors(spec, spec.nvars - 5)
+    gens = list(spec.relations) + minors
+    out = linear_interreduce(gens, ORDER)
+    assert len(out) == 714
+    assert all(sum(e) == 2 for p in out[:6] for e in p.terms)
+    assert out[6:] == minors
+    assert sorted(buchberger(out, ORDER).leads) == sorted(buchberger(gens, ORDER).leads)
+
+
 def test_mixed_fields_rejected():
     f = p_of(QQ, 2, {(1, 0): 1})
     g = p_of(GF, 2, {(0, 1): 1})
