@@ -22,6 +22,7 @@ from .geometry import (
     DEFAULT_MINOR_BUDGET,
     alpha_values,
     channels_consistent,
+    pole_table,
     sample_config,
     singular_locus_dim,
     verify_vanishing,
@@ -343,21 +344,23 @@ def cmd_sample(args) -> Report:
     report = Report(TOOL, __version__, _config_echo(args, count=args.count))
     rng = SplitMix64(args.seed)
     child_seeds = [rng.next_u64() for _ in range(args.count)]
+    names = spec.var_names()
 
     def one(seed: int) -> dict:
         cfg = sample_config(args.n, args.m, seed)
-        values = alpha_values(spec, cfg)
+        table = pole_table(cfg)
+        values = alpha_values(spec, table)
         bad = verify_vanishing(spec, values)
         entry = {
             "seed": seed,
             "z": [str(x) for x in cfg.z],
             "q": [str(x) for x in cfg.q],
             "lam": [str(x) for x in cfg.lam],
-            "values": {v.text(): str(x) for v, x in zip(spec.variables, values)},
+            "values": dict(zip(names, map(str, values))),
             "vanishing": "ok" if not bad else f"failed at relations {bad}",
         }
         if args.kind == "an":
-            entry["channels"] = "ok" if channels_consistent(cfg) else "dependent"
+            entry["channels"] = "ok" if channels_consistent(table[1]) else "dependent"
         return entry
 
     entries = parallel_map(one, child_seeds, args.threads)

@@ -19,11 +19,11 @@ where a fraction-free Bareiss elimination is the reference over Z:
 
   * the float64 lane: panel LU with BLAS Schur updates mod p, taken by
     echelon_mod_p for p below 2^20 on matrices at least 64 on each side.
-    nullspace_mod_p's back-substitution and mod_matmul run in float64 only,
-    and refuse p of 2^20 and above.  Every accumulated dot product stays
-    below 2^53: the panel width bounds the elimination, and the products are
-    reduced mod p after every _float_chunk(p) terms.  This is what makes the
-    big tensor ranks in the Koszul computations fast.
+    nullspace_mod_p's back-substitution (echelon_nullspace) and mod_matmul
+    run in float64 only, and refuse p of 2^20 and above.  Every accumulated
+    dot product stays below 2^53: the panel width bounds the elimination,
+    and the products are reduced mod p after every _float_chunk(p) terms.
+    This is what makes the big tensor ranks in the Koszul computations fast.
 """
 
 from __future__ import annotations
@@ -158,8 +158,14 @@ def nullspace_mod_p(a, p: int) -> np.ndarray:
 
     p must be below FLOAT_LANE_MAX_PRIME: the back-substitution runs in float64.
     """
+    _float_chunk(p)  # refuses a prime outside the float64 lane before eliminating
+    return echelon_nullspace(*echelon_mod_p(a, p), p)
+
+
+def echelon_nullspace(U: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """nullspace_mod_p's back-substitution, on an echelon form (U, pivots) as
+    echelon_mod_p returns it, so a caller holding one does not eliminate twice."""
     step = _float_chunk(p)
-    U, pivots = echelon_mod_p(a, p)
     ncols = U.shape[1]
     r = len(pivots)
     pivset = set(pivots)

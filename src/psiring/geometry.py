@@ -10,13 +10,14 @@ and the presentation variables are differences of these against the pivot
 channel (the last extra point for the B family), so every relation vanishes
 at every configuration: that is the point-sampling side of presentation
 correctness, checked in exact integer arithmetic after clearing denominators.
-Each configuration of either family reads its pole values once, into one
-pole table of integer numerators over a common denominator (pole_table), and
-every coordinate is a difference of two of its entries.
+Each configuration of either family gets one pole table, built in integers:
+numerators over a common denominator (pole_table).  That one table feeds the
+coordinates (every coordinate is a difference of two of its entries, and the
+vanishing test reads those coordinates) and the channel check.
 
-The pole values also give the channel-independence check: each pair
-product takes one value whatever third point k it is measured through
-(cij_values, channels_consistent).
+The pole values give the channel-independence check: each pair product
+takes one value whatever third point k it is measured through (cij_values,
+channels_consistent).
 
 The same values drive the local analysis: Jacobian rank at sampled smooth
 points, and the singular locus as the vanishing of the relations plus the
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .errors import BudgetError, UsageError
 from .exactla import rank_sparse_rational
@@ -71,36 +72,52 @@ def sample_config(n: int, m: int, seed: int) -> PointConfig:
     )
 
 
-def pole_value(cfg: PointConfig, i: int, j: int) -> Fraction:
-    """atilde(i,j) = lam_i / (p_j - z_i), 1-based indices, p the points z
-    followed by q: extra point r is p_(n+r)."""
-    return cfg.lam[i - 1] / ((cfg.z + cfg.q)[j - 1] - cfg.z[i - 1])
-
-
 def pole_table(cfg: PointConfig) -> tuple[int, dict[tuple[int, int], int]]:
     """(den, {(i, j): den * atilde(i,j)}) for every marked point i and every
     other point j, extra point r at j = n + r; den the lcm of the pole values'
-    denominators.  Refuses an invalid configuration before any division."""
+    denominators.  Refuses an invalid configuration before any division.
+
+    Integer arithmetic throughout: with P (scale) the lcm of the points'
+    denominators, atilde(i,j) = (lam_i.num * P) / (lam_i.den * (P p_j - P z_i)),
+    reduced by one gcd.  A negative reduced denominator needs no sign flip:
+    lcm ignores signs, and den // b carries b's sign into the entry.
+    """
     cfg.validate()
-    n, npts = len(cfg.z), len(cfg.z) + len(cfg.q)
-    vals = {(i, j): pole_value(cfg, i, j)
-            for i in range(1, n + 1) for j in range(1, npts + 1) if i != j}
-    den = lcm(*(v.denominator for v in vals.values()))
-    return den, {key: v.numerator * (den // v.denominator) for key, v in vals.items()}
+    pts = cfg.z + cfg.q
+    scale = lcm(*(x.denominator for x in pts))
+    cleared = [x.numerator * (scale // x.denominator) for x in pts]
+    reduced = {}
+    for i, (zi, lam) in enumerate(zip(cleared, cfg.lam), start=1):
+        top = lam.numerator * scale
+        for j, pj in enumerate(cleared, start=1):
+            if j != i:
+                bottom = lam.denominator * (pj - zi)
+                g = gcd(top, bottom)
+                reduced[i, j] = (top // g, bottom // g)
+    den = lcm(*(b for _, b in reduced.values()))
+    return den, {key: a * (den // b) for key, (a, b) in reduced.items()}
 
 
-def alpha_values(spec: PresentationSpec, cfg: PointConfig) -> list[Fraction]:
-    """Coordinates of the configuration's point, one value per presentation variable.
+def _table_points(poles: dict[tuple[int, int], int]) -> tuple[int, int]:
+    """(n, n + m) of a pole table: its marked points and all its points."""
+    return max((i for i, _ in poles), default=0), max((j for _, j in poles), default=0)
+
+
+def alpha_values(spec: PresentationSpec,
+                 table: tuple[int, dict[tuple[int, int], int]]) -> list[Fraction]:
+    """Coordinates of a configuration's point, one value per presentation
+    variable, read from the configuration's pole table.
 
     Each variable is a pole-table difference atilde(i,j) - atilde(i,base):
     A_n measures against the pivot p(i), B_(n,m) against the last extra point,
     and phi[r,i] reads extra point r as j = n + r.
     """
-    if len(cfg.z) != spec.n or len(cfg.q) != spec.m:
+    den, poles = table
+    n, npts = _table_points(poles)
+    if (n, npts) != (spec.n, spec.n + spec.m):
         raise UsageError(
-            f"configuration has ({len(cfg.z)},{len(cfg.q)}) points, spec needs ({spec.n},{spec.m})"
+            f"pole table has ({n},{npts - n}) points, spec needs ({spec.n},{spec.m})"
         )
-    den, poles = pole_table(cfg)
     out: list[Fraction] = []
     for var in spec.variables:
         i, j = (var.i, var.j) if isinstance(var, Alpha) else (var.i, spec.n + var.r)
@@ -156,21 +173,21 @@ def _integer_form(rel: Poly) -> list[tuple[int, tuple[int, ...], int]]:
 
 # -- consistency of the pair products across channels ------------------------------
 
-def cij_values(poles: dict[tuple[int, int], int], i: int, j: int) -> list[int]:
-    """For each k outside {i,j}, in increasing order: atilde(i,k)atilde(j,k)
-    - atilde(i,j)atilde(j,k) - atilde(j,i)atilde(i,k), read from a pole table,
-    so scaled by its den^2.  Channel independence means one common value."""
+def cij_values(poles: dict[tuple[int, int], int], i: int, j: int, npts: int) -> list[int]:
+    """For each point k <= npts outside {i,j}, in increasing order:
+    atilde(i,k)atilde(j,k) - atilde(i,j)atilde(j,k) - atilde(j,i)atilde(i,k),
+    read from a pole table, so scaled by its den^2.  Channel independence
+    means one common value."""
     aij, aji = poles[i, j], poles[j, i]
     return [poles[i, k] * poles[j, k] - aij * poles[j, k] - aji * poles[i, k]
-            for (r, k) in poles if r == i and k != j]
+            for k in range(1, npts + 1) if k != i and k != j]
 
 
-def channels_consistent(cfg: PointConfig) -> bool:
-    """Channel independence at one configuration: every pair i < j has a
-    single value in cij_values, from one pole table."""
-    n = len(cfg.z)
-    _, poles = pole_table(cfg)
-    return all(len(set(cij_values(poles, i, j))) == 1
+def channels_consistent(poles: dict[tuple[int, int], int]) -> bool:
+    """Channel independence at one configuration, from its pole table: every
+    pair i < j of marked points has a single value in cij_values."""
+    n, npts = _table_points(poles)
+    return all(len(set(cij_values(poles, i, j, npts))) == 1
                for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 

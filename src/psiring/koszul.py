@@ -46,7 +46,9 @@ from math import comb
 import numpy as np
 
 from .errors import BudgetError, UsageError
-from .exactla import echelon_mod_p, mod_matmul, nullspace_mod_p, rank_mod_p, rows_to_dense
+from .exactla import (
+    echelon_mod_p, echelon_nullspace, mod_matmul, nullspace_mod_p, rank_mod_p, rows_to_dense,
+)
 from .fields import TENSOR_PRIME, TENSOR_RETRY_PRIMES
 from .presentation import PivotScheme, build_an, tensor_relation_space
 
@@ -85,13 +87,14 @@ def relation_space_matrices(
     """(N2, C): a row basis of R in V(x)V and its membership-check matrix.
 
     x lies in R exactly when C @ x == 0 mod the prime; N2 has dim(R) rows in
-    echelon form, and C is read from N2, which spans the same rows.
+    echelon form, and C is read off that echelon form by back-substitution,
+    with no second elimination.
     """
     trs = tensor_relation_space(n, pivot)
     v = trs.dim_v
     U, pivots = echelon_mod_p(rows_to_dense(list(trs.rows), v * v, prime), prime)
     N2 = np.ascontiguousarray(U[: len(pivots)])
-    C = np.ascontiguousarray(nullspace_mod_p(N2, prime).T)
+    C = np.ascontiguousarray(echelon_nullspace(N2, pivots, prime).T)
     assert N2.shape[0] + C.shape[0] == v * v
     return N2, C
 

@@ -16,6 +16,7 @@ from psiring.geometry import (
     alpha_values,
     channels_consistent,
     jacobian_rank_at,
+    pole_table,
     sample_config,
     singular_locus_dim,
     verify_vanishing,
@@ -165,12 +166,12 @@ def test_criterion_6_vanishing_oracle():
 
     for label, spec in families:
         def check(seed, spec=spec, label=label):
-            cfg = sample_config(spec.n, spec.m, seed)
-            vals = alpha_values(spec, cfg)
+            den, poles = pole_table(sample_config(spec.n, spec.m, seed))
+            vals = alpha_values(spec, (den, poles))
             errs = []
             if verify_vanishing(spec, vals):
                 errs.append((label, seed, "vanishing"))
-            if spec.m == 0 and not channels_consistent(cfg):
+            if spec.m == 0 and not channels_consistent(poles):
                 errs.append((label, seed, "channels"))
             return errs
         for errs in parallel_map(check, list(seeds), threads=8):
@@ -197,7 +198,8 @@ def test_criterion_7_smoothness():
         spec = cached_an(n)
         want = (n - 1) * (n - 3)
         def rank_of(seed, spec=spec):
-            return jacobian_rank_at(spec, alpha_values(spec, sample_config(spec.n, 0, seed)))
+            table = pole_table(sample_config(spec.n, 0, seed))
+            return jacobian_rank_at(spec, alpha_values(spec, table))
         for seed, rank in zip(config_seeds(100),
                               parallel_map(rank_of, list(config_seeds(100)), threads=8)):
             if rank != want:

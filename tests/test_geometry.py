@@ -5,6 +5,7 @@ independence, Jacobian ranks, and singular-locus dimension bounds.
 import dataclasses
 import hashlib
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -19,7 +20,6 @@ from psiring.geometry import (
     jacobian,
     jacobian_rank_at,
     pole_table,
-    pole_value,
     sample_config,
     singular_locus_dim,
     singular_minors,
@@ -32,19 +32,25 @@ from conftest import cached_an, cached_bnm
 GF = PrimeField(32003)
 
 
+def pole_value(cfg, i, j):
+    """The reference pole value in Fraction arithmetic: atilde(i,j) = lam_i /
+    (p_j - z_i), 1-based indices, p the points z followed by q."""
+    return cfg.lam[i - 1] / ((cfg.z + cfg.q)[j - 1] - cfg.z[i - 1])
+
+
 def sampled_point(spec, seed):
-    return alpha_values(spec, sample_config(spec.n, spec.m, seed))
+    return alpha_values(spec, pole_table(sample_config(spec.n, spec.m, seed)))
 
 
 def test_worked_configuration():
     cfg = PointConfig(z=(Fraction(0), Fraction(1), Fraction(2), Fraction(3)),
                       q=(), lam=(Fraction(1),) * 4)
     spec = cached_an(4)
-    vals = dict(zip(spec.var_names(), alpha_values(spec, cfg)))
+    vals = dict(zip(spec.var_names(), alpha_values(spec, pole_table(cfg))))
     # atilde(1,3) = 1/(z3 - z1) = 1/2; pivot of 1 is 2, atilde(1,2) = 1
     assert pole_value(cfg, 1, 3) == Fraction(1, 2)
     assert vals["a[1,3]"] == Fraction(1, 2) - Fraction(1, 1)
-    assert verify_vanishing(spec, alpha_values(spec, cfg)) == []
+    assert verify_vanishing(spec, list(vals.values())) == []
 
 
 @pytest.mark.parametrize("build,seeds", [
@@ -93,17 +99,15 @@ def test_torus_scaling_stays_on_variety():
 def test_channel_independence(n):
     rng = SplitMix64(123)
     for _ in range(4):
-        assert channels_consistent(sample_config(n, 0, rng.next_u64()))
+        assert channels_consistent(pole_table(sample_config(n, 0, rng.next_u64()))[1])
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_channel_witness_detects_perturbation(n, monkeypatch):
-    cfg = sample_config(n, 0, 9)
-    assert channels_consistent(cfg)
-    exact = geometry.pole_value
-    monkeypatch.setattr(geometry, "pole_value",
-                        lambda c, i, j: exact(c, i, j) + (1 if (i, j) == (1, 2) else 0))
-    assert not channels_consistent(cfg)
+def test_channel_witness_detects_perturbation(n):
+    den, poles = pole_table(sample_config(n, 0, 9))
+    assert channels_consistent(poles)
+    poles[1, 2] += den  # adds 1 to atilde(1,2)
+    assert not channels_consistent(poles)
 
 
 @pytest.mark.parametrize("z,lam,match", [
@@ -112,12 +116,50 @@ def test_channel_witness_detects_perturbation(n, monkeypatch):
 ], ids=["repeated-point", "zero-weight"])
 def test_invalid_configuration_is_refused(z, lam, match):
     # a repeated point divides by zero in the pole table, and a zero weight
-    # zeroes a row of it, so both are refused before any pole value is read
+    # zeroes a row of it, so both are refused before any pole value is read;
+    # the coordinates and the channel check read only a built table
     cfg = PointConfig(z=tuple(map(Fraction, z)), q=(), lam=tuple(map(Fraction, lam)))
     with pytest.raises(UsageError, match=match):
-        channels_consistent(cfg)
-    with pytest.raises(UsageError, match=match):
-        alpha_values(cached_an(4), cfg)
+        pole_table(cfg)
+
+
+def rational_config(n, m, rng):
+    """Distinct fractional points and fractional weights of either sign."""
+    pts = []
+    while len(pts) < n + m:
+        x = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        if x not in pts:
+            pts.append(x)
+    lam = tuple(Fraction(rng.nonzero_int(20), rng.randint(1, 9)) for _ in range(n))
+    return PointConfig(z=tuple(pts[:n]), q=tuple(pts[n:]), lam=lam)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_pole_table_matches_the_fraction_formula_on_rational_points(m):
+    rng = SplitMix64(0x9013 + m)
+    cfgs = [rational_config(n, m, rng) for n in (3, 4, 5, 6) for _ in range(10)]
+    assert any(x.denominator > 1 for cfg in cfgs for x in cfg.z + cfg.q)
+    assert any(x < 0 for cfg in cfgs for x in cfg.lam)
+    for cfg in cfgs:
+        n, npts = len(cfg.z), len(cfg.z) + len(cfg.q)
+        want = {(i, j): pole_value(cfg, i, j)
+                for i in range(1, n + 1) for j in range(1, npts + 1) if i != j}
+        den, poles = pole_table(cfg)
+        assert den == lcm(*(v.denominator for v in want.values()))
+        assert poles == {key: v.numerator * (den // v.denominator) for key, v in want.items()}
+
+
+@pytest.mark.parametrize("n,m", [(4, 0), (5, 0), (3, 1), (4, 2)])
+def test_alpha_values_refuses_a_table_of_the_wrong_shape(n, m):
+    # a UsageError (exit 2), not the KeyError of reading a missing pole value
+    table = pole_table(sample_config(n, m, 5))
+    for spec in (cached_an(4), cached_an(5), cached_bnm(3, 1), cached_bnm(4, 2)):
+        if (spec.n, spec.m) == (n, m):
+            assert len(alpha_values(spec, table)) == spec.nvars
+            continue
+        with pytest.raises(UsageError, match=f"pole table has \\({n},{m}\\) points,"
+                                             f" spec needs \\({spec.n},{spec.m}\\)"):
+            alpha_values(spec, table)
 
 
 def reference_vanishing(spec, vals):
@@ -191,22 +233,22 @@ def fraction_channels(cfg, pole):
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
-def test_channels_consistent_matches_the_fraction_formula(n, monkeypatch):
+def test_channels_consistent_matches_the_fraction_formula(n):
     rng = SplitMix64(500 + n)
-    exact = geometry.pole_value
     for _ in range(4):
         cfg = sample_config(n, 0, rng.next_u64())
-        assert fraction_channels(cfg, exact)
-        assert channels_consistent(cfg)
+        den, poles = pole_table(cfg)
+        assert fraction_channels(cfg, pole_value)
+        assert channels_consistent(poles)
         # a perturbed pole value breaks independence for the pairs that read it
         i, j = 1 + rng.randint(0, n - 1), 1 + rng.randint(0, n - 2)
         j += j >= i
-        bump = Fraction(rng.nonzero_int(5), 3)
-        perturbed = lambda c, a, b: exact(c, a, b) + (bump if (a, b) == (i, j) else 0)
-        want = fraction_channels(cfg, perturbed)
-        monkeypatch.setattr(geometry, "pole_value", perturbed)
-        assert channels_consistent(cfg) == want
-        monkeypatch.setattr(geometry, "pole_value", exact)
+        bump = rng.nonzero_int(5)
+        perturbed = lambda c, a, b: pole_value(c, a, b) + Fraction(bump * ((a, b) == (i, j)), 3)
+        # the same perturbation on the table, over the denominator 3 * den
+        bumped = {key: 3 * v for key, v in poles.items()}
+        bumped[i, j] += bump * den
+        assert channels_consistent(bumped) == fraction_channels(cfg, perturbed)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -218,25 +260,26 @@ def test_cij_values_are_the_fraction_values_over_den_squared(n):
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             want = [x * den ** 2 for x in fraction_cij(cfg, pole_value, i, j)]
-            assert cij_values(poles, i, j) == want
+            assert cij_values(poles, i, j, n) == want
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
-def test_pole_value_is_read_once_per_ordered_pair(n, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    "sample --n 5 --count 3",
+    "sample --n 4 --count 3 --threads 2",
+    "sample --kind bnm --n 3 --m 2 --count 3",
+])
+def test_sample_builds_one_pole_table_per_configuration(argv, monkeypatch, capsys):
     calls = []
-    exact = geometry.pole_value
+    exact = geometry.pole_table
 
-    def spy(c, i, j):
-        calls.append((i, j))
-        return exact(c, i, j)
+    def spy(cfg):
+        calls.append(cfg)
+        return exact(cfg)
 
-    monkeypatch.setattr(geometry, "pole_value", spy)
-    cfg = sample_config(n, 0, 7)
-    assert channels_consistent(cfg)
-    assert len(calls) == n * (n - 1)
-    calls.clear()
-    alpha_values(cached_an(n), cfg)
-    assert len(calls) <= n * (n - 1)
+    monkeypatch.setattr(geometry, "pole_table", spy)
+    monkeypatch.setattr(cli, "pole_table", spy)
+    assert cli.main(argv.split()) == 0
+    assert len(calls) == 3
 
 
 # sample reports outside the benchmark's recorded commands, pinned byte for byte

@@ -7,6 +7,7 @@ import pytest
 
 import psiring.koszul as koszul
 from psiring.errors import BudgetError
+from psiring.exactla import nullspace_mod_p
 from psiring.fields import TENSOR_PRIME, TENSOR_RETRY_PRIMES
 from psiring.koszul import (
     DEFAULT_ELEMENT_BUDGET,
@@ -51,6 +52,27 @@ def test_relation_space_shapes():
     N2, C = relation_space_matrices(4)
     assert N2.shape == (34, 64)
     assert C.shape == (64 - 34, 64)
+
+
+@pytest.mark.parametrize("n,pivot", [(4, None), (5, None), (5, (3, 1, 5, 2, 4))])
+def test_relation_space_eliminates_once(n, pivot, monkeypatch):
+    # C is read off the echelon form N2 without eliminating it again, and is
+    # what nullspace_mod_p gives on N2: an echelon form with unit pivots
+    # re-eliminates to itself
+    calls = []
+    real = koszul.echelon_mod_p
+
+    def spy(a, p):
+        calls.append(np.shape(a))
+        return real(a, p)
+
+    monkeypatch.setattr(koszul, "echelon_mod_p", spy)
+    scheme = PivotScheme(CUSTOM, assignment=pivot) if pivot else None
+    N2, C = relation_space_matrices(n, TENSOR_PRIME, scheme)
+    assert len(calls) == 1
+    U, pivots = real(N2, TENSOR_PRIME)
+    assert np.array_equal(U, N2)
+    assert np.array_equal(C, nullspace_mod_p(N2, TENSOR_PRIME).T)
 
 
 @pytest.mark.parametrize("n,kmax", [(4, 4), (5, 3)])
@@ -164,11 +186,11 @@ def nullspace_shapes(monkeypatch):
 
 def test_stage_nullspaces_are_per_block(nullspace_shapes):
     # the whole n=5, k=3 stage has 1875 columns; no block may come near that
+    # (the relation space's C comes from echelon_nullspace, so it is not here)
     shapes = nullspace_shapes
     assert dual_tower(5, 3) == [1, 15, 125, 795]
-    assert shapes[0] == (125, 225)  # the relation space itself
     assert len(shapes) > 1
-    assert max(cols for _, cols in shapes[1:]) <= 1875 // 10
+    assert max(cols for _, cols in shapes) <= 1875 // 10
 
 
 def test_stage_rows_run_over_the_basis_of_w_k_minus_2(nullspace_shapes):
@@ -177,7 +199,7 @@ def test_stage_rows_run_over_the_basis_of_w_k_minus_2(nullspace_shapes):
     dims = dual_tower(4, 5)
     RR = 8 * 8 - dims[2]
     assert [dims[k - 2] * RR for k in (3, 4, 5)] == [240, 1020, 3360]
-    blocks = iter(nullspace_shapes[1:])  # shapes[0] is the relation space itself
+    blocks = iter(nullspace_shapes)
     for k in (3, 4, 5):
         rows = cols = 0
         while cols < 8 * dims[k - 1]:
