@@ -1,7 +1,7 @@
 """Exact rank and nullspace computations.
 
-Three lanes, used as independent routes and cross-checked in the tests,
-where a fraction-free Bareiss elimination is the reference over Z:
+Two elimination lanes, used as independent routes and cross-checked in the
+tests, where a fraction-free Bareiss elimination is the reference over Z:
 
   * the sparse lane: sparse_echelon, one echelon insertion over sparse integer
     rows, over Z only.  A dict maps each leading column to its pivot row; an
@@ -14,16 +14,15 @@ where a fraction-free Bareiss elimination is the reference over Z:
     preprocessing (groebner.linear_interreduce) reads the pivot rows back as
     polynomials, certified at the characteristic over a prime field.
 
-  * the int64 lane: dense per-pivot elimination mod p, reached only through
-    echelon_mod_p.  Requires (p-1)^2 < 2^63.
+  * the int64 lane: dense per-pivot elimination mod p, echelon_mod_p, behind
+    rank_mod_p and nullspace_mod_p.  Requires (p-1)^2 < 2^63.  The Koszul
+    tower's matrices are a few percent dense, and this lane touches only
+    the rows that are nonzero in each pivot column.
 
-  * the float64 lane: panel LU with BLAS Schur updates mod p, taken by
-    echelon_mod_p for p below 2^20 on matrices at least 64 on each side.
-    nullspace_mod_p's back-substitution (echelon_nullspace) and mod_matmul
-    run in float64 only, and refuse p of 2^20 and above.  Every accumulated
-    dot product stays below 2^53: the panel width bounds the elimination,
-    and the products are reduced mod p after every _float_chunk(p) terms.
-    This is what makes the big tensor ranks in the Koszul computations fast.
+float64 carries products only: mod_matmul and nullspace_mod_p's
+back-substitution (echelon_nullspace), through one BLAS dot product that is
+reduced mod p after every _float_chunk(p) terms, so every accumulated sum
+stays below 2^53.  Both refuse p of 2^20 and above.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .errors import UsageError
 
 FLOAT_LANE_MAX_PRIME = 1 << 20
 _MANTISSA = 1 << 53
-_PANEL = 128
 
 
 # -- sparse lane ----------------------------------------------------------------
@@ -118,13 +116,6 @@ def _strip_content(row: dict, keep: int | None) -> None:
 
 # -- modular lanes --------------------------------------------------------------
 
-def as_mod_array(a, p: int) -> np.ndarray:
-    """Copy input into an int64 array with entries reduced into [0, p)."""
-    arr = np.asarray(a).astype(np.int64, copy=True)
-    np.mod(arr, p, out=arr)
-    return arr
-
-
 def rows_to_dense(rows: list[dict], ncols: int, p: int) -> np.ndarray:
     """Materialize sparse integer rows as a dense int64 array reduced mod p."""
     out = np.zeros((len(rows), ncols), dtype=np.int64)
@@ -135,18 +126,40 @@ def rows_to_dense(rows: list[dict], ncols: int, p: int) -> np.ndarray:
 
 
 def echelon_mod_p(a, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form mod p with pivot entries scaled to 1.
+    """Row echelon form mod p with pivot entries scaled to 1, by per-pivot
+    forward elimination in int64.
 
     Returns (U, pivot columns); pivot t sits at row t.  Rows below the last
-    pivot are zero.  Dispatches to the float64 panel lane when profitable.
+    pivot are zero.  Each pivot updates only the rows below it that are
+    nonzero in its column, which keeps the sparse matrices psiring eliminates
+    cheap.  Refuses p unless 2 <= p and (p-1)^2 < 2^63 (no product of two
+    residues overflows), before it reads a.
     """
-    A = as_mod_array(a, p)
-    if A.size == 0:
-        return A, []
-    if p < FLOAT_LANE_MAX_PRIME and min(A.shape) >= 64:
-        U, piv = _echelon_float(A.astype(np.float64), p)
-        return U.astype(np.int64), piv
-    return _echelon_int(A, p)
+    if not (2 <= p and (p - 1) ** 2 < 1 << 63):
+        raise UsageError(f"modulus {p} outside the int64 lane (2 <= p, (p-1)^2 < 2^63)")
+    A = np.asarray(a).astype(np.int64, copy=True)
+    np.mod(A, p, out=A)
+    nrows, ncols = A.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        inv = pow(int(A[r, c]), -1, p)
+        A[r] = (A[r] * inv) % p
+        below = np.nonzero(A[r + 1:, c])[0]
+        if below.size:
+            idx = r + 1 + below
+            A[idx] = (A[idx] - np.outer(A[idx, c], A[r])) % p
+        pivots.append(c)
+        r += 1
+    return A, pivots
 
 
 def rank_mod_p(a, p: int) -> int:
@@ -220,98 +233,3 @@ def _dot_mod(a: np.ndarray, b: np.ndarray, p: int, step: int) -> np.ndarray:
     for s in range(step, b.shape[0], step):
         out = (out + a[..., s:s + step] @ b[s:s + step] % p) % p
     return out
-
-
-def _echelon_int(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Per-pivot forward elimination in int64.  Safe for p < 2^31.5."""
-    if (p - 1) ** 2 >= (1 << 63):
-        raise UsageError(f"prime {p} too large for the int64 lane")
-    nrows, ncols = A.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r] = (A[r] * inv) % p
-        below = np.nonzero(A[r + 1:, c])[0]
-        if below.size:
-            idx = r + 1 + below
-            A[idx] = (A[idx] - np.outer(A[idx, c], A[r])) % p
-        pivots.append(c)
-        r += 1
-    return A, pivots
-
-
-def _echelon_float(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Right-looking panel LU mod p in float64; pivot rows end up scaled to 1.
-
-    Multipliers are stored in place below each pivot (classic LU storage), the
-    trailing pivot-row blocks are brought up to date with a small triangular
-    solve, and the rows below the panel get one BLAS Schur update per panel.
-    """
-    assert _PANEL * (p - 1) ** 2 < _MANTISSA, "panel too wide for exact float64"
-    nrows, ncols = A.shape
-    pivots: list[int] = []
-    r = 0
-    c0 = 0
-    while c0 < ncols and r < nrows:
-        c1 = min(c0 + _PANEL, ncols)
-        ppiv: list[tuple[int, int]] = []  # (pivot row, pivot col) of this panel
-        pinv: list[float] = []
-        for c in range(c0, c1):
-            rr = r + len(ppiv)
-            if rr == nrows:
-                break
-            nz = np.nonzero(A[rr:, c])[0]
-            if nz.size == 0:
-                continue
-            piv = rr + int(nz[0])
-            if piv != rr:
-                A[[rr, piv]] = A[[piv, rr]]
-            inv = float(pow(int(A[rr, c]), -1, p))
-            # scale the panel part of the pivot row to a unit pivot right away;
-            # the trailing part is scaled in the triangular phase below
-            A[rr, c:c1] = np.mod(A[rr, c:c1] * inv, p)
-            below = np.nonzero(A[rr + 1:, c])[0]
-            if below.size:
-                idx = rr + 1 + below
-                mult = A[idx, c].copy()  # multiplier w.r.t. the scaled pivot row
-                if c + 1 < c1:
-                    A[idx, c + 1:c1] = np.mod(A[idx, c + 1:c1] - np.outer(mult, A[rr, c + 1:c1]), p)
-                A[idx, c] = mult
-            ppiv.append((rr, c))
-            pinv.append(inv)
-        if ppiv:
-            k = len(ppiv)
-            prows = [pr for pr, _ in ppiv]
-            pcols = [pc for _, pc in ppiv]
-            # bring the pivot rows' trailing blocks up to date (unit triangular solve,
-            # ascending so every row used is already final), then scale them
-            for t in range(k):
-                pr = prows[t]
-                if c1 < ncols:
-                    if t > 0:
-                        coeffs = A[pr, pcols[:t]]
-                        nzc = np.nonzero(coeffs)[0]
-                        if nzc.size:
-                            rows_used = [prows[s] for s in nzc]
-                            A[pr, c1:] = np.mod(A[pr, c1:] - coeffs[nzc] @ A[rows_used, c1:], p)
-                    A[pr, c1:] = np.mod(A[pr, c1:] * pinv[t], p)
-                A[pr, pcols[:t]] = 0.0
-            lo = prows[-1] + 1
-            if lo < nrows:
-                L = A[np.ix_(range(lo, nrows), pcols)]
-                if c1 < ncols and np.any(L):
-                    A[lo:, c1:] = np.mod(A[lo:, c1:] - L @ A[prows, c1:], p)
-                A[np.ix_(range(lo, nrows), pcols)] = 0.0
-            pivots.extend(pcols)
-            r += k
-        c0 = c1
-    return A, pivots

@@ -93,6 +93,59 @@ def test_echelon_and_rref_shapes(p):
     assert not ech[len(piv):].any()
 
 
+@pytest.mark.parametrize("p", [1, (1 << 61) - 1, (1 << 89) - 1])
+@pytest.mark.parametrize("shape", [(0, 3), (3, 4)])
+def test_elimination_refuses_the_prime_before_the_matrix(p, shape):
+    # (p-1)^2 must fit int64; an empty matrix is refused as well, and a prime
+    # beyond int64 raises UsageError, not numpy's OverflowError
+    a = np.ones(shape, dtype=np.int64)
+    for eliminate in (echelon_mod_p, rank_mod_p):
+        with pytest.raises(UsageError):
+            eliminate(a, p)
+
+
+def sparse_tower_rows(rng, nrows, ncols, per_row):
+    """Sparse integer rows of a few percent density, like the Koszul tower's:
+    up to per_row nonzero entries in [-2, 2] at random columns, and one row
+    in four an integer combination of two earlier rows, so that the rank
+    falls short."""
+    rows = []
+    for _ in range(nrows):
+        if len(rows) >= 2 and rng.randint(0, 4) == 0:
+            x, y = rows[rng.randint(0, len(rows) - 1)], rows[rng.randint(0, len(rows) - 1)]
+            c1, c2 = rng.nonzero_int(2), rng.nonzero_int(2)
+            row = {c: c1 * x.get(c, 0) + c2 * y.get(c, 0) for c in set(x) | set(y)}
+        else:
+            row = {rng.randint(0, ncols - 1): rng.nonzero_int(2) for _ in range(per_row)}
+        rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
+@pytest.mark.parametrize("nrows,ncols,per_row", [(125, 225, 9), (462, 588, 6)])
+def test_int64_lane_on_tower_sized_sparse_matrices(nrows, ncols, per_row):
+    # shapes the Koszul computations eliminate, at 5% and 1.4% density
+    p = TENSOR_PRIME
+    rows = sparse_tower_rows(SplitMix64(0xDE5E), nrows, ncols, per_row)
+    m = rows_to_dense(rows, ncols, p)
+    assert 0.01 <= np.count_nonzero(m) / m.size <= 0.06
+    ech, piv = echelon_mod_p(m, p)
+    assert piv == sorted(set(piv))
+    assert ((0 <= ech) & (ech < p)).all()
+    for i, c in enumerate(piv):
+        assert ech[i, c] == 1 and not ech[i + 1:, c].any()
+        assert not ech[i, :c].any()
+    assert not ech[len(piv):].any()
+    rank, lucky = rank_sparse_rational(rows, p)
+    assert lucky  # the certificate holds at these seeds, so the ranks must agree
+    assert len(piv) == rank
+    ns = nullspace_mod_p(m, p)
+    assert ns.shape == (ncols, ncols - rank)
+    assert rank_mod_p(ns.T, p) == ncols - rank
+    cols = ns.astype(object)
+    for row in rows:
+        assert not (sum(v * cols[c] for c, v in row.items()) % p).any()
+
+
 @pytest.mark.parametrize("p", [TENSOR_PRIME])
 def test_nullspace_annihilates(p):
     # columns of the result span the right kernel
@@ -159,6 +212,19 @@ def test_float_products_reduce_at_every_chunk(monkeypatch):
         ns = nullspace_mod_p(m, TENSOR_PRIME)
         assert ns.shape == (16, 16 - bareiss_rank(ints))
         assert not ((m.astype(object) @ ns.astype(object)) % TENSOR_PRIME).any()
+
+
+def test_mod_matmul_at_the_float64_bound():
+    # every entry at p-1 or p-2: the inner product is two full chunks of
+    # _float_chunk(p) near-maximal products, each sum as close to 2^53 as
+    # allowed, and one term more
+    p = TENSOR_PRIME
+    inner = 2 * exactla._float_chunk(p) + 1
+    a = np.full((2, inner), p - 1, dtype=np.int64)
+    a[1] = p - 2
+    b = a.T.copy()
+    want = (a.astype(object) @ b.astype(object)) % p
+    assert mod_matmul(a, b, p).tolist() == want.tolist()
 
 
 def test_float_lane_threshold_is_conservative():

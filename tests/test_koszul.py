@@ -2,6 +2,8 @@
 series, the stacked cross-check, and the element budget guard.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,26 @@ def test_relation_space_shapes():
     assert C.shape == (64 - 34, 64)
 
 
+def matrix_digest(m: np.ndarray) -> str:
+    m = np.ascontiguousarray(m, dtype=np.int64)
+    return hashlib.sha256(repr(m.shape).encode() + m.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("n,n2_digest,c_digest", [
+    (4, "4c7b21f03b60fc0f47c7d415f4998e1a2adab5b7cbe010573f6d4d611f081c43",
+     "9589c483534b78703f6f4802a0527bdbc72e021d474f3603788f278d24001b47"),
+    (5, "5d79ef40975103780862c80a74b77e8ced5eedf6165c34f0410e5849ed6fc0ce",
+     "1bb6178d457c74418a219b5de31c5ec2f39a071968bdd5288cbcbc1a339d8bd6"),
+    (6, "bd90e2d26513e01d62796b9229eb9f43fe9eaebd0e3795bf42517c0060b8c744",
+     "c24718b1c8ce6bdab5ae969f38f9ca3b5347b8aa31dd7bdca6cdb1c6e159ab73"),
+])
+def test_relation_space_matrices_pinned(n, n2_digest, c_digest):
+    # sha256 of the shape and the int64 bytes of N2 and C: the echelon form
+    # and the nullspace read off it must not drift when the elimination changes
+    N2, C = relation_space_matrices(n)
+    assert (matrix_digest(N2), matrix_digest(C)) == (n2_digest, c_digest)
+
+
 @pytest.mark.parametrize("n,pivot", [(4, None), (5, None), (5, (3, 1, 5, 2, 4))])
 def test_relation_space_eliminates_once(n, pivot, monkeypatch):
     # C is read off the echelon form N2 without eliminating it again, and is
@@ -75,7 +97,7 @@ def test_relation_space_eliminates_once(n, pivot, monkeypatch):
     assert np.array_equal(C, nullspace_mod_p(N2, TENSOR_PRIME).T)
 
 
-@pytest.mark.parametrize("n,kmax", [(4, 4), (5, 3)])
+@pytest.mark.parametrize("n,kmax", [(4, 4), (5, 3), (6, 3)])
 def test_tower_matches_prediction(n, kmax):
     assert dual_tower(n, kmax) == koszul_prediction(n, kmax)
 
