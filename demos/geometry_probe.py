@@ -24,11 +24,11 @@ def main():
     cfg = sample_config(4, 0, seed=7)
     print(f"configuration: z = {cfg.z}, weights = {cfg.lam}")
     den, poles = pole_table(cfg)  # one integer table feeds every check below
-    vals = alpha_values(spec, (den, poles))
-    for name, v in zip(spec.var_names(), vals):
-        print(f"  {name} = {v}")
+    point = alpha_values(spec, (den, poles))  # the coordinates over den
+    for name, v in zip(spec.var_names(), point[1]):
+        print(f"  {name} = {Fraction(v, den)}")
     print(f"all {len(spec.relations)} relations vanish:"
-          f" {verify_vanishing(spec, vals) == []}")
+          f" {verify_vanishing(spec, point) == []}")
 
     print("\npair products are channel independent (same value for every k)")
     for (i, j) in [(1, 2), (1, 3), (2, 4)]:
@@ -40,8 +40,9 @@ def main():
     print(f"after adding 1 to atilde(1,2): {channels_consistent(bumped)}")
 
     print("\nthe grading torus acts on points: each variable times its block's factor")
-    t = (Fraction(2), Fraction(1, 3), Fraction(-1), Fraction(5))
-    scaled = [v * t[b] for v, b in zip(vals, spec.blocks)]
+    # the factors (2, 1/3, -1, 5), over their common denominator 3
+    t = (6, 1, -3, 15)
+    scaled = (3 * den, [v * t[b] for v, b in zip(point[1], spec.blocks)])
     print(f"  scaled point still on the variety:"
           f" {verify_vanishing(spec, scaled) == []}")
 

@@ -13,6 +13,7 @@ import argparse
 import sys
 import time
 import traceback
+from fractions import Fraction
 from math import comb
 
 from . import __version__
@@ -349,14 +350,15 @@ def cmd_sample(args) -> Report:
     def one(seed: int) -> dict:
         cfg = sample_config(args.n, args.m, seed)
         table = pole_table(cfg)
-        values = alpha_values(spec, table)
-        bad = verify_vanishing(spec, values)
+        point = alpha_values(spec, table)
+        bad = verify_vanishing(spec, point)
+        den, nums = point
         entry = {
             "seed": seed,
             "z": [str(x) for x in cfg.z],
             "q": [str(x) for x in cfg.q],
             "lam": [str(x) for x in cfg.lam],
-            "values": dict(zip(names, map(str, values))),
+            "values": {name: str(Fraction(x, den)) for name, x in zip(names, nums)},
             "vanishing": "ok" if not bad else f"failed at relations {bad}",
         }
         if args.kind == "an":

@@ -10,9 +10,10 @@ tests, where a fraction-free Bareiss elimination is the reference over Z:
     gives the rank over Q exactly.  rank_sparse_rational ranks there and,
     given a prime p, also certifies that the rank mod p is the same (the
     lucky-prime argument), so one elimination stands in for both.  The slices
-    and the Jacobian at a rational point rank there.  singular's linear
-    preprocessing (groebner.linear_interreduce) reads the pivot rows back as
-    polynomials, certified at the characteristic over a prime field.
+    and the Jacobian at a rational point rank there, and the slices read the
+    rows that vanished as linear syzygies.  singular's linear preprocessing
+    (groebner.linear_interreduce) reads the pivot rows back as polynomials,
+    certified at the characteristic over a prime field.
 
   * the int64 lane: dense per-pivot elimination mod p, echelon_mod_p, behind
     rank_mod_p and nullspace_mod_p.  Requires (p-1)^2 < 2^63.  The Koszul
@@ -53,22 +54,26 @@ def rank_sparse_rational(rows: list[dict], p: int | None = None) -> tuple[int, b
     exceeds the rank over Q.  A row that kept a factor p is zero mod p, so it
     fails the check if it becomes a pivot; the multipliers a need no check.
     """
-    pivots = sparse_echelon(rows, p)
+    pivots, _ = sparse_echelon(rows, p)
     lucky = p is not None and all(prow[lead] % p for lead, prow in pivots.items())
     return len(pivots), lucky
 
 
-def sparse_echelon(rows: list[dict], lucky: int | None = None) -> dict[int, dict]:
+def sparse_echelon(rows: list[dict],
+                   lucky: int | None = None) -> tuple[dict[int, dict], list[int]]:
     """Echelon insertion of sparse integer rows over Z.
 
     Returns the dict from each leading column to the one pivot row that starts
-    there.  Each incoming row is reduced by the pivot at its leading column
-    until it claims a column of its own or vanishes.  The pivot rows are
-    primitive integer rows (content stripped), except that factors of the
+    there, and the indices, ascending, of the input rows that vanished.  Each
+    incoming row is reduced by the pivot at its leading column until it claims
+    a column of its own or vanishes.  Every pivot row is a combination of the
+    rows inserted before it, so a vanished row is one over Q.  The pivot rows
+    are primitive integer rows (content stripped), except that factors of the
     prime lucky stay in.  Zero entries are dropped.
     """
     pivots: dict[int, dict] = {}
-    for row in rows:
+    vanished: list[int] = []
+    for i, row in enumerate(rows):
         row = {c: v for c, v in row.items() if v}
         _strip_content(row, lucky)
         while row:
@@ -78,7 +83,9 @@ def sparse_echelon(rows: list[dict], lucky: int | None = None) -> dict[int, dict
                 pivots[lead] = row
                 break
             _reduce_z(row, prow, lead, lucky)
-    return pivots
+        else:
+            vanished.append(i)
+    return pivots, vanished
 
 
 def _reduce_z(row: dict, prow: dict, lead: int, lucky: int | None) -> None:

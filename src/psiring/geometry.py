@@ -12,8 +12,9 @@ at every configuration: that is the point-sampling side of presentation
 correctness, checked in exact integer arithmetic after clearing denominators.
 Each configuration of either family gets one pole table, built in integers:
 numerators over a common denominator (pole_table).  That one table feeds the
-coordinates (every coordinate is a difference of two of its entries, and the
-vanishing test reads those coordinates) and the channel check.
+coordinates (every coordinate is a difference of two of its entries, kept
+over the table's denominator, and the vanishing test reads those integers)
+and the channel check.
 
 The pole values give the channel-independence check: each pair product
 takes one value whatever third point k it is measured through (cij_values,
@@ -104,9 +105,10 @@ def _table_points(poles: dict[tuple[int, int], int]) -> tuple[int, int]:
 
 
 def alpha_values(spec: PresentationSpec,
-                 table: tuple[int, dict[tuple[int, int], int]]) -> list[Fraction]:
+                 table: tuple[int, dict[tuple[int, int], int]]) -> tuple[int, list[int]]:
     """Coordinates of a configuration's point, one value per presentation
-    variable, read from the configuration's pole table.
+    variable, read from the configuration's pole table and left over its den:
+    (den, numerators), the point cleared to integers.
 
     Each variable is a pole-table difference atilde(i,j) - atilde(i,base):
     A_n measures against the pivot p(i), B_(n,m) against the last extra point,
@@ -118,26 +120,27 @@ def alpha_values(spec: PresentationSpec,
         raise UsageError(
             f"pole table has ({n},{npts - n}) points, spec needs ({spec.n},{spec.m})"
         )
-    out: list[Fraction] = []
+    out: list[int] = []
     for var in spec.variables:
         i, j = (var.i, var.j) if isinstance(var, Alpha) else (var.i, spec.n + var.r)
         base = spec.pivot.pivot_of(i, spec.n) or spec.n + spec.m
-        out.append(Fraction(poles[i, j] - poles[i, base], den))
-    return out
+        out.append(poles[i, j] - poles[i, base])
+    return den, out
 
 
-def verify_vanishing(spec: PresentationSpec, values: list[Fraction]) -> list[int]:
+def verify_vanishing(spec: PresentationSpec, point: tuple[int, list[int]]) -> list[int]:
     """Indices of relations that fail to vanish at the point (empty = all vanish).
 
-    The point is cleared once to integers den * values (den the lcm of its
-    denominators), and each relation is evaluated in its integer form, which
-    multiplies a term of degree d by den^(top - d): den^top * rel(values), the
-    same zero test for any polynomial.
+    The point comes cleared to integers, (den, numerators) as alpha_values
+    gives it, den nonzero.  Each relation is evaluated in its integer form,
+    which multiplies a term of degree d by den^(top - d): den^top *
+    rel(numerators / den), the same zero test for any polynomial.
     """
     if spec.field != QQ:
         raise UsageError("vanishing checks run in exact rational arithmetic")
-    if len(values) != spec.nvars:
-        raise UsageError(f"point has {len(values)} coordinates, {spec.name()}"
+    den, coords = point
+    if len(coords) != spec.nvars:
+        raise UsageError(f"point has {len(coords)} coordinates, {spec.name()}"
                          f" has {spec.nvars} variables")
     cached = spec.cache.get("vanishing_forms")
     if cached is None:
@@ -145,8 +148,6 @@ def verify_vanishing(spec: PresentationSpec, values: list[Fraction]) -> list[int
         depth = max((d for form in forms for _, _, d in form), default=0)
         cached = spec.cache["vanishing_forms"] = (forms, depth)
     forms, depth = cached
-    den = lcm(*(v.denominator for v in values))
-    point = [v.numerator * (den // v.denominator) for v in values]
     powers = [den ** d for d in range(depth + 1)]
     bad = []
     for t, form in enumerate(forms):
@@ -154,7 +155,7 @@ def verify_vanishing(spec: PresentationSpec, values: list[Fraction]) -> list[int
         for c, positions, deficit in form:
             v = c * powers[deficit]
             for pos in positions:
-                v *= point[pos]
+                v *= coords[pos]
             total += v
         if total:
             bad.append(t)
@@ -198,16 +199,19 @@ def jacobian(spec: PresentationSpec) -> list[list[Poly]]:
     return [[rel.derivative(v) for v in range(spec.nvars)] for rel in spec.relations]
 
 
-def jacobian_rank_at(spec: PresentationSpec, values: list[Fraction]) -> int:
-    """Rank of the Jacobian at a point of the variety, over Q.
+def jacobian_rank_at(spec: PresentationSpec, point: tuple[int, list[int]]) -> int:
+    """Rank of the Jacobian at a point of the variety, over Q; the point is
+    (den, numerators) as verify_vanishing takes it.
 
     Each row is scaled by the lcm of its denominators, so the integer rows go
     to rank_sparse_rational.  Refuses points off the variety: rank there says
     nothing about smoothness.
     """
-    bad = verify_vanishing(spec, values)
+    bad = verify_vanishing(spec, point)
     if bad:
         raise UsageError(f"point is not on the variety (relations {bad} do not vanish)")
+    den, nums = point
+    values = [Fraction(x, den) for x in nums]
     rows = []
     for jrow in jacobian(spec):
         row = {v: entry.evaluate(values) for v, entry in enumerate(jrow)}

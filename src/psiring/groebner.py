@@ -402,7 +402,7 @@ def linear_interreduce(polys: list[Poly], order: MonomialOrder) -> list[Poly]:
         for p in batch:
             denom = lcm(*(c.denominator for c in p.terms.values()))  # 1 over a prime field
             rows.append({pos[e]: field.to_int(c * denom) for e, c in p.terms.items()})
-        echelon = sparse_echelon(rows, prime)
+        echelon, _ = sparse_echelon(rows, prime)
         if prime and not all(prow[lead] % prime for lead, prow in echelon.items()):
             out += batch
             continue

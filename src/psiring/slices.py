@@ -10,20 +10,41 @@ and pivots whose leads are nonzero mod p are independent there, so rank mod
 p >= rank over Q, while rank mod p <= rank over Q always (the lucky-prime
 argument).  When the certificate fails the rank over Q stands alone.
 
-Most products are redundant, and are dropped before ranking.  Give each
-relation f_j its leading monomial L_j, the term of largest packed code (the
-column its rows pivot on), and its leading coefficient c_j.  The product
-m * f_k is dropped when L_j divides m for some j < k: with m = q * L_j the
-Koszul syzygy f_j * f_k = f_k * f_j gives
+Most products are redundant, and are dropped before ranking, by two rules.
+Give each relation f_j its leading monomial L_j, the term of largest packed
+code (the column its rows pivot on), and its leading coefficient c_j.  Order
+the products m * f_k of a slice by (k, code of m) ascending.
 
-    c_j * m * f_k  =  (q * f_k) * f_j  -  (q * (f_j - c_j * L_j)) * f_k,
+  * Koszul: m * f_k is dropped when L_j divides m for some j < k.  With
+    m = q * L_j the syzygy f_j * f_k = f_k * f_j gives
 
-products of the earlier relation f_j and products of f_k by monomials below m,
-so by induction on (k, m) the kept rows span every product over Q, where every
-c_j is a unit: rank_Q(kept) = rank_Q(all).  The certificate covers all the
-products too, even when some c_j is divisible by p: a certified slice has
-rank_p(all) >= rank_p(kept) = rank_Q(kept) = rank_Q(all) >= rank_p(all).
-A report's row count still counts every product.
+        c_j * m * f_k  =  (q * f_k) * f_j  -  (q * (f_j - c_j * L_j)) * f_k,
+
+    products of the earlier relation f_j and products of f_k by monomials of
+    smaller code than m.
+  * Linear syzygy: past total degree 3, m * f_k is dropped when m = q * x for
+    a variable x whose row x * f_k vanished when its slice of total degree 3
+    was eliminated over Z, rows inserted in ascending (k, code).  A vanished
+    row is a combination over Q of the rows inserted before it: x * f_k is a
+    sum of products x' * f_j with j < k, or j = k and x' of smaller code
+    than x.  Times q, codes add, so m * f_k is a sum of products before it in
+    the order.
+
+Each rule writes a dropped product through products before it, so by one
+induction over (k, code of m) the kept rows span every product over Q, where
+every c_j is a unit: rank_Q(kept) = rank_Q(all).  Both rules must point down
+the same order.  The Koszul rule only ever steps to smaller codes, so the
+degree 3 rows are inserted in ascending code; inserted in descending code, a
+vanished row is a combination of larger codes, whose own Koszul rewriting can
+lead back to it, and the argument breaks: A(5) then ranks its (0,1,0,1,2)
+slice 33 instead of 34.  The syzygies come from the degree 3 slices alone,
+once per presentation, so a slice's rows never depend on which slices ran
+before.
+
+The certificate covers all the products too, even when some c_j is divisible
+by p, since kept rows are some of all the products and neither rule uses p: a
+certified slice has rank_p(all) >= rank_p(kept) = rank_Q(kept) = rank_Q(all)
+>= rank_p(all).  A report's row count still counts every product.
 
 The Groebner route counts the same slice as its standard monomials: those not
 divisible by any leading term.  Both routes walk one list of monomial codes
@@ -36,7 +57,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import UsageError
-from .exactla import rank_sparse_rational
+from .exactla import rank_sparse_rational, sparse_echelon
 from .fields import DEFAULT_PRIME
 from .groebner import GroebnerBasis
 from .orders import Packing
@@ -70,38 +91,56 @@ def relation_product_rows(spec: PresentationSpec,
     product, the dropped ones too.
 
     The product m * f_k is dropped when the leading monomial of an earlier
-    relation divides m, the criterion of the module docstring.
+    relation divides m, or, from total degree 4 on, when m is a multiple of a
+    variable x whose x * f_k is a linear syzygy: the two rules of the module
+    docstring.
     """
     _check_degree(spec, a)
     plan = _RowPlan.of(spec, max(a, default=0))
-    basis = plan.monomials(spec, tuple(a))
+    # up to total degree 3, m has degree at most 1: no lead divides it, and the
+    # syzygy rule would drop only rows that vanish in this slice's own elimination
+    drops = plan.drops(spec) if sum(a) > 3 else None
+    rows, ncols, products, _ = _product_rows(spec, plan, tuple(a), drops)
+    return rows, ncols, products
+
+
+def _product_rows(spec: PresentationSpec, plan: "_RowPlan", a: tuple[int, ...],
+                  drops: list | None):
+    """relation_product_rows' rows, ncols and products, and the (k, code of m)
+    of each kept row m * f_k.  Rows come in ascending (k, code of m), the order
+    the soundness induction runs in.  drops is _RowPlan.drops, or None to keep
+    every product."""
+    basis = plan.monomials(spec, a)
     col = {m: i for i, m in enumerate(basis)}
     rows: list[dict[int, int]] = []
+    labels: list[tuple[int, int]] = []
     products = 0
-    leads: list[tuple[tuple[int, ...], int]] = []  # (degree, lead) of earlier relations
     for k, rdeg in enumerate(plan.degrees):
         rem = tuple(x - y for x, y in zip(a, rdeg))
         if any(x < 0 for x in rem):
             continue
-        terms, lead = plan.terms(spec, k)
+        terms, _ = plan.terms(spec, k)
         mons = plan.monomials(spec, rem)
         products += len(mons)
-        # the multiples of an earlier lead of degree d are lead * (monomials of rem - d)
+        # the multiples of a code of degree d are code * (monomials of rem - d)
         dropped = set()
-        for d, ld in leads:
+        for d, codes in drops[k] if drops else ():
             quot = tuple(x - y for x, y in zip(rem, d))
             if min(quot) >= 0:
-                dropped.update(map(ld.__add__, plan.monomials(spec, quot)))
-        for mono in mons:
+                multiples = plan.monomials(spec, quot)
+                for code in codes:
+                    dropped.update(map(code.__add__, multiples))
+        for mono in reversed(mons):
             if mono not in dropped:
                 rows.append({col[exp + mono]: c for exp, c in terms})
-        leads.append((rdeg, lead))
-    return rows, len(basis), products
+                labels.append((k, mono))
+    return rows, len(basis), products, labels
 
 
 class _RowPlan:
     """What the slice rows and standard monomial counts need of a presentation,
-    computed once per spec.
+    computed once per spec: relation degrees and codes, the monomial codes of
+    each slice, and what each relation's products drop.
 
     Monomials are packed codes (orders.Packing), so a relation term times a
     monomial is the sum of their codes.  No exponent in slice a exceeds
@@ -117,6 +156,7 @@ class _RowPlan:
             self.degrees.append(rdeg)
         self._terms: list[tuple | None] = [None] * len(spec.relations)
         self._monomials: dict[tuple[int, ...], list[int]] = {}
+        self._drops: list | None = None
 
     @staticmethod
     def of(spec: PresentationSpec, top: int) -> "_RowPlan":
@@ -142,6 +182,32 @@ class _RowPlan:
             codes.sort(reverse=True)
             self._monomials[a] = codes
         return codes
+
+    def drops(self, spec: PresentationSpec) -> list[list[tuple[tuple[int, ...], list[int]]]]:
+        """For each relation k, (multidegree, codes) pairs such that m * f_k is
+        dropped when one of the codes divides m: the leads of the relations
+        before k (the Koszul rule) and every variable x whose x * f_k is a
+        linear syzygy, found where its row vanishes as its total degree 3 slice
+        is eliminated, rows inserted in ascending (k, code).  Found once per
+        plan."""
+        if self._drops is None:
+            syzygies: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in self.degrees]
+            for a in compositions(3, spec.nblocks):
+                # no lead, of degree 2, divides a variable: every product is a row
+                rows, _, _, labels = _product_rows(spec, self, a, None)
+                for i in sparse_echelon(rows)[1]:
+                    k, x = labels[i]
+                    syzygies[k].append((tuple(y - z for y, z in zip(a, self.degrees[k])), x))
+            drops = []
+            leads: dict[tuple[int, ...], list[int]] = {}  # of the relations before k
+            for k, rdeg in enumerate(self.degrees):
+                groups = {d: list(codes) for d, codes in leads.items()}
+                for d, x in syzygies[k]:
+                    groups.setdefault(d, []).append(x)
+                drops.append(list(groups.items()))
+                leads.setdefault(rdeg, []).append(self.terms(spec, k)[1])
+            self._drops = drops
+        return self._drops
 
     def terms(self, spec: PresentationSpec,
               k: int) -> tuple[tuple[tuple[int, int], ...], int]:

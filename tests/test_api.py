@@ -80,6 +80,7 @@ REACH_COMMANDS = [
     "hilbert lee --n 4 --max-total 2 --format csv",
     "hilbert brute --kind bnm --n 3 --m 1 --max-total 2",
     "hilbert verify --n 4 --max-total 3 --pivot custom:2,1,4,3",
+    "hilbert verify --n 4 --max-total 4",
     "hilbert verify --kind bnm --n 2 --m 2 --max-total 3 --format md",
     "hilbert verify --n 3 --max-total 2 --format csv",
     "gb run --n 4",

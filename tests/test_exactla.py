@@ -282,6 +282,20 @@ def test_sparse_ranks_against_dense_references(seed):
         assert rows == before  # the caller's rows are left as they were
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_vanished_rows_are_the_dependent_ones(seed):
+    # row i vanishes exactly when it adds no rank to the rows before it
+    rng = SplitMix64(0xFA11 + seed)
+    for _ in range(25):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 10)
+        rows = random_sparse_rows(rng, nrows, ncols)
+        dense = [[r.get(c, 0) for c in range(ncols)] for r in rows]
+        pivots, vanished = sparse_echelon(rows)
+        assert len(pivots) + len(vanished) == nrows
+        assert vanished == [i for i in range(nrows)
+                            if bareiss_rank(dense[:i + 1]) == bareiss_rank(dense[:i])]
+
+
 @pytest.mark.parametrize("p", [2, 97, DEFAULT_PRIME])
 def test_rank_mod_p_can_fall_below_rank_over_q(p):
     rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + p}]
@@ -300,8 +314,8 @@ def test_explicit_zero_entries_are_not_pivots():
 
 def test_a_factor_p_is_left_in_and_fails_the_certificate():
     # content 14 = 2 * 7: over Z the 7 is stripped, the 2 stays when p = 2
-    assert sparse_echelon([{0: 14, 1: 28}]) == {0: {0: 1, 1: 2}}
-    assert sparse_echelon([{0: 14, 1: 28}], 2) == {0: {0: 2, 1: 4}}
+    assert sparse_echelon([{0: 14, 1: 28}]) == ({0: {0: 1, 1: 2}}, [])
+    assert sparse_echelon([{0: 14, 1: 28}], 2) == ({0: {0: 2, 1: 4}}, [])
     assert rank_sparse_rational([{0: 14, 1: 28}], 2) == (1, False)
     assert rank_sparse_rational([{0: 14, 1: 28}], 7) == (1, False)
     assert rank_sparse_rational([{0: 14, 1: 28}], 3) == (1, True)

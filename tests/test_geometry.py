@@ -42,15 +42,29 @@ def sampled_point(spec, seed):
     return alpha_values(spec, pole_table(sample_config(spec.n, spec.m, seed)))
 
 
+def fractions(point):
+    """The coordinates of a point (den, numerators)."""
+    den, nums = point
+    return [Fraction(x, den) for x in nums]
+
+
+def cleared(values):
+    """The point with these rational coordinates, as (den, numerators)."""
+    den = lcm(*(Fraction(v).denominator for v in values))
+    return den, [int(Fraction(v) * den) for v in values]
+
+
 def test_worked_configuration():
     cfg = PointConfig(z=(Fraction(0), Fraction(1), Fraction(2), Fraction(3)),
                       q=(), lam=(Fraction(1),) * 4)
     spec = cached_an(4)
-    vals = dict(zip(spec.var_names(), alpha_values(spec, pole_table(cfg))))
+    point = alpha_values(spec, pole_table(cfg))
+    vals = dict(zip(spec.var_names(), fractions(point)))
     # atilde(1,3) = 1/(z3 - z1) = 1/2; pivot of 1 is 2, atilde(1,2) = 1
     assert pole_value(cfg, 1, 3) == Fraction(1, 2)
     assert vals["a[1,3]"] == Fraction(1, 2) - Fraction(1, 1)
-    assert verify_vanishing(spec, list(vals.values())) == []
+    assert verify_vanishing(spec, point) == []
+    assert verify_vanishing(spec, cleared(vals.values())) == []
 
 
 @pytest.mark.parametrize("build,seeds", [
@@ -72,8 +86,8 @@ def test_off_variety_points_fail():
     rng = SplitMix64(0xDEAD)
     hits = 0
     for _ in range(20):
-        vals = [Fraction(rng.randint(-9, 9)) for _ in range(spec.nvars)]
-        if verify_vanishing(spec, vals):
+        vals = [rng.randint(-9, 9) for _ in range(spec.nvars)]
+        if verify_vanishing(spec, (1, vals)):
             hits += 1
     assert hits == 20  # random integer points essentially never satisfy all quadrics
 
@@ -81,18 +95,18 @@ def test_off_variety_points_fail():
 def test_vanishing_requires_rationals():
     spec = cached_an(4, GF)
     with pytest.raises(UsageError):
-        verify_vanishing(spec, [GF.one()] * spec.nvars)
+        verify_vanishing(spec, (1, [1] * spec.nvars))
 
 
 def test_torus_scaling_stays_on_variety():
     spec = cached_an(5)
-    vals = sampled_point(spec, 77)
+    vals = fractions(sampled_point(spec, 77))
     t = (Fraction(3, 2), Fraction(-1), Fraction(2), Fraction(1, 7), Fraction(5))
     # the torus multiplies each variable by the factor of its block; the
     # relations are multihomogeneous, so the orbit stays on the variety
     scaled = [v * t[b] for v, b in zip(vals, spec.blocks)]
     assert scaled != vals
-    assert verify_vanishing(spec, scaled) == []
+    assert verify_vanishing(spec, cleared(scaled)) == []
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -155,7 +169,7 @@ def test_alpha_values_refuses_a_table_of_the_wrong_shape(n, m):
     table = pole_table(sample_config(n, m, 5))
     for spec in (cached_an(4), cached_an(5), cached_bnm(3, 1), cached_bnm(4, 2)):
         if (spec.n, spec.m) == (n, m):
-            assert len(alpha_values(spec, table)) == spec.nvars
+            assert len(alpha_values(spec, table)[1]) == spec.nvars
             continue
         with pytest.raises(UsageError, match=f"pole table has \\({n},{m}\\) points,"
                                              f" spec needs \\({spec.n},{spec.m}\\)"):
@@ -181,15 +195,15 @@ def off_variety_points(nvars, seed):
 ])
 def test_vanishing_matches_poly_evaluate(build, seeds):
     spec = build()
-    points = [sampled_point(spec, s) for s in seeds] + off_variety_points(spec.nvars, seeds[0])
-    for vals in points:
-        assert verify_vanishing(spec, vals) == reference_vanishing(spec, vals)
+    points = [fractions(sampled_point(spec, s)) for s in seeds]
+    for vals in points + off_variety_points(spec.nvars, seeds[0]):
+        assert verify_vanishing(spec, cleared(vals)) == reference_vanishing(spec, vals)
 
 
 def test_vanishing_is_exact_for_fractional_and_inhomogeneous_relations():
     spec = cached_an(4)
-    on = sampled_point(spec, 12)
-    assert verify_vanishing(spec, on) == []  # fills the cache on the original spec
+    on = fractions(sampled_point(spec, 12))
+    assert verify_vanishing(spec, cleared(on)) == []  # fills the cache on the original spec
     rels = list(spec.relations)
     x0 = Poly.from_int_terms(QQ, spec.nvars, {(1,) + (0,) * (spec.nvars - 1): 1})
     const = Poly.const(QQ, spec.nvars, on[0])
@@ -203,20 +217,20 @@ def test_vanishing_is_exact_for_fractional_and_inhomogeneous_relations():
     for s in (half, mixed):
         assert s.cache == {}
         for vals in [on] + off_variety_points(spec.nvars, 31):
-            assert verify_vanishing(s, vals) == reference_vanishing(s, vals)
-    assert verify_vanishing(mixed, on) == [1]
-    assert verify_vanishing(spec, on) == []
+            assert verify_vanishing(s, cleared(vals)) == reference_vanishing(s, vals)
+    assert verify_vanishing(mixed, cleared(on)) == [1]
+    assert verify_vanishing(spec, cleared(on)) == []
 
 
 def test_vanishing_refuses_a_point_of_the_wrong_length():
     spec = cached_an(4)
-    vals = sampled_point(spec, 3)
-    for bad in (vals + [Fraction(0)] * 3, vals[:-1], []):
+    den, vals = sampled_point(spec, 3)
+    for bad in (vals + [0] * 3, vals[:-1], []):
         with pytest.raises(UsageError, match=f"point has {len(bad)} coordinates.*"
                                              f" {spec.nvars} variables"):
-            verify_vanishing(spec, bad)
+            verify_vanishing(spec, (den, bad))
         with pytest.raises(UsageError, match=f"point has {len(bad)} coordinates"):
-            jacobian_rank_at(spec, bad)
+            jacobian_rank_at(spec, (den, bad))
 
 
 def fraction_cij(cfg, pole, i, j):
@@ -325,7 +339,7 @@ def test_jacobian_rank_at_smooth_points(build, want):
 def test_jacobian_rank_refuses_off_variety():
     spec = cached_an(4)
     with pytest.raises(UsageError):
-        jacobian_rank_at(spec, [Fraction(1)] * spec.nvars)
+        jacobian_rank_at(spec, (1, [1] * spec.nvars))
 
 
 def test_singular_minors_budget():

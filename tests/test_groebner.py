@@ -208,6 +208,20 @@ def test_linear_interreduce_output_is_pinned(field, digest):
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("field,digest", [
+    (PrimeField(2147483647), "05427afabd213e3282be467ee018dc4192bfef2e05301f63d482f6e67fd8d668"),
+    (QQ, "5aae1defb9892dc283ccb6fa16b12b56a9cfd44b97a199213409840971757aff"),
+])
+def test_linear_interreduce_rows_are_the_primitive_pivots(field, digest):
+    # the same input, digested before scaling: exactly the pivot rows that
+    # exactla.sparse_echelon gave before it also reported the rows that vanished
+    spec = build_an(4).to_field(field)
+    gens = list(spec.relations) + singular_minors(spec, spec.nvars - 5)
+    rows = [[(e, field.to_str(c)) for e, c in p.sorted_terms(ORDER)]
+            for p in linear_interreduce(gens, ORDER)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
 def test_linear_interreduce_keeps_an_uncertified_batch():
     # at p = 3 a pivot lead of A_4's cubic minors over Z is divisible by 3,
     # so the elimination is not certified there and the batch stays as it was

@@ -275,12 +275,34 @@ def test_kept_rows_span_all_products(spec, limit):
         assert ranks(rows, ncols) == ranks(rows_by_poly_arithmetic(spec, a), ncols), a
 
 
+@pytest.mark.parametrize("spec", [cached_an(5), build_an(5, PivotScheme(CUSTOM, (3, 1, 5, 2, 4)))],
+                         ids=["a5", "a5-custom"])
+@pytest.mark.parametrize("a", [(1, 1, 1, 1, 1), (0, 1, 0, 1, 2), (2, 1, 1, 1, 0),
+                               (0, 0, 1, 2, 2), (3, 0, 1, 0, 1)])
+def test_kept_rows_span_all_products_at_total_degree_five(spec, a):
+    # where both drop rules act on multiples: rows inserted in descending
+    # code instead lose rank on (0,1,0,1,2) of A(5)
+    rows, ncols, _ = relation_product_rows(spec, a)
+    assert ranks(rows, ncols) == ranks(rows_by_poly_arithmetic(spec, a), ncols)
+
+
 def test_kept_rows_on_the_middle_slice_of_a5():
     spec, a = cached_an(5), (1, 1, 1, 1, 1)
     rows, ncols, products = relation_product_rows(spec, a)
-    assert (len(rows), products, ncols) == (390, 540, 243)
+    assert (len(rows), products, ncols) == (246, 540, 243)
     rep = slice_dimension(spec, a)
     assert (rep.rows, rep.rank) == (540, 212)
+
+
+@pytest.mark.parametrize("build,limit", [(lambda: build_an(4), 5), (lambda: build_an(5), 4)],
+                         ids=["a4", "a5"])
+def test_rows_do_not_depend_on_the_slices_before(build, limit):
+    # the syzygies come from the total degree 3 slices alone, whichever ran first
+    swept = build()
+    for a in degree_grid(swept.nblocks, limit):
+        slice_dimension(swept, a)
+    for a in degree_grid(swept.nblocks, limit)[::-1]:
+        assert relation_product_rows(build(), a) == relation_product_rows(swept, a), a
 
 
 def test_certificate_covers_the_dropped_products():
