@@ -2,13 +2,15 @@
 
 Each multidegree slice is spanned by the monomials of that degree; relation
 multiples give linear constraints, and the dimension is monomials minus rank.
+A block permutation that maps the presentation onto itself maps each slice
+onto one of the same dimension, so a sweep ranks one slice per orbit.
 
 Run:  python3 demos/slice_census.py
 """
 
 from psiring.presentation import build_an
 from psiring.series import degree_grid, lee_series
-from psiring.slices import slice_dimension
+from psiring.slices import block_symmetries, orbit_sweep, slice_dimension, slice_orbits
 
 
 def main():
@@ -37,6 +39,16 @@ def main():
     for a in [(1, 1, 1, 1, 1), (2, 1, 1, 1, 0), (3, 2, 0, 0, 0)]:
         rep = slice_dimension(spec5, a)
         print(f"  {a}: dim {rep.dimension} vs series {series5.coefficient(a)}")
+
+    print("\ncertified block symmetries of A(5), as images of the points 1..5")
+    for perm in block_symmetries(spec5):
+        print(f"  {[p + 1 for p in perm]}")
+    grid = degree_grid(5, 5)
+    reps = slice_orbits(spec5, grid)
+    print(f"  {len(set(reps))} orbits among the {len(grid)} slices up to total degree 5")
+    swept = orbit_sweep(spec5, grid, 1)
+    bad = sum(r.dimension != series5.coefficient(r.multidegree) for r in swept)
+    print(f"  one slice ranked per orbit: {bad} mismatches against the series")
 
 
 if __name__ == "__main__":

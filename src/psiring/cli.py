@@ -36,7 +36,7 @@ from .presentation import CYCLIC, CUSTOM, PivotScheme, build_an, build_bnm, pres
 from .reports import Report, make_check, render
 from .rng import SplitMix64
 from .series import curve_module_series, degree_grid, lee_series, lee_series_restricted
-from .slices import slice_dimension, standard_monomial_count
+from .slices import orbit_sweep, standard_monomial_count
 from .util import parallel_map
 
 TOOL = "psiring"
@@ -207,8 +207,7 @@ def cmd_hilbert(args) -> Report:
         return report
 
     spec = _spec(args)
-    slices = parallel_map(lambda a: slice_dimension(spec, a), degree_grid(spec.nblocks, D),
-                          args.threads)
+    slices = orbit_sweep(spec, degree_grid(spec.nblocks, D), args.threads)
 
     if args.action == "brute":
         rows = [list(r.multidegree) + [r.monomials, r.rows, r.rank, r.dimension, r.method]

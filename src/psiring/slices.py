@@ -46,6 +46,23 @@ by p, since kept rows are some of all the products and neither rule uses p: a
 certified slice has rank_p(all) >= rank_p(kept) = rank_Q(kept) = rank_Q(all)
 >= rank_p(all).  A report's row count still counts every product.
 
+Orbits.  A permutation sigma of the blocks (the marked points) acts on the
+variables by a[i,j] -> a[sigma i, sigma j] and phi[r,i] -> phi[r, sigma i],
+and maps the monomials of slice a one to one onto those of slice sigma.a,
+where (sigma.a)[sigma i] = a[i].  block_symmetries keeps a candidate sigma
+only when it maps the variables onto themselves and ranking the relations
+together with their images at DEFAULT_PRIME gives the rank of the relations
+alone, both eliminations certified.  Then sigma maps the span of the
+relations onto itself over Q and mod p, so it maps the ideal onto itself over
+Q and mod p, and slice a onto slice sigma.a: the ranks of all products over Q
+and mod p are the same in both, and with them the certificate's conclusion
+rank_p = rank_Q and the method label, which names what the answer rests on.
+The product count sum_k #monomials(a - deg f_k) is invariant too, since
+sigma keeps the block sizes and block_symmetries also requires it to keep
+the number of relations of each pair (i, j).  So orbit_sweep ranks the first
+slice of each orbit and gives every other member the representative's report
+under its own multidegree.
+
 The Groebner route counts the same slice as its standard monomials: those not
 divisible by any leading term.  Both routes walk one list of monomial codes
 per slice, cached with the presentation.
@@ -53,7 +70,7 @@ per slice, cached with the presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 from .errors import UsageError
@@ -61,8 +78,10 @@ from .exactla import rank_sparse_rational, sparse_echelon
 from .fields import DEFAULT_PRIME
 from .groebner import GroebnerBasis
 from .orders import Packing
-from .presentation import PresentationSpec
+from .presentation import PresentationSpec, relation_degree_audit
 from .series import compositions
+from .symbols import Alpha, Phi
+from .util import parallel_map
 
 
 def count_monomials(spec: PresentationSpec, a: tuple[int, ...]) -> int:
@@ -274,3 +293,106 @@ def slice_dimension(spec: PresentationSpec, a: tuple[int, ...]) -> SliceReport:
     rank, lucky = rank_sparse_rational(rows, DEFAULT_PRIME)
     how = f"modular({DEFAULT_PRIME})+rational" if lucky else "rational(after-bad-prime)"
     return SliceReport(tuple(a), nmon, products, rank, nmon - rank, how)
+
+
+# -- block symmetries ------------------------------------------------------------
+
+def block_symmetries(spec: PresentationSpec) -> tuple[tuple[int, ...], ...]:
+    """The candidate block permutations that map the presentation onto itself,
+    each as its 0-based images (block b goes to perm[b]); cached with the spec.
+
+    The candidates come from the construction: for A(n) the pivot map, when
+    it is a bijection (it commutes with itself, so it keeps the variables),
+    and for B(n,m) the transposition (1 2) and the n-cycle, which generate
+    S_n.  _is_automorphism certifies each one.
+    """
+    syms = spec.cache.get("block_symmetries")
+    if syms is None:
+        syms = tuple(perm for perm in dict.fromkeys(_candidates(spec))
+                     if _is_automorphism(spec, perm))
+        spec.cache["block_symmetries"] = syms
+    return syms
+
+
+def _candidates(spec: PresentationSpec) -> list[tuple[int, ...]]:
+    n = spec.n
+    if spec.kind == "bnm":
+        return [(1, 0) + tuple(range(2, n)), tuple((b + 1) % n for b in range(n))]
+    pivots = [spec.pivot.pivot_of(i, n) for i in range(1, n + 1)]
+    if sorted(pivots) != list(range(1, n + 1)):
+        return []
+    return [tuple(p - 1 for p in pivots)]
+
+
+def _is_automorphism(spec: PresentationSpec, perm: tuple[int, ...]) -> bool:
+    """Whether the block permutation perm maps the variables onto themselves,
+    the span of the relations onto itself over Q and mod DEFAULT_PRIME (equal
+    certified ranks of the relations with and without their images), and the
+    relations of each pair (i, j) to as many of pair (perm i, perm j)."""
+    pos = {v: k for k, v in enumerate(spec.variables)}
+    img = [pos.get(_moved_variable(v, perm)) for v in spec.variables]
+    if None in img:
+        return False
+    cols: dict[tuple[int, ...], int] = {}
+
+    def row(terms):
+        return {cols.setdefault(e, len(cols)): _as_int(c, spec) for e, c in terms}
+
+    def moved(e):
+        out = [0] * spec.nvars
+        for p, x in enumerate(e):
+            out[img[p]] = x
+        return tuple(out)
+
+    rels = [row(rel.terms.items()) for rel in spec.relations]
+    images = [row((moved(e), c) for e, c in rel.terms.items()) for rel in spec.relations]
+    rank, lucky = rank_sparse_rational(rels, DEFAULT_PRIME)
+    both, both_lucky = rank_sparse_rational(rels + images, DEFAULT_PRIME)
+    if not (lucky and both_lucky and both == rank):
+        return False
+    counts = relation_degree_audit(spec)
+    return all(counts.get(tuple(sorted((perm[i - 1] + 1, perm[j - 1] + 1)))) == c
+               for (i, j), c in counts.items())
+
+
+def _moved_variable(v, perm: tuple[int, ...]):
+    if isinstance(v, Phi):
+        return Phi(v.r, perm[v.i - 1] + 1)
+    return Alpha(perm[v.i - 1] + 1, perm[v.j - 1] + 1)
+
+
+def slice_orbits(spec: PresentationSpec,
+                 grid: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+    """For each multidegree of grid, its representative: the first multidegree
+    of grid in its orbit under block_symmetries(spec).  A permutation moves a
+    to the a' with a'[perm[b]] = a[b]."""
+    gens = block_symmetries(spec)
+    rep: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for a in grid:
+        if a in rep:
+            continue
+        rep[a] = a
+        todo = [a]
+        while todo:
+            b = todo.pop()
+            for perm in gens:
+                moved = [0] * len(b)
+                for i, x in enumerate(b):
+                    moved[perm[i]] = x
+                c = tuple(moved)
+                if c not in rep:
+                    rep[c] = a
+                    todo.append(c)
+    return [rep[a] for a in grid]
+
+
+def orbit_sweep(spec: PresentationSpec, grid: tuple[tuple[int, ...], ...],
+                threads: int) -> list[SliceReport]:
+    """slice_dimension of every multidegree of grid, in order, ranking only the
+    representatives (mapped through util.parallel_map); every other slice gets
+    its representative's report under its own multidegree (see Orbits in the
+    module docstring)."""
+    reps = slice_orbits(spec, grid)
+    firsts = list(dict.fromkeys(reps))
+    ranked = dict(zip(firsts, parallel_map(lambda a: slice_dimension(spec, a), firsts, threads)))
+    return [replace(ranked[r], multidegree=a) for a, r in zip(grid, reps)]

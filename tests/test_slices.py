@@ -15,7 +15,7 @@ from psiring.fields import DEFAULT_PRIME
 from psiring.groebner import groebner_for
 from psiring.orders import multidegree
 from psiring.poly import Poly
-from psiring.presentation import CUSTOM, PivotScheme, build_an
+from psiring.presentation import CUSTOM, PivotScheme, build_an, build_bnm
 from psiring.series import (
     compositions,
     degree_grid,
@@ -24,9 +24,12 @@ from psiring.series import (
     lee_series_restricted,
 )
 from psiring.slices import (
+    block_symmetries,
     count_monomials,
+    orbit_sweep,
     relation_product_rows,
     slice_dimension,
+    slice_orbits,
     standard_monomial_count,
 )
 from conftest import cached_an, cached_bnm
@@ -324,3 +327,115 @@ def test_certificate_covers_the_dropped_products():
             assert exactla.rank_mod_p(dense, p) == rep.rank, a
         methods[rep.method] += 1
     assert methods[f"modular({p})+rational"] and methods["rational(after-bad-prime)"]
+
+
+def custom_an(*pivots):
+    return build_an(len(pivots), PivotScheme(CUSTOM, pivots))
+
+
+def group_order(gens, n):
+    """Order of the permutation group the 0-based images gens generate."""
+    seen, todo = {tuple(range(n))}, [tuple(range(n))]
+    while todo:
+        g = todo.pop()
+        for s in gens:
+            h = tuple(s[x] for x in g)
+            if h not in seen:
+                seen.add(h)
+                todo.append(h)
+    return len(seen)
+
+
+def swept_against_every_slice(spec, limit, monkeypatch):
+    """orbit_sweep over the grid, report by report against slice_dimension on
+    every slice; returns the multidegrees the sweep ranked."""
+    grid = degree_grid(spec.nblocks, limit)
+    ranked = []
+
+    def spy(s, a):
+        ranked.append(a)
+        return slice_dimension(s, a)
+
+    with monkeypatch.context() as m:
+        m.setattr(slices, "slice_dimension", spy)
+        swept = orbit_sweep(spec, grid, 1)
+    assert len(swept) == len(grid)
+    for a, rep in zip(grid, swept):
+        assert rep == slice_dimension(spec, a), a
+    return ranked
+
+
+@pytest.mark.parametrize("build,limit,order", [
+    (lambda: build_an(4), 5, 4),
+    (lambda: build_an(5), 4, 5),
+    (lambda: custom_an(2, 1, 4, 3), 5, 2),
+    (lambda: custom_an(2, 3, 4, 1), 5, 4),
+    (lambda: custom_an(2, 1, 5, 3, 4), 4, 6),
+    (lambda: custom_an(2, 1, 1, 1), 4, 1),
+    (lambda: build_bnm(2, 2), 6, 2),
+    (lambda: build_bnm(3, 2), 4, 6),
+    (lambda: build_bnm(4, 1), 4, 24),
+], ids=["a4", "a5", "a4-2143", "a4-2341", "a5-21534", "a4-2111", "b22", "b32", "b41"])
+def test_orbit_sweep_matches_every_slice(build, limit, order, monkeypatch):
+    spec = build()
+    gens = block_symmetries(spec)
+    assert group_order(gens, spec.nblocks) == order
+    ranked = swept_against_every_slice(spec, limit, monkeypatch)
+    grid = degree_grid(spec.nblocks, limit)
+    reps = slice_orbits(spec, grid)
+    # the first multidegree of each orbit in grid order, and no other, is ranked
+    assert ranked == list(dict.fromkeys(reps))
+    assert all(grid.index(r) <= i for i, r in enumerate(reps))
+    if not gens:  # a pivot map that is not a bijection: every slice is its own orbit
+        assert ranked == list(grid)
+    else:
+        assert len(ranked) < len(grid)
+
+
+def with_last_relation_bent(spec):
+    """spec with one more term, of the right multidegree, on its last relation:
+    as many relations per pair as before, but no longer cyclically symmetric."""
+    rel, (i, j) = spec.relations[-1], spec.relation_pairs[-1]
+    positions = spec.block_positions()
+    x, y = positions[i - 1][0], positions[j - 1][0]
+    e = tuple(int(p in (x, y)) for p in range(spec.nvars))
+    bent = Poly(spec.field, spec.nvars, {**rel.terms, e: rel.terms.get(e, 0) + 3})
+    return replace(spec, relations=spec.relations[:-1] + (bent,))
+
+
+@pytest.mark.parametrize("case", ["scaled", "dropped", "bent", "duplicated"])
+def test_uncertified_presentations_sweep_slice_by_slice(case, monkeypatch):
+    spec = build_an(4 if case == "scaled" else 5)
+    if case == "scaled":
+        # the same ideal over Q, but relation 0 is zero mod p: the relations'
+        # own elimination fails the certificate
+        bad = with_first_relation_scaled(spec, DEFAULT_PRIME)
+    elif case == "dropped":
+        bad = replace(spec, relations=spec.relations[:-1],
+                      relation_pairs=spec.relation_pairs[:-1])
+    elif case == "bent":
+        bad = with_last_relation_bent(spec)
+    else:
+        # the same span over Q and mod p, but pair (1,2) has one product row
+        # more per slice than its images: refused by the per-pair relation count
+        bad = replace(spec, relations=spec.relations + spec.relations[:1],
+                      relation_pairs=spec.relation_pairs + spec.relation_pairs[:1])
+    assert block_symmetries(spec) and block_symmetries(bad) == ()
+    assert not slices._is_automorphism(bad, block_symmetries(spec)[0])
+    limit = 4 if case == "scaled" else 3
+    ranked = swept_against_every_slice(bad, limit, monkeypatch)
+    assert ranked == list(degree_grid(bad.nblocks, limit))
+    if case == "scaled":
+        methods = Counter(slice_dimension(bad, a).method for a in ranked)
+        assert methods["rational(after-bad-prime)"] and methods[f"modular({DEFAULT_PRIME})+rational"]
+
+
+def test_a_candidate_that_moves_the_variables_is_refused(monkeypatch):
+    # under the cyclic pivot (1 2) sends a[1,3] to a[2,3], pivot-normalized away
+    spec = build_an(5)
+    swap, cycle = (1, 0, 2, 3, 4), (1, 2, 3, 4, 0)
+    monkeypatch.setattr(slices, "_candidates", lambda s: [swap, cycle])
+    assert not slices._is_automorphism(spec, swap)
+    assert block_symmetries(spec) == (cycle,)
+    ranked = swept_against_every_slice(spec, 4, monkeypatch)
+    assert len(ranked) == len(set(slice_orbits(spec, degree_grid(5, 4)))) == 26
