@@ -10,7 +10,7 @@ Run:  python3 demos/slice_census.py
 
 from psiring.presentation import build_an
 from psiring.series import degree_grid, lee_series
-from psiring.slices import block_symmetries, orbit_sweep, slice_dimension, slice_orbits
+from psiring.slices import block_symmetries, orbit_representatives, orbit_sweep, slice_dimension
 
 
 def main():
@@ -44,7 +44,7 @@ def main():
     for perm in block_symmetries(spec5):
         print(f"  {[p + 1 for p in perm]}")
     grid = degree_grid(5, 5)
-    reps = slice_orbits(spec5, grid)
+    reps = orbit_representatives(block_symmetries(spec5), grid)
     print(f"  {len(set(reps))} orbits among the {len(grid)} slices up to total degree 5")
     swept = orbit_sweep(spec5, grid, 1)
     bad = sum(r.dimension != series5.coefficient(r.multidegree) for r in swept)

@@ -20,16 +20,34 @@ Every relation of A_n is multihomogeneous of degree e_i + e_j, so R and each
 W_k split into independent blocks, one per Z^n-multidegree.  The iterative
 route builds and solves each block's matrix on its own; the block dimensions
 match the coefficients of the multigraded 1/h(-q).  The stacked route stays
-unblocked, as an independent check.
+unblocked and unsymmetrised, as an independent check.
+
+Orbits at the last stage.  The last stage j = kmax needs only dimensions, so
+each of its blocks is ranked, columns minus rank, with no nullspace.  A block
+permutation sigma (a marked-point permutation, as slices.symmetry_candidates
+offers it) acts on V by a[i,j] -> a[sigma i, sigma j].  It is kept when it
+maps the variables onto themselves and C @ sigma(x) == 0 at the tower's own
+prime for the lift x of every pair relation.  Commutators map to commutators,
+so then sigma R is inside R mod the prime, and since sigma is a bijection,
+sigma R = R.  So sigma^(x)k maps each V^s (x) R (x) V^(k-2-s) onto itself,
+W_k onto W_k, and the block W_k(d) onto W_k(sigma.d): the two have the same
+dimension mod the prime.  The last stage builds and ranks only the first
+block of each orbit (slices.orbit_representatives) and gives its dimension
+to the rest of the orbit.  Earlier stages keep every block's nullspace: their
+kernel bases feed the next stage, and a basis chosen by elimination is not
+sigma-equivariant, so no basis is carried across an orbit.
 
 Arithmetic runs over a prime just below 2^20 so the BLAS float64 lane stays
 exact; intersection dimensions over a prime field can only exceed the
-rational ones, so agreement at two primes is strong one-sided evidence.
+rational ones.  koszul_summary computes the tower at one prime and only on a
+mismatch with the prediction at a second one, keeping the smaller value of
+each stage; a match at one prime is one-sided evidence.
+
 Work is refused with a BudgetError when the matrices would exceed the element
 budget; the refusal carries the estimate.  The estimate is the dense bound on
 the whole stage, A*RR x U*v with A = v^(j-2) words.  It over-counts the rows
 actually built on purpose, so the refusal threshold does not depend on how a
-stage is solved.
+stage is solved, nor on how many of its blocks are ranked.
 It is checked up front from the predicted dimensions, before any work, and
 again per stage on the actual ones.
 The up-front check expands the prediction only as far as the first stage j
@@ -50,7 +68,8 @@ from .exactla import (
     echelon_mod_p, echelon_nullspace, mod_matmul, nullspace_mod_p, rank_mod_p, rows_to_dense,
 )
 from .fields import TENSOR_PRIME, TENSOR_RETRY_PRIMES
-from .presentation import PivotScheme, build_an, tensor_relation_space
+from .presentation import PivotScheme, PresentationSpec, build_an, tensor_relation_space
+from .slices import orbit_representatives, symmetry_candidates, variable_image
 
 # refuse any stage whose main matrix would exceed this many entries
 DEFAULT_ELEMENT_BUDGET = 200_000_000
@@ -175,7 +194,9 @@ def _dual_blocks(
 
     R and every W_k are multihomogeneous, so M only couples a row and a
     column of one multidegree d = deg p + deg r = deg u + e_b.  Each block d
-    gets its own nullspace.  The blocks are assembled from one product per
+    gets its own nullspace; at the last stage only the first block of each
+    orbit is built, and only ranked (see Orbits at the last stage in the
+    module docstring).  The blocks are assembled from one product per
     (deg u, block of c): its inner index c runs over that variable block, so
     deg p = deg u - e_c, and its columns (r, b) run over every block of b at
     once; the product is then cut into the sub-blocks of the blocks d it
@@ -191,7 +212,8 @@ def _dual_blocks(
     pred = koszul_prediction(n, top)
     for j in range(3, min(top, kmax) + 1):
         _refuse_stage(n, j, v, pred[j - 1], v * v - pred[2], budget)
-    blocks = build_an(n, pivot).blocks
+    spec = build_an(n, pivot)
+    blocks = spec.blocks
     zero = (0,) * n
     var_block = [np.flatnonzero(np.asarray(blocks) == t) for t in range(n)]
     N, C = relation_space_matrices(n, prime, pivot)
@@ -217,6 +239,13 @@ def _dual_blocks(
                 col_at[beta, t2] = ncols[d]
                 ncols[d] += len(u_ix) * len(var_block[t2])
                 col_ix.setdefault(d, []).append((u_ix[:, None] * v + var_block[t2]).ravel())
+        # each block's representative: at the last stage the first block of its
+        # orbit under the certified symmetries, which alone is built and ranked
+        last = j == kmax
+        grid = list(ncols)
+        reps = dict(zip(grid, orbit_representatives(
+            _tower_symmetries(spec, C, prime) if last else (), grid)))
+        ranked = {d for d, rep in reps.items() if rep == d}
         # ... and its rows, one chunk per (deg p, deg r)
         row_at: dict[tuple, int] = {}
         nrows: Counter = Counter()
@@ -228,7 +257,8 @@ def _dual_blocks(
                     continue
                 p_ix, c_ix = p_groups[alpha], var_block[t]
                 parts = [(t2, rho, r_groups[rho]) for t2 in range(n)
-                         if (rho := _shift(_shift(zero, t, 1), t2, 1)) in r_groups]
+                         if (rho := _shift(_shift(zero, t, 1), t2, 1)) in r_groups
+                         and _shift(beta, t2, 1) in ranked]
                 if not parts:
                     continue
                 left = N[u_ix[:, None], p_ix[:, None, None] * v + c_ix]  # [p, u, c]
@@ -250,22 +280,52 @@ def _dual_blocks(
                                     .transpose(0, 2, 1, 3)
                                     .reshape(len(p_ix) * len(r_ix), len(u_ix) * nb)))
         kernels = []  # (global column indices, nullspace columns) per block
-        u_deg = []
-        for d in ncols:
+        dims: dict[tuple[int, ...], int] = {}
+        for d, rep in reps.items():
+            if rep != d:  # ranked earlier, as its representative
+                dims[d] = dims[rep]
+                continue
             M = np.zeros((nrows[d], ncols[d]), dtype=np.int64)
             for r0, c0, sub in subs.pop(d):
                 M[r0:r0 + sub.shape[0], c0:c0 + sub.shape[1]] = sub
-            Yd = nullspace_mod_p(M, prime)  # (ncols, dim of block d)
-            kernels.append((np.concatenate(col_ix[d]), Yd))
-            u_deg += [d] * Yd.shape[1]
-        out.append(dict(Counter(u_deg)))
-        if j < kmax:
+            if last:
+                dims[d] = ncols[d] - rank_mod_p(M, prime)
+            else:
+                Yd = nullspace_mod_p(M, prime)  # (ncols, dim of block d)
+                kernels.append((np.concatenate(col_ix[d]), Yd))
+                dims[d] = Yd.shape[1]
+        out.append({d: k for d, k in dims.items() if k})
+        if not last:
+            u_deg = [d for d, k in dims.items() for _ in range(k)]
             N = np.zeros((len(u_deg), U * v), dtype=np.int64)
             w0 = 0
             for ix, Yd in kernels:
                 N[w0:w0 + Yd.shape[1], ix] = Yd.T
                 w0 += Yd.shape[1]
             p_groups = u_groups
+    return out
+
+
+def _tower_symmetries(spec: PresentationSpec, C: np.ndarray,
+                      prime: int) -> list[tuple[int, ...]]:
+    """The candidate block permutations (slices.symmetry_candidates) that map
+    R onto itself mod the prime, C being R's membership check there: sigma
+    must map the variables onto themselves, and C @ sigma(x) == 0 for the
+    lift x of every pair relation (see Orbits at the last stage)."""
+    v = spec.nvars
+    # a relation's lift: each term c * x_a * x_b as c * e_a (x) e_b; any two
+    # lifts differ by commutators, which R contains
+    lifts = []
+    for rel in spec.relations:
+        pairs = [[i for i, x in enumerate(e) for _ in range(x)] for e in rel.terms]
+        lifts.append((pairs, np.array([spec.field.to_int(c) for c in rel.terms.values()])))
+    out = []
+    for perm in symmetry_candidates(spec):
+        img = variable_image(spec, perm)
+        if img is not None and not any(
+                np.any(C[:, [img[a] * v + img[b] for a, b in pairs]] @ coeffs % prime)
+                for pairs, coeffs in lifts):
+            out.append(perm)
     return out
 
 

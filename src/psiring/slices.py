@@ -70,6 +70,7 @@ per slice, cached with the presentation.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from math import comb
 
@@ -308,13 +309,15 @@ def block_symmetries(spec: PresentationSpec) -> tuple[tuple[int, ...], ...]:
     """
     syms = spec.cache.get("block_symmetries")
     if syms is None:
-        syms = tuple(perm for perm in dict.fromkeys(_candidates(spec))
+        syms = tuple(perm for perm in dict.fromkeys(symmetry_candidates(spec))
                      if _is_automorphism(spec, perm))
         spec.cache["block_symmetries"] = syms
     return syms
 
 
-def _candidates(spec: PresentationSpec) -> list[tuple[int, ...]]:
+def symmetry_candidates(spec: PresentationSpec) -> list[tuple[int, ...]]:
+    """The block permutations the construction offers, uncertified (see
+    block_symmetries)."""
     n = spec.n
     if spec.kind == "bnm":
         return [(1, 0) + tuple(range(2, n)), tuple((b + 1) % n for b in range(n))]
@@ -329,9 +332,8 @@ def _is_automorphism(spec: PresentationSpec, perm: tuple[int, ...]) -> bool:
     the span of the relations onto itself over Q and mod DEFAULT_PRIME (equal
     certified ranks of the relations with and without their images), and the
     relations of each pair (i, j) to as many of pair (perm i, perm j)."""
-    pos = {v: k for k, v in enumerate(spec.variables)}
-    img = [pos.get(_moved_variable(v, perm)) for v in spec.variables]
-    if None in img:
+    img = variable_image(spec, perm)
+    if img is None:
         return False
     cols: dict[tuple[int, ...], int] = {}
 
@@ -355,18 +357,26 @@ def _is_automorphism(spec: PresentationSpec, perm: tuple[int, ...]) -> bool:
                for (i, j), c in counts.items())
 
 
+def variable_image(spec: PresentationSpec, perm: tuple[int, ...]) -> list[int] | None:
+    """The position of each variable's image under the block permutation perm,
+    which sends a[i,j] to a[perm i, perm j] and phi[r,i] to phi[r, perm i];
+    None when some image is not a variable of spec."""
+    pos = {v: k for k, v in enumerate(spec.variables)}
+    img = [pos.get(_moved_variable(v, perm)) for v in spec.variables]
+    return None if None in img else img
+
+
 def _moved_variable(v, perm: tuple[int, ...]):
     if isinstance(v, Phi):
         return Phi(v.r, perm[v.i - 1] + 1)
     return Alpha(perm[v.i - 1] + 1, perm[v.j - 1] + 1)
 
 
-def slice_orbits(spec: PresentationSpec,
-                 grid: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+def orbit_representatives(gens: Sequence[tuple[int, ...]],
+                          grid: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """For each multidegree of grid, its representative: the first multidegree
-    of grid in its orbit under block_symmetries(spec).  A permutation moves a
-    to the a' with a'[perm[b]] = a[b]."""
-    gens = block_symmetries(spec)
+    of grid in its orbit under the block permutations gens.  A permutation
+    moves a to the a' with a'[perm[b]] = a[b]."""
     rep: dict[tuple[int, ...], tuple[int, ...]] = {}
     for a in grid:
         if a in rep:
@@ -392,7 +402,7 @@ def orbit_sweep(spec: PresentationSpec, grid: tuple[tuple[int, ...], ...],
     representatives (mapped through util.parallel_map); every other slice gets
     its representative's report under its own multidegree (see Orbits in the
     module docstring)."""
-    reps = slice_orbits(spec, grid)
+    reps = orbit_representatives(block_symmetries(spec), grid)
     firsts = list(dict.fromkeys(reps))
     ranked = dict(zip(firsts, parallel_map(lambda a: slice_dimension(spec, a), firsts, threads)))
     return [replace(ranked[r], multidegree=a) for a, r in zip(grid, reps)]

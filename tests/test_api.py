@@ -99,7 +99,6 @@ REACH_COMMANDS = [
 # functions those commands do not run, each kept for the reason given
 UNREACHED = {
     **ALLOWED,
-    "exactla.rank_mod_p": "only dual_dimension_stacked calls it",
     "poly.Poly.evaluate": "only jacobian_rank_at calls it",
 }
 

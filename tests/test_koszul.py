@@ -3,13 +3,15 @@ series, the stacked cross-check, and the element budget guard.
 """
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import psiring.exactla as exactla
 import psiring.koszul as koszul
 from psiring.errors import BudgetError
-from psiring.exactla import nullspace_mod_p
+from psiring.exactla import echelon_mod_p, echelon_nullspace, nullspace_mod_p, rows_to_dense
 from psiring.fields import TENSOR_PRIME, TENSOR_RETRY_PRIMES
 from psiring.koszul import (
     DEFAULT_ELEMENT_BUDGET,
@@ -20,7 +22,7 @@ from psiring.koszul import (
     koszul_summary,
     relation_space_matrices,
 )
-from psiring.presentation import CUSTOM, PivotScheme, build_an
+from psiring.presentation import CUSTOM, PivotScheme, build_an, tensor_relation_space
 from psiring.series import invert_unit_series, lee_series, total_hilbert
 
 
@@ -193,50 +195,123 @@ def test_dual_blocks_match_multigraded_series(custom, n, k, blocks):
 
 
 @pytest.fixture
-def nullspace_shapes(monkeypatch):
-    """Shapes of the matrices koszul passes to nullspace_mod_p, in call order."""
-    shapes = []
-    real = koszul.nullspace_mod_p
+def eliminations(monkeypatch):
+    """(eliminator, shape) of each matrix koszul passes to nullspace_mod_p or
+    rank_mod_p, in call order."""
+    calls = []
+    for name in ("nullspace_mod_p", "rank_mod_p"):
+        def spy(a, p, name=name, real=getattr(koszul, name)):
+            calls.append((name, np.shape(a)))
+            return real(a, p)
 
-    def spy(a, p):
-        shapes.append(np.shape(a))
-        return real(a, p)
-
-    monkeypatch.setattr(koszul, "nullspace_mod_p", spy)
-    return shapes
+        monkeypatch.setattr(koszul, name, spy)
+    return calls
 
 
-def test_stage_nullspaces_are_per_block(nullspace_shapes):
+@pytest.fixture
+def orbits(monkeypatch):
+    """The representatives orbit_representatives gives koszul, one list per stage."""
+    calls = []
+    real = koszul.orbit_representatives
+
+    def spy(gens, grid):
+        calls.append(real(gens, grid))
+        return calls[-1]
+
+    monkeypatch.setattr(koszul, "orbit_representatives", spy)
+    return calls
+
+
+def test_stage_nullspaces_are_per_block(eliminations):
     # the whole n=5, k=3 stage has 1875 columns; no block may come near that
     # (the relation space's C comes from echelon_nullspace, so it is not here)
-    shapes = nullspace_shapes
     assert dual_tower(5, 3) == [1, 15, 125, 795]
-    assert len(shapes) > 1
-    assert max(cols for _, cols in shapes) <= 1875 // 10
+    assert len(eliminations) > 1
+    assert max(cols for _, (_, cols) in eliminations) <= 1875 // 10
 
 
-def test_stage_rows_run_over_the_basis_of_w_k_minus_2(nullspace_shapes):
+def test_stage_rows_run_over_the_basis_of_w_k_minus_2(eliminations, orbits):
     # stage k's rows are (basis vector of W_(k-2), check row of R), so the
     # blocks of stage k have at most dim W_(k-2) * RR rows, not v^(k-2) * RR
     dims = dual_tower(4, 5)
     RR = 8 * 8 - dims[2]
     assert [dims[k - 2] * RR for k in (3, 4, 5)] == [240, 1020, 3360]
-    blocks = iter(nullspace_shapes)
-    for k in (3, 4, 5):
+    blocks = iter(eliminations)
+    for k in (3, 4):
         rows = cols = 0
         while cols < 8 * dims[k - 1]:
-            r, c = next(blocks)
+            name, (r, c) = next(blocks)
+            assert name == "nullspace_mod_p"
             rows, cols = rows + r, cols + c
         assert cols == 8 * dims[k - 1]  # the blocks cover the columns (u, b) once
         assert rows <= dims[k - 2] * RR
-    assert next(blocks, None) is None
+    # the last stage ranks one block per orbit, in the order of the representatives
+    reps = orbits[-1]
+    last = list(blocks)
+    assert [name for name, _ in last] == ["rank_mod_p"] * len(set(reps))
+    sizes = Counter(reps)
+    assert sum(c * sizes[rep] for (_, (_, c)), rep in zip(last, dict.fromkeys(reps))) \
+        == 8 * dims[4]
+    assert sum(r for _, (r, _) in last) <= dims[3] * RR
+    assert len(last) < len(reps)
+
+
+@pytest.mark.parametrize("n,k,assignment", [
+    (4, 5, None), (5, 3, None), (6, 3, None), (4, 5, (2, 1, 4, 3)), (5, 3, (3, 1, 2, 5, 4)),
+])
+def test_last_stage_orbits_keep_every_block(n, k, assignment, monkeypatch):
+    # ranking one block per certified orbit gives every block the dimension
+    # that ranking each block on its own gives
+    pivot = PivotScheme(CUSTOM, assignment=assignment) if assignment else None
+    spec = build_an(n, pivot)
+    assert koszul._tower_symmetries(spec, relation_space_matrices(n, TENSOR_PRIME, pivot)[1],
+                                    TENSOR_PRIME)
+    with_orbits = koszul._dual_blocks(n, k, TENSOR_PRIME, 10 ** 12, pivot)
+    monkeypatch.setattr(koszul, "symmetry_candidates", lambda spec: [])
+    assert koszul._dual_blocks(n, k, TENSOR_PRIME, 10 ** 12, pivot) == with_orbits
+
+
+def test_a_symmetry_that_moves_r_is_refused(monkeypatch):
+    # R without the lift of pair (1,2)'s relation: the cyclic shift still maps
+    # the variables onto themselves, but sends pair (1,4)'s lift out of R
+    trs = tensor_relation_space(4)
+    rows = list(trs.commutator_rows + trs.symmetric_rows[1:])
+    U, pivots = echelon_mod_p(rows_to_dense(rows, trs.dim_v ** 2, TENSOR_PRIME), TENSOR_PRIME)
+    N2 = U[:len(pivots)]
+    C = echelon_nullspace(N2, pivots, TENSOR_PRIME).T
+    spec = build_an(4)
+    assert koszul._tower_symmetries(spec, relation_space_matrices(4)[1], TENSOR_PRIME) \
+        == [(1, 2, 3, 0)]
+    assert koszul._tower_symmetries(spec, C, TENSOR_PRIME) == []
+    monkeypatch.setattr(koszul, "relation_space_matrices", lambda *a: (N2, C))
+    bent = koszul._dual_blocks(4, 4, TENSOR_PRIME, DEFAULT_ELEMENT_BUDGET, None)
+    assert sum(bent[-1].values()) != koszul_prediction(4, 4)[4]
+    monkeypatch.setattr(koszul, "symmetry_candidates", lambda spec: [])
+    assert koszul._dual_blocks(4, 4, TENSOR_PRIME, DEFAULT_ELEMENT_BUDGET, None) == bent
+
+
+def test_last_stage_ranks_one_block_per_orbit(eliminations, monkeypatch):
+    # under the cyclic pivot A(5)'s 35 blocks of W_3 fall into 7 orbits of
+    # Z/5; only the relation space's C is read off by back-substitution
+    solved = []
+    for module in (koszul, exactla):
+        def spy(U, pivots, p, real=module.echelon_nullspace):
+            solved.append(U.shape)
+            return real(U, pivots, p)
+
+        monkeypatch.setattr(module, "echelon_nullspace", spy)
+    top = koszul._dual_blocks(5, 3, TENSOR_PRIME, DEFAULT_ELEMENT_BUDGET, None)[-1]
+    assert len(top) == 35
+    assert [name for name, _ in eliminations] == ["rank_mod_p"] * 7
+    assert solved == [(125, 225)]
 
 
 def test_budget_refused_before_any_work(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("work started before the budget check")
 
-    for name in ("mod_matmul", "nullspace_mod_p", "relation_space_matrices"):
+    for name in ("mod_matmul", "nullspace_mod_p", "rank_mod_p", "echelon_mod_p",
+                 "_tower_symmetries", "relation_space_matrices"):
         monkeypatch.setattr(koszul, name, boom)
     with pytest.raises(BudgetError) as exc:
         dual_tower(5, 4)

@@ -26,10 +26,10 @@ from psiring.series import (
 from psiring.slices import (
     block_symmetries,
     count_monomials,
+    orbit_representatives,
     orbit_sweep,
     relation_product_rows,
     slice_dimension,
-    slice_orbits,
     standard_monomial_count,
 )
 from conftest import cached_an, cached_bnm
@@ -382,7 +382,7 @@ def test_orbit_sweep_matches_every_slice(build, limit, order, monkeypatch):
     assert group_order(gens, spec.nblocks) == order
     ranked = swept_against_every_slice(spec, limit, monkeypatch)
     grid = degree_grid(spec.nblocks, limit)
-    reps = slice_orbits(spec, grid)
+    reps = orbit_representatives(gens, grid)
     # the first multidegree of each orbit in grid order, and no other, is ranked
     assert ranked == list(dict.fromkeys(reps))
     assert all(grid.index(r) <= i for i, r in enumerate(reps))
@@ -434,8 +434,9 @@ def test_a_candidate_that_moves_the_variables_is_refused(monkeypatch):
     # under the cyclic pivot (1 2) sends a[1,3] to a[2,3], pivot-normalized away
     spec = build_an(5)
     swap, cycle = (1, 0, 2, 3, 4), (1, 2, 3, 4, 0)
-    monkeypatch.setattr(slices, "_candidates", lambda s: [swap, cycle])
+    monkeypatch.setattr(slices, "symmetry_candidates", lambda s: [swap, cycle])
     assert not slices._is_automorphism(spec, swap)
     assert block_symmetries(spec) == (cycle,)
     ranked = swept_against_every_slice(spec, 4, monkeypatch)
-    assert len(ranked) == len(set(slice_orbits(spec, degree_grid(5, 4)))) == 26
+    reps = orbit_representatives(block_symmetries(spec), degree_grid(5, 4))
+    assert len(ranked) == len(set(reps)) == 26
