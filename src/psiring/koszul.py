@@ -23,19 +23,19 @@ match the coefficients of the multigraded 1/h(-q).  The stacked route stays
 unblocked and unsymmetrised, as an independent check.
 
 Orbits at the last stage.  The last stage j = kmax needs only dimensions, so
-each of its blocks is ranked, columns minus rank, with no nullspace.  A block
-permutation sigma (a marked-point permutation, as slices.symmetry_candidates
-offers it) acts on V by a[i,j] -> a[sigma i, sigma j].  It is kept when it
-maps the variables onto themselves and C @ sigma(x) == 0 at the tower's own
-prime for the lift x of every pair relation.  Commutators map to commutators,
-so then sigma R is inside R mod the prime, and since sigma is a bijection,
-sigma R = R.  So sigma^(x)k maps each V^s (x) R (x) V^(k-2-s) onto itself,
-W_k onto W_k, and the block W_k(d) onto W_k(sigma.d): the two have the same
-dimension mod the prime.  The last stage builds and ranks only the first
-block of each orbit (slices.orbit_representatives) and gives its dimension
-to the rest of the orbit.  Earlier stages keep every block's nullspace: their
-kernel bases feed the next stage, and a basis chosen by elimination is not
-sigma-equivariant, so no basis is carried across an orbit.
+each of its blocks is ranked, columns minus rank, with no nullspace.  Its
+block permutations sigma are those slices.block_symmetries certifies at the
+tower's own prime (see Orbits in the slices docstring), so sigma maps the
+span of the relations mod the prime onto itself.  R is spanned by the
+commutators and the relations' lifts, lifting is linear up to commutators,
+and sigma sends commutators to +-commutators, so sigma R = R.  So sigma^(x)k
+maps each V^s (x) R (x) V^(k-2-s) onto itself, W_k onto W_k, and the block
+W_k(d) onto W_k(sigma.d): the two have the same dimension mod the prime.  The
+last stage builds and ranks only the first block of each orbit
+(slices.orbit_representatives) and gives its dimension to the rest of the
+orbit.  Earlier stages keep every block's nullspace: their kernel bases feed
+the next stage, and a basis chosen by elimination is not sigma-equivariant,
+so no basis is carried across an orbit.
 
 Arithmetic runs over a prime just below 2^20 so the BLAS float64 lane stays
 exact; intersection dimensions over a prime field can only exceed the
@@ -69,7 +69,7 @@ from .exactla import (
 )
 from .fields import TENSOR_PRIME, TENSOR_RETRY_PRIMES
 from .presentation import PivotScheme, PresentationSpec, build_an, tensor_relation_space
-from .slices import orbit_representatives, symmetry_candidates, variable_image
+from .slices import block_symmetries, orbit_representatives
 
 # refuse any stage whose main matrix would exceed this many entries
 DEFAULT_ELEMENT_BUDGET = 200_000_000
@@ -101,17 +101,16 @@ def b2_structural(n: int) -> int:
 
 
 def relation_space_matrices(
-    n: int, prime: int = TENSOR_PRIME, pivot: PivotScheme | None = None
+    spec: PresentationSpec, prime: int = TENSOR_PRIME
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(N2, C): a row basis of R in V(x)V and its membership-check matrix.
+    """(N2, C): a row basis of spec's R in V(x)V and its membership-check matrix.
 
     x lies in R exactly when C @ x == 0 mod the prime; N2 has dim(R) rows in
     echelon form, and C is read off that echelon form by back-substitution,
     with no second elimination.
     """
-    trs = tensor_relation_space(n, pivot)
-    v = trs.dim_v
-    U, pivots = echelon_mod_p(rows_to_dense(list(trs.rows), v * v, prime), prime)
+    v = spec.nvars
+    U, pivots = echelon_mod_p(rows_to_dense(tensor_relation_space(spec), v * v, prime), prime)
     N2 = np.ascontiguousarray(U[: len(pivots)])
     C = np.ascontiguousarray(echelon_nullspace(N2, pivots, prime).T)
     assert N2.shape[0] + C.shape[0] == v * v
@@ -216,7 +215,7 @@ def _dual_blocks(
     blocks = spec.blocks
     zero = (0,) * n
     var_block = [np.flatnonzero(np.asarray(blocks) == t) for t in range(n)]
-    N, C = relation_space_matrices(n, prime, pivot)
+    N, C = relation_space_matrices(spec, prime)
     RR = C.shape[0]
     r_groups = _group(_pair_degrees(C, blocks, n))
     p_groups = _group([_shift(zero, t, 1) for t in blocks])  # basis of W_1 = V by degree
@@ -244,7 +243,7 @@ def _dual_blocks(
         last = j == kmax
         grid = list(ncols)
         reps = dict(zip(grid, orbit_representatives(
-            _tower_symmetries(spec, C, prime) if last else (), grid)))
+            block_symmetries(spec, prime) if last else (), grid)))
         ranked = {d for d, rep in reps.items() if rep == d}
         # ... and its rows, one chunk per (deg p, deg r)
         row_at: dict[tuple, int] = {}
@@ -306,29 +305,6 @@ def _dual_blocks(
     return out
 
 
-def _tower_symmetries(spec: PresentationSpec, C: np.ndarray,
-                      prime: int) -> list[tuple[int, ...]]:
-    """The candidate block permutations (slices.symmetry_candidates) that map
-    R onto itself mod the prime, C being R's membership check there: sigma
-    must map the variables onto themselves, and C @ sigma(x) == 0 for the
-    lift x of every pair relation (see Orbits at the last stage)."""
-    v = spec.nvars
-    # a relation's lift: each term c * x_a * x_b as c * e_a (x) e_b; any two
-    # lifts differ by commutators, which R contains
-    lifts = []
-    for rel in spec.relations:
-        pairs = [[i for i, x in enumerate(e) for _ in range(x)] for e in rel.terms]
-        lifts.append((pairs, np.array([spec.field.to_int(c) for c in rel.terms.values()])))
-    out = []
-    for perm in symmetry_candidates(spec):
-        img = variable_image(spec, perm)
-        if img is not None and not any(
-                np.any(C[:, [img[a] * v + img[b] for a, b in pairs]] @ coeffs % prime)
-                for pairs, coeffs in lifts):
-            out.append(perm)
-    return out
-
-
 def dual_dimension_stacked(n: int, k: int) -> int:
     """Same dimension from one stacked constraint system on all of V^(x)k,
     mod TENSOR_PRIME under the cyclic pivot.
@@ -344,7 +320,7 @@ def dual_dimension_stacked(n: int, k: int) -> int:
         return 1
     if k == 1:
         return v
-    _, C = relation_space_matrices(n)
+    _, C = relation_space_matrices(build_an(n))
     RR = C.shape[0]
     unknowns = v ** k
     nrows = (k - 1) * RR * v ** (k - 2)

@@ -235,44 +235,24 @@ def relation_degree_audit(spec: PresentationSpec) -> dict[tuple[int, int], int]:
 
 # -- the tensor-square relation space (input to the Koszul computations) ------
 
-@dataclass(frozen=True)
-class TensorRelationSpace:
-    """Basis of the full quadratic relation space R inside V (x) V for A_n.
-
-    V carries the variables of build_an(n); rows are stored sparsely over the
-    flat index pos1 * dim_v + pos2.  commutator_rows span the alternating
-    relations x(x)y - y(x)x; symmetric_rows are the lifted pair relations.
-    """
-
-    n: int
-    dim_v: int
-    commutator_rows: tuple[dict, ...]
-    symmetric_rows: tuple[dict, ...]
-
-    @property
-    def rows(self) -> tuple[dict, ...]:
-        return self.commutator_rows + self.symmetric_rows
-
-
-def tensor_relation_space(n: int, pivot: PivotScheme | None = None) -> TensorRelationSpace:
-    """R = commutators + one lift of each pair relation; dim C(v,2) + C(n,2)(n-3)."""
-    spec = build_an(n, pivot)
+def tensor_relation_space(spec: PresentationSpec) -> list[dict]:
+    """Rows spanning R inside V (x) V, sparse over the flat index a * nvars + b:
+    the commutators e_a (x) e_b - e_b (x) e_a (a < b), then each relation of
+    spec lifted term by term, c * x_a * x_b as c * e_a (x) e_b with a <= b.
+    Any two lifts of a relation differ by commutators.  For A_n this is the
+    pair form's tensor, and dim R = C(v,2) + C(n,2)(n-3).  Refuses
+    non-integer coefficients."""
     v = spec.nvars
-    var_pos = {var: k for k, var in enumerate(spec.variables)}
-
-    commutators: list[dict] = []
-    for a in range(v):
-        for b in range(a + 1, v):
-            commutators.append({a * v + b: 1, b * v + a: -1})
-
-    symmetric = [{pa * v + pb: c for (pa, pb), c in _an_pair(var_pos, i, j, k, l0).items()}
-                 for i, j, k, l0 in _pair_triples(n)]
-
-    return TensorRelationSpace(
-        n=n, dim_v=v,
-        commutator_rows=tuple(commutators),
-        symmetric_rows=tuple(symmetric),
-    )
+    rows = [{a * v + b: 1, b * v + a: -1} for a in range(v) for b in range(a + 1, v)]
+    for rel in spec.relations:
+        row = {}
+        for e, c in rel.terms.items():
+            a, b = (i for i, x in enumerate(e) for _ in range(x))
+            row[a * v + b] = k = spec.field.to_int(c)
+            if k is None:
+                raise UsageError("the tensor relation space needs integer relation coefficients")
+        rows.append(row)
+    return rows
 
 
 # -- serialization -------------------------------------------------------------

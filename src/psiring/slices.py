@@ -49,10 +49,11 @@ certified slice has rank_p(all) >= rank_p(kept) = rank_Q(kept) = rank_Q(all)
 Orbits.  A permutation sigma of the blocks (the marked points) acts on the
 variables by a[i,j] -> a[sigma i, sigma j] and phi[r,i] -> phi[r, sigma i],
 and maps the monomials of slice a one to one onto those of slice sigma.a,
-where (sigma.a)[sigma i] = a[i].  block_symmetries keeps a candidate sigma
-only when it maps the variables onto themselves and ranking the relations
-together with their images at DEFAULT_PRIME gives the rank of the relations
-alone, both eliminations certified.  Then sigma maps the span of the
+where (sigma.a)[sigma i] = a[i].  block_symmetries(spec, p) keeps a
+candidate sigma only when it maps the variables onto themselves and ranking
+the relations together with their images gives the rank of the relations
+alone, both eliminations over Z certified at the prime p: DEFAULT_PRIME for
+the slices, the tower's prime for koszul.  Then sigma maps the span of the
 relations onto itself over Q and mod p, so it maps the ideal onto itself over
 Q and mod p, and slice a onto slice sigma.a: the ranks of all products over Q
 and mod p are the same in both, and with them the certificate's conclusion
@@ -298,26 +299,26 @@ def slice_dimension(spec: PresentationSpec, a: tuple[int, ...]) -> SliceReport:
 
 # -- block symmetries ------------------------------------------------------------
 
-def block_symmetries(spec: PresentationSpec) -> tuple[tuple[int, ...], ...]:
-    """The candidate block permutations that map the presentation onto itself,
-    each as its 0-based images (block b goes to perm[b]); cached with the spec.
+def block_symmetries(spec: PresentationSpec,
+                     prime: int = DEFAULT_PRIME) -> tuple[tuple[int, ...], ...]:
+    """The candidate block permutations that map the presentation onto itself
+    over Q and mod the prime, each as its 0-based images (block b goes to
+    perm[b]); cached with the spec, one entry per prime.
 
     The candidates come from the construction: for A(n) the pivot map, when
     it is a bijection (it commutes with itself, so it keeps the variables),
     and for B(n,m) the transposition (1 2) and the n-cycle, which generate
     S_n.  _is_automorphism certifies each one.
     """
-    syms = spec.cache.get("block_symmetries")
-    if syms is None:
-        syms = tuple(perm for perm in dict.fromkeys(symmetry_candidates(spec))
-                     if _is_automorphism(spec, perm))
-        spec.cache["block_symmetries"] = syms
-    return syms
+    cache = spec.cache.setdefault("block_symmetries", {})
+    if prime not in cache:
+        cache[prime] = tuple(perm for perm in dict.fromkeys(_candidates(spec))
+                             if _is_automorphism(spec, perm, prime))
+    return cache[prime]
 
 
-def symmetry_candidates(spec: PresentationSpec) -> list[tuple[int, ...]]:
-    """The block permutations the construction offers, uncertified (see
-    block_symmetries)."""
+def _candidates(spec: PresentationSpec) -> list[tuple[int, ...]]:
+    """The block permutations the construction offers, uncertified."""
     n = spec.n
     if spec.kind == "bnm":
         return [(1, 0) + tuple(range(2, n)), tuple((b + 1) % n for b in range(n))]
@@ -327,13 +328,16 @@ def symmetry_candidates(spec: PresentationSpec) -> list[tuple[int, ...]]:
     return [tuple(p - 1 for p in pivots)]
 
 
-def _is_automorphism(spec: PresentationSpec, perm: tuple[int, ...]) -> bool:
-    """Whether the block permutation perm maps the variables onto themselves,
-    the span of the relations onto itself over Q and mod DEFAULT_PRIME (equal
+def _is_automorphism(spec: PresentationSpec, perm: tuple[int, ...], prime: int) -> bool:
+    """Whether the block permutation perm, sending a[i,j] to a[perm i, perm j]
+    and phi[r,i] to phi[r, perm i], maps the variables onto themselves, the
+    span of the relations onto itself over Q and mod the prime (equal
     certified ranks of the relations with and without their images), and the
     relations of each pair (i, j) to as many of pair (perm i, perm j)."""
-    img = variable_image(spec, perm)
-    if img is None:
+    pos = {v: k for k, v in enumerate(spec.variables)}
+    img = [pos.get(Phi(v.r, perm[v.i - 1] + 1) if isinstance(v, Phi)
+                   else Alpha(perm[v.i - 1] + 1, perm[v.j - 1] + 1)) for v in spec.variables]
+    if None in img:
         return False
     cols: dict[tuple[int, ...], int] = {}
 
@@ -348,28 +352,13 @@ def _is_automorphism(spec: PresentationSpec, perm: tuple[int, ...]) -> bool:
 
     rels = [row(rel.terms.items()) for rel in spec.relations]
     images = [row((moved(e), c) for e, c in rel.terms.items()) for rel in spec.relations]
-    rank, lucky = rank_sparse_rational(rels, DEFAULT_PRIME)
-    both, both_lucky = rank_sparse_rational(rels + images, DEFAULT_PRIME)
+    rank, lucky = rank_sparse_rational(rels, prime)
+    both, both_lucky = rank_sparse_rational(rels + images, prime)
     if not (lucky and both_lucky and both == rank):
         return False
     counts = relation_degree_audit(spec)
     return all(counts.get(tuple(sorted((perm[i - 1] + 1, perm[j - 1] + 1)))) == c
                for (i, j), c in counts.items())
-
-
-def variable_image(spec: PresentationSpec, perm: tuple[int, ...]) -> list[int] | None:
-    """The position of each variable's image under the block permutation perm,
-    which sends a[i,j] to a[perm i, perm j] and phi[r,i] to phi[r, perm i];
-    None when some image is not a variable of spec."""
-    pos = {v: k for k, v in enumerate(spec.variables)}
-    img = [pos.get(_moved_variable(v, perm)) for v in spec.variables]
-    return None if None in img else img
-
-
-def _moved_variable(v, perm: tuple[int, ...]):
-    if isinstance(v, Phi):
-        return Phi(v.r, perm[v.i - 1] + 1)
-    return Alpha(perm[v.i - 1] + 1, perm[v.j - 1] + 1)
 
 
 def orbit_representatives(gens: Sequence[tuple[int, ...]],

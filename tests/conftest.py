@@ -2,6 +2,8 @@
 acceptance-line terminal summary.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from psiring.fields import QQ, DEFAULT_PRIME, PrimeField
@@ -40,6 +42,24 @@ def cached_bnm(n, m, field=None):
         spec = build_bnm(n, m)
         _CACHE[key] = spec if field is None else spec.to_field(field)
     return _CACHE[key]
+
+
+def with_first_relation_scaled(spec, factor):
+    """spec with relation 0 multiplied by factor: the same ideal over Q."""
+    rel = spec.relations[0]
+    scaled = Poly(spec.field, spec.nvars, {e: c * factor for e, c in rel.terms.items()})
+    return replace(spec, relations=(scaled,) + spec.relations[1:])
+
+
+def with_last_relation_bent(spec):
+    """spec with one more term, of the right multidegree, on its last relation:
+    as many relations per pair as before, but no longer cyclically symmetric."""
+    rel, (i, j) = spec.relations[-1], spec.relation_pairs[-1]
+    positions = spec.block_positions()
+    x, y = positions[i - 1][0], positions[j - 1][0]
+    e = tuple(int(p in (x, y)) for p in range(spec.nvars))
+    bent = Poly(spec.field, spec.nvars, {**rel.terms, e: rel.terms.get(e, 0) + 3})
+    return replace(spec, relations=spec.relations[:-1] + (bent,))
 
 
 def reduce_poly(p, basis, order):

@@ -4,15 +4,17 @@ series, the stacked cross-check, and the element budget guard.
 
 import hashlib
 from collections import Counter
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 import psiring.exactla as exactla
 import psiring.koszul as koszul
+import psiring.slices as slices
 from psiring.errors import BudgetError
-from psiring.exactla import echelon_mod_p, echelon_nullspace, nullspace_mod_p, rows_to_dense
-from psiring.fields import TENSOR_PRIME, TENSOR_RETRY_PRIMES
+from psiring.exactla import nullspace_mod_p
+from psiring.fields import DEFAULT_PRIME, TENSOR_PRIME, TENSOR_RETRY_PRIMES
 from psiring.koszul import (
     DEFAULT_ELEMENT_BUDGET,
     b2_structural,
@@ -22,8 +24,11 @@ from psiring.koszul import (
     koszul_summary,
     relation_space_matrices,
 )
-from psiring.presentation import CUSTOM, PivotScheme, build_an, tensor_relation_space
+from psiring.presentation import CUSTOM, PivotScheme, build_an
 from psiring.series import invert_unit_series, lee_series, total_hilbert
+from psiring.slices import block_symmetries
+from psiring.symbols import Alpha
+from conftest import with_first_relation_scaled, with_last_relation_bent
 
 
 def test_prediction_rows_frozen():
@@ -53,7 +58,7 @@ def test_three_points_dual_is_exterior():
 
 
 def test_relation_space_shapes():
-    N2, C = relation_space_matrices(4)
+    N2, C = relation_space_matrices(build_an(4))
     assert N2.shape == (34, 64)
     assert C.shape == (64 - 34, 64)
 
@@ -74,7 +79,7 @@ def matrix_digest(m: np.ndarray) -> str:
 def test_relation_space_matrices_pinned(n, n2_digest, c_digest):
     # sha256 of the shape and the int64 bytes of N2 and C: the echelon form
     # and the nullspace read off it must not drift when the elimination changes
-    N2, C = relation_space_matrices(n)
+    N2, C = relation_space_matrices(build_an(n))
     assert (matrix_digest(N2), matrix_digest(C)) == (n2_digest, c_digest)
 
 
@@ -92,7 +97,7 @@ def test_relation_space_eliminates_once(n, pivot, monkeypatch):
 
     monkeypatch.setattr(koszul, "echelon_mod_p", spy)
     scheme = PivotScheme(CUSTOM, assignment=pivot) if pivot else None
-    N2, C = relation_space_matrices(n, TENSOR_PRIME, scheme)
+    N2, C = relation_space_matrices(build_an(n, scheme), TENSOR_PRIME)
     assert len(calls) == 1
     U, pivots = real(N2, TENSOR_PRIME)
     assert np.array_equal(U, N2)
@@ -261,33 +266,98 @@ def test_stage_rows_run_over_the_basis_of_w_k_minus_2(eliminations, orbits):
 ])
 def test_last_stage_orbits_keep_every_block(n, k, assignment, monkeypatch):
     # ranking one block per certified orbit gives every block the dimension
-    # that ranking each block on its own gives
+    # that ranking each block on its own gives, at both primes koszul_summary uses
+    pivot = PivotScheme(CUSTOM, assignment=assignment) if assignment else None
+    primes = (TENSOR_PRIME, TENSOR_RETRY_PRIMES[0])
+    assert all(block_symmetries(build_an(n, pivot), p) for p in primes)
+    with_orbits = [koszul._dual_blocks(n, k, p, 10 ** 12, pivot) for p in primes]
+    monkeypatch.setattr(slices, "_candidates", lambda spec: [])
+    assert [koszul._dual_blocks(n, k, p, 10 ** 12, pivot) for p in primes] == with_orbits
+
+
+def moved_variables(spec, perm):
+    """The position of each variable's image a[perm i, perm j] under the block
+    permutation perm, or None when some image is not a variable of spec."""
+    pos = {x: k for k, x in enumerate(spec.variables)}
+    img = [pos.get(Alpha(perm[x.i - 1] + 1, perm[x.j - 1] + 1)) for x in spec.variables]
+    return None if None in img else img
+
+
+def keeps_r(spec, C, prime, perm):
+    """The membership check on R: perm maps the variables onto themselves and
+    C @ perm(x) == 0 mod the prime for the lift x of every relation, each term
+    c * x_a * x_b lifted as c * e_a (x) e_b."""
+    img, v = moved_variables(spec, perm), spec.nvars
+    if img is None:
+        return False
+    for rel in spec.relations:
+        pairs = [[i for i, x in enumerate(e) for _ in range(x)] for e in rel.terms]
+        coeffs = np.array([spec.field.to_int(c) for c in rel.terms.values()])
+        if np.any(C[:, [img[a] * v + img[b] for a, b in pairs]] @ coeffs % prime):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n,assignment", [
+    (4, None), (4, (2, 1, 4, 3)), (4, (3, 4, 2, 1)),
+    (5, None), (5, (3, 1, 2, 5, 4)), (5, (2, 1, 4, 5, 3)),
+    (6, None), (6, (2, 1, 4, 3, 6, 5)), (6, (3, 1, 2, 6, 4, 5)),
+])
+def test_certified_symmetries_keep_r(n, assignment, monkeypatch):
+    # the relations' certificate against the tower's membership check, over
+    # every block permutation that keeps the variables (those commuting with
+    # the pivot map), at each prime the tower runs at: they pass the same ones,
+    # all of them for A(n) and some for a bent copy that breaks the symmetry
     pivot = PivotScheme(CUSTOM, assignment=assignment) if assignment else None
     spec = build_an(n, pivot)
-    assert koszul._tower_symmetries(spec, relation_space_matrices(n, TENSOR_PRIME, pivot)[1],
-                                    TENSOR_PRIME)
-    with_orbits = koszul._dual_blocks(n, k, TENSOR_PRIME, 10 ** 12, pivot)
-    monkeypatch.setattr(koszul, "symmetry_candidates", lambda spec: [])
-    assert koszul._dual_blocks(n, k, TENSOR_PRIME, 10 ** 12, pivot) == with_orbits
+    keeps_variables = [perm for perm in permutations(range(n))
+                       if moved_variables(spec, perm) is not None]
+    monkeypatch.setattr(slices, "_candidates", lambda spec: keeps_variables)
+    bent = with_last_relation_bent(spec)
+    for prime in (TENSOR_PRIME, *TENSOR_RETRY_PRIMES):
+        for s in (spec, bent):
+            C = relation_space_matrices(s, prime)[1]
+            certified = block_symmetries(s, prime)
+            assert certified == tuple(perm for perm in keeps_variables
+                                      if keeps_r(s, C, prime, perm))
+            assert (len(certified) == len(keeps_variables)) == (s is spec)
 
 
-def test_a_symmetry_that_moves_r_is_refused(monkeypatch):
-    # R without the lift of pair (1,2)'s relation: the cyclic shift still maps
-    # the variables onto themselves, but sends pair (1,4)'s lift out of R
-    trs = tensor_relation_space(4)
-    rows = list(trs.commutator_rows + trs.symmetric_rows[1:])
-    U, pivots = echelon_mod_p(rows_to_dense(rows, trs.dim_v ** 2, TENSOR_PRIME), TENSOR_PRIME)
-    N2 = U[:len(pivots)]
-    C = echelon_nullspace(N2, pivots, TENSOR_PRIME).T
-    spec = build_an(4)
-    assert koszul._tower_symmetries(spec, relation_space_matrices(4)[1], TENSOR_PRIME) \
-        == [(1, 2, 3, 0)]
-    assert koszul._tower_symmetries(spec, C, TENSOR_PRIME) == []
-    monkeypatch.setattr(koszul, "relation_space_matrices", lambda *a: (N2, C))
-    bent = koszul._dual_blocks(4, 4, TENSOR_PRIME, DEFAULT_ELEMENT_BUDGET, None)
-    assert sum(bent[-1].values()) != koszul_prediction(4, 4)[4]
-    monkeypatch.setattr(koszul, "symmetry_candidates", lambda spec: [])
-    assert koszul._dual_blocks(4, 4, TENSOR_PRIME, DEFAULT_ELEMENT_BUDGET, None) == bent
+def test_the_tower_certifies_at_its_own_prime(monkeypatch):
+    # relation 0 scaled by TENSOR_PRIME: the same ideal over Q and mod
+    # DEFAULT_PRIME, but mod TENSOR_PRIME R loses that relation's lift, and the
+    # cyclic shift no longer maps R onto itself
+    bad = with_first_relation_scaled(build_an(4), TENSOR_PRIME)
+    assert block_symmetries(bad) == ((1, 2, 3, 0),)
+    assert block_symmetries(bad, TENSOR_PRIME) == ()
+    assert set(bad.cache["block_symmetries"]) == {DEFAULT_PRIME, TENSOR_PRIME}
+    monkeypatch.setattr(koszul, "build_an",
+                        lambda n, pivot: with_first_relation_scaled(build_an(n), TENSOR_PRIME))
+
+    def top():
+        return koszul._dual_blocks(4, 4, TENSOR_PRIME, DEFAULT_ELEMENT_BUDGET, None)[-1]
+
+    certified = top()
+    assert sum(certified.values()) == 264
+    # the slices' certificate at DEFAULT_PRIME would merge blocks of other dimensions
+    with monkeypatch.context() as m:
+        m.setattr(koszul, "block_symmetries", lambda spec, prime: block_symmetries(spec))
+        assert sum(top().values()) == 219
+    monkeypatch.setattr(slices, "_candidates", lambda spec: [])
+    assert top() == certified
+
+
+def test_tower_builds_the_presentation_once(monkeypatch):
+    built = []
+    real = koszul.build_an
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(koszul, "build_an", spy)
+    assert dual_tower(5, 3) == koszul_prediction(5, 3)
+    assert built == [(5, None)]
 
 
 def test_last_stage_ranks_one_block_per_orbit(eliminations, monkeypatch):
@@ -311,7 +381,7 @@ def test_budget_refused_before_any_work(monkeypatch):
         raise AssertionError("work started before the budget check")
 
     for name in ("mod_matmul", "nullspace_mod_p", "rank_mod_p", "echelon_mod_p",
-                 "_tower_symmetries", "relation_space_matrices"):
+                 "build_an", "block_symmetries", "relation_space_matrices"):
         monkeypatch.setattr(koszul, name, boom)
     with pytest.raises(BudgetError) as exc:
         dual_tower(5, 4)
@@ -324,8 +394,9 @@ def test_budget_refused_before_any_work(monkeypatch):
 
 
 def test_mixed_degree_relation_row_is_refused(monkeypatch):
-    N2, C = relation_space_matrices(4)
-    blocks = build_an(4).blocks
+    spec = build_an(4)
+    N2, C = relation_space_matrices(spec)
+    blocks = spec.blocks
     v = len(blocks)
     c1, c2 = divmod(int(np.flatnonzero(N2[0])[0]), v)
     other = next(x for x in range(v) if blocks[x] not in (blocks[c1], blocks[c2]))

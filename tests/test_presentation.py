@@ -2,6 +2,7 @@
 multigrading, pivot independence, and the spanning family of pair relations.
 """
 
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -18,6 +19,7 @@ from psiring.presentation import (
     presentation_to_dict,
     relation_degree_audit,
     tensor_relation_space,
+    _an_pair,
 )
 from psiring.symbols import Alpha, Phi
 from conftest import cached_an, cached_bnm, reduce_poly
@@ -147,21 +149,27 @@ PIVOTS = [(4, None), (4, (2, 1, 4, 3)), (5, None), (5, (3, 1, 2, 5, 4))]
 
 @pytest.mark.parametrize("n,assignment", PIVOTS)
 def test_pair_relation_builders_agree(n, assignment):
-    """build_an and tensor_relation_space give one relation per (i, j, k),
-    equal to the formula in the module docstring."""
+    """build_an gives one relation per (i, j, k), equal to the formula in the
+    module docstring, and tensor_relation_space lifts it, after the
+    commutators, to the pair form's tensor."""
     pivot = PivotScheme(CUSTOM, assignment=assignment) if assignment else None
     spec = build_an(n, pivot)
-    trs = tensor_relation_space(n, pivot)
     v = spec.nvars
-    assert trs.dim_v == v
+    rows = tensor_relation_space(spec)
+    commutators = comb(v, 2)
+    assert rows[:commutators] == [{a * v + b: 1, b * v + a: -1}
+                                  for a in range(v) for b in range(a + 1, v)]
+    var_pos = {x: k for k, x in enumerate(spec.variables)}
     triples = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             rest = [k for k in range(1, n + 1) if k not in (i, j)]
             triples += [(i, j, k, rest[0]) for k in rest[1:]]
-    assert len(triples) == len(spec.relations) == len(trs.symmetric_rows)
+    assert len(triples) == len(spec.relations) == len(rows) - commutators
     assert [(i, j) for i, j, _, _ in triples] == list(spec.relation_pairs)
-    for (i, j, k, l0), rel, row in zip(triples, spec.relations, trs.symmetric_rows):
+    for (i, j, k, l0), rel, row in zip(triples, spec.relations, rows[commutators:]):
+        assert row == {pa * v + pb: c
+                       for (pa, pb), c in _an_pair(var_pos, i, j, k, l0).items()}, (i, j, k)
         terms: dict = {}
         for idx, c in row.items():
             e = [0] * v
@@ -203,8 +211,14 @@ def test_bnm_relations_follow_the_docstring_formula(n, m):
 def test_tensor_relation_space_dimensions():
     # independent-quadric count in the full tensor square, by family size
     for n, want in [(4, 34), (5, 125)]:
-        ts = tensor_relation_space(n)
-        assert len(ts.rows) == want
+        assert len(tensor_relation_space(build_an(n))) == want
+
+
+def test_tensor_relation_space_refuses_a_fraction():
+    spec = build_an(4)
+    half = Poly(QQ, spec.nvars, {e: c / 2 for e, c in spec.relations[0].terms.items()})
+    with pytest.raises(UsageError, match="integer relation coefficients"):
+        tensor_relation_space(replace(spec, relations=(half,) + spec.relations[1:]))
 
 
 def test_presentation_to_dict_round_trip_texture():

@@ -32,7 +32,9 @@ from psiring.slices import (
     slice_dimension,
     standard_monomial_count,
 )
-from conftest import cached_an, cached_bnm
+from conftest import (
+    cached_an, cached_bnm, with_first_relation_scaled, with_last_relation_bent,
+)
 
 
 def closed_form(spec, a):
@@ -175,13 +177,6 @@ def test_standard_monomial_count_refuses_bad_degrees():
     assert standard_monomial_count(capped, spec, (1, 1, 0, 0)) == closed_form(spec, (1, 1, 0, 0))
     with pytest.raises(UsageError, match="exceeds the truncation cap 2"):
         standard_monomial_count(capped, spec, (1, 1, 1, 0))
-
-
-def with_first_relation_scaled(spec, factor):
-    """spec with relation 0 multiplied by factor: the same ideal over Q."""
-    rel = spec.relations[0]
-    scaled = Poly(spec.field, spec.nvars, {e: c * factor for e, c in rel.terms.items()})
-    return replace(spec, relations=(scaled,) + spec.relations[1:])
 
 
 def test_bad_prime_branches(monkeypatch):
@@ -392,17 +387,6 @@ def test_orbit_sweep_matches_every_slice(build, limit, order, monkeypatch):
         assert len(ranked) < len(grid)
 
 
-def with_last_relation_bent(spec):
-    """spec with one more term, of the right multidegree, on its last relation:
-    as many relations per pair as before, but no longer cyclically symmetric."""
-    rel, (i, j) = spec.relations[-1], spec.relation_pairs[-1]
-    positions = spec.block_positions()
-    x, y = positions[i - 1][0], positions[j - 1][0]
-    e = tuple(int(p in (x, y)) for p in range(spec.nvars))
-    bent = Poly(spec.field, spec.nvars, {**rel.terms, e: rel.terms.get(e, 0) + 3})
-    return replace(spec, relations=spec.relations[:-1] + (bent,))
-
-
 @pytest.mark.parametrize("case", ["scaled", "dropped", "bent", "duplicated"])
 def test_uncertified_presentations_sweep_slice_by_slice(case, monkeypatch):
     spec = build_an(4 if case == "scaled" else 5)
@@ -421,7 +405,7 @@ def test_uncertified_presentations_sweep_slice_by_slice(case, monkeypatch):
         bad = replace(spec, relations=spec.relations + spec.relations[:1],
                       relation_pairs=spec.relation_pairs + spec.relation_pairs[:1])
     assert block_symmetries(spec) and block_symmetries(bad) == ()
-    assert not slices._is_automorphism(bad, block_symmetries(spec)[0])
+    assert not slices._is_automorphism(bad, block_symmetries(spec)[0], DEFAULT_PRIME)
     limit = 4 if case == "scaled" else 3
     ranked = swept_against_every_slice(bad, limit, monkeypatch)
     assert ranked == list(degree_grid(bad.nblocks, limit))
@@ -434,8 +418,8 @@ def test_a_candidate_that_moves_the_variables_is_refused(monkeypatch):
     # under the cyclic pivot (1 2) sends a[1,3] to a[2,3], pivot-normalized away
     spec = build_an(5)
     swap, cycle = (1, 0, 2, 3, 4), (1, 2, 3, 4, 0)
-    monkeypatch.setattr(slices, "symmetry_candidates", lambda s: [swap, cycle])
-    assert not slices._is_automorphism(spec, swap)
+    monkeypatch.setattr(slices, "_candidates", lambda s: [swap, cycle])
+    assert not slices._is_automorphism(spec, swap, DEFAULT_PRIME)
     assert block_symmetries(spec) == (cycle,)
     ranked = swept_against_every_slice(spec, 4, monkeypatch)
     reps = orbit_representatives(block_symmetries(spec), degree_grid(5, 4))
