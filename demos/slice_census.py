@@ -2,8 +2,10 @@
 
 Each multidegree slice is spanned by the monomials of that degree; relation
 multiples give linear constraints, and the dimension is monomials minus rank.
-A block permutation that maps the presentation onto itself maps each slice
-onto one of the same dimension, so a sweep ranks one slice per orbit.
+A relabelling of the marked points acts on the variables by a linear
+substitution; one that maps the relations' span onto itself maps each slice
+onto one of the same dimension, so a sweep ranks one slice per orbit.  For
+A(5) the certified relabellings (1 2) and (1 2 3 4 5) generate all of S_5.
 
 Run:  python3 demos/slice_census.py
 """
@@ -40,7 +42,7 @@ def main():
         rep = slice_dimension(spec5, a)
         print(f"  {a}: dim {rep.dimension} vs series {series5.coefficient(a)}")
 
-    print("\ncertified block symmetries of A(5), as images of the points 1..5")
+    print("\ncertified relabellings of A(5), as images of the points 1..5")
     for perm in block_symmetries(spec5):
         print(f"  {[p + 1 for p in perm]}")
     grid = degree_grid(5, 5)

@@ -14,7 +14,6 @@ import sys
 import time
 import traceback
 from fractions import Fraction
-from math import comb
 
 from . import __version__
 from .errors import BudgetError, UsageError
@@ -23,6 +22,7 @@ from .geometry import (
     DEFAULT_MINOR_BUDGET,
     alpha_values,
     channels_consistent,
+    check_singular_budget,
     pole_table,
     sample_config,
     singular_locus_dim,
@@ -32,7 +32,9 @@ from .groebner import groebner_for, krull_dimension, leading_terms_agree
 from .koszul import DEFAULT_ELEMENT_BUDGET, b2_structural, koszul_prediction, koszul_summary
 from .orders import BLOCK_GREVLEX, GREVLEX, LEX, MonomialOrder
 from .poly import poly_text
-from .presentation import CYCLIC, CUSTOM, PivotScheme, build_an, build_bnm, presentation_to_dict
+from .presentation import (
+    CYCLIC, CUSTOM, PivotScheme, build_an, build_bnm, presentation_size, presentation_to_dict,
+)
 from .reports import Report, make_check, render
 from .rng import SplitMix64
 from .series import curve_module_series, degree_grid, lee_series, lee_series_restricted
@@ -182,8 +184,7 @@ def _coefficient_table(report: Report, series, nvars: int):
 def cmd_presentation(args) -> Report:
     spec = _spec(args)
     report = Report(TOOL, __version__, _config_echo(args))
-    nv_want = args.n * (args.n - 2) if args.kind == "an" else args.n * (args.n + args.m - 2)
-    nr_want = comb(args.n, 2) * (args.n + args.m - 3)
+    nv_want, nr_want = presentation_size(args.n, args.m)
     report.add(make_check(
         "presentation-audit",
         {"algebra": spec.name()},
@@ -381,7 +382,11 @@ def cmd_sample(args) -> Report:
 
 
 def cmd_singular(args) -> Report:
-    spec = _spec(args, field=_field_for(args, default=f"prime:{DEFAULT_PRIME}"))
+    field = _field_for(args, default=f"prime:{DEFAULT_PRIME}")
+    _pivot(args)
+    # refused from the closed-form sizes, before the presentation is built
+    check_singular_budget(args.n, args.m, args.budget)
+    spec = _spec(args, field=field)
     report = Report(TOOL, __version__, _config_echo(args, budget=args.budget))
     r = singular_locus_dim(spec, budget=args.budget)
     got = "empty" if r.singular_dim < 0 else str(r.singular_dim)

@@ -37,7 +37,7 @@ from .exactla import rank_sparse_rational
 from .fields import QQ
 from .groebner import buchberger, groebner_for, krull_dimension, linear_interreduce
 from .poly import Poly
-from .presentation import Alpha, PresentationSpec
+from .presentation import Alpha, PresentationSpec, presentation_size
 from .rng import SplitMix64
 
 DEFAULT_MINOR_BUDGET = 20_000
@@ -252,7 +252,7 @@ def singular_minors(spec: PresentationSpec, c: int,
         raise UsageError(f"negative minor size {c}")
     if c == 0:
         return [Poly.const(spec.field, spec.nvars, spec.field.one())]
-    _refuse_minors(spec, c, budget)
+    _refuse_minors(len(spec.relations), spec.nvars, c, budget)
     nrel, nv = len(spec.relations), spec.nvars
     jac = jacobian(spec)
     memo: dict = {}
@@ -265,14 +265,23 @@ def singular_minors(spec: PresentationSpec, c: int,
     return out
 
 
-def _refuse_minors(spec: PresentationSpec, c: int, budget: int) -> None:
-    """BudgetError when the c x c Jacobian minors would number more than the budget."""
-    count = comb(len(spec.relations), c) * comb(spec.nvars, c)
+def _refuse_minors(nrels: int, nvars: int, c: int, budget: int) -> None:
+    """BudgetError when the c x c minors of an nrels x nvars Jacobian would
+    number more than the budget."""
+    count = comb(nrels, c) * comb(nvars, c)
     if count > budget:
         raise BudgetError(
             f"{count} minors of size {c} exceed the budget {budget}",
             estimate=count, budget=budget,
         )
+
+
+def check_singular_budget(n: int, m: int, budget: int) -> None:
+    """The up-front budget check of singular_locus_dim on B_{n,m} (A_n at
+    m = 0), from the closed-form sizes (presentation.presentation_size),
+    without building the presentation: BudgetError when it would refuse."""
+    nvars, nrels = presentation_size(n, m)
+    _refuse_minors(nrels, nvars, nvars - (2 * n + m - 3), budget)
 
 
 @dataclass(frozen=True)
@@ -301,7 +310,8 @@ def singular_locus_dim(spec: PresentationSpec,
     budget is checked before any work at the predicted codimension,
     nvars - (2n+m-3), and again by singular_minors at the actual one.
     """
-    _refuse_minors(spec, spec.nvars - (2 * spec.n + spec.m - 3), budget)
+    _refuse_minors(len(spec.relations), spec.nvars,
+                   spec.nvars - (2 * spec.n + spec.m - 3), budget)
     dim = krull_dimension(groebner_for(spec))
     c = spec.nvars - dim
     minors = singular_minors(spec, c, budget=budget)

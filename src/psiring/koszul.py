@@ -24,16 +24,20 @@ unblocked and unsymmetrised, as an independent check.
 
 Orbits at the last stage.  The last stage j = kmax needs only dimensions, so
 each of its blocks is ranked, columns minus rank, with no nullspace.  Its
-block permutations sigma are those slices.block_symmetries certifies at the
-tower's own prime (see Orbits in the slices docstring), so sigma maps the
-span of the relations mod the prime onto itself.  R is spanned by the
-commutators and the relations' lifts, lifting is linear up to commutators,
-and sigma sends commutators to +-commutators, so sigma R = R.  So sigma^(x)k
-maps each V^s (x) R (x) V^(k-2-s) onto itself, W_k onto W_k, and the block
-W_k(d) onto W_k(sigma.d): the two have the same dimension mod the prime.  The
-last stage builds and ranks only the first block of each orbit
-(slices.orbit_representatives) and gives its dimension to the rest of the
-orbit.  Earlier stages keep every block's nullspace: their kernel bases feed
+relabellings sigma of the points are those slices.block_symmetries
+certifies at the tower's own prime (see Orbits in the slices docstring): a
+linear substitution of V, invertible over Z, sending block i into block
+sigma i, that maps the span of the relations mod the prime onto itself.  R
+is spanned by the commutators and the relations' lifts, lifting is linear
+up to commutators, and sigma (x) sigma sends a commutator
+e_a (x) e_b - e_b (x) e_a to sigma e_a (x) sigma e_b - sigma e_b (x) sigma e_a,
+again a combination of commutators, so sigma R = R.  So sigma^(x)k maps each
+V^s (x) R (x) V^(k-2-s) onto itself and W_k onto W_k.  It is a linear map
+from block to block, not a permutation of words: it maps the block W_k(d)
+onto W_k(sigma.d), with inverse sigma^-1's, so the two have the same
+dimension mod the prime.  The last stage builds and ranks only the first
+block of each orbit (slices.orbit_representatives) and gives its dimension
+to the rest of the orbit.  Earlier stages keep every block's nullspace: their kernel bases feed
 the next stage, and a basis chosen by elimination is not sigma-equivariant,
 so no basis is carried across an orbit.
 
@@ -305,13 +309,29 @@ def _dual_blocks(
     return out
 
 
+def _stacked_rows(v: int, k: int, RR: int) -> int:
+    """Rows of the stacked system on V^(x)k, (k-1) * RR * v^(k-2); BudgetError
+    when it and its v^k unknowns exceed DEFAULT_ELEMENT_BUDGET entries."""
+    nrows, unknowns = (k - 1) * RR * v ** (k - 2), v ** k
+    est = nrows * unknowns
+    if est > DEFAULT_ELEMENT_BUDGET:
+        raise BudgetError(
+            f"stacked system is {nrows} x {unknowns}"
+            f" ({est} entries > budget {DEFAULT_ELEMENT_BUDGET})",
+            estimate=est, budget=DEFAULT_ELEMENT_BUDGET,
+        )
+    return nrows
+
+
 def dual_dimension_stacked(n: int, k: int) -> int:
     """Same dimension from one stacked constraint system on all of V^(x)k,
     mod TENSOR_PRIME under the cyclic pivot.
 
     Exponentially larger than the iterative route; it exists as the
     independent cross-check on small cases, and refuses systems above
-    DEFAULT_ELEMENT_BUDGET entries.
+    DEFAULT_ELEMENT_BUDGET entries.  The refusal comes before A_n is built,
+    on RR = v^2 - b2_structural(n) check rows: a lower bound, exact when the
+    relations are independent.  The actual RR is checked again after.
     """
     if n < 3 or k < 0:
         raise UsageError(f"bad stacked-dual arguments n={n}, k={k}")
@@ -320,17 +340,11 @@ def dual_dimension_stacked(n: int, k: int) -> int:
         return 1
     if k == 1:
         return v
+    _stacked_rows(v, k, v * v - b2_structural(n))
     _, C = relation_space_matrices(build_an(n))
     RR = C.shape[0]
     unknowns = v ** k
-    nrows = (k - 1) * RR * v ** (k - 2)
-    est = nrows * unknowns
-    if est > DEFAULT_ELEMENT_BUDGET:
-        raise BudgetError(
-            f"stacked system is {nrows} x {unknowns}"
-            f" ({est} entries > budget {DEFAULT_ELEMENT_BUDGET})",
-            estimate=est, budget=DEFAULT_ELEMENT_BUDGET,
-        )
+    nrows = _stacked_rows(v, k, RR)
     big = np.zeros((nrows, unknowns), dtype=np.int64)
     stride = np.arange(v * v)
     row = 0

@@ -29,6 +29,7 @@ the B_{n,m} relations are F(i,j,k) for each such k, then for each extra point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import comb
 
 from .errors import UsageError
 from .fields import QQ, Field
@@ -168,10 +169,23 @@ def _pair_triples(n: int):
                 yield i, j, k, rest[0]
 
 
+def presentation_size(n: int, m: int = 0) -> tuple[int, int]:
+    """(variables, relations) of B_{n,m} in closed form, A_n at m = 0:
+    n(n+m-2) variables and C(n,2)*(n+m-3) relations.  Refuses the (n, m)
+    that build_an and build_bnm refuse, with their message."""
+    if m == 0:
+        if n < 3:
+            raise UsageError(f"A_n needs n >= 3, got n={n}")
+    elif n < 2 or m < 1:
+        raise UsageError(f"B_(n,m) needs n >= 2 and m >= 0, got ({n},{m})")
+    elif n + m < 3:
+        raise UsageError(f"B_(n,m) needs n + m >= 3, got ({n},{m})")
+    return n * (n + m - 2), comb(n, 2) * (n + m - 3)
+
+
 def build_an(n: int, pivot: PivotScheme | None = None) -> PresentationSpec:
     """Presentation of A_n: n(n-2) variables, C(n,2)*(n-3) quadratic relations."""
-    if n < 3:
-        raise UsageError(f"A_n needs n >= 3, got n={n}")
+    presentation_size(n)
     pivot = pivot or PivotScheme(CYCLIC)
     pivot.validate(n)
     if pivot.kind == COMMON_EXTRA:
@@ -188,10 +202,7 @@ def build_bnm(n: int, m: int) -> PresentationSpec:
     """Presentation of B_{n,m}: n(n-1) + n(m-1) variables, C(n,2)*(n+m-3) relations."""
     if m == 0:
         return build_an(n)
-    if n < 2 or m < 1:
-        raise UsageError(f"B_(n,m) needs n >= 2 and m >= 0, got ({n},{m})")
-    if n + m < 3:
-        raise UsageError(f"B_(n,m) needs n + m >= 3, got ({n},{m})")
+    presentation_size(n, m)
 
     variables = [Alpha(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if j != i]
     variables += [Phi(r, i) for i in range(1, n + 1) for r in range(1, m)]

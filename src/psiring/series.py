@@ -9,6 +9,15 @@ keeping only the first n variables.  Two independent evaluators are kept:
 series arithmetic truncated at one limit on the total degree, and a
 per-coefficient closed form via multinomials; the tests check them against
 each other.
+
+The series arithmetic runs on a list of Python ints, one per multidegree of
+degree_grid(nvars, limit), through that grid's steps: for each axis, the
+index pairs (i, j) with grid[j] = grid[i] + e_axis, in ascending i, built
+once per (nvars, limit).  Dividing by 1 - q_axis is a prefix sum along the
+axis, c[j] += c[i] over the axis's pairs in order: the grid runs by total
+degree, so c[i] is final before it is read.  Multiplying by
+1 + sum_i q_i/(1-q_i) uses q_i/(1-q_i) = 1/(1-q_i) - 1: it is the sum over
+the axes of the prefix sums, minus nvars - 1 times the series.
 """
 
 from __future__ import annotations
@@ -40,10 +49,49 @@ def degree_grid(nblocks: int, limit: int) -> tuple[tuple[int, ...], ...]:
     return tuple(a for d in range(limit + 1) for a in compositions(d, nblocks))
 
 
+@lru_cache(maxsize=None)
+def _grid_steps(nvars: int, limit: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per axis, the index pairs (i, j) of degree_grid(nvars, limit) with
+    grid[j] = grid[i] + e_axis, in ascending i."""
+    grid = degree_grid(nvars, limit)
+    index = {a: k for k, a in enumerate(grid)}
+    below = grid[:len(degree_grid(nvars, limit - 1))]  # the points with a step up
+    return tuple(tuple((i, index[a[:axis] + (a[axis] + 1,) + a[axis + 1:]])
+                       for i, a in enumerate(below))
+                 for axis in range(nvars))
+
+
+def _times_one_plus_shifts(c: list[int], steps) -> list[int]:
+    """c times (1 + sum_i q_i/(1-q_i)), as the sum over the axes of c/(1-q_i),
+    minus nvars - 1 times c."""
+    out = [(1 - len(steps)) * x for x in c]
+    for pairs in steps:
+        g = c[:]
+        for i, j in pairs:
+            g[j] += g[i]
+        out = [x + y for x, y in zip(out, g)]
+    return out
+
+
+def _psi_values(nvars: int, exponent: int, limit: int) -> list[int]:
+    """psi_series' coefficients, one per multidegree of degree_grid(nvars, limit)."""
+    if exponent < 0:
+        raise UsageError(f"negative exponent {exponent}")
+    steps = _grid_steps(nvars, limit)
+    c = [1] + [0] * (len(degree_grid(nvars, limit)) - 1)
+    for pairs in steps:
+        for i, j in pairs:
+            c[j] += c[i]
+    for _ in range(exponent):
+        c = _times_one_plus_shifts(c, steps)
+    return c
+
+
 # -- the series type -------------------------------------------------------------
 
 class TruncatedSeries:
-    """Integer-coefficient series kept to total degree at most limit.
+    """Integer-coefficient series kept to total degree at most limit; coeffs
+    holds the nonzero coefficients by multidegree.
 
     Coefficients above the limit are not stored and asking for one raises:
     truncation is always explicit, never silent.
@@ -51,14 +99,11 @@ class TruncatedSeries:
 
     __slots__ = ("nvars", "limit", "coeffs")
 
-    def __init__(self, nvars: int, limit: int, coeffs: dict | None = None):
+    def __init__(self, nvars: int, limit: int, values: list[int]):
+        """The series whose coefficients, in degree_grid(nvars, limit) order, are values."""
         self.nvars = nvars
         self.limit = limit
-        self.coeffs = coeffs if coeffs is not None else {}
-
-    @staticmethod
-    def one(nvars: int, limit: int) -> "TruncatedSeries":
-        return TruncatedSeries(nvars, limit, {(0,) * nvars: 1})
+        self.coeffs = {a: x for a, x in zip(degree_grid(nvars, limit), values) if x}
 
     def coefficient(self, a: tuple[int, ...]) -> int:
         if len(a) != self.nvars:
@@ -66,46 +111,6 @@ class TruncatedSeries:
         if sum(a) > self.limit:
             raise UsageError(f"degree {a} above the truncation limit {self.limit}")
         return self.coeffs.get(tuple(a), 0)
-
-    def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.nvars != other.nvars or self.limit != other.limit:
-            raise UsageError("series limits or variable counts differ")
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            v = out.get(a, 0) + c
-            if v:
-                out[a] = v
-            else:
-                out.pop(a, None)
-        return TruncatedSeries(self.nvars, self.limit, out)
-
-    def mul_geometric(self, axis: int) -> "TruncatedSeries":
-        """Multiply by 1/(1-q_axis): a prefix sum along the axis, linear time."""
-        out: dict = {}
-        for a in degree_grid(self.nvars, self.limit):  # by total degree: a - e_axis comes first
-            below = out.get(_dec(a, axis), 0) if a[axis] else 0
-            v = self.coeffs.get(a, 0) + below
-            if v:
-                out[a] = v
-        return TruncatedSeries(self.nvars, self.limit, out)
-
-    def mul_shift_geometric(self, axis: int) -> "TruncatedSeries":
-        """Multiply by q_axis/(1-q_axis)."""
-        geom = self.mul_geometric(axis)
-        out: dict = {}
-        for a, c in geom.coeffs.items():
-            up = list(a)
-            up[axis] += 1
-            if sum(up) <= self.limit:
-                out[tuple(up)] = c
-        return TruncatedSeries(self.nvars, self.limit, out)
-
-    def mul_one_plus_all_shift_geometric(self) -> "TruncatedSeries":
-        """Multiply by (1 + sum_i q_i/(1-q_i)) in one pass over the axes."""
-        out = self
-        for axis in range(self.nvars):
-            out = out.add(self.mul_shift_geometric(axis))
-        return out
 
     def __eq__(self, other):
         return (
@@ -119,24 +124,11 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.nvars} vars, {len(self.coeffs)} terms, limit {self.limit})"
 
 
-def _dec(a: tuple[int, ...], axis: int) -> tuple[int, ...]:
-    out = list(a)
-    out[axis] -= 1
-    return tuple(out)
-
-
 # -- the Hilbert series builders --------------------------------------------------
 
 def psi_series(nvars: int, exponent: int, limit: int) -> TruncatedSeries:
     """(1 + sum g_i)^exponent / prod(1 - q_i) with g_i = q_i/(1-q_i), truncated."""
-    if exponent < 0:
-        raise UsageError(f"negative exponent {exponent}")
-    s = TruncatedSeries.one(nvars, limit)
-    for axis in range(nvars):
-        s = s.mul_geometric(axis)
-    for _ in range(exponent):
-        s = s.mul_one_plus_all_shift_geometric()
-    return s
+    return TruncatedSeries(nvars, limit, _psi_values(nvars, exponent, limit))
 
 
 def lee_series(n: int, limit: int) -> TruncatedSeries:
@@ -158,7 +150,9 @@ def curve_module_series(n: int, limit: int) -> TruncatedSeries:
     (1 + sum_{i<n} q_i/(1-q_i)) * lee_series(n-1), an (n-1)-variable series."""
     if n < 4:
         raise UsageError(f"curve_module_series needs n >= 4, got {n}")
-    return lee_series(n - 1, limit).mul_one_plus_all_shift_geometric()
+    steps = _grid_steps(n - 1, limit)
+    return TruncatedSeries(n - 1, limit,
+                           _times_one_plus_shifts(_psi_values(n - 1, n - 4, limit), steps))
 
 
 def lee_coefficient(n: int, a: tuple[int, ...], m: int = 0) -> int:

@@ -46,23 +46,37 @@ by p, since kept rows are some of all the products and neither rule uses p: a
 certified slice has rank_p(all) >= rank_p(kept) = rank_Q(kept) = rank_Q(all)
 >= rank_p(all).  A report's row count still counts every product.
 
-Orbits.  A permutation sigma of the blocks (the marked points) acts on the
-variables by a[i,j] -> a[sigma i, sigma j] and phi[r,i] -> phi[r, sigma i],
-and maps the monomials of slice a one to one onto those of slice sigma.a,
-where (sigma.a)[sigma i] = a[i].  block_symmetries(spec, p) keeps a
-candidate sigma only when it maps the variables onto themselves and ranking
-the relations together with their images gives the rank of the relations
-alone, both eliminations over Z certified at the prime p: DEFAULT_PRIME for
-the slices, the tower's prime for koszul.  Then sigma maps the span of the
-relations onto itself over Q and mod p, so it maps the ideal onto itself over
-Q and mod p, and slice a onto slice sigma.a: the ranks of all products over Q
-and mod p are the same in both, and with them the certificate's conclusion
-rank_p = rank_Q and the method label, which names what the answer rests on.
-The product count sum_k #monomials(a - deg f_k) is invariant too, since
-sigma keeps the block sizes and block_symmetries also requires it to keep
-the number of relations of each pair (i, j).  So orbit_sweep ranks the first
-slice of each orbit and gives every other member the representative's report
-under its own multidegree.
+Orbits.  A permutation sigma of the marked points relabels the sections:
+section i, normalized to vanish at p(i), becomes section sigma i normalized
+at sigma p(i), and normalizing it at p(sigma i) instead subtracts its value
+there.  So sigma acts on the variables by the substitution
+
+    a[i,j] -> X[sigma i, sigma j] - X[sigma i, sigma p(i)],    phi[r,i] -> phi[r, sigma i],
+
+where X[k,l] = a[k,l], and X[k,l] = 0 when l = p(k).  Under B(n,m)'s common
+extra point the second term is 0, and the substitution permutes the
+variables.  Every image lies in block sigma i and has coefficients +-1.
+Read for every value X[k,l] with l != k, the rule also holds at l = p(k),
+where both sides are 0.  So sigma's substitution followed by sigma^-1's
+sends a[i,j] to X[i,j] - X[i,p(i)] = a[i,j]: sigma^-1's inverts sigma's
+over Z, and sigma is invertible over Q and mod every prime.  It maps slice a
+of the polynomial ring onto slice sigma.a, where (sigma.a)[sigma i] = a[i].
+
+block_symmetries(spec, p) keeps a candidate sigma only when ranking the
+relations together with their images (each image a product of two linear
+forms, expanded) gives the rank of the relations alone, both eliminations
+over Z certified at the prime p: DEFAULT_PRIME for the slices, the tower's
+prime for koszul.  Then the images lie in the span of the relations over Q
+and mod p, and since sigma is injective they span all of it: sigma maps the
+span onto itself, so it maps the ideal I, generated by that span, onto
+itself over Q and mod p, and I's slice a onto its slice sigma.a.  The ranks
+of all products over Q and mod p are the same in both, and with them the
+certificate's conclusion rank_p = rank_Q and the method label, which names
+what the answer rests on.  The product count sum_k #monomials(a - deg f_k)
+is invariant too, since sigma keeps the block sizes and block_symmetries
+also requires it to keep the number of relations of each pair (i, j).  So
+orbit_sweep ranks the first slice of each orbit and gives every other member
+the representative's report under its own multidegree.
 
 The Groebner route counts the same slice as its standard monomials: those not
 divisible by any leading term.  Both routes walk one list of monomial codes
@@ -301,14 +315,14 @@ def slice_dimension(spec: PresentationSpec, a: tuple[int, ...]) -> SliceReport:
 
 def block_symmetries(spec: PresentationSpec,
                      prime: int = DEFAULT_PRIME) -> tuple[tuple[int, ...], ...]:
-    """The candidate block permutations that map the presentation onto itself
-    over Q and mod the prime, each as its 0-based images (block b goes to
-    perm[b]); cached with the spec, one entry per prime.
+    """The candidate relabellings of the marked points that map the
+    presentation onto itself over Q and mod the prime, each as its 0-based
+    images (block b goes to perm[b]); cached with the spec, one entry per
+    prime.
 
-    The candidates come from the construction: for A(n) the pivot map, when
-    it is a bijection (it commutes with itself, so it keeps the variables),
-    and for B(n,m) the transposition (1 2) and the n-cycle, which generate
-    S_n.  _is_automorphism certifies each one.
+    The candidates are the transposition (1 2) and the n-cycle, which generate
+    S_n; _is_automorphism certifies each one (see Orbits in the module
+    docstring).
     """
     cache = spec.cache.setdefault("block_symmetries", {})
     if prime not in cache:
@@ -320,39 +334,74 @@ def block_symmetries(spec: PresentationSpec,
 def _candidates(spec: PresentationSpec) -> list[tuple[int, ...]]:
     """The block permutations the construction offers, uncertified."""
     n = spec.n
-    if spec.kind == "bnm":
-        return [(1, 0) + tuple(range(2, n)), tuple((b + 1) % n for b in range(n))]
-    pivots = [spec.pivot.pivot_of(i, n) for i in range(1, n + 1)]
-    if sorted(pivots) != list(range(1, n + 1)):
-        return []
-    return [tuple(p - 1 for p in pivots)]
+    return [(1, 0) + tuple(range(2, n)), tuple((b + 1) % n for b in range(n))]
+
+
+def _variable_images(spec: PresentationSpec,
+                     perm: tuple[int, ...]) -> list[dict[int, int]] | None:
+    """The image of each variable under relabelling the points by perm, as
+    {position: coefficient}: a[i,j] -> X[sigma i, sigma j] - X[sigma i, sigma p(i)]
+    and phi[r,i] -> phi[r, sigma i], with X[k,l] = 0 at l = p(k).  None when
+    perm is not a permutation of the blocks."""
+    n = spec.n
+    if sorted(perm) != list(range(n)):
+        return None
+    pos = {v: k for k, v in enumerate(spec.variables)}
+
+    def sigma(i):
+        return perm[i - 1] + 1
+
+    def value(k, l):  # X[k, l] as a form, for a point l != k
+        return {} if l == spec.pivot.pivot_of(k, n) else {pos[Alpha(k, l)]: 1}
+
+    out = []
+    for v in spec.variables:
+        if isinstance(v, Phi):
+            out.append({pos[Phi(v.r, sigma(v.i))]: 1})
+            continue
+        form = value(sigma(v.i), sigma(v.j))
+        p = spec.pivot.pivot_of(v.i, n)
+        if p is not None:  # B(n,m)'s common extra point is fixed, and X there is 0
+            # sigma j != sigma p, so the two terms never share a variable
+            form.update({q: -1 for q in value(sigma(v.i), sigma(p))})
+        out.append(form)
+    return out
+
+
+def _relation_rows(spec: PresentationSpec) -> list[dict[tuple[int, int], int]]:
+    """Each relation as an integer row over the quadratic monomials x_a * x_b,
+    keyed (a, b) with a <= b; cached with the spec."""
+    rows = spec.cache.get("relation_rows")
+    if rows is None:
+        rows = spec.cache["relation_rows"] = [
+            {tuple(i for i, x in enumerate(e) for _ in range(x)): _as_int(c, spec)
+             for e, c in rel.terms.items()}
+            for rel in spec.relations]
+    return rows
 
 
 def _is_automorphism(spec: PresentationSpec, perm: tuple[int, ...], prime: int) -> bool:
-    """Whether the block permutation perm, sending a[i,j] to a[perm i, perm j]
-    and phi[r,i] to phi[r, perm i], maps the variables onto themselves, the
-    span of the relations onto itself over Q and mod the prime (equal
-    certified ranks of the relations with and without their images), and the
-    relations of each pair (i, j) to as many of pair (perm i, perm j)."""
-    pos = {v: k for k, v in enumerate(spec.variables)}
-    img = [pos.get(Phi(v.r, perm[v.i - 1] + 1) if isinstance(v, Phi)
-                   else Alpha(perm[v.i - 1] + 1, perm[v.j - 1] + 1)) for v in spec.variables]
-    if None in img:
+    """Whether the relabelling perm (see _variable_images) maps the span of the
+    relations onto itself over Q and mod the prime (equal certified ranks of
+    the relations with and without their images), and the relations of each
+    pair (i, j) to as many of pair (perm i, perm j)."""
+    forms = _variable_images(spec, perm)
+    if forms is None:
         return False
-    cols: dict[tuple[int, ...], int] = {}
-
-    def row(terms):
-        return {cols.setdefault(e, len(cols)): _as_int(c, spec) for e, c in terms}
-
-    def moved(e):
-        out = [0] * spec.nvars
-        for p, x in enumerate(e):
-            out[img[p]] = x
-        return tuple(out)
-
-    rels = [row(rel.terms.items()) for rel in spec.relations]
-    images = [row((moved(e), c) for e, c in rel.terms.items()) for rel in spec.relations]
-    rank, lucky = rank_sparse_rational(rels, prime)
+    rels = _relation_rows(spec)
+    images = []
+    for row in rels:
+        image: dict[tuple[int, int], int] = {}
+        for (a, b), c in row.items():
+            for x, cx in forms[a].items():
+                for y, cy in forms[b].items():
+                    key = (x, y) if x <= y else (y, x)
+                    image[key] = image.get(key, 0) + c * cx * cy
+        images.append(image)
+    ranks = spec.cache.setdefault("relation_rank", {})
+    if prime not in ranks:
+        ranks[prime] = rank_sparse_rational(rels, prime)
+    rank, lucky = ranks[prime]
     both, both_lucky = rank_sparse_rational(rels + images, prime)
     if not (lucky and both_lucky and both == rank):
         return False

@@ -100,6 +100,7 @@ REACH_COMMANDS = [
 UNREACHED = {
     **ALLOWED,
     "poly.Poly.evaluate": "only jacobian_rank_at calls it",
+    "koszul._stacked_rows": "only dual_dimension_stacked calls it",
 }
 
 

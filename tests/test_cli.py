@@ -97,6 +97,20 @@ def test_koszul_budget_refusal_exit_code(capsys):
     assert "refused" in err
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["singular", "--n", "5"], "810616950 minors of size 8 exceed the budget 20000"),
+    (["singular", "--kind", "bnm", "--n", "4", "--m", "2"],
+     "556212800 minors of size 9 exceed the budget 20000"),
+])
+def test_singular_refuses_before_building_the_presentation(argv, err, monkeypatch, capsys):
+    built = []
+    for name in ("build_an", "build_bnm"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: built.append(name))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"psiring: refused: {err}\n"
+    assert built == []
+
+
 def test_sample_command(capsysbinary):
     code, d = run_json(["sample", "--n", "4", "--count", "5"], capsysbinary)
     assert code == 0
@@ -319,6 +333,11 @@ REPORT_PINS = [
      "fef3caaafbebb225dc4b854530ce3d6438ca8f42623b8112acdea6ebf47180be"),
     (["hilbert", "brute", "--n", "5", "--max-total", "4", "--pivot", "custom:3,1,5,2,4"],
      "ac00023ffb9b5d5848d3b1b31e77374d20f1f4d8cba8dc62e0543cb0d97c13b7"),
+    # A(7) and A(8), where one slice per S_n orbit is ranked: 792 and 1287 slices
+    (["hilbert", "verify", "--n", "7", "--max-total", "5"],
+     "56cd7d3f5e427172a49cf0301b8b33c2934f3ed600f6d8c6535b019ef3fd01e9"),
+    (["hilbert", "verify", "--n", "8", "--max-total", "5"],
+     "2bb15e2416ccf130c509bcb9685ab84f034fa0593ed957489f087da05be156bb"),
 ]
 
 

@@ -5,6 +5,7 @@ series, the stacked cross-check, and the element budget guard.
 import hashlib
 from collections import Counter
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -112,6 +113,31 @@ def test_tower_matches_prediction(n, kmax):
 @pytest.mark.parametrize("n,k", [(3, 3), (4, 3)])
 def test_stacked_route_agrees(n, k):
     assert dual_dimension_stacked(n, k) == dual_tower(n, k)[k]
+
+
+def test_stacked_route_refuses_before_building_the_presentation(monkeypatch):
+    # RR = v^2 - b2_structural(n) is exact for A_n's independent relations
+    def boom(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    for name in ("build_an", "relation_space_matrices"):
+        monkeypatch.setattr(koszul, name, boom)
+    with pytest.raises(BudgetError) as exc:
+        dual_dimension_stacked(8, 4)
+    assert exc.value.estimate == 38_012_675_162_112
+    assert str(exc.value) == ("stacked system is 7160832 x 5308416"
+                              " (38012675162112 entries > budget 200000000)")
+
+
+def test_stacked_route_checks_the_actual_relation_space(monkeypatch):
+    # a C with twice the check rows of A(4)'s passes the check on the lower
+    # bound RR = 30 and is refused on its own 60 rows
+    N2, C = relation_space_matrices(build_an(4))
+    monkeypatch.setattr(koszul, "relation_space_matrices", lambda spec: (N2, np.vstack([C, C])))
+    monkeypatch.setattr(koszul, "DEFAULT_ELEMENT_BUDGET", 300_000)
+    with pytest.raises(BudgetError) as exc:
+        dual_dimension_stacked(4, 3)
+    assert str(exc.value) == "stacked system is 960 x 512 (491520 entries > budget 300000)"
 
 
 def test_budget_refusal_carries_estimate():
@@ -275,25 +301,38 @@ def test_last_stage_orbits_keep_every_block(n, k, assignment, monkeypatch):
     assert [koszul._dual_blocks(n, k, p, 10 ** 12, pivot) for p in primes] == with_orbits
 
 
-def moved_variables(spec, perm):
-    """The position of each variable's image a[perm i, perm j] under the block
-    permutation perm, or None when some image is not a variable of spec."""
+def linear_images(spec, perm):
+    """Each variable's image under relabelling the points by perm, as
+    {position: coefficient}: a[i,j] goes to X[perm i, perm j] - X[perm i, perm p(i)],
+    X[k,l] the variable a[k,l], or 0 where l is the pivot p(k)."""
     pos = {x: k for k, x in enumerate(spec.variables)}
-    img = [pos.get(Alpha(perm[x.i - 1] + 1, perm[x.j - 1] + 1)) for x in spec.variables]
-    return None if None in img else img
+    n = spec.n
+
+    def X(k, l):
+        return {} if l == spec.pivot.pivot_of(k, n) else {pos[Alpha(k, l)]: 1}
+
+    out = []
+    for x in spec.variables:
+        k, p = perm[x.i - 1] + 1, spec.pivot.pivot_of(x.i, n)
+        form = Counter(X(k, perm[x.j - 1] + 1))
+        form.subtract(X(k, perm[p - 1] + 1))
+        out.append(dict(form))
+    return out
 
 
 def keeps_r(spec, C, prime, perm):
-    """The membership check on R: perm maps the variables onto themselves and
-    C @ perm(x) == 0 mod the prime for the lift x of every relation, each term
-    c * x_a * x_b lifted as c * e_a (x) e_b."""
-    img, v = moved_variables(spec, perm), spec.nvars
-    if img is None:
-        return False
+    """The membership check on R: C @ (perm (x) perm)(x) == 0 mod the prime for
+    the lift x of every relation, each term c * x_a * x_b lifted as
+    c * e_a (x) e_b, and perm (x) perm(e_a (x) e_b) = perm(e_a) (x) perm(e_b)."""
+    forms, v = linear_images(spec, perm), spec.nvars
     for rel in spec.relations:
-        pairs = [[i for i, x in enumerate(e) for _ in range(x)] for e in rel.terms]
-        coeffs = np.array([spec.field.to_int(c) for c in rel.terms.values()])
-        if np.any(C[:, [img[a] * v + img[b] for a, b in pairs]] @ coeffs % prime):
+        x = np.zeros(v * v, dtype=np.int64)
+        for e, c in rel.terms.items():
+            a, b = (i for i, k in enumerate(e) for _ in range(k))
+            for q, cq in forms[a].items():
+                for r, cr in forms[b].items():
+                    x[q * v + r] += spec.field.to_int(c) * cq * cr
+        if np.any(C @ x % prime):
             return False
     return True
 
@@ -305,30 +344,29 @@ def keeps_r(spec, C, prime, perm):
 ])
 def test_certified_symmetries_keep_r(n, assignment, monkeypatch):
     # the relations' certificate against the tower's membership check, over
-    # every block permutation that keeps the variables (those commuting with
-    # the pivot map), at each prime the tower runs at: they pass the same ones,
-    # all of them for A(n) and some for a bent copy that breaks the symmetry
+    # 24 relabellings of the points spread evenly over S_n (all of S_4), at
+    # each prime the tower runs at: they pass the same ones, all of them for
+    # A(n) and some for a bent copy that breaks the symmetry
     pivot = PivotScheme(CUSTOM, assignment=assignment) if assignment else None
     spec = build_an(n, pivot)
-    keeps_variables = [perm for perm in permutations(range(n))
-                       if moved_variables(spec, perm) is not None]
-    monkeypatch.setattr(slices, "_candidates", lambda spec: keeps_variables)
+    relabellings = list(permutations(range(n)))[::factorial(n) // 24]
+    monkeypatch.setattr(slices, "_candidates", lambda spec: relabellings)
     bent = with_last_relation_bent(spec)
     for prime in (TENSOR_PRIME, *TENSOR_RETRY_PRIMES):
         for s in (spec, bent):
             C = relation_space_matrices(s, prime)[1]
             certified = block_symmetries(s, prime)
-            assert certified == tuple(perm for perm in keeps_variables
+            assert certified == tuple(perm for perm in relabellings
                                       if keeps_r(s, C, prime, perm))
-            assert (len(certified) == len(keeps_variables)) == (s is spec)
+            assert (len(certified) == len(relabellings)) == (s is spec)
 
 
 def test_the_tower_certifies_at_its_own_prime(monkeypatch):
     # relation 0 scaled by TENSOR_PRIME: the same ideal over Q and mod
-    # DEFAULT_PRIME, but mod TENSOR_PRIME R loses that relation's lift, and the
-    # cyclic shift no longer maps R onto itself
+    # DEFAULT_PRIME, but mod TENSOR_PRIME R loses that relation's lift, and no
+    # relabelling of the points is certified there
     bad = with_first_relation_scaled(build_an(4), TENSOR_PRIME)
-    assert block_symmetries(bad) == ((1, 2, 3, 0),)
+    assert block_symmetries(bad) == ((1, 0, 2, 3), (1, 2, 3, 0))
     assert block_symmetries(bad, TENSOR_PRIME) == ()
     assert set(bad.cache["block_symmetries"]) == {DEFAULT_PRIME, TENSOR_PRIME}
     monkeypatch.setattr(koszul, "build_an",
@@ -342,7 +380,7 @@ def test_the_tower_certifies_at_its_own_prime(monkeypatch):
     # the slices' certificate at DEFAULT_PRIME would merge blocks of other dimensions
     with monkeypatch.context() as m:
         m.setattr(koszul, "block_symmetries", lambda spec, prime: block_symmetries(spec))
-        assert sum(top().values()) == 219
+        assert sum(top().values()) == 161
     monkeypatch.setattr(slices, "_candidates", lambda spec: [])
     assert top() == certified
 
@@ -361,8 +399,8 @@ def test_tower_builds_the_presentation_once(monkeypatch):
 
 
 def test_last_stage_ranks_one_block_per_orbit(eliminations, monkeypatch):
-    # under the cyclic pivot A(5)'s 35 blocks of W_3 fall into 7 orbits of
-    # Z/5; only the relation space's C is read off by back-substitution
+    # A(5)'s 35 blocks of W_3 fall into 3 orbits of S_5, one per partition of
+    # 3; only the relation space's C is read off by back-substitution
     solved = []
     for module in (koszul, exactla):
         def spy(U, pivots, p, real=module.echelon_nullspace):
@@ -372,7 +410,7 @@ def test_last_stage_ranks_one_block_per_orbit(eliminations, monkeypatch):
         monkeypatch.setattr(module, "echelon_nullspace", spy)
     top = koszul._dual_blocks(5, 3, TENSOR_PRIME, DEFAULT_ELEMENT_BUDGET, None)[-1]
     assert len(top) == 35
-    assert [name for name, _ in eliminations] == ["rank_mod_p"] * 7
+    assert [name for name, _ in eliminations] == ["rank_mod_p"] * 3
     assert solved == [(125, 225)]
 
 

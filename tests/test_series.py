@@ -107,18 +107,26 @@ def test_curve_module_factorization():
 
 
 def test_series_arithmetic():
-    one = TruncatedSeries.one(2, 3)
-    g0 = one.mul_geometric(0)  # 1/(1 - x0)
-    g1 = one.mul_geometric(1)
-    assert g0.coefficient((2, 0)) == 1 and g0.coefficient((1, 1)) == 0
-    prod = g0.mul_geometric(1)  # 1 / ((1-x0)(1-x1)): all-ones table
+    # exponent 0: 1/(1 - x0) in one variable, 1/((1-x0)(1-x1)) in two, all ones
+    assert all(psi_series(1, 0, 3).coefficient(a) == 1 for a in degree_grid(1, 3))
+    prod = psi_series(2, 0, 3)
     assert all(prod.coefficient(a) == 1 for a in degree_grid(2, 3))
-    # exponent 0 collapses the product form to the same all-ones series
-    assert psi_series(2, 0, 3) == prod
-    assert g0.add(g1).coefficient((0, 0)) == 2
-    assert g0.add(g1).coefficient((1, 1)) == 0
+    # times 1 + x0/(1-x0) + x1/(1-x1): the coefficient of x0^a x1^b is 1 + a + b
+    once = psi_series(2, 1, 3)
+    assert all(once.coefficient(a) == 1 + sum(a) for a in degree_grid(2, 3))
+    assert psi_series(2, 1, 3) == once != prod
+    assert psi_series(2, 0, 3) != psi_series(2, 0, 4)  # another truncation limit
+    assert isinstance(once, TruncatedSeries)
     with pytest.raises(UsageError):
-        g0.add(TruncatedSeries.one(2, 4))  # another truncation limit
+        psi_series(2, -1, 3)
+
+
+def test_series_arithmetic_matches_the_closed_form_at_seven_points():
+    # (nvars, exponent, limit) = (7, 4, 6): A(7)'s series, 1716 coefficients
+    s = psi_series(7, 4, 6)
+    assert len(degree_grid(7, 6)) == 1716
+    for a in degree_grid(7, 6):
+        assert s.coefficient(a) == lee_coefficient(7, a), a
 
 
 def test_out_of_bound_coefficient_rejected():

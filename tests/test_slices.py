@@ -5,7 +5,8 @@ cross-checked against the closed-form series coefficients.
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from math import factorial
 
 import pytest
 
@@ -16,6 +17,7 @@ from psiring.groebner import groebner_for
 from psiring.orders import multidegree
 from psiring.poly import Poly
 from psiring.presentation import CUSTOM, PivotScheme, build_an, build_bnm
+from psiring.symbols import Alpha
 from psiring.series import (
     compositions,
     degree_grid,
@@ -361,17 +363,19 @@ def swept_against_every_slice(spec, limit, monkeypatch):
 
 
 @pytest.mark.parametrize("build,limit,order", [
-    (lambda: build_an(4), 5, 4),
-    (lambda: build_an(5), 4, 5),
-    (lambda: custom_an(2, 1, 4, 3), 5, 2),
-    (lambda: custom_an(2, 3, 4, 1), 5, 4),
-    (lambda: custom_an(2, 1, 5, 3, 4), 4, 6),
-    (lambda: custom_an(2, 1, 1, 1), 4, 1),
+    (lambda: build_an(4), 5, 24),
+    (lambda: build_an(5), 5, 120),
+    (lambda: build_an(6), 4, 720),
+    (lambda: custom_an(2, 1, 4, 3), 6, 24),
+    (lambda: custom_an(2, 3, 4, 1), 5, 24),
+    (lambda: custom_an(2, 1, 5, 3, 4), 4, 120),
+    (lambda: custom_an(2, 1, 1, 1), 4, 24),
     (lambda: build_bnm(2, 2), 6, 2),
     (lambda: build_bnm(3, 2), 4, 6),
     (lambda: build_bnm(4, 1), 4, 24),
-], ids=["a4", "a5", "a4-2143", "a4-2341", "a5-21534", "a4-2111", "b22", "b32", "b41"])
+], ids=["a4", "a5", "a6", "a4-2143", "a4-2341", "a5-21534", "a4-2111", "b22", "b32", "b41"])
 def test_orbit_sweep_matches_every_slice(build, limit, order, monkeypatch):
+    # every pivot scheme gets all of S_n, a pivot map that is not a bijection too
     spec = build()
     gens = block_symmetries(spec)
     assert group_order(gens, spec.nblocks) == order
@@ -381,29 +385,83 @@ def test_orbit_sweep_matches_every_slice(build, limit, order, monkeypatch):
     # the first multidegree of each orbit in grid order, and no other, is ranked
     assert ranked == list(dict.fromkeys(reps))
     assert all(grid.index(r) <= i for i, r in enumerate(reps))
-    if not gens:  # a pivot map that is not a bijection: every slice is its own orbit
-        assert ranked == list(grid)
-    else:
-        assert len(ranked) < len(grid)
+    assert len(ranked) < len(grid)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_a_n_gets_the_symmetric_group(n):
+    for spec in (build_an(n), custom_an(2, 1, *range(4, n + 1), 3)):
+        assert group_order(block_symmetries(spec), n) == factorial(n)
+    if n == 7:  # one slice per partition of each total degree into at most 7 parts
+        grid = degree_grid(7, 6)
+        assert (len(set(orbit_representatives(block_symmetries(build_an(7)), grid))),
+                len(grid)) == (30, 1716)
+
+
+def substituted(forms, v):
+    """forms (the images of the variables, as {position: coefficient}) as a
+    v x v integer matrix, column k the image of variable k."""
+    out = [[0] * v for _ in range(v)]
+    for k, form in enumerate(forms):
+        for q, c in form.items():
+            out[q][k] = c
+    return out
+
+
+def inverted_over_z(spec, perm):
+    """Whether the substitution of perm's inverse inverts perm's, as integer matrices."""
+    n, v = spec.n, spec.nvars
+    inverse = tuple(perm.index(b) for b in range(n))
+    a = substituted(slices._variable_images(spec, perm), v)
+    b = substituted(slices._variable_images(spec, inverse), v)
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a] \
+        == [[int(r == c) for c in range(v)] for r in range(v)]
+
+
+@pytest.mark.parametrize("spec", [build_an(4), custom_an(2, 1, 1, 1), build_an(5),
+                                  custom_an(3, 1, 5, 2, 4), build_bnm(3, 2)],
+                         ids=["a4", "a4-2111", "a5", "a5-31524", "b32"])
+def test_the_inverse_relabelling_inverts_the_substitution_over_z(spec):
+    for perm in permutations(range(spec.n)):
+        forms = slices._variable_images(spec, perm)
+        assert all(set(f.values()) <= {1, -1} and f for f in forms)
+        # each image lies in block perm(i)
+        assert all(spec.blocks[q] == perm[spec.blocks[k]] for k, f in enumerate(forms) for q in f)
+        assert inverted_over_z(spec, perm), perm
+
+
+def test_a_bijective_substitution_that_moves_the_relations_is_refused():
+    # the bent copy has as many relations per pair, and (1 2) fixes its bent
+    # pair (4,5) and still maps the variables bijectively, but not the span of
+    # the relations onto itself: the rank alone refuses it
+    spec = build_an(5)
+    bad, swap = with_last_relation_bent(spec), (1, 0, 2, 3, 4)
+    assert bad.relation_pairs[-1] == (4, 5)
+    assert inverted_over_z(bad, swap)
+    assert slices._is_automorphism(spec, swap, DEFAULT_PRIME)
+    assert not slices._is_automorphism(bad, swap, DEFAULT_PRIME)
+    assert block_symmetries(bad) == ()
 
 
 @pytest.mark.parametrize("case", ["scaled", "dropped", "bent", "duplicated"])
 def test_uncertified_presentations_sweep_slice_by_slice(case, monkeypatch):
     spec = build_an(4 if case == "scaled" else 5)
+    # a relation of pair (1,3), which neither (1 2) nor the 5-cycle fixes
+    k = spec.relation_pairs.index((1, 3))
     if case == "scaled":
         # the same ideal over Q, but relation 0 is zero mod p: the relations'
         # own elimination fails the certificate
         bad = with_first_relation_scaled(spec, DEFAULT_PRIME)
     elif case == "dropped":
-        bad = replace(spec, relations=spec.relations[:-1],
-                      relation_pairs=spec.relation_pairs[:-1])
+        bad = replace(spec, relations=spec.relations[:k] + spec.relations[k + 1:],
+                      relation_pairs=spec.relation_pairs[:k] + spec.relation_pairs[k + 1:])
     elif case == "bent":
         bad = with_last_relation_bent(spec)
     else:
-        # the same span over Q and mod p, but pair (1,2) has one product row
+        # the same span over Q and mod p, but pair (1,3) has one product row
         # more per slice than its images: refused by the per-pair relation count
-        bad = replace(spec, relations=spec.relations + spec.relations[:1],
-                      relation_pairs=spec.relation_pairs + spec.relation_pairs[:1])
+        bad = replace(spec, relations=spec.relations + spec.relations[k:k + 1],
+                      relation_pairs=spec.relation_pairs + spec.relation_pairs[k:k + 1])
     assert block_symmetries(spec) and block_symmetries(bad) == ()
     assert not slices._is_automorphism(bad, block_symmetries(spec)[0], DEFAULT_PRIME)
     limit = 4 if case == "scaled" else 3
@@ -415,11 +473,15 @@ def test_uncertified_presentations_sweep_slice_by_slice(case, monkeypatch):
 
 
 def test_a_candidate_that_moves_the_variables_is_refused(monkeypatch):
-    # under the cyclic pivot (1 2) sends a[1,3] to a[2,3], pivot-normalized away
+    # a block map that is not a bijection sends a[1,2] to the diagonal, which
+    # is no value of a section; under the cyclic pivot (1 2) sends a[1,3] to
+    # X[2,3] - X[2,1] = -a[2,1], a[2,3] being pivot-normalized away
     spec = build_an(5)
-    swap, cycle = (1, 0, 2, 3, 4), (1, 2, 3, 4, 0)
-    monkeypatch.setattr(slices, "_candidates", lambda s: [swap, cycle])
-    assert not slices._is_automorphism(spec, swap, DEFAULT_PRIME)
+    fold, swap, cycle = (1, 1, 2, 3, 4), (1, 0, 2, 3, 4), (1, 2, 3, 4, 0)
+    assert slices._variable_images(spec, swap)[0] == {spec.variables.index(Alpha(2, 1)): -1}
+    assert slices._is_automorphism(spec, swap, DEFAULT_PRIME)
+    monkeypatch.setattr(slices, "_candidates", lambda s: [fold, cycle])
+    assert not slices._is_automorphism(spec, fold, DEFAULT_PRIME)
     assert block_symmetries(spec) == (cycle,)
     ranked = swept_against_every_slice(spec, 4, monkeypatch)
     reps = orbit_representatives(block_symmetries(spec), degree_grid(5, 4))
