@@ -17,8 +17,8 @@ tests, where a fraction-free Bareiss elimination is the reference over Z:
 
   * the int64 lane: dense per-pivot elimination mod p, echelon_mod_p, behind
     rank_mod_p and nullspace_mod_p.  Requires (p-1)^2 < 2^63.  The Koszul
-    tower's matrices are a few percent dense, and this lane touches only
-    the rows that are nonzero in each pivot column.
+    tower's blocks, its relation space's included, are a few percent dense,
+    and this lane touches only the rows that are nonzero in each pivot column.
 
 float64 carries products only: mod_matmul and nullspace_mod_p's
 back-substitution (echelon_nullspace), through one BLAS dot product that is

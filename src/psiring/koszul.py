@@ -18,9 +18,11 @@ of check rows of R, where a basis over the words would need v^(j-2) * RR.
 
 Every relation of A_n is multihomogeneous of degree e_i + e_j, so R and each
 W_k split into independent blocks, one per Z^n-multidegree.  The iterative
-route builds and solves each block's matrix on its own; the block dimensions
-match the coefficients of the multigraded 1/h(-q).  The stacked route stays
-unblocked and unsymmetrised, as an independent check.
+route eliminates R block by block of V (x) V, and builds and solves each
+stage's blocks on their own; the block dimensions match the coefficients of
+the multigraded 1/h(-q).  The stacked route stays unblocked and
+unsymmetrised, as an independent check: it alone eliminates R as one
+v^2-wide matrix (relation_space_matrices).
 
 Orbits at the last stage.  The last stage j = kmax needs only dimensions, so
 each of its blocks is ranked, columns minus rank, with no nullspace.  Its
@@ -53,7 +55,8 @@ the whole stage, A*RR x U*v with A = v^(j-2) words.  It over-counts the rows
 actually built on purpose, so the refusal threshold does not depend on how a
 stage is solved, nor on how many of its blocks are ranked.
 It is checked up front from the predicted dimensions, before any work, and
-again per stage on the actual ones.
+again per stage on the actual ones.  Stage 2, R itself, has no check of its
+own: no matrix there is wider than its widest block, e_s + e_t, 2 * (n-2)^2.
 The up-front check expands the prediction only as far as the first stage j
 with v^(j-1) > budget, which is refused whenever W_(j-1) is nonzero; once a
 stage's dimension is 0 every later one is 0, and no further stage is built.
@@ -104,21 +107,14 @@ def b2_structural(n: int) -> int:
     return comb(v, 2) + comb(n, 2) * (n - 3)
 
 
-def relation_space_matrices(
-    spec: PresentationSpec, prime: int = TENSOR_PRIME
-) -> tuple[np.ndarray, np.ndarray]:
-    """(N2, C): a row basis of spec's R in V(x)V and its membership-check matrix.
-
-    x lies in R exactly when C @ x == 0 mod the prime; N2 has dim(R) rows in
-    echelon form, and C is read off that echelon form by back-substitution,
-    with no second elimination.
-    """
-    v = spec.nvars
-    U, pivots = echelon_mod_p(rows_to_dense(tensor_relation_space(spec), v * v, prime), prime)
-    N2 = np.ascontiguousarray(U[: len(pivots)])
-    C = np.ascontiguousarray(echelon_nullspace(N2, pivots, prime).T)
-    assert N2.shape[0] + C.shape[0] == v * v
-    return N2, C
+def relation_space_matrices(spec: PresentationSpec) -> np.ndarray:
+    """C, the membership check of spec's R in V(x)V mod TENSOR_PRIME (x lies in
+    R exactly when C @ x == 0), read off the echelon form of R's spanning rows
+    with no second elimination.  Only the stacked route builds it; the tower
+    eliminates R one block at a time."""
+    v, p = spec.nvars, TENSOR_PRIME
+    U, pivots = echelon_mod_p(rows_to_dense(tensor_relation_space(spec), v * v, p), p)
+    return np.ascontiguousarray(echelon_nullspace(U[: len(pivots)], pivots, p).T)
 
 
 def dual_tower(
@@ -160,50 +156,48 @@ def _shift(d: tuple[int, ...], t: int, by: int) -> tuple[int, ...]:
     return d[:t] + (d[t] + by,) + d[t + 1:]
 
 
-def _pair_degrees(X: np.ndarray, blocks: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
-    """Multidegree e_s + e_t of each row of X over V (x) V; raises on a row that mixes degrees."""
-    b = np.asarray(blocks)
-    key = (np.minimum.outer(b, b) * n + np.maximum.outer(b, b)).ravel()  # {s,t} -> s*n + t
-    nz = X != 0
-    lo = np.where(nz, key, n * n).min(axis=1)
-    hi = np.where(nz, key, -1).max(axis=1)
-    if np.any(lo != hi):
-        bad = int(np.flatnonzero(lo != hi)[0])
-        raise AssertionError(f"relation-space row {bad} is zero or not multihomogeneous")
-    return [_shift(_shift((0,) * n, k // n, 1), k % n, 1) for k in lo.tolist()]
-
-
-def _group(degrees: list[tuple[int, ...]]) -> dict[tuple[int, ...], np.ndarray]:
-    """Positions in the list, grouped by degree."""
-    out: dict[tuple[int, ...], list[int]] = {}
-    for i, d in enumerate(degrees):
-        out.setdefault(d, []).append(i)
-    return {d: np.array(ix, dtype=np.intp) for d, ix in out.items()}
+def _layout(dims: dict[tuple[int, ...], int], size: list[int]) -> tuple[dict, Counter]:
+    """The columns (u, b) of W (x) V per block, from dim W per multidegree: block
+    d gets one chunk (beta, t) of dims[beta] * size[t] columns, u-major, for each
+    beta + e_t = d.  Returns each chunk's first column and each block's width."""
+    start: dict[tuple, int] = {}
+    width: Counter = Counter()
+    for beta, k in dims.items():
+        for t in range(len(size)):
+            d = _shift(beta, t, 1)
+            start[beta, t] = width[d]
+            width[d] += k * size[t]
+    return start, width
 
 
 def _dual_blocks(
     n: int, kmax: int, prime: int, budget: int, pivot: PivotScheme | None
 ) -> list[dict[tuple[int, ...], int]]:
-    """dim W_k per Z^n-multidegree, for k = 2..kmax.
+    """dim W_k per Z^n-multidegree, for k = 2..kmax, one block at a time.
 
-    W_j's basis is kept only as its coefficients over W_(j-1) (x) V: row w of
-    N is sum over (u, b) of N[w, (u, b)] w_u (x) e_b, starting from N2 over
-    W_1 (x) V = V (x) V.  At stage j the basis w_p of W_(j-2) is independent
-    and W_(j-1) lies in W_(j-2) (x) V, so sum y[u,b] w_u (x) e_b lies in
-    V^(j-2) (x) R exactly when every slice z_p[c,b] = sum_u N[u,(p,c)] y[u,b]
-    lies in R: the stage matrix is M[(p,r),(u,b)] = sum_c N[u,(p,c)] C[r,(c,b)],
-    its rows indexed by the basis of W_(j-2), not by the words of V^(x)(j-2).
-    Its nullspace columns are the next N.
+    Each W_j is kept as one matrix Y_d per block d: its columns are a basis of
+    W_j(d) as coefficients over W_(j-1) (x) V, row (u, b) the coefficient of
+    w_u (x) e_b, laid out by _layout.  W_2 = R: the rows of
+    tensor_relation_space are grouped by their degree e_s + e_t (a row that
+    mixes degrees is refused), and each block of V (x) V = W_1 (x) V is
+    eliminated on its own.  Its echelon rows are Y_rho's columns, and its
+    back-substitution gives the check rows C_rho: x lies in R exactly when
+    C_rho x_rho == 0 for every block rho (the identity where no row spans).
 
-    R and every W_k are multihomogeneous, so M only couples a row and a
-    column of one multidegree d = deg p + deg r = deg u + e_b.  Each block d
-    gets its own nullspace; at the last stage only the first block of each
+    At stage j the basis w_p of W_(j-2) is independent and W_(j-1) lies in
+    W_(j-2) (x) V, so sum y[u,b] w_u (x) e_b lies in V^(j-2) (x) R exactly
+    when every slice z_p[c,b] = sum_u N[u,(p,c)] y[u,b] lies in R, N[u,(p,c)]
+    the coefficient of w_p (x) e_c in w_u: the stage matrix is
+    M[(p,r),(u,b)] = sum_c N[u,(p,c)] C[r,(c,b)], its rows indexed by the
+    basis of W_(j-2), not by the words of V^(x)(j-2).  For w_u in
+    W_(j-1)(beta) and c in block t, N[u,(p,c)] is the chunk (beta - e_t, t) of
+    Y_beta, one contiguous slice.  M only couples a row and a column of one
+    multidegree d = deg p + deg r = deg u + e_b, and each block d gets its own
+    nullspace, the next Y_d; at the last stage only the first block of each
     orbit is built, and only ranked (see Orbits at the last stage in the
     module docstring).  The blocks are assembled from one product per
-    (deg u, block of c): its inner index c runs over that variable block, so
-    deg p = deg u - e_c, and its columns (r, b) run over every block of b at
-    once; the product is then cut into the sub-blocks of the blocks d it
-    meets.  Each basis vector keeps one multidegree.
+    (deg u, block of c), whose columns (r, b) run over every block of b at
+    once, cut into the sub-blocks of the blocks d it meets.
     """
     v = n * (n - 2)
     # refuse before any work, on the predicted dimensions, up to the first
@@ -216,32 +210,43 @@ def _dual_blocks(
     for j in range(3, min(top, kmax) + 1):
         _refuse_stage(n, j, v, pred[j - 1], v * v - pred[2], budget)
     spec = build_an(n, pivot)
-    blocks = spec.blocks
-    zero = (0,) * n
-    var_block = [np.flatnonzero(np.asarray(blocks) == t) for t in range(n)]
-    N, C = relation_space_matrices(spec, prime)
-    RR = C.shape[0]
-    r_groups = _group(_pair_degrees(C, blocks, n))
-    p_groups = _group([_shift(zero, t, 1) for t in blocks])  # basis of W_1 = V by degree
-    u_deg = _pair_degrees(N, blocks, n)
-    out = [dict(Counter(u_deg))]
+    blocks, positions = spec.blocks, spec.block_positions()
+    size = [len(ps) for ps in positions]
+    place = {a: i for ps in positions for i, a in enumerate(ps)}  # within its block
+    e = [_shift((0,) * n, t, 1) for t in range(n)]
+    p_dims = dict(zip(e, size))  # W_1 = V, block e_t spanned by the variables of block t
+    r_at, width = _layout(p_dims, size)
+    spans: dict[tuple[int, ...], list[dict]] = {d: [] for d in width}
+    for i, row in enumerate(tensor_relation_space(spec)):
+        cells: dict[tuple[int, ...], dict] = {}
+        for k, c in row.items():
+            a, b = divmod(k, v)
+            s, t = blocks[a], blocks[b]
+            cells.setdefault(_shift(e[s], t, 1), {})[
+                r_at[e[s], t] + place[a] * size[t] + place[b]] = c
+        if len(cells) != 1:
+            raise AssertionError(f"relation-space row {i} is zero or not multihomogeneous")
+        (d, cols), = cells.items()
+        spans[d].append(cols)
+    W: dict[tuple[int, ...], np.ndarray] = {}  # per block: the last W's basis Y_d
+    C: dict[tuple[int, ...], np.ndarray] = {}  # and R's check rows
+    for d, rows in spans.items():
+        B, pivots = echelon_mod_p(rows_to_dense(rows, width[d], prime), prime)
+        B = B[: len(pivots)]
+        W[d], C[d] = B.T, echelon_nullspace(B, pivots, prime).T
+    RR = sum(c.shape[0] for c in C.values())
+    assert RR + sum(Y.shape[1] for Y in W.values()) == v * v
+    out = [{d: Y.shape[1] for d, Y in W.items() if Y.shape[1]}]
+    at = r_at  # W_(j-1)'s layout; p_dims is dim W_(j-2) per block
     for j in range(3, kmax + 1):
-        U = N.shape[0]
+        W = {d: Y for d, Y in W.items() if Y.shape[1]}
+        u_dims = {d: Y.shape[1] for d, Y in W.items()}
+        U = sum(u_dims.values())
         if U == 0:  # W_(j-1) = 0, so W_k = 0 for every k >= j-1
             out += [{} for _ in range(j, kmax + 1)]
             break
         _refuse_stage(n, j, v, U, RR, budget)
-        u_groups = _group(u_deg)
-        # block d: its columns, one chunk per (deg u, block of b) ...
-        col_at: dict[tuple, int] = {}
-        ncols: Counter = Counter()
-        col_ix: dict[tuple[int, ...], list[np.ndarray]] = {}
-        for beta, u_ix in u_groups.items():
-            for t2 in range(n):
-                d = _shift(beta, t2, 1)
-                col_at[beta, t2] = ncols[d]
-                ncols[d] += len(u_ix) * len(var_block[t2])
-                col_ix.setdefault(d, []).append((u_ix[:, None] * v + var_block[t2]).ravel())
+        col_at, ncols = _layout(u_dims, size)
         # each block's representative: at the last stage the first block of its
         # orbit under the certified symmetries, which alone is built and ranked
         last = j == kmax
@@ -249,41 +254,40 @@ def _dual_blocks(
         reps = dict(zip(grid, orbit_representatives(
             block_symmetries(spec, prime) if last else (), grid)))
         ranked = {d for d, rep in reps.items() if rep == d}
-        # ... and its rows, one chunk per (deg p, deg r)
+        # each block's rows, one chunk per (deg p, deg r)
         row_at: dict[tuple, int] = {}
         nrows: Counter = Counter()
         subs: dict[tuple[int, ...], list] = {d: [] for d in ncols}
-        for beta, u_ix in u_groups.items():
+        for beta, Y in W.items():
             for t in range(n):
                 alpha = _shift(beta, t, -1)
-                if alpha not in p_groups:
+                if (alpha, t) not in at:
                     continue
-                p_ix, c_ix = p_groups[alpha], var_block[t]
-                parts = [(t2, rho, r_groups[rho]) for t2 in range(n)
-                         if (rho := _shift(_shift(zero, t, 1), t2, 1)) in r_groups
+                nc, P, Ub = size[t], p_dims[alpha], Y.shape[1]
+                parts = [(t2, rho, r_at[e[t], t2], size[t2], C[rho].shape[0])
+                         for t2 in range(n) if (rho := _shift(e[t], t2, 1)) in C
                          and _shift(beta, t2, 1) in ranked]
                 if not parts:
                     continue
-                left = N[u_ix[:, None], p_ix[:, None, None] * v + c_ix]  # [p, u, c]
+                c0 = at[alpha, t]
+                left = Y[c0:c0 + P * nc].reshape(P, nc, Ub).transpose(0, 2, 1)  # [p, u, c]
                 right = np.concatenate(
-                    [C[r_ix[:, None], c_ix[:, None, None] * v + var_block[t2]]
-                     .reshape(len(c_ix), -1) for t2, _, r_ix in parts], axis=1)  # [c, (r, b)]
-                prod = mod_matmul(left.reshape(-1, len(c_ix)), right, prime)
-                prod = prod.reshape(len(p_ix), len(u_ix), -1)
+                    [C[rho][:, r0:r0 + nc * nb].reshape(nr, nc, nb).transpose(1, 0, 2)
+                     .reshape(nc, -1) for _, rho, r0, nb, nr in parts], axis=1)  # [c, (r, b)]
+                prod = mod_matmul(left.reshape(-1, nc), right, prime).reshape(P, Ub, -1)
                 k0 = 0
-                for t2, rho, r_ix in parts:
-                    d, nb = _shift(beta, t2, 1), len(var_block[t2])
+                for t2, rho, _, nb, nr in parts:
+                    d = _shift(beta, t2, 1)
                     if (d, alpha, rho) not in row_at:
                         row_at[d, alpha, rho] = nrows[d]
-                        nrows[d] += len(p_ix) * len(r_ix)
-                    sub = prod[:, :, k0:k0 + len(r_ix) * nb]
-                    k0 += len(r_ix) * nb
+                        nrows[d] += P * nr
+                    sub = prod[:, :, k0:k0 + nr * nb]
+                    k0 += nr * nb
                     subs[d].append((row_at[d, alpha, rho], col_at[beta, t2],
-                                    sub.reshape(len(p_ix), len(u_ix), len(r_ix), nb)
-                                    .transpose(0, 2, 1, 3)
-                                    .reshape(len(p_ix) * len(r_ix), len(u_ix) * nb)))
-        kernels = []  # (global column indices, nullspace columns) per block
+                                    sub.reshape(P, Ub, nr, nb).transpose(0, 2, 1, 3)
+                                    .reshape(P * nr, Ub * nb)))
         dims: dict[tuple[int, ...], int] = {}
+        nxt: dict[tuple[int, ...], np.ndarray] = {}
         for d, rep in reps.items():
             if rep != d:  # ranked earlier, as its representative
                 dims[d] = dims[rep]
@@ -294,33 +298,22 @@ def _dual_blocks(
             if last:
                 dims[d] = ncols[d] - rank_mod_p(M, prime)
             else:
-                Yd = nullspace_mod_p(M, prime)  # (ncols, dim of block d)
-                kernels.append((np.concatenate(col_ix[d]), Yd))
-                dims[d] = Yd.shape[1]
+                nxt[d] = nullspace_mod_p(M, prime)  # (ncols, dim of block d)
+                dims[d] = nxt[d].shape[1]
         out.append({d: k for d, k in dims.items() if k})
-        if not last:
-            u_deg = [d for d, k in dims.items() for _ in range(k)]
-            N = np.zeros((len(u_deg), U * v), dtype=np.int64)
-            w0 = 0
-            for ix, Yd in kernels:
-                N[w0:w0 + Yd.shape[1], ix] = Yd.T
-                w0 += Yd.shape[1]
-            p_groups = u_groups
+        p_dims, at, W = u_dims, col_at, nxt
     return out
 
 
-def _stacked_rows(v: int, k: int, RR: int) -> int:
-    """Rows of the stacked system on V^(x)k, (k-1) * RR * v^(k-2); BudgetError
-    when it and its v^k unknowns exceed DEFAULT_ELEMENT_BUDGET entries."""
-    nrows, unknowns = (k - 1) * RR * v ** (k - 2), v ** k
-    est = nrows * unknowns
+def _refuse_dense(what: str, nrows: int, ncols: int) -> None:
+    """BudgetError when a dense nrows x ncols matrix exceeds DEFAULT_ELEMENT_BUDGET entries."""
+    est = nrows * ncols
     if est > DEFAULT_ELEMENT_BUDGET:
         raise BudgetError(
-            f"stacked system is {nrows} x {unknowns}"
+            f"{what} is {nrows} x {ncols}"
             f" ({est} entries > budget {DEFAULT_ELEMENT_BUDGET})",
             estimate=est, budget=DEFAULT_ELEMENT_BUDGET,
         )
-    return nrows
 
 
 def dual_dimension_stacked(n: int, k: int) -> int:
@@ -328,10 +321,12 @@ def dual_dimension_stacked(n: int, k: int) -> int:
     mod TENSOR_PRIME under the cyclic pivot.
 
     Exponentially larger than the iterative route; it exists as the
-    independent cross-check on small cases, and refuses systems above
-    DEFAULT_ELEMENT_BUDGET entries.  The refusal comes before A_n is built,
-    on RR = v^2 - b2_structural(n) check rows: a lower bound, exact when the
-    relations are independent.  The actual RR is checked again after.
+    independent cross-check on small cases, and refuses dense matrices above
+    DEFAULT_ELEMENT_BUDGET entries.  The refusals come before A_n is built:
+    on the stacked system's (k-1) * RR * v^(k-2) rows, with RR = v^2 -
+    b2_structural(n) check rows, a lower bound that is exact when the
+    relations are independent, and on the relation space's b2_structural(n)
+    spanning rows over v^2 columns.  The actual RR is checked again after.
     """
     if n < 3 or k < 0:
         raise UsageError(f"bad stacked-dual arguments n={n}, k={k}")
@@ -340,11 +335,13 @@ def dual_dimension_stacked(n: int, k: int) -> int:
         return 1
     if k == 1:
         return v
-    _stacked_rows(v, k, v * v - b2_structural(n))
-    _, C = relation_space_matrices(build_an(n))
+    b2, unknowns = b2_structural(n), v ** k
+    _refuse_dense("stacked system", (k - 1) * (v * v - b2) * v ** (k - 2), unknowns)
+    _refuse_dense("relation space", b2, v * v)
+    C = relation_space_matrices(build_an(n))
     RR = C.shape[0]
-    unknowns = v ** k
-    nrows = _stacked_rows(v, k, RR)
+    nrows = (k - 1) * RR * v ** (k - 2)
+    _refuse_dense("stacked system", nrows, unknowns)
     big = np.zeros((nrows, unknowns), dtype=np.int64)
     stride = np.arange(v * v)
     row = 0

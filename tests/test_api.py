@@ -100,7 +100,9 @@ REACH_COMMANDS = [
 UNREACHED = {
     **ALLOWED,
     "poly.Poly.evaluate": "only jacobian_rank_at calls it",
-    "koszul._stacked_rows": "only dual_dimension_stacked calls it",
+    "koszul._refuse_dense": "only dual_dimension_stacked calls it",
+    "koszul.relation_space_matrices":
+        "only dual_dimension_stacked calls it; the tower eliminates R block by block",
 }
 
 

@@ -4,6 +4,7 @@ series, the stacked cross-check, and the element budget guard.
 
 import hashlib
 from collections import Counter
+from dataclasses import replace
 from itertools import permutations
 from math import factorial
 
@@ -14,7 +15,7 @@ import psiring.exactla as exactla
 import psiring.koszul as koszul
 import psiring.slices as slices
 from psiring.errors import BudgetError
-from psiring.exactla import nullspace_mod_p
+from psiring.exactla import echelon_mod_p, echelon_nullspace, nullspace_mod_p, rows_to_dense
 from psiring.fields import DEFAULT_PRIME, TENSOR_PRIME, TENSOR_RETRY_PRIMES
 from psiring.koszul import (
     DEFAULT_ELEMENT_BUDGET,
@@ -25,7 +26,8 @@ from psiring.koszul import (
     koszul_summary,
     relation_space_matrices,
 )
-from psiring.presentation import CUSTOM, PivotScheme, build_an
+from psiring.poly import Poly
+from psiring.presentation import CUSTOM, PivotScheme, build_an, tensor_relation_space
 from psiring.series import invert_unit_series, lee_series, total_hilbert
 from psiring.slices import block_symmetries
 from psiring.symbols import Alpha
@@ -58,10 +60,18 @@ def test_three_points_dual_is_exterior():
     assert dual_tower(3, 5) == [1, 3, 3, 1, 0, 0]
 
 
+def relation_space(spec, prime=TENSOR_PRIME):
+    """(N2, C), test-side: the echelon rows of spec's R in V (x) V mod the
+    prime, and the check rows read off them by back-substitution."""
+    v = spec.nvars
+    U, pivots = echelon_mod_p(rows_to_dense(tensor_relation_space(spec), v * v, prime), prime)
+    N2 = U[: len(pivots)]
+    return N2, echelon_nullspace(N2, pivots, prime).T
+
+
 def test_relation_space_shapes():
-    N2, C = relation_space_matrices(build_an(4))
-    assert N2.shape == (34, 64)
-    assert C.shape == (64 - 34, 64)
+    assert relation_space(build_an(4))[0].shape == (34, 64)
+    assert relation_space_matrices(build_an(4)).shape == (64 - 34, 64)
 
 
 def matrix_digest(m: np.ndarray) -> str:
@@ -78,17 +88,19 @@ def matrix_digest(m: np.ndarray) -> str:
      "c24718b1c8ce6bdab5ae969f38f9ca3b5347b8aa31dd7bdca6cdb1c6e159ab73"),
 ])
 def test_relation_space_matrices_pinned(n, n2_digest, c_digest):
-    # sha256 of the shape and the int64 bytes of N2 and C: the echelon form
-    # and the nullspace read off it must not drift when the elimination changes
-    N2, C = relation_space_matrices(build_an(n))
+    # sha256 of the shape and the int64 bytes of N2 and C: the echelon form of
+    # the tensor rows, and the check rows the stacked route reads off it, must
+    # not drift when the elimination changes
+    N2 = relation_space(build_an(n))[0]
+    C = relation_space_matrices(build_an(n))
     assert (matrix_digest(N2), matrix_digest(C)) == (n2_digest, c_digest)
 
 
 @pytest.mark.parametrize("n,pivot", [(4, None), (5, None), (5, (3, 1, 5, 2, 4))])
 def test_relation_space_eliminates_once(n, pivot, monkeypatch):
-    # C is read off the echelon form N2 without eliminating it again, and is
-    # what nullspace_mod_p gives on N2: an echelon form with unit pivots
-    # re-eliminates to itself
+    # C is read off the echelon form N2 of the tensor rows without eliminating
+    # it again, and is what nullspace_mod_p gives on N2: an echelon form with
+    # unit pivots re-eliminates to itself
     calls = []
     real = koszul.echelon_mod_p
 
@@ -98,8 +110,10 @@ def test_relation_space_eliminates_once(n, pivot, monkeypatch):
 
     monkeypatch.setattr(koszul, "echelon_mod_p", spy)
     scheme = PivotScheme(CUSTOM, assignment=pivot) if pivot else None
-    N2, C = relation_space_matrices(build_an(n, scheme), TENSOR_PRIME)
-    assert len(calls) == 1
+    spec = build_an(n, scheme)
+    C = relation_space_matrices(spec)
+    assert calls == [(b2_structural(n), spec.nvars ** 2)]
+    N2 = relation_space(spec)[0]
     U, pivots = real(N2, TENSOR_PRIME)
     assert np.array_equal(U, N2)
     assert np.array_equal(C, nullspace_mod_p(N2, TENSOR_PRIME).T)
@@ -129,11 +143,26 @@ def test_stacked_route_refuses_before_building_the_presentation(monkeypatch):
                               " (38012675162112 entries > budget 200000000)")
 
 
+def test_stacked_route_refuses_the_relation_space_before_building_it(monkeypatch):
+    # at n = 13, k = 2 the stacked system, RR * v^2 = 194592684 entries, fits the
+    # budget, but the relation space it is read from, b2 * v^2, does not
+    def boom(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    for name in ("build_an", "relation_space_matrices"):
+        monkeypatch.setattr(koszul, name, boom)
+    with pytest.raises(BudgetError) as exc:
+        dual_dimension_stacked(13, 2)
+    assert exc.value.estimate == 223_568_917 == b2_structural(13) * (13 * 11) ** 2
+    assert str(exc.value) == ("relation space is 10933 x 20449"
+                              " (223568917 entries > budget 200000000)")
+
+
 def test_stacked_route_checks_the_actual_relation_space(monkeypatch):
     # a C with twice the check rows of A(4)'s passes the check on the lower
     # bound RR = 30 and is refused on its own 60 rows
-    N2, C = relation_space_matrices(build_an(4))
-    monkeypatch.setattr(koszul, "relation_space_matrices", lambda spec: (N2, np.vstack([C, C])))
+    C = relation_space_matrices(build_an(4))
+    monkeypatch.setattr(koszul, "relation_space_matrices", lambda spec: np.vstack([C, C]))
     monkeypatch.setattr(koszul, "DEFAULT_ELEMENT_BUDGET", 300_000)
     with pytest.raises(BudgetError) as exc:
         dual_dimension_stacked(4, 3)
@@ -223,6 +252,40 @@ def test_dual_blocks_match_multigraded_series(custom, n, k, blocks):
     assert top == want
     assert len(top) == blocks
     assert sum(top.values()) == koszul_prediction(n, k)[k]
+
+
+def test_three_points_blocks_are_pinned():
+    # A_3's R is spanned by the three commutators, one per block e_s + e_t;
+    # the blocks 2e_s have no spanning row and the identity as check rows
+    assert koszul._dual_blocks(3, 4, TENSOR_PRIME, DEFAULT_ELEMENT_BUDGET, None) == [
+        {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}, {(1, 1, 1): 1}, {}]
+
+
+@pytest.mark.parametrize("n,k", [(4, 6), (5, 4), (6, 3), (7, 3)])
+def test_block_sums_match_prediction(n, k):
+    blocks = koszul._dual_blocks(n, k, TENSOR_PRIME, 10 ** 12, None)
+    assert [sum(b.values()) for b in blocks] == koszul_prediction(n, k)[2:]
+
+
+def test_tower_matrices_stay_within_one_block(monkeypatch):
+    # A(8) has v = 48 variables in blocks of 6; no matrix the tower builds may
+    # be wider than one block e_s + e_t of V (x) V, 2 * 6^2 = 72 columns, where
+    # the whole relation space is v^2 = 2304 wide
+    widths = []
+    for name in ("rows_to_dense", "echelon_mod_p"):
+        def spy(*args, real=getattr(koszul, name), name=name):
+            widths.append(args[1] if name == "rows_to_dense" else np.shape(args[0])[1])
+            return real(*args)
+
+        monkeypatch.setattr(koszul, name, spy)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the tower built the global relation space")
+
+    monkeypatch.setattr(koszul, "relation_space_matrices", boom)
+    assert dual_tower(8, 2) == koszul_prediction(8, 2)
+    assert len(widths) == 2 * (8 + 28)  # one of each per block 2e_s and e_s + e_t
+    assert max(widths) == 72
 
 
 @pytest.fixture
@@ -354,7 +417,7 @@ def test_certified_symmetries_keep_r(n, assignment, monkeypatch):
     bent = with_last_relation_bent(spec)
     for prime in (TENSOR_PRIME, *TENSOR_RETRY_PRIMES):
         for s in (spec, bent):
-            C = relation_space_matrices(s, prime)[1]
+            C = relation_space(s, prime)[1]
             certified = block_symmetries(s, prime)
             assert certified == tuple(perm for perm in relabellings
                                       if keeps_r(s, C, prime, perm))
@@ -400,7 +463,9 @@ def test_tower_builds_the_presentation_once(monkeypatch):
 
 def test_last_stage_ranks_one_block_per_orbit(eliminations, monkeypatch):
     # A(5)'s 35 blocks of W_3 fall into 3 orbits of S_5, one per partition of
-    # 3; only the relation space's C is read off by back-substitution
+    # 3; only the relation space's check rows are read off by back-substitution,
+    # one block of V (x) V at a time: 5 blocks 2e_s (3 commutators over 3 x 3
+    # columns) and 10 blocks e_s + e_t (9 commutators and 2 relations over 18)
     solved = []
     for module in (koszul, exactla):
         def spy(U, pivots, p, real=module.echelon_nullspace):
@@ -411,7 +476,7 @@ def test_last_stage_ranks_one_block_per_orbit(eliminations, monkeypatch):
     top = koszul._dual_blocks(5, 3, TENSOR_PRIME, DEFAULT_ELEMENT_BUDGET, None)[-1]
     assert len(top) == 35
     assert [name for name, _ in eliminations] == ["rank_mod_p"] * 3
-    assert solved == [(125, 225)]
+    assert sorted(solved) == [(3, 9)] * 5 + [(11, 18)] * 10
 
 
 def test_budget_refused_before_any_work(monkeypatch):
@@ -432,16 +497,17 @@ def test_budget_refused_before_any_work(monkeypatch):
 
 
 def test_mixed_degree_relation_row_is_refused(monkeypatch):
+    # relation 0, of pair (i, j), gains the square of a variable of another
+    # block; its row follows the C(8, 2) = 28 commutators
     spec = build_an(4)
-    N2, C = relation_space_matrices(spec)
-    blocks = spec.blocks
-    v = len(blocks)
-    c1, c2 = divmod(int(np.flatnonzero(N2[0])[0]), v)
-    other = next(x for x in range(v) if blocks[x] not in (blocks[c1], blocks[c2]))
-    N2 = N2.copy()
-    N2[0, other * v + other] = 1  # adds degree 2e_t to a row of another degree
-    monkeypatch.setattr(koszul, "relation_space_matrices", lambda *a: (N2, C))
-    with pytest.raises(AssertionError, match="multihomogeneous"):
+    i, j = spec.relation_pairs[0]
+    other = next(x for x, b in enumerate(spec.blocks) if b not in (i - 1, j - 1))
+    square = tuple(2 * (x == other) for x in range(spec.nvars))
+    rel = spec.relations[0]
+    mixed = Poly(spec.field, spec.nvars, {**rel.terms, square: 1})
+    spec = replace(spec, relations=(mixed,) + spec.relations[1:])
+    monkeypatch.setattr(koszul, "build_an", lambda n, pivot: spec)
+    with pytest.raises(AssertionError, match="row 28 is zero or not multihomogeneous"):
         dual_tower(4, 3)
 
 
