@@ -15,15 +15,16 @@ tests, where a fraction-free Bareiss elimination is the reference over Z:
     (groebner.linear_interreduce) reads the pivot rows back as polynomials,
     certified at the characteristic over a prime field.
 
-  * the int64 lane: dense per-pivot elimination mod p, echelon_mod_p, behind
-    rank_mod_p and nullspace_mod_p.  Requires (p-1)^2 < 2^63.  The Koszul
-    tower's blocks, its relation space's included, are a few percent dense,
-    and this lane touches only the rows that are nonzero in each pivot column.
-
-float64 carries products only: mod_matmul and nullspace_mod_p's
-back-substitution (echelon_nullspace), through one BLAS dot product that is
-reduced mod p after every _float_chunk(p) terms, so every accumulated sum
-stays below 2^53.  Both refuse p of 2^20 and above.
+  * the int64 lane: dense linear algebra mod p, for any p with 2 <= p and
+    (p-1)^2 < 2^63, so that no product of two residues overflows; every
+    routine refuses another modulus before it reads a matrix.  echelon_mod_p
+    eliminates forward, one pivot at a time, behind rank_mod_p;
+    echelon_nullspace clears the pivot columns upward with the same update
+    and reads the kernel off the reduced form, behind nullspace_mod_p.  The
+    Koszul tower's blocks, its relation space's included, are a few percent
+    dense, and each update touches only the rows that are nonzero in the
+    pivot column.  mod_matmul sums at most _chunk(p) products of residues
+    between reductions, so no int64 sum overflows.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 
 from .errors import UsageError
 
+# No psiring code reads this; only perfbench/tracer.py imports it, to label lanes.
 FLOAT_LANE_MAX_PRIME = 1 << 20
-_MANTISSA = 1 << 53
 
 
 # -- sparse lane ----------------------------------------------------------------
@@ -139,11 +140,9 @@ def echelon_mod_p(a, p: int) -> tuple[np.ndarray, list[int]]:
     Returns (U, pivot columns); pivot t sits at row t.  Rows below the last
     pivot are zero.  Each pivot updates only the rows below it that are
     nonzero in its column, which keeps the sparse matrices psiring eliminates
-    cheap.  Refuses p unless 2 <= p and (p-1)^2 < 2^63 (no product of two
-    residues overflows), before it reads a.
+    cheap.  Refuses p outside the int64 lane before it reads a.
     """
-    if not (2 <= p and (p - 1) ** 2 < 1 << 63):
-        raise UsageError(f"modulus {p} outside the int64 lane (2 <= p, (p-1)^2 < 2^63)")
+    _chunk(p)  # the lane check
     A = np.asarray(a).astype(np.int64, copy=True)
     np.mod(A, p, out=A)
     nrows, ncols = A.shape
@@ -160,13 +159,18 @@ def echelon_mod_p(a, p: int) -> tuple[np.ndarray, list[int]]:
             A[[r, piv]] = A[[piv, r]]
         inv = pow(int(A[r, c]), -1, p)
         A[r] = (A[r] * inv) % p
-        below = np.nonzero(A[r + 1:, c])[0]
-        if below.size:
-            idx = r + 1 + below
-            A[idx] = (A[idx] - np.outer(A[idx, c], A[r])) % p
+        _clear(A, r, c, r + 1, nrows, p)
         pivots.append(c)
         r += 1
     return A, pivots
+
+
+def _clear(A: np.ndarray, t: int, c: int, lo: int, hi: int, p: int) -> None:
+    """Zero column c in rows lo..hi-1 of A by subtracting multiples of row t,
+    whose entry in column c is 1; only the rows nonzero in column c change."""
+    idx = lo + np.nonzero(A[lo:hi, c])[0]
+    if idx.size:
+        A[idx] = (A[idx] - np.outer(A[idx, c], A[t])) % p
 
 
 def rank_mod_p(a, p: int) -> int:
@@ -174,69 +178,50 @@ def rank_mod_p(a, p: int) -> int:
 
 
 def nullspace_mod_p(a, p: int) -> np.ndarray:
-    """Columns form a basis of the right kernel mod p (int64, shape ncols x nullity).
-
-    p must be below FLOAT_LANE_MAX_PRIME: the back-substitution runs in float64.
-    """
-    _float_chunk(p)  # refuses a prime outside the float64 lane before eliminating
+    """Columns form a basis of the right kernel mod p (int64, shape ncols x nullity)."""
     return echelon_nullspace(*echelon_mod_p(a, p), p)
 
 
 def echelon_nullspace(U: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """nullspace_mod_p's back-substitution, on an echelon form (U, pivots) as
-    echelon_mod_p returns it, so a caller holding one does not eliminate twice."""
-    step = _float_chunk(p)
-    ncols = U.shape[1]
-    r = len(pivots)
+    """nullspace_mod_p on an echelon form (U, pivots) as echelon_mod_p returns
+    it, so a caller holding one does not eliminate twice.
+
+    Clears each pivot column above its pivot, last pivot first, which leaves
+    the reduced echelon form R; the kernel vector of free column f is 1 at f,
+    0 at the other free columns and -R[:, f] at the pivots.  That basis is the
+    only one with the identity on the free columns.  U is left as it was.
+    """
+    _chunk(p)  # the lane check
+    r, ncols = len(pivots), U.shape[1]
+    R = np.array(U[:r], dtype=np.int64)
+    for t in range(r - 1, 0, -1):
+        _clear(R, t, pivots[t], 0, t, p)
     pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    N = np.zeros((ncols, len(free)), dtype=np.int64)
-    if not free:
-        return N
-    for j, fc in enumerate(free):
-        N[fc, j] = 1
-    if r == 0:
-        return N
-    # back-substitution, vectorized across all free columns at once
-    Uf = U[:r].astype(np.float64)
-    X = np.zeros((r, len(free)), dtype=np.float64)
-    freecols = np.array(free, dtype=np.intp)
-    pivcols = np.array(pivots, dtype=np.intp)
-    for t in range(r - 1, -1, -1):
-        rhs = Uf[t, freecols]
-        if t + 1 < r:
-            rhs = rhs + _dot_mod(Uf[t, pivcols[t + 1:]], X[t + 1:], p, step)
-        X[t] = (-rhs) % p
-    for t, pc in enumerate(pivots):
-        N[pc] = X[t]
+    free = np.array([c for c in range(ncols) if c not in pivset], dtype=np.intp)
+    N = np.zeros((ncols, free.size), dtype=np.int64)
+    N[free, np.arange(free.size)] = 1
+    N[pivots] = (-R[:, free]) % p
     return N
 
 
 def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) % p for int64 inputs with entries in [0, p), p < FLOAT_LANE_MAX_PRIME.
-
-    One float64 BLAS lane, exact for any inner size (see _dot_mod).
-    """
+    """Exact (a @ b) % p for int64 inputs with entries in [0, p), in int64,
+    reduced mod p after every _chunk(p) inner terms."""
+    step = _chunk(p)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise UsageError(f"shape mismatch in mod_matmul: {a.shape} x {b.shape}")
-    step = _float_chunk(p)
-    return _dot_mod(a.astype(np.float64), b.astype(np.float64), p, step).astype(np.int64)
-
-
-def _float_chunk(p: int) -> int:
-    """How many products of residues mod p one float64 dot product sums exactly.
-
-    floor((2^53 - 1) / (p - 1)^2), 8192 at TENSOR_PRIME.  Refuses p outside
-    [2, FLOAT_LANE_MAX_PRIME).
-    """
-    if not 2 <= p < FLOAT_LANE_MAX_PRIME:
-        raise UsageError(f"modulus {p} outside the float64 lane (2 <= p < {FLOAT_LANE_MAX_PRIME})")
-    return (_MANTISSA - 1) // (p - 1) ** 2
-
-
-def _dot_mod(a: np.ndarray, b: np.ndarray, p: int, step: int) -> np.ndarray:
-    """(a @ b) % p for float64 residues, reduced after every `step` inner terms."""
-    out = a[..., :step] @ b[:step] % p
+    out = a[:, :step] @ b[:step] % p
     for s in range(step, b.shape[0], step):
-        out = (out + a[..., s:s + step] @ b[s:s + step] % p) % p
+        out = (out + a[:, s:s + step] @ b[s:s + step]) % p
     return out
+
+
+def _chunk(p: int) -> int:
+    """How many products of residues mod p an int64 sum holds on top of a
+    residue: (2^63 - p) // (p-1)^2, 8,388,672 at TENSOR_PRIME and 2 at
+    DEFAULT_PRIME.  The lane check of every dense routine: refuses p unless
+    2 <= p and (p-1)^2 < 2^63, which leaves the chunk at least 1.
+    """
+    if not (2 <= p and (p - 1) ** 2 < 1 << 63):
+        raise UsageError(f"modulus {p} outside the int64 lane (2 <= p, (p-1)^2 < 2^63)")
+    return ((1 << 63) - p) // (p - 1) ** 2

@@ -15,8 +15,9 @@ from .errors import UsageError
 # Default modulus for rank and Groebner runs: the largest prime below 2^31,
 # so a single product of residues stays under 2^63 in signed 64-bit arithmetic.
 DEFAULT_PRIME = 2147483647
-# Modulus family for the tensor/BLAS kernels: below 2^20 so thousands of
-# products can accumulate exactly in a float64 mantissa (see exactla).
+# Modulus family for the Koszul tower, echoed by its reports: below 2^20, so
+# an int64 sum holds 8,388,672 products of residues between reductions (see
+# exactla.mod_matmul).
 TENSOR_PRIME = 1048573
 TENSOR_RETRY_PRIMES = (1048571, 1048559)
 

@@ -43,8 +43,8 @@ to the rest of the orbit.  Earlier stages keep every block's nullspace: their ke
 the next stage, and a basis chosen by elimination is not sigma-equivariant,
 so no basis is carried across an orbit.
 
-Arithmetic runs over a prime just below 2^20 so the BLAS float64 lane stays
-exact; intersection dimensions over a prime field can only exceed the
+Arithmetic runs mod TENSOR_PRIME, a prime just below 2^20, in exactla's
+int64 lane; intersection dimensions over a prime field can only exceed the
 rational ones.  koszul_summary computes the tower at one prime and only on a
 mismatch with the prediction at a second one, keeping the smaller value of
 each stage; a match at one prime is one-sided evidence.
@@ -114,7 +114,7 @@ def relation_space_matrices(spec: PresentationSpec) -> np.ndarray:
     eliminates R one block at a time."""
     v, p = spec.nvars, TENSOR_PRIME
     U, pivots = echelon_mod_p(rows_to_dense(tensor_relation_space(spec), v * v, p), p)
-    return np.ascontiguousarray(echelon_nullspace(U[: len(pivots)], pivots, p).T)
+    return np.ascontiguousarray(echelon_nullspace(U, pivots, p).T)
 
 
 def dual_tower(
@@ -181,7 +181,7 @@ def _dual_blocks(
     tensor_relation_space are grouped by their degree e_s + e_t (a row that
     mixes degrees is refused), and each block of V (x) V = W_1 (x) V is
     eliminated on its own.  Its echelon rows are Y_rho's columns, and its
-    back-substitution gives the check rows C_rho: x lies in R exactly when
+    kernel (exactla.echelon_nullspace) gives the check rows C_rho: x lies in R exactly when
     C_rho x_rho == 0 for every block rho (the identity where no row spans).
 
     At stage j the basis w_p of W_(j-2) is independent and W_(j-1) lies in

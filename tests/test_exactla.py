@@ -1,5 +1,6 @@
 """Exact linear algebra lanes agree: sparse rational, fraction-free integer,
-and modular elimination, plus the overflow-safe modular matmul.
+and modular elimination, plus the modular nullspace and the overflow-safe
+modular matmul against object-dtype references.
 """
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from psiring import exactla
 from psiring.errors import UsageError
 from psiring.exactla import (
-    FLOAT_LANE_MAX_PRIME,
     echelon_mod_p,
+    echelon_nullspace,
     mod_matmul,
     nullspace_mod_p,
     rank_mod_p,
@@ -96,10 +97,13 @@ def test_echelon_and_rref_shapes(p):
 @pytest.mark.parametrize("p", [1, (1 << 61) - 1, (1 << 89) - 1])
 @pytest.mark.parametrize("shape", [(0, 3), (3, 4)])
 def test_elimination_refuses_the_prime_before_the_matrix(p, shape):
-    # (p-1)^2 must fit int64; an empty matrix is refused as well, and a prime
-    # beyond int64 raises UsageError, not numpy's OverflowError
+    # (p-1)^2 must fit int64, in every dense routine; an empty matrix is
+    # refused as well, and a prime beyond int64 raises UsageError, not numpy's
+    # OverflowError
     a = np.ones(shape, dtype=np.int64)
-    for eliminate in (echelon_mod_p, rank_mod_p):
+    for eliminate in (echelon_mod_p, rank_mod_p, nullspace_mod_p,
+                      lambda a, p: echelon_nullspace(a, [], p),
+                      lambda a, p: mod_matmul(a, a.T, p)):
         with pytest.raises(UsageError):
             eliminate(a, p)
 
@@ -146,7 +150,7 @@ def test_int64_lane_on_tower_sized_sparse_matrices(nrows, ncols, per_row):
         assert not (sum(v * cols[c] for c, v in row.items()) % p).any()
 
 
-@pytest.mark.parametrize("p", [TENSOR_PRIME])
+@pytest.mark.parametrize("p", [TENSOR_PRIME, DEFAULT_PRIME])
 def test_nullspace_annihilates(p):
     # columns of the result span the right kernel
     for seed in range(4):
@@ -158,13 +162,6 @@ def test_nullspace_annihilates(p):
             assert not prod.any()
 
 
-def test_nullspace_refuses_default_prime():
-    # the back-substitution runs in float64, exact only below FLOAT_LANE_MAX_PRIME
-    m = np.array(random_int_matrix(6, 9, 7)) % DEFAULT_PRIME
-    with pytest.raises(UsageError):
-        nullspace_mod_p(m, DEFAULT_PRIME)
-
-
 def test_nullspace_columns_independent():
     m = np.zeros((2, 5), dtype=np.int64)
     m[0, 0] = 1
@@ -173,23 +170,96 @@ def test_nullspace_columns_independent():
     assert rank_mod_p(ns.T.copy(), 97) == 4
 
 
+def gauss_jordan_kernel(m, p):
+    """The reference: Gauss-Jordan elimination mod p over Python ints, clearing
+    each pivot column above and below at once.  Returns the pivot columns and
+    the kernel basis, as an object array, with the identity on the free
+    columns."""
+    nrows, ncols = m.shape
+    R = [[int(x) % p for x in row] for row in m]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, nrows) if R[i][c]), None)
+        if piv is None:
+            continue
+        R[r], R[piv] = R[piv], R[r]
+        inv = pow(R[r][c], -1, p)
+        R[r] = [x * inv % p for x in R[r]]
+        for i in range(nrows):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [(x - f * y) % p for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+    free = [c for c in range(ncols) if c not in pivots]
+    N = np.zeros((ncols, len(free)), dtype=object)
+    for j, f in enumerate(free):
+        N[f, j] = 1
+        for t, c in enumerate(pivots):
+            N[c, j] = -R[t][f] % p
+    return pivots, N
+
+
+def gauss_jordan_cases(p, seed):
+    """Matrices mod p with the cases a kernel must survive: no rows, rank 0,
+    full rank, zero columns, entries near p and rows that are combinations of
+    earlier rows."""
+    rng = SplitMix64(seed)
+    cases = [np.zeros((0, 5), dtype=np.int64), np.zeros((4, 6), dtype=np.int64),
+             np.zeros((3, 0), dtype=np.int64)]
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 9)
+        m = np.zeros((nrows, ncols), dtype=object)
+        for i in range(nrows):
+            if i >= 2 and rng.randint(0, 3) == 0:
+                a, b = rng.randint(0, i - 1), rng.randint(0, i - 1)
+                m[i] = (rng.randint(0, p - 1) * m[a] + rng.randint(0, p - 1) * m[b]) % p
+                continue
+            for c in range(ncols):
+                if rng.randint(0, 2):
+                    m[i, c] = rng.randint(p - 3, p - 1) if rng.randint(0, 3) == 0 \
+                        else rng.randint(1, p - 1)
+        cases.append(m.astype(np.int64))
+    return cases
+
+
+@pytest.mark.parametrize("p", [97, TENSOR_PRIME, DEFAULT_PRIME])
+def test_echelon_nullspace_against_gauss_jordan(p):
+    # the kernel basis with the identity on the free columns is unique, so the
+    # int64 lane must give the reference's exactly, and leave U as it was
+    kinds = set()
+    for m in gauss_jordan_cases(p, 0x6A55 + p):
+        pivots, want = gauss_jordan_kernel(m, p)
+        U, piv = echelon_mod_p(m, p)
+        before = U.copy()
+        got = echelon_nullspace(U, piv, p)
+        assert piv == pivots
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert got.tolist() == want.tolist()
+        assert np.array_equal(U, before)
+        assert np.array_equal(nullspace_mod_p(m, p), got)
+        assert not ((m.astype(object) @ want) % p).any()
+        kinds.add((m.shape[0] > 0, len(piv) == 0, len(piv) == min(m.shape)))
+    # 0-row matrices, rank 0 with rows, full rank with rows, and rank-deficient
+    assert {(False, True, True), (True, True, False), (True, False, True),
+            (True, False, False)} <= kinds
+
+
 def object_matmul_case(p, inner, seed=0xBEEF):
     rng = SplitMix64(seed)
     a = np.array([[rng.randint(0, p - 1) for _ in range(inner)] for _ in range(5)], dtype=object)
-    b = np.array([[rng.randint(0, p - 1) for _ in range(4)] for _ in range(inner)], dtype=object)
+    b = np.array([[rng.randint(0, p - 1) for _ in range(4)] for _ in range(inner)],
+                 dtype=object).reshape(inner, 4)
     return a, b, (a @ b) % p
 
 
 @pytest.mark.parametrize("p,inner", [(TENSOR_PRIME, 7), (DEFAULT_PRIME, 7), (DEFAULT_PRIME, 9)])
 def test_mod_matmul_against_object_reference(p, inner):
-    # mod_matmul agrees with the object-dtype product wherever it answers; at
-    # DEFAULT_PRIME, beyond the float64 lane, it refuses instead of answering
+    # at DEFAULT_PRIME an int64 sum holds only two products, so an inner size
+    # of 7 or 9 takes four or five reductions
     a, b, want = object_matmul_case(p, inner)
-    if p >= FLOAT_LANE_MAX_PRIME:
-        with pytest.raises(UsageError):
-            mod_matmul(a.astype(np.int64), b.astype(np.int64), p)
-        return
     got = mod_matmul(a.astype(np.int64), b.astype(np.int64), p)
+    assert got.dtype == np.int64
     assert got.tolist() == want.astype(int).tolist()
 
 
@@ -200,36 +270,29 @@ def test_mod_matmul_rejects_oversized_modulus():
         mod_matmul(a, a, big)
 
 
-def test_float_products_reduce_at_every_chunk(monkeypatch):
-    # a chunk width of 3 splits every inner product into several BLAS calls
-    monkeypatch.setattr(exactla, "_float_chunk", lambda p: 3)
-    a, b, want = object_matmul_case(TENSOR_PRIME, 10)
+@pytest.mark.parametrize("inner", [0, 1, 3, 4, 10])
+def test_mod_matmul_reduces_at_every_chunk(monkeypatch, inner):
+    # a chunk width of 3 splits the inner products into several int64 products,
+    # a partial last chunk included
+    monkeypatch.setattr(exactla, "_chunk", lambda p: 3)
+    a, b, want = object_matmul_case(TENSOR_PRIME, inner)
     got = mod_matmul(a.astype(np.int64), b.astype(np.int64), TENSOR_PRIME)
+    assert got.shape == (5, 4)
     assert got.tolist() == want.astype(int).tolist()
-    for seed in range(4):
-        ints = random_int_matrix(10, 16, 3 + seed, rank_deficit=2)
-        m = np.array(ints) % TENSOR_PRIME
-        ns = nullspace_mod_p(m, TENSOR_PRIME)
-        assert ns.shape == (16, 16 - bareiss_rank(ints))
-        assert not ((m.astype(object) @ ns.astype(object)) % TENSOR_PRIME).any()
 
 
-def test_mod_matmul_at_the_float64_bound():
+def test_mod_matmul_at_the_int64_bound():
     # every entry at p-1 or p-2: the inner product is two full chunks of
-    # _float_chunk(p) near-maximal products, each sum as close to 2^53 as
-    # allowed, and one term more
-    p = TENSOR_PRIME
-    inner = 2 * exactla._float_chunk(p) + 1
+    # _chunk(p) near-maximal products, each sum as close to 2^63 as allowed
+    # on top of a residue, and one term more
+    p = DEFAULT_PRIME
+    inner = 2 * exactla._chunk(p) + 1
+    assert inner == 5
     a = np.full((2, inner), p - 1, dtype=np.int64)
     a[1] = p - 2
     b = a.T.copy()
     want = (a.astype(object) @ b.astype(object)) % p
     assert mod_matmul(a, b, p).tolist() == want.tolist()
-
-
-def test_float_lane_threshold_is_conservative():
-    # the float lane must only engage when a full back-substitution row fits the mantissa
-    assert FLOAT_LANE_MAX_PRIME <= 1 << 20
 
 
 def test_rank_of_zero_and_identity():

@@ -62,7 +62,7 @@ def test_three_points_dual_is_exterior():
 
 def relation_space(spec, prime=TENSOR_PRIME):
     """(N2, C), test-side: the echelon rows of spec's R in V (x) V mod the
-    prime, and the check rows read off them by back-substitution."""
+    prime, and the check rows read off them as their kernel."""
     v = spec.nvars
     U, pivots = echelon_mod_p(rows_to_dense(tensor_relation_space(spec), v * v, prime), prime)
     N2 = U[: len(pivots)]
@@ -463,7 +463,7 @@ def test_tower_builds_the_presentation_once(monkeypatch):
 
 def test_last_stage_ranks_one_block_per_orbit(eliminations, monkeypatch):
     # A(5)'s 35 blocks of W_3 fall into 3 orbits of S_5, one per partition of
-    # 3; only the relation space's check rows are read off by back-substitution,
+    # 3; only the relation space's check rows are read off an echelon form,
     # one block of V (x) V at a time: 5 blocks 2e_s (3 commutators over 3 x 3
     # columns) and 10 blocks e_s + e_t (9 commutators and 2 relations over 18)
     solved = []
