@@ -25,8 +25,7 @@ def reduce(p, basis, order):
     top = max(x for q in [p, *basis] for e in q.terms for x in e)
     ring = PackedRing(p.field, order, Packing.fitting(p.nvars, top))
     reducers = [ring.reducer(ring.pack(g)) for g in basis]
-    nf = normal_form(ring.pack(p), reducers, ring)
-    return Poly(p.field, p.nvars, {ring.packing.unpack(e): c for e, c in nf.items()})
+    return ring.poly(normal_form(ring.pack(p), reducers, ring))
 
 
 def main():
@@ -47,12 +46,14 @@ def main():
         print(f"  {a}: {std} standard monomials, series {series.coefficient(a)}")
 
     print(f"\nan ideal member reduces to zero: the first relation times {names[0]}")
-    x = Poly.from_int_terms(spec.field, spec.nvars, {(1,) + (0,) * (spec.nvars - 1): 1})
-    r = spec.relations[0].mul(x)
+    # relation 0 has no x0^2 term, so x0 times it has no x0^3 term
+    times_x = {(e[0] + 1,) + e[1:]: c for e, c in spec.relations[0].terms.items()}
+    r = Poly(spec.field, spec.nvars, times_x)
     print(f"  normal form is zero: {reduce(r, gb.basis, gb.order).is_zero()}")
 
     print("\nnormal forms do not depend on the order of the reducers")
-    f = r.add(x.mul(x).mul(x))
+    cube = (3,) + (0,) * (spec.nvars - 1)
+    f = Poly(spec.field, spec.nvars, {**times_x, cube: spec.field.one()})
     base = reduce(f, gb.basis, gb.order)
     print(f"  normal form of {names[0]}^3 plus that member: {poly_text(base, names, gb.order)}")
     basis = list(gb.basis)

@@ -177,8 +177,3 @@ def parse_field(text: str) -> Field:
         return PrimeField(p)
     raise UsageError(f"bad field spec {text!r}; expected 'rational' or 'prime:p'")
 
-
-def same_field(a: Field, b: Field) -> None:
-    """Raise UsageError unless the two contexts agree (no silent cross-field arithmetic)."""
-    if a != b:
-        raise UsageError(f"field context mismatch: {a!r} vs {b!r}")

@@ -22,7 +22,7 @@ channels_consistent).
 
 The same values drive the local analysis: Jacobian rank at sampled smooth
 points, and the singular locus as the vanishing of the relations plus the
-codimension-sized minors of the Jacobian.
+codimension-sized minors of the Jacobian, expanded on packed codes in ints.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from math import comb, gcd, lcm
 from .errors import BudgetError, UsageError
 from .exactla import rank_sparse_rational
 from .fields import QQ
-from .groebner import buchberger, groebner_for, krull_dimension, linear_interreduce
+from .groebner import PackedRing, buchberger, groebner_for, krull_dimension, linear_interreduce
+from .orders import Packing
 from .poly import Poly
 from .presentation import Alpha, PresentationSpec, presentation_size
 from .rng import SplitMix64
@@ -220,49 +221,63 @@ def jacobian_rank_at(spec: PresentationSpec, point: tuple[int, list[int]]) -> in
     return rank_sparse_rational(rows)[0]
 
 
-def _minor(jac: list[list[Poly]], rows: tuple[int, ...], cols: tuple[int, ...],
-           memo: dict) -> Poly:
-    """Determinant of jac on rows x cols by cofactor expansion along the first row.
-
-    memo maps (rows, cols) to every sub-determinant already expanded, so minors
-    that share their lower rows share the work; the sum runs in the same order
-    either way, so each minor's terms come out in the same order.
-    """
-    if len(rows) == 1:
-        return jac[rows[0]][cols[0]]
-    out = memo.get((rows, cols))
-    if out is not None:
-        return out
-    first = jac[rows[0]]
-    out = Poly.zero(first[0].field, first[0].nvars)
-    for k, col in enumerate(cols):
-        entry = first[col]
-        if entry.is_zero():
-            continue
-        term = entry.mul(_minor(jac, rows[1:], cols[:k] + cols[k + 1:], memo))
-        out = out.add(term) if k % 2 == 0 else out.sub(term)
-    memo[rows, cols] = out
-    return out
-
-
 def singular_minors(spec: PresentationSpec, c: int,
                     budget: int = DEFAULT_MINOR_BUDGET) -> list[Poly]:
-    """All c x c minors of the Jacobian; c = 0 yields the unit (empty locus)."""
+    """All c x c minors of the Jacobian; c = 0 yields the unit (empty locus).
+
+    Cofactor expansion along the first row, on packed codes with int
+    coefficients (mod p over a prime field).  memo holds every sub-determinant
+    already expanded, so minors that share their lower rows share the work.
+    """
     if c < 0:
         raise UsageError(f"negative minor size {c}")
     if c == 0:
         return [Poly.const(spec.field, spec.nvars, spec.field.one())]
     _refuse_minors(len(spec.relations), spec.nvars, c, budget)
-    nrel, nv = len(spec.relations), spec.nvars
+    nrel, nv, prime = len(spec.relations), spec.nvars, spec.field.characteristic
     jac = jacobian(spec)
-    memo: dict = {}
-    out = []
-    for rsel in combinations(range(nrel), c):
-        for csel in combinations(range(nv), c):
-            d = _minor(jac, rsel, csel, memo)
-            if not d.is_zero():
-                out.append(d)
-    return out
+    top = max((x for row in jac for entry in row for e in entry.terms for x in e), default=0)
+    ring = PackedRing(spec.field, spec.default_order(), Packing.fitting(nv, c * top))
+    cells = [[ring.pack(entry) for entry in row] for row in jac]
+    # (rows, cols) -> the determinant there, seeded with the entries
+    memo: dict = {((r,), (k,)): cells[r][k] for r in range(nrel) for k in range(nv)}
+
+    def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict:
+        out = memo.get((rows, cols))
+        if out is not None:
+            return out
+        out = {}
+        first = cells[rows[0]]
+        for k, col in enumerate(cols):
+            entry = first[col]
+            if not entry:
+                continue
+            rest = minor(rows[1:], cols[:k] + cols[k + 1:])
+            term: dict = {}  # entry * rest, then added into out with its sign
+            for e1, c1 in entry.items():
+                for e2, c2 in rest.items():
+                    e = e1 + e2
+                    v = term.get(e, 0) + c1 * c2
+                    if prime:
+                        v %= prime
+                    if v:
+                        term[e] = v
+                    else:
+                        del term[e]
+            for e, v in term.items():
+                v = out.get(e, 0) + (v if k % 2 == 0 else -v)
+                if prime:
+                    v %= prime
+                if v:
+                    out[e] = v
+                else:
+                    del out[e]
+        if len(rows) < c:  # a full minor is never a sub-determinant of another
+            memo[rows, cols] = out
+        return out
+
+    return [ring.poly(d) for rsel in combinations(range(nrel), c)
+            for csel in combinations(range(nv), c) if (d := minor(rsel, csel))]
 
 
 def _refuse_minors(nrels: int, nvars: int, c: int, budget: int) -> None:
@@ -306,8 +321,9 @@ def singular_locus_dim(spec: PresentationSpec,
     """Krull dimension of (relations + codim-sized Jacobian minors).
 
     Works over the spec's own field; a prime-field spec keeps the Groebner
-    run cheap and the minors are integer polynomials either way.  The minor
-    budget is checked before any work at the predicted codimension,
+    run cheap, and the minors, expanded in ints, are integer polynomials either
+    way.  buchberger reduces each one that linear_interreduce keeps as it joins.
+    The minor budget is checked before any work at the predicted codimension,
     nvars - (2n+m-3), and again by singular_minors at the actual one.
     """
     _refuse_minors(len(spec.relations), spec.nvars,

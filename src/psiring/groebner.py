@@ -5,28 +5,38 @@ the normal selection strategy.  An optional total-degree cap makes the run a
 truncated completion: for homogeneous input every discarded S-pair lives above
 the cap, so normal forms below the cap are still those of the full basis.
 
+The input goes through the same selection as the S-pairs: a generator joins
+ahead of the queued pairs whose lcm degree is not below its lead's, reduced
+by the basis so far, and only if its normal form is nonzero.  The reduced
+basis is unique, so this changes the work, not the result.  Under a cap a
+generator above it joins unreduced: the basis there is incomplete.
+
 The run works on packed monomials (orders.Packing): each monomial is one
 integer code, so a product is an addition, a divisibility test one subtraction
-and mask, and the lcm a masked select.  A PackedRing carries the packing, the
-field and a sort key for every code it has met, memoized for the whole run:
-an integer under grevlex, the order's own key of the unpacked exponents under
-lex and block orders.  Basis members are kept as reducers (leading code, tail
-negated and divided by the leading coefficient), built once when the member
-joins.  Each queued pair carries its selection key (lcm degree, order key of
-the lcm, j, i), so the queue is a heap.  A product whose exponent reaches a
-guard bit stops the run, which starts again with twice the bits per
-exponent: no exponent ever wraps into its neighbour.
+and mask, and the lcm a masked select.  Coefficients are ints mod p, and over
+QQ ints too wherever a value is integral (PackedRing.poly hands Fractions
+back).  A PackedRing carries the packing, the field and a sort key for every
+code it has met, memoized for the whole run: an integer under grevlex, the
+order's own key of the unpacked exponents under lex and block orders.  Basis
+members are kept as reducers (leading code, tail negated and divided by the
+leading coefficient), built once when the member joins.  Each queued pair
+carries its selection key (lcm degree, order key of the lcm, j, i), so the
+queue is a heap.  A product whose exponent reaches a guard bit stops the run,
+which starts again with twice the bits per exponent: no exponent ever wraps
+into its neighbour.
 
 The basis records each member's leading exponent as the engine found it.
 Krull dimension comes from the leading terms alone: the dimension of the
 quotient is the largest variable set that contains no leading-term support,
-computed as variables minus a minimum hitting set.
+computed as variables minus a minimum hitting set, found by branch and bound.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop
+from itertools import groupby
 from math import lcm
 from typing import NamedTuple
 
@@ -102,21 +112,34 @@ class PackedRing:
 
     def pack(self, p: Poly) -> Terms:
         pack = self.packing.pack
-        return Terms((pack(e), c) for e, c in p.terms.items())
+        return Terms((pack(e), _integral(c)) for e, c in p.terms.items())
 
     def reducer(self, t: Terms) -> Reducer:
         """The monic multiple of the nonzero t, as a reducer."""
         field = self.field
         lead = max(t, key=self.key)
         scale = field.neg(field.inv(t[lead]))
-        return Reducer(lead, tuple((e, field.mul(c, scale)) for e, c in t.items() if e != lead))
+        return Reducer(lead, tuple((e, _integral(field.mul(c, scale)))
+                                   for e, c in t.items() if e != lead))
+
+    def poly(self, t: Terms) -> Poly:
+        """The packed terms as a Poly of field payloads: from_int makes an int
+        coefficient a Fraction over QQ (and keeps a Fraction as it is), and a
+        residue mod p stays itself."""
+        unpack, lift = self.packing.unpack, self.field.from_int
+        return Poly(self.field, self.packing.nvars, {unpack(e): lift(c) for e, c in t.items()})
 
     def to_poly(self, g: Reducer) -> Poly:
         """The reducer as a monic Poly: its tail, then its leading term."""
-        field, unpack = self.field, self.packing.unpack
-        terms = {unpack(e): field.neg(c) for e, c in g.tail}
-        terms[unpack(g.lead)] = field.one()
-        return Poly(field, self.packing.nvars, terms)
+        neg = self.field.neg
+        terms = Terms((e, neg(c)) for e, c in g.tail)
+        terms[g.lead] = 1
+        return self.poly(terms)
+
+
+def _integral(c):
+    """c as a plain int when it is integral, else c (a Fraction over QQ)."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def normal_form(p: Terms, basis: list[Reducer], ring: PackedRing) -> Terms:
@@ -238,18 +261,22 @@ def _complete(polys: list[Poly], ring: PackedRing, cap: int | None) -> tuple[lis
         lt = g.lead
         cand = [pk.lcm(h.lead, lt) for h in G[:t]]
         degs = [pk.degree(l) for l in cand]
-        # pair filter: drop (i,t) when some other new pair's lcm strictly divides;
-        # a strict divisor has a lower degree, so only those lcms are tested
-        below = {d: [lj for lj, dj in zip(cand, degs) if dj < d] for d in set(degs)}
-        # group the kept pairs by lcm
-        classes: dict[int, list[int]] = {}
-        for i, l in enumerate(cand):
-            lg = l | guard
-            for lj in below[degs[i]]:
-                if (lg - lj) & guard == guard:
-                    break
-            else:
-                classes.setdefault(l, []).append(i)
+        # pair filter: drop (i,t) when some other new pair's lcm strictly
+        # divides.  A strict divisor has a lower degree and is a multiple of a
+        # minimal one, so each lcm is tested against those kept below its degree
+        minimal: list[int] = []  # the kept lcms of the degrees done so far
+        classes: dict[int, list[int]] = {}  # the kept pairs by lcm
+        for _, group in groupby(sorted(range(t), key=degs.__getitem__), degs.__getitem__):
+            kept = {}
+            for i in group:
+                lg = cand[i] | guard
+                for lj in minimal:
+                    if (lg - lj) & guard == guard:
+                        break
+                else:
+                    kept.setdefault(cand[i], []).append(i)
+            minimal += kept
+            classes.update(kept)
         # a coprime member (lcm = product) kills the class, else keep one
         fresh = []
         for l, members in classes.items():
@@ -262,22 +289,25 @@ def _complete(polys: list[Poly], ring: PackedRing, cap: int | None) -> tuple[lis
             i = members[0]
             fresh.append((d, ring.key(l), t, i, l))
         # chain filter on the old queue
-        old = []
-        for item in pairs:
-            _, _, j, i, l = item
-            if ((l | guard) - lt) & guard == guard and cand[i] != l and cand[j] != l:
-                continue
-            old.append(item)
-        pairs = old + fresh
+        pairs = [item for item in pairs if ((item[4] | guard) - lt) & guard != guard
+                 or cand[item[3]] == item[4] or cand[item[2]] == item[4]] + fresh
         heapify(pairs)
 
-    gens = [ring.reducer(ring.pack(p)) for p in polys]
-    for g in sorted(gens, key=lambda g: ring.key(g.lead)):
-        add(g)
+    # the generators as (lead degree, order key of the lead, position, terms), last first
+    waiting = []
+    for t, terms in enumerate(map(ring.pack, polys)):
+        lead = max(terms, key=ring.key)
+        waiting.append((pk.degree(lead), ring.key(lead), t, terms))
+    waiting.sort(reverse=True)
 
-    while pairs:
-        _, _, j, i, _ = heappop(pairs)
-        h = normal_form(s_poly(G[i], G[j], ring), G, ring)
+    while pairs or waiting:
+        if waiting and (not pairs or waiting[-1][0] <= pairs[0][0]):
+            d, _, _, h = waiting.pop()
+            if cap is None or d <= cap:
+                h = normal_form(h, G, ring)
+        else:
+            _, _, j, i, _ = heappop(pairs)
+            h = normal_form(s_poly(G[i], G[j], ring), G, ring)
         if not h.is_zero():
             add(ring.reducer(h))
 
@@ -329,38 +359,43 @@ def krull_dimension(gb: GroebnerBasis) -> int:
     """
     if not gb.complete:
         raise UsageError("Krull dimension needs a complete basis (no degree cap cuts)")
-    supports = []
-    for e in gb.leads:
-        s = frozenset(i for i, v in enumerate(e) if v)
-        if not s:
-            return -1
-        supports.append(s)
-    # minimal antichain
-    supports = sorted(set(supports), key=len)
-    minimal = []
-    for s in supports:
-        if not any(t <= s for t in minimal):
-            minimal.append(s)
-    return gb.nvars - _min_hitting_set(minimal)
+    supports = {frozenset(i for i, v in enumerate(e) if v) for e in gb.leads}
+    if frozenset() in supports:
+        return -1
+    return gb.nvars - _min_hitting_set(list(supports))
 
 
 def _min_hitting_set(supports: list[frozenset]) -> int:
-    best = [sum(len(s) for s in supports) + 1]
+    """Size of a smallest variable set meeting every support, by branch and
+    bound: a support of one variable forces it; else the variable in the most
+    supports joins the set, or leaves every support (none is emptied, as each
+    has two once the forced ones are taken).  A branch stops once its count
+    plus a greedy packing of disjoint supports reaches the best found so far."""
+    best = len(frozenset().union(*supports))  # every variable meets every support
 
-    def rec(count: int, remaining: list[frozenset]):
-        if count >= best[0]:
-            return
+    def search(count: int, remaining: list[frozenset]):
+        nonlocal best
+        forced = frozenset().union(*(s for s in remaining if len(s) == 1))
+        count += len(forced)
+        remaining = [s for s in remaining if not s & forced]
         if not remaining:
-            best[0] = count
+            best = min(best, count)
             return
-        pivot = min(remaining, key=len)
-        for v in sorted(pivot):
-            rec(count + 1, [s for s in remaining if v not in s])
+        used: set = set()
+        bound = count
+        for s in sorted(remaining, key=len):
+            if used.isdisjoint(s):
+                used |= s
+                bound += 1
+        if bound >= best:
+            return
+        hits = Counter(v for s in remaining for v in s)
+        v = max(hits, key=lambda x: (hits[x], -x))
+        search(count + 1, [s for s in remaining if v not in s])
+        search(count, [s - {v} for s in remaining])
 
-    if not supports:
-        return 0
-    rec(0, supports)
-    return best[0]
+    search(0, supports)
+    return best
 
 
 def leading_terms_agree(g1: GroebnerBasis, g2: GroebnerBasis) -> bool:

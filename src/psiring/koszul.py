@@ -55,10 +55,11 @@ the whole stage, A*RR x U*v with A = v^(j-2) words.  It over-counts the rows
 actually built on purpose, so the refusal threshold does not depend on how a
 stage is solved, nor on how many of its blocks are ranked.
 It is checked up front from the predicted dimensions, before any work, and
-again per stage on the actual ones.  Stage 2, R itself, has no check of its
-own: no matrix there is wider than its widest block, e_s + e_t, 2 * (n-2)^2.
-The up-front check expands the prediction only as far as the first stage j
-with v^(j-1) > budget, which is refused whenever W_(j-1) is nonzero; once a
+again per stage on the actual ones.  Stage 2, R itself, is checked first, on
+the echelon and check rows its blocks of V (x) V keep, width^2 entries each
+and n(2n-1)(n-2)^4 in all, though no block is wider than 2(n-2)^2.  The
+up-front check expands the prediction only as far as the first stage j with
+v^(j-1) > budget, which is refused whenever W_(j-1) is nonzero; once a
 stage's dimension is 0 every later one is 0, and no further stage is built.
 """
 
@@ -139,16 +140,16 @@ def dual_tower(
     return dims
 
 
+def _refuse(what: str, est: int, budget: int) -> None:
+    """BudgetError, carrying the estimate, when what needs est > budget entries."""
+    if est > budget:
+        raise BudgetError(f"{what} ({est} entries > budget {budget})", estimate=est, budget=budget)
+
+
 def _refuse_stage(n: int, j: int, v: int, U: int, RR: int, budget: int) -> None:
     """BudgetError when stage j's dense bound, A*RR x U*v with A = v^(j-2), is too big."""
     A = v ** (j - 2)
-    est = A * RR * U * v
-    if est > budget:
-        raise BudgetError(
-            f"stage k={j} for n={n} needs a {A * RR} x {U * v} matrix"
-            f" ({est} entries > budget {budget})",
-            estimate=est, budget=budget,
-        )
+    _refuse(f"stage k={j} for n={n} needs a {A * RR} x {U * v} matrix", A * RR * U * v, budget)
 
 
 def _shift(d: tuple[int, ...], t: int, by: int) -> tuple[int, ...]:
@@ -200,6 +201,10 @@ def _dual_blocks(
     once, cut into the sub-blocks of the blocks d it meets.
     """
     v = n * (n - 2)
+    # stage 2 keeps width^2 entries per block of V (x) V: 2(n-2)^2 wide for the
+    # C(n,2) blocks e_s + e_t, s != t, and (n-2)^2 for the n blocks 2e_s
+    _refuse(f"stage k=2 for n={n} keeps the echelon and check rows of its blocks",
+            n * (2 * n - 1) * (n - 2) ** 4, budget)
     # refuse before any work, on the predicted dimensions, up to the first
     # stage j with v^(j-1) > budget: it and every later stage are refused
     # unless W_(j-1) = 0, and the checks in the loop cover that case
@@ -307,13 +312,7 @@ def _dual_blocks(
 
 def _refuse_dense(what: str, nrows: int, ncols: int) -> None:
     """BudgetError when a dense nrows x ncols matrix exceeds DEFAULT_ELEMENT_BUDGET entries."""
-    est = nrows * ncols
-    if est > DEFAULT_ELEMENT_BUDGET:
-        raise BudgetError(
-            f"{what} is {nrows} x {ncols}"
-            f" ({est} entries > budget {DEFAULT_ELEMENT_BUDGET})",
-            estimate=est, budget=DEFAULT_ELEMENT_BUDGET,
-        )
+    _refuse(f"{what} is {nrows} x {ncols}", nrows * ncols, DEFAULT_ELEMENT_BUDGET)
 
 
 def dual_dimension_stacked(n: int, k: int) -> int:

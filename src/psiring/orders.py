@@ -59,10 +59,6 @@ def multidegree(exp: tuple[int, ...], blocks: tuple[int, ...], nblocks: int) -> 
     return tuple(out)
 
 
-def exp_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 class PackingOverflow(ArithmeticError):
     """A packed product has an exponent too large for its packing's fields."""
 
@@ -90,7 +86,7 @@ class Packing:
     monomials of one total degree descending code is ascending grevlex.
     """
 
-    __slots__ = ("nvars", "bits", "width", "guard", "_modulus", "_field")
+    __slots__ = ("nvars", "bits", "width", "guard", "_modulus", "_field", "_shifts")
 
     def __init__(self, nvars: int, bits: int):
         self.nvars = nvars
@@ -99,6 +95,7 @@ class Packing:
         self.guard = sum(1 << (self.width * i + bits) for i in range(nvars))
         self._modulus = (1 << self.width) - 1
         self._field = (1 << bits) - 1
+        self._shifts = range(0, self.width * nvars, self.width)
 
     @classmethod
     def fitting(cls, nvars: int, top: int) -> "Packing":
@@ -118,8 +115,8 @@ class Packing:
         return code
 
     def unpack(self, code: int) -> tuple[int, ...]:
-        w, f = self.width, self._field
-        return tuple((code >> (w * i)) & f for i in range(self.nvars))
+        f = self._field
+        return tuple([code >> s & f for s in self._shifts])
 
     def divides(self, a: int, b: int) -> bool:
         g = self.guard

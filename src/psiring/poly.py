@@ -1,16 +1,17 @@
 """Sparse multivariate polynomials over an exact field context.
 
-A Poly stores {exponent tuple: nonzero coefficient payload}.  The exponent
-tuple is dense over a fixed variable list whose meaning (names, blocks) lives
-in the owning presentation; the polynomial itself only knows nvars and the
-field.  All arithmetic is exact.  A Poly's terms are never changed after it
-is built.
+A Poly is a term container, {exponent tuple: nonzero coefficient payload},
+dense over a fixed variable list whose meaning (names, blocks) lives in the
+owning presentation; the polynomial itself only knows nvars and the field.
+It carries terms between the layers and offers what they read: derivatives,
+evaluation, a field change, rendering.  Sums and products run on packed codes
+(groebner.PackedRing).  A Poly's terms are never changed after it is built.
 """
 
 from __future__ import annotations
 
-from .fields import Field, same_field
-from .orders import MonomialOrder, exp_mul, multidegree
+from .fields import Field
+from .orders import MonomialOrder, multidegree
 
 
 class Poly:
@@ -22,10 +23,6 @@ class Poly:
         self.terms = terms if terms is not None else {}
 
     # -- constructors ---------------------------------------------------------
-
-    @staticmethod
-    def zero(field: Field, nvars: int) -> "Poly":
-        return Poly(field, nvars)
 
     @staticmethod
     def const(field: Field, nvars: int, c) -> "Poly":
@@ -67,46 +64,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({len(self.terms)} terms over {self.field!r})"
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def _check(self, other: "Poly"):
-        same_field(self.field, other.field)
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-
-    def add(self, other: "Poly") -> "Poly":
-        self._check(other)
-        F = self.field
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = F.add(terms.get(e, F.zero()), c)
-            if F.is_zero(s):
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return Poly(F, self.nvars, terms)
-
-    def neg(self) -> "Poly":
-        F = self.field
-        return Poly(F, self.nvars, {e: F.neg(c) for e, c in self.terms.items()})
-
-    def sub(self, other: "Poly") -> "Poly":
-        return self.add(other.neg())
-
-    def mul(self, other: "Poly") -> "Poly":
-        self._check(other)
-        F = self.field
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = exp_mul(e1, e2)
-                s = F.add(terms.get(e, F.zero()), F.mul(c1, c2))
-                if F.is_zero(s):
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return Poly(F, self.nvars, terms)
 
     def derivative(self, pos: int) -> "Poly":
         F = self.field

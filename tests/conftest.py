@@ -67,8 +67,37 @@ def reduce_poly(p, basis, order):
     top = max((x for q in [p, *basis] for e in q.terms for x in e), default=0)
     ring = PackedRing(p.field, order, Packing.fitting(p.nvars, top))
     reducers = [ring.reducer(ring.pack(g)) for g in basis]
-    nf = normal_form(ring.pack(p), reducers, ring)
-    return Poly(p.field, p.nvars, {ring.packing.unpack(e): c for e, c in nf.items()})
+    return ring.poly(normal_form(ring.pack(p), reducers, ring))
+
+
+def _accumulate(terms, e, c, field):
+    """terms[e] += c in the field, dropping e when the sum is zero."""
+    v = field.add(terms.get(e, field.zero()), c)
+    if field.is_zero(v):
+        terms.pop(e, None)
+    else:
+        terms[e] = v
+
+
+def poly_add(f, g, sign=1):
+    """f + sign * g on exponent tuples: the reference sum that tests build
+    expected polynomials with."""
+    F = f.field
+    terms = dict(f.terms)
+    for e, c in g.terms.items():
+        _accumulate(terms, e, c if sign > 0 else F.neg(c), F)
+    return Poly(F, f.nvars, terms)
+
+
+def poly_mul(f, g):
+    """f * g on exponent tuples, the reference product: each term of f times
+    each term of g, summed in that order."""
+    F = f.field
+    terms = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            _accumulate(terms, tuple(x + y for x, y in zip(e1, e2)), F.mul(c1, c2), F)
+    return Poly(F, f.nvars, terms)
 
 
 @pytest.fixture(scope="session")

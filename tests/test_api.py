@@ -74,7 +74,7 @@ def test_every_public_name_has_a_caller_in_the_package():
 
 # small commands that together run every function in src/psiring: every
 # subcommand, both fields, all three formats, a minor size of 0 (singular at
-# n = 3) and, last, a refusal
+# n = 3, over both fields) and, last, a refusal
 REACH_COMMANDS = [
     "presentation dump --kind bnm --n 2 --m 2 --field prime --format md",
     "hilbert lee --n 4 --max-total 2 --format csv",
@@ -90,6 +90,7 @@ REACH_COMMANDS = [
     "sample --n 4 --count 2",
     "sample --kind bnm --n 3 --m 1 --count 2",
     "singular --n 3",
+    "singular --n 3 --field rational",
     "singular --n 4",
     "singular --n 4 --field rational",
     "verify-theorem-a --n 4 --max-total 2",
@@ -100,6 +101,8 @@ REACH_COMMANDS = [
 UNREACHED = {
     **ALLOWED,
     "poly.Poly.evaluate": "only jacobian_rank_at calls it",
+    **{f"fields.{field}.{method}": "only Poly.evaluate calls it"
+       for field in ("Rationals", "PrimeField") for method in ("zero", "add")},
     "koszul._refuse_dense": "only dual_dimension_stacked calls it",
     "koszul.relation_space_matrices":
         "only dual_dimension_stacked calls it; the tower eliminates R block by block",

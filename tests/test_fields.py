@@ -12,7 +12,6 @@ from psiring.fields import (
     TENSOR_RETRY_PRIMES,
     PrimeField,
     parse_field,
-    same_field,
 )
 from psiring.rng import SplitMix64
 
@@ -71,14 +70,6 @@ def test_parse_field():
         parse_field("galois")
     with pytest.raises(UsageError):
         parse_field("prime:xyz")
-
-
-def test_same_field_guard():
-    same_field(QQ, QQ)
-    with pytest.raises(UsageError):
-        same_field(QQ, PrimeField(97))
-    with pytest.raises(UsageError):
-        same_field(PrimeField(97), PrimeField(101))
 
 
 def trial_division_prime(p):

@@ -27,7 +27,7 @@ from psiring.geometry import (
 )
 from psiring.poly import Poly
 from psiring.rng import SplitMix64
-from conftest import cached_an, cached_bnm
+from conftest import cached_an, cached_bnm, poly_add, poly_mul
 
 GF = PrimeField(32003)
 
@@ -210,9 +210,9 @@ def test_vanishing_is_exact_for_fractional_and_inhomogeneous_relations():
     halved = Poly(QQ, spec.nvars, {e: c / 2 for e, c in rels[0].terms.items()})
     half = dataclasses.replace(spec, relations=(halved, *rels[1:]))
     mixed = dataclasses.replace(spec, relations=(
-        rels[0].add(x0).sub(const),            # degrees 2, 1, 0; vanishes at `on`
-        rels[1].add(x0),                       # vanishes only where x0 = 0
-        x0.mul(x0).sub(x0.mul(const)),         # x0^2 - v*x0, fractional coefficient
+        poly_add(poly_add(rels[0], x0), const, -1),      # degrees 2, 1, 0; vanishes at `on`
+        poly_add(rels[1], x0),                           # vanishes only where x0 = 0
+        poly_add(poly_mul(x0, x0), poly_mul(x0, const), -1),  # x0^2 - v*x0, fractional
         *rels[3:]))
     for s in (half, mixed):
         assert s.cache == {}

@@ -179,11 +179,15 @@ def test_budget_refusal_carries_estimate():
 
 
 def test_budget_zero_refuses_the_first_real_stage():
-    # stages up to k=2 come from the relation space itself; k=3 is the
-    # first one that multiplies matrices, and must check first
-    assert dual_tower(4, 2, budget=0) == [1, 8, 34]
+    # stage 2 keeps n(2n-1)(n-2)^4 = 448 entries for n = 4 and is refused
+    # below that; at exactly 448, k = 3 is the first stage refused, before it
+    # multiplies matrices
+    with pytest.raises(BudgetError) as exc:
+        dual_tower(4, 2, budget=0)
+    assert exc.value.estimate == 448
+    assert dual_tower(4, 2, budget=448) == [1, 8, 34]
     with pytest.raises(BudgetError):
-        dual_tower(4, 3, budget=0)
+        dual_tower(4, 3, budget=448)
 
 
 def test_retry_prime_reproduces_tower():
@@ -494,6 +498,23 @@ def test_budget_refused_before_any_work(monkeypatch):
     with pytest.raises(BudgetError) as exc:
         dual_tower(4, 6)
     assert exc.value.estimate == 1_006_632_960
+
+
+def test_stage_two_is_refused_before_the_relation_space(monkeypatch):
+    # n(2n-1)(n-2)^4 entries: 264,240,768 at n = 24, over the default budget
+    # though no block is wider than 968 columns; 19,054,336 at n = 16
+    def boom(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    monkeypatch.setattr(koszul, "build_an", boom)
+    monkeypatch.setattr(koszul, "tensor_relation_space", boom)
+    with pytest.raises(BudgetError) as exc:
+        dual_tower(24, 2)
+    assert exc.value.estimate == 264_240_768
+    assert str(exc.value) == ("stage k=2 for n=24 keeps the echelon and check rows of its"
+                              " blocks (264240768 entries > budget 200000000)")
+    with pytest.raises(AssertionError, match="work started"):
+        dual_tower(16, 2)  # passes the check and starts building A_16
 
 
 def test_mixed_degree_relation_row_is_refused(monkeypatch):

@@ -9,7 +9,6 @@ from psiring.orders import (
     MonomialOrder,
     Packing,
     PackingOverflow,
-    exp_mul,
 )
 from psiring.rng import SplitMix64
 
@@ -21,6 +20,11 @@ ORDERS = [
     MonomialOrder(LEX),
     MonomialOrder(BLOCK_GREVLEX, blocks=BLOCKS, nblocks=3),
 ]
+
+
+def exp_mul(a, b):
+    """The product of two monomials on exponent tuples."""
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def random_exponents(seed, count):
@@ -71,7 +75,6 @@ def test_block_order_compares_multidegree_first():
 
 def test_exponent_helpers():
     a, b = (2, 1, 0, 0, 3, 0), (1, 1, 1, 0, 0, 0)
-    assert exp_mul(a, b) == (3, 2, 1, 0, 3, 0)
     pk = Packing(NVARS, 8)
     ca, cb = pk.pack(a), pk.pack(b)
     assert pk.unpack(ca + cb) == (3, 2, 1, 0, 3, 0)

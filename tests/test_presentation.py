@@ -22,7 +22,7 @@ from psiring.presentation import (
     _an_pair,
 )
 from psiring.symbols import Alpha, Phi
-from conftest import cached_an, cached_bnm, reduce_poly
+from conftest import cached_an, cached_bnm, poly_add, poly_mul, reduce_poly
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -114,7 +114,7 @@ def var(spec, v):
     (a pivot-normalized generator)."""
     pos = {var: p for p, var in enumerate(spec.variables)}
     if v not in pos:
-        return Poly.zero(spec.field, spec.nvars)
+        return Poly(spec.field, spec.nvars)
     e = [0] * spec.nvars
     e[pos[v]] = 1
     return Poly.from_int_terms(spec.field, spec.nvars, {tuple(e): 1})
@@ -126,8 +126,11 @@ def formula(spec, i, j, k, l):
     def a(i, j):
         return var(spec, Alpha(i, j))
 
-    lhs = a(i, k).sub(a(i, j)).mul(a(j, k).sub(a(j, i)))
-    return lhs.sub(a(i, l).sub(a(i, j)).mul(a(j, l).sub(a(j, i))))
+    def d(x, y):
+        return poly_add(x, y, -1)
+
+    lhs = poly_mul(d(a(i, k), a(i, j)), d(a(j, k), a(j, i)))
+    return d(lhs, poly_mul(d(a(i, l), a(i, j)), d(a(j, l), a(j, i))))
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -192,17 +195,19 @@ def test_bnm_relations_follow_the_docstring_formula(n, m):
     def phi(r, i):
         return var(spec, Phi(r, i))
 
+    def pair_relation(x, y, aij, aji):
+        """x*y - aij*y - aji*x"""
+        return poly_add(poly_add(poly_mul(x, y), poly_mul(aij, y), -1), poly_mul(aji, x), -1)
+
     want, pairs = [], []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(1, n + 1):
                 if k not in (i, j):
-                    want.append(a(i, k).mul(a(j, k)).sub(a(i, j).mul(a(j, k)))
-                                .sub(a(j, i).mul(a(i, k))))
+                    want.append(pair_relation(a(i, k), a(j, k), a(i, j), a(j, i)))
                     pairs.append((i, j))
             for r in range(1, m):
-                want.append(phi(r, i).mul(phi(r, j)).sub(a(i, j).mul(phi(r, j)))
-                            .sub(a(j, i).mul(phi(r, i))))
+                want.append(pair_relation(phi(r, i), phi(r, j), a(i, j), a(j, i)))
                 pairs.append((i, j))
     assert list(spec.relations) == want
     assert list(spec.relation_pairs) == pairs

@@ -35,7 +35,7 @@ from psiring.slices import (
     standard_monomial_count,
 )
 from conftest import (
-    cached_an, cached_bnm, with_first_relation_scaled, with_last_relation_bent,
+    cached_an, cached_bnm, poly_mul, with_first_relation_scaled, with_last_relation_bent,
 )
 
 
@@ -97,7 +97,7 @@ def rows_by_poly_arithmetic(spec, a):
         if min(rem) < 0:
             continue
         for mono in monomials(spec, rem):
-            prod = rel.mul(Poly(spec.field, spec.nvars, {mono: spec.field.one()}))
+            prod = poly_mul(rel, Poly(spec.field, spec.nvars, {mono: spec.field.one()}))
             rows.append({col[e]: spec.field.to_int(c) for e, c in prod.terms.items()})
     return rows
 
