@@ -3,7 +3,7 @@
 Run:  python3 demos/presentations_tour.py
 """
 
-from psiring.presentation import build_an, build_bnm
+from psiring.presentation import build_an, build_bnm, quadric_degree, quadrics
 from psiring.poly import poly_text
 
 
@@ -15,8 +15,8 @@ def show(spec, max_relations=4):
     names = spec.var_names()
     shown = list(spec.relations)[:max_relations]
     print(f"   relations ({len(spec.relations)}), first {len(shown)}:")
-    for rel in shown:
-        md = rel.poly_multidegree(spec.blocks, spec.nblocks)
+    for rel, terms in zip(shown, quadrics(spec)):
+        md = quadric_degree(spec, terms)
         print(f"     [{md}]  {poly_text(rel, names, order)}")
     print()
 

@@ -10,6 +10,7 @@ appear only under --timings.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 import traceback
@@ -67,7 +68,9 @@ def parse_order(text: str, spec) -> MonomialOrder:
     raise UsageError(f"unknown order {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--kind", choices=["an", "bnm"], default="an")
     common.add_argument("--n", type=int, default=4)

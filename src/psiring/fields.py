@@ -15,11 +15,12 @@ from .errors import UsageError
 # Default modulus for rank and Groebner runs: the largest prime below 2^31,
 # so a single product of residues stays under 2^63 in signed 64-bit arithmetic.
 DEFAULT_PRIME = 2147483647
-# Modulus family for the Koszul tower, echoed by its reports: below 2^20, so
-# an int64 sum holds 8,388,672 products of residues between reductions (see
-# exactla.mod_matmul).
+# Moduli of the Koszul tower, echoed by its reports: TENSOR_PRIME, and
+# TENSOR_RETRY_PRIME for a tower that misses its prediction.  Both are below
+# 2^20, so an int64 sum holds 8,388,672 products of residues between
+# reductions (see exactla.mod_matmul).
 TENSOR_PRIME = 1048573
-TENSOR_RETRY_PRIMES = (1048571, 1048559)
+TENSOR_RETRY_PRIME = 1048571
 
 
 class Rationals:
@@ -31,14 +32,8 @@ class Rationals:
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
     def one(self) -> Fraction:
         return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
 
     def mul(self, a, b):
         return a * b
@@ -117,14 +112,8 @@ class PrimeField:
     def from_int(self, n: int) -> int:
         return n % self.p
 
-    def zero(self) -> int:
-        return 0
-
     def one(self) -> int:
         return 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

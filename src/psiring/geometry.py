@@ -23,6 +23,10 @@ channels_consistent).
 The same values drive the local analysis: Jacobian rank at sampled smooth
 points, and the singular locus as the vanishing of the relations plus the
 codimension-sized minors of the Jacobian, expanded on packed codes in ints.
+Every check reads the relations as integer quadratic forms
+(presentation.quadrics): the vanishing test is a sum of c * x_a * x_b over
+the cleared coordinates, and the Jacobian is one integer linear form per
+entry, evaluated for the rank and expanded for the minors.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .fields import QQ
 from .groebner import PackedRing, buchberger, groebner_for, krull_dimension, linear_interreduce
 from .orders import Packing
 from .poly import Poly
-from .presentation import Alpha, PresentationSpec, presentation_size
+from .presentation import Alpha, PresentationSpec, presentation_size, quadrics
 from .rng import SplitMix64
 
 DEFAULT_MINOR_BUDGET = 20_000
@@ -133,44 +137,18 @@ def verify_vanishing(spec: PresentationSpec, point: tuple[int, list[int]]) -> li
     """Indices of relations that fail to vanish at the point (empty = all vanish).
 
     The point comes cleared to integers, (den, numerators) as alpha_values
-    gives it, den nonzero.  Each relation is evaluated in its integer form,
-    which multiplies a term of degree d by den^(top - d): den^top *
-    rel(numerators / den), the same zero test for any polynomial.
+    gives it, den nonzero.  Each relation is a quadratic form (quadrics), and
+    its value at the numerators is den^2 times its value at the point: the
+    same zero test.
     """
     if spec.field != QQ:
         raise UsageError("vanishing checks run in exact rational arithmetic")
-    den, coords = point
-    if len(coords) != spec.nvars:
-        raise UsageError(f"point has {len(coords)} coordinates, {spec.name()}"
+    _, x = point
+    if len(x) != spec.nvars:
+        raise UsageError(f"point has {len(x)} coordinates, {spec.name()}"
                          f" has {spec.nvars} variables")
-    cached = spec.cache.get("vanishing_forms")
-    if cached is None:
-        forms = [_integer_form(rel) for rel in spec.relations]
-        depth = max((d for form in forms for _, _, d in form), default=0)
-        cached = spec.cache["vanishing_forms"] = (forms, depth)
-    forms, depth = cached
-    powers = [den ** d for d in range(depth + 1)]
-    bad = []
-    for t, form in enumerate(forms):
-        total = 0
-        for c, positions, deficit in form:
-            v = c * powers[deficit]
-            for pos in positions:
-                v *= coords[pos]
-            total += v
-        if total:
-            bad.append(t)
-    return bad
-
-
-def _integer_form(rel: Poly) -> list[tuple[int, tuple[int, ...], int]]:
-    """The relation times the lcm of its coefficient denominators, one
-    (coefficient, positions repeated by exponent, top degree - degree) per term."""
-    scale = lcm(*(c.denominator for c in rel.terms.values()))
-    top = max((sum(e) for e in rel.terms), default=0)
-    return [(c.numerator * (scale // c.denominator),
-             tuple(pos for pos, k in enumerate(e) for _ in range(k)), top - sum(e))
-            for e, c in rel.terms.items()]
+    return [t for t, terms in enumerate(quadrics(spec))
+            if sum(c * x[a] * x[b] for a, b, c in terms)]
 
 
 # -- consistency of the pair products across channels ------------------------------
@@ -195,29 +173,35 @@ def channels_consistent(poles: dict[tuple[int, int], int]) -> bool:
 
 # -- Jacobian and the singular locus ----------------------------------------------
 
-def jacobian(spec: PresentationSpec) -> list[list[Poly]]:
-    """Rows per relation, columns per variable; entries are linear forms."""
-    return [[rel.derivative(v) for v in range(spec.nvars)] for rel in spec.relations]
+def _jacobian(spec: PresentationSpec) -> list[list[dict[int, int]]]:
+    """Rows per relation, columns per variable; each entry the integer linear
+    form {variable: coefficient} of the relation's derivative there."""
+    rows = []
+    for terms in quadrics(spec):
+        row: list[dict[int, int]] = [{} for _ in range(spec.nvars)]
+        for a, b, c in terms:
+            if a == b:
+                row[a][a] = 2 * c
+            else:
+                row[a][b] = row[b][a] = c
+        rows.append(row)
+    return rows
 
 
 def jacobian_rank_at(spec: PresentationSpec, point: tuple[int, list[int]]) -> int:
     """Rank of the Jacobian at a point of the variety, over Q; the point is
     (den, numerators) as verify_vanishing takes it.
 
-    Each row is scaled by the lcm of its denominators, so the integer rows go
-    to rank_sparse_rational.  Refuses points off the variety: rank there says
-    nothing about smoothness.
+    The linear forms evaluated at the numerators give den times the Jacobian
+    at the point, integer rows of the same rank for rank_sparse_rational.
+    Refuses points off the variety: rank there says nothing about smoothness.
     """
     bad = verify_vanishing(spec, point)
     if bad:
         raise UsageError(f"point is not on the variety (relations {bad} do not vanish)")
-    den, nums = point
-    values = [Fraction(x, den) for x in nums]
-    rows = []
-    for jrow in jacobian(spec):
-        row = {v: entry.evaluate(values) for v, entry in enumerate(jrow)}
-        denom = lcm(*(x.denominator for x in row.values()))
-        rows.append({v: x.numerator * (denom // x.denominator) for v, x in row.items() if x})
+    x = point[1]
+    rows = [{v: s for v, form in enumerate(row) if (s := sum(c * x[w] for w, c in form.items()))}
+            for row in _jacobian(spec)]
     return rank_sparse_rational(rows)[0]
 
 
@@ -235,10 +219,10 @@ def singular_minors(spec: PresentationSpec, c: int,
         return [Poly.const(spec.field, spec.nvars, spec.field.one())]
     _refuse_minors(len(spec.relations), spec.nvars, c, budget)
     nrel, nv, prime = len(spec.relations), spec.nvars, spec.field.characteristic
-    jac = jacobian(spec)
-    top = max((x for row in jac for entry in row for e in entry.terms for x in e), default=0)
-    ring = PackedRing(spec.field, spec.default_order(), Packing.fitting(nv, c * top))
-    cells = [[ring.pack(entry) for entry in row] for row in jac]
+    ring = PackedRing(spec.field, spec.default_order(), Packing.fitting(nv, c))
+    unit = [ring.packing.pack((1,), (v,)) for v in range(nv)]
+    cells = [[{unit[w]: v for w, k in form.items() if (v := k % prime if prime else k)}
+              for form in row] for row in _jacobian(spec)]
     # (rows, cols) -> the determinant there, seeded with the entries
     memo: dict = {((r,), (k,)): cells[r][k] for r in range(nrel) for k in range(nv)}
 

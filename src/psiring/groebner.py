@@ -1,9 +1,13 @@
 """Buchberger completion, normal forms, and leading-term combinatorics.
 
-The engine is a plain Buchberger loop with the Gebauer-Moller pair filters and
-the normal selection strategy.  An optional total-degree cap makes the run a
-truncated completion: for homogeneous input every discarded S-pair lives above
-the cap, so normal forms below the cap are still those of the full basis.
+The engine is a plain Buchberger loop with the normal selection strategy and
+the Gebauer-Moller filters on the pairs a new member brings: a pair whose lcm
+another's strictly divides goes, and of the pairs sharing an lcm one stays,
+none when one of them is coprime.  Pairs already queued are not filtered
+again: on these presentations that chain criterion removed none of them.  An
+optional total-degree cap makes the run a truncated completion: for
+homogeneous input every discarded S-pair lives above the cap, so normal forms
+below the cap are still those of the full basis.
 
 The input goes through the same selection as the S-pairs: a generator joins
 ahead of the queued pairs whose lcm degree is not below its lead's, reduced
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from heapq import heapify, heappop
+from heapq import heappop, heappush
 from itertools import groupby
 from math import lcm
 from typing import NamedTuple
@@ -249,13 +253,13 @@ def _complete(polys: list[Poly], ring: PackedRing, cap: int | None) -> tuple[lis
     pk = ring.packing
     guard = pk.guard
     G: list[Reducer] = []
-    # queued pairs as (lcm degree, order key of lcm, j, i, lcm) with i < j:
-    # the heap pops them in the normal-strategy order, ties broken by j then i
+    # queued pairs as (lcm degree, order key of lcm, j, i) with i < j: the
+    # heap pops them in the normal-strategy order, ties broken by j then i
     pairs: list[tuple] = []
     truncated = False
 
     def add(g: Reducer):
-        nonlocal pairs, truncated
+        nonlocal truncated
         t = len(G)
         G.append(g)
         lt = g.lead
@@ -278,7 +282,6 @@ def _complete(polys: list[Poly], ring: PackedRing, cap: int | None) -> tuple[lis
             minimal += kept
             classes.update(kept)
         # a coprime member (lcm = product) kills the class, else keep one
-        fresh = []
         for l, members in classes.items():
             if any(cand[i] == G[i].lead + lt for i in members):
                 continue
@@ -286,12 +289,7 @@ def _complete(polys: list[Poly], ring: PackedRing, cap: int | None) -> tuple[lis
             if cap is not None and d > cap:
                 truncated = True
                 continue
-            i = members[0]
-            fresh.append((d, ring.key(l), t, i, l))
-        # chain filter on the old queue
-        pairs = [item for item in pairs if ((item[4] | guard) - lt) & guard != guard
-                 or cand[item[3]] == item[4] or cand[item[2]] == item[4]] + fresh
-        heapify(pairs)
+            heappush(pairs, (d, ring.key(l), t, members[0]))
 
     # the generators as (lead degree, order key of the lead, position, terms), last first
     waiting = []
@@ -306,7 +304,7 @@ def _complete(polys: list[Poly], ring: PackedRing, cap: int | None) -> tuple[lis
             if cap is None or d <= cap:
                 h = normal_form(h, G, ring)
         else:
-            _, _, j, i, _ = heappop(pairs)
+            _, _, j, i = heappop(pairs)
             h = normal_form(s_poly(G[i], G[j], ring), G, ring)
         if not h.is_zero():
             add(ring.reducer(h))

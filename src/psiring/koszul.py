@@ -75,7 +75,7 @@ from .errors import BudgetError, UsageError
 from .exactla import (
     echelon_mod_p, echelon_nullspace, mod_matmul, nullspace_mod_p, rank_mod_p, rows_to_dense,
 )
-from .fields import TENSOR_PRIME, TENSOR_RETRY_PRIMES
+from .fields import TENSOR_PRIME, TENSOR_RETRY_PRIME
 from .presentation import PivotScheme, PresentationSpec, build_an, tensor_relation_space
 from .slices import block_symmetries, orbit_representatives
 
@@ -391,7 +391,7 @@ def koszul_summary(
     pivot: PivotScheme | None = None,
 ) -> KoszulSummary:
     """Compute the tower at TENSOR_PRIME, compare to the prediction, and on a
-    mismatch recompute at TENSOR_RETRY_PRIMES[0].
+    mismatch recompute at TENSOR_RETRY_PRIME.
 
     Dimensions mod p can only exceed the rational ones, so each stage keeps
     the smaller of its two values.  A mismatch that survives is reported
@@ -401,9 +401,8 @@ def koszul_summary(
     pred = koszul_prediction(n, kmax)
     primes = [TENSOR_PRIME]
     if any(d != p for d, p in zip(dims, pred)):
-        retry = TENSOR_RETRY_PRIMES[0]
-        dims2 = dual_tower(n, kmax, retry, budget, pivot)
-        primes.append(retry)
+        dims2 = dual_tower(n, kmax, TENSOR_RETRY_PRIME, budget, pivot)
+        primes.append(TENSOR_RETRY_PRIME)
         dims = [min(a, b) for a, b in zip(dims, dims2)]
     stages = tuple(KoszulStage(k, dims[k], pred[k]) for k in range(kmax + 1))
     return KoszulSummary(n=n, kmax=kmax, primes=tuple(primes), stages=stages)

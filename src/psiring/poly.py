@@ -3,15 +3,15 @@
 A Poly is a term container, {exponent tuple: nonzero coefficient payload},
 dense over a fixed variable list whose meaning (names, blocks) lives in the
 owning presentation; the polynomial itself only knows nvars and the field.
-It carries terms between the layers and offers what they read: derivatives,
-evaluation, a field change, rendering.  Sums and products run on packed codes
-(groebner.PackedRing).  A Poly's terms are never changed after it is built.
+It carries terms between the layers and renders them.  Sums and products run
+on packed codes (groebner.PackedRing); the relations' integer quadratic forms
+are presentation.quadrics.  A Poly's terms are never changed after it is built.
 """
 
 from __future__ import annotations
 
 from .fields import Field
-from .orders import MonomialOrder, multidegree
+from .orders import MonomialOrder
 
 
 class Poly:
@@ -44,13 +44,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def poly_multidegree(self, blocks: tuple[int, ...], nblocks: int):
-        """The common multidegree of all terms, or None if inhomogeneous or zero."""
-        degs = {multidegree(e, blocks, nblocks) for e in self.terms}
-        if len(degs) != 1:
-            return None
-        return degs.pop()
-
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
@@ -64,50 +57,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({len(self.terms)} terms over {self.field!r})"
-
-    def derivative(self, pos: int) -> "Poly":
-        F = self.field
-        terms = {}
-        for e, c in self.terms.items():
-            k = e[pos]
-            if k == 0:
-                continue
-            v = F.mul(c, F.from_int(k))
-            if F.is_zero(v):
-                continue  # characteristic divides the exponent
-            e2 = list(e)
-            e2[pos] = k - 1
-            terms[tuple(e2)] = v
-        return Poly(F, self.nvars, terms)
-
-    def evaluate(self, values: list):
-        """Evaluate at a point given as a list of field payloads, one per variable."""
-        assert len(values) == self.nvars
-        F = self.field
-        total = F.zero()
-        for e, c in self.terms.items():
-            v = c
-            for pos, k in enumerate(e):
-                for _ in range(k):
-                    v = F.mul(v, values[pos])
-            total = F.add(total, v)
-        return total
-
-    def map_field(self, field: Field) -> "Poly":
-        """Reinterpret integer-valued coefficients in another field (QQ -> GF(p) and back).
-
-        Prime-field coefficients lift through the signed representative, so a
-        residue standing for -1 maps back to -1 rather than to p - 1.
-        """
-        terms = {}
-        for e, c in self.terms.items():
-            n = self.field.to_int(c)
-            if n is None:
-                raise ValueError("map_field requires integer coefficients")
-            v = field.from_int(n)
-            if not field.is_zero(v):
-                terms[e] = v
-        return Poly(field, self.nvars, terms)
 
     def sorted_terms(self, order: MonomialOrder):
         """Terms as (exp, coeff) pairs, descending in the order: canonical form."""

@@ -87,8 +87,8 @@ class PresentationSpec:
     relations: tuple[Poly, ...]
     relation_pairs: tuple[tuple[int, int], ...]  # the (i, j) of each relation, 1-based
     # data derived from the fields above, cached by the layers that use it
-    # (slices' row plan, geometry's integer relation forms); no part of
-    # equality, and a replace() starts it empty
+    # (the integer quadrics, slices' row plan); no part of equality, and a
+    # replace() starts it empty
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -118,10 +118,11 @@ class PresentationSpec:
         return MonomialOrder(GREVLEX)
 
     def to_field(self, field: Field) -> "PresentationSpec":
-        """Same presentation with relation coefficients mapped into another field."""
+        """Same presentation with its integer quadrics (signed over a prime
+        field) read in another field."""
         if field == self.field:
             return self
-        rels = tuple(r.map_field(field) for r in self.relations)
+        rels = tuple(_commutative(field, self.nvars, q) for q in quadrics(self))
         return replace(self, field=field, relations=rels)
 
 
@@ -148,15 +149,16 @@ def _an_pair(var_pos: dict, i: int, j: int, k: int, l: int) -> dict:
     return out
 
 
-def _commutative(nvars: int, tensor: dict) -> Poly:
-    """A pair tensor {(pos_a, pos_b): coeff} as a commutative quadric over QQ.
-    Its two factors lie in different blocks, so no two terms meet."""
-    terms = {}
-    for (pa, pb), c in tensor.items():
+def _commutative(field: Field, nvars: int, terms) -> Poly:
+    """The quadric with integer terms (a, b, c), c * x_a * x_b, over the field;
+    no two terms may share their (a, b)."""
+    out = {}
+    for a, b, c in terms:
         e = [0] * nvars
-        e[pa] = e[pb] = 1
-        terms[tuple(e)] = c
-    return Poly.from_int_terms(QQ, nvars, terms)
+        e[a] += 1
+        e[b] += 1
+        out[tuple(e)] = c
+    return Poly.from_int_terms(field, nvars, out)
 
 
 def _pair_triples(n: int):
@@ -219,22 +221,58 @@ def build_bnm(n: int, m: int) -> PresentationSpec:
 def _presentation(kind: str, n: int, m: int, pivot: PivotScheme,
                   variables: list[VarIndex], tensors: list) -> PresentationSpec:
     """The spec whose relations are the commutative images of the ((i, j), tensor)
-    pairs, in order; relation_degree_audit rejects a zero or misgraded one."""
+    pairs, in order; relation_degree_audit rejects a zero or misgraded one.
+    The two factors of a tensor term lie in different blocks, so no two terms
+    meet."""
     spec = PresentationSpec(
         kind=kind, n=n, m=m, pivot=pivot, field=QQ,
         variables=tuple(variables), blocks=tuple(v.block - 1 for v in variables),
-        relations=tuple(_commutative(len(variables), t) for _, t in tensors),
+        relations=tuple(_commutative(QQ, len(variables), ((a, b, c) for (a, b), c in t.items()))
+                        for _, t in tensors),
         relation_pairs=tuple(ij for ij, _ in tensors),
     )
     relation_degree_audit(spec)
     return spec
 
 
+def quadrics(spec: PresentationSpec) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Each relation as its integer terms (a, b, c), meaning c * x_a * x_b with
+    a <= b, in the relation's own term order; cached with the spec.  A
+    prime-field coefficient reads as its signed representative.  Refuses a
+    relation that is not an integer quadratic form."""
+    out = spec.cache.get("quadrics")
+    if out is None:
+        to_int, rels = spec.field.to_int, []
+        for rel in spec.relations:
+            terms = []
+            for e, c in rel.terms.items():
+                k = to_int(c)
+                ab = [pos for pos, x in enumerate(e) if x for _ in range(x)]
+                if k is None or len(ab) != 2:
+                    raise UsageError("relations must be quadratic forms with integer coefficients")
+                terms.append((ab[0], ab[1], k))
+            rels.append(tuple(terms))
+        out = spec.cache["quadrics"] = tuple(rels)
+    return out
+
+
+def quadric_degree(spec: PresentationSpec, terms) -> tuple[int, ...] | None:
+    """The common multidegree of a quadric's terms (a, b, c), the block of a
+    plus the block of b; None when they differ or there are none."""
+    degs = set()
+    for a, b, _ in terms:
+        d = [0] * spec.nblocks
+        d[spec.blocks[a]] += 1
+        d[spec.blocks[b]] += 1
+        degs.add(tuple(d))
+    return degs.pop() if len(degs) == 1 else None
+
+
 def relation_degree_audit(spec: PresentationSpec) -> dict[tuple[int, int], int]:
     """Count relations per pair; raise if any relation is not of degree e_i + e_j."""
     counts: dict[tuple[int, int], int] = {}
-    for rel, (i, j) in zip(spec.relations, spec.relation_pairs):
-        mdeg = rel.poly_multidegree(spec.blocks, spec.n)
+    for terms, (i, j) in zip(quadrics(spec), spec.relation_pairs):
+        mdeg = quadric_degree(spec, terms)
         want = tuple(1 if b + 1 in (i, j) else 0 for b in range(spec.n))
         if mdeg != want:
             raise AssertionError(
@@ -249,20 +287,12 @@ def relation_degree_audit(spec: PresentationSpec) -> dict[tuple[int, int], int]:
 def tensor_relation_space(spec: PresentationSpec) -> list[dict]:
     """Rows spanning R inside V (x) V, sparse over the flat index a * nvars + b:
     the commutators e_a (x) e_b - e_b (x) e_a (a < b), then each relation of
-    spec lifted term by term, c * x_a * x_b as c * e_a (x) e_b with a <= b.
-    Any two lifts of a relation differ by commutators.  For A_n this is the
-    pair form's tensor, and dim R = C(v,2) + C(n,2)(n-3).  Refuses
-    non-integer coefficients."""
+    spec lifted term by term (quadrics), c * x_a * x_b as c * e_a (x) e_b with
+    a <= b.  Any two lifts of a relation differ by commutators.  For A_n this
+    is the pair form's tensor, and dim R = C(v,2) + C(n,2)(n-3)."""
     v = spec.nvars
     rows = [{a * v + b: 1, b * v + a: -1} for a in range(v) for b in range(a + 1, v)]
-    for rel in spec.relations:
-        row = {}
-        for e, c in rel.terms.items():
-            a, b = (i for i, x in enumerate(e) for _ in range(x))
-            row[a * v + b] = k = spec.field.to_int(c)
-            if k is None:
-                raise UsageError("the tensor relation space needs integer relation coefficients")
-        rows.append(row)
+    rows += [{a * v + b: c for a, b, c in terms} for terms in quadrics(spec)]
     return rows
 
 

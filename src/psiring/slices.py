@@ -94,7 +94,7 @@ from .exactla import rank_sparse_rational, sparse_echelon
 from .fields import DEFAULT_PRIME
 from .groebner import GroebnerBasis
 from .orders import Packing
-from .presentation import PresentationSpec, relation_degree_audit
+from .presentation import PresentationSpec, quadric_degree, quadrics, relation_degree_audit
 from .series import compositions
 from .symbols import Alpha, Phi
 from .util import parallel_map
@@ -184,11 +184,8 @@ class _RowPlan:
 
     def __init__(self, spec: PresentationSpec, top: int):
         self.packing = Packing.fitting(spec.nvars, top)
-        self.degrees = []
-        for rel in spec.relations:
-            rdeg = rel.poly_multidegree(spec.blocks, spec.nblocks)
-            assert rdeg is not None
-            self.degrees.append(rdeg)
+        self.degrees = [quadric_degree(spec, terms) for terms in quadrics(spec)]
+        assert None not in self.degrees
         self._terms: list[tuple | None] = [None] * len(spec.relations)
         self._monomials: dict[tuple[int, ...], list[int]] = {}
         self._drops: list | None = None
@@ -247,12 +244,11 @@ class _RowPlan:
     def terms(self, spec: PresentationSpec,
               k: int) -> tuple[tuple[tuple[int, int], ...], int]:
         """Relation k as (code, integer coefficient) pairs, and its leading code:
-        the largest, which is the pivot column of its rows.  Refuses
-        non-integer coefficients."""
+        the largest, which is the pivot column of its rows."""
         entry = self._terms[k]
         if entry is None:
-            terms = tuple((self.packing.pack(exp), _as_int(c, spec))
-                          for exp, c in spec.relations[k].terms.items())
+            pack = self.packing.pack
+            terms = tuple((pack((1, 1), (a, b)), c) for a, b, c in quadrics(spec)[k])
             entry = self._terms[k] = (terms, max(terms)[0])
         return entry
 
@@ -270,13 +266,6 @@ def standard_monomial_count(gb: GroebnerBasis, spec: PresentationSpec,
     leads = [pack(e) for e in gb.leads if max(e, default=0) <= top]
     return sum(1 for m in plan.monomials(spec, tuple(a))
                if not any(divides(lt, m) for lt in leads))
-
-
-def _as_int(coeff, spec: PresentationSpec) -> int:
-    v = spec.field.to_int(coeff)
-    if v is None:
-        raise UsageError("slice ranks need integer relation coefficients")
-    return v
 
 
 @dataclass(frozen=True)
@@ -368,18 +357,6 @@ def _variable_images(spec: PresentationSpec,
     return out
 
 
-def _relation_rows(spec: PresentationSpec) -> list[dict[tuple[int, int], int]]:
-    """Each relation as an integer row over the quadratic monomials x_a * x_b,
-    keyed (a, b) with a <= b; cached with the spec."""
-    rows = spec.cache.get("relation_rows")
-    if rows is None:
-        rows = spec.cache["relation_rows"] = [
-            {tuple(i for i, x in enumerate(e) for _ in range(x)): _as_int(c, spec)
-             for e, c in rel.terms.items()}
-            for rel in spec.relations]
-    return rows
-
-
 def _is_automorphism(spec: PresentationSpec, perm: tuple[int, ...], prime: int) -> bool:
     """Whether the relabelling perm (see _variable_images) maps the span of the
     relations onto itself over Q and mod the prime (equal certified ranks of
@@ -388,7 +365,7 @@ def _is_automorphism(spec: PresentationSpec, perm: tuple[int, ...], prime: int) 
     forms = _variable_images(spec, perm)
     if forms is None:
         return False
-    rels = _relation_rows(spec)
+    rels = [{(a, b): c for a, b, c in terms} for terms in quadrics(spec)]
     images = []
     for row in rels:
         image: dict[tuple[int, int], int] = {}

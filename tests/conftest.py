@@ -3,6 +3,7 @@ acceptance-line terminal summary.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -72,7 +73,7 @@ def reduce_poly(p, basis, order):
 
 def _accumulate(terms, e, c, field):
     """terms[e] += c in the field, dropping e when the sum is zero."""
-    v = field.add(terms.get(e, field.zero()), c)
+    v = field.from_int(terms.get(e, 0) + c)
     if field.is_zero(v):
         terms.pop(e, None)
     else:
@@ -98,6 +99,29 @@ def poly_mul(f, g):
         for e2, c2 in g.terms.items():
             _accumulate(terms, tuple(x + y for x, y in zip(e1, e2)), F.mul(c1, c2), F)
     return Poly(F, f.nvars, terms)
+
+
+def poly_derivative(f, pos):
+    """The partial derivative of f by variable pos, term by term on exponent
+    tuples: the reference the integer Jacobian is checked against."""
+    F = f.field
+    terms = {}
+    for e, c in f.terms.items():
+        if e[pos]:
+            _accumulate(terms, e[:pos] + (e[pos] - 1,) + e[pos + 1:],
+                        F.mul(c, F.from_int(e[pos])), F)
+    return Poly(F, f.nvars, terms)
+
+
+def poly_evaluate(f, values):
+    """f over QQ at a point of rational values, in Fraction arithmetic term by
+    term: the reference evaluation."""
+    total = Fraction(0)
+    for e, c in f.terms.items():
+        for x, k in zip(values, e):
+            c *= Fraction(x) ** k
+        total += c
+    return total
 
 
 @pytest.fixture(scope="session")

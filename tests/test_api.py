@@ -100,9 +100,6 @@ REACH_COMMANDS = [
 # functions those commands do not run, each kept for the reason given
 UNREACHED = {
     **ALLOWED,
-    "poly.Poly.evaluate": "only jacobian_rank_at calls it",
-    **{f"fields.{field}.{method}": "only Poly.evaluate calls it"
-       for field in ("Rationals", "PrimeField") for method in ("zero", "add")},
     "koszul._refuse_dense": "only dual_dimension_stacked calls it",
     "koszul.relation_space_matrices":
         "only dual_dimension_stacked calls it; the tower eliminates R block by block",

@@ -2,7 +2,6 @@
 independence, Jacobian ranks, and singular-locus dimension bounds.
 """
 
-import dataclasses
 import hashlib
 from fractions import Fraction
 from math import lcm
@@ -11,13 +10,12 @@ import pytest
 
 from psiring import cli, geometry
 from psiring.errors import BudgetError, UsageError
-from psiring.fields import QQ, PrimeField
+from psiring.fields import PrimeField
 from psiring.geometry import (
     PointConfig,
     alpha_values,
     channels_consistent,
     cij_values,
-    jacobian,
     jacobian_rank_at,
     pole_table,
     sample_config,
@@ -27,7 +25,7 @@ from psiring.geometry import (
 )
 from psiring.poly import Poly
 from psiring.rng import SplitMix64
-from conftest import cached_an, cached_bnm, poly_add, poly_mul
+from conftest import cached_an, cached_bnm, poly_derivative, poly_evaluate
 
 GF = PrimeField(32003)
 
@@ -177,7 +175,7 @@ def test_alpha_values_refuses_a_table_of_the_wrong_shape(n, m):
 
 
 def reference_vanishing(spec, vals):
-    return [t for t, r in enumerate(spec.relations) if r.evaluate(vals) != 0]
+    return [t for t, r in enumerate(spec.relations) if poly_evaluate(r, vals) != 0]
 
 
 def off_variety_points(nvars, seed):
@@ -198,28 +196,6 @@ def test_vanishing_matches_poly_evaluate(build, seeds):
     points = [fractions(sampled_point(spec, s)) for s in seeds]
     for vals in points + off_variety_points(spec.nvars, seeds[0]):
         assert verify_vanishing(spec, cleared(vals)) == reference_vanishing(spec, vals)
-
-
-def test_vanishing_is_exact_for_fractional_and_inhomogeneous_relations():
-    spec = cached_an(4)
-    on = fractions(sampled_point(spec, 12))
-    assert verify_vanishing(spec, cleared(on)) == []  # fills the cache on the original spec
-    rels = list(spec.relations)
-    x0 = Poly.from_int_terms(QQ, spec.nvars, {(1,) + (0,) * (spec.nvars - 1): 1})
-    const = Poly.const(QQ, spec.nvars, on[0])
-    halved = Poly(QQ, spec.nvars, {e: c / 2 for e, c in rels[0].terms.items()})
-    half = dataclasses.replace(spec, relations=(halved, *rels[1:]))
-    mixed = dataclasses.replace(spec, relations=(
-        poly_add(poly_add(rels[0], x0), const, -1),      # degrees 2, 1, 0; vanishes at `on`
-        poly_add(rels[1], x0),                           # vanishes only where x0 = 0
-        poly_add(poly_mul(x0, x0), poly_mul(x0, const), -1),  # x0^2 - v*x0, fractional
-        *rels[3:]))
-    for s in (half, mixed):
-        assert s.cache == {}
-        for vals in [on] + off_variety_points(spec.nvars, 31):
-            assert verify_vanishing(s, cleared(vals)) == reference_vanishing(s, vals)
-    assert verify_vanishing(mixed, cleared(on)) == [1]
-    assert verify_vanishing(spec, cleared(on)) == []
 
 
 def test_vanishing_refuses_a_point_of_the_wrong_length():
@@ -316,12 +292,17 @@ def test_sample_report_is_pinned(argv, digest, capsysbinary):
 
 
 def test_jacobian_shape_and_entries():
-    spec = cached_an(4)
-    J = jacobian(spec)
-    assert len(J) == len(spec.relations)
-    assert len(J[0]) == spec.nvars
-    # entries of a quadric Jacobian are linear or zero
-    assert all(e.is_zero() or {sum(x) for x in e.terms} == {1} for row in J for e in row)
+    # each entry is the integer linear form of the reference derivative
+    for spec in (cached_an(4), cached_bnm(3, 2), cached_an(4, GF)):
+        J = geometry._jacobian(spec)
+        assert len(J) == len(spec.relations)
+        assert {len(row) for row in J} == {spec.nvars}
+        unit = [tuple(int(v == w) for v in range(spec.nvars)) for w in range(spec.nvars)]
+        for rel, row in zip(spec.relations, J):
+            for v, form in enumerate(row):
+                got = Poly.from_int_terms(spec.field, spec.nvars,
+                                          {unit[w]: c for w, c in form.items()})
+                assert got == poly_derivative(rel, v)
 
 
 @pytest.mark.parametrize("build,want", [

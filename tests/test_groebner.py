@@ -28,7 +28,7 @@ from psiring.presentation import CUSTOM, PivotScheme, build_an
 from psiring.rng import SplitMix64
 from psiring.series import degree_grid, lee_series
 from psiring.slices import standard_monomial_count
-from conftest import cached_an, cached_bnm, poly_add, poly_mul, reduce_poly
+from conftest import cached_an, cached_bnm, poly_add, poly_derivative, poly_mul, reduce_poly
 from test_presentation import formula
 
 GF = PrimeField(32003)
@@ -428,7 +428,7 @@ def test_fractional_input_gives_the_monic_basis_of_its_integral_scaling():
 def reference_minors(spec, c):
     """The c x c minors of the Jacobian by cofactor expansion along the first
     row, in Poly arithmetic on exponent tuples, zero minors left out."""
-    jac = [[rel.derivative(v) for v in range(spec.nvars)] for rel in spec.relations]
+    jac = [[poly_derivative(rel, v) for v in range(spec.nvars)] for rel in spec.relations]
 
     def det(rows, cols):
         if len(rows) == 1:

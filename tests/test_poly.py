@@ -1,7 +1,10 @@
 """Dense-exponent polynomials over both coefficient fields: construction,
-derivatives, evaluation, field maps and rendering."""
+rendering, and the test-side reference arithmetic (sum, product, derivative,
+evaluation) that other tests build expected values with."""
 
+import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,8 +12,9 @@ from psiring.fields import QQ, PrimeField
 from psiring.groebner import PackedRing
 from psiring.orders import GREVLEX, MonomialOrder, Packing, multidegree
 from psiring.poly import Poly, poly_text
+from psiring.presentation import quadric_degree
 from psiring.rng import SplitMix64
-from conftest import poly_add, poly_mul
+from conftest import poly_add, poly_derivative, poly_evaluate, poly_mul
 
 GF = PrimeField(32003)
 ORDER = MonomialOrder(GREVLEX)
@@ -58,45 +62,37 @@ def test_leading_and_monic():
 
 
 def test_derivative_product_rule():
-    for seed in range(4):
-        f = random_poly(QQ, 3, 17 + seed)
-        g = random_poly(QQ, 3, 71 + seed)
+    # the reference derivative that the integer Jacobian is checked against
+    for field, seed in itertools.product((QQ, GF), range(4)):
+        f = random_poly(field, 3, 17 + seed)
+        g = random_poly(field, 3, 71 + seed)
         for pos in range(3):
-            lhs = poly_mul(f, g).derivative(pos)
-            rhs = poly_add(poly_mul(f.derivative(pos), g), poly_mul(f, g.derivative(pos)))
+            lhs = poly_derivative(poly_mul(f, g), pos)
+            rhs = poly_add(poly_mul(poly_derivative(f, pos), g),
+                           poly_mul(f, poly_derivative(g, pos)))
             assert lhs == rhs
 
 
 def test_evaluate_is_a_homomorphism():
+    # the reference evaluation that the vanishing test is checked against
     vals = [Fraction(1, 2), Fraction(-3), Fraction(2, 7)]
     for seed in range(4):
         f = random_poly(QQ, 3, 400 + seed)
         g = random_poly(QQ, 3, 500 + seed)
-        assert poly_mul(f, g).evaluate(vals) == f.evaluate(vals) * g.evaluate(vals)
-        assert poly_add(f, g).evaluate(vals) == f.evaluate(vals) + g.evaluate(vals)
-
-
-def test_map_field_round_trip():
-    f = Poly.from_int_terms(QQ, 2, {(1, 1): -2, (2, 0): 1, (0, 0): -1})
-    g = f.map_field(GF)
-    assert g.terms.get((1, 1)) == GF.from_int(-2)
-    # signed lift brings small coefficients back unchanged
-    assert g.map_field(QQ) == f
-
-
-def test_map_field_rejects_true_fractions():
-    f = Poly(QQ, 1, {(1,): Fraction(1, 2)})
-    with pytest.raises(ValueError):
-        f.map_field(GF)
+        assert poly_evaluate(poly_mul(f, g), vals) == poly_evaluate(f, vals) * poly_evaluate(g, vals)
+        assert poly_evaluate(poly_add(f, g), vals) == poly_evaluate(f, vals) + poly_evaluate(g, vals)
+    x = Poly.from_int_terms(QQ, 3, {(1, 0, 2): 3})
+    assert poly_evaluate(x, vals) == 3 * Fraction(1, 2) * Fraction(2, 7) ** 2
 
 
 def test_multidegree_splits_by_block():
     blocks = (0, 0, 1, 2)
     assert multidegree((2, 1, 0, 5), blocks, 3) == (3, 0, 5)
-    f = Poly.from_int_terms(QQ, 4, {(1, 1, 0, 0): 1, (2, 0, 0, 0): -1})
-    assert f.poly_multidegree(blocks, 3) == (2, 0, 0)
-    g = Poly.from_int_terms(QQ, 4, {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1})
-    assert g.poly_multidegree(blocks, 3) is None  # mixed blocks: not homogeneous
+    grading = SimpleNamespace(blocks=blocks, nblocks=3)
+    assert quadric_degree(grading, [(0, 1, 1), (0, 0, -1)]) == (2, 0, 0)
+    assert quadric_degree(grading, [(2, 3, 5)]) == (0, 1, 1)
+    assert quadric_degree(grading, [(0, 0, 1), (0, 2, 1)]) is None  # mixed blocks
+    assert quadric_degree(grading, []) is None
 
 
 def test_poly_text_renders_descending():

@@ -9,7 +9,11 @@ import pytest
 
 from psiring.errors import UsageError
 from psiring.fields import QQ, PrimeField
+from psiring.geometry import (
+    alpha_values, jacobian_rank_at, pole_table, sample_config, singular_minors, verify_vanishing,
+)
 from psiring.groebner import groebner_for
+from psiring.orders import multidegree
 from psiring.poly import Poly
 from psiring.presentation import (
     CUSTOM,
@@ -17,12 +21,16 @@ from psiring.presentation import (
     build_an,
     build_bnm,
     presentation_to_dict,
+    quadrics,
     relation_degree_audit,
     tensor_relation_space,
     _an_pair,
 )
+from psiring.slices import slice_dimension
 from psiring.symbols import Alpha, Phi
 from conftest import cached_an, cached_bnm, poly_add, poly_mul, reduce_poly
+
+GF = PrimeField(32003)
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -69,8 +77,8 @@ def test_relations_are_multigraded_quadrics():
             assert cnt == spec.n + spec.m - 3
         for rel in spec.relations:
             assert {sum(e) for e in rel.terms} == {2}
-            md = rel.poly_multidegree(spec.blocks, spec.nblocks)
-            assert md is not None and sum(md) == 2
+            (md,) = {multidegree(e, spec.blocks, spec.nblocks) for e in rel.terms}
+            assert sum(md) == 2
 
 
 def test_variables_group_into_point_blocks():
@@ -219,11 +227,50 @@ def test_tensor_relation_space_dimensions():
         assert len(tensor_relation_space(build_an(n))) == want
 
 
-def test_tensor_relation_space_refuses_a_fraction():
-    spec = build_an(4)
-    half = Poly(QQ, spec.nvars, {e: c / 2 for e, c in spec.relations[0].terms.items()})
-    with pytest.raises(UsageError, match="integer relation coefficients"):
-        tensor_relation_space(replace(spec, relations=(half,) + spec.relations[1:]))
+def test_to_field_round_trip():
+    spec = cached_an(5)
+    gf = spec.to_field(GF)
+    assert gf.field == GF and quadrics(gf) == quadrics(spec)
+    assert any(c == GF.from_int(-1) for rel in gf.relations for c in rel.terms.values())
+    # the signed lift brings a residue standing for -1 back as -1, not p - 1
+    assert gf.to_field(QQ).relations == spec.relations
+    assert spec.to_field(QQ) is spec
+
+
+def _point(spec):
+    return alpha_values(spec, pole_table(sample_config(spec.n, spec.m, 5)))
+
+
+# relation 0 of a presentation rewritten into a form that is not an integer quadric
+NOT_INTEGER_QUADRICS = {
+    "halved": lambda spec, rel: {e: c / 2 for e, c in rel.terms.items()},
+    "inhomogeneous": lambda spec, rel: {**rel.terms, (1,) + (0,) * (spec.nvars - 1): 1},
+}
+
+# every reader of the relations' integer form
+QUADRIC_READERS = {
+    "slice_dimension": lambda spec: slice_dimension(spec, (1, 1, 0, 0)),
+    "tensor_relation_space": tensor_relation_space,
+    "verify_vanishing": lambda spec: verify_vanishing(spec, _point(spec)),
+    "jacobian_rank_at": lambda spec: jacobian_rank_at(spec, _point(spec)),
+    "singular_minors": lambda spec: singular_minors(spec, 1),
+    "to_field": lambda spec: spec.to_field(GF),
+}
+
+
+@pytest.mark.parametrize("reader", QUADRIC_READERS)
+@pytest.mark.parametrize("form", NOT_INTEGER_QUADRICS)
+def test_a_relation_that_is_not_an_integer_quadric_is_refused(form, reader):
+    spec, read = cached_an(4), QUADRIC_READERS[reader]
+    want = read(spec)  # fills the original spec's cache
+    assert spec.relation_pairs[0] == (1, 2)  # the slice (1, 1, 0, 0) reads relation 0
+    rel = Poly(QQ, spec.nvars, NOT_INTEGER_QUADRICS[form](spec, spec.relations[0]))
+    bad = replace(spec, relations=(rel,) + spec.relations[1:])
+    for _ in range(2):  # a refusal leaves nothing cached behind
+        with pytest.raises(UsageError, match="^relations must be quadratic forms"
+                                             " with integer coefficients$"):
+            read(bad)
+    assert read(spec) == want
 
 
 def test_presentation_to_dict_round_trip_texture():

@@ -4,7 +4,6 @@ cross-checked against the closed-form series coefficients.
 
 from collections import Counter
 from dataclasses import replace
-from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
 
@@ -235,24 +234,6 @@ def test_row_builder_past_eight_bit_exponents():
     for a in [(3, 3), (255, 2), (256, 1), (3, 3), (2, 300)]:
         assert same_rows(spec, a), a
         assert slice_dimension(spec, a).dimension == closed_form(spec, a), a
-
-
-def test_slices_refuse_non_integer_relation_coefficients():
-    spec = cached_an(4)
-    rel = spec.relations[0]
-    exp = next(iter(rel.terms))
-    half = Poly(spec.field, spec.nvars, {**rel.terms, exp: Fraction(1, 2)})
-    bad = replace(spec, relations=(half,) + spec.relations[1:])
-    rdeg = multidegree(exp, spec.blocks, spec.nblocks)
-    # a slice the halved relation does not reach fills the spec's row cache first
-    other = next(a for a in degree_grid(4, 2)
-                 if relation_product_rows(bad, a)[0] and any(x < y for x, y in zip(a, rdeg)))
-    assert slice_dimension(bad, other).dimension == closed_form(bad, other)
-    assert bad.cache
-    for _ in range(2):
-        with pytest.raises(UsageError, match="^slice ranks need integer relation coefficients$"):
-            slice_dimension(bad, rdeg)
-    assert slice_dimension(spec, rdeg).dimension == closed_form(spec, rdeg)
 
 
 def ranks(rows, ncols):
