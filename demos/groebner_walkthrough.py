@@ -15,7 +15,7 @@ from psiring.groebner import (
 )
 from psiring.orders import Packing
 from psiring.poly import Poly, poly_text
-from psiring.presentation import build_an, build_bnm
+from psiring.presentation import build_an, build_bnm, relation_polys
 from psiring.series import lee_series
 from psiring.slices import standard_monomial_count
 
@@ -47,7 +47,7 @@ def main():
 
     print(f"\nan ideal member reduces to zero: the first relation times {names[0]}")
     # relation 0 has no x0^2 term, so x0 times it has no x0^3 term
-    times_x = {(e[0] + 1,) + e[1:]: c for e, c in spec.relations[0].terms.items()}
+    times_x = {(e[0] + 1,) + e[1:]: c for e, c in relation_polys(spec)[0].terms.items()}
     r = Poly(spec.field, spec.nvars, times_x)
     print(f"  normal form is zero: {reduce(r, gb.basis, gb.order).is_zero()}")
 

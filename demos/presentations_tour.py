@@ -3,7 +3,7 @@
 Run:  python3 demos/presentations_tour.py
 """
 
-from psiring.presentation import build_an, build_bnm, quadric_degree, quadrics
+from psiring.presentation import build_an, build_bnm, quadric_degree, relation_polys
 from psiring.poly import poly_text
 
 
@@ -13,9 +13,9 @@ def show(spec, max_relations=4):
     print(f"   blocks: {spec.block_sizes()} (one block per marked point)")
     order = spec.default_order()
     names = spec.var_names()
-    shown = list(spec.relations)[:max_relations]
+    shown = spec.relations[:max_relations]
     print(f"   relations ({len(spec.relations)}), first {len(shown)}:")
-    for rel, terms in zip(shown, quadrics(spec)):
+    for terms, rel in zip(shown, relation_polys(spec)):
         md = quadric_degree(spec, terms)
         print(f"     [{md}]  {poly_text(rel, names, order)}")
     print()

@@ -281,6 +281,8 @@ def _add_anchor_checks(report: Report, args, series, D: int):
 
 
 def cmd_gb(args) -> Report:
+    if args.cap is not None and args.cap < 0:
+        raise UsageError(f"negative --cap {args.cap}")
     spec = _spec(args)
     order = parse_order(args.order, spec)
     report = Report(TOOL, __version__,

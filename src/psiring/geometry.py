@@ -23,10 +23,11 @@ channels_consistent).
 The same values drive the local analysis: Jacobian rank at sampled smooth
 points, and the singular locus as the vanishing of the relations plus the
 codimension-sized minors of the Jacobian, expanded on packed codes in ints.
-Every check reads the relations as integer quadratic forms
-(presentation.quadrics): the vanishing test is a sum of c * x_a * x_b over
-the cleared coordinates, and the Jacobian is one integer linear form per
-entry, evaluated for the rank and expanded for the minors.
+Every check reads the relations as the spec stores them, integer quadratic
+forms: the vanishing test is a sum of c * x_a * x_b over the cleared
+coordinates, and the Jacobian is one integer linear form per entry,
+evaluated for the rank and expanded for the minors.  Only the singular
+locus's Groebner run takes the relations as Polys (relation_polys).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .fields import QQ
 from .groebner import PackedRing, buchberger, groebner_for, krull_dimension, linear_interreduce
 from .orders import Packing
 from .poly import Poly
-from .presentation import Alpha, PresentationSpec, presentation_size, quadrics
+from .presentation import Alpha, PresentationSpec, presentation_size, relation_polys
 from .rng import SplitMix64
 
 DEFAULT_MINOR_BUDGET = 20_000
@@ -137,7 +138,7 @@ def verify_vanishing(spec: PresentationSpec, point: tuple[int, list[int]]) -> li
     """Indices of relations that fail to vanish at the point (empty = all vanish).
 
     The point comes cleared to integers, (den, numerators) as alpha_values
-    gives it, den nonzero.  Each relation is a quadratic form (quadrics), and
+    gives it, den nonzero.  Each relation is an integer quadratic form, and
     its value at the numerators is den^2 times its value at the point: the
     same zero test.
     """
@@ -147,7 +148,7 @@ def verify_vanishing(spec: PresentationSpec, point: tuple[int, list[int]]) -> li
     if len(x) != spec.nvars:
         raise UsageError(f"point has {len(x)} coordinates, {spec.name()}"
                          f" has {spec.nvars} variables")
-    return [t for t, terms in enumerate(quadrics(spec))
+    return [t for t, terms in enumerate(spec.relations)
             if sum(c * x[a] * x[b] for a, b, c in terms)]
 
 
@@ -177,7 +178,7 @@ def _jacobian(spec: PresentationSpec) -> list[list[dict[int, int]]]:
     """Rows per relation, columns per variable; each entry the integer linear
     form {variable: coefficient} of the relation's derivative there."""
     rows = []
-    for terms in quadrics(spec):
+    for terms in spec.relations:
         row: list[dict[int, int]] = [{} for _ in range(spec.nvars)]
         for a, b, c in terms:
             if a == b:
@@ -315,7 +316,7 @@ def singular_locus_dim(spec: PresentationSpec,
     dim = krull_dimension(groebner_for(spec))
     c = spec.nvars - dim
     minors = singular_minors(spec, c, budget=budget)
-    gens = list(spec.relations) + minors
+    gens = relation_polys(spec) + minors
     order = spec.default_order()
     gens = linear_interreduce(gens, order)
     sgb = buchberger(gens, order)

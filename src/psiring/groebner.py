@@ -49,7 +49,7 @@ from .exactla import sparse_echelon
 from .fields import Field
 from .orders import GREVLEX, MonomialOrder, Packing, PackingOverflow
 from .poly import Poly
-from .presentation import PresentationSpec
+from .presentation import PresentationSpec, relation_polys
 
 
 @dataclass
@@ -344,7 +344,7 @@ def groebner_for(spec: PresentationSpec, order: MonomialOrder | None = None,
     order = order or spec.default_order()
     if not spec.relations:  # the zero ideal: its basis is empty (A_3 has no relations)
         return GroebnerBasis(spec.field, spec.nvars, order, [], [], complete=True, cap=cap)
-    return buchberger(list(spec.relations), order, cap=cap)
+    return buchberger(relation_polys(spec), order, cap=cap)
 
 
 # -- leading-term combinatorics ---------------------------------------------------

@@ -4,8 +4,9 @@ A Poly is a term container, {exponent tuple: nonzero coefficient payload},
 dense over a fixed variable list whose meaning (names, blocks) lives in the
 owning presentation; the polynomial itself only knows nvars and the field.
 It carries terms between the layers and renders them.  Sums and products run
-on packed codes (groebner.PackedRing); the relations' integer quadratic forms
-are presentation.quadrics.  A Poly's terms are never changed after it is built.
+on packed codes (groebner.PackedRing).  A presentation stores its relations
+as integer quadratic forms, and presentation.relation_polys is where they
+become Polys.  A Poly's terms are never changed after it is built.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class Poly:
             and self.nvars == other.nvars
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.field, self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"Poly({len(self.terms)} terms over {self.field!r})"

@@ -15,7 +15,8 @@ values phi[r,i] (r < m), with relations
     phi[r,i]*phi[r,j]   = a[i,j]*phi[r,j] + a[j,i]*phi[r,i]     (1 <= r <= m-1)
 
 B_{n,0} is A_n by definition.  Every relation is multihomogeneous of degree
-e_i + e_j, which relation_degree_audit enforces.
+e_i + e_j, which relation_degree_audit enforces.  A spec stores each relation
+once, as its integer terms, whatever its field.
 
 Both come from one pair form in V (x) V, with a[i,p] the value of section i at
 the point p (phi[r,i] at extra point r; a pivot-normalized value is absent):
@@ -84,12 +85,21 @@ class PresentationSpec:
     field: Field
     variables: tuple[VarIndex, ...]
     blocks: tuple[int, ...]            # 0-based block per variable position
-    relations: tuple[Poly, ...]
+    # each relation as its integer terms (a, b, c), meaning c * x_a * x_b with
+    # a <= b, whatever the field; a prime field reads c mod p
+    relations: tuple[tuple[tuple[int, int, int], ...], ...]
     relation_pairs: tuple[tuple[int, int], ...]  # the (i, j) of each relation, 1-based
     # data derived from the fields above, cached by the layers that use it
-    # (the integer quadrics, slices' row plan); no part of equality, and a
-    # replace() starts it empty
+    # (slices' row plan, block symmetries and relation ranks); no part of
+    # equality, and a replace() starts it empty
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """Refuse a relation that is not an integer quadratic form: every term
+        a triple of ints with 0 <= a <= b < nvars and c nonzero, no (a, b)
+        twice, and at least one term.  Runs on replace() too."""
+        if not all(_is_quadric(terms, len(self.variables)) for terms in self.relations):
+            raise UsageError("relations must be quadratic forms with integer coefficients")
 
     @property
     def nvars(self) -> int:
@@ -118,12 +128,17 @@ class PresentationSpec:
         return MonomialOrder(GREVLEX)
 
     def to_field(self, field: Field) -> "PresentationSpec":
-        """Same presentation with its integer quadrics (signed over a prime
-        field) read in another field."""
-        if field == self.field:
-            return self
-        rels = tuple(_commutative(field, self.nvars, q) for q in quadrics(self))
-        return replace(self, field=field, relations=rels)
+        """Same presentation, the same integer relations, over another field."""
+        return self if field == self.field else replace(self, field=field)
+
+
+def _is_quadric(terms, nvars: int) -> bool:
+    try:
+        keys = {(a, b) for a, b, c in terms
+                if type(a) is type(b) is type(c) is int and 0 <= a <= b < nvars and c}
+        return 0 < len(keys) == len(terms)
+    except (TypeError, ValueError):  # not a sequence of triples
+        return False
 
 
 def _pair_form(var_pos: dict, i: int, j: int, vi: VarIndex, vj: VarIndex) -> dict:
@@ -147,18 +162,6 @@ def _an_pair(var_pos: dict, i: int, j: int, k: int, l: int) -> dict:
     for ab, c in _pair_form(var_pos, i, j, Alpha(i, l), Alpha(j, l)).items():
         out[ab] = -c
     return out
-
-
-def _commutative(field: Field, nvars: int, terms) -> Poly:
-    """The quadric with integer terms (a, b, c), c * x_a * x_b, over the field;
-    no two terms may share their (a, b)."""
-    out = {}
-    for a, b, c in terms:
-        e = [0] * nvars
-        e[a] += 1
-        e[b] += 1
-        out[tuple(e)] = c
-    return Poly.from_int_terms(field, nvars, out)
 
 
 def _pair_triples(n: int):
@@ -221,39 +224,18 @@ def build_bnm(n: int, m: int) -> PresentationSpec:
 def _presentation(kind: str, n: int, m: int, pivot: PivotScheme,
                   variables: list[VarIndex], tensors: list) -> PresentationSpec:
     """The spec whose relations are the commutative images of the ((i, j), tensor)
-    pairs, in order; relation_degree_audit rejects a zero or misgraded one.
-    The two factors of a tensor term lie in different blocks, so no two terms
-    meet."""
+    pairs, in order, each tensor term c * e_a (x) e_b read as c * x_a * x_b;
+    relation_degree_audit rejects a misgraded one.  The two factors of a
+    tensor term lie in different blocks, so no two terms meet."""
     spec = PresentationSpec(
         kind=kind, n=n, m=m, pivot=pivot, field=QQ,
         variables=tuple(variables), blocks=tuple(v.block - 1 for v in variables),
-        relations=tuple(_commutative(QQ, len(variables), ((a, b, c) for (a, b), c in t.items()))
+        relations=tuple(tuple((min(a, b), max(a, b), c) for (a, b), c in t.items())
                         for _, t in tensors),
         relation_pairs=tuple(ij for ij, _ in tensors),
     )
     relation_degree_audit(spec)
     return spec
-
-
-def quadrics(spec: PresentationSpec) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Each relation as its integer terms (a, b, c), meaning c * x_a * x_b with
-    a <= b, in the relation's own term order; cached with the spec.  A
-    prime-field coefficient reads as its signed representative.  Refuses a
-    relation that is not an integer quadratic form."""
-    out = spec.cache.get("quadrics")
-    if out is None:
-        to_int, rels = spec.field.to_int, []
-        for rel in spec.relations:
-            terms = []
-            for e, c in rel.terms.items():
-                k = to_int(c)
-                ab = [pos for pos, x in enumerate(e) if x for _ in range(x)]
-                if k is None or len(ab) != 2:
-                    raise UsageError("relations must be quadratic forms with integer coefficients")
-                terms.append((ab[0], ab[1], k))
-            rels.append(tuple(terms))
-        out = spec.cache["quadrics"] = tuple(rels)
-    return out
 
 
 def quadric_degree(spec: PresentationSpec, terms) -> tuple[int, ...] | None:
@@ -271,7 +253,7 @@ def quadric_degree(spec: PresentationSpec, terms) -> tuple[int, ...] | None:
 def relation_degree_audit(spec: PresentationSpec) -> dict[tuple[int, int], int]:
     """Count relations per pair; raise if any relation is not of degree e_i + e_j."""
     counts: dict[tuple[int, int], int] = {}
-    for terms, (i, j) in zip(quadrics(spec), spec.relation_pairs):
+    for terms, (i, j) in zip(spec.relations, spec.relation_pairs):
         mdeg = quadric_degree(spec, terms)
         want = tuple(1 if b + 1 in (i, j) else 0 for b in range(spec.n))
         if mdeg != want:
@@ -287,23 +269,38 @@ def relation_degree_audit(spec: PresentationSpec) -> dict[tuple[int, int], int]:
 def tensor_relation_space(spec: PresentationSpec) -> list[dict]:
     """Rows spanning R inside V (x) V, sparse over the flat index a * nvars + b:
     the commutators e_a (x) e_b - e_b (x) e_a (a < b), then each relation of
-    spec lifted term by term (quadrics), c * x_a * x_b as c * e_a (x) e_b with
-    a <= b.  Any two lifts of a relation differ by commutators.  For A_n this
-    is the pair form's tensor, and dim R = C(v,2) + C(n,2)(n-3)."""
+    spec lifted term by term, c * x_a * x_b as c * e_a (x) e_b with a <= b.
+    Any two lifts of a relation differ by commutators.  For A_n this is the
+    pair form's tensor, and dim R = C(v,2) + C(n,2)(n-3)."""
     v = spec.nvars
     rows = [{a * v + b: 1, b * v + a: -1} for a in range(v) for b in range(a + 1, v)]
-    rows += [{a * v + b: c for a, b, c in terms} for terms in quadrics(spec)]
+    rows += [{a * v + b: c for a, b, c in terms} for terms in spec.relations]
     return rows
 
 
-# -- serialization -------------------------------------------------------------
+# -- polynomials and serialization ---------------------------------------------
+
+def relation_polys(spec: PresentationSpec) -> list[Poly]:
+    """Each relation as a Poly over the spec's field, its terms in the
+    relation's order: the one place a relation becomes a Poly."""
+    out = []
+    for terms in spec.relations:
+        poly = {}
+        for a, b, c in terms:
+            e = [0] * spec.nvars
+            e[a] += 1
+            e[b] += 1
+            poly[tuple(e)] = c
+        out.append(Poly.from_int_terms(spec.field, spec.nvars, poly))
+    return out
+
 
 def presentation_to_dict(spec: PresentationSpec) -> dict:
     """JSON-ready dump: variables, grading, relations as sorted term lists."""
     order = spec.default_order()
     names = spec.var_names()
     rels = []
-    for rel, (i, j) in zip(spec.relations, spec.relation_pairs):
+    for rel, (i, j) in zip(relation_polys(spec), spec.relation_pairs):
         terms = [
             {"coeff": spec.field.to_str(c),
              "monomial": monomial_text(e, names)}

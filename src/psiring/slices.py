@@ -94,7 +94,7 @@ from .exactla import rank_sparse_rational, sparse_echelon
 from .fields import DEFAULT_PRIME
 from .groebner import GroebnerBasis
 from .orders import Packing
-from .presentation import PresentationSpec, quadric_degree, quadrics, relation_degree_audit
+from .presentation import PresentationSpec, quadric_degree, relation_degree_audit
 from .series import compositions
 from .symbols import Alpha, Phi
 from .util import parallel_map
@@ -184,7 +184,7 @@ class _RowPlan:
 
     def __init__(self, spec: PresentationSpec, top: int):
         self.packing = Packing.fitting(spec.nvars, top)
-        self.degrees = [quadric_degree(spec, terms) for terms in quadrics(spec)]
+        self.degrees = [quadric_degree(spec, terms) for terms in spec.relations]
         assert None not in self.degrees
         self._terms: list[tuple | None] = [None] * len(spec.relations)
         self._monomials: dict[tuple[int, ...], list[int]] = {}
@@ -248,7 +248,7 @@ class _RowPlan:
         entry = self._terms[k]
         if entry is None:
             pack = self.packing.pack
-            terms = tuple((pack((1, 1), (a, b)), c) for a, b, c in quadrics(spec)[k])
+            terms = tuple((pack((1, 1), (a, b)), c) for a, b, c in spec.relations[k])
             entry = self._terms[k] = (terms, max(terms)[0])
         return entry
 
@@ -365,7 +365,7 @@ def _is_automorphism(spec: PresentationSpec, perm: tuple[int, ...], prime: int) 
     forms = _variable_images(spec, perm)
     if forms is None:
         return False
-    rels = [{(a, b): c for a, b, c in terms} for terms in quadrics(spec)]
+    rels = [{(a, b): c for a, b, c in terms} for terms in spec.relations]
     images = []
     for row in rels:
         image: dict[tuple[int, int], int] = {}

@@ -46,20 +46,21 @@ def cached_bnm(n, m, field=None):
 
 
 def with_first_relation_scaled(spec, factor):
-    """spec with relation 0 multiplied by factor: the same ideal over Q."""
-    rel = spec.relations[0]
-    scaled = Poly(spec.field, spec.nvars, {e: c * factor for e, c in rel.terms.items()})
+    """spec with relation 0 multiplied by the integer factor: the same ideal over Q."""
+    scaled = tuple((a, b, c * factor) for a, b, c in spec.relations[0])
     return replace(spec, relations=(scaled,) + spec.relations[1:])
 
 
 def with_last_relation_bent(spec):
-    """spec with one more term, of the right multidegree, on its last relation:
-    as many relations per pair as before, but no longer cyclically symmetric."""
+    """spec with 3 * x * y added to its last relation, x and y the first
+    variables of the blocks of its pair: the right multidegree, as many
+    relations per pair as before, but no longer cyclically symmetric."""
     rel, (i, j) = spec.relations[-1], spec.relation_pairs[-1]
     positions = spec.block_positions()
-    x, y = positions[i - 1][0], positions[j - 1][0]
-    e = tuple(int(p in (x, y)) for p in range(spec.nvars))
-    bent = Poly(spec.field, spec.nvars, {**rel.terms, e: rel.terms.get(e, 0) + 3})
+    x, y = sorted((positions[i - 1][0], positions[j - 1][0]))
+    terms = {(a, b): c for a, b, c in rel}
+    terms[x, y] = terms.get((x, y), 0) + 3
+    bent = tuple((a, b, c) for (a, b), c in terms.items())
     return replace(spec, relations=spec.relations[:-1] + (bent,))
 
 

@@ -113,12 +113,14 @@ def package_functions():
     cannot hide a call."""
     out = {}
 
-    def add(code, module):
+    def add(code, module, qualname):
         if code.co_filename.startswith(str(SRC)) and not code.co_name.startswith("<"):
-            out[code] = f"{module}.{code.co_qualname}"
+            # co_qualname only exists from Python 3.11 on
+            assert sys.version_info < (3, 11) or qualname == code.co_qualname
+            out[code] = f"{module}.{qualname}"
             for const in code.co_consts:
                 if isinstance(const, types.CodeType):
-                    add(const, module)
+                    add(const, module, f"{qualname}.<locals>.{const.co_name}")
 
     for path in sorted(SRC.glob("*.py")):
         mod = importlib.import_module(f"psiring.{path.stem}")
@@ -135,7 +137,7 @@ def package_functions():
                     m.cache_clear()  # a cached result would hide the call
                 m = inspect.unwrap(m) if callable(m) else m
                 if isinstance(m, types.FunctionType) and m.__module__ == mod.__name__:
-                    add(m.__code__, path.stem)
+                    add(m.__code__, path.stem, m.__qualname__)
     return {code: name for code, name in out.items() if not code.co_name.startswith("__")}
 
 

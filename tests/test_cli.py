@@ -83,6 +83,19 @@ def test_gb_capped_run_skips_krull(capsysbinary):
     assert "krull-dimension" not in {c["name"] for c in d["checks"]}
 
 
+@pytest.mark.parametrize("argv", [
+    ["gb", "run", "--n", "4", "--field", "prime:2"],
+    ["gb", "run", "--kind", "bnm", "--n", "3", "--m", "2", "--field", "prime:2"],
+])
+def test_gb_over_gf2_matches_qq(argv, capsysbinary):
+    # the relations keep their -1 coefficients when the field changes, so the
+    # cross-field check compares GF(2) with the same ideal over QQ
+    code, d = run_json(argv, capsysbinary)
+    (cross,) = [c for c in d["checks"] if c["name"] == "groebner-cross-field"]
+    assert cross["inputs"]["fields"] == "GF(2) vs QQ" and cross["status"] == "pass"
+    assert code == 0 and d["overall"] == "pass"
+
+
 def test_koszul_command(capsysbinary):
     code, d = run_json(["koszul", "--n", "4", "--kmax", "3"], capsysbinary)
     assert code == 0
@@ -149,6 +162,7 @@ def test_verify_theorem_a(capsysbinary):
     # --m applies to --kind bnm only, also where no presentation is built
     ["hilbert", "lee", "--n", "4", "--m", "3", "--max-total", "1"],
     ["koszul", "--n", "4", "--m", "3", "--kmax", "2"],
+    ["gb", "run", "--n", "4", "--cap", "-1"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert cli.main(argv) == 2

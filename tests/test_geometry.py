@@ -24,6 +24,7 @@ from psiring.geometry import (
     verify_vanishing,
 )
 from psiring.poly import Poly
+from psiring.presentation import relation_polys
 from psiring.rng import SplitMix64
 from conftest import cached_an, cached_bnm, poly_derivative, poly_evaluate
 
@@ -175,7 +176,7 @@ def test_alpha_values_refuses_a_table_of_the_wrong_shape(n, m):
 
 
 def reference_vanishing(spec, vals):
-    return [t for t, r in enumerate(spec.relations) if poly_evaluate(r, vals) != 0]
+    return [t for t, r in enumerate(relation_polys(spec)) if poly_evaluate(r, vals) != 0]
 
 
 def off_variety_points(nvars, seed):
@@ -298,7 +299,7 @@ def test_jacobian_shape_and_entries():
         assert len(J) == len(spec.relations)
         assert {len(row) for row in J} == {spec.nvars}
         unit = [tuple(int(v == w) for v in range(spec.nvars)) for w in range(spec.nvars)]
-        for rel, row in zip(spec.relations, J):
+        for rel, row in zip(relation_polys(spec), J):
             for v, form in enumerate(row):
                 got = Poly.from_int_terms(spec.field, spec.nvars,
                                           {unit[w]: c for w, c in form.items()})

@@ -24,7 +24,7 @@ from psiring.groebner import (
 )
 from psiring.orders import BLOCK_GREVLEX, GREVLEX, LEX, MonomialOrder, Packing
 from psiring.poly import Poly, poly_text
-from psiring.presentation import CUSTOM, PivotScheme, build_an
+from psiring.presentation import CUSTOM, PivotScheme, build_an, relation_polys
 from psiring.rng import SplitMix64
 from psiring.series import degree_grid, lee_series
 from psiring.slices import standard_monomial_count
@@ -199,7 +199,7 @@ def test_linear_interreduce_output_is_pinned(field, digest):
     # singular_locus_dim hands over; the digest is of the monic output rows
     spec = build_an(4).to_field(field)
     minors = singular_minors(spec, spec.nvars - 5)
-    gens = list(spec.relations) + minors
+    gens = relation_polys(spec) + minors
     assert len(gens) == 714
     out = linear_interreduce(gens, ORDER)
     assert len(out) == 126
@@ -218,7 +218,7 @@ def test_linear_interreduce_rows_are_the_primitive_pivots(field, digest):
     # the same input, digested before scaling: exactly the pivot rows that
     # exactla.sparse_echelon gave before it also reported the rows that vanished
     spec = build_an(4).to_field(field)
-    gens = list(spec.relations) + singular_minors(spec, spec.nvars - 5)
+    gens = relation_polys(spec) + singular_minors(spec, spec.nvars - 5)
     rows = [[(e, field.to_str(c)) for e, c in p.sorted_terms(ORDER)]
             for p in linear_interreduce(gens, ORDER)]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
@@ -230,7 +230,7 @@ def test_linear_interreduce_keeps_an_uncertified_batch():
     field = PrimeField(3)
     spec = build_an(4).to_field(field)
     minors = singular_minors(spec, spec.nvars - 5)
-    gens = list(spec.relations) + minors
+    gens = relation_polys(spec) + minors
     out = linear_interreduce(gens, ORDER)
     assert len(out) == 714
     assert all(sum(e) == 2 for p in out[:6] for e in p.terms)
@@ -314,12 +314,7 @@ def test_leading_terms_match_sympy(n, pivot):
     sympy = pytest.importorskip("sympy")
     spec = build_an(n, pivot)
     gens = sympy.symbols(f"x0:{spec.nvars}")
-    polys = []
-    for r in spec.relations:
-        expr = 0
-        for e, c in r.terms.items():
-            expr += spec.field.to_int(c) * sympy.prod(g ** k for g, k in zip(gens, e))
-        polys.append(expr)
+    polys = [sum(c * gens[a] * gens[b] for a, b, c in r) for r in spec.relations]
     ref = sympy.groebner(polys, *gens, order="grevlex")
     want = sorted(sympy.Poly(g, *gens).monoms(order="grevlex")[0] for g in ref.exprs)
     assert sorted(groebner_for(spec).leads) == want
@@ -404,7 +399,7 @@ def test_shuffled_duplicated_rescaled_generators_give_the_same_basis(spec):
     field = spec.field
     rng = random.Random(7)
     for trial in range(3):
-        gens = list(spec.relations)
+        gens = relation_polys(spec)
         gens += rng.sample(gens, 4)  # duplicates
         scales = [field.from_int(rng.choice([-3, 2, 5])) for _ in gens]
         gens = [Poly(field, spec.nvars, {e: field.mul(c, k) for e, c in g.terms.items()})
@@ -418,7 +413,7 @@ def test_fractional_input_gives_the_monic_basis_of_its_integral_scaling():
     spec = cached_bnm(3, 2)
     scales = [Fraction(2, 3), Fraction(1, 2)]
     gens = [Poly(QQ, spec.nvars, {e: c * scales[t % 2] for e, c in g.terms.items()})
-            for t, g in enumerate(spec.relations)]
+            for t, g in enumerate(relation_polys(spec))]
     assert any(c.denominator > 1 for g in gens for c in g.terms.values())
     gb, want = buchberger(gens, ORDER), groebner_for(spec)
     assert gb.basis == want.basis and gb.leads == want.leads
@@ -428,7 +423,7 @@ def test_fractional_input_gives_the_monic_basis_of_its_integral_scaling():
 def reference_minors(spec, c):
     """The c x c minors of the Jacobian by cofactor expansion along the first
     row, in Poly arithmetic on exponent tuples, zero minors left out."""
-    jac = [[poly_derivative(rel, v) for v in range(spec.nvars)] for rel in spec.relations]
+    jac = [[poly_derivative(rel, v) for v in range(spec.nvars)] for rel in relation_polys(spec)]
 
     def det(rows, cols):
         if len(rows) == 1:

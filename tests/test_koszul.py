@@ -26,7 +26,6 @@ from psiring.koszul import (
     koszul_summary,
     relation_space_matrices,
 )
-from psiring.poly import Poly
 from psiring.presentation import CUSTOM, PivotScheme, build_an, tensor_relation_space
 from psiring.series import invert_unit_series, lee_series, total_hilbert
 from psiring.slices import block_symmetries
@@ -393,11 +392,10 @@ def keeps_r(spec, C, prime, perm):
     forms, v = linear_images(spec, perm), spec.nvars
     for rel in spec.relations:
         x = np.zeros(v * v, dtype=np.int64)
-        for e, c in rel.terms.items():
-            a, b = (i for i, k in enumerate(e) for _ in range(k))
+        for a, b, c in rel:
             for q, cq in forms[a].items():
                 for r, cr in forms[b].items():
-                    x[q * v + r] += spec.field.to_int(c) * cq * cr
+                    x[q * v + r] += c * cq * cr
         if np.any(C @ x % prime):
             return False
     return True
@@ -522,9 +520,7 @@ def test_mixed_degree_relation_row_is_refused(monkeypatch):
     spec = build_an(4)
     i, j = spec.relation_pairs[0]
     other = next(x for x, b in enumerate(spec.blocks) if b not in (i - 1, j - 1))
-    square = tuple(2 * (x == other) for x in range(spec.nvars))
-    rel = spec.relations[0]
-    mixed = Poly(spec.field, spec.nvars, {**rel.terms, square: 1})
+    mixed = spec.relations[0] + ((other, other, 1),)
     spec = replace(spec, relations=(mixed,) + spec.relations[1:])
     monkeypatch.setattr(koszul, "build_an", lambda n, pivot: spec)
     with pytest.raises(AssertionError, match="row 28 is zero or not multihomogeneous"):

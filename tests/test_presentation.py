@@ -2,13 +2,14 @@
 multigrading, pivot independence, and the spanning family of pair relations.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from psiring.errors import UsageError
-from psiring.fields import QQ, PrimeField
+from psiring.fields import DEFAULT_PRIME, QQ, PrimeField
 from psiring.geometry import (
     alpha_values, jacobian_rank_at, pole_table, sample_config, singular_minors, verify_vanishing,
 )
@@ -18,11 +19,12 @@ from psiring.poly import Poly
 from psiring.presentation import (
     CUSTOM,
     PivotScheme,
+    PresentationSpec,
     build_an,
     build_bnm,
     presentation_to_dict,
-    quadrics,
     relation_degree_audit,
+    relation_polys,
     tensor_relation_space,
     _an_pair,
 )
@@ -75,7 +77,7 @@ def test_relations_are_multigraded_quadrics():
         for (i, j), cnt in audit.items():
             assert i < j
             assert cnt == spec.n + spec.m - 3
-        for rel in spec.relations:
+        for rel in relation_polys(spec):
             assert {sum(e) for e in rel.terms} == {2}
             (md,) = {multidegree(e, spec.blocks, spec.nblocks) for e in rel.terms}
             assert sum(md) == 2
@@ -178,7 +180,7 @@ def test_pair_relation_builders_agree(n, assignment):
             triples += [(i, j, k, rest[0]) for k in rest[1:]]
     assert len(triples) == len(spec.relations) == len(rows) - commutators
     assert [(i, j) for i, j, _, _ in triples] == list(spec.relation_pairs)
-    for (i, j, k, l0), rel, row in zip(triples, spec.relations, rows[commutators:]):
+    for (i, j, k, l0), rel, row in zip(triples, relation_polys(spec), rows[commutators:]):
         assert row == {pa * v + pb: c
                        for (pa, pb), c in _an_pair(var_pos, i, j, k, l0).items()}, (i, j, k)
         terms: dict = {}
@@ -217,7 +219,7 @@ def test_bnm_relations_follow_the_docstring_formula(n, m):
             for r in range(1, m):
                 want.append(pair_relation(phi(r, i), phi(r, j), a(i, j), a(j, i)))
                 pairs.append((i, j))
-    assert list(spec.relations) == want
+    assert relation_polys(spec) == want
     assert list(spec.relation_pairs) == pairs
 
 
@@ -227,24 +229,41 @@ def test_tensor_relation_space_dimensions():
         assert len(tensor_relation_space(build_an(n))) == want
 
 
-def test_to_field_round_trip():
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+def test_to_field_round_trip(p):
     spec = cached_an(5)
-    gf = spec.to_field(GF)
-    assert gf.field == GF and quadrics(gf) == quadrics(spec)
-    assert any(c == GF.from_int(-1) for rel in gf.relations for c in rel.terms.values())
-    # the signed lift brings a residue standing for -1 back as -1, not p - 1
-    assert gf.to_field(QQ).relations == spec.relations
     assert spec.to_field(QQ) is spec
+    gf = spec.to_field(PrimeField(p))
+    assert gf.field == PrimeField(p) and gf.relations is spec.relations
+    assert gf.to_field(QQ) == spec and gf.to_field(QQ).relations is spec.relations
+    # GF(2) reads -1 as +1 only in the Polys; the integer relations keep their signs
+    assert any(c == -1 for terms in gf.relations for _, _, c in terms)
+    for terms, poly in zip(spec.relations, relation_polys(gf), strict=True):
+        want = {}
+        for a, b, c in terms:
+            e = [0] * spec.nvars
+            e[a] += 1
+            e[b] += 1
+            if c % p:
+                want[tuple(e)] = c % p
+        assert poly.terms == want
 
 
 def _point(spec):
     return alpha_values(spec, pole_table(sample_config(spec.n, spec.m, 5)))
 
 
-# relation 0 of a presentation rewritten into a form that is not an integer quadric
+# relation 0 of a presentation, as integer terms (a, b, c), rewritten into a
+# form that is not an integer quadric
 NOT_INTEGER_QUADRICS = {
-    "halved": lambda spec, rel: {e: c / 2 for e, c in rel.terms.items()},
-    "inhomogeneous": lambda spec, rel: {**rel.terms, (1,) + (0,) * (spec.nvars - 1): 1},
+    "halved": lambda spec, rel: tuple((a, b, Fraction(c, 2)) for a, b, c in rel),
+    "inhomogeneous": lambda spec, rel: rel + ((1, 1),),  # a linear term c * x_a
+    "poly": lambda spec, rel: relation_polys(spec)[0],
+    "swapped": lambda spec, rel: tuple((b, a, c) for a, b, c in rel),  # every a < b
+    "outside": lambda spec, rel: rel + ((0, spec.nvars, 1),),
+    "repeated": lambda spec, rel: rel + rel[:1],
+    "zero": lambda spec, rel: rel + ((0, 0, 0),),
+    "empty": lambda spec, rel: (),
 }
 
 # every reader of the relations' integer form
@@ -261,15 +280,18 @@ QUADRIC_READERS = {
 @pytest.mark.parametrize("reader", QUADRIC_READERS)
 @pytest.mark.parametrize("form", NOT_INTEGER_QUADRICS)
 def test_a_relation_that_is_not_an_integer_quadric_is_refused(form, reader):
+    """Construction refuses the relation, through the constructor and through
+    replace(), so no reader is ever handed one; the refusal leaves the spec
+    it started from, and what each reader makes of it, unchanged."""
     spec, read = cached_an(4), QUADRIC_READERS[reader]
     want = read(spec)  # fills the original spec's cache
-    assert spec.relation_pairs[0] == (1, 2)  # the slice (1, 1, 0, 0) reads relation 0
-    rel = Poly(QQ, spec.nvars, NOT_INTEGER_QUADRICS[form](spec, spec.relations[0]))
-    bad = replace(spec, relations=(rel,) + spec.relations[1:])
-    for _ in range(2):  # a refusal leaves nothing cached behind
+    bad = (NOT_INTEGER_QUADRICS[form](spec, spec.relations[0]),) + spec.relations[1:]
+    given = {f.name: getattr(spec, f.name) for f in fields(spec) if f.init}
+    for build in (lambda: replace(spec, relations=bad),
+                  lambda: PresentationSpec(**{**given, "relations": bad})):
         with pytest.raises(UsageError, match="^relations must be quadratic forms"
                                              " with integer coefficients$"):
-            read(bad)
+            build()
     assert read(spec) == want
 
 
@@ -288,7 +310,5 @@ def test_conifold_single_relation():
     names = dict(zip(spec.var_names(), range(spec.nvars)))
     assert set(names) == {"a[1,2]", "a[2,1]", "phi[1,1]", "phi[1,2]"}
     # phi11*phi12 = a12*phi12 + a21*phi11
-    e = [0] * 4
-    e[names["phi[1,1]"]] = 1
-    e[names["phi[1,2]"]] = 1
-    assert rel.terms.get(tuple(e)) in (QQ.one(), QQ.from_int(-1))
+    terms = {(a, b): c for a, b, c in rel}
+    assert terms.get(tuple(sorted((names["phi[1,1]"], names["phi[1,2]"])))) in (1, -1)

@@ -11,11 +11,11 @@ import pytest
 
 from psiring import exactla, slices
 from psiring.errors import UsageError
-from psiring.fields import DEFAULT_PRIME
+from psiring.fields import DEFAULT_PRIME, PrimeField
 from psiring.groebner import groebner_for
 from psiring.orders import multidegree
 from psiring.poly import Poly
-from psiring.presentation import CUSTOM, PivotScheme, build_an, build_bnm
+from psiring.presentation import CUSTOM, PivotScheme, build_an, build_bnm, relation_polys
 from psiring.symbols import Alpha
 from psiring.series import (
     compositions,
@@ -90,7 +90,7 @@ def rows_by_poly_arithmetic(spec, a):
     as Polys and read off in the basis monomials(spec, a)."""
     col = {m: i for i, m in enumerate(monomials(spec, a))}
     rows = []
-    for rel in spec.relations:
+    for rel in relation_polys(spec):
         rdeg = multidegree(next(iter(rel.terms)), spec.blocks, spec.nblocks)
         rem = tuple(x - y for x, y in zip(a, rdeg))
         if min(rem) < 0:
@@ -367,6 +367,15 @@ def test_orbit_sweep_matches_every_slice(build, limit, order, monkeypatch):
     assert ranked == list(dict.fromkeys(reps))
     assert all(grid.index(r) <= i for i, r in enumerate(reps))
     assert len(ranked) < len(grid)
+
+
+def test_gf2_keeps_the_slices_and_symmetries_of_qq():
+    # the relations are the same integers over GF(2), -1 included, so its
+    # slices are ranked over Z exactly as QQ's are, and keep their symmetries
+    spec, gf2 = cached_an(4), cached_an(4, PrimeField(2))
+    for a in degree_grid(spec.nblocks, 4):
+        assert slice_dimension(gf2, a) == slice_dimension(spec, a), a
+    assert block_symmetries(gf2) == block_symmetries(spec)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
