@@ -31,7 +31,6 @@ from .groebner import (
 )
 from .koszul import dual_tower, koszul_prediction, koszul_summary
 from .orders import MonomialOrder
-from .poly import Poly
 from .presentation import (
     PivotScheme,
     PresentationSpec,
@@ -58,7 +57,7 @@ __all__ = [
     "GroebnerBasis", "buchberger", "groebner_for", "krull_dimension",
     "normal_form",
     "dual_tower", "koszul_prediction", "koszul_summary",
-    "MonomialOrder", "Poly",
+    "MonomialOrder",
     "PivotScheme", "PresentationSpec", "build_an", "build_bnm",
     "tensor_relation_space",
     "TruncatedSeries", "curve_module_series", "degree_grid",

@@ -12,7 +12,8 @@ tests, where a fraction-free Bareiss elimination is the reference over Z:
     lucky-prime argument), so one elimination stands in for both.  The slices
     and the Jacobian at a rational point rank there, and the slices read the
     rows that vanished as linear syzygies.  singular's linear preprocessing
-    (groebner.linear_interreduce) reads the pivot rows back as polynomials,
+    (groebner.linear_interreduce) ranks the integer relations and minors as
+    they are and keeps the primitive pivot rows as integer polynomials,
     certified at the characteristic over a prime field.
 
   * the int64 lane: dense linear algebra mod p, for any p with 2 <= p and

@@ -1,14 +1,14 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields.
 
-A field context object provides the arithmetic; element payloads are plain
-`fractions.Fraction` values (rationals) or ints in [0, p) (prime fields).
-Keeping payloads primitive avoids per-element wrapper overhead in the
-elimination and Groebner loops.
+A field object names the field and carries its characteristic, 0 for QQ and
+p for GF(p); it holds no arithmetic.  Coefficients are plain numbers: the
+relations and the Jacobian minors are integers whatever the field, and the
+code that needs a field's arithmetic (the Groebner engine, the elimination
+lanes) runs it on ints mod the characteristic, or on ints and
+`fractions.Fraction` values over QQ.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import UsageError
 
@@ -24,38 +24,10 @@ TENSOR_RETRY_PRIME = 1048571
 
 
 class Rationals:
-    """Field context for exact rational arithmetic."""
+    """The rationals, QQ."""
 
     name = "QQ"
     characteristic = 0
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in QQ")
-        return 1 / Fraction(a)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def to_str(self, a) -> str:
-        return str(Fraction(a))
-
-    def to_int(self, a) -> int | None:
-        """The element as a plain integer, or None if it is not one."""
-        f = Fraction(a)
-        return int(f) if f.denominator == 1 else None
 
     def __repr__(self):
         return "QQ"
@@ -96,7 +68,7 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """Field context for Z/p with p prime; elements are ints in [0, p)."""
+    """Z/p with p prime; its elements are read as ints in [0, p)."""
 
     def __init__(self, p: int):
         if p < 2:
@@ -108,34 +80,6 @@ class PrimeField:
         self.p = p
         self.name = f"GF({p})"
         self.characteristic = p
-
-    def from_int(self, n: int) -> int:
-        return n % self.p
-
-    def one(self) -> int:
-        return 1
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"inverse of zero in GF({self.p})")
-        return pow(a, -1, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
-    def to_str(self, a) -> str:
-        return str(a % self.p)
-
-    def to_int(self, a) -> int:
-        """Signed lift to (-p/2, p/2]; exact for small integer coefficients."""
-        v = a % self.p
-        return v if v <= self.p // 2 else v - self.p
 
     def __repr__(self):
         return self.name

@@ -22,12 +22,14 @@ channels_consistent).
 
 The same values drive the local analysis: Jacobian rank at sampled smooth
 points, and the singular locus as the vanishing of the relations plus the
-codimension-sized minors of the Jacobian, expanded on packed codes in ints.
+codimension-sized minors of the Jacobian, expanded on packed codes over Z.
 Every check reads the relations as the spec stores them, integer quadratic
 forms: the vanishing test is a sum of c * x_a * x_b over the cleared
 coordinates, and the Jacobian is one integer linear form per entry,
-evaluated for the rank and expanded for the minors.  Only the singular
-locus's Groebner run takes the relations as Polys (relation_polys).
+evaluated for the rank and expanded for the minors.  The minors are integer
+polynomials whatever the spec's field, like the relations
+(relation_polys); the singular locus's Groebner run reads both mod p, over
+a prime field, as it packs them.
 """
 
 from __future__ import annotations
@@ -40,9 +42,8 @@ from math import comb, gcd, lcm
 from .errors import BudgetError, UsageError
 from .exactla import rank_sparse_rational
 from .fields import QQ
-from .groebner import PackedRing, buchberger, groebner_for, krull_dimension, linear_interreduce
+from .groebner import buchberger, groebner_for, krull_dimension, linear_interreduce
 from .orders import Packing
-from .poly import Poly
 from .presentation import Alpha, PresentationSpec, presentation_size, relation_polys
 from .rng import SplitMix64
 
@@ -207,23 +208,23 @@ def jacobian_rank_at(spec: PresentationSpec, point: tuple[int, list[int]]) -> in
 
 
 def singular_minors(spec: PresentationSpec, c: int,
-                    budget: int = DEFAULT_MINOR_BUDGET) -> list[Poly]:
-    """All c x c minors of the Jacobian; c = 0 yields the unit (empty locus).
+                    budget: int = DEFAULT_MINOR_BUDGET) -> list[dict]:
+    """All nonzero c x c minors of the Jacobian over Z, as integer
+    polynomials {exponent: int}; c = 0 yields the unit (empty locus).
 
-    Cofactor expansion along the first row, on packed codes with int
-    coefficients (mod p over a prime field).  memo holds every sub-determinant
-    already expanded, so minors that share their lower rows share the work.
+    Cofactor expansion along the first row, on packed codes.  memo holds
+    every sub-determinant already expanded, so minors that share their lower
+    rows share the work.
     """
     if c < 0:
         raise UsageError(f"negative minor size {c}")
+    nrel, nv = len(spec.relations), spec.nvars
     if c == 0:
-        return [Poly.const(spec.field, spec.nvars, spec.field.one())]
-    _refuse_minors(len(spec.relations), spec.nvars, c, budget)
-    nrel, nv, prime = len(spec.relations), spec.nvars, spec.field.characteristic
-    ring = PackedRing(spec.field, spec.default_order(), Packing.fitting(nv, c))
-    unit = [ring.packing.pack((1,), (v,)) for v in range(nv)]
-    cells = [[{unit[w]: v for w, k in form.items() if (v := k % prime if prime else k)}
-              for form in row] for row in _jacobian(spec)]
+        return [{(0,) * nv: 1}]
+    _refuse_minors(nrel, nv, c, budget)
+    packing = Packing.fitting(nv, c)
+    unit = [packing.pack((1,), (v,)) for v in range(nv)]
+    cells = [[{unit[w]: k for w, k in form.items()} for form in row] for row in _jacobian(spec)]
     # (rows, cols) -> the determinant there, seeded with the entries
     memo: dict = {((r,), (k,)): cells[r][k] for r in range(nrel) for k in range(nv)}
 
@@ -243,16 +244,12 @@ def singular_minors(spec: PresentationSpec, c: int,
                 for e2, c2 in rest.items():
                     e = e1 + e2
                     v = term.get(e, 0) + c1 * c2
-                    if prime:
-                        v %= prime
                     if v:
                         term[e] = v
                     else:
                         del term[e]
             for e, v in term.items():
                 v = out.get(e, 0) + (v if k % 2 == 0 else -v)
-                if prime:
-                    v %= prime
                 if v:
                     out[e] = v
                 else:
@@ -261,7 +258,8 @@ def singular_minors(spec: PresentationSpec, c: int,
             memo[rows, cols] = out
         return out
 
-    return [ring.poly(d) for rsel in combinations(range(nrel), c)
+    unpack = packing.unpack
+    return [{unpack(e): v for e, v in d.items()} for rsel in combinations(range(nrel), c)
             for csel in combinations(range(nv), c) if (d := minor(rsel, csel))]
 
 
@@ -306,25 +304,27 @@ def singular_locus_dim(spec: PresentationSpec,
     """Krull dimension of (relations + codim-sized Jacobian minors).
 
     Works over the spec's own field; a prime-field spec keeps the Groebner
-    run cheap, and the minors, expanded in ints, are integer polynomials either
-    way.  buchberger reduces each one that linear_interreduce keeps as it joins.
-    The minor budget is checked before any work at the predicted codimension,
-    nvars - (2n+m-3), and again by singular_minors at the actual one.
+    run cheap.  The relations and the minors are integer polynomials either
+    way: linear_interreduce ranks them over Z, certified at the
+    characteristic, and buchberger reads each one it keeps into the field as
+    it packs it and reduces it as it joins.  minors counts the minors that
+    are nonzero in the field.  The minor budget is checked before any work at
+    the predicted codimension, nvars - (2n+m-3), and again by singular_minors
+    at the actual one.
     """
     _refuse_minors(len(spec.relations), spec.nvars,
                    spec.nvars - (2 * spec.n + spec.m - 3), budget)
     dim = krull_dimension(groebner_for(spec))
     c = spec.nvars - dim
     minors = singular_minors(spec, c, budget=budget)
-    gens = relation_polys(spec) + minors
+    p = spec.field.characteristic
     order = spec.default_order()
-    gens = linear_interreduce(gens, order)
-    sgb = buchberger(gens, order)
-    sdim = krull_dimension(sgb)
+    gens = linear_interreduce(relation_polys(spec) + minors, order, p)
+    sdim = krull_dimension(buchberger(gens, spec.field, order))
     return SingularReport(
         algebra=spec.name(),
         variety_dim=dim,
         codim=c,
-        minors=len(minors),
+        minors=sum(1 for d in minors if not p or any(v % p for v in d.values())),
         singular_dim=sdim,
     )

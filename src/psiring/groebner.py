@@ -17,17 +17,22 @@ generator above it joins unreduced: the basis there is incomplete.
 
 The run works on packed monomials (orders.Packing): each monomial is one
 integer code, so a product is an addition, a divisibility test one subtraction
-and mask, and the lcm a masked select.  Coefficients are ints mod p, and over
-QQ ints too wherever a value is integral (PackedRing.poly hands Fractions
-back).  A PackedRing carries the packing, the field and a sort key for every
-code it has met, memoized for the whole run: an integer under grevlex, the
-order's own key of the unpacked exponents under lex and block orders.  Basis
-members are kept as reducers (leading code, tail negated and divided by the
-leading coefficient), built once when the member joins.  Each queued pair
-carries its selection key (lcm degree, order key of the lcm, j, i), so the
-queue is a heap.  A product whose exponent reaches a guard bit stops the run,
-which starts again with twice the bits per exponent: no exponent ever wraps
-into its neighbour.
+and mask, and the lcm a masked select.  Generators come in as integer
+polynomials {exponent tuple: int} (a Fraction is accepted over QQ), the same
+whatever the field, and are read mod p once, as they are packed.
+Coefficients are then ints mod p, and over QQ ints wherever a value is
+integral, Fractions elsewhere; the basis comes back in the same numbers.
+The field's arithmetic lives here, on the characteristic: reducers scale by
+an inverse mod p or by a Fraction, and normal_form and s_poly add and
+multiply mod p or exactly.  A PackedRing carries the packing, the field and a
+sort key for every code it has met, memoized for the whole run: an integer
+under grevlex, the order's own key of the unpacked exponents under lex and
+block orders.  Basis members are kept as reducers (leading code, tail negated
+and divided by the leading coefficient), built once when the member joins.
+Each queued pair carries its selection key (lcm degree, order key of the lcm,
+j, i), so the queue is a heap.  A product whose exponent reaches a guard bit
+stops the run, which starts again with twice the bits per exponent: no
+exponent ever wraps into its neighbour.
 
 The basis records each member's leading exponent as the engine found it.
 Krull dimension comes from the leading terms alone: the dimension of the
@@ -39,28 +44,28 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import groupby
-from math import lcm
 from typing import NamedTuple
 
 from .errors import UsageError
 from .exactla import sparse_echelon
 from .fields import Field
 from .orders import GREVLEX, MonomialOrder, Packing, PackingOverflow
-from .poly import Poly
 from .presentation import PresentationSpec, relation_polys
 
 
 @dataclass
 class GroebnerBasis:
-    """An interreduced, monic basis; leads[i] is the leading exponent of basis[i]
-    under the order, and complete means no S-pair was discarded."""
+    """An interreduced, monic basis of {exponent: coefficient} dicts; leads[i]
+    is the leading exponent of basis[i] under the order, and complete means no
+    S-pair was discarded."""
 
     field: Field
     nvars: int
     order: MonomialOrder
-    basis: list[Poly]
+    basis: list[dict]
     leads: list[tuple[int, ...]]
     complete: bool
     cap: int | None = None
@@ -114,29 +119,35 @@ class PackedRing:
             self.keys[code] = k
         return k
 
-    def pack(self, p: Poly) -> Terms:
-        pack = self.packing.pack
-        return Terms((pack(e), _integral(c)) for e, c in p.terms.items())
+    def pack(self, p: dict) -> Terms:
+        """The polynomial in packed codes, its coefficients read into the
+        field: mod p, or over QQ an integral value as an int.  Terms that
+        vanish there are dropped."""
+        pack, prime = self.packing.pack, self.field.characteristic
+        if prime:
+            return Terms((pack(e), v) for e, c in p.items() if (v := c % prime))
+        return Terms((pack(e), _integral(c)) for e, c in p.items() if c)
 
     def reducer(self, t: Terms) -> Reducer:
         """The monic multiple of the nonzero t, as a reducer."""
-        field = self.field
+        prime = self.field.characteristic
         lead = max(t, key=self.key)
-        scale = field.neg(field.inv(t[lead]))
-        return Reducer(lead, tuple((e, _integral(field.mul(c, scale)))
-                                   for e, c in t.items() if e != lead))
+        if prime:
+            scale = -pow(t[lead], -1, prime)
+            tail = ((e, c * scale % prime) for e, c in t.items() if e != lead)
+        else:
+            scale = Fraction(-1, t[lead])
+            tail = ((e, _integral(c * scale)) for e, c in t.items() if e != lead)
+        return Reducer(lead, tuple(tail))
 
-    def poly(self, t: Terms) -> Poly:
-        """The packed terms as a Poly of field payloads: from_int makes an int
-        coefficient a Fraction over QQ (and keeps a Fraction as it is), and a
-        residue mod p stays itself."""
-        unpack, lift = self.packing.unpack, self.field.from_int
-        return Poly(self.field, self.packing.nvars, {unpack(e): lift(c) for e, c in t.items()})
+    def poly(self, t: Terms) -> dict:
+        """The packed terms unpacked to exponent tuples."""
+        unpack = self.packing.unpack
+        return {unpack(e): c for e, c in t.items()}
 
-    def to_poly(self, g: Reducer) -> Poly:
-        """The reducer as a monic Poly: its tail, then its leading term."""
-        neg = self.field.neg
-        terms = Terms((e, neg(c)) for e, c in g.tail)
+    def to_poly(self, g: Reducer) -> dict:
+        """The reducer as a monic polynomial: its tail, then its leading term."""
+        terms = Terms((e, _neg(c, self.field.characteristic)) for e, c in g.tail)
         terms[g.lead] = 1
         return self.poly(terms)
 
@@ -144,6 +155,11 @@ class PackedRing:
 def _integral(c):
     """c as a plain int when it is integral, else c (a Fraction over QQ)."""
     return c.numerator if c.denominator == 1 else c
+
+
+def _neg(c, prime: int):
+    """-c mod prime, or -c over QQ (prime 0)."""
+    return -c % prime if prime else -c
 
 
 def normal_form(p: Terms, basis: list[Reducer], ring: PackedRing) -> Terms:
@@ -213,29 +229,30 @@ def s_poly(f: Reducer, g: Reducer, ring: PackedRing) -> Terms:
 
 
 def buchberger(
-    polys: list[Poly],
+    polys: list[dict],
+    field: Field,
     order: MonomialOrder,
     cap: int | None = None,
 ) -> GroebnerBasis:
-    """Complete the generating set to a Groebner basis under the order.
+    """Complete the generating set, integer polynomials {exponent: int}, to a
+    Groebner basis over the field under the order.
 
     cap discards S-pairs whose lcm total degree exceeds it; this requires
     homogeneous input (checked) and yields a basis valid up to the cap.
     The packing starts wide enough for the input's exponents, at least 8 bits,
     and doubles whenever a product outgrows it.
     """
-    polys = [p for p in polys if not p.is_zero()]
+    polys = [p for p in polys if p]
     if not polys:
         raise UsageError("empty generating set")
-    field = polys[0].field
-    nvars = polys[0].nvars
-    if any(p.field != field or p.nvars != nvars for p in polys):
-        raise UsageError("mixed fields or variable counts in generating set")
+    nvars = len(next(iter(polys[0])))
+    if any(len(e) != nvars for p in polys for e in p):
+        raise UsageError("mixed variable counts in generating set")
     if cap is not None:
         for p in polys:
             if not _is_homogeneous(p):
                 raise UsageError("degree-capped completion needs homogeneous input")
-    top = max((x for p in polys for e in p.terms for x in e), default=0)
+    top = max((x for p in polys for e in p for x in e), default=0)
     packing = Packing.fitting(nvars, top)
     while True:
         ring = PackedRing(field, order, packing)
@@ -248,7 +265,7 @@ def buchberger(
                              [packing.unpack(g.lead) for g in basis], complete=complete, cap=cap)
 
 
-def _complete(polys: list[Poly], ring: PackedRing, cap: int | None) -> tuple[list[Reducer], bool]:
+def _complete(polys: list[dict], ring: PackedRing, cap: int | None) -> tuple[list[Reducer], bool]:
     """The interreduced basis, and whether no S-pair was discarded."""
     pk = ring.packing
     guard = pk.guard
@@ -294,6 +311,8 @@ def _complete(polys: list[Poly], ring: PackedRing, cap: int | None) -> tuple[lis
     # the generators as (lead degree, order key of the lead, position, terms), last first
     waiting = []
     for t, terms in enumerate(map(ring.pack, polys)):
+        if not terms:  # zero in the field
+            continue
         lead = max(terms, key=ring.key)
         waiting.append((pk.degree(lead), ring.key(lead), t, terms))
     waiting.sort(reverse=True)
@@ -312,13 +331,13 @@ def _complete(polys: list[Poly], ring: PackedRing, cap: int | None) -> tuple[lis
     return _interreduce(G, ring), not truncated
 
 
-def _is_homogeneous(p: Poly) -> bool:
-    return len({sum(e) for e in p.terms}) <= 1
+def _is_homogeneous(p: dict) -> bool:
+    return len({sum(e) for e in p}) <= 1
 
 
 def _interreduce(G: list[Reducer], ring: PackedRing) -> list[Reducer]:
     """Drop redundant members, then fully reduce each tail; sort for determinism."""
-    divides, neg = ring.packing.divides, ring.field.neg
+    divides, prime = ring.packing.divides, ring.field.characteristic
     lts = [g.lead for g in G]
     keep = []
     for t, lt in enumerate(lts):
@@ -332,9 +351,9 @@ def _interreduce(G: list[Reducer], ring: PackedRing) -> list[Reducer]:
     out = []
     for t, g in enumerate(kept):
         others = out + kept[t + 1:]
-        tail = Terms((e, neg(c)) for e, c in g.tail)
+        tail = Terms((e, _neg(c, prime)) for e, c in g.tail)
         red = normal_form(tail, others, ring) if others else tail
-        out.append(Reducer(g.lead, tuple((e, neg(c)) for e, c in red.items())))
+        out.append(Reducer(g.lead, tuple((e, _neg(c, prime)) for e, c in red.items())))
     out.sort(key=lambda g: ring.key(g.lead))
     return out
 
@@ -344,7 +363,7 @@ def groebner_for(spec: PresentationSpec, order: MonomialOrder | None = None,
     order = order or spec.default_order()
     if not spec.relations:  # the zero ideal: its basis is empty (A_3 has no relations)
         return GroebnerBasis(spec.field, spec.nvars, order, [], [], complete=True, cap=cap)
-    return buchberger(relation_polys(spec), order, cap=cap)
+    return buchberger(relation_polys(spec), spec.field, order, cap=cap)
 
 
 # -- leading-term combinatorics ---------------------------------------------------
@@ -403,43 +422,34 @@ def leading_terms_agree(g1: GroebnerBasis, g2: GroebnerBasis) -> bool:
 
 # -- linear preprocessing for large generator sets --------------------------------
 
-def linear_interreduce(polys: list[Poly], order: MonomialOrder) -> list[Poly]:
-    """Row-reduce each same-degree batch of generators; returns independent rows.
+def linear_interreduce(polys: list[dict], order: MonomialOrder, p: int) -> list[dict]:
+    """Row-reduce each same-degree batch of integer generators; returns
+    independent rows.
 
     Cuts redundant members before Buchberger when the input is very linearly
     dependent (minor expansions, spanning relation families).  Each batch goes
-    through exactla.sparse_echelon as integer rows cleared of denominators; its
-    pivot rows come back primitive over Z, read into the field, not monic.
+    through exactla.sparse_echelon as the integer rows it is; its pivot rows
+    come back as primitive integer polynomials, not monic.
 
-    Over a prime field the elimination is certified at the characteristic p
-    as in exactla.rank_sparse_rational.  When every pivot's lead is nonzero
-    mod p, each reduction step scaled a row only by a unit mod p, so the pivots
-    are unit multiples of those an elimination mod p builds, with the same
-    leads; Buchberger makes every input monic.  Otherwise the batch is kept as
-    it came in, which leaves the ideal unchanged.
+    Over GF(p), p the characteristic (0 for QQ), the elimination is certified
+    at p as in exactla.rank_sparse_rational.  When every pivot's lead is
+    nonzero mod p, each reduction step scaled a row only by a unit mod p, so
+    the pivots mod p are unit multiples of those an elimination mod p builds,
+    with the same leads; Buchberger reads them mod p and makes them monic.
+    Otherwise the batch is kept as it came in, which leaves the ideal
+    unchanged.
     """
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        return []
-    field = polys[0].field
-    prime = field.characteristic or None
-    groups: dict[tuple, list[Poly]] = {}
-    for p in polys:
-        groups.setdefault(tuple(sorted({sum(e) for e in p.terms})), []).append(p)
-    out: list[Poly] = []
+    groups: dict[tuple, list[dict]] = {}
+    for g in polys:
+        groups.setdefault(tuple(sorted({sum(e) for e in g})), []).append(g)
+    out: list[dict] = []
     for key in sorted(groups):
         batch = groups[key]
-        monos = sorted({e for p in batch for e in p.terms}, key=order.key, reverse=True)
+        monos = sorted({e for g in batch for e in g}, key=order.key, reverse=True)
         pos = {e: c for c, e in enumerate(monos)}
-        rows = []
-        for p in batch:
-            denom = lcm(*(c.denominator for c in p.terms.values()))  # 1 over a prime field
-            rows.append({pos[e]: field.to_int(c * denom) for e, c in p.terms.items()})
-        echelon, _ = sparse_echelon(rows, prime)
-        if prime and not all(prow[lead] % prime for lead, prow in echelon.items()):
+        echelon, _ = sparse_echelon([{pos[e]: c for e, c in g.items()} for g in batch], p or None)
+        if p and not all(prow[lead] % p for lead, prow in echelon.items()):
             out += batch
             continue
-        for lead in sorted(echelon):
-            terms = {monos[c]: v for c, v in echelon[lead].items()}
-            out.append(Poly.from_int_terms(field, batch[0].nvars, terms))
+        out += [{monos[c]: v for c, v in echelon[lead].items()} for lead in sorted(echelon)]
     return out

@@ -181,9 +181,10 @@ def _dual_blocks(
     w_u (x) e_b, laid out by _layout.  W_2 = R: the rows of
     tensor_relation_space are grouped by their degree e_s + e_t (a row that
     mixes degrees is refused), and each block of V (x) V = W_1 (x) V is
-    eliminated on its own.  Its echelon rows are Y_rho's columns, and its
-    kernel (exactla.echelon_nullspace) gives the check rows C_rho: x lies in R exactly when
-    C_rho x_rho == 0 for every block rho (the identity where no row spans).
+    eliminated on its own.  Its echelon rows are Y_rho's columns, and, when
+    a stage 3 follows, its kernel (exactla.echelon_nullspace) gives the check
+    rows C_rho: x lies in R exactly when C_rho x_rho == 0 for every block rho
+    (the identity where no row spans).
 
     At stage j the basis w_p of W_(j-2) is independent and W_(j-1) lies in
     W_(j-2) (x) V, so sum y[u,b] w_u (x) e_b lies in V^(j-2) (x) R exactly
@@ -234,13 +235,15 @@ def _dual_blocks(
         (d, cols), = cells.items()
         spans[d].append(cols)
     W: dict[tuple[int, ...], np.ndarray] = {}  # per block: the last W's basis Y_d
-    C: dict[tuple[int, ...], np.ndarray] = {}  # and R's check rows
+    C: dict[tuple[int, ...], np.ndarray] = {}  # and R's check rows, read from stage 3 on
     for d, rows in spans.items():
         B, pivots = echelon_mod_p(rows_to_dense(rows, width[d], prime), prime)
         B = B[: len(pivots)]
-        W[d], C[d] = B.T, echelon_nullspace(B, pivots, prime).T
-    RR = sum(c.shape[0] for c in C.values())
-    assert RR + sum(Y.shape[1] for Y in W.values()) == v * v
+        W[d] = B.T
+        if kmax > 2:
+            C[d] = echelon_nullspace(B, pivots, prime).T
+    RR = sum(width[d] - Y.shape[1] for d, Y in W.items())
+    assert not C or RR == sum(c.shape[0] for c in C.values())
     out = [{d: Y.shape[1] for d, Y in W.items() if Y.shape[1]}]
     at = r_at  # W_(j-1)'s layout; p_dims is dim W_(j-2) per block
     for j in range(3, kmax + 1):

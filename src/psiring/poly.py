@@ -1,64 +1,23 @@
-"""Sparse multivariate polynomials over an exact field context.
+"""Sparse multivariate polynomials as plain dicts, and their text.
 
-A Poly is a term container, {exponent tuple: nonzero coefficient payload},
-dense over a fixed variable list whose meaning (names, blocks) lives in the
-owning presentation; the polynomial itself only knows nvars and the field.
-It carries terms between the layers and renders them.  Sums and products run
-on packed codes (groebner.PackedRing).  A presentation stores its relations
-as integer quadratic forms, and presentation.relation_polys is where they
-become Polys.  A Poly's terms are never changed after it is built.
+A polynomial is a dict {exponent tuple: nonzero coefficient}, dense over a
+fixed variable list whose meaning (names, blocks) lives in the owning
+presentation.  Coefficients are plain numbers: ints for the relations
+(presentation.relation_polys) and the Jacobian minors whatever the field;
+in a Groebner basis, residues in [0, p) over GF(p), and over QQ ints with a
+Fraction only where a value is not integral.  Sums, products and reductions
+run on packed codes (groebner.PackedRing); this module orders and renders
+terms.
 """
 
 from __future__ import annotations
 
-from .fields import Field
 from .orders import MonomialOrder
 
 
-class Poly:
-    __slots__ = ("field", "nvars", "terms")
-
-    def __init__(self, field: Field, nvars: int, terms: dict | None = None):
-        self.field = field
-        self.nvars = nvars
-        self.terms = terms if terms is not None else {}
-
-    # -- constructors ---------------------------------------------------------
-
-    @staticmethod
-    def const(field: Field, nvars: int, c) -> "Poly":
-        terms = {} if field.is_zero(c) else {(0,) * nvars: c}
-        return Poly(field, nvars, terms)
-
-    @staticmethod
-    def from_int_terms(field: Field, nvars: int, int_terms: dict) -> "Poly":
-        """Build from integer coefficients, mapping them into the field."""
-        terms = {}
-        for exp, c in int_terms.items():
-            v = field.from_int(c)
-            if not field.is_zero(v):
-                terms[exp] = v
-        return Poly(field, nvars, terms)
-
-    # -- queries --------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.field == other.field
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return f"Poly({len(self.terms)} terms over {self.field!r})"
-
-    def sorted_terms(self, order: MonomialOrder):
-        """Terms as (exp, coeff) pairs, descending in the order: canonical form."""
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=order.key, reverse=True)]
+def sorted_terms(terms: dict, order: MonomialOrder) -> list[tuple[tuple[int, ...], object]]:
+    """Terms as (exp, coeff) pairs, descending in the order: canonical form."""
+    return [(e, terms[e]) for e in sorted(terms, key=order.key, reverse=True)]
 
 
 def monomial_text(exp: tuple[int, ...], names: list[str]) -> str:
@@ -72,15 +31,14 @@ def monomial_text(exp: tuple[int, ...], names: list[str]) -> str:
     return "*".join(factors) if factors else "1"
 
 
-def poly_text(p: Poly, names: list[str], order: MonomialOrder) -> str:
-    """Render terms descending in the order, with exact coefficient strings."""
-    if p.is_zero():
+def poly_text(terms: dict, names: list[str], order: MonomialOrder) -> str:
+    """Render terms descending in the order, each coefficient as str(c)."""
+    if not terms:
         return "0"
-    F = p.field
     parts = []
-    for e, c in p.sorted_terms(order):
+    for e, c in sorted_terms(terms, order):
         mono = monomial_text(e, names)
-        cs = F.to_str(c)
+        cs = str(c)
         if cs == "1" and mono != "1":
             term = mono
         elif cs == "-1" and mono != "1":

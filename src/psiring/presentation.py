@@ -35,7 +35,7 @@ from math import comb
 from .errors import UsageError
 from .fields import QQ, Field
 from .orders import GREVLEX, MonomialOrder
-from .poly import Poly, monomial_text, poly_text
+from .poly import monomial_text, poly_text, sorted_terms
 from .symbols import Alpha, Phi, VarIndex
 
 CYCLIC = "cyclic"
@@ -280,9 +280,9 @@ def tensor_relation_space(spec: PresentationSpec) -> list[dict]:
 
 # -- polynomials and serialization ---------------------------------------------
 
-def relation_polys(spec: PresentationSpec) -> list[Poly]:
-    """Each relation as a Poly over the spec's field, its terms in the
-    relation's order: the one place a relation becomes a Poly."""
+def relation_polys(spec: PresentationSpec) -> list[dict]:
+    """Each relation as an integer polynomial {exponent tuple: c}, its terms
+    in the relation's order; like spec.relations, the same over every field."""
     out = []
     for terms in spec.relations:
         poly = {}
@@ -291,21 +291,22 @@ def relation_polys(spec: PresentationSpec) -> list[Poly]:
             e[a] += 1
             e[b] += 1
             poly[tuple(e)] = c
-        out.append(Poly.from_int_terms(spec.field, spec.nvars, poly))
+        out.append(poly)
     return out
 
 
 def presentation_to_dict(spec: PresentationSpec) -> dict:
-    """JSON-ready dump: variables, grading, relations as sorted term lists."""
+    """JSON-ready dump: variables, grading, relations as sorted term lists,
+    each coefficient read in the spec's field (c mod p over GF(p))."""
     order = spec.default_order()
     names = spec.var_names()
+    p = spec.field.characteristic
     rels = []
     for rel, (i, j) in zip(relation_polys(spec), spec.relation_pairs):
-        terms = [
-            {"coeff": spec.field.to_str(c),
-             "monomial": monomial_text(e, names)}
-            for e, c in rel.sorted_terms(order)
-        ]
+        if p:
+            rel = {e: v for e, c in rel.items() if (v := c % p)}
+        terms = [{"coeff": str(c), "monomial": monomial_text(e, names)}
+                 for e, c in sorted_terms(rel, order)]
         rels.append({"pair": [i, j], "terms": terms, "text": poly_text(rel, names, order)})
     return {
         "algebra": spec.name(),

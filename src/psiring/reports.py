@@ -155,6 +155,11 @@ def _render_csv(report: Report) -> bytes:
         w.writerow(["name", "status", "expected", "got"])
         for c in report.checks:
             w.writerow([c.name, c.status, c.expected, c.got])
+    if report.timings is not None:
+        w.writerow(["# timings"])
+        w.writerow(["name", "seconds"])
+        for k in sorted(report.timings):
+            w.writerow([k, f"{report.timings[k]:.3f}"])
     w.writerow(["# overall", report.overall])
     return buf.getvalue().encode()
 

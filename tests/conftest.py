@@ -10,7 +10,6 @@ import pytest
 from psiring.fields import QQ, DEFAULT_PRIME, PrimeField
 from psiring.groebner import PackedRing, normal_form
 from psiring.orders import Packing
-from psiring.poly import Poly
 from psiring.presentation import build_an, build_bnm
 
 _CACHE = {}
@@ -64,61 +63,69 @@ def with_last_relation_bent(spec):
     return replace(spec, relations=spec.relations[:-1] + (bent,))
 
 
-def reduce_poly(p, basis, order):
-    """Normal form of the Poly p by the Polys in basis, through the packed engine."""
-    top = max((x for q in [p, *basis] for e in q.terms for x in e), default=0)
-    ring = PackedRing(p.field, order, Packing.fitting(p.nvars, top))
+def in_field(terms, p):
+    """The polynomial {exponent: int} read into the field of characteristic
+    p: coefficients mod p with the zeros dropped, or as they are over QQ."""
+    return {e: v for e, c in terms.items() if (v := c % p if p else c)}
+
+
+def reduce_poly(f, basis, field, order):
+    """Normal form of the polynomial f by the polynomials in basis over the
+    field, through the packed engine."""
+    top = max((x for q in [f, *basis] for e in q for x in e), default=0)
+    nvars = len(next(iter(f), ()))
+    ring = PackedRing(field, order, Packing.fitting(nvars, top))
     reducers = [ring.reducer(ring.pack(g)) for g in basis]
-    return ring.poly(normal_form(ring.pack(p), reducers, ring))
+    return ring.poly(normal_form(ring.pack(f), reducers, ring))
 
 
-def _accumulate(terms, e, c, field):
-    """terms[e] += c in the field, dropping e when the sum is zero."""
-    v = field.from_int(terms.get(e, 0) + c)
-    if field.is_zero(v):
-        terms.pop(e, None)
-    else:
+def _accumulate(terms, e, c, p):
+    """terms[e] += c, mod p when p is nonzero, dropping e when the sum is zero."""
+    v = terms.get(e, 0) + c
+    if p:
+        v %= p
+    if v:
         terms[e] = v
+    else:
+        terms.pop(e, None)
 
 
-def poly_add(f, g, sign=1):
-    """f + sign * g on exponent tuples: the reference sum that tests build
-    expected polynomials with."""
-    F = f.field
-    terms = dict(f.terms)
-    for e, c in g.terms.items():
-        _accumulate(terms, e, c if sign > 0 else F.neg(c), F)
-    return Poly(F, f.nvars, terms)
+def poly_add(f, g, p, sign=1):
+    """f + sign * g on exponent tuples over the field of characteristic p:
+    the reference sum that tests build expected polynomials with."""
+    terms = dict(f)
+    for e, c in g.items():
+        _accumulate(terms, e, sign * c, p)
+    return terms
 
 
-def poly_mul(f, g):
-    """f * g on exponent tuples, the reference product: each term of f times
-    each term of g, summed in that order."""
-    F = f.field
+def poly_mul(f, g, p):
+    """f * g on exponent tuples over the field of characteristic p, the
+    reference product: each term of f times each term of g, summed in that
+    order."""
     terms = {}
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
-            _accumulate(terms, tuple(x + y for x, y in zip(e1, e2)), F.mul(c1, c2), F)
-    return Poly(F, f.nvars, terms)
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            _accumulate(terms, tuple(x + y for x, y in zip(e1, e2)), c1 * c2, p)
+    return terms
 
 
-def poly_derivative(f, pos):
-    """The partial derivative of f by variable pos, term by term on exponent
-    tuples: the reference the integer Jacobian is checked against."""
-    F = f.field
+def poly_derivative(f, pos, p):
+    """The partial derivative of f by variable pos over the field of
+    characteristic p, term by term on exponent tuples: the reference the
+    integer Jacobian is checked against."""
     terms = {}
-    for e, c in f.terms.items():
+    for e, c in f.items():
         if e[pos]:
-            _accumulate(terms, e[:pos] + (e[pos] - 1,) + e[pos + 1:],
-                        F.mul(c, F.from_int(e[pos])), F)
-    return Poly(F, f.nvars, terms)
+            _accumulate(terms, e[:pos] + (e[pos] - 1,) + e[pos + 1:], c * e[pos], p)
+    return terms
 
 
 def poly_evaluate(f, values):
     """f over QQ at a point of rational values, in Fraction arithmetic term by
     term: the reference evaluation."""
     total = Fraction(0)
-    for e, c in f.terms.items():
+    for e, c in f.items():
         for x, k in zip(values, e):
             c *= Fraction(x) ** k
         total += c

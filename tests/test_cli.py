@@ -324,6 +324,16 @@ REPORT_PINS = [
      "d68b0aabfd9bd5fd94bff4e4e9d76a31db51fe76049ac28e13ea6ae57eadb5a4"),
     (["singular", "--kind", "bnm", "--n", "3", "--m", "1", "--field", "prime:2"],
      "82d67136ee1a0f73983d0d9ff75b423e7d742a4cb8f2af2051f1e852dacf9ec5"),
+    # where coefficients are read mod p: minors, a completion and a dump over
+    # GF(2), and a lex completion of B(3,2) over QQ
+    (["singular", "--n", "4", "--field", "prime:2"],
+     "faf1f7a9cfd8946ebe9ebcdc1f1e2f1393dd14210c6f8887a195cf3da9ef5c28"),
+    (["gb", "run", "--n", "5", "--field", "prime:2"],
+     "13e21670f7ad45bf65dbdb2438eae2afb0aeba6ae88493bc113262f739cb7fe9"),
+    (["presentation", "dump", "--n", "4", "--field", "prime:2"],
+     "90e164823e47634f491be2737181a548771eab0a942c15dc486637f17a119423"),
+    (["gb", "run", "--kind", "bnm", "--n", "3", "--m", "2", "--order", "lex"],
+     "ed687acdd853b25d2cd50160e9ab2260ec32b331257e43098aafe1488ee41f7e"),
     # the series in every format, standard monomial counts, leading terms of a capped run
     (["hilbert", "lee", "--n", "5", "--max-total", "6", "--format", "csv"],
      "955f4381b8ecf8911270a9688c0d70a102442f539f724fb5cf0f87d0f9fbfe53"),
@@ -376,6 +386,16 @@ def test_timings_are_opt_in(capsysbinary):
     _, d = run_json(["hilbert", "lee", "--n", "4", "--max-total", "2",
                      "--timings"], capsysbinary)
     assert d["timings"]
+
+
+@pytest.mark.parametrize("fmt,section", [("csv", "# timings\nname,seconds\ngb run,"),
+                                          ("md", "## timings\n- gb run: ")])
+def test_timings_reach_every_format(fmt, section, capsysbinary):
+    argv = ["gb", "run", "--n", "4", "--format", fmt]
+    _, plain = run(argv, capsysbinary)
+    _, timed = run(argv + ["--timings"], capsysbinary)
+    assert "timings" not in plain.decode()
+    assert section in timed.decode()
 
 
 def test_timings_cover_the_whole_command(monkeypatch, capsysbinary):

@@ -23,7 +23,6 @@ from psiring.geometry import (
     singular_minors,
     verify_vanishing,
 )
-from psiring.poly import Poly
 from psiring.presentation import relation_polys
 from psiring.rng import SplitMix64
 from conftest import cached_an, cached_bnm, poly_derivative, poly_evaluate
@@ -293,7 +292,8 @@ def test_sample_report_is_pinned(argv, digest, capsysbinary):
 
 
 def test_jacobian_shape_and_entries():
-    # each entry is the integer linear form of the reference derivative
+    # each entry is the integer linear form of the reference derivative over
+    # Z, whatever the spec's field
     for spec in (cached_an(4), cached_bnm(3, 2), cached_an(4, GF)):
         J = geometry._jacobian(spec)
         assert len(J) == len(spec.relations)
@@ -301,9 +301,8 @@ def test_jacobian_shape_and_entries():
         unit = [tuple(int(v == w) for v in range(spec.nvars)) for w in range(spec.nvars)]
         for rel, row in zip(relation_polys(spec), J):
             for v, form in enumerate(row):
-                got = Poly.from_int_terms(spec.field, spec.nvars,
-                                          {unit[w]: c for w, c in form.items()})
-                assert got == poly_derivative(rel, v)
+                got = {unit[w]: c for w, c in form.items()}
+                assert got == poly_derivative(rel, v, 0)
 
 
 @pytest.mark.parametrize("build,want", [

@@ -23,25 +23,24 @@ from psiring.groebner import (
     s_poly,
 )
 from psiring.orders import BLOCK_GREVLEX, GREVLEX, LEX, MonomialOrder, Packing
-from psiring.poly import Poly, poly_text
+from psiring.poly import poly_text, sorted_terms
 from psiring.presentation import CUSTOM, PivotScheme, build_an, relation_polys
 from psiring.rng import SplitMix64
 from psiring.series import degree_grid, lee_series
 from psiring.slices import standard_monomial_count
-from conftest import cached_an, cached_bnm, poly_add, poly_derivative, poly_mul, reduce_poly
+from conftest import (
+    cached_an, cached_bnm, in_field, poly_add, poly_derivative, poly_mul, reduce_poly,
+)
 from test_presentation import formula
 
 GF = PrimeField(32003)
+P = GF.characteristic
 ORDER = MonomialOrder(GREVLEX)
 
 
-def p_of(field, nvars, int_terms):
-    return Poly.from_int_terms(field, nvars, int_terms)
-
-
 def test_sp_poly_cancels_leading_terms():
-    f = p_of(QQ, 2, {(2, 0): 1, (0, 1): 1})
-    g = p_of(QQ, 2, {(1, 1): 1, (1, 0): 1})
+    f = {(2, 0): 1, (0, 1): 1}
+    g = {(1, 1): 1, (1, 0): 1}
     pk = Packing(2, 8)
     ring = PackedRing(QQ, ORDER, pk)
     s = s_poly(ring.reducer(ring.pack(f)), ring.reducer(ring.pack(g)), ring)
@@ -51,16 +50,15 @@ def test_sp_poly_cancels_leading_terms():
 
 def test_textbook_completion():
     # x^2 - y, xy - x over QQ: completion adds y^2 - y and yx - x stays
-    f = p_of(QQ, 2, {(2, 0): 1, (0, 1): -1})
-    g = p_of(QQ, 2, {(1, 1): 1, (1, 0): -1})
-    gb = buchberger([f, g], ORDER)
+    f = {(2, 0): 1, (0, 1): -1}
+    g = {(1, 1): 1, (1, 0): -1}
+    gb = buchberger([f, g], QQ, ORDER)
     assert gb.complete
     lts = set(gb.leads)
     assert lts == {(2, 0), (1, 1), (0, 2)}
     # x*y^2 reduces to x under the completed basis
-    h = p_of(QQ, 2, {(1, 2): 1})
-    nf = reduce_poly(h, gb.basis, ORDER)
-    assert nf == p_of(QQ, 2, {(1, 0): 1})
+    nf = reduce_poly({(1, 2): 1}, gb.basis, QQ, ORDER)
+    assert nf == {(1, 0): 1}
 
 
 def test_normal_form_is_idempotent_and_linear():
@@ -72,11 +70,11 @@ def test_normal_form_is_idempotent_and_linear():
         for _ in range(4):
             e = tuple(rng.randint(0, 2) for _ in range(spec.nvars))
             terms[e] = rng.randint(-5, 5)
-        f = Poly.from_int_terms(GF, spec.nvars, terms)
-        nf = reduce_poly(f, gb.basis, gb.order)
-        assert reduce_poly(nf, gb.basis, gb.order) == nf
+        f = in_field(terms, P)
+        nf = reduce_poly(f, gb.basis, GF, gb.order)
+        assert reduce_poly(nf, gb.basis, GF, gb.order) == nf
         # f - nf lies in the ideal
-        assert reduce_poly(poly_add(f, nf, -1), gb.basis, gb.order).is_zero()
+        assert not reduce_poly(poly_add(f, nf, P, -1), gb.basis, GF, gb.order)
 
 
 def test_conifold_basis_is_the_single_relation():
@@ -146,33 +144,33 @@ def test_confluence_probe_on_random_elements():
         for _ in range(5):
             e = tuple(rng.randint(0, 1) for _ in range(spec.nvars))
             terms[e] = rng.randint(1, 7)
-        f = Poly.from_int_terms(GF, spec.nvars, terms)
-        base = reduce_poly(f, gb.basis, gb.order)
+        f = in_field(terms, P)
+        base = reduce_poly(f, gb.basis, GF, gb.order)
         basis = list(gb.basis)
         shuffler = random.Random(trial)
         for _ in range(6):
             shuffler.shuffle(basis)
-            assert reduce_poly(f, basis, gb.order) == base
+            assert reduce_poly(f, basis, GF, gb.order) == base
 
 
 def test_spanning_pair_relations_reduce_to_zero():
     spec = cached_an(5, GF)
     gb = groebner_for(spec)
     r = formula(spec, 1, 3, 2, 5)
-    assert not r.is_zero()
-    assert reduce_poly(r, gb.basis, gb.order).is_zero()
+    assert r
+    assert not reduce_poly(r, gb.basis, GF, gb.order)
 
 
 def test_basis_is_reduced_and_monic():
     gb = groebner_for(cached_an(4, GF))
     lts = gb.leads
     for i, g in enumerate(gb.basis):
-        assert g.terms[lts[i]] == GF.one()
+        assert g[lts[i]] == 1
         # no term of g is divisible by another leading term
         for j, lt in enumerate(lts):
             if i == j:
                 continue
-            for e in g.terms:
+            for e in g:
                 assert not all(x <= y for x, y in zip(lt, e))
 
 
@@ -183,11 +181,10 @@ def test_lex_order_also_completes_small_case():
 
 
 def test_linear_interreduce_drops_dependent_rows():
-    f = p_of(QQ, 2, {(1, 0): 1, (0, 1): 1})
-    g = p_of(QQ, 2, {(1, 0): 2, (0, 1): 2})
-    h = p_of(QQ, 2, {(1, 0): 1, (0, 1): -1})
-    out = linear_interreduce([f, g, h], ORDER)
-    assert len(out) == 2
+    f = {(1, 0): 1, (0, 1): 1}
+    g = {(1, 0): 2, (0, 1): 2}
+    h = {(1, 0): 1, (0, 1): -1}
+    assert linear_interreduce([f, g, h], ORDER, 0) == [f, {(0, 1): -1}]
 
 
 @pytest.mark.parametrize("field,digest", [
@@ -196,17 +193,21 @@ def test_linear_interreduce_drops_dependent_rows():
 ])
 def test_linear_interreduce_output_is_pinned(field, digest):
     # A_4's relations plus its codimension-sized Jacobian minors, the input
-    # singular_locus_dim hands over; the digest is of the monic output rows
+    # singular_locus_dim hands over; the digest is of the output rows made
+    # monic in the field, rendered as residues mod p or as rationals
     spec = build_an(4).to_field(field)
+    p = field.characteristic
     minors = singular_minors(spec, spec.nvars - 5)
     gens = relation_polys(spec) + minors
     assert len(gens) == 714
-    out = linear_interreduce(gens, ORDER)
+    out = linear_interreduce(gens, ORDER, p)
     assert len(out) == 126
     rows = []
-    for p in out:
-        scale = field.inv(p.terms[max(p.terms, key=ORDER.key)])
-        rows.append([(e, field.to_str(field.mul(c, scale))) for e, c in p.sorted_terms(ORDER)])
+    for g in out:
+        terms = sorted_terms(in_field(g, p), ORDER)
+        lead = terms[0][1]
+        rows.append([(e, str(c * pow(lead, -1, p) % p if p else Fraction(c, lead)))
+                     for e, c in terms])
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
@@ -216,35 +217,41 @@ def test_linear_interreduce_output_is_pinned(field, digest):
 ])
 def test_linear_interreduce_rows_are_the_primitive_pivots(field, digest):
     # the same input, digested before scaling: exactly the pivot rows that
-    # exactla.sparse_echelon gave before it also reported the rows that vanished
+    # exactla.sparse_echelon gave before it also reported the rows that
+    # vanished, integers, digested as read into the field
     spec = build_an(4).to_field(field)
+    p = field.characteristic
     gens = relation_polys(spec) + singular_minors(spec, spec.nvars - 5)
-    rows = [[(e, field.to_str(c)) for e, c in p.sorted_terms(ORDER)]
-            for p in linear_interreduce(gens, ORDER)]
+    out = linear_interreduce(gens, ORDER, p)
+    assert all(type(c) is int for g in out for c in g.values())
+    rows = [[(e, str(c)) for e, c in sorted_terms(in_field(g, p), ORDER)] for g in out]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_linear_interreduce_keeps_an_uncertified_batch():
-    # at p = 3 a pivot lead of A_4's cubic minors over Z is divisible by 3,
-    # so the elimination is not certified there and the batch stays as it was
+    # x + y and x + 4y over Z: the second pivot is 3y, so at p = 3 its lead
+    # vanishes, the elimination is not certified there and the batch of
+    # linear forms stays as it was; the quadric x^2 + y^2 is certified alone
+    f, g = {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 4}
+    q = {(2, 0): 1, (0, 2): 1}
+    gens = [q, f, g]
     field = PrimeField(3)
-    spec = build_an(4).to_field(field)
-    minors = singular_minors(spec, spec.nvars - 5)
-    gens = relation_polys(spec) + minors
-    out = linear_interreduce(gens, ORDER)
-    assert len(out) == 714
-    assert all(sum(e) == 2 for p in out[:6] for e in p.terms)
-    assert out[6:] == minors
-    assert sorted(buchberger(out, ORDER).leads) == sorted(buchberger(gens, ORDER).leads)
+    out = linear_interreduce(gens, ORDER, 3)
+    assert len(out) == 3
+    assert all(sum(e) == 1 for h in out[:2] for e in h)
+    assert out[:2] == [f, g]
+    leads = [sorted(buchberger(hs, field, ORDER).leads) for hs in (out, gens)]
+    assert leads[0] == leads[1]
+    # certified at 5, where the two linear forms reduce to their pivots x + y and y
+    assert linear_interreduce(gens, ORDER, 5) == [f, {(0, 1): 1}, q]
 
 
 def test_mixed_fields_rejected():
-    f = p_of(QQ, 2, {(1, 0): 1})
-    g = p_of(GF, 2, {(0, 1): 1})
+    # the field comes as an argument, so only the variable counts can mix
     with pytest.raises(UsageError):
-        buchberger([f, g], ORDER)
+        buchberger([{(1, 0): 1}, {(0, 1, 0): 1}], QQ, ORDER)
     with pytest.raises(UsageError):
-        buchberger([], ORDER)
+        buchberger([], QQ, ORDER)
 
 
 def test_a5_completion_work_is_pinned(monkeypatch):
@@ -303,7 +310,7 @@ def test_leads_are_the_leading_exponents(spec, kind):
     gb = groebner_for(spec, order)
     assert len(gb.leads) == len(gb.basis) > 0
     for lead, g in zip(gb.leads, gb.basis):
-        assert lead == max(g.terms, key=order.key)
+        assert lead == max(g, key=order.key)
 
 
 @pytest.mark.parametrize("n,pivot", [
@@ -345,24 +352,24 @@ def test_exponents_past_the_first_width_are_repacked(monkeypatch):
 
     monkeypatch.setattr(groebner, "PackedRing", ring_spy)
     lex = MonomialOrder(LEX)
-    f = p_of(QQ, 3, {(1, 0, 0): 1, (0, 200, 0): -1})
-    g = p_of(QQ, 3, {(2, 0, 0): 1, (0, 0, 1): -1})
-    gb = buchberger([f, g], lex)
+    f = {(1, 0, 0): 1, (0, 200, 0): -1}
+    g = {(2, 0, 0): 1, (0, 0, 1): -1}
+    gb = buchberger([f, g], QQ, lex)
     assert widths == [8, 16]
-    assert gb.basis == [p_of(QQ, 3, {(0, 400, 0): 1, (0, 0, 1): -1}), f]
+    assert gb.basis == [{(0, 400, 0): 1, (0, 0, 1): -1}, f]
 
     # x^300 needs 9 bits from the start; the completion stays inside them
     widths.clear()
-    f = p_of(QQ, 3, {(300, 0, 0): 1, (0, 300, 0): -1})
-    g = p_of(QQ, 3, {(1, 2, 0): 1, (0, 0, 1): -1})
-    gb = buchberger([f, g], ORDER)
+    f = {(300, 0, 0): 1, (0, 300, 0): -1}
+    g = {(1, 2, 0): 1, (0, 0, 1): -1}
+    gb = buchberger([f, g], QQ, ORDER)
     assert widths == [9]
     sympy = pytest.importorskip("sympy")
     x, y, z = sympy.symbols("x y z")
     ref = sympy.groebner([x ** 300 - y ** 300, x * y ** 2 - z], x, y, z, order="grevlex")
-    want = {frozenset((e, QQ.from_int(int(c))) for e, c in sympy.Poly(r, x, y, z).terms())
+    want = {frozenset((e, int(c)) for e, c in sympy.Poly(r, x, y, z).terms())
             for r in ref.exprs}
-    assert {frozenset(g.terms.items()) for g in gb.basis} == want
+    assert {frozenset(g.items()) for g in gb.basis} == want
 
 
 def groebner_layer_rows():
@@ -396,61 +403,67 @@ def test_groebner_layer_outputs_are_pinned():
 @pytest.mark.parametrize("spec", [cached_an(5, GF), cached_bnm(3, 2)], ids=["a5-gf", "b32-qq"])
 def test_shuffled_duplicated_rescaled_generators_give_the_same_basis(spec):
     want = groebner_for(spec)
-    field = spec.field
     rng = random.Random(7)
     for trial in range(3):
         gens = relation_polys(spec)
         gens += rng.sample(gens, 4)  # duplicates
-        scales = [field.from_int(rng.choice([-3, 2, 5])) for _ in gens]
-        gens = [Poly(field, spec.nvars, {e: field.mul(c, k) for e, c in g.terms.items()})
-                for g, k in zip(gens, scales)]
+        scales = [rng.choice([-3, 2, 5]) for _ in gens]
+        gens = [{e: c * k for e, c in g.items()} for g, k in zip(gens, scales)]
         rng.shuffle(gens)
-        gb = buchberger(gens, want.order)
+        gb = buchberger(gens, spec.field, want.order)
         assert gb.basis == want.basis and gb.leads == want.leads, trial
 
 
 def test_fractional_input_gives_the_monic_basis_of_its_integral_scaling():
     spec = cached_bnm(3, 2)
     scales = [Fraction(2, 3), Fraction(1, 2)]
-    gens = [Poly(QQ, spec.nvars, {e: c * scales[t % 2] for e, c in g.terms.items()})
+    gens = [{e: c * scales[t % 2] for e, c in g.items()}
             for t, g in enumerate(relation_polys(spec))]
-    assert any(c.denominator > 1 for g in gens for c in g.terms.values())
-    gb, want = buchberger(gens, ORDER), groebner_for(spec)
+    assert any(c.denominator > 1 for g in gens for c in g.values())
+    gb, want = buchberger(gens, QQ, ORDER), groebner_for(spec)
     assert gb.basis == want.basis and gb.leads == want.leads
-    assert all(type(c) is Fraction for g in gb.basis + want.basis for c in g.terms.values())
+    # B(3,2)'s monic basis is integral: plain ints, whatever the input's type
+    assert all(type(c) is int for g in gb.basis + want.basis for c in g.values())
 
 
-def reference_minors(spec, c):
+def reference_minors(spec, c, p):
     """The c x c minors of the Jacobian by cofactor expansion along the first
-    row, in Poly arithmetic on exponent tuples, zero minors left out."""
-    jac = [[poly_derivative(rel, v) for v in range(spec.nvars)] for rel in relation_polys(spec)]
+    row, over the field of characteristic p on exponent tuples, zero minors
+    left out."""
+    jac = [[poly_derivative(in_field(rel, p), v, p) for v in range(spec.nvars)]
+           for rel in relation_polys(spec)]
 
     def det(rows, cols):
         if len(rows) == 1:
             return jac[rows[0]][cols[0]]
-        out = Poly(spec.field, spec.nvars, {})
+        out = {}
         for k, col in enumerate(cols):
-            if jac[rows[0]][col].is_zero():
+            if not jac[rows[0]][col]:
                 continue
-            term = poly_mul(jac[rows[0]][col], det(rows[1:], cols[:k] + cols[k + 1:]))
-            out = poly_add(out, term, 1 if k % 2 == 0 else -1)
+            term = poly_mul(jac[rows[0]][col], det(rows[1:], cols[:k] + cols[k + 1:]), p)
+            out = poly_add(out, term, p, 1 if k % 2 == 0 else -1)
         return out
 
     return [d for rows in combinations(range(len(jac)), c)
-            for cols in combinations(range(spec.nvars), c) if not (d := det(rows, cols)).is_zero()]
+            for cols in combinations(range(spec.nvars), c) if (d := det(rows, cols))]
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["qq", "gf"])
 @pytest.mark.parametrize("build", [lambda f: cached_an(4, f), lambda f: cached_bnm(3, 1, f)],
                          ids=["a4", "b31"])
 def test_singular_minors_are_the_cofactor_expansion(build, field):
+    # the minors are integer polynomials whatever the spec's field: over Z
+    # they are the reference's, each with its terms in the same order, and
+    # read mod p they are the reference's minors over GF(p)
     spec = build(field)
     c = spec.nvars - (2 * spec.n + spec.m - 3)
-    got, want = singular_minors(spec, c), reference_minors(spec, c)
+    got = singular_minors(spec, c)
     assert len(got) > 0
-    # the same polynomials, each with its terms in the same order
-    assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
-    assert all(type(v) is type(field.one()) for p in got for v in p.terms.values())
+    assert got == singular_minors(spec.to_field(QQ), c)
+    assert [list(g.items()) for g in got] == [list(g.items()) for g in reference_minors(spec, c, 0)]
+    assert all(type(v) is int for g in got for v in g.values())
+    p = field.characteristic
+    assert [m for g in got if (m := in_field(g, p))] == reference_minors(spec, c, p)
 
 
 def brute_force_cover(supports, nvars):
@@ -468,5 +481,4 @@ def test_min_hitting_set_agrees_with_brute_force():
                     for _ in range(rng.randint(0, 12))]
         assert groebner._min_hitting_set(supports) == brute_force_cover(supports, nvars), trial
     # a constant in the basis: the unit ideal, whose quotient has dimension -1
-    assert krull_dimension(buchberger([p_of(QQ, 2, {(1, 0): 1}), p_of(QQ, 2, {(0, 0): 3})],
-                                      ORDER)) == -1
+    assert krull_dimension(buchberger([{(1, 0): 1}, {(0, 0): 3}], QQ, ORDER)) == -1

@@ -15,7 +15,6 @@ from psiring.geometry import (
 )
 from psiring.groebner import groebner_for
 from psiring.orders import multidegree
-from psiring.poly import Poly
 from psiring.presentation import (
     CUSTOM,
     PivotScheme,
@@ -30,7 +29,7 @@ from psiring.presentation import (
 )
 from psiring.slices import slice_dimension
 from psiring.symbols import Alpha, Phi
-from conftest import cached_an, cached_bnm, poly_add, poly_mul, reduce_poly
+from conftest import cached_an, cached_bnm, in_field, poly_add, poly_mul, reduce_poly
 
 GF = PrimeField(32003)
 
@@ -78,8 +77,8 @@ def test_relations_are_multigraded_quadrics():
             assert i < j
             assert cnt == spec.n + spec.m - 3
         for rel in relation_polys(spec):
-            assert {sum(e) for e in rel.terms} == {2}
-            (md,) = {multidegree(e, spec.blocks, spec.nblocks) for e in rel.terms}
+            assert {sum(e) for e in rel} == {2}
+            (md,) = {multidegree(e, spec.blocks, spec.nblocks) for e in rel}
             assert sum(md) == 2
 
 
@@ -120,27 +119,29 @@ def test_symbols_render():
 
 
 def var(spec, v):
-    """The variable v of the spec as a Poly, or zero when v is not one of them
-    (a pivot-normalized generator)."""
+    """The variable v of the spec as a polynomial, or zero when v is not one
+    of them (a pivot-normalized generator)."""
     pos = {var: p for p, var in enumerate(spec.variables)}
     if v not in pos:
-        return Poly(spec.field, spec.nvars)
+        return {}
     e = [0] * spec.nvars
     e[pos[v]] = 1
-    return Poly.from_int_terms(spec.field, spec.nvars, {tuple(e): 1})
+    return {tuple(e): 1}
 
 
 def formula(spec, i, j, k, l):
     """The pair (i, j) relation comparing points k and l, as in the module
     docstring of presentation, over the spec's field."""
+    p = spec.field.characteristic
+
     def a(i, j):
         return var(spec, Alpha(i, j))
 
     def d(x, y):
-        return poly_add(x, y, -1)
+        return poly_add(x, y, p, -1)
 
-    lhs = poly_mul(d(a(i, k), a(i, j)), d(a(j, k), a(j, i)))
-    return d(lhs, poly_mul(d(a(i, l), a(i, j)), d(a(j, l), a(j, i))))
+    lhs = poly_mul(d(a(i, k), a(i, j)), d(a(j, k), a(j, i)), p)
+    return d(lhs, poly_mul(d(a(i, l), a(i, j)), d(a(j, l), a(j, i)), p))
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -154,7 +155,7 @@ def test_general_pair_relations_lie_in_the_ideal(n):
                 for l in pts:
                     if len({i, j, k, l}) == 4 and i < j and k < l:
                         r = formula(spec, i, j, k, l)
-                        assert reduce_poly(r, gb.basis, gb.order).is_zero(), (i, j, k, l)
+                        assert not reduce_poly(r, gb.basis, gb.field, gb.order), (i, j, k, l)
 
 
 PIVOTS = [(4, None), (4, (2, 1, 4, 3)), (5, None), (5, (3, 1, 2, 5, 4))]
@@ -189,14 +190,14 @@ def test_pair_relation_builders_agree(n, assignment):
             for p in divmod(idx, v):
                 e[p] += 1
             terms[tuple(e)] = terms.get(tuple(e), 0) + c
-        assert Poly.from_int_terms(QQ, v, terms) == rel, (i, j, k)
+        assert {e: c for e, c in terms.items() if c} == rel, (i, j, k)
         assert formula(spec, i, j, k, l0) == rel, (i, j, k)
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 1), (3, 2), (4, 2)])
 def test_bnm_relations_follow_the_docstring_formula(n, m):
     """Every B_{n,m} relation, in storage order, is the module-docstring
-    formula built by Poly arithmetic: k-channel relations, then extra points."""
+    formula built by polynomial arithmetic: k-channel relations, then extra points."""
     spec = cached_bnm(n, m)
 
     def a(i, j):
@@ -207,7 +208,8 @@ def test_bnm_relations_follow_the_docstring_formula(n, m):
 
     def pair_relation(x, y, aij, aji):
         """x*y - aij*y - aji*x"""
-        return poly_add(poly_add(poly_mul(x, y), poly_mul(aij, y), -1), poly_mul(aji, x), -1)
+        return poly_add(poly_add(poly_mul(x, y, 0), poly_mul(aij, y, 0), 0, -1),
+                        poly_mul(aji, x, 0), 0, -1)
 
     want, pairs = [], []
     for i in range(1, n + 1):
@@ -236,8 +238,10 @@ def test_to_field_round_trip(p):
     gf = spec.to_field(PrimeField(p))
     assert gf.field == PrimeField(p) and gf.relations is spec.relations
     assert gf.to_field(QQ) == spec and gf.to_field(QQ).relations is spec.relations
-    # GF(2) reads -1 as +1 only in the Polys; the integer relations keep their signs
+    # the relations and their polynomials are integers over every field, so
+    # their signs survive GF(2); read into GF(p), each coefficient is c mod p
     assert any(c == -1 for terms in gf.relations for _, _, c in terms)
+    assert relation_polys(gf) == relation_polys(spec)
     for terms, poly in zip(spec.relations, relation_polys(gf), strict=True):
         want = {}
         for a, b, c in terms:
@@ -246,7 +250,7 @@ def test_to_field_round_trip(p):
             e[b] += 1
             if c % p:
                 want[tuple(e)] = c % p
-        assert poly.terms == want
+        assert in_field(poly, p) == want
 
 
 def _point(spec):

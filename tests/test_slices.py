@@ -14,7 +14,6 @@ from psiring.errors import UsageError
 from psiring.fields import DEFAULT_PRIME, PrimeField
 from psiring.groebner import groebner_for
 from psiring.orders import multidegree
-from psiring.poly import Poly
 from psiring.presentation import CUSTOM, PivotScheme, build_an, build_bnm, relation_polys
 from psiring.symbols import Alpha
 from psiring.series import (
@@ -87,23 +86,23 @@ def test_monomial_count_is_a_product_of_compositions():
 
 def rows_by_poly_arithmetic(spec, a):
     """Every relation times every monomial of the complementary degree, multiplied
-    as Polys and read off in the basis monomials(spec, a)."""
+    as integer polynomials and read off in the basis monomials(spec, a)."""
     col = {m: i for i, m in enumerate(monomials(spec, a))}
     rows = []
     for rel in relation_polys(spec):
-        rdeg = multidegree(next(iter(rel.terms)), spec.blocks, spec.nblocks)
+        rdeg = multidegree(next(iter(rel)), spec.blocks, spec.nblocks)
         rem = tuple(x - y for x, y in zip(a, rdeg))
         if min(rem) < 0:
             continue
         for mono in monomials(spec, rem):
-            prod = poly_mul(rel, Poly(spec.field, spec.nvars, {mono: spec.field.one()}))
-            rows.append({col[e]: spec.field.to_int(c) for e, c in prod.terms.items()})
+            prod = poly_mul(rel, {mono: 1}, 0)
+            rows.append({col[e]: c for e, c in prod.items()})
     return rows
 
 
 def dimension_by(method, spec, a):
     """Slice dimension from one rank lane on every product row, built here by
-    Poly arithmetic, or from slice_dimension's own route ('auto')."""
+    polynomial arithmetic, or from slice_dimension's own route ('auto')."""
     if method == "auto":
         return slice_dimension(spec, a).dimension
     rows, ncols = rows_by_poly_arithmetic(spec, a), count_monomials(spec, a)
@@ -211,7 +210,7 @@ def row_key(row):
 
 
 def same_rows(spec, a):
-    """relation_product_rows keeps some of the Poly products and counts all of them."""
+    """relation_product_rows keeps some of the polynomial products and counts all of them."""
     rows, ncols, products = relation_product_rows(spec, a)
     full = rows_by_poly_arithmetic(spec, a)
     assert ncols == count_monomials(spec, a)
