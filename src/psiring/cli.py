@@ -14,6 +14,7 @@ import functools
 import sys
 import time
 import traceback
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -30,7 +31,7 @@ from .geometry import (
     verify_vanishing,
 )
 from .groebner import groebner_for, krull_dimension, leading_terms_agree
-from .koszul import DEFAULT_ELEMENT_BUDGET, b2_structural, koszul_prediction, koszul_summary
+from .koszul import DEFAULT_ELEMENT_BUDGET, b2_structural, koszul_summary
 from .orders import BLOCK_GREVLEX, GREVLEX, LEX, MonomialOrder
 from .poly import poly_text
 from .presentation import (
@@ -320,14 +321,14 @@ def cmd_koszul(args) -> Report:
     pivot = _pivot(args)
     report = Report(TOOL, __version__,
                     _config_echo(args, kmax=args.kmax, budget=args.budget))
-    summary = koszul_summary(args.n, args.kmax, budget=args.budget, pivot=pivot)
-    b2 = b2_structural(args.n)
-    if args.kmax >= 2:
-        pred_b2, got_b2 = summary.stages[2].predicted, summary.stages[2].dual_dim
-    else:
-        pred_b2 = got_b2 = koszul_prediction(args.n, 2)[2]
-    b2_ok = b2 == pred_b2 == got_b2
-    report.add(make_check("koszul-b2", {"n": args.n}, b2, got_b2))
+    if args.kmax < 0:
+        raise UsageError(f"negative degree {args.kmax}")
+    # stage 2 is computed whatever kmax, for koszul-b2; only stages <= kmax are reported
+    summary = koszul_summary(args.n, max(args.kmax, 2), budget=args.budget, pivot=pivot)
+    b2, stage2 = b2_structural(args.n), summary.stages[2]
+    b2_ok = b2 == stage2.predicted == stage2.dual_dim
+    report.add(make_check("koszul-b2", {"n": args.n}, b2, stage2.dual_dim))
+    summary = replace(summary, kmax=args.kmax, stages=summary.stages[: args.kmax + 1])
     for s in summary.stages:
         report.add(make_check(
             "koszul-dual-vs-series", {"n": args.n, "k": s.k},

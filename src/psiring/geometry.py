@@ -44,8 +44,9 @@ from .exactla import rank_sparse_rational
 from .fields import QQ
 from .groebner import buchberger, groebner_for, krull_dimension, linear_interreduce
 from .orders import Packing
-from .presentation import Alpha, PresentationSpec, presentation_size, relation_polys
+from .presentation import PresentationSpec, presentation_size, relation_polys
 from .rng import SplitMix64
+from .symbols import Alpha
 
 DEFAULT_MINOR_BUDGET = 20_000
 

@@ -27,8 +27,8 @@ an inverse mod p or by a Fraction, and normal_form and s_poly add and
 multiply mod p or exactly.  A PackedRing carries the packing, the field and a
 sort key for every code it has met, memoized for the whole run: an integer
 under grevlex, the order's own key of the unpacked exponents under lex and
-block orders.  Basis members are kept as reducers (leading code, tail negated
-and divided by the leading coefficient), built once when the member joins.
+block orders.  Basis members are kept as reducers (leading code, tail divided
+by the leading coefficient), built once when the member joins.
 Each queued pair carries its selection key (lcm degree, order key of the lcm,
 j, i), so the queue is a heap.  A product whose exponent reaches a guard bit
 stops the run, which starts again with twice the bits per exponent: no
@@ -85,8 +85,8 @@ class Terms(dict):
 
 class Reducer(NamedTuple):
     """A monic basis member: its leading code and its other terms as
-    (code, -coefficient) pairs, so that reducing c*x^(lead+s) adds
-    c * coefficient to the code + s of each pair."""
+    (code, coefficient) pairs, so that reducing c*x^(lead+s) subtracts
+    c * coefficient at the code + s of each pair."""
 
     lead: int
     tail: tuple[tuple[int, object], ...]
@@ -133,10 +133,10 @@ class PackedRing:
         prime = self.field.characteristic
         lead = max(t, key=self.key)
         if prime:
-            scale = -pow(t[lead], -1, prime)
+            scale = pow(t[lead], -1, prime)
             tail = ((e, c * scale % prime) for e, c in t.items() if e != lead)
         else:
-            scale = Fraction(-1, t[lead])
+            scale = Fraction(1, t[lead])
             tail = ((e, _integral(c * scale)) for e, c in t.items() if e != lead)
         return Reducer(lead, tuple(tail))
 
@@ -147,7 +147,7 @@ class PackedRing:
 
     def to_poly(self, g: Reducer) -> dict:
         """The reducer as a monic polynomial: its tail, then its leading term."""
-        terms = Terms((e, _neg(c, self.field.characteristic)) for e, c in g.tail)
+        terms = Terms(g.tail)
         terms[g.lead] = 1
         return self.poly(terms)
 
@@ -155,11 +155,6 @@ class PackedRing:
 def _integral(c):
     """c as a plain int when it is integral, else c (a Fraction over QQ)."""
     return c.numerator if c.denominator == 1 else c
-
-
-def _neg(c, prime: int):
-    """-c mod prime, or -c over QQ (prime 0)."""
-    return -c % prime if prime else -c
 
 
 def normal_form(p: Terms, basis: list[Reducer], ring: PackedRing) -> Terms:
@@ -194,11 +189,11 @@ def normal_form(p: Terms, basis: list[Reducer], ring: PackedRing) -> Terms:
             if v is None:
                 if te & guard:
                     raise PackingOverflow("an exponent outgrew its packed field")
-                work[te] = c * gc % prime if prime else c * gc
+                work[te] = -c * gc % prime if prime else -c * gc
                 if te not in keys:
                     key(te)
                 continue
-            v = (v + c * gc) % prime if prime else v + c * gc
+            v = (v - c * gc) % prime if prime else v - c * gc
             if v:
                 work[te] = v
             else:
@@ -212,7 +207,7 @@ def s_poly(f: Reducer, g: Reducer, ring: PackedRing) -> Terms:
     prime = ring.field.characteristic
     l = ring.packing.lcm(f.lead, g.lead)
     out = Terms()
-    for reducer, sign in ((f, -1), (g, 1)):
+    for reducer, sign in ((f, 1), (g, -1)):
         shift = l - reducer.lead
         for e, c in reducer.tail:
             te = e + shift
@@ -337,7 +332,7 @@ def _is_homogeneous(p: dict) -> bool:
 
 def _interreduce(G: list[Reducer], ring: PackedRing) -> list[Reducer]:
     """Drop redundant members, then fully reduce each tail; sort for determinism."""
-    divides, prime = ring.packing.divides, ring.field.characteristic
+    divides = ring.packing.divides
     lts = [g.lead for g in G]
     keep = []
     for t, lt in enumerate(lts):
@@ -351,9 +346,9 @@ def _interreduce(G: list[Reducer], ring: PackedRing) -> list[Reducer]:
     out = []
     for t, g in enumerate(kept):
         others = out + kept[t + 1:]
-        tail = Terms((e, _neg(c, prime)) for e, c in g.tail)
+        tail = Terms(g.tail)
         red = normal_form(tail, others, ring) if others else tail
-        out.append(Reducer(g.lead, tuple((e, _neg(c, prime)) for e, c in red.items())))
+        out.append(Reducer(g.lead, tuple(red.items())))
     out.sort(key=lambda g: ring.key(g.lead))
     return out
 

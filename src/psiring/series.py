@@ -147,12 +147,23 @@ def lee_series_restricted(n: int, m: int, limit: int) -> TruncatedSeries:
 
 def curve_module_series(n: int, limit: int) -> TruncatedSeries:
     """Series of the universal-curve coordinate ring over A_{n-1}:
-    (1 + sum_{i<n} q_i/(1-q_i)) * lee_series(n-1), an (n-1)-variable series."""
+    (1 + sum_{i<n} q_i/(1-q_i)) * lee_series(n-1), an (n-1)-variable series.
+
+    Built from that definition by an explicit convolution, out[a] = S[a] +
+    sum_i sum_{k=1..a_i} S[a - k e_i] with S = lee_series(n-1), not by the
+    grid-step multiplication that lee_series_restricted(n-1, 1) applies once
+    more: the curve-module factorization compares two routes.
+    """
     if n < 4:
         raise UsageError(f"curve_module_series needs n >= 4, got {n}")
-    steps = _grid_steps(n - 1, limit)
-    return TruncatedSeries(n - 1, limit,
-                           _times_one_plus_shifts(_psi_values(n - 1, n - 4, limit), steps))
+    S = lee_series(n - 1, limit).coeffs
+    values = []
+    for a in degree_grid(n - 1, limit):
+        x = S.get(a, 0)
+        for i, ai in enumerate(a):
+            x += sum(S.get(a[:i] + (ai - k,) + a[i + 1:], 0) for k in range(1, ai + 1))
+        values.append(x)
+    return TruncatedSeries(n - 1, limit, values)
 
 
 def lee_coefficient(n: int, a: tuple[int, ...], m: int = 0) -> int:

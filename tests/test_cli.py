@@ -1,12 +1,15 @@
 """Command-line behavior: subcommands, formats, exit codes, determinism."""
 
+import ast
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from importlib import metadata
 from pathlib import Path
 
@@ -163,6 +166,9 @@ def test_verify_theorem_a(capsysbinary):
     ["hilbert", "lee", "--n", "4", "--m", "3", "--max-total", "1"],
     ["koszul", "--n", "4", "--m", "3", "--kmax", "2"],
     ["gb", "run", "--n", "4", "--cap", "-1"],
+    ["gb", "run", "--n", "4", "--order", "bogus"],
+    ["hilbert", "verify", "--n", "4", "--pivot", "custom:2,x,4,3"],
+    ["koszul", "--n", "4", "--kmax", "-1"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert cli.main(argv) == 2
@@ -224,6 +230,22 @@ def test_math_failure_exits_one(monkeypatch, capsysbinary):
     assert d["overall"] == "fail"
 
 
+def test_koszul_b2_is_computed_below_kmax_two(monkeypatch, capsysbinary):
+    # force a wrong stage-2 dimension: the kmax = 1 report must fail on koszul-b2
+    real = cli.koszul_summary
+
+    def wrong_b2(n, kmax, **kwargs):
+        summary = real(n, kmax, **kwargs)
+        stages = list(summary.stages)
+        stages[2] = replace(stages[2], dual_dim=stages[2].dual_dim + 1)
+        return replace(summary, stages=tuple(stages))
+
+    monkeypatch.setattr(cli, "koszul_summary", wrong_b2)
+    code, d = run_json(["koszul", "--n", "4", "--kmax", "1"], capsysbinary)
+    assert code == 1
+    assert [c["status"] for c in d["checks"] if c["name"] == "koszul-b2"] == ["fail"]
+
+
 def test_out_writes_file(tmp_path, capsysbinary):
     target = tmp_path / "r.json"
     code = cli.main(["presentation", "dump", "--n", "4", "--out", str(target),
@@ -265,7 +287,6 @@ def test_koszul_expands_the_prediction_once(monkeypatch, capsysbinary):
         return real(n, kmax)
 
     monkeypatch.setattr(koszul, "koszul_prediction", spy)
-    monkeypatch.setattr(cli, "koszul_prediction", spy)
     code, d = run_json(["koszul", "--n", "3", "--kmax", "40"], capsysbinary)
     assert code == 0
     assert d["payload"]["tower"] == [1, 3, 3, 1] + [0] * 37
@@ -417,6 +438,20 @@ def test_timings_cover_the_whole_command(monkeypatch, capsysbinary):
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PYPROJECT = SRC.parent / "pyproject.toml"
+
+
+def test_sources_parse_at_the_declared_minimum_python():
+    """Every file in src/, tests/ and demos/ parses under the grammar of the
+    `requires-python` minimum in pyproject.  This checks syntax only, as far
+    as ast's feature_version reaches: stdlib APIs newer than that minimum,
+    such as tomllib (3.11), are not covered; the tests import tomllib through
+    importorskip."""
+    minimum = re.search(r'^requires-python = ">=3\.(\d+)"$', PYPROJECT.read_text(), re.M)
+    version = (3, int(minimum.group(1)))
+    paths = sorted(p for d in ("src", "tests", "demos") for p in (SRC.parent / d).rglob("*.py"))
+    assert len(paths) > 30
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
 
 
 def declared_script():

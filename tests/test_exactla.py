@@ -270,6 +270,12 @@ def test_mod_matmul_rejects_oversized_modulus():
         mod_matmul(a, a, big)
 
 
+def test_mod_matmul_rejects_mismatched_shapes():
+    a = np.zeros((3, 4), dtype=np.int64)
+    with pytest.raises(UsageError, match="shape mismatch"):
+        mod_matmul(a, a, TENSOR_PRIME)
+
+
 @pytest.mark.parametrize("inner", [0, 1, 3, 4, 10])
 def test_mod_matmul_reduces_at_every_chunk(monkeypatch, inner):
     # a chunk width of 3 splits the inner products into several int64 products,

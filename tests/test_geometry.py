@@ -125,11 +125,13 @@ def test_channel_witness_detects_perturbation(n):
 @pytest.mark.parametrize("z,lam,match", [
     ((0, 1, 1, 3), (1, 1, 1, 1), "pairwise distinct"),
     ((0, 1, 2, 3), (1, 0, 1, 1), "nonzero"),
-], ids=["repeated-point", "zero-weight"])
+    ((0, 1, 2, 3), (1, 1, 1), "one weight per marked point"),
+], ids=["repeated-point", "zero-weight", "missing-weight"])
 def test_invalid_configuration_is_refused(z, lam, match):
-    # a repeated point divides by zero in the pole table, and a zero weight
-    # zeroes a row of it, so both are refused before any pole value is read;
-    # the coordinates and the channel check read only a built table
+    # a repeated point divides by zero in the pole table, a zero weight
+    # zeroes a row of it, and a missing weight leaves a row without one, so
+    # all are refused before any pole value is read; the coordinates and the
+    # channel check read only a built table
     cfg = PointConfig(z=tuple(map(Fraction, z)), q=(), lam=tuple(map(Fraction, lam)))
     with pytest.raises(UsageError, match=match):
         pole_table(cfg)

@@ -4,6 +4,7 @@ formula, diagonal sums, and the frozen inverse-series tables.
 
 import pytest
 
+from psiring import series
 from psiring.errors import UsageError
 from psiring.series import (
     TruncatedSeries,
@@ -104,6 +105,21 @@ def test_curve_module_factorization():
     for n in (4, 5, 6):
         assert curve_module_series(n, 5) == \
             lee_series_restricted(n - 1, 1, 5)
+
+
+def test_curve_module_factorization_catches_a_wrong_multiplication(monkeypatch):
+    # the two sides take separate routes, so a fault in the series arithmetic's
+    # multiplication by 1 + sum_i q_i/(1-q_i) shows as a difference
+    real = series._times_one_plus_shifts
+
+    def corrupt(c, steps):
+        out = real(c, steps)
+        out[-1] += 1
+        return out
+
+    monkeypatch.setattr(series, "_times_one_plus_shifts", corrupt)
+    for n in (4, 5):
+        assert curve_module_series(n, 5) != lee_series_restricted(n - 1, 1, 5)
 
 
 def test_series_arithmetic():
