@@ -5,7 +5,6 @@ Run:  python3 demos/geometry_probe.py
 
 from fractions import Fraction
 
-from psiring.fields import PrimeField
 from psiring.geometry import (
     alpha_values,
     channels_consistent,
@@ -56,7 +55,7 @@ def main():
     for builder, label in [(lambda: build_an(4), "A(4)"),
                            (lambda: build_bnm(2, 2), "B(2,2)"),
                            (lambda: build_an(3), "A(3)")]:
-        r = singular_locus_dim(builder().to_field(PrimeField(32003)))
+        r = singular_locus_dim(builder().to_field(32003))
         print(f"  {label}: variety dim {r.variety_dim},"
               f" singular dim {r.singular_dim}, proper subset: {r.bound_met}")
 

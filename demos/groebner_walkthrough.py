@@ -5,7 +5,6 @@ Run:  python3 demos/groebner_walkthrough.py
 
 import random
 
-from psiring.fields import QQ, PrimeField
 from psiring.groebner import (
     PackedRing,
     groebner_for,
@@ -65,7 +64,7 @@ def main():
     print(f"  agree across 8 shuffled bases: {all(agree)}")
 
     print("\nprime-field and rational completions have the same leading terms")
-    gp = groebner_for(spec.to_field(PrimeField(32003)))
+    gp = groebner_for(spec.to_field(32003))
     print(f"  agree: {leading_terms_agree(gb, gp)}")
 
     print("\nKrull dimensions across the families (expect 2n + m - 3)")
@@ -73,7 +72,7 @@ def main():
                            (lambda: build_bnm(2, 2), "B(2,2)"),
                            (lambda: build_bnm(3, 1), "B(3,1)")]:
         s = builder()
-        d = krull_dimension(groebner_for(s.to_field(PrimeField(32003))))
+        d = krull_dimension(groebner_for(s.to_field(32003)))
         print(f"  {label}: {d} (predicted {2 * s.n + s.m - 3})")
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import BudgetError, UsageError
-from .fields import DEFAULT_PRIME, QQ, parse_field
+from .fields import DEFAULT_PRIME, field_name, parse_field
 from .geometry import (
     DEFAULT_MINOR_BUDGET,
     alpha_values,
@@ -130,9 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _field_for(args, default: str = "rational"):
+def _field_for(args, default: int = 0) -> int:
+    """The --field characteristic, default when the flag is absent."""
     text = getattr(args, "field", None)
-    return parse_field(text if text is not None else default)
+    return default if text is None else parse_field(text)
 
 
 def _pivot(args) -> PivotScheme:
@@ -303,11 +304,11 @@ def cmd_gb(args) -> Report:
             want, krull_dimension(gb),
         ))
     if len(gb) <= 200:
-        other = QQ if spec.field != QQ else parse_field(f"prime:{DEFAULT_PRIME}")
+        other = 0 if spec.field else DEFAULT_PRIME
         gb2 = groebner_for(spec.to_field(other), order, cap=args.cap)
         report.add(make_check(
             "groebner-cross-field",
-            {"fields": f"{spec.field.name} vs {other.name}"},
+            {"fields": f"{field_name(spec.field)} vs {field_name(other)}"},
             "identical leading terms",
             "identical leading terms" if leading_terms_agree(gb, gb2)
             else "leading terms differ",
@@ -323,6 +324,8 @@ def cmd_koszul(args) -> Report:
                     _config_echo(args, kmax=args.kmax, budget=args.budget))
     if args.kmax < 0:
         raise UsageError(f"negative degree {args.kmax}")
+    if args.budget < 0:
+        raise UsageError(f"negative --budget {args.budget}")
     # stage 2 is computed whatever kmax, for koszul-b2; only stages <= kmax are reported
     summary = koszul_summary(args.n, max(args.kmax, 2), budget=args.budget, pivot=pivot)
     b2, stage2 = b2_structural(args.n), summary.stages[2]
@@ -347,7 +350,7 @@ def cmd_koszul(args) -> Report:
 def cmd_sample(args) -> Report:
     if args.count < 1:
         raise UsageError(f"--count must be positive, got {args.count}")
-    spec = _spec(args, field=QQ)
+    spec = _spec(args, field=0)
     report = Report(TOOL, __version__, _config_echo(args, count=args.count))
     rng = SplitMix64(args.seed)
     child_seeds = [rng.next_u64() for _ in range(args.count)]
@@ -388,7 +391,9 @@ def cmd_sample(args) -> Report:
 
 
 def cmd_singular(args) -> Report:
-    field = _field_for(args, default=f"prime:{DEFAULT_PRIME}")
+    if args.budget < 0:
+        raise UsageError(f"negative --budget {args.budget}")
+    field = _field_for(args, default=DEFAULT_PRIME)
     _pivot(args)
     # refused from the closed-form sizes, before the presentation is built
     check_singular_budget(args.n, args.m, args.budget)
@@ -418,7 +423,7 @@ def cmd_verify_theorem_a(args) -> Report:
     report = cmd_hilbert(args)
     report.config["subcommand"] = "verify-theorem-a"
     if args.n <= 6:
-        spec = _spec(args, field=parse_field(f"prime:{DEFAULT_PRIME}"))
+        spec = _spec(args, field=DEFAULT_PRIME)
         gb = groebner_for(spec)
         series = lee_series(args.n, args.max_total)
         mism = 0

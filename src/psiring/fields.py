@@ -1,11 +1,11 @@
-"""Exact coefficient fields: arbitrary-precision rationals and prime fields.
+"""Exact coefficient fields, each one its characteristic: 0 for QQ, p for GF(p).
 
-A field object names the field and carries its characteristic, 0 for QQ and
-p for GF(p); it holds no arithmetic.  Coefficients are plain numbers: the
-relations and the Jacobian minors are integers whatever the field, and the
-code that needs a field's arithmetic (the Groebner engine, the elimination
-lanes) runs it on ints mod the characteristic, or on ints and
-`fractions.Fraction` values over QQ.
+A field is a plain int, so the layers pass it as they pass any prime.  It
+holds no arithmetic: the relations and the Jacobian minors are integers
+whatever the field, and the code that needs a field's arithmetic (the
+Groebner engine, the elimination lanes) runs it on ints mod p, or on ints and
+`fractions.Fraction` values over QQ.  A nonzero characteristic is certified
+prime by check_prime where it enters a computation.
 """
 
 from __future__ import annotations
@@ -21,23 +21,6 @@ DEFAULT_PRIME = 2147483647
 # reductions (see exactla.mod_matmul).
 TENSOR_PRIME = 1048573
 TENSOR_RETRY_PRIME = 1048571
-
-
-class Rationals:
-    """The rationals, QQ."""
-
-    name = "QQ"
-    characteristic = 0
-
-    def __repr__(self):
-        return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("QQ")
-
 
 # Miller-Rabin with the first 12 primes as bases decides primality exactly
 # below this bound (Sorenson and Webster, 2015).
@@ -67,46 +50,33 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """Z/p with p prime; its elements are read as ints in [0, p)."""
-
-    def __init__(self, p: int):
-        if p < 2:
-            raise UsageError(f"modulus must be a prime >= 2, got {p}")
-        if p >= _MR_LIMIT:
-            raise UsageError(f"modulus {p} is too large to certify as prime")
-        if not _is_prime(p):
-            raise UsageError(f"modulus {p} is not prime")
-        self.p = p
-        self.name = f"GF({p})"
-        self.characteristic = p
-
-    def __repr__(self):
-        return self.name
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
+def check_prime(p: int) -> int:
+    """p, once certified prime; a UsageError otherwise."""
+    if p < 2:
+        raise UsageError(f"modulus must be a prime >= 2, got {p}")
+    if p >= _MR_LIMIT:
+        raise UsageError(f"modulus {p} is too large to certify as prime")
+    if not _is_prime(p):
+        raise UsageError(f"modulus {p} is not prime")
+    return p
 
 
-Field = Rationals | PrimeField
+def field_name(p: int) -> str:
+    """'QQ' for characteristic 0, else 'GF(p)'."""
+    return f"GF({p})" if p else "QQ"
 
-QQ = Rationals()
 
-
-def parse_field(text: str) -> Field:
-    """Parse a field spec: 'rational' or 'prime:65537' (or 'prime' for the default)."""
+def parse_field(text: str) -> int:
+    """The characteristic of a field spec: 'rational' (0) or 'prime:65537'
+    (or 'prime' for the default)."""
     if text in ("rational", "QQ", "qq"):
-        return QQ
+        return 0
     if text == "prime":
-        return PrimeField(DEFAULT_PRIME)
+        return DEFAULT_PRIME
     if text.startswith("prime:"):
         try:
             p = int(text.split(":", 1)[1])
         except ValueError as exc:
             raise UsageError(f"bad field spec {text!r}") from exc
-        return PrimeField(p)
+        return check_prime(p)
     raise UsageError(f"bad field spec {text!r}; expected 'rational' or 'prime:p'")
-

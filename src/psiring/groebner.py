@@ -22,7 +22,7 @@ polynomials {exponent tuple: int} (a Fraction is accepted over QQ), the same
 whatever the field, and are read mod p once, as they are packed.
 Coefficients are then ints mod p, and over QQ ints wherever a value is
 integral, Fractions elsewhere; the basis comes back in the same numbers.
-The field's arithmetic lives here, on the characteristic: reducers scale by
+A field is its characteristic; its arithmetic lives here: reducers scale by
 an inverse mod p or by a Fraction, and normal_form and s_poly add and
 multiply mod p or exactly.  A PackedRing carries the packing, the field and a
 sort key for every code it has met, memoized for the whole run: an integer
@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 from .errors import UsageError
 from .exactla import sparse_echelon
-from .fields import Field
+from .fields import check_prime
 from .orders import GREVLEX, MonomialOrder, Packing, PackingOverflow
 from .presentation import PresentationSpec, relation_polys
 
@@ -62,7 +62,7 @@ class GroebnerBasis:
     is the leading exponent of basis[i] under the order, and complete means no
     S-pair was discarded."""
 
-    field: Field
+    field: int  # the characteristic: 0 for QQ, else p
     nvars: int
     order: MonomialOrder
     basis: list[dict]
@@ -102,7 +102,7 @@ class PackedRing:
     of the unpacked exponents, so each code is unpacked at most once.
     """
 
-    def __init__(self, field: Field, order: MonomialOrder, packing: Packing):
+    def __init__(self, field: int, order: MonomialOrder, packing: Packing):
         self.field = field
         self.order = order
         self.packing = packing
@@ -123,14 +123,14 @@ class PackedRing:
         """The polynomial in packed codes, its coefficients read into the
         field: mod p, or over QQ an integral value as an int.  Terms that
         vanish there are dropped."""
-        pack, prime = self.packing.pack, self.field.characteristic
+        pack, prime = self.packing.pack, self.field
         if prime:
             return Terms((pack(e), v) for e, c in p.items() if (v := c % prime))
         return Terms((pack(e), _integral(c)) for e, c in p.items() if c)
 
     def reducer(self, t: Terms) -> Reducer:
         """The monic multiple of the nonzero t, as a reducer."""
-        prime = self.field.characteristic
+        prime = self.field
         lead = max(t, key=self.key)
         if prime:
             scale = pow(t[lead], -1, prime)
@@ -166,7 +166,7 @@ def normal_form(p: Terms, basis: list[Reducer], ring: PackedRing) -> Terms:
     packing.
     """
     guard = ring.packing.guard
-    prime = ring.field.characteristic
+    prime = ring.field
     keys, key = ring.keys, ring.key
     for e in p:
         key(e)
@@ -204,7 +204,7 @@ def normal_form(p: Terms, basis: list[Reducer], ring: PackedRing) -> Terms:
 def s_poly(f: Reducer, g: Reducer, ring: PackedRing) -> Terms:
     """lcm/lt(f) * f - lcm/lt(g) * g for monic f and g; the lcm terms cancel."""
     guard = ring.packing.guard
-    prime = ring.field.characteristic
+    prime = ring.field
     l = ring.packing.lcm(f.lead, g.lead)
     out = Terms()
     for reducer, sign in ((f, 1), (g, -1)):
@@ -225,18 +225,21 @@ def s_poly(f: Reducer, g: Reducer, ring: PackedRing) -> Terms:
 
 def buchberger(
     polys: list[dict],
-    field: Field,
+    field: int,
     order: MonomialOrder,
     cap: int | None = None,
 ) -> GroebnerBasis:
     """Complete the generating set, integer polynomials {exponent: int}, to a
-    Groebner basis over the field under the order.
+    Groebner basis over the field of characteristic field under the order;
+    a nonzero one must be prime.
 
     cap discards S-pairs whose lcm total degree exceeds it; this requires
     homogeneous input (checked) and yields a basis valid up to the cap.
     The packing starts wide enough for the input's exponents, at least 8 bits,
     and doubles whenever a product outgrows it.
     """
+    if field:
+        check_prime(field)
     polys = [p for p in polys if p]
     if not polys:
         raise UsageError("empty generating set")

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from math import comb
 
 from .errors import UsageError
-from .fields import QQ, Field
+from .fields import check_prime, field_name
 from .orders import GREVLEX, MonomialOrder
 from .poly import monomial_text, poly_text, sorted_terms
 from .symbols import Alpha, Phi, VarIndex
@@ -82,7 +82,7 @@ class PresentationSpec:
     n: int
     m: int
     pivot: PivotScheme
-    field: Field
+    field: int  # the characteristic: 0 for QQ, else a prime p for GF(p)
     variables: tuple[VarIndex, ...]
     blocks: tuple[int, ...]            # 0-based block per variable position
     # each relation as its integer terms (a, b, c), meaning c * x_a * x_b with
@@ -95,9 +95,12 @@ class PresentationSpec:
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Refuse a relation that is not an integer quadratic form: every term
-        a triple of ints with 0 <= a <= b < nvars and c nonzero, no (a, b)
-        twice, and at least one term.  Runs on replace() too."""
+        """Refuse a nonzero characteristic that is not a certified prime, and
+        a relation that is not an integer quadratic form: every term a triple
+        of ints with 0 <= a <= b < nvars and c nonzero, no (a, b) twice, and
+        at least one term.  Runs on replace() and to_field() too."""
+        if self.field:
+            check_prime(self.field)
         if not all(_is_quadric(terms, len(self.variables)) for terms in self.relations):
             raise UsageError("relations must be quadratic forms with integer coefficients")
 
@@ -127,8 +130,9 @@ class PresentationSpec:
     def default_order(self) -> MonomialOrder:
         return MonomialOrder(GREVLEX)
 
-    def to_field(self, field: Field) -> "PresentationSpec":
-        """Same presentation, the same integer relations, over another field."""
+    def to_field(self, field: int) -> "PresentationSpec":
+        """Same presentation, the same integer relations, over the field of
+        characteristic field (0 for QQ)."""
         return self if field == self.field else replace(self, field=field)
 
 
@@ -228,7 +232,7 @@ def _presentation(kind: str, n: int, m: int, pivot: PivotScheme,
     relation_degree_audit rejects a misgraded one.  The two factors of a
     tensor term lie in different blocks, so no two terms meet."""
     spec = PresentationSpec(
-        kind=kind, n=n, m=m, pivot=pivot, field=QQ,
+        kind=kind, n=n, m=m, pivot=pivot, field=0,
         variables=tuple(variables), blocks=tuple(v.block - 1 for v in variables),
         relations=tuple(tuple((min(a, b), max(a, b), c) for (a, b), c in t.items())
                         for _, t in tensors),
@@ -300,7 +304,7 @@ def presentation_to_dict(spec: PresentationSpec) -> dict:
     each coefficient read in the spec's field (c mod p over GF(p))."""
     order = spec.default_order()
     names = spec.var_names()
-    p = spec.field.characteristic
+    p = spec.field
     rels = []
     for rel, (i, j) in zip(relation_polys(spec), spec.relation_pairs):
         if p:
@@ -314,7 +318,7 @@ def presentation_to_dict(spec: PresentationSpec) -> dict:
         "n": spec.n,
         "m": spec.m,
         "pivot": spec.pivot.kind,
-        "field": spec.field.name,
+        "field": field_name(spec.field),
         "variables": names,
         "blocks": [b + 1 for b in spec.blocks],
         "relation_count": len(spec.relations),

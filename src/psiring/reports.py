@@ -155,6 +155,10 @@ def _render_csv(report: Report) -> bytes:
         w.writerow(["name", "status", "expected", "got"])
         for c in report.checks:
             w.writerow([c.name, c.status, c.expected, c.got])
+    if report.payload:
+        w.writerow(["# payload"])
+        for k in sorted(report.payload):
+            w.writerow([k, json.dumps(report.payload[k], sort_keys=True, default=str)])
     if report.timings is not None:
         w.writerow(["# timings"])
         w.writerow(["name", "seconds"])
@@ -183,6 +187,9 @@ def _render_md(report: Report) -> bytes:
         for row in t["rows"]:
             lines.append("| " + " | ".join(str(x) for x in row) + " |")
         lines.append("")
+    if report.payload:
+        lines += ["## payload", "```json",
+                  json.dumps(report.payload, sort_keys=True, indent=2, default=str), "```", ""]
     if report.timings is not None:
         lines.append("## timings")
         for k in sorted(report.timings):

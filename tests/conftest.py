@@ -1,13 +1,11 @@
-"""Shared fixtures: field contexts, cached presentations, and the
-acceptance-line terminal summary.
+"""Shared helpers: cached presentations, the reference polynomial arithmetic
+over a field given by its characteristic, and the acceptance-line terminal
+summary.
 """
 
 from dataclasses import replace
 from fractions import Fraction
 
-import pytest
-
-from psiring.fields import QQ, DEFAULT_PRIME, PrimeField
 from psiring.groebner import PackedRing, normal_form
 from psiring.orders import Packing
 from psiring.presentation import build_an, build_bnm
@@ -28,19 +26,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def cached_an(n, field=None):
-    key = ("an", n, None if field is None else field.name)
+def cached_an(n, field=0):
+    key = ("an", n, field)
     if key not in _CACHE:
-        spec = build_an(n)
-        _CACHE[key] = spec if field is None else spec.to_field(field)
+        _CACHE[key] = build_an(n).to_field(field)
     return _CACHE[key]
 
 
-def cached_bnm(n, m, field=None):
-    key = ("bnm", n, m, None if field is None else field.name)
+def cached_bnm(n, m, field=0):
+    key = ("bnm", n, m, field)
     if key not in _CACHE:
-        spec = build_bnm(n, m)
-        _CACHE[key] = spec if field is None else spec.to_field(field)
+        _CACHE[key] = build_bnm(n, m).to_field(field)
     return _CACHE[key]
 
 
@@ -130,13 +126,3 @@ def poly_evaluate(f, values):
             c *= Fraction(x) ** k
         total += c
     return total
-
-
-@pytest.fixture(scope="session")
-def gfp():
-    return PrimeField(DEFAULT_PRIME)
-
-
-@pytest.fixture(scope="session")
-def qq():
-    return QQ

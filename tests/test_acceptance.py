@@ -10,7 +10,6 @@ import time
 from functools import lru_cache
 
 from psiring import cli
-from psiring.fields import PrimeField
 from psiring.geometry import (
     alpha_values,
     channels_consistent,
@@ -33,7 +32,7 @@ from psiring.slices import slice_dimension, standard_monomial_count
 from psiring.util import parallel_map
 from conftest import cached_an, cached_bnm, record_acceptance
 
-GF = PrimeField(32003)
+GF = 32003
 SEED = 20260819
 
 # the grids of criterion 1, shared verbatim by criterion 5

@@ -1,7 +1,9 @@
 """Command-line behavior: subcommands, formats, exit codes, determinism."""
 
 import ast
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -35,6 +37,44 @@ def test_presentation_dump(capsysbinary):
     assert d["overall"] == "pass"
     assert d["payload"]["relation_count"] == 6
     assert len(d["payload"]["variables"]) == 8
+
+
+def test_md_and_csv_carry_the_payload(capsysbinary):
+    # every relation of the dump is in its md and csv renderings, and each
+    # payload key's csv value parses back to the json payload's
+    _, d = run_json(["presentation", "dump", "--n", "4"], capsysbinary)
+    payload = d["payload"]
+    for fmt in ("md", "csv"):
+        code, out = run(["presentation", "dump", "--n", "4", "--format", fmt], capsysbinary)
+        assert code == 0
+        assert all(r["text"] in out.decode() for r in payload["relations"])
+    rows = list(csv.reader(io.StringIO(out.decode())))
+    start = rows.index(["# payload"]) + 1
+    assert {k: json.loads(v) for k, v in rows[start:start + len(payload)]} == payload
+    # gb run's basis: the md payload section is a json block of the json payload
+    _, d = run_json(["gb", "run", "--n", "4"], capsysbinary)
+    code, out = run(["gb", "run", "--n", "4", "--format", "md"], capsysbinary)
+    block = re.search(r"^## payload\n```json\n(.*?)\n```$", out.decode(), re.S | re.M)
+    assert code == 0 and json.loads(block.group(1)) == d["payload"]
+
+
+def readme_commands():
+    """The psiring command lines of README's "Command line" block, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("psiring ")]
+
+
+def test_readme_command_block_is_found():
+    assert len(readme_commands()) == 8
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_examples_run(argv, capsysbinary):
+    code, out = run(argv, capsysbinary)
+    assert code == 0
+    if argv[-2:] == ["--format", "md"]:
+        assert "\n## payload\n```json\n" in out.decode()
 
 
 def test_hilbert_lee_three_points_all_ones(capsysbinary):
@@ -169,6 +209,9 @@ def test_verify_theorem_a(capsysbinary):
     ["gb", "run", "--n", "4", "--order", "bogus"],
     ["hilbert", "verify", "--n", "4", "--pivot", "custom:2,x,4,3"],
     ["koszul", "--n", "4", "--kmax", "-1"],
+    # a negative budget is a usage error, not a refusal; --budget 0 stays valid
+    ["singular", "--n", "4", "--budget", "-1"],
+    ["koszul", "--n", "4", "--kmax", "3", "--budget", "-5"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert cli.main(argv) == 2

@@ -1,5 +1,6 @@
-"""Field objects, the parser for field specs, and the field inverse as the
-Groebner engine computes it."""
+"""Fields as their characteristics: the primality certificate, the parser for
+field specs, field names, and the field inverse as the Groebner engine
+computes it."""
 
 from fractions import Fraction
 
@@ -8,10 +9,10 @@ import pytest
 from psiring.errors import UsageError
 from psiring.fields import (
     DEFAULT_PRIME,
-    QQ,
     TENSOR_PRIME,
     TENSOR_RETRY_PRIME,
-    PrimeField,
+    check_prime,
+    field_name,
     parse_field,
 )
 from psiring.groebner import PackedRing
@@ -19,12 +20,11 @@ from psiring.orders import GREVLEX, MonomialOrder, Packing
 from psiring.rng import SplitMix64
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(DEFAULT_PRIME), PrimeField(97)])
-def test_inverses(field):
+@pytest.mark.parametrize("p", [0, DEFAULT_PRIME, 97], ids=["field0", "field1", "field2"])
+def test_inverses(p):
     # the field's inverse is the Groebner engine's: a reducer divides by its
     # leading coefficient, so a*x + b*y becomes x + (b/a)*y, read in the field
-    p = field.characteristic
-    ring = PackedRing(field, MonomialOrder(GREVLEX), Packing(2, 8))
+    ring = PackedRing(p, MonomialOrder(GREVLEX), Packing(2, 8))
     rng = SplitMix64(0xA17)
     for _ in range(20):
         a, b = rng.randint(-40, 40), rng.randint(-40, 40)
@@ -36,13 +36,20 @@ def test_inverses(field):
 
 
 def test_parse_field():
-    assert parse_field("rational") == QQ
-    assert parse_field("prime") == PrimeField(DEFAULT_PRIME)
-    assert parse_field("prime:97") == PrimeField(97)
+    for text in ("rational", "QQ", "qq"):
+        assert parse_field(text) == 0
+    assert parse_field("prime") == DEFAULT_PRIME
+    assert parse_field("prime:97") == 97
+    assert [field_name(parse_field(t)) for t in ("rational", "prime:2", "prime")] == [
+        "QQ", "GF(2)", f"GF({DEFAULT_PRIME})"]
     with pytest.raises(UsageError):
         parse_field("galois")
     with pytest.raises(UsageError):
         parse_field("prime:xyz")
+    # the parser certifies the prime it reads
+    for text in ("prime:100", "prime:1", "prime:-3", "prime:561"):
+        with pytest.raises(UsageError):
+            parse_field(text)
 
 
 def trial_division_prime(p):
@@ -59,22 +66,27 @@ def trial_division_prime(p):
 def test_shipped_moduli_are_prime():
     for p in (DEFAULT_PRIME, TENSOR_PRIME, TENSOR_RETRY_PRIME, 32003, 97):
         assert trial_division_prime(p), p
-        assert PrimeField(p).p == p
+        assert check_prime(p) == p
 
 
 def test_prime_field_rejects_composites():
     for n in range(2, 3000):
         if trial_division_prime(n):
-            PrimeField(n)
+            assert check_prime(n) == n
         else:
-            with pytest.raises(UsageError):
-                PrimeField(n)
+            with pytest.raises(UsageError, match=f"^modulus {n} is not prime$"):
+                check_prime(n)
+    for n in (1, 0, -3):
+        with pytest.raises(UsageError, match=f"^modulus must be a prime >= 2, got {n}$"):
+            check_prime(n)
     # a Carmichael number, strong pseudoprimes to bases 2..7 and 2..13, and
     # products of two word-size primes
     for n in (100, 561, 3215031751, 3474749660383, DEFAULT_PRIME * 2147483629,
               TENSOR_PRIME * TENSOR_RETRY_PRIME):
-        with pytest.raises(UsageError):
-            PrimeField(n)
-    PrimeField((1 << 61) - 1)  # a Mersenne prime beyond the word-size lanes
-    with pytest.raises(UsageError):
-        PrimeField((1 << 89) - 1)  # prime, but too large to certify
+        with pytest.raises(UsageError, match=f"^modulus {n} is not prime$"):
+            check_prime(n)
+    mersenne = (1 << 61) - 1  # a Mersenne prime beyond the word-size lanes
+    assert check_prime(mersenne) == mersenne
+    big = (1 << 89) - 1  # prime, but too large to certify
+    with pytest.raises(UsageError, match=f"^modulus {big} is too large to certify as prime$"):
+        check_prime(big)

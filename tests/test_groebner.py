@@ -11,7 +11,7 @@ import pytest
 
 import psiring.groebner as groebner
 from psiring.errors import UsageError
-from psiring.fields import QQ, PrimeField
+from psiring.fields import DEFAULT_PRIME, field_name
 from psiring.geometry import singular_minors
 from psiring.groebner import (
     PackedRing,
@@ -33,8 +33,7 @@ from conftest import (
 )
 from test_presentation import formula
 
-GF = PrimeField(32003)
-P = GF.characteristic
+GF = P = 32003
 ORDER = MonomialOrder(GREVLEX)
 
 
@@ -42,7 +41,7 @@ def test_sp_poly_cancels_leading_terms():
     f = {(2, 0): 1, (0, 1): 1}
     g = {(1, 1): 1, (1, 0): 1}
     pk = Packing(2, 8)
-    ring = PackedRing(QQ, ORDER, pk)
+    ring = PackedRing(0, ORDER, pk)
     s = s_poly(ring.reducer(ring.pack(f)), ring.reducer(ring.pack(g)), ring)
     # both lcm-scaled leading terms cancel
     assert max(ORDER.key(pk.unpack(e)) for e in s) < ORDER.key((2, 1))
@@ -52,12 +51,12 @@ def test_textbook_completion():
     # x^2 - y, xy - x over QQ: completion adds y^2 - y and yx - x stays
     f = {(2, 0): 1, (0, 1): -1}
     g = {(1, 1): 1, (1, 0): -1}
-    gb = buchberger([f, g], QQ, ORDER)
+    gb = buchberger([f, g], 0, ORDER)
     assert gb.complete
     lts = set(gb.leads)
     assert lts == {(2, 0), (1, 1), (0, 2)}
     # x*y^2 reduces to x under the completed basis
-    nf = reduce_poly({(1, 2): 1}, gb.basis, QQ, ORDER)
+    nf = reduce_poly({(1, 2): 1}, gb.basis, 0, ORDER)
     assert nf == {(1, 0): 1}
 
 
@@ -120,7 +119,7 @@ def test_capped_run_is_a_prefix_of_the_full_basis():
 
 def test_cross_field_leading_terms():
     for build in (lambda f: cached_an(4, f), lambda f: cached_bnm(3, 1, f)):
-        gq = groebner_for(build(QQ))
+        gq = groebner_for(build(0))
         gp = groebner_for(build(GF))
         assert leading_terms_agree(gq, gp)
 
@@ -187,16 +186,24 @@ def test_linear_interreduce_drops_dependent_rows():
     assert linear_interreduce([f, g, h], ORDER, 0) == [f, {(0, 1): -1}]
 
 
-@pytest.mark.parametrize("field,digest", [
-    (PrimeField(2147483647), "d18b8a3b568da1ef90482fa047dce83353ba673bfe73ee0343d8dd43833925bd"),
-    (QQ, "b06d735b8f0671d532d5a068799975662819a12a7061b1161cc77f37a278592a"),
-])
-def test_linear_interreduce_output_is_pinned(field, digest):
+def field_ids(pins):
+    """pytest ids field0, field1, ... for (characteristic, digest) pins, each
+    followed by its digest."""
+    return [f"field{t}-{digest}" for t, (_, digest) in enumerate(pins)]
+
+
+INTERREDUCE_PINS = [
+    (DEFAULT_PRIME, "d18b8a3b568da1ef90482fa047dce83353ba673bfe73ee0343d8dd43833925bd"),
+    (0, "b06d735b8f0671d532d5a068799975662819a12a7061b1161cc77f37a278592a"),
+]
+
+
+@pytest.mark.parametrize("p,digest", INTERREDUCE_PINS, ids=field_ids(INTERREDUCE_PINS))
+def test_linear_interreduce_output_is_pinned(p, digest):
     # A_4's relations plus its codimension-sized Jacobian minors, the input
     # singular_locus_dim hands over; the digest is of the output rows made
     # monic in the field, rendered as residues mod p or as rationals
-    spec = build_an(4).to_field(field)
-    p = field.characteristic
+    spec = build_an(4).to_field(p)
     minors = singular_minors(spec, spec.nvars - 5)
     gens = relation_polys(spec) + minors
     assert len(gens) == 714
@@ -211,16 +218,18 @@ def test_linear_interreduce_output_is_pinned(field, digest):
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("field,digest", [
-    (PrimeField(2147483647), "05427afabd213e3282be467ee018dc4192bfef2e05301f63d482f6e67fd8d668"),
-    (QQ, "5aae1defb9892dc283ccb6fa16b12b56a9cfd44b97a199213409840971757aff"),
-])
-def test_linear_interreduce_rows_are_the_primitive_pivots(field, digest):
+PIVOT_PINS = [
+    (DEFAULT_PRIME, "05427afabd213e3282be467ee018dc4192bfef2e05301f63d482f6e67fd8d668"),
+    (0, "5aae1defb9892dc283ccb6fa16b12b56a9cfd44b97a199213409840971757aff"),
+]
+
+
+@pytest.mark.parametrize("p,digest", PIVOT_PINS, ids=field_ids(PIVOT_PINS))
+def test_linear_interreduce_rows_are_the_primitive_pivots(p, digest):
     # the same input, digested before scaling: exactly the pivot rows that
     # exactla.sparse_echelon gave before it also reported the rows that
     # vanished, integers, digested as read into the field
-    spec = build_an(4).to_field(field)
-    p = field.characteristic
+    spec = build_an(4).to_field(p)
     gens = relation_polys(spec) + singular_minors(spec, spec.nvars - 5)
     out = linear_interreduce(gens, ORDER, p)
     assert all(type(c) is int for g in out for c in g.values())
@@ -235,12 +244,11 @@ def test_linear_interreduce_keeps_an_uncertified_batch():
     f, g = {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 4}
     q = {(2, 0): 1, (0, 2): 1}
     gens = [q, f, g]
-    field = PrimeField(3)
     out = linear_interreduce(gens, ORDER, 3)
     assert len(out) == 3
     assert all(sum(e) == 1 for h in out[:2] for e in h)
     assert out[:2] == [f, g]
-    leads = [sorted(buchberger(hs, field, ORDER).leads) for hs in (out, gens)]
+    leads = [sorted(buchberger(hs, 3, ORDER).leads) for hs in (out, gens)]
     assert leads[0] == leads[1]
     # certified at 5, where the two linear forms reduce to their pivots x + y and y
     assert linear_interreduce(gens, ORDER, 5) == [f, {(0, 1): 1}, q]
@@ -249,9 +257,18 @@ def test_linear_interreduce_keeps_an_uncertified_batch():
 def test_mixed_fields_rejected():
     # the field comes as an argument, so only the variable counts can mix
     with pytest.raises(UsageError):
-        buchberger([{(1, 0): 1}, {(0, 1, 0): 1}], QQ, ORDER)
+        buchberger([{(1, 0): 1}, {(0, 1, 0): 1}], 0, ORDER)
     with pytest.raises(UsageError):
-        buchberger([], QQ, ORDER)
+        buchberger([], 0, ORDER)
+
+
+def test_a_characteristic_that_is_not_prime_is_refused():
+    # buchberger certifies the characteristic it is handed, as a spec does
+    f = {(2, 0): 1, (0, 2): 1}
+    with pytest.raises(UsageError, match="^modulus 4 is not prime$"):
+        buchberger([f], 4, ORDER)
+    with pytest.raises(UsageError, match="^modulus must be a prime >= 2, got -5$"):
+        buchberger([f], -5, ORDER)
 
 
 def test_a5_completion_work_is_pinned(monkeypatch):
@@ -334,7 +351,7 @@ def test_leading_terms_match_sympy(n, pivot):
 def test_packed_keys_sort_as_the_order_key(order):
     rng = SplitMix64(0xABC)
     pk = Packing(5, 8)
-    ring = PackedRing(QQ, order, pk)
+    ring = PackedRing(0, order, pk)
     exps = {tuple(rng.randint(0, 3) for _ in range(5)) for _ in range(300)}
     by_code = sorted(exps, key=lambda e: ring.key(pk.pack(e)))
     assert by_code == sorted(exps, key=order.key)
@@ -354,7 +371,7 @@ def test_exponents_past_the_first_width_are_repacked(monkeypatch):
     lex = MonomialOrder(LEX)
     f = {(1, 0, 0): 1, (0, 200, 0): -1}
     g = {(2, 0, 0): 1, (0, 0, 1): -1}
-    gb = buchberger([f, g], QQ, lex)
+    gb = buchberger([f, g], 0, lex)
     assert widths == [8, 16]
     assert gb.basis == [{(0, 400, 0): 1, (0, 0, 1): -1}, f]
 
@@ -362,7 +379,7 @@ def test_exponents_past_the_first_width_are_repacked(monkeypatch):
     widths.clear()
     f = {(300, 0, 0): 1, (0, 300, 0): -1}
     g = {(1, 2, 0): 1, (0, 0, 1): -1}
-    gb = buchberger([f, g], QQ, ORDER)
+    gb = buchberger([f, g], 0, ORDER)
     assert widths == [9]
     sympy = pytest.importorskip("sympy")
     x, y, z = sympy.symbols("x y z")
@@ -382,12 +399,12 @@ def groebner_layer_rows():
         orders = [ORDER, MonomialOrder(BLOCK_GREVLEX, blocks=spec.blocks, nblocks=spec.nblocks)]
         if spec.nvars <= 6:
             orders.append(MonomialOrder(LEX))
-        for field in (QQ, PrimeField(2147483647)):
+        for field in (0, DEFAULT_PRIME):
             s = spec.to_field(field)
             for order in orders:
                 for cap in (None, 1, 2, 3):
                     gb = groebner_for(s, order, cap=cap)
-                    yield (name, field.name, order.kind, cap, gb.complete,
+                    yield (name, field_name(field), order.kind, cap, gb.complete,
                            [poly_text(g, names, order) for g in gb.basis], gb.leads)
 
 
@@ -420,7 +437,7 @@ def test_fractional_input_gives_the_monic_basis_of_its_integral_scaling():
     gens = [{e: c * scales[t % 2] for e, c in g.items()}
             for t, g in enumerate(relation_polys(spec))]
     assert any(c.denominator > 1 for g in gens for c in g.values())
-    gb, want = buchberger(gens, QQ, ORDER), groebner_for(spec)
+    gb, want = buchberger(gens, 0, ORDER), groebner_for(spec)
     assert gb.basis == want.basis and gb.leads == want.leads
     # B(3,2)'s monic basis is integral: plain ints, whatever the input's type
     assert all(type(c) is int for g in gb.basis + want.basis for c in g.values())
@@ -448,21 +465,20 @@ def reference_minors(spec, c, p):
             for cols in combinations(range(spec.nvars), c) if (d := det(rows, cols))]
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["qq", "gf"])
-@pytest.mark.parametrize("build", [lambda f: cached_an(4, f), lambda f: cached_bnm(3, 1, f)],
+@pytest.mark.parametrize("p", [0, DEFAULT_PRIME], ids=["qq", "gf"])
+@pytest.mark.parametrize("build", [lambda p: cached_an(4, p), lambda p: cached_bnm(3, 1, p)],
                          ids=["a4", "b31"])
-def test_singular_minors_are_the_cofactor_expansion(build, field):
+def test_singular_minors_are_the_cofactor_expansion(build, p):
     # the minors are integer polynomials whatever the spec's field: over Z
     # they are the reference's, each with its terms in the same order, and
     # read mod p they are the reference's minors over GF(p)
-    spec = build(field)
+    spec = build(p)
     c = spec.nvars - (2 * spec.n + spec.m - 3)
     got = singular_minors(spec, c)
     assert len(got) > 0
-    assert got == singular_minors(spec.to_field(QQ), c)
+    assert got == singular_minors(spec.to_field(0), c)
     assert [list(g.items()) for g in got] == [list(g.items()) for g in reference_minors(spec, c, 0)]
     assert all(type(v) is int for g in got for v in g.values())
-    p = field.characteristic
     assert [m for g in got if (m := in_field(g, p))] == reference_minors(spec, c, p)
 
 
@@ -481,4 +497,4 @@ def test_min_hitting_set_agrees_with_brute_force():
                     for _ in range(rng.randint(0, 12))]
         assert groebner._min_hitting_set(supports) == brute_force_cover(supports, nvars), trial
     # a constant in the basis: the unit ideal, whose quotient has dimension -1
-    assert krull_dimension(buchberger([{(1, 0): 1}, {(0, 0): 3}], QQ, ORDER)) == -1
+    assert krull_dimension(buchberger([{(1, 0): 1}, {(0, 0): 3}], 0, ORDER)) == -1

@@ -9,7 +9,7 @@ from math import comb
 import pytest
 
 from psiring.errors import UsageError
-from psiring.fields import DEFAULT_PRIME, QQ, PrimeField
+from psiring.fields import DEFAULT_PRIME
 from psiring.geometry import (
     alpha_values, jacobian_rank_at, pole_table, sample_config, singular_minors, verify_vanishing,
 )
@@ -31,7 +31,7 @@ from psiring.slices import slice_dimension
 from psiring.symbols import Alpha, Phi
 from conftest import cached_an, cached_bnm, in_field, poly_add, poly_mul, reduce_poly
 
-GF = PrimeField(32003)
+GF = 32003
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -132,7 +132,7 @@ def var(spec, v):
 def formula(spec, i, j, k, l):
     """The pair (i, j) relation comparing points k and l, as in the module
     docstring of presentation, over the spec's field."""
-    p = spec.field.characteristic
+    p = spec.field
 
     def a(i, j):
         return var(spec, Alpha(i, j))
@@ -146,7 +146,7 @@ def formula(spec, i, j, k, l):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_general_pair_relations_lie_in_the_ideal(n):
-    spec = cached_an(n, PrimeField(32003))
+    spec = cached_an(n, GF)
     gb = groebner_for(spec)
     pts = range(1, n + 1)
     for i in pts:
@@ -231,13 +231,30 @@ def test_tensor_relation_space_dimensions():
         assert len(tensor_relation_space(build_an(n))) == want
 
 
+# a characteristic that is not a certified prime, and the refusal it meets
+NOT_PRIME = {4: "modulus 4 is not prime", 1: "modulus must be a prime >= 2, got 1",
+             -3: "modulus must be a prime >= 2, got -3", 561: "modulus 561 is not prime"}
+
+
+@pytest.mark.parametrize("p", NOT_PRIME)
+def test_a_characteristic_that_is_not_prime_is_refused(p):
+    # construction certifies the field as it certifies the relations, through
+    # to_field, replace() and the constructor, so no layer is handed Z/4
+    spec = cached_an(4)
+    given = {f.name: getattr(spec, f.name) for f in fields(spec) if f.init}
+    for build in (lambda: spec.to_field(p), lambda: replace(spec, field=p),
+                  lambda: PresentationSpec(**{**given, "field": p})):
+        with pytest.raises(UsageError, match=f"^{NOT_PRIME[p]}$"):
+            build()
+
+
 @pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
 def test_to_field_round_trip(p):
     spec = cached_an(5)
-    assert spec.to_field(QQ) is spec
-    gf = spec.to_field(PrimeField(p))
-    assert gf.field == PrimeField(p) and gf.relations is spec.relations
-    assert gf.to_field(QQ) == spec and gf.to_field(QQ).relations is spec.relations
+    assert spec.to_field(0) is spec
+    gf = spec.to_field(p)
+    assert gf.field == p and gf.relations is spec.relations
+    assert gf.to_field(0) == spec and gf.to_field(0).relations is spec.relations
     # the relations and their polynomials are integers over every field, so
     # their signs survive GF(2); read into GF(p), each coefficient is c mod p
     assert any(c == -1 for terms in gf.relations for _, _, c in terms)

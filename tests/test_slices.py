@@ -11,7 +11,7 @@ import pytest
 
 from psiring import exactla, slices
 from psiring.errors import UsageError
-from psiring.fields import DEFAULT_PRIME, PrimeField
+from psiring.fields import DEFAULT_PRIME
 from psiring.groebner import groebner_for
 from psiring.orders import multidegree
 from psiring.presentation import CUSTOM, PivotScheme, build_an, build_bnm, relation_polys
@@ -371,7 +371,7 @@ def test_orbit_sweep_matches_every_slice(build, limit, order, monkeypatch):
 def test_gf2_keeps_the_slices_and_symmetries_of_qq():
     # the relations are the same integers over GF(2), -1 included, so its
     # slices are ranked over Z exactly as QQ's are, and keep their symmetries
-    spec, gf2 = cached_an(4), cached_an(4, PrimeField(2))
+    spec, gf2 = cached_an(4), cached_an(4, 2)
     for a in degree_grid(spec.nblocks, 4):
         assert slice_dimension(gf2, a) == slice_dimension(spec, a), a
     assert block_symmetries(gf2) == block_symmetries(spec)
