@@ -43,7 +43,7 @@ def main():
     series = lee_series(4, 3)
     for a in [(1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (2, 1, 0, 0)]:
         std = standard_monomial_count(gb, spec, a)
-        print(f"  {a}: {std} standard monomials, series {series.coefficient(a)}")
+        print(f"  {a}: {std} standard monomials, series {series[a]}")
 
     print(f"\nan ideal member reduces to zero: the first relation times {names[0]}")
     # relation 0 has no x0^2 term, so x0 times it has no x0^3 term

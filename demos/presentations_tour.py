@@ -10,7 +10,7 @@ from psiring.poly import poly_text
 def show(spec, max_relations=4):
     print(f"== {spec.name()}")
     print(f"   variables ({spec.nvars}): {', '.join(spec.var_names())}")
-    print(f"   blocks: {spec.block_sizes()} (one block per marked point)")
+    print(f"   blocks: {[len(ps) for ps in spec.block_positions()]} (one block per marked point)")
     order = spec.default_order()
     names = spec.var_names()
     shown = spec.relations[:max_relations]

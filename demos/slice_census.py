@@ -23,7 +23,7 @@ def main():
     print(f"{'degree':>14} {'monomials':>10} {'rank':>6} {'dim':>5} {'series':>7}")
     for a in degree_grid(4, 4):
         rep = slice_dimension(spec, a)
-        want = series.coefficient(rep.multidegree)
+        want = series[rep.multidegree]
         mark = "" if rep.dimension == want else "  <-- MISMATCH"
         print(f"{str(rep.multidegree):>14} {rep.monomials:>10} {rep.rank:>6}"
               f" {rep.dimension:>5} {want:>7}{mark}")
@@ -32,7 +32,7 @@ def main():
     rep = slice_dimension(spec, (2, 1, 1, 0))
     print(f"  multidegree {rep.multidegree}: {rep.monomials} monomials,"
           f" {rep.rows} constraint rows of rank {rep.rank}")
-    print(f"  dimension {rep.dimension}, series predicts {series.coefficient(rep.multidegree)}")
+    print(f"  dimension {rep.dimension}, series predicts {series[rep.multidegree]}")
     print(f"  method: {rep.method}")
 
     print("\nhigh-degree spot checks on A(5)")
@@ -40,7 +40,7 @@ def main():
     series5 = lee_series(5, 5)
     for a in [(1, 1, 1, 1, 1), (2, 1, 1, 1, 0), (3, 2, 0, 0, 0)]:
         rep = slice_dimension(spec5, a)
-        print(f"  {a}: dim {rep.dimension} vs series {series5.coefficient(a)}")
+        print(f"  {a}: dim {rep.dimension} vs series {series5[a]}")
 
     print("\ncertified relabellings of A(5), as images of the points 1..5")
     for perm in block_symmetries(spec5):
@@ -49,7 +49,7 @@ def main():
     reps = orbit_representatives(block_symmetries(spec5), grid)
     print(f"  {len(set(reps))} orbits among the {len(grid)} slices up to total degree 5")
     swept = orbit_sweep(spec5, grid, 1)
-    bad = sum(r.dimension != series5.coefficient(r.multidegree) for r in swept)
+    bad = sum(r.dimension != series5[r.multidegree] for r in swept)
     print(f"  one slice ranked per orbit: {bad} mismatches against the series")
 
 

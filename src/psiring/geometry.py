@@ -265,8 +265,9 @@ def singular_minors(spec: PresentationSpec, c: int,
 
 def _refuse_minors(nrels: int, nvars: int, c: int, budget: int) -> None:
     """BudgetError when the c x c minors of an nrels x nvars Jacobian would
-    number more than the budget."""
-    count = comb(nrels, c) * comb(nvars, c)
+    number more than the budget; c = 0 needs none (singular_minors returns
+    the unit without expanding anything)."""
+    count = comb(nrels, c) * comb(nvars, c) if c else 0
     if count > budget:
         raise BudgetError(
             f"{count} minors of size {c} exceed the budget {budget}",

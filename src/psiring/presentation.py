@@ -121,9 +121,6 @@ class PresentationSpec:
             out[b].append(pos)
         return out
 
-    def block_sizes(self) -> list[int]:
-        return [len(ps) for ps in self.block_positions()]
-
     def var_names(self) -> list[str]:
         return [v.text() for v in self.variables]
 

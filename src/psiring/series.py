@@ -18,6 +18,11 @@ axis, c[j] += c[i] over the axis's pairs in order: the grid runs by total
 degree, so c[i] is final before it is read.  Multiplying by
 1 + sum_i q_i/(1-q_i) uses q_i/(1-q_i) = 1/(1-q_i) - 1: it is the sum over
 the axes of the prefix sums, minus nvars - 1 times the series.
+
+A TruncatedSeries pairs that list with its grid: a dict from every
+multidegree of degree_grid(nvars, limit), zeros included, to its
+coefficient, in grid order, which is report order.  It is the one table the
+reports read; a multidegree outside the grid raises.
 """
 
 from __future__ import annotations
@@ -89,46 +94,24 @@ def _psi_values(nvars: int, exponent: int, limit: int) -> list[int]:
 
 # -- the series type -------------------------------------------------------------
 
-class TruncatedSeries:
-    """Integer-coefficient series kept to total degree at most limit; coeffs
-    holds the nonzero coefficients by multidegree.
+class TruncatedSeries(dict):
+    """Integer-coefficient series kept to total degree at most a limit: a dict
+    from every multidegree of degree_grid(nvars, limit) to its coefficient,
+    zeros included, in grid order.
 
-    Coefficients above the limit are not stored and asking for one raises:
-    truncation is always explicit, never silent.
+    Asking for a multidegree outside the grid (above the limit, negative, or
+    of another length) raises: truncation is always explicit, never silent.
     """
 
-    __slots__ = ("nvars", "limit", "coeffs")
-
-    def __init__(self, nvars: int, limit: int, values: list[int]):
-        """The series whose coefficients, in degree_grid(nvars, limit) order, are values."""
-        self.nvars = nvars
-        self.limit = limit
-        self.coeffs = {a: x for a, x in zip(degree_grid(nvars, limit), values) if x}
-
-    def coefficient(self, a: tuple[int, ...]) -> int:
-        if len(a) != self.nvars:
-            raise UsageError(f"degree vector length {len(a)} != {self.nvars} variables")
-        if sum(a) > self.limit:
-            raise UsageError(f"degree {a} above the truncation limit {self.limit}")
-        return self.coeffs.get(tuple(a), 0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.nvars == other.nvars
-            and self.limit == other.limit
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"TruncatedSeries({self.nvars} vars, {len(self.coeffs)} terms, limit {self.limit})"
+    def __missing__(self, a):
+        raise UsageError(f"degree {a} is outside the series' degree grid")
 
 
 # -- the Hilbert series builders --------------------------------------------------
 
 def psi_series(nvars: int, exponent: int, limit: int) -> TruncatedSeries:
     """(1 + sum g_i)^exponent / prod(1 - q_i) with g_i = q_i/(1-q_i), truncated."""
-    return TruncatedSeries(nvars, limit, _psi_values(nvars, exponent, limit))
+    return TruncatedSeries(zip(degree_grid(nvars, limit), _psi_values(nvars, exponent, limit)))
 
 
 def lee_series(n: int, limit: int) -> TruncatedSeries:
@@ -156,14 +139,10 @@ def curve_module_series(n: int, limit: int) -> TruncatedSeries:
     """
     if n < 4:
         raise UsageError(f"curve_module_series needs n >= 4, got {n}")
-    S = lee_series(n - 1, limit).coeffs
-    values = []
-    for a in degree_grid(n - 1, limit):
-        x = S.get(a, 0)
-        for i, ai in enumerate(a):
-            x += sum(S.get(a[:i] + (ai - k,) + a[i + 1:], 0) for k in range(1, ai + 1))
-        values.append(x)
-    return TruncatedSeries(n - 1, limit, values)
+    S = lee_series(n - 1, limit)
+    return TruncatedSeries((a, S[a] + sum(S[a[:i] + (ai - k,) + a[i + 1:]]
+                                          for i, ai in enumerate(a) for k in range(1, ai + 1)))
+                           for a in S)
 
 
 def lee_coefficient(n: int, a: tuple[int, ...], m: int = 0) -> int:

@@ -80,14 +80,14 @@ the representative's report under its own multidegree.
 
 The Groebner route counts the same slice as its standard monomials: those not
 divisible by any leading term.  Both routes walk one list of monomial codes
-per slice, cached with the presentation.
+per slice, cached with the presentation; its length is the slice's monomial
+count.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from math import comb
 
 from .errors import UsageError
 from .exactla import rank_sparse_rational, sparse_echelon
@@ -98,17 +98,6 @@ from .presentation import PresentationSpec, quadric_degree, relation_degree_audi
 from .series import compositions
 from .symbols import Alpha, Phi
 from .util import parallel_map
-
-
-def count_monomials(spec: PresentationSpec, a: tuple[int, ...]) -> int:
-    """Number of monomials of multidegree a: a product of stars-and-bars counts."""
-    _check_degree(spec, a)
-    out = 1
-    for ai, size in zip(a, spec.block_sizes()):
-        if ai and size == 0:
-            return 0
-        out *= comb(ai + size - 1, size - 1) if size else 1
-    return out
 
 
 def _check_degree(spec: PresentationSpec, a: tuple[int, ...]):
@@ -270,8 +259,9 @@ def standard_monomial_count(gb: GroebnerBasis, spec: PresentationSpec,
 
 @dataclass(frozen=True)
 class SliceReport:
-    """Outcome of one graded-slice dimension computation; rows counts every
-    relation * monomial product, the ones dropped before ranking too."""
+    """Outcome of one graded-slice dimension computation; monomials is the
+    length of the slice's monomial code list, and rows counts every relation
+    * monomial product, the ones dropped before ranking too."""
 
     multidegree: tuple[int, ...]
     monomials: int
@@ -290,9 +280,7 @@ def slice_dimension(spec: PresentationSpec, a: tuple[int, ...]) -> SliceReport:
     certificate holds, rational(after-bad-prime) when p divides a pivot's
     leading entry.
     """
-    rows, ncols, products = relation_product_rows(spec, a)
-    nmon = count_monomials(spec, a)
-    assert nmon == ncols
+    rows, nmon, products = relation_product_rows(spec, a)
     if not rows:
         return SliceReport(tuple(a), nmon, 0, 0, nmon, "empty")
     rank, lucky = rank_sparse_rational(rows, DEFAULT_PRIME)

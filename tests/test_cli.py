@@ -174,6 +174,32 @@ def test_sample_command(capsysbinary):
     assert {c["status"] for c in d["checks"]} == {"pass"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["singular", "--n", "3", "--budget", "0"],
+    ["singular", "--kind", "bnm", "--n", "2", "--m", "1", "--budget", "0"],
+], ids=" ".join)
+def test_singular_codimension_zero_needs_no_minor_budget(argv, capsysbinary):
+    # codimension 0: the locus is cut out by the unit, no minor is expanded
+    code, d = run_json(argv, capsysbinary)
+    assert code == 0
+    assert d["payload"]["codim"] == 0
+    assert [(c["name"], c["status"]) for c in d["checks"]] == [("singular-locus-bound", "pass")]
+
+
+@pytest.mark.parametrize("argv,names,got", [
+    (["gb", "run", "--n", "7", "--cap", "4"], ["groebner-cross-field"],
+     "not run: 265 members above 200"),
+    (["verify-theorem-a", "--n", "7", "--max-total", "2"],
+     ["groebner-slice-agreement", "krull-dimension"], "not run: n = 7 above 6"),
+], ids=["gb run --n 7 --cap 4", "verify-theorem-a --n 7 --max-total 2"])
+def test_checks_above_a_size_cut_off_are_reported_not_run(argv, names, got, capsysbinary):
+    code, d = run_json(argv, capsysbinary)
+    assert code == 0
+    skipped = [c for c in d["checks"] if c["name"] in names]
+    assert [c["name"] for c in skipped] == names
+    assert {(c["status"], c["got"]) for c in skipped} == {("informative", got)}
+
+
 def test_singular_command(capsysbinary):
     code, d = run_json(["singular", "--n", "4"], capsysbinary)
     assert code == 0
@@ -255,6 +281,14 @@ def test_koszul_honours_pivot(capsysbinary):
     assert d["payload"]["tower"] == [1, 8, 34, 112]
     assert d["config"]["pivot"] == "custom:2,1,4,3"
     assert d["config"]["field"] == "rational"
+
+
+def test_hilbert_lee_refuses_n_as_verify_does(capsys):
+    errs = []
+    for action in ("lee", "verify"):
+        assert cli.main(["hilbert", action, "--n", "2"]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs == ["psiring: error: A_n needs n >= 3, got n=2\n"] * 2
 
 
 def test_hilbert_lee_validates_pivot(capsys):
@@ -351,6 +385,33 @@ def test_thread_count_does_not_change_bytes(capsysbinary):
     assert outs[0] == outs[1]
 
 
+HASH_SEED_SCRIPT = """
+import contextlib, hashlib, io, sys
+from psiring import cli
+for argv in (["hilbert", "verify", "--n", "5", "--max-total", "4"], ["gb", "run", "--n", "5"],
+             ["singular", "--n", "4"], ["koszul", "--n", "4", "--kmax", "4"],
+             ["sample", "--n", "4", "--count", "5"]):
+    out = io.TextIOWrapper(io.BytesIO())
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0, argv
+    out.flush()
+    print(hashlib.sha256(out.buffer.getvalue()).hexdigest())
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    # set and dict iteration orders change with PYTHONHASHSEED, in a fresh interpreter each
+    digests = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT],
+                              capture_output=True, env=env)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == 5
+    assert digests[0] == digests[1]
+
+
 # reports of every subcommand family, pinned byte for byte
 REPORT_PINS = [
     (["hilbert", "brute", "--n", "5", "--max-total", "4"],
@@ -406,6 +467,15 @@ REPORT_PINS = [
      "e19d3c0239da14c6b4191d3700e2f60da687741d6d63e0894c461333511d1499"),
     (["hilbert", "verify", "--n", "3", "--max-total", "4"],
      "48bf1fba93c2892a28cdf8048b1826b0b66841eefff7294c334c0b873194d879"),
+    (["hilbert", "verify", "--kind", "bnm", "--n", "2", "--m", "2", "--max-total", "5"],
+     "4ab1e4827d88f2aa9985b7fde41cae5318681488c213580c0d234f03cc63e4ca"),
+    (["hilbert", "lee", "--kind", "bnm", "--n", "3", "--m", "2", "--max-total", "4",
+      "--format", "md"],
+     "dec77ba6a44fdcdad4af57499c32221f583aa3b4fe490e11ef001e6460163adb"),
+    (["hilbert", "verify", "--n", "4", "--max-total", "4", "--format", "csv"],
+     "0acdb563b6a785e15928293bf4c783eae2da592d26c82f82add8202d240306c7"),
+    (["hilbert", "lee", "--n", "3", "--max-total", "4", "--format", "csv"],
+     "267b76d8c23d30c62f3f99de88d14661394e076e962a8d599f8a03d5cb5a0b4f"),
     (["verify-theorem-a", "--n", "4", "--max-total", "5"],
      "39a5efbc74281ccbfd68ff893ccb297cbccb867cc4e6919db5a3d9dcb7f596d0"),
     (["gb", "run", "--n", "4", "--cap", "2"],

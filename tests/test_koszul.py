@@ -224,7 +224,7 @@ def multigraded_inverse(n, k):
     as {multidegree: nonzero coefficient}."""
     h = lee_series(n, k)
     # h(-q) = 1 - g with g free of constant term, so 1/h(-q) = sum of g^i, i <= k
-    g = {a: -(-1) ** sum(a) * c for a, c in h.coeffs.items() if any(a)}
+    g = {a: -(-1) ** sum(a) * c for a, c in h.items() if any(a)}
     inv, power = {(0,) * n: 1}, {(0,) * n: 1}
     for _ in range(k):
         product = {}

@@ -84,7 +84,7 @@ def test_relations_are_multigraded_quadrics():
 
 def test_variables_group_into_point_blocks():
     spec = cached_an(5)
-    sizes = spec.block_sizes()
+    sizes = [len(ps) for ps in spec.block_positions()]
     assert sizes == [5 - 2] * 5
     for v, b in zip(spec.variables, spec.blocks):
         assert v.i - 1 == b  # block = owning marked point
