@@ -16,20 +16,25 @@ tests, where a fraction-free Bareiss elimination is the reference over Z:
     they are and keeps the primitive pivot rows as integer polynomials,
     certified at the characteristic over a prime field.
 
-  * the int64 lane: dense linear algebra mod p, for any p with 2 <= p and
-    (p-1)^2 < 2^63, so that no product of two residues overflows; every
-    routine refuses another modulus before it reads a matrix.  echelon_mod_p
-    eliminates forward, one pivot at a time, behind rank_mod_p;
-    echelon_nullspace clears the pivot columns upward with the same update
-    and reads the kernel off the reduced form, behind nullspace_mod_p.  The
-    Koszul tower's blocks, its relation space's included, are a few percent
-    dense, and each update touches only the rows that are nonzero in the
-    pivot column.  mod_matmul sums at most _chunk(p) products of residues
-    between reductions, so no int64 sum overflows.
+  * the int64 lane: sparse echelon insertion mod a prime p, for any p with
+    2 <= p and (p-1)^2 < 2^63, because its outputs are int64; every routine
+    refuses another modulus before it reads a matrix.  It reads a matrix's
+    nonzero entries into rows {col: residue}, inserts them sparsest row
+    first, and reduces each by the monic pivot at its leading column, on
+    Python ints, until it claims a new column or vanishes.  rank_mod_p counts
+    the pivots; echelon_mod_p clears them upward to the reduced echelon form,
+    which depends on the row space alone, and so does not depend on the
+    order of insertion; nullspace_mod_p and echelon_nullspace read the kernel
+    basis with the identity on the free columns off that form.  The Koszul
+    tower's blocks, its relation space's included, are a few percent dense,
+    and inserting their sparsest rows first keeps the pivots sparse.
+    mod_matmul sums at most _chunk(p) products of residues between
+    reductions, so no int64 sum overflows.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from math import gcd
 
 import numpy as np
@@ -135,73 +140,139 @@ def rows_to_dense(rows: list[dict], ncols: int, p: int) -> np.ndarray:
 
 
 def echelon_mod_p(a, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form mod p with pivot entries scaled to 1, by per-pivot
-    forward elimination in int64.
+    """Reduced row echelon form mod p, by sparse echelon insertion.
 
-    Returns (U, pivot columns); pivot t sits at row t.  Rows below the last
-    pivot are zero.  Each pivot updates only the rows below it that are
-    nonzero in its column, which keeps the sparse matrices psiring eliminates
-    cheap.  Refuses p outside the int64 lane before it reads a.
+    Returns (U, pivot columns), U int64 of a's shape: pivot t sits at row t
+    with entry 1 at its column, every other pivot column is zero in it, and
+    rows below the last pivot are zero.  The form is canonical: it depends on
+    the row space alone.  Refuses p outside the int64 lane before it reads a.
     """
     _chunk(p)  # the lane check
-    A = np.asarray(a).astype(np.int64, copy=True)
-    np.mod(A, p, out=A)
-    nrows, ncols = A.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r] = (A[r] * inv) % p
-        _clear(A, r, c, r + 1, nrows, p)
-        pivots.append(c)
-        r += 1
-    return A, pivots
-
-
-def _clear(A: np.ndarray, t: int, c: int, lo: int, hi: int, p: int) -> None:
-    """Zero column c in rows lo..hi-1 of A by subtracting multiples of row t,
-    whose entry in column c is 1; only the rows nonzero in column c change."""
-    idx = lo + np.nonzero(A[lo:hi, c])[0]
-    if idx.size:
-        A[idx] = (A[idx] - np.outer(A[idx, c], A[t])) % p
+    A = np.asarray(a)
+    pivots = _insert_mod_p(A, p)
+    _clear_upward(pivots, p)
+    leads = sorted(pivots)
+    U = np.zeros(A.shape, dtype=np.int64)
+    for t, lead in enumerate(leads):
+        row = pivots[lead]
+        U[t, list(row)] = list(row.values())
+    return U, leads
 
 
 def rank_mod_p(a, p: int) -> int:
-    return len(echelon_mod_p(a, p)[1])
+    """Rank mod p: the number of pivot rows the echelon insertion keeps."""
+    _chunk(p)  # the lane check
+    return len(_insert_mod_p(np.asarray(a), p))
 
 
 def nullspace_mod_p(a, p: int) -> np.ndarray:
-    """Columns form a basis of the right kernel mod p (int64, shape ncols x nullity)."""
-    return echelon_nullspace(*echelon_mod_p(a, p), p)
+    """Columns form a basis of the right kernel mod p (int64, shape ncols x
+    nullity), the one with the identity on the free columns."""
+    _chunk(p)  # the lane check
+    A = np.asarray(a)
+    pivots = _insert_mod_p(A, p)
+    _clear_upward(pivots, p)
+    return _kernel(pivots, A.shape[1], p)
 
 
 def echelon_nullspace(U: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """nullspace_mod_p on an echelon form (U, pivots) as echelon_mod_p returns
-    it, so a caller holding one does not eliminate twice.
+    """nullspace_mod_p on an echelon form (U, pivots) with unit pivots, pivot t
+    at row t, so a caller holding one does not eliminate again.
 
-    Clears each pivot column above its pivot, last pivot first, which leaves
-    the reduced echelon form R; the kernel vector of free column f is 1 at f,
-    0 at the other free columns and -R[:, f] at the pivots.  That basis is the
-    only one with the identity on the free columns.  U is left as it was.
+    Clears each pivot column above its pivot, which leaves the reduced echelon
+    form R; the kernel vector of free column f is 1 at f, 0 at the other free
+    columns and -R[:, f] at the pivots.  That basis is the only one with the
+    identity on the free columns.  U is left as it was.
     """
     _chunk(p)  # the lane check
-    r, ncols = len(pivots), U.shape[1]
-    R = np.array(U[:r], dtype=np.int64)
-    for t in range(r - 1, 0, -1):
-        _clear(R, t, pivots[t], 0, t, p)
-    pivset = set(pivots)
-    free = np.array([c for c in range(ncols) if c not in pivset], dtype=np.intp)
-    N = np.zeros((ncols, free.size), dtype=np.int64)
-    N[free, np.arange(free.size)] = 1
-    N[pivots] = (-R[:, free]) % p
+    U = np.asarray(U)
+    rows = dict(zip(pivots, _sparse_rows(U[: len(pivots)], p)))
+    _clear_upward(rows, p)
+    return _kernel(rows, U.shape[1], p)
+
+
+def _sparse_rows(A: np.ndarray, p: int) -> list[dict[int, int]]:
+    """The rows of A as {col: residue mod p}, with the zero residues left out."""
+    r, c = np.nonzero(A)
+    v = A[r, c] % p
+    keep = v != 0
+    cols, vals = c[keep].tolist(), v[keep].tolist()
+    rows, s = [], 0
+    for e in np.cumsum(np.bincount(r[keep], minlength=A.shape[0])).tolist():
+        rows.append(dict(zip(cols[s:e], vals[s:e])))
+        s = e
+    return rows
+
+
+def _insert_mod_p(A: np.ndarray, p: int) -> dict[int, dict[int, int]]:
+    """Echelon insertion of A's rows mod p, sparsest row first.
+
+    Returns the dict from each leading column to the one monic pivot row that
+    starts there.  An incoming row is reduced by the pivot at its leading
+    column until it claims a new column or vanishes.  The leading columns,
+    and the reduced form _clear_upward makes of the pivots, depend on the row
+    space alone, not on the order of insertion; inserting sparse rows first
+    keeps the pivots, and so every later reduction, sparse.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sorted(_sparse_rows(A, p), key=len):
+        heap = sorted(row)  # the row's columns, and each column filled in later
+        while heap:
+            lead = heappop(heap)
+            f = row.get(lead)
+            if f is None:  # cancelled since it was pushed
+                continue
+            prow = pivots.get(lead)
+            if prow is None:
+                if f != 1:
+                    inv = pow(f, -1, p)
+                    row = {c: v * inv % p for c, v in row.items()}
+                pivots[lead] = row
+                break
+            for c, x in prow.items():
+                v = row.get(c)
+                if v is None:
+                    row[c] = -f * x % p  # nonzero, p being prime
+                    heappush(heap, c)
+                elif v := (v - f * x) % p:
+                    row[c] = v
+                else:
+                    del row[c]
+    return pivots
+
+
+def _clear_upward(pivots: dict[int, dict[int, int]], p: int) -> None:
+    """Reduce monic pivot rows {lead: row}, each zero left of its lead, in
+    place to the reduced echelon form: every pivot column is cleared from the
+    other rows, last pivot first.  A cleared row has no pivot column but its
+    own, so subtracting it brings no pivot column into another row."""
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for c in [c for c in row if c != lead and c in pivots]:
+            f = row[c]
+            for k, x in pivots[c].items():
+                v = (row.get(k, 0) - f * x) % p
+                if v:
+                    row[k] = v
+                else:
+                    del row[k]
+
+
+def _kernel(pivots: dict[int, dict[int, int]], ncols: int, p: int) -> np.ndarray:
+    """The kernel basis with the identity on the free columns, from the rows
+    {lead: row} of a reduced echelon form mod p."""
+    free = [c for c in range(ncols) if c not in pivots]
+    at = {f: k for k, f in enumerate(free)}
+    N = np.zeros((ncols, len(free)), dtype=np.int64)
+    N[free, range(len(free))] = 1
+    r, c, v = [], [], []
+    for lead, row in pivots.items():
+        for col, x in row.items():
+            if col != lead:
+                r.append(lead)
+                c.append(at[col])
+                v.append(p - x)
+    N[r, c] = v
     return N
 
 

@@ -44,7 +44,9 @@ the next stage, and a basis chosen by elimination is not sigma-equivariant,
 so no basis is carried across an orbit.
 
 Arithmetic runs mod TENSOR_PRIME, a prime just below 2^20, in exactla's
-int64 lane; intersection dimensions over a prime field can only exceed the
+int64 lane: each block is assembled as a dense int64 matrix, a few percent
+of it nonzero, and eliminated by sparse echelon insertion, sparsest row
+first.  Intersection dimensions over a prime field can only exceed the
 rational ones.  koszul_summary computes the tower at one prime and only on a
 mismatch with the prediction at a second one, keeping the smaller value of
 each stage; a match at one prime is one-sided evidence.

@@ -181,7 +181,7 @@ def presentation_size(n: int, m: int = 0) -> tuple[int, int]:
     that build_an and build_bnm refuse, with their message."""
     if m == 0:
         if n < 3:
-            raise UsageError(f"A_n needs n >= 3, got n={n}")
+            raise UsageError(f"B_(n,0) = A_n needs n >= 3, got n={n}")
     elif n < 2 or m < 1:
         raise UsageError(f"B_(n,m) needs n >= 2 and m >= 0, got ({n},{m})")
     elif n + m < 3:

@@ -1,6 +1,6 @@
 """Shared helpers: cached presentations, the reference polynomial arithmetic
-over a field given by its characteristic, and the acceptance-line terminal
-summary.
+over a field given by its characteristic, the reference Gauss-Jordan
+elimination mod p, and the acceptance-line terminal summary.
 """
 
 from dataclasses import replace
@@ -38,6 +38,30 @@ def cached_bnm(n, m, field=0):
     if key not in _CACHE:
         _CACHE[key] = build_bnm(n, m).to_field(field)
     return _CACHE[key]
+
+
+def gauss_jordan(m, p):
+    """The reference: Gauss-Jordan elimination mod p of the 2-d array m, dense,
+    over Python ints, clearing each pivot column above and below at once.
+    Returns the reduced echelon form, as lists of ints in m's shape, and the
+    pivot columns."""
+    nrows, ncols = m.shape
+    R = [[int(x) % p for x in row] for row in m]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, nrows) if R[i][c]), None)
+        if piv is None:
+            continue
+        R[r], R[piv] = R[piv], R[r]
+        inv = pow(R[r][c], -1, p)
+        R[r] = [x * inv % p for x in R[r]]
+        for i in range(nrows):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [(x - f * y) % p for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+    return R, pivots
 
 
 def with_first_relation_scaled(spec, factor):

@@ -284,11 +284,13 @@ def test_koszul_honours_pivot(capsysbinary):
 
 
 def test_hilbert_lee_refuses_n_as_verify_does(capsys):
+    # B_(2,0) is A_2, so --kind bnm --m 0 is refused with the same message
     errs = []
     for action in ("lee", "verify"):
-        assert cli.main(["hilbert", action, "--n", "2"]) == 2
-        errs.append(capsys.readouterr().err)
-    assert errs == ["psiring: error: A_n needs n >= 3, got n=2\n"] * 2
+        for kind in ([], ["--kind", "bnm", "--m", "0"]):
+            assert cli.main(["hilbert", action, *kind, "--n", "2"]) == 2
+            errs.append(capsys.readouterr().err)
+    assert errs == ["psiring: error: B_(n,0) = A_n needs n >= 3, got n=2\n"] * 4
 
 
 def test_hilbert_lee_validates_pivot(capsys):

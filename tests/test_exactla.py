@@ -20,6 +20,7 @@ from psiring.exactla import (
 )
 from psiring.fields import DEFAULT_PRIME, TENSOR_PRIME
 from psiring.rng import SplitMix64
+from conftest import gauss_jordan
 
 
 def bareiss_rank(mat: list[list[int]]) -> int:
@@ -136,7 +137,7 @@ def test_int64_lane_on_tower_sized_sparse_matrices(nrows, ncols, per_row):
     assert piv == sorted(set(piv))
     assert ((0 <= ech) & (ech < p)).all()
     for i, c in enumerate(piv):
-        assert ech[i, c] == 1 and not ech[i + 1:, c].any()
+        assert ech[i, c] == 1 and np.count_nonzero(ech[:, c]) == 1  # reduced
         assert not ech[i, :c].any()
     assert not ech[len(piv):].any()
     rank, lucky = rank_sparse_rational(rows, p)
@@ -171,33 +172,18 @@ def test_nullspace_columns_independent():
 
 
 def gauss_jordan_kernel(m, p):
-    """The reference: Gauss-Jordan elimination mod p over Python ints, clearing
-    each pivot column above and below at once.  Returns the pivot columns and
-    the kernel basis, as an object array, with the identity on the free
-    columns."""
-    nrows, ncols = m.shape
-    R = [[int(x) % p for x in row] for row in m]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, nrows) if R[i][c]), None)
-        if piv is None:
-            continue
-        R[r], R[piv] = R[piv], R[r]
-        inv = pow(R[r][c], -1, p)
-        R[r] = [x * inv % p for x in R[r]]
-        for i in range(nrows):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                R[i] = [(x - f * y) % p for x, y in zip(R[i], R[r])]
-        pivots.append(c)
+    """The reference kernel basis, as an object array, with the identity on the
+    free columns, read off the reference reduced echelon form; with it the
+    pivot columns and that form."""
+    R, pivots = gauss_jordan(m, p)
+    ncols = m.shape[1]
     free = [c for c in range(ncols) if c not in pivots]
     N = np.zeros((ncols, len(free)), dtype=object)
     for j, f in enumerate(free):
         N[f, j] = 1
         for t, c in enumerate(pivots):
             N[c, j] = -R[t][f] % p
-    return pivots, N
+    return pivots, N, R
 
 
 def gauss_jordan_cases(p, seed):
@@ -223,17 +209,20 @@ def gauss_jordan_cases(p, seed):
     return cases
 
 
-@pytest.mark.parametrize("p", [97, TENSOR_PRIME, DEFAULT_PRIME])
+@pytest.mark.parametrize("p", [97, TENSOR_PRIME, DEFAULT_PRIME, 2])
 def test_echelon_nullspace_against_gauss_jordan(p):
-    # the kernel basis with the identity on the free columns is unique, so the
-    # int64 lane must give the reference's exactly, and leave U as it was
+    # the rank, the pivot columns, the reduced echelon form and the kernel basis
+    # with the identity on the free columns are unique, so the int64 lane must
+    # give the reference's exactly, and leave U as it was
     kinds = set()
     for m in gauss_jordan_cases(p, 0x6A55 + p):
-        pivots, want = gauss_jordan_kernel(m, p)
+        pivots, want, R = gauss_jordan_kernel(m, p)
         U, piv = echelon_mod_p(m, p)
         before = U.copy()
         got = echelon_nullspace(U, piv, p)
         assert piv == pivots
+        assert rank_mod_p(m, p) == len(pivots)
+        assert U.dtype == np.int64 and U.tolist() == R
         assert got.dtype == np.int64 and got.shape == want.shape
         assert got.tolist() == want.tolist()
         assert np.array_equal(U, before)
@@ -243,6 +232,41 @@ def test_echelon_nullspace_against_gauss_jordan(p):
     # 0-row matrices, rank 0 with rows, full rank with rows, and rank-deficient
     assert {(False, True, True), (True, True, False), (True, False, True),
             (True, False, False)} <= kinds
+
+
+def test_echelon_nullspace_takes_any_echelon_form_with_unit_pivots():
+    # an echelon form that is not reduced, with rows of it scaled and added to
+    # the rows above, gives the kernel of its reduced form
+    p = 97
+    for m in gauss_jordan_cases(p, 0xEC40):
+        _, want, _ = gauss_jordan_kernel(m, p)
+        U, piv = echelon_mod_p(m, p)
+        for t in range(len(piv) - 1, 0, -1):
+            U[:t] = (U[:t] + np.arange(1, t + 1)[:, None] * U[t]) % p
+        assert echelon_nullspace(U, piv, p).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("p", [2, TENSOR_PRIME, DEFAULT_PRIME])
+@pytest.mark.parametrize("nrows,ncols,per_row", [(40, 90, 4), (120, 150, 6)])
+def test_int64_lane_against_gauss_jordan_on_sparse_rows(p, nrows, ncols, per_row):
+    # the tower's few-percent density, and rows that combine earlier ones,
+    # against the reference, dense and in the natural row order; every output
+    # must be the same again with the rows shuffled
+    rng = SplitMix64(0x5A5E + nrows)
+    m = rows_to_dense(sparse_tower_rows(rng, nrows, ncols, per_row), ncols, p)
+    assert 0.01 <= np.count_nonzero(m) / m.size <= 0.06
+    pivots, want, R = gauss_jordan_kernel(m, p)
+    assert len(pivots) < nrows
+    outputs = []
+    for shuffle in range(3):
+        order = list(range(nrows))
+        for i in range(nrows - 1, 0, -1):
+            j = rng.randint(0, i)
+            order[i], order[j] = order[j], order[i]
+        a = m[order] if shuffle else m
+        U, piv = echelon_mod_p(a, p)
+        outputs.append((rank_mod_p(a, p), piv, U.tolist(), nullspace_mod_p(a, p).tolist()))
+    assert outputs == [(len(pivots), pivots, R, want.tolist())] * 3
 
 
 def object_matmul_case(p, inner, seed=0xBEEF):

@@ -30,7 +30,7 @@ from psiring.presentation import CUSTOM, PivotScheme, build_an, tensor_relation_
 from psiring.series import invert_unit_series, lee_series, total_hilbert
 from psiring.slices import block_symmetries
 from psiring.symbols import Alpha
-from conftest import with_first_relation_scaled, with_last_relation_bent
+from conftest import gauss_jordan, with_first_relation_scaled, with_last_relation_bent
 
 
 def test_prediction_rows_frozen():
@@ -79,20 +79,26 @@ def matrix_digest(m: np.ndarray) -> str:
 
 
 @pytest.mark.parametrize("n,n2_digest,c_digest", [
-    (4, "4c7b21f03b60fc0f47c7d415f4998e1a2adab5b7cbe010573f6d4d611f081c43",
+    (4, "c45692ee705f157ade9b5e76ae8abc11aacc792c01cbacdc07f346bc4152b80f",
      "9589c483534b78703f6f4802a0527bdbc72e021d474f3603788f278d24001b47"),
-    (5, "5d79ef40975103780862c80a74b77e8ced5eedf6165c34f0410e5849ed6fc0ce",
+    (5, "5592ca07de7a50953de50096aa3022ee7e95abeb0d6b27e64de84caa1c03b9bc",
      "1bb6178d457c74418a219b5de31c5ec2f39a071968bdd5288cbcbc1a339d8bd6"),
-    (6, "bd90e2d26513e01d62796b9229eb9f43fe9eaebd0e3795bf42517c0060b8c744",
+    (6, "4818d54d481e65a0c82bfc88e3d7acd8c3771970396b04ef1039db1b96daecc9",
      "c24718b1c8ce6bdab5ae969f38f9ca3b5347b8aa31dd7bdca6cdb1c6e159ab73"),
 ])
 def test_relation_space_matrices_pinned(n, n2_digest, c_digest):
-    # sha256 of the shape and the int64 bytes of N2 and C: the echelon form of
-    # the tensor rows, and the check rows the stacked route reads off it, must
-    # not drift when the elimination changes
-    N2 = relation_space(build_an(n))[0]
-    C = relation_space_matrices(build_an(n))
+    # sha256 of the shape and the int64 bytes of N2 and C: the reduced echelon
+    # form of the tensor rows, and the check rows the stacked route reads off
+    # it, must not drift when the elimination changes; both depend on R alone
+    spec = build_an(n)
+    N2 = relation_space(spec)[0]
+    C = relation_space_matrices(spec)
     assert (matrix_digest(N2), matrix_digest(C)) == (n2_digest, c_digest)
+    if n <= 5:
+        v = spec.nvars
+        R, pivots = gauss_jordan(rows_to_dense(tensor_relation_space(spec), v * v, TENSOR_PRIME),
+                                 TENSOR_PRIME)
+        assert N2.tolist() == R[: len(pivots)]
 
 
 @pytest.mark.parametrize("n,pivot", [(4, None), (5, None), (5, (3, 1, 5, 2, 4))])
@@ -263,7 +269,7 @@ def test_three_points_blocks_are_pinned():
         {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}, {(1, 1, 1): 1}, {}]
 
 
-@pytest.mark.parametrize("n,k", [(4, 6), (5, 4), (6, 3), (7, 3)])
+@pytest.mark.parametrize("n,k", [(4, 6), (5, 4), (6, 3), (7, 3), (6, 4), (4, 7)])
 def test_block_sums_match_prediction(n, k):
     blocks = koszul._dual_blocks(n, k, TENSOR_PRIME, 10 ** 12, None)
     assert [sum(b.values()) for b in blocks] == koszul_prediction(n, k)[2:]
