@@ -39,7 +39,7 @@ from .presentation import (
 )
 from .reports import Report, make_check, render
 from .rng import SplitMix64
-from .series import curve_module_series, degree_grid, lee_series, lee_series_restricted
+from .series import TruncatedSeries, curve_module_series, degree_grid, lee_series_restricted
 from .slices import orbit_sweep, standard_monomial_count
 from .util import parallel_map
 
@@ -195,6 +195,11 @@ def cmd_presentation(args) -> Report:
 
 
 def cmd_hilbert(args) -> Report:
+    return _hilbert(args)[0]
+
+
+def _hilbert(args) -> tuple[Report, TruncatedSeries | None]:
+    """cmd_hilbert's report, and the series table it expanded (None for brute)."""
     D = args.max_total
     if D < 0:
         raise UsageError(f"negative --max-total {D}")
@@ -205,7 +210,7 @@ def cmd_hilbert(args) -> Report:
         presentation_size(args.n, args.m)  # refuses the (n, m) that verify refuses
         series = lee_series_restricted(args.n, args.m, D)
         _coefficient_table(report, series, args.n)
-        return report
+        return report, series
 
     spec = _spec(args)
     slices = orbit_sweep(spec, degree_grid(spec.nblocks, D), args.threads)
@@ -216,7 +221,7 @@ def cmd_hilbert(args) -> Report:
         cols = [f"a[{i + 1}]" for i in range(args.n)]
         cols += ["monomials", "relation_rows", "rank", "dimension", "method"]
         report.add_table("dimensions", cols, rows)
-        return report
+        return report, None
 
     # verify: slices against the series, plus the pointwise anchors
     series = lee_series_restricted(args.n, args.m, D)  # B(n,0) is A(n)
@@ -234,7 +239,7 @@ def cmd_hilbert(args) -> Report:
         "0 mismatches", f"{mism} mismatches",
     ))
     _add_anchor_checks(report, args, series, D)
-    return report
+    return report, series
 
 
 def _add_anchor_checks(report: Report, args, series, D: int):
@@ -414,7 +419,7 @@ def cmd_verify_theorem_a(args) -> Report:
     if args.kind != "an":
         raise UsageError("verify-theorem-a runs on --kind an")
     args.action = "verify"
-    report = cmd_hilbert(args)
+    report, series = _hilbert(args)  # A(n)'s table: B(n,0) is A(n)
     report.config["subcommand"] = "verify-theorem-a"
     spec = _spec(args, field=DEFAULT_PRIME)
     skip = args.n > 6  # no budget covers an A(7) basis
@@ -423,7 +428,7 @@ def cmd_verify_theorem_a(args) -> Report:
     else:
         gb = groebner_for(spec)
         mism = sum(standard_monomial_count(gb, spec, a) != c
-                   for a, c in lee_series(args.n, args.max_total).items())
+                   for a, c in series.items())
         agreement, dim = f"{mism} mismatches", krull_dimension(gb)
     report.add(make_check("groebner-slice-agreement", {"n": args.n, "max_total": args.max_total},
                           "0 mismatches", agreement, informative=skip))

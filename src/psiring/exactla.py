@@ -16,18 +16,20 @@ tests, where a fraction-free Bareiss elimination is the reference over Z:
     they are and keeps the primitive pivot rows as integer polynomials,
     certified at the characteristic over a prime field.
 
-  * the int64 lane: sparse echelon insertion mod a prime p, for any p with
-    2 <= p and (p-1)^2 < 2^63, because its outputs are int64; every routine
-    refuses another modulus before it reads a matrix.  It reads a matrix's
-    nonzero entries into rows {col: residue}, inserts them sparsest row
-    first, and reduces each by the monic pivot at its leading column, on
-    Python ints, until it claims a new column or vanishes.  rank_mod_p counts
-    the pivots; echelon_mod_p clears them upward to the reduced echelon form,
-    which depends on the row space alone, and so does not depend on the
-    order of insertion; nullspace_mod_p and echelon_nullspace read the kernel
-    basis with the identity on the free columns off that form.  The Koszul
-    tower's blocks, its relation space's included, are a few percent dense,
-    and inserting their sparsest rows first keeps the pivots sparse.
+  * the mod-p lane: sparse echelon insertion over rows {col: residue} mod a
+    prime p, on Python ints.  Rows are inserted sparsest row first, and each
+    is reduced by the monic pivot at its leading column until it claims a new
+    column or vanishes.  rank_rows_mod_p counts the pivots; echelon_rows_mod_p
+    clears them upward to the reduced echelon form, which depends on the row
+    space alone, and so does not depend on the order of insertion;
+    kernel_rows_mod_p reads the kernel basis with the identity on the free
+    columns off that form, and nullspace_rows_mod_p does both.  The Koszul
+    tower builds its blocks as such rows, a few percent dense, and inserting
+    their sparsest rows first keeps the pivots sparse.  The dense entry
+    points, echelon_mod_p, rank_mod_p, nullspace_mod_p and echelon_nullspace,
+    read a 2-d array's nonzero entries into rows and run the same insertion;
+    their outputs are int64, so they take any p with 2 <= p and
+    (p-1)^2 < 2^63 and refuse another modulus before they read a matrix.
     mod_matmul sums at most _chunk(p) products of residues between
     reductions, so no int64 sum overflows.
 """
@@ -139,18 +141,50 @@ def rows_to_dense(rows: list[dict], ncols: int, p: int) -> np.ndarray:
     return out
 
 
-def echelon_mod_p(a, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p, by sparse echelon insertion.
+def rank_rows_mod_p(rows: list[dict[int, int]], ncols: int, p: int) -> int:
+    """Rank mod p of the matrix of ncols columns with these rows {col: residue}:
+    the number of pivot rows the echelon insertion keeps."""
+    return len(_insert_mod_p(rows, ncols, p))
 
-    Returns (U, pivot columns), U int64 of a's shape: pivot t sits at row t
-    with entry 1 at its column, every other pivot column is zero in it, and
-    rows below the last pivot are zero.  The form is canonical: it depends on
-    the row space alone.  Refuses p outside the int64 lane before it reads a.
-    """
+
+def echelon_rows_mod_p(rows: list[dict[int, int]], ncols: int,
+                       p: int) -> dict[int, dict[int, int]]:
+    """The reduced row echelon form mod p of the matrix of ncols columns with
+    these rows {col: residue}, as {pivot column: monic row}; every other pivot
+    column is zero in each row.  It depends on the row space alone."""
+    pivots = _insert_mod_p(rows, ncols, p)
+    _clear_upward(pivots, p)
+    return pivots
+
+
+def kernel_rows_mod_p(echelon: dict[int, dict[int, int]], ncols: int,
+                      p: int) -> list[dict[int, int]]:
+    """The right kernel mod p of a reduced echelon form {pivot column: monic
+    row} over ncols columns: one vector {col: residue} per free column f,
+    ascending, 1 at f, 0 at the other free columns and -row[f] at each pivot.
+    That basis is the only one with the identity on the free columns."""
+    kernel = {f: {f: 1} for f in range(ncols) if f not in echelon}
+    for lead, row in echelon.items():
+        for col, x in row.items():
+            if col != lead:
+                kernel[col][lead] = p - x
+    return list(kernel.values())
+
+
+def nullspace_rows_mod_p(rows: list[dict[int, int]], ncols: int,
+                         p: int) -> list[dict[int, int]]:
+    """kernel_rows_mod_p of the reduced echelon form of these rows."""
+    return kernel_rows_mod_p(echelon_rows_mod_p(rows, ncols, p), ncols, p)
+
+
+def echelon_mod_p(a, p: int) -> tuple[np.ndarray, list[int]]:
+    """echelon_rows_mod_p of a 2-d array, as (U, pivot columns), U int64 of
+    a's shape: pivot t sits at row t with entry 1 at its column, every other
+    pivot column is zero in it, and rows below the last pivot are zero.
+    Refuses p outside the int64 lane before it reads a."""
     _chunk(p)  # the lane check
     A = np.asarray(a)
-    pivots = _insert_mod_p(A, p)
-    _clear_upward(pivots, p)
+    pivots = echelon_rows_mod_p(_sparse_rows(A, p), A.shape[1], p)
     leads = sorted(pivots)
     U = np.zeros(A.shape, dtype=np.int64)
     for t, lead in enumerate(leads):
@@ -160,19 +194,18 @@ def echelon_mod_p(a, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank_mod_p(a, p: int) -> int:
-    """Rank mod p: the number of pivot rows the echelon insertion keeps."""
+    """rank_rows_mod_p of a 2-d array."""
     _chunk(p)  # the lane check
-    return len(_insert_mod_p(np.asarray(a), p))
+    A = np.asarray(a)
+    return rank_rows_mod_p(_sparse_rows(A, p), A.shape[1], p)
 
 
 def nullspace_mod_p(a, p: int) -> np.ndarray:
-    """Columns form a basis of the right kernel mod p (int64, shape ncols x
-    nullity), the one with the identity on the free columns."""
+    """nullspace_rows_mod_p of a 2-d array, the vectors as the columns of an
+    int64 array of shape ncols x nullity."""
     _chunk(p)  # the lane check
     A = np.asarray(a)
-    pivots = _insert_mod_p(A, p)
-    _clear_upward(pivots, p)
-    return _kernel(pivots, A.shape[1], p)
+    return _columns(nullspace_rows_mod_p(_sparse_rows(A, p), A.shape[1], p), A.shape[1])
 
 
 def echelon_nullspace(U: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
@@ -180,15 +213,13 @@ def echelon_nullspace(U: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
     at row t, so a caller holding one does not eliminate again.
 
     Clears each pivot column above its pivot, which leaves the reduced echelon
-    form R; the kernel vector of free column f is 1 at f, 0 at the other free
-    columns and -R[:, f] at the pivots.  That basis is the only one with the
-    identity on the free columns.  U is left as it was.
+    form, and reads kernel_rows_mod_p off it.  U is left as it was.
     """
     _chunk(p)  # the lane check
     U = np.asarray(U)
     rows = dict(zip(pivots, _sparse_rows(U[: len(pivots)], p)))
     _clear_upward(rows, p)
-    return _kernel(rows, U.shape[1], p)
+    return _columns(kernel_rows_mod_p(rows, U.shape[1], p), U.shape[1])
 
 
 def _sparse_rows(A: np.ndarray, p: int) -> list[dict[int, int]]:
@@ -204,18 +235,31 @@ def _sparse_rows(A: np.ndarray, p: int) -> list[dict[int, int]]:
     return rows
 
 
-def _insert_mod_p(A: np.ndarray, p: int) -> dict[int, dict[int, int]]:
-    """Echelon insertion of A's rows mod p, sparsest row first.
+def _columns(vectors: list[dict[int, int]], nrows: int) -> np.ndarray:
+    """The sparse vectors as the columns of a dense int64 nrows x len(vectors) array."""
+    out = np.zeros((nrows, len(vectors)), dtype=np.int64)
+    for j, vec in enumerate(vectors):
+        out[list(vec), j] = list(vec.values())
+    return out
+
+
+def _insert_mod_p(rows: list[dict[int, int]], ncols: int, p: int) -> dict[int, dict[int, int]]:
+    """Echelon insertion of rows {col: residue} mod p, sparsest row first,
+    over ncols columns; the rows are left as they were.
 
     Returns the dict from each leading column to the one monic pivot row that
     starts there.  An incoming row is reduced by the pivot at its leading
-    column until it claims a new column or vanishes.  The leading columns,
+    column until it claims a new column or vanishes; once every column is a
+    pivot's, every later row vanishes, and none is read.  The leading columns,
     and the reduced form _clear_upward makes of the pivots, depend on the row
     space alone, not on the order of insertion; inserting sparse rows first
     keeps the pivots, and so every later reduction, sparse.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for row in sorted(_sparse_rows(A, p), key=len):
+    for row in sorted(rows, key=len):
+        if len(pivots) == ncols:
+            break
+        row = dict(row)
         heap = sorted(row)  # the row's columns, and each column filled in later
         while heap:
             lead = heappop(heap)
@@ -256,24 +300,6 @@ def _clear_upward(pivots: dict[int, dict[int, int]], p: int) -> None:
                     row[k] = v
                 else:
                     del row[k]
-
-
-def _kernel(pivots: dict[int, dict[int, int]], ncols: int, p: int) -> np.ndarray:
-    """The kernel basis with the identity on the free columns, from the rows
-    {lead: row} of a reduced echelon form mod p."""
-    free = [c for c in range(ncols) if c not in pivots]
-    at = {f: k for k, f in enumerate(free)}
-    N = np.zeros((ncols, len(free)), dtype=np.int64)
-    N[free, range(len(free))] = 1
-    r, c, v = [], [], []
-    for lead, row in pivots.items():
-        for col, x in row.items():
-            if col != lead:
-                r.append(lead)
-                c.append(at[col])
-                v.append(p - x)
-    N[r, c] = v
-    return N
 
 
 def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

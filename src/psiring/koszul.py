@@ -44,8 +44,10 @@ the next stage, and a basis chosen by elimination is not sigma-equivariant,
 so no basis is carried across an orbit.
 
 Arithmetic runs mod TENSOR_PRIME, a prime just below 2^20, in exactla's
-int64 lane: each block is assembled as a dense int64 matrix, a few percent
-of it nonzero, and eliminated by sparse echelon insertion, sparsest row
+mod-p lane, on Python ints and with no numpy: every block, basis and check
+row is kept as sparse rows {col: residue}, a few percent of each block
+nonzero.  Each block's rows are built straight from the sparse bases and
+check rows, and eliminated by sparse echelon insertion, sparsest row
 first.  Intersection dimensions over a prime field can only exceed the
 rational ones.  koszul_summary computes the tower at one prime and only on a
 mismatch with the prediction at a second one, keeping the smaller value of
@@ -55,14 +57,17 @@ Work is refused with a BudgetError when the matrices would exceed the element
 budget; the refusal carries the estimate.  The estimate is the dense bound on
 the whole stage, A*RR x U*v with A = v^(j-2) words.  It over-counts the rows
 actually built on purpose, so the refusal threshold does not depend on how a
-stage is solved, nor on how many of its blocks are ranked.
+stage is solved, nor on how many of its blocks are ranked, and it stays a
+count of dense entries though the rows kept are sparse.
 It is checked up front from the predicted dimensions, before any work, and
 again per stage on the actual ones.  Stage 2, R itself, is checked first, on
-the echelon and check rows its blocks of V (x) V keep, width^2 entries each
-and n(2n-1)(n-2)^4 in all, though no block is wider than 2(n-2)^2.  The
-up-front check expands the prediction only as far as the first stage j with
-v^(j-1) > budget, which is refused whenever W_(j-1) is nonzero; once a
-stage's dimension is 0 every later one is 0, and no further stage is built.
+the echelon and check rows its blocks of V (x) V keep when a stage 3
+follows, width^2 entries each and n(2n-1)(n-2)^4 in all, though no block is
+wider than 2(n-2)^2; at kmax = 2 every block is only ranked, under the same
+check.  The up-front check expands the prediction only as far as the first
+stage j with v^(j-1) > budget, which is refused whenever W_(j-1) is
+nonzero; once a stage's dimension is 0 every later one is 0, and no further
+stage is built.
 """
 
 from __future__ import annotations
@@ -75,7 +80,8 @@ import numpy as np
 
 from .errors import BudgetError, UsageError
 from .exactla import (
-    echelon_mod_p, echelon_nullspace, mod_matmul, nullspace_mod_p, rank_mod_p, rows_to_dense,
+    echelon_mod_p, echelon_nullspace, echelon_rows_mod_p, kernel_rows_mod_p,
+    nullspace_rows_mod_p, rank_mod_p, rank_rows_mod_p, rows_to_dense,
 )
 from .fields import TENSOR_PRIME, TENSOR_RETRY_PRIME
 from .presentation import PivotScheme, PresentationSpec, build_an, tensor_relation_space
@@ -178,15 +184,16 @@ def _dual_blocks(
 ) -> list[dict[tuple[int, ...], int]]:
     """dim W_k per Z^n-multidegree, for k = 2..kmax, one block at a time.
 
-    Each W_j is kept as one matrix Y_d per block d: its columns are a basis of
-    W_j(d) as coefficients over W_(j-1) (x) V, row (u, b) the coefficient of
-    w_u (x) e_b, laid out by _layout.  W_2 = R: the rows of
-    tensor_relation_space are grouped by their degree e_s + e_t (a row that
-    mixes degrees is refused), and each block of V (x) V = W_1 (x) V is
-    eliminated on its own.  Its echelon rows are Y_rho's columns, and, when
-    a stage 3 follows, its kernel (exactla.echelon_nullspace) gives the check
-    rows C_rho: x lies in R exactly when C_rho x_rho == 0 for every block rho
-    (the identity where no row spans).
+    Every matrix and basis is kept as sparse rows {col: residue} mod the prime.
+    Each W_j is kept per block d as its basis Y_d, vectors over W_(j-1) (x) V:
+    entry (u, b) of a vector is its coefficient of w_u (x) e_b, laid out by
+    _layout.  W_2 = R: the rows of tensor_relation_space are grouped by their
+    degree e_s + e_t (a row that mixes degrees is refused), and each block of
+    V (x) V = W_1 (x) V is eliminated on its own.  At kmax = 2 the blocks are
+    only ranked.  Otherwise their reduced echelon rows are Y_rho, and their
+    kernel (exactla.kernel_rows_mod_p) gives the check rows C_rho: x lies in
+    R exactly when C_rho x_rho == 0 for every block rho (the identity where
+    no row spans).
 
     At stage j the basis w_p of W_(j-2) is independent and W_(j-1) lies in
     W_(j-2) (x) V, so sum y[u,b] w_u (x) e_b lies in V^(j-2) (x) R exactly
@@ -194,14 +201,16 @@ def _dual_blocks(
     the coefficient of w_p (x) e_c in w_u: the stage matrix is
     M[(p,r),(u,b)] = sum_c N[u,(p,c)] C[r,(c,b)], its rows indexed by the
     basis of W_(j-2), not by the words of V^(x)(j-2).  For w_u in
-    W_(j-1)(beta) and c in block t, N[u,(p,c)] is the chunk (beta - e_t, t) of
-    Y_beta, one contiguous slice.  M only couples a row and a column of one
+    W_(j-1)(beta) and c in block t, N[u,(p,c)] lies in the chunk
+    (beta - e_t, t) of w_u.  M only couples a row and a column of one
     multidegree d = deg p + deg r = deg u + e_b, and each block d gets its own
     nullspace, the next Y_d; at the last stage only the first block of each
     orbit is built, and only ranked (see Orbits at the last stage in the
-    module docstring).  The blocks are assembled from one product per
-    (deg u, block of c), whose columns (r, b) run over every block of b at
-    once, cut into the sub-blocks of the blocks d it meets.
+    module docstring).  The rows are built from each w_u's nonzeros, walked
+    once: an entry x at (p, c) of chunk t meets, for every block t2 of b, the
+    check rows r of R's block e_t + e_t2 with an entry y at some (c, b), and
+    adds x * y at column (u, b) of row (p, r) of block deg u + e_t2.  The sums
+    run on ints and each row is reduced mod the prime once.
     """
     v = n * (n - 2)
     # stage 2 keeps width^2 entries per block of V (x) V: 2(n-2)^2 wide for the
@@ -235,22 +244,38 @@ def _dual_blocks(
         if len(cells) != 1:
             raise AssertionError(f"relation-space row {i} is zero or not multihomogeneous")
         (d, cols), = cells.items()
-        spans[d].append(cols)
-    W: dict[tuple[int, ...], np.ndarray] = {}  # per block: the last W's basis Y_d
-    C: dict[tuple[int, ...], np.ndarray] = {}  # and R's check rows, read from stage 3 on
+        spans[d].append({k: r for k, c in cols.items() if (r := c % prime)})
+    if kmax == 2:  # the last stage: ranked, with no basis or check rows kept
+        return [{d: k for d, rows in spans.items()
+                 if (k := rank_rows_mod_p(rows, width[d], prime))}]
+    W: dict[tuple[int, ...], list[dict]] = {}  # per block: the last W's basis Y_d
+    C: dict[tuple[int, ...], list[dict]] = {}  # and R's check rows
     for d, rows in spans.items():
-        B, pivots = echelon_mod_p(rows_to_dense(rows, width[d], prime), prime)
-        B = B[: len(pivots)]
-        W[d] = B.T
-        if kmax > 2:
-            C[d] = echelon_nullspace(B, pivots, prime).T
-    RR = sum(width[d] - Y.shape[1] for d, Y in W.items())
-    assert not C or RR == sum(c.shape[0] for c in C.values())
-    out = [{d: Y.shape[1] for d, Y in W.items() if Y.shape[1]}]
+        B = echelon_rows_mod_p(rows, width[d], prime)
+        W[d] = [B[lead] for lead in sorted(B)]
+        C[d] = kernel_rows_mod_p(B, width[d], prime)
+    RR = sum(len(c) for c in C.values())
+    # checks[t, t2] = (rho, by_c): R's block rho = e_t + e_t2 and, for each c of
+    # block t, (r, [(b, y), ...]) for each check row r with entries y at (c, b)
+    checks: dict[tuple[int, int], tuple] = {}
+    for t in range(n):
+        for t2 in range(n):
+            rho, r0, nb = _shift(e[t], t2, 1), r_at[e[t], t2], size[t2]
+            by_c: list[list] = [[] for _ in range(size[t])]
+            for r, crow in enumerate(C[rho]):
+                at_c: dict[int, list] = {}
+                for k, y in crow.items():
+                    if r0 <= k < r0 + size[t] * nb:
+                        c, b = divmod(k - r0, nb)
+                        at_c.setdefault(c, []).append((b, y))
+                for c, ents in at_c.items():
+                    by_c[c].append((r, ents))
+            checks[t, t2] = rho, by_c
+    out = [{d: len(Y) for d, Y in W.items() if Y}]
     at = r_at  # W_(j-1)'s layout; p_dims is dim W_(j-2) per block
     for j in range(3, kmax + 1):
-        W = {d: Y for d, Y in W.items() if Y.shape[1]}
-        u_dims = {d: Y.shape[1] for d, Y in W.items()}
+        W = {d: Y for d, Y in W.items() if Y}
+        u_dims = {d: len(Y) for d, Y in W.items()}
         U = sum(u_dims.values())
         if U == 0:  # W_(j-1) = 0, so W_k = 0 for every k >= j-1
             out += [{} for _ in range(j, kmax + 1)]
@@ -264,52 +289,51 @@ def _dual_blocks(
         reps = dict(zip(grid, orbit_representatives(
             block_symmetries(spec, prime) if last else (), grid)))
         ranked = {d for d, rep in reps.items() if rep == d}
-        # each block's rows, one chunk per (deg p, deg r)
-        row_at: dict[tuple, int] = {}
-        nrows: Counter = Counter()
-        subs: dict[tuple[int, ...], list] = {d: [] for d in ncols}
+        # each ranked block's rows, one dict per R's block rho = deg r (deg p is
+        # d - rho), the row (p, r) keyed by p * nr + r, nr = len(C[rho])
+        chunks: dict[tuple[int, ...], dict[tuple[int, ...], dict[int, dict]]] = {
+            d: {} for d in ranked}
         for beta, Y in W.items():
+            up = [_shift(beta, t2, 1) for t2 in range(n)]
+            where: dict[int, tuple[int, int, int]] = {}  # column of Y_beta -> (t, p, c)
+            targets: list[list] = [[] for _ in range(n)]  # per t: what a c of block t meets
             for t in range(n):
                 alpha = _shift(beta, t, -1)
                 if (alpha, t) not in at:
                     continue
-                nc, P, Ub = size[t], p_dims[alpha], Y.shape[1]
-                parts = [(t2, rho, r_at[e[t], t2], size[t2], C[rho].shape[0])
-                         for t2 in range(n) if (rho := _shift(e[t], t2, 1)) in C
-                         and _shift(beta, t2, 1) in ranked]
-                if not parts:
-                    continue
-                c0 = at[alpha, t]
-                left = Y[c0:c0 + P * nc].reshape(P, nc, Ub).transpose(0, 2, 1)  # [p, u, c]
-                right = np.concatenate(
-                    [C[rho][:, r0:r0 + nc * nb].reshape(nr, nc, nb).transpose(1, 0, 2)
-                     .reshape(nc, -1) for _, rho, r0, nb, nr in parts], axis=1)  # [c, (r, b)]
-                prod = mod_matmul(left.reshape(-1, nc), right, prime).reshape(P, Ub, -1)
-                k0 = 0
-                for t2, rho, _, nb, nr in parts:
-                    d = _shift(beta, t2, 1)
-                    if (d, alpha, rho) not in row_at:
-                        row_at[d, alpha, rho] = nrows[d]
-                        nrows[d] += P * nr
-                    sub = prod[:, :, k0:k0 + nr * nb]
-                    k0 += nr * nb
-                    subs[d].append((row_at[d, alpha, rho], col_at[beta, t2],
-                                    sub.reshape(P, Ub, nr, nb).transpose(0, 2, 1, 3)
-                                    .reshape(P * nr, Ub * nb)))
+                c0, nc = at[alpha, t], size[t]
+                for k in range(p_dims[alpha] * nc):
+                    where[c0 + k] = (t, *divmod(k, nc))
+                for t2, d in enumerate(up):
+                    rho, by_c = checks[t, t2]
+                    if d in ranked and C[rho]:
+                        targets[t].append((chunks[d].setdefault(rho, {}), len(C[rho]),
+                                           col_at[beta, t2], size[t2], by_c))
+            for u, w in enumerate(Y):
+                for col, x in w.items():
+                    t, p, c = where[col]
+                    for chunk, nr, c0, nb, by_c in targets[t]:
+                        base, pr = c0 + u * nb, p * nr
+                        for r, ents in by_c[c]:
+                            row = chunk.get(pr + r)
+                            if row is None:
+                                row = chunk[pr + r] = {}
+                            for b, y in ents:
+                                k = base + b
+                                row[k] = row.get(k, 0) + x * y
         dims: dict[tuple[int, ...], int] = {}
-        nxt: dict[tuple[int, ...], np.ndarray] = {}
+        nxt: dict[tuple[int, ...], list[dict]] = {}
         for d, rep in reps.items():
             if rep != d:  # ranked earlier, as its representative
                 dims[d] = dims[rep]
                 continue
-            M = np.zeros((nrows[d], ncols[d]), dtype=np.int64)
-            for r0, c0, sub in subs.pop(d):
-                M[r0:r0 + sub.shape[0], c0:c0 + sub.shape[1]] = sub
+            M = [red for chunk in chunks.pop(d).values() for row in chunk.values()
+                 if (red := {k: r for k, x in row.items() if (r := x % prime)})]
             if last:
-                dims[d] = ncols[d] - rank_mod_p(M, prime)
+                dims[d] = ncols[d] - rank_rows_mod_p(M, ncols[d], prime)
             else:
-                nxt[d] = nullspace_mod_p(M, prime)  # (ncols, dim of block d)
-                dims[d] = nxt[d].shape[1]
+                nxt[d] = nullspace_rows_mod_p(M, ncols[d], prime)
+                dims[d] = len(nxt[d])
         out.append({d: k for d, k in dims.items() if k})
         p_dims, at, W = u_dims, col_at, nxt
     return out

@@ -35,6 +35,8 @@ ALLOWED = {
     "series.lee_coefficient":
         "the benchmark's tracer wraps it by name; it is the closed-form route that tests"
         " check series arithmetic against",
+    "exactla.nullspace_mod_p": "the benchmark's tracer wraps it by name",
+    "exactla.mod_matmul": "the benchmark's tracer wraps it by name",
 }
 
 
@@ -113,6 +115,9 @@ REACH_COMMANDS = [
 UNREACHED = {
     **ALLOWED,
     "koszul._refuse_dense": "only dual_dimension_stacked calls it",
+    **{f"exactla.{name}": "only dual_dimension_stacked reaches it"
+       for name in ("rows_to_dense", "echelon_mod_p", "rank_mod_p", "echelon_nullspace",
+                    "_sparse_rows", "_columns", "_chunk")},
     "koszul.relation_space_matrices":
         "only dual_dimension_stacked calls it; the tower eliminates R block by block",
 }

@@ -11,14 +11,18 @@ from psiring.errors import UsageError
 from psiring.exactla import (
     echelon_mod_p,
     echelon_nullspace,
+    echelon_rows_mod_p,
+    kernel_rows_mod_p,
     mod_matmul,
     nullspace_mod_p,
+    nullspace_rows_mod_p,
     rank_mod_p,
+    rank_rows_mod_p,
     rank_sparse_rational,
     rows_to_dense,
     sparse_echelon,
 )
-from psiring.fields import DEFAULT_PRIME, TENSOR_PRIME
+from psiring.fields import DEFAULT_PRIME, TENSOR_PRIME, TENSOR_RETRY_PRIME
 from psiring.rng import SplitMix64
 from conftest import gauss_jordan
 
@@ -267,6 +271,43 @@ def test_int64_lane_against_gauss_jordan_on_sparse_rows(p, nrows, ncols, per_row
         U, piv = echelon_mod_p(a, p)
         outputs.append((rank_mod_p(a, p), piv, U.tolist(), nullspace_mod_p(a, p).tolist()))
     assert outputs == [(len(pivots), pivots, R, want.tolist())] * 3
+
+
+@pytest.mark.parametrize("p", [97, TENSOR_PRIME, TENSOR_RETRY_PRIME])
+def test_sparse_rows_against_dense_and_gauss_jordan(p):
+    # the entry points the Koszul tower calls, on rows {col: residue}, give the
+    # reference's rank, reduced echelon form and kernel basis, as the dense
+    # adapters do, and leave their input as it was: on empty input, zero rows,
+    # full column rank, and free columns past the last entry
+    rng = SplitMix64(0x5BA5 + p)
+    cases = [([], 0), ([], 5), ([{}, {}], 4)]
+    for nrows, ncols, per_row, trailing in [(30, 40, 3, 6), (60, 50, 4, 0), (40, 8, 3, 0),
+                                            (25, 80, 2, 3)]:
+        rows = [{c: r for c, v in row.items() if (r := v % p)}
+                for row in sparse_tower_rows(rng, nrows, ncols, per_row)]
+        cases.append((rows[:nrows // 2] + [{}] + rows[nrows // 2:], ncols + trailing))
+    kinds = set()
+    for rows, ncols in cases:
+        before = [dict(row) for row in rows]
+        m = rows_to_dense(rows, ncols, p)
+        pivots, want, R = gauss_jordan_kernel(m, p)
+        echelon = echelon_rows_mod_p(rows, ncols, p)
+        kernel = nullspace_rows_mod_p(rows, ncols, p)
+        assert sorted(echelon) == pivots
+        assert [echelon[lead] for lead in pivots] == \
+            [{c: x for c, x in enumerate(R[t]) if x} for t in range(len(pivots))]
+        assert rank_rows_mod_p(rows, ncols, p) == len(pivots)
+        assert kernel == kernel_rows_mod_p(echelon, ncols, p)
+        assert [[vec.get(c, 0) for vec in kernel] for c in range(ncols)] == want.tolist()
+        assert rows == before
+        U, piv = echelon_mod_p(m, p)
+        assert (piv, U[: len(piv)].tolist()) == (pivots, R[: len(pivots)])
+        assert rank_mod_p(m, p) == len(pivots)
+        assert nullspace_mod_p(m, p).tolist() == echelon_nullspace(U, piv, p).tolist() \
+            == want.tolist()
+        kinds.add((bool(rows), len(pivots) == ncols, ncols - max(pivots, default=-1) > 1))
+    # no rows, full column rank, and free columns after the last pivot
+    assert {(False, True, False), (True, True, False), (True, False, True)} <= kinds
 
 
 def object_matmul_case(p, inner, seed=0xBEEF):

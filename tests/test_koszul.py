@@ -3,6 +3,7 @@ series, the stacked cross-check, and the element budget guard.
 """
 
 import hashlib
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations
@@ -278,14 +279,16 @@ def test_block_sums_match_prediction(n, k):
 def test_tower_matrices_stay_within_one_block(monkeypatch):
     # A(8) has v = 48 variables in blocks of 6; no matrix the tower builds may
     # be wider than one block e_s + e_t of V (x) V, 2 * 6^2 = 72 columns, where
-    # the whole relation space is v^2 = 2304 wide
+    # the whole relation space is v^2 = 2304 wide; at kmax = 2 each block is
+    # ranked once, one pass of the insertion core
     widths = []
-    for name in ("rows_to_dense", "echelon_mod_p"):
-        def spy(*args, real=getattr(koszul, name), name=name):
-            widths.append(args[1] if name == "rows_to_dense" else np.shape(args[0])[1])
-            return real(*args)
+    for module, name in ((koszul, "rank_rows_mod_p"), (exactla, "_insert_mod_p")):
+        def spy(rows, ncols, p, real=getattr(module, name)):
+            widths.append(ncols)
+            assert all(0 <= c < ncols for row in rows for c in row)
+            return real(rows, ncols, p)
 
-        monkeypatch.setattr(koszul, name, spy)
+        monkeypatch.setattr(module, name, spy)
 
     def boom(*args, **kwargs):
         raise AssertionError("the tower built the global relation space")
@@ -298,13 +301,13 @@ def test_tower_matrices_stay_within_one_block(monkeypatch):
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """(eliminator, shape) of each matrix koszul passes to nullspace_mod_p or
-    rank_mod_p, in call order."""
+    """(eliminator, (rows, columns)) of each matrix koszul passes to
+    nullspace_rows_mod_p or rank_rows_mod_p, in call order."""
     calls = []
-    for name in ("nullspace_mod_p", "rank_mod_p"):
-        def spy(a, p, name=name, real=getattr(koszul, name)):
-            calls.append((name, np.shape(a)))
-            return real(a, p)
+    for name in ("nullspace_rows_mod_p", "rank_rows_mod_p"):
+        def spy(rows, ncols, p, name=name, real=getattr(koszul, name)):
+            calls.append((name, (len(rows), ncols)))
+            return real(rows, ncols, p)
 
         monkeypatch.setattr(koszul, name, spy)
     return calls
@@ -326,7 +329,7 @@ def orbits(monkeypatch):
 
 def test_stage_nullspaces_are_per_block(eliminations):
     # the whole n=5, k=3 stage has 1875 columns; no block may come near that
-    # (the relation space's C comes from echelon_nullspace, so it is not here)
+    # (the relation space's C comes from kernel_rows_mod_p, so it is not here)
     assert dual_tower(5, 3) == [1, 15, 125, 795]
     assert len(eliminations) > 1
     assert max(cols for _, (_, cols) in eliminations) <= 1875 // 10
@@ -343,14 +346,14 @@ def test_stage_rows_run_over_the_basis_of_w_k_minus_2(eliminations, orbits):
         rows = cols = 0
         while cols < 8 * dims[k - 1]:
             name, (r, c) = next(blocks)
-            assert name == "nullspace_mod_p"
+            assert name == "nullspace_rows_mod_p"
             rows, cols = rows + r, cols + c
         assert cols == 8 * dims[k - 1]  # the blocks cover the columns (u, b) once
         assert rows <= dims[k - 2] * RR
     # the last stage ranks one block per orbit, in the order of the representatives
     reps = orbits[-1]
     last = list(blocks)
-    assert [name for name, _ in last] == ["rank_mod_p"] * len(set(reps))
+    assert [name for name, _ in last] == ["rank_rows_mod_p"] * len(set(reps))
     sizes = Counter(reps)
     assert sum(c * sizes[rep] for (_, (_, c)), rep in zip(last, dict.fromkeys(reps))) \
         == 8 * dims[4]
@@ -475,14 +478,14 @@ def test_last_stage_ranks_one_block_per_orbit(eliminations, monkeypatch):
     # columns) and 10 blocks e_s + e_t (9 commutators and 2 relations over 18)
     solved = []
     for module in (koszul, exactla):
-        def spy(U, pivots, p, real=module.echelon_nullspace):
-            solved.append(U.shape)
-            return real(U, pivots, p)
+        def spy(echelon, ncols, p, real=module.kernel_rows_mod_p):
+            solved.append((len(echelon), ncols))
+            return real(echelon, ncols, p)
 
-        monkeypatch.setattr(module, "echelon_nullspace", spy)
+        monkeypatch.setattr(module, "kernel_rows_mod_p", spy)
     top = koszul._dual_blocks(5, 3, TENSOR_PRIME, DEFAULT_ELEMENT_BUDGET, None)[-1]
     assert len(top) == 35
-    assert [name for name, _ in eliminations] == ["rank_mod_p"] * 3
+    assert [name for name, _ in eliminations] == ["rank_rows_mod_p"] * 3
     assert sorted(solved) == [(3, 9)] * 5 + [(11, 18)] * 10
 
 
@@ -490,7 +493,8 @@ def test_budget_refused_before_any_work(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("work started before the budget check")
 
-    for name in ("mod_matmul", "nullspace_mod_p", "rank_mod_p", "echelon_mod_p",
+    for name in ("rank_rows_mod_p", "echelon_rows_mod_p", "kernel_rows_mod_p",
+                 "nullspace_rows_mod_p", "rank_mod_p", "echelon_mod_p", "echelon_nullspace",
                  "build_an", "block_symmetries", "relation_space_matrices"):
         monkeypatch.setattr(koszul, name, boom)
     with pytest.raises(BudgetError) as exc:
@@ -548,6 +552,39 @@ def test_refusal_predicts_only_the_stages_it_needs(monkeypatch):
         dual_tower(5, 100_000)
     assert exc.value.estimate == 268_312_500
     assert max(asked) <= 9  # 15^8 > 2e8: stage 9 is the last one the check looks at
+
+
+class NoNumpy:
+    """Stands in for numpy in a module that must not use it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+def test_tower_touches_no_numpy(monkeypatch):
+    # every block, basis and check row is sparse rows on Python ints, at both
+    # primes koszul_summary uses
+    for module in (koszul, exactla):
+        monkeypatch.setattr(module, "np", NoNumpy())
+    assert dual_tower(3, 6) == [1, 3, 3, 1, 0, 0, 0]
+    assert dual_tower(4, 5) == [1, 8, 34, 112, 341, 1024]
+    assert dual_tower(5, 4, budget=10 ** 11) == [1, 15, 125, 795, 4395]
+    monkeypatch.setattr(koszul, "koszul_prediction", lambda n, kmax: [0] * (kmax + 1))
+    s = koszul_summary(4, 4)
+    assert s.primes == (TENSOR_PRIME, TENSOR_RETRY_PRIME)
+    assert [st.dual_dim for st in s.stages] == [1, 8, 34, 112, 341]
+
+
+def test_tower_memory_stays_sparse():
+    # the blocks of (6, 4) are a few percent dense: assembled as dense int64
+    # they peaked at 39 MiB of Python allocations, kept as sparse rows at 4 MiB
+    tracemalloc.start()
+    try:
+        assert dual_tower(6, 4, budget=10 ** 11) == koszul_prediction(6, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
 
 
 def test_tower_stops_once_a_stage_vanishes():
