@@ -37,9 +37,15 @@ the same order.  The Koszul rule only ever steps to smaller codes, so the
 degree 3 rows are inserted in ascending code; inserted in descending code, a
 vanished row is a combination of larger codes, whose own Koszul rewriting can
 lead back to it, and the argument breaks: A(5) then ranks its (0,1,0,1,2)
-slice 33 instead of 34.  The syzygies come from the degree 3 slices alone,
-once per presentation, so a slice's rows never depend on which slices ran
-before.
+slice 33 instead of 34.
+
+Only the Koszul rule's leads are known up front.  A variable x of degree e
+divides a product m * f_k of slice a only when deg f_k + e <= a, so the
+degree 3 slice b = deg f_k + e is eliminated, every product of it a row, when
+a slice first reaches b, and once per b (per _RowPlan).  Its syzygies come
+from b's own rows alone, so a slice's rows never depend on which slices ran
+before, and a sweep eliminates only the degree 3 slices below the ones it
+ranks: 15 of A(5)'s 35 to total degree 5.
 
 The certificate covers all the products too, even when some c_j is divisible
 by p, since kept rows are some of all the products and neither rule uses p: a
@@ -75,8 +81,12 @@ certificate's conclusion rank_p = rank_Q and the method label, which names
 what the answer rests on.  The product count sum_k #monomials(a - deg f_k)
 is invariant too, since sigma keeps the block sizes and block_symmetries
 also requires it to keep the number of relations of each pair (i, j).  So
-orbit_sweep ranks the first slice of each orbit and gives every other member
-the representative's report under its own multidegree.
+orbit_sweep ranks one slice of each orbit and gives every other member its
+report under their own multidegree.  Any member would do; the rows each keeps
+differ, since both drop rules depend on the order of the variables.  The
+sweep ranks the last member in grid order, which keeps fewer rows than the
+first as a rule: 729 against 757 over A(5)'s orbits to total degree 5, 49,251
+against 52,429 over A(7)'s to total degree 6.
 
 The Groebner route counts the same slice as its standard monomials: those not
 divisible by any leading term.  Both routes walk one list of monomial codes
@@ -87,7 +97,8 @@ count.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import add, sub
 
 from .errors import UsageError
 from .exactla import rank_sparse_rational, sparse_echelon
@@ -123,48 +134,66 @@ def relation_product_rows(spec: PresentationSpec,
     plan = _RowPlan.of(spec, max(a, default=0))
     # up to total degree 3, m has degree at most 1: no lead divides it, and the
     # syzygy rule would drop only rows that vanish in this slice's own elimination
-    drops = plan.drops(spec) if sum(a) > 3 else None
-    rows, ncols, products, _ = _product_rows(spec, plan, tuple(a), drops)
+    rows, ncols, products, _ = _product_rows(spec, plan, tuple(a), sum(a) > 3)
     return rows, ncols, products
 
 
-def _product_rows(spec: PresentationSpec, plan: "_RowPlan", a: tuple[int, ...],
-                  drops: list | None):
+def _product_rows(spec: PresentationSpec, plan: "_RowPlan", a: tuple[int, ...], drop: bool):
     """relation_product_rows' rows, ncols and products, and the (k, code of m)
     of each kept row m * f_k.  Rows come in ascending (k, code of m), the order
-    the soundness induction runs in.  drops is _RowPlan.drops, or None to keep
-    every product."""
+    the soundness induction runs in.  With drop the two rules drop products;
+    without, every product is a row."""
     basis = plan.monomials(spec, a)
-    col = {m: i for i, m in enumerate(basis)}
+    col = dict(zip(basis, range(len(basis))))
+    rems = {}  # a - d for each distinct relation degree d that fits in a
+    for d in plan.distinct:
+        rem = tuple(map(sub, a, d))
+        if min(rem) >= 0:
+            rems[d] = rem
+    if drop:
+        # per remainder: the multiples of the leads of relations 0 .. upto[d] - 1,
+        # and for each variable degree e <= rem, the syzygies of the degree 3
+        # slice d + e with the monomials of rem - e, which their codes multiply
+        koszul = {d: set() for d in rems}
+        upto = dict.fromkeys(rems, 0)
+        syzygies = {d: [(plan.syzygies(spec, tuple(map(add, d, e))),
+                         plan.monomials(spec, tuple(map(sub, rem, e))))
+                        for e, x in zip(plan.units, rem) if x]
+                    for d, rem in rems.items()}
     rows: list[dict[int, int]] = []
     labels: list[tuple[int, int]] = []
     products = 0
     for k, rdeg in enumerate(plan.degrees):
-        rem = tuple(x - y for x, y in zip(a, rdeg))
-        if any(x < 0 for x in rem):
+        rem = rems.get(rdeg)
+        if rem is None:
             continue
-        terms, _ = plan.terms(spec, k)
         mons = plan.monomials(spec, rem)
         products += len(mons)
-        # the multiples of a code of degree d are code * (monomials of rem - d)
-        dropped = set()
-        for d, codes in drops[k] if drops else ():
-            quot = tuple(x - y for x, y in zip(rem, d))
-            if min(quot) >= 0:
-                multiples = plan.monomials(spec, quot)
-                for code in codes:
-                    dropped.update(map(code.__add__, multiples))
-        for mono in reversed(mons):
-            if mono not in dropped:
-                rows.append({col[exp + mono]: c for exp, c in terms})
-                labels.append((k, mono))
+        kept = mons[::-1]
+        if drop:
+            # the multiples of a code of degree d are code * (monomials of rem - d)
+            dropped = koszul[rdeg]
+            for d, lead in plan.leads[upto[rdeg]:k]:
+                quot = tuple(map(sub, rem, d))
+                if min(quot) >= 0:
+                    dropped.update(map(lead.__add__, plan.monomials(spec, quot)))
+            upto[rdeg] = k
+            vanished = set()
+            for table, multiples in syzygies[rdeg]:
+                for x in table.get(k, ()):
+                    vanished.update(map(x.__add__, multiples))
+            kept = [m for m in kept if m not in dropped and m not in vanished]
+        terms = plan.terms[k]
+        rows += [{col[exp + m]: c for exp, c in terms} for m in kept]
+        labels += [(k, m) for m in kept]
     return rows, len(basis), products, labels
 
 
 class _RowPlan:
     """What the slice rows and standard monomial counts need of a presentation,
-    computed once per spec: relation degrees and codes, the monomial codes of
-    each slice, and what each relation's products drop.
+    computed once per spec: relation degrees, terms and leads, the monomial
+    codes of each slice, and the linear syzygies of the total degree 3 slices
+    a sweep reaches.
 
     Monomials are packed codes (orders.Packing), so a relation term times a
     monomial is the sum of their codes.  No exponent in slice a exceeds
@@ -173,11 +202,21 @@ class _RowPlan:
 
     def __init__(self, spec: PresentationSpec, top: int):
         self.packing = Packing.fitting(spec.nvars, top)
+        pack = self.packing.pack
         self.degrees = [quadric_degree(spec, terms) for terms in spec.relations]
         assert None not in self.degrees
-        self._terms: list[tuple | None] = [None] * len(spec.relations)
+        self.distinct = list(dict.fromkeys(self.degrees))
+        self.units = [tuple(int(b == c) for c in range(spec.nblocks)) for b in range(spec.nblocks)]
+        # relation k as (code, integer coefficient) pairs; its lead, the largest
+        # code, is the pivot column of its rows
+        self.terms = [tuple((pack((1, 1), (a, b)), c) for a, b, c in rel)
+                      for rel in spec.relations]
+        # (degree, leading code) of each relation: all the Koszul rule reads
+        self.leads = [(d, max(terms)[0]) for d, terms in zip(self.degrees, self.terms)]
+        self._positions = spec.block_positions()
+        self._blocks: dict[tuple[int, int], list[int]] = {}
         self._monomials: dict[tuple[int, ...], list[int]] = {}
-        self._drops: list | None = None
+        self._syzygies: dict[tuple[int, ...], dict[int, list[int]]] = {}
 
     @staticmethod
     def of(spec: PresentationSpec, top: int) -> "_RowPlan":
@@ -189,57 +228,40 @@ class _RowPlan:
     def monomials(self, spec: PresentationSpec, a: tuple[int, ...]) -> list[int]:
         """Codes of every monomial of multidegree a, ascending in the presentation order.
 
-        Each code is a sum of one composition code per block.  All monomials of
-        one slice share their multidegree, so the presentation order is grevlex
-        there, and descending code is ascending grevlex.
+        Each code is a sum of one composition code per block, each block's
+        codes packed once per degree.  All monomials of one slice share their
+        multidegree, so the presentation order is grevlex there, and
+        descending code is ascending grevlex.
         """
         codes = self._monomials.get(a)
         if codes is None:
-            pack = self.packing.pack
             codes = [0]
-            for ai, pos in zip(a, spec.block_positions()):
-                block = [pack(c, pos) for c in compositions(ai, len(pos))]
+            for b, ai in enumerate(a):
+                block = self._blocks.get((b, ai))
+                if block is None:
+                    pos = self._positions[b]
+                    block = [self.packing.pack(c, pos) for c in compositions(ai, len(pos))]
+                    self._blocks[b, ai] = block
                 codes = [x + y for x in codes for y in block]
             codes.sort(reverse=True)
             self._monomials[a] = codes
         return codes
 
-    def drops(self, spec: PresentationSpec) -> list[list[tuple[tuple[int, ...], list[int]]]]:
-        """For each relation k, (multidegree, codes) pairs such that m * f_k is
-        dropped when one of the codes divides m: the leads of the relations
-        before k (the Koszul rule) and every variable x whose x * f_k is a
-        linear syzygy, found where its row vanishes as its total degree 3 slice
-        is eliminated, rows inserted in ascending (k, code).  Found once per
-        plan."""
-        if self._drops is None:
-            syzygies: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in self.degrees]
-            for a in compositions(3, spec.nblocks):
-                # no lead, of degree 2, divides a variable: every product is a row
-                rows, _, _, labels = _product_rows(spec, self, a, None)
-                for i in sparse_echelon(rows)[1]:
-                    k, x = labels[i]
-                    syzygies[k].append((tuple(y - z for y, z in zip(a, self.degrees[k])), x))
-            drops = []
-            leads: dict[tuple[int, ...], list[int]] = {}  # of the relations before k
-            for k, rdeg in enumerate(self.degrees):
-                groups = {d: list(codes) for d, codes in leads.items()}
-                for d, x in syzygies[k]:
-                    groups.setdefault(d, []).append(x)
-                drops.append(list(groups.items()))
-                leads.setdefault(rdeg, []).append(self.terms(spec, k)[1])
-            self._drops = drops
-        return self._drops
-
-    def terms(self, spec: PresentationSpec,
-              k: int) -> tuple[tuple[tuple[int, int], ...], int]:
-        """Relation k as (code, integer coefficient) pairs, and its leading code:
-        the largest, which is the pivot column of its rows."""
-        entry = self._terms[k]
-        if entry is None:
-            pack = self.packing.pack
-            terms = tuple((pack((1, 1), (a, b)), c) for a, b, c in spec.relations[k])
-            entry = self._terms[k] = (terms, max(terms)[0])
-        return entry
+    def syzygies(self, spec: PresentationSpec, b: tuple[int, ...]) -> dict[int, list[int]]:
+        """For each relation k, the codes of the variables x whose x * f_k is a
+        linear syzygy in the total degree 3 slice b: the rows that vanish as
+        all of b's products are eliminated over Z, inserted in ascending (k,
+        code).  Found when a slice first reaches b, once per b per plan."""
+        table = self._syzygies.get(b)
+        if table is None:
+            # no lead, of degree 2, divides a variable: every product is a row
+            rows, _, _, labels = _product_rows(spec, self, b, False)
+            table = {}
+            for i in sparse_echelon(rows)[1]:
+                k, x = labels[i]
+                table.setdefault(k, []).append(x)
+            self._syzygies[b] = table
+        return table
 
 
 def standard_monomial_count(gb: GroebnerBasis, spec: PresentationSpec,
@@ -402,10 +424,12 @@ def orbit_representatives(gens: Sequence[tuple[int, ...]],
 def orbit_sweep(spec: PresentationSpec, grid: tuple[tuple[int, ...], ...],
                 threads: int) -> list[SliceReport]:
     """slice_dimension of every multidegree of grid, in order, ranking only the
-    representatives (mapped through util.parallel_map); every other slice gets
-    its representative's report under its own multidegree (see Orbits in the
-    module docstring)."""
+    last member of each orbit in grid order (mapped through
+    util.parallel_map); every other member gets that slice's report under its
+    own multidegree (see Orbits in the module docstring)."""
     reps = orbit_representatives(block_symmetries(spec), grid)
-    firsts = list(dict.fromkeys(reps))
-    ranked = dict(zip(firsts, parallel_map(lambda a: slice_dimension(spec, a), firsts, threads)))
-    return [replace(ranked[r], multidegree=a) for a, r in zip(grid, reps)]
+    last = dict(zip(reps, grid))  # each orbit's last member, keyed by its first
+    ranked = dict(zip(last, parallel_map(lambda a: slice_dimension(spec, a),
+                                         list(last.values()), threads)))
+    return [SliceReport(a, s.monomials, s.rows, s.rank, s.dimension, s.method)
+            for a, s in zip(grid, map(ranked.__getitem__, reps))]

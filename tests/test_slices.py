@@ -273,15 +273,50 @@ def test_kept_rows_on_the_middle_slice_of_a5():
     assert (rep.rows, rep.rank) == (540, 212)
 
 
-@pytest.mark.parametrize("build,limit", [(lambda: build_an(4), 5), (lambda: build_an(5), 4)],
-                         ids=["a4", "a5"])
+@pytest.mark.parametrize("build,limit", [
+    (lambda: build_an(4), 5),
+    (lambda: build_an(5), 4),
+    (lambda: build_bnm(3, 2), 5),
+    (lambda: build_an(5, PivotScheme(CUSTOM, (3, 1, 5, 2, 4))), 4),
+], ids=["a4", "a5", "b32", "a5-custom"])
 def test_rows_do_not_depend_on_the_slices_before(build, limit):
-    # the syzygies come from the total degree 3 slices alone, whichever ran first
+    # the syzygies come from the total degree 3 slices alone, whichever ran
+    # first and whichever of them a sweep had reached
     swept = build()
     for a in degree_grid(swept.nblocks, limit):
         slice_dimension(swept, a)
     for a in degree_grid(swept.nblocks, limit)[::-1]:
         assert relation_product_rows(build(), a) == relation_product_rows(swept, a), a
+
+
+def test_syzygies_come_only_from_the_degree_three_slices_reached(monkeypatch):
+    # a slice a reads the syzygies of x * f_k only where x divides a product of
+    # f_k, so only the total degree 3 slices deg f_k + e_beta <= a are eliminated
+    spec, a = build_an(5), (2, 1, 0, 1, 1)
+    units = [tuple(int(b == c) for c in range(5)) for b in range(5)]
+    reached = {tuple(map(sum, zip(multidegree(next(iter(rel)), spec.blocks, 5), e)))
+               for rel in relation_polys(spec) for e in units}
+    reached = sorted(b for b in reached if all(x <= y for x, y in zip(b, a)))
+    built, eliminated = [], []
+    product_rows = slices._product_rows
+
+    def rows_spy(s, plan, b, drop):
+        built.append(b)
+        return product_rows(s, plan, b, drop)
+
+    def echelon_spy(rows, p=None):
+        eliminated.append(built[-1])  # the slice whose rows were just built
+        return exactla.sparse_echelon(rows, p)
+
+    monkeypatch.setattr(slices, "_product_rows", rows_spy)
+    monkeypatch.setattr(slices, "sparse_echelon", echelon_spy)
+    assert slice_dimension(spec, a).dimension == closed_form(spec, a)
+    assert sorted(eliminated) == reached and len(reached) == 7
+    eliminated.clear()
+    orbit_sweep(build_an(5), degree_grid(5, 5), 1)
+    # each reached slice once, and not all 35
+    assert len(set(eliminated)) == len(eliminated) < len(compositions(3, 5)) == 35
+    assert all(sum(b) == 3 for b in eliminated)
 
 
 def test_certificate_covers_the_dropped_products():
@@ -352,7 +387,10 @@ def swept_against_every_slice(spec, limit, monkeypatch):
     (lambda: build_bnm(2, 2), 6, 2),
     (lambda: build_bnm(3, 2), 4, 6),
     (lambda: build_bnm(4, 1), 4, 24),
-], ids=["a4", "a5", "a6", "a4-2143", "a4-2341", "a5-21534", "a4-2111", "b22", "b32", "b41"])
+    # perfbench slice_sweep's widest sweep, slices up to 400 columns
+    (lambda: build_bnm(3, 3), 5, 6),
+], ids=["a4", "a5", "a6", "a4-2143", "a4-2341", "a5-21534", "a4-2111", "b22", "b32", "b41",
+        "b33"])
 def test_orbit_sweep_matches_every_slice(build, limit, order, monkeypatch):
     # every pivot scheme gets all of S_n, a pivot map that is not a bijection too
     spec = build()
@@ -361,9 +399,10 @@ def test_orbit_sweep_matches_every_slice(build, limit, order, monkeypatch):
     ranked = swept_against_every_slice(spec, limit, monkeypatch)
     grid = degree_grid(spec.nblocks, limit)
     reps = orbit_representatives(gens, grid)
-    # the first multidegree of each orbit in grid order, and no other, is ranked
-    assert ranked == list(dict.fromkeys(reps))
     assert all(grid.index(r) <= i for i, r in enumerate(reps))
+    # the last multidegree of each orbit in grid order, and no other, is ranked
+    lasts = [a for i, a in enumerate(grid) if reps[i] not in reps[i + 1:]]
+    assert sorted(ranked) == sorted(lasts) and len(set(reps)) == len(lasts)
     assert len(ranked) < len(grid)
 
 
