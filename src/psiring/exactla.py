@@ -1,7 +1,8 @@
 """Exact rank and nullspace computations.
 
 Two elimination lanes, used as independent routes and cross-checked in the
-tests, where a fraction-free Bareiss elimination is the reference over Z:
+tests, where a fraction-free Bareiss elimination is the reference over Z,
+and dense adapters over the second:
 
   * the sparse lane: sparse_echelon, one echelon insertion over sparse integer
     rows, over Z only.  A dict maps each leading column to its pivot row; an
@@ -23,15 +24,17 @@ tests, where a fraction-free Bareiss elimination is the reference over Z:
     clears them upward to the reduced echelon form, which depends on the row
     space alone, and so does not depend on the order of insertion;
     kernel_rows_mod_p reads the kernel basis with the identity on the free
-    columns off that form, and nullspace_rows_mod_p does both.  The Koszul
-    tower builds its blocks as such rows, a few percent dense, and inserting
-    their sparsest rows first keeps the pivots sparse.  The dense entry
-    points, echelon_mod_p, rank_mod_p, nullspace_mod_p and echelon_nullspace,
-    read a 2-d array's nonzero entries into rows and run the same insertion;
-    their outputs are int64, so they take any p with 2 <= p and
-    (p-1)^2 < 2^63 and refuse another modulus before they read a matrix.
-    mod_matmul sums at most _chunk(p) products of residues between
-    reductions, so no int64 sum overflows.
+    columns off that form, and nullspace_rows_mod_p does both.  Both Koszul
+    routes keep their matrices as such rows, a few percent dense, and
+    inserting their sparsest rows first keeps the pivots sparse.
+
+  * the dense adapters, which no psiring code calls; perfbench's tracer
+    wraps them by name.  echelon_mod_p, rank_mod_p and nullspace_mod_p read a
+    2-d array's nonzero entries into rows and run the same insertion; their
+    outputs are int64, so they take any p with 2 <= p and (p-1)^2 < 2^63 and
+    refuse another modulus before they read a matrix.  mod_matmul sums at
+    most _chunk(p) products of residues between reductions, so no int64 sum
+    overflows.  This module alone in psiring imports numpy, for them.
 """
 
 from __future__ import annotations
@@ -132,15 +135,6 @@ def _strip_content(row: dict, keep: int | None) -> None:
 
 # -- modular lanes --------------------------------------------------------------
 
-def rows_to_dense(rows: list[dict], ncols: int, p: int) -> np.ndarray:
-    """Materialize sparse integer rows as a dense int64 array reduced mod p."""
-    out = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            out[i, c] = v % p
-    return out
-
-
 def rank_rows_mod_p(rows: list[dict[int, int]], ncols: int, p: int) -> int:
     """Rank mod p of the matrix of ncols columns with these rows {col: residue}:
     the number of pivot rows the echelon insertion keeps."""
@@ -206,20 +200,6 @@ def nullspace_mod_p(a, p: int) -> np.ndarray:
     _chunk(p)  # the lane check
     A = np.asarray(a)
     return _columns(nullspace_rows_mod_p(_sparse_rows(A, p), A.shape[1], p), A.shape[1])
-
-
-def echelon_nullspace(U: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """nullspace_mod_p on an echelon form (U, pivots) with unit pivots, pivot t
-    at row t, so a caller holding one does not eliminate again.
-
-    Clears each pivot column above its pivot, which leaves the reduced echelon
-    form, and reads kernel_rows_mod_p off it.  U is left as it was.
-    """
-    _chunk(p)  # the lane check
-    U = np.asarray(U)
-    rows = dict(zip(pivots, _sparse_rows(U[: len(pivots)], p)))
-    _clear_upward(rows, p)
-    return _columns(kernel_rows_mod_p(rows, U.shape[1], p), U.shape[1])
 
 
 def _sparse_rows(A: np.ndarray, p: int) -> list[dict[int, int]]:

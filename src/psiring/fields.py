@@ -16,9 +16,9 @@ from .errors import UsageError
 # so a single product of residues stays under 2^63 in signed 64-bit arithmetic.
 DEFAULT_PRIME = 2147483647
 # Moduli of the Koszul tower, echoed by its reports: TENSOR_PRIME, and
-# TENSOR_RETRY_PRIME for a tower that misses its prediction.  Both are below
-# 2^20, so an int64 sum holds 8,388,672 products of residues between
-# reductions (see exactla.mod_matmul).
+# TENSOR_RETRY_PRIME for a tower that misses its prediction.  Both routes
+# eliminate on Python ints, so their size bounds no sum; they are kept just
+# below 2^20 because the reports and the pinned results name them.
 TENSOR_PRIME = 1048573
 TENSOR_RETRY_PRIME = 1048571
 

@@ -44,14 +44,15 @@ the next stage, and a basis chosen by elimination is not sigma-equivariant,
 so no basis is carried across an orbit.
 
 Arithmetic runs mod TENSOR_PRIME, a prime just below 2^20, in exactla's
-mod-p lane, on Python ints and with no numpy: every block, basis and check
-row is kept as sparse rows {col: residue}, a few percent of each block
-nonzero.  Each block's rows are built straight from the sparse bases and
-check rows, and eliminated by sparse echelon insertion, sparsest row
-first.  Intersection dimensions over a prime field can only exceed the
-rational ones.  koszul_summary computes the tower at one prime and only on a
-mismatch with the prediction at a second one, keeping the smaller value of
-each stage; a match at one prime is one-sided evidence.
+mod-p lane, on Python ints and with no numpy: in both routes every matrix,
+basis and check row is kept as sparse rows {col: residue}, a few percent of
+each tower block nonzero.  Each block's rows are built straight from the
+sparse bases and check rows, and eliminated by sparse echelon insertion,
+sparsest row first; the stacked system is ranked by the same insertion.
+Intersection dimensions over a prime field can only exceed the rational
+ones.  koszul_summary computes the tower at one prime and only on a mismatch
+with the prediction at a second one, keeping the smaller value of each
+stage; a match at one prime is one-sided evidence.
 
 Work is refused with a BudgetError when the matrices would exceed the element
 budget; the refusal carries the estimate.  The estimate is the dense bound on
@@ -76,13 +77,8 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-import numpy as np
-
 from .errors import BudgetError, UsageError
-from .exactla import (
-    echelon_mod_p, echelon_nullspace, echelon_rows_mod_p, kernel_rows_mod_p,
-    nullspace_rows_mod_p, rank_mod_p, rank_rows_mod_p, rows_to_dense,
-)
+from .exactla import echelon_rows_mod_p, kernel_rows_mod_p, nullspace_rows_mod_p, rank_rows_mod_p
 from .fields import TENSOR_PRIME, TENSOR_RETRY_PRIME
 from .presentation import PivotScheme, PresentationSpec, build_an, tensor_relation_space
 from .slices import block_symmetries, orbit_representatives
@@ -116,14 +112,15 @@ def b2_structural(n: int) -> int:
     return comb(v, 2) + comb(n, 2) * (n - 3)
 
 
-def relation_space_matrices(spec: PresentationSpec) -> np.ndarray:
-    """C, the membership check of spec's R in V(x)V mod TENSOR_PRIME (x lies in
-    R exactly when C @ x == 0), read off the echelon form of R's spanning rows
+def relation_space_matrices(spec: PresentationSpec) -> list[dict[int, int]]:
+    """C, the membership check of spec's R in V(x)V mod TENSOR_PRIME, as rows
+    {col: residue} over v^2 columns (x lies in R exactly when every row of C
+    annihilates it), read off the reduced echelon form of R's spanning rows
     with no second elimination.  Only the stacked route builds it; the tower
     eliminates R one block at a time."""
-    v, p = spec.nvars, TENSOR_PRIME
-    U, pivots = echelon_mod_p(rows_to_dense(tensor_relation_space(spec), v * v, p), p)
-    return np.ascontiguousarray(echelon_nullspace(U, pivots, p).T)
+    ncols, p = spec.nvars ** 2, TENSOR_PRIME
+    rows = [{k: r for k, c in row.items() if (r := c % p)} for row in tensor_relation_space(spec)]
+    return nullspace_rows_mod_p(rows, ncols, p)
 
 
 def dual_tower(
@@ -340,7 +337,8 @@ def _dual_blocks(
 
 
 def _refuse_dense(what: str, nrows: int, ncols: int) -> None:
-    """BudgetError when a dense nrows x ncols matrix exceeds DEFAULT_ELEMENT_BUDGET entries."""
+    """BudgetError when an nrows x ncols matrix, counted dense, exceeds
+    DEFAULT_ELEMENT_BUDGET entries."""
     _refuse(f"{what} is {nrows} x {ncols}", nrows * ncols, DEFAULT_ELEMENT_BUDGET)
 
 
@@ -349,12 +347,15 @@ def dual_dimension_stacked(n: int, k: int) -> int:
     mod TENSOR_PRIME under the cyclic pivot.
 
     Exponentially larger than the iterative route; it exists as the
-    independent cross-check on small cases, and refuses dense matrices above
-    DEFAULT_ELEMENT_BUDGET entries.  The refusals come before A_n is built:
-    on the stacked system's (k-1) * RR * v^(k-2) rows, with RR = v^2 -
-    b2_structural(n) check rows, a lower bound that is exact when the
-    relations are independent, and on the relation space's b2_structural(n)
-    spanning rows over v^2 columns.  The actual RR is checked again after.
+    independent cross-check on small cases.  The system is kept as sparse
+    rows, each row of C shifted into every slot V^s (x) R (x) V^(k-2-s), and
+    ranked by the tower's own echelon insertion, but it is refused when its
+    dense size would exceed DEFAULT_ELEMENT_BUDGET entries, as the tower's
+    stages are.  The refusals come before A_n is built: on the stacked
+    system's (k-1) * RR * v^(k-2) rows, with RR = v^2 - b2_structural(n)
+    check rows, a lower bound that is exact when the relations are
+    independent, and on the relation space's b2_structural(n) spanning rows
+    over v^2 columns.  The actual RR is checked again after.
     """
     if n < 3 or k < 0:
         raise UsageError(f"bad stacked-dual arguments n={n}, k={k}")
@@ -367,21 +368,17 @@ def dual_dimension_stacked(n: int, k: int) -> int:
     _refuse_dense("stacked system", (k - 1) * (v * v - b2) * v ** (k - 2), unknowns)
     _refuse_dense("relation space", b2, v * v)
     C = relation_space_matrices(build_an(n))
-    RR = C.shape[0]
-    nrows = (k - 1) * RR * v ** (k - 2)
+    nrows = (k - 1) * len(C) * v ** (k - 2)
     _refuse_dense("stacked system", nrows, unknowns)
-    big = np.zeros((nrows, unknowns), dtype=np.int64)
-    stride = np.arange(v * v)
-    row = 0
+    rows = []
     for s in range(k - 1):
         L, Rn = v ** s, v ** (k - 2 - s)
         for i1 in range(L):
             for i2 in range(Rn):
                 colbase = (i1 * v * v) * Rn + i2
-                big[row: row + RR, colbase + Rn * stride] = C
-                row += RR
-    assert row == nrows
-    return unknowns - rank_mod_p(big, TENSOR_PRIME)
+                rows += ({colbase + Rn * c: x for c, x in crow.items()} for crow in C)
+    assert len(rows) == nrows
+    return unknowns - rank_rows_mod_p(rows, unknowns, TENSOR_PRIME)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Shared helpers: cached presentations, the reference polynomial arithmetic
 over a field given by its characteristic, the reference Gauss-Jordan
-elimination mod p, and the acceptance-line terminal summary.
+elimination mod p with sparse rows reduced mod p and made dense for it, and
+the acceptance-line terminal summary.
 """
 
 from dataclasses import replace
 from fractions import Fraction
+
+import numpy as np
 
 from psiring.groebner import PackedRing, normal_form
 from psiring.orders import Packing
@@ -62,6 +65,22 @@ def gauss_jordan(m, p):
                 R[i] = [(x - f * y) % p for x, y in zip(R[i], R[r])]
         pivots.append(c)
     return R, pivots
+
+
+def rows_mod_p(rows, p):
+    """Sparse integer rows {col: int} as rows {col: residue} mod p, the zero
+    residues left out: the input of exactla's mod-p row entry points."""
+    return [{c: r for c, v in row.items() if (r := v % p)} for row in rows]
+
+
+def dense_mod_p(rows, ncols, p):
+    """Sparse integer rows {col: int} as a dense int64 array of ncols columns,
+    reduced mod p: the input of gauss_jordan and of the dense adapters."""
+    out = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            out[i, c] = v % p
+    return out
 
 
 def with_first_relation_scaled(spec, factor):

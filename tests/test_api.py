@@ -35,6 +35,8 @@ ALLOWED = {
     "series.lee_coefficient":
         "the benchmark's tracer wraps it by name; it is the closed-form route that tests"
         " check series arithmetic against",
+    "exactla.echelon_mod_p": "the benchmark's tracer wraps it by name",
+    "exactla.rank_mod_p": "the benchmark's tracer wraps it by name",
     "exactla.nullspace_mod_p": "the benchmark's tracer wraps it by name",
     "exactla.mod_matmul": "the benchmark's tracer wraps it by name",
 }
@@ -50,6 +52,24 @@ def test_pure_python_layer_loads_without_numpy(module):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_only_exactla_imports_numpy():
+    # the dense adapters perfbench's tracer wraps are the one matrix form
+    # besides sparse rows; every other layer, the Koszul routes included,
+    # computes without numpy
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.stem)
+    assert importers == {"exactla"}
 
 
 def public_definitions(tree):
@@ -115,9 +135,8 @@ REACH_COMMANDS = [
 UNREACHED = {
     **ALLOWED,
     "koszul._refuse_dense": "only dual_dimension_stacked calls it",
-    **{f"exactla.{name}": "only dual_dimension_stacked reaches it"
-       for name in ("rows_to_dense", "echelon_mod_p", "rank_mod_p", "echelon_nullspace",
-                    "_sparse_rows", "_columns", "_chunk")},
+    **{f"exactla.{name}": "only the dense adapters the benchmark's tracer wraps reach it"
+       for name in ("_sparse_rows", "_columns", "_chunk")},
     "koszul.relation_space_matrices":
         "only dual_dimension_stacked calls it; the tower eliminates R block by block",
 }

@@ -10,7 +10,6 @@ from psiring import exactla
 from psiring.errors import UsageError
 from psiring.exactla import (
     echelon_mod_p,
-    echelon_nullspace,
     echelon_rows_mod_p,
     kernel_rows_mod_p,
     mod_matmul,
@@ -19,12 +18,11 @@ from psiring.exactla import (
     rank_mod_p,
     rank_rows_mod_p,
     rank_sparse_rational,
-    rows_to_dense,
     sparse_echelon,
 )
 from psiring.fields import DEFAULT_PRIME, TENSOR_PRIME, TENSOR_RETRY_PRIME
 from psiring.rng import SplitMix64
-from conftest import gauss_jordan
+from conftest import dense_mod_p, gauss_jordan, rows_mod_p
 
 
 def bareiss_rank(mat: list[list[int]]) -> int:
@@ -79,12 +77,6 @@ def test_rank_lanes_agree(seed):
     assert r_sparse == r_bareiss == r_mod
 
 
-def test_rows_to_dense_reduces_entries():
-    rows = [{0: -1, 2: 5}, {1: 7}]
-    a = rows_to_dense(rows, 3, p=5)
-    assert a.tolist() == [[4, 0, 0], [0, 2, 0]]
-
-
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, TENSOR_PRIME, 97])
 def test_echelon_and_rref_shapes(p):
     ints = random_int_matrix(7, 9, 41, rank_deficit=2)
@@ -107,7 +99,6 @@ def test_elimination_refuses_the_prime_before_the_matrix(p, shape):
     # OverflowError
     a = np.ones(shape, dtype=np.int64)
     for eliminate in (echelon_mod_p, rank_mod_p, nullspace_mod_p,
-                      lambda a, p: echelon_nullspace(a, [], p),
                       lambda a, p: mod_matmul(a, a.T, p)):
         with pytest.raises(UsageError):
             eliminate(a, p)
@@ -135,7 +126,7 @@ def test_int64_lane_on_tower_sized_sparse_matrices(nrows, ncols, per_row):
     # shapes the Koszul computations eliminate, at 5% and 1.4% density
     p = TENSOR_PRIME
     rows = sparse_tower_rows(SplitMix64(0xDE5E), nrows, ncols, per_row)
-    m = rows_to_dense(rows, ncols, p)
+    m = dense_mod_p(rows, ncols, p)
     assert 0.01 <= np.count_nonzero(m) / m.size <= 0.06
     ech, piv = echelon_mod_p(m, p)
     assert piv == sorted(set(piv))
@@ -149,7 +140,9 @@ def test_int64_lane_on_tower_sized_sparse_matrices(nrows, ncols, per_row):
     assert len(piv) == rank
     ns = nullspace_mod_p(m, p)
     assert ns.shape == (ncols, ncols - rank)
-    assert rank_mod_p(ns.T, p) == ncols - rank
+    # the identity on the free columns, so the kernel vectors are independent
+    free = [c for c in range(ncols) if c not in piv]
+    assert np.array_equal(ns[free], np.eye(len(free), dtype=np.int64))
     cols = ns.astype(object)
     for row in rows:
         assert not (sum(v * cols[c] for c, v in row.items()) % p).any()
@@ -214,40 +207,34 @@ def gauss_jordan_cases(p, seed):
 
 
 @pytest.mark.parametrize("p", [97, TENSOR_PRIME, DEFAULT_PRIME, 2])
-def test_echelon_nullspace_against_gauss_jordan(p):
+def test_mod_p_lane_against_gauss_jordan(p):
     # the rank, the pivot columns, the reduced echelon form and the kernel basis
-    # with the identity on the free columns are unique, so the int64 lane must
-    # give the reference's exactly, and leave U as it was
+    # with the identity on the free columns are unique, so the row entry points
+    # and the dense adapters over them must give the reference's exactly
     kinds = set()
     for m in gauss_jordan_cases(p, 0x6A55 + p):
         pivots, want, R = gauss_jordan_kernel(m, p)
+        ncols = m.shape[1]
+        rows = rows_mod_p([dict(enumerate(row)) for row in m.tolist()], p)
+        echelon = echelon_rows_mod_p(rows, ncols, p)
+        assert sorted(echelon) == pivots
+        assert dense_mod_p([echelon[lead] for lead in pivots], ncols, p).tolist() \
+            == R[: len(pivots)]
+        assert rank_rows_mod_p(rows, ncols, p) == len(pivots)
+        kernel = nullspace_rows_mod_p(rows, ncols, p)
+        assert [[vec.get(c, 0) for vec in kernel] for c in range(ncols)] == want.tolist()
         U, piv = echelon_mod_p(m, p)
-        before = U.copy()
-        got = echelon_nullspace(U, piv, p)
         assert piv == pivots
         assert rank_mod_p(m, p) == len(pivots)
         assert U.dtype == np.int64 and U.tolist() == R
+        got = nullspace_mod_p(m, p)
         assert got.dtype == np.int64 and got.shape == want.shape
         assert got.tolist() == want.tolist()
-        assert np.array_equal(U, before)
-        assert np.array_equal(nullspace_mod_p(m, p), got)
         assert not ((m.astype(object) @ want) % p).any()
         kinds.add((m.shape[0] > 0, len(piv) == 0, len(piv) == min(m.shape)))
     # 0-row matrices, rank 0 with rows, full rank with rows, and rank-deficient
     assert {(False, True, True), (True, True, False), (True, False, True),
             (True, False, False)} <= kinds
-
-
-def test_echelon_nullspace_takes_any_echelon_form_with_unit_pivots():
-    # an echelon form that is not reduced, with rows of it scaled and added to
-    # the rows above, gives the kernel of its reduced form
-    p = 97
-    for m in gauss_jordan_cases(p, 0xEC40):
-        _, want, _ = gauss_jordan_kernel(m, p)
-        U, piv = echelon_mod_p(m, p)
-        for t in range(len(piv) - 1, 0, -1):
-            U[:t] = (U[:t] + np.arange(1, t + 1)[:, None] * U[t]) % p
-        assert echelon_nullspace(U, piv, p).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("p", [2, TENSOR_PRIME, DEFAULT_PRIME])
@@ -257,7 +244,7 @@ def test_int64_lane_against_gauss_jordan_on_sparse_rows(p, nrows, ncols, per_row
     # against the reference, dense and in the natural row order; every output
     # must be the same again with the rows shuffled
     rng = SplitMix64(0x5A5E + nrows)
-    m = rows_to_dense(sparse_tower_rows(rng, nrows, ncols, per_row), ncols, p)
+    m = dense_mod_p(sparse_tower_rows(rng, nrows, ncols, per_row), ncols, p)
     assert 0.01 <= np.count_nonzero(m) / m.size <= 0.06
     pivots, want, R = gauss_jordan_kernel(m, p)
     assert len(pivots) < nrows
@@ -289,7 +276,7 @@ def test_sparse_rows_against_dense_and_gauss_jordan(p):
     kinds = set()
     for rows, ncols in cases:
         before = [dict(row) for row in rows]
-        m = rows_to_dense(rows, ncols, p)
+        m = dense_mod_p(rows, ncols, p)
         pivots, want, R = gauss_jordan_kernel(m, p)
         echelon = echelon_rows_mod_p(rows, ncols, p)
         kernel = nullspace_rows_mod_p(rows, ncols, p)
@@ -303,8 +290,7 @@ def test_sparse_rows_against_dense_and_gauss_jordan(p):
         U, piv = echelon_mod_p(m, p)
         assert (piv, U[: len(piv)].tolist()) == (pivots, R[: len(pivots)])
         assert rank_mod_p(m, p) == len(pivots)
-        assert nullspace_mod_p(m, p).tolist() == echelon_nullspace(U, piv, p).tolist() \
-            == want.tolist()
+        assert nullspace_mod_p(m, p).tolist() == want.tolist()
         kinds.add((bool(rows), len(pivots) == ncols, ncols - max(pivots, default=-1) > 1))
     # no rows, full column rank, and free columns after the last pivot
     assert {(False, True, False), (True, True, False), (True, False, True)} <= kinds
@@ -434,14 +420,14 @@ def test_vanished_rows_are_the_dependent_ones(seed):
 def test_rank_mod_p_can_fall_below_rank_over_q(p):
     rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + p}]
     assert rank_sparse_rational(rows, p) == (2, False)  # not certified at p
-    assert rank_mod_p(rows_to_dense(rows, 2, p), p) == 1
+    assert rank_rows_mod_p(rows_mod_p(rows, p), 2, p) == 1
 
 
 def test_explicit_zero_entries_are_not_pivots():
     for rows in ([{0: 0}], [{0: 0, 1: 0}, {1: 0, 2: 3}], [{2: 0, 1: 2}, {1: 4}]):
         ncols = max(max(row) for row in rows) + 1
-        dense = rank_mod_p(rows_to_dense(rows, ncols, DEFAULT_PRIME), DEFAULT_PRIME)
-        assert rank_sparse_rational(rows)[0] == dense
+        rank_p = rank_rows_mod_p(rows_mod_p(rows, DEFAULT_PRIME), ncols, DEFAULT_PRIME)
+        assert rank_sparse_rational(rows)[0] == rank_p
     assert rank_sparse_rational([{0: 0}]) == (0, False)
     assert rank_sparse_rational([{0: 0, 1: 0}, {1: 0, 2: 3}], 5) == (1, True)
 
@@ -486,7 +472,7 @@ def test_certified_rank_over_q_is_the_rank_mod_q(q):
         rows = multiples_heavy_rows(rng, q, nrows, ncols)
         rank, lucky = rank_sparse_rational(rows, q)
         assert rank == rank_sparse_rational(rows)[0]
-        rank_q = rank_mod_p(rows_to_dense(rows, ncols, q), q)
+        rank_q = rank_rows_mod_p(rows_mod_p(rows, q), ncols, q)
         if lucky:
             assert rank == rank_q
         outcomes.add((lucky, rank == rank_q))

@@ -16,7 +16,7 @@ import psiring.exactla as exactla
 import psiring.koszul as koszul
 import psiring.slices as slices
 from psiring.errors import BudgetError
-from psiring.exactla import echelon_mod_p, echelon_nullspace, nullspace_mod_p, rows_to_dense
+from psiring.exactla import echelon_rows_mod_p, kernel_rows_mod_p, nullspace_rows_mod_p
 from psiring.fields import DEFAULT_PRIME, TENSOR_PRIME, TENSOR_RETRY_PRIME
 from psiring.koszul import (
     DEFAULT_ELEMENT_BUDGET,
@@ -31,7 +31,9 @@ from psiring.presentation import CUSTOM, PivotScheme, build_an, tensor_relation_
 from psiring.series import invert_unit_series, lee_series, total_hilbert
 from psiring.slices import block_symmetries
 from psiring.symbols import Alpha
-from conftest import gauss_jordan, with_first_relation_scaled, with_last_relation_bent
+from conftest import (
+    dense_mod_p, gauss_jordan, rows_mod_p, with_first_relation_scaled, with_last_relation_bent,
+)
 
 
 def test_prediction_rows_frozen():
@@ -61,17 +63,19 @@ def test_three_points_dual_is_exterior():
 
 
 def relation_space(spec, prime=TENSOR_PRIME):
-    """(N2, C), test-side: the echelon rows of spec's R in V (x) V mod the
-    prime, and the check rows read off them as their kernel."""
-    v = spec.nvars
-    U, pivots = echelon_mod_p(rows_to_dense(tensor_relation_space(spec), v * v, prime), prime)
-    N2 = U[: len(pivots)]
-    return N2, echelon_nullspace(N2, pivots, prime).T
+    """(N2, C), test-side and dense: the reduced echelon rows of spec's R in
+    V (x) V mod the prime, and the check rows read off them as their kernel."""
+    ncols = spec.nvars ** 2
+    echelon = echelon_rows_mod_p(rows_mod_p(tensor_relation_space(spec), prime), ncols, prime)
+    N2 = dense_mod_p([echelon[lead] for lead in sorted(echelon)], ncols, prime)
+    return N2, dense_mod_p(kernel_rows_mod_p(echelon, ncols, prime), ncols, prime)
 
 
 def test_relation_space_shapes():
     assert relation_space(build_an(4))[0].shape == (34, 64)
-    assert relation_space_matrices(build_an(4)).shape == (64 - 34, 64)
+    C = relation_space_matrices(build_an(4))
+    assert len(C) == 64 - 34
+    assert all(0 <= c < 64 and 0 < x < TENSOR_PRIME for row in C for c, x in row.items())
 
 
 def matrix_digest(m: np.ndarray) -> str:
@@ -88,41 +92,45 @@ def matrix_digest(m: np.ndarray) -> str:
      "c24718b1c8ce6bdab5ae969f38f9ca3b5347b8aa31dd7bdca6cdb1c6e159ab73"),
 ])
 def test_relation_space_matrices_pinned(n, n2_digest, c_digest):
-    # sha256 of the shape and the int64 bytes of N2 and C: the reduced echelon
-    # form of the tensor rows, and the check rows the stacked route reads off
-    # it, must not drift when the elimination changes; both depend on R alone
+    # sha256 of the shape and the int64 bytes of N2 and C, made dense here: the
+    # reduced echelon form of the tensor rows, and the check rows the stacked
+    # route reads off it, must not drift when the elimination changes; both
+    # depend on R alone
     spec = build_an(n)
+    v = spec.nvars
     N2 = relation_space(spec)[0]
-    C = relation_space_matrices(spec)
+    C = dense_mod_p(relation_space_matrices(spec), v * v, TENSOR_PRIME)
     assert (matrix_digest(N2), matrix_digest(C)) == (n2_digest, c_digest)
     if n <= 5:
-        v = spec.nvars
-        R, pivots = gauss_jordan(rows_to_dense(tensor_relation_space(spec), v * v, TENSOR_PRIME),
+        R, pivots = gauss_jordan(dense_mod_p(tensor_relation_space(spec), v * v, TENSOR_PRIME),
                                  TENSOR_PRIME)
         assert N2.tolist() == R[: len(pivots)]
 
 
 @pytest.mark.parametrize("n,pivot", [(4, None), (5, None), (5, (3, 1, 5, 2, 4))])
 def test_relation_space_eliminates_once(n, pivot, monkeypatch):
-    # C is read off the echelon form N2 of the tensor rows without eliminating
-    # it again, and is what nullspace_mod_p gives on N2: an echelon form with
-    # unit pivots re-eliminates to itself
+    # C is read off the reduced echelon form N2 of the tensor rows, one
+    # insertion, without eliminating it again, and is the kernel that
+    # nullspace_rows_mod_p gives on N2: a reduced echelon form re-eliminates
+    # to itself
     calls = []
-    real = koszul.echelon_mod_p
+    for module, name in ((koszul, "echelon_rows_mod_p"), (exactla, "echelon_rows_mod_p"),
+                         (exactla, "_insert_mod_p")):
+        def spy(rows, ncols, p, name=name, real=getattr(module, name)):
+            calls.append((name, len(rows), ncols))
+            return real(rows, ncols, p)
 
-    def spy(a, p):
-        calls.append(np.shape(a))
-        return real(a, p)
-
-    monkeypatch.setattr(koszul, "echelon_mod_p", spy)
+        monkeypatch.setattr(module, name, spy)
     scheme = PivotScheme(CUSTOM, assignment=pivot) if pivot else None
     spec = build_an(n, scheme)
     C = relation_space_matrices(spec)
-    assert calls == [(b2_structural(n), spec.nvars ** 2)]
+    shape = (b2_structural(n), spec.nvars ** 2)
+    assert calls == [("echelon_rows_mod_p", *shape), ("_insert_mod_p", *shape)]
     N2 = relation_space(spec)[0]
-    U, pivots = real(N2, TENSOR_PRIME)
-    assert np.array_equal(U, N2)
-    assert np.array_equal(C, nullspace_mod_p(N2, TENSOR_PRIME).T)
+    rows = rows_mod_p([dict(enumerate(row)) for row in N2.tolist()], TENSOR_PRIME)
+    again = echelon_rows_mod_p(rows, shape[1], TENSOR_PRIME)
+    assert [again[lead] for lead in sorted(again)] == rows
+    assert C == nullspace_rows_mod_p(rows, shape[1], TENSOR_PRIME)
 
 
 @pytest.mark.parametrize("n,kmax", [(4, 4), (5, 3), (6, 3)])
@@ -168,7 +176,7 @@ def test_stacked_route_checks_the_actual_relation_space(monkeypatch):
     # a C with twice the check rows of A(4)'s passes the check on the lower
     # bound RR = 30 and is refused on its own 60 rows
     C = relation_space_matrices(build_an(4))
-    monkeypatch.setattr(koszul, "relation_space_matrices", lambda spec: np.vstack([C, C]))
+    monkeypatch.setattr(koszul, "relation_space_matrices", lambda spec: C + C)
     monkeypatch.setattr(koszul, "DEFAULT_ELEMENT_BUDGET", 300_000)
     with pytest.raises(BudgetError) as exc:
         dual_dimension_stacked(4, 3)
@@ -494,8 +502,8 @@ def test_budget_refused_before_any_work(monkeypatch):
         raise AssertionError("work started before the budget check")
 
     for name in ("rank_rows_mod_p", "echelon_rows_mod_p", "kernel_rows_mod_p",
-                 "nullspace_rows_mod_p", "rank_mod_p", "echelon_mod_p", "echelon_nullspace",
-                 "build_an", "block_symmetries", "relation_space_matrices"):
+                 "nullspace_rows_mod_p", "build_an", "block_symmetries",
+                 "relation_space_matrices"):
         monkeypatch.setattr(koszul, name, boom)
     with pytest.raises(BudgetError) as exc:
         dual_tower(5, 4)
@@ -563,9 +571,11 @@ class NoNumpy:
 
 def test_tower_touches_no_numpy(monkeypatch):
     # every block, basis and check row is sparse rows on Python ints, at both
-    # primes koszul_summary uses
-    for module in (koszul, exactla):
-        monkeypatch.setattr(module, "np", NoNumpy())
+    # primes koszul_summary uses, and so is the stacked route's system; koszul
+    # imports no numpy (test_api), and exactla's dense adapters go unused
+    monkeypatch.setattr(exactla, "np", NoNumpy())
+    assert dual_dimension_stacked(4, 3) == 112
+    assert len(relation_space_matrices(build_an(5))) == 15 ** 2 - b2_structural(5)
     assert dual_tower(3, 6) == [1, 3, 3, 1, 0, 0, 0]
     assert dual_tower(4, 5) == [1, 8, 34, 112, 341, 1024]
     assert dual_tower(5, 4, budget=10 ** 11) == [1, 15, 125, 795, 4395]
@@ -585,6 +595,19 @@ def test_tower_memory_stays_sparse():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2 ** 20
+
+
+def test_stacked_route_memory_stays_sparse():
+    # the stacked system of (4, 4), 5760 x 4096, is under 0.1% nonzero:
+    # assembled as dense int64 it peaked at 183 MiB of Python allocations,
+    # kept as sparse rows at 3 MiB
+    tracemalloc.start()
+    try:
+        assert dual_dimension_stacked(4, 4) == koszul_prediction(4, 4)[4]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
 
 
 def test_tower_stops_once_a_stage_vanishes():

@@ -32,7 +32,8 @@ from psiring.slices import (
     standard_monomial_count,
 )
 from conftest import (
-    cached_an, cached_bnm, poly_mul, with_first_relation_scaled, with_last_relation_bent,
+    cached_an, cached_bnm, poly_mul, rows_mod_p, with_first_relation_scaled,
+    with_last_relation_bent,
 )
 
 
@@ -107,8 +108,8 @@ def dimension_by(method, spec, a):
     rows, ncols = rows_by_poly_arithmetic(spec, a), len(monomials(spec, a))
     if method == "rational":
         return ncols - exactla.rank_sparse_rational(rows)[0]
-    dense = exactla.rows_to_dense(rows, ncols, DEFAULT_PRIME)
-    return ncols - exactla.rank_mod_p(dense, DEFAULT_PRIME)
+    p = DEFAULT_PRIME
+    return ncols - exactla.rank_rows_mod_p(rows_mod_p(rows, p), ncols, p)
 
 
 @pytest.mark.parametrize("method", ["rational", "modular", "auto"])
@@ -235,10 +236,10 @@ def test_row_builder_past_eight_bit_exponents():
 
 
 def ranks(rows, ncols):
-    """Rank over Q, and by the dense route at the prime a slice's rank is
+    """Rank over Q, and by the mod-p lane at the prime a slice's rank is
     certified at."""
-    dense = exactla.rows_to_dense(rows, ncols, DEFAULT_PRIME)
-    return exactla.rank_sparse_rational(rows)[0], exactla.rank_mod_p(dense, DEFAULT_PRIME)
+    return (exactla.rank_sparse_rational(rows)[0],
+            exactla.rank_rows_mod_p(rows_mod_p(rows, DEFAULT_PRIME), ncols, DEFAULT_PRIME))
 
 
 @pytest.mark.parametrize("spec,limit", [
@@ -334,8 +335,7 @@ def test_certificate_covers_the_dropped_products():
         assert rep.rank == rank_q, a
         assert rep.dimension == closed_form(bad, a), a
         if rep.method == f"modular({p})+rational":
-            dense = exactla.rows_to_dense(full, rep.monomials, p)
-            assert exactla.rank_mod_p(dense, p) == rep.rank, a
+            assert exactla.rank_rows_mod_p(rows_mod_p(full, p), rep.monomials, p) == rep.rank, a
         methods[rep.method] += 1
     assert methods[f"modular({p})+rational"] and methods["rational(after-bad-prime)"]
 
